@@ -32,6 +32,7 @@ from .phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
+    link_gains,
     link_rate,
     modulate_bpsk,
     per_link_rates,

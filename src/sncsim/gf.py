@@ -2,8 +2,8 @@
 Exact arithmetic and dense linear algebra over prime fields GF(q).
 
 Matrices are plain numpy integer arrays with entries reduced to [0, q).
-All elimination is done with Python/numpy integer arithmetic, so results
-are exact for any prime q that fits in int64.
+All elimination is done with Python integer arithmetic, so results are
+exact for any prime q that fits in int64.
 """
 
 from __future__ import annotations
@@ -77,34 +77,34 @@ def _eliminate(m: np.ndarray, field: PrimeField):
     """Row-reduce a copy of *m* mod q.
 
     Returns (reduced matrix, pivot column list, row permutation applied).
+    The rows are Python int lists while reducing: exact, and far cheaper
+    than numpy element access on the small systems solved here.
     """
     q = field.q
-    a = field.reduce(m).copy()
+    a = field.reduce(m)
     rows, cols = a.shape
+    a = a.tolist()
     pivot_cols: list[int] = []
     perm = list(range(rows))
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if a[i][c]), -1)
         if pivot == -1:
             continue
         if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
+            a[r], a[pivot] = a[pivot], a[r]
             perm[r], perm[pivot] = perm[pivot], perm[r]
-        inv = field.inv(int(a[r, c]))
-        a[r] = (a[r] * inv) % q
+        inv = field.inv(a[r][c])
+        lead = a[r] = [x * inv % q for x in a[r]]
         for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % q
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], lead)]
         pivot_cols.append(c)
         r += 1
-    return a, pivot_cols, perm
+    return np.array(a, dtype=np.int64).reshape(rows, cols), pivot_cols, perm
 
 
 def gf_rank(m, field: PrimeField) -> int:
@@ -122,24 +122,19 @@ def gf_select_independent_rows(m, field: PrimeField) -> list[int]:
     Rows are scanned in ascending order; a row is kept iff it increases
     the rank of the set kept so far.  The result has length gf_rank(m).
     """
-    a = field.reduce(m)
-    rows, cols = a.shape
     q = field.q
-    basis: list[np.ndarray] = []  # reduced rows, each with a leading 1
-    lead: list[int] = []  # leading column of each basis row
+    basis: list[tuple[int, list[int]]] = []  # (leading column, row with leading 1)
     kept: list[int] = []
-    for i in range(rows):
-        v = a[i].copy()
-        for b, c in zip(basis, lead):
-            if v[c] != 0:
-                v = (v - v[c] * b) % q
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+    for i, v in enumerate(field.reduce(m).tolist()):
+        for c, b in basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % q for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), -1)
+        if c == -1:
             continue
-        c = int(nz[0])
-        v = (v * field.inv(int(v[c]))) % q
-        basis.append(v)
-        lead.append(c)
+        inv = field.inv(v[c])
+        basis.append((c, [x * inv % q for x in v]))
         kept.append(i)
     return kept
 
@@ -173,6 +168,21 @@ def gf_solve(a, rhs, field: PrimeField) -> np.ndarray:
     if np.any(residual != 0):
         raise InconsistentSystemError("redundant rows disagree with solution")
     return x
+
+
+def gf_inv(a, field: PrimeField) -> np.ndarray:
+    """Inverse of the square matrix *a* over GF(q), by row-reducing [a | I].
+
+    Raises RankDeficientError when *a* is singular mod q.
+    """
+    a = field.reduce(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("only square matrices have an inverse")
+    n = a.shape[0]
+    red, pivots, _ = _eliminate(np.hstack([a, np.eye(n, dtype=np.int64)]), field)
+    if pivots[:n] != list(range(n)):
+        raise RankDeficientError("matrix is singular over the field")
+    return red[:, n:]
 
 
 def find_valid_field_size(f_int, target_rank: int, q_max: int = 101) -> PrimeField:

@@ -6,6 +6,15 @@ runs are byte-identical across repeats and across worker counts.  The two
 schemes share the channel realization of a trial (paired comparison).
 SNR is interpreted as p_max / sigma^2 with p_max fixed and the noise
 variance swept.
+
+The engine is trial-major: run_trial draws a trial's channel and builds
+everything that depends on the channel alone (precoders, rank and
+alignment checks, filters, effective system, link gains) once, then
+evaluates every SNR point from it.  Generator-state contract: the state
+reached after the channel loop is saved and restored before each point's
+message and noise draws, so a point sees exactly the draws of a one-point
+call, and a multi-point call equals the one-point calls it replaces.  No
+check depends on the SNR, so an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
+    link_gains,
     modulate_bpsk,
     per_link_rates,
     transmit,
@@ -102,6 +112,10 @@ class SimConfig:
         if self.p_max <= 0:
             raise ConfigError("p_max must be positive")
         PrimeField(self.q)  # raises on non-prime
+        if self.run_snc and self.q != 2:
+            raise ConfigError(
+                f"the alignment scheme demodulates BPSK over GF(2) only, got q={self.q}"
+            )
 
     @property
     def rx_count(self) -> int:
@@ -137,7 +151,6 @@ class TrialResult:
     cf_sum_rate: float | None
     detected_error: bool | None
     cf_outage_frac: float | None
-    aborted: bool = False
     snc_report: object = None  # RateReport when the SNC leg ran
 
 
@@ -145,23 +158,19 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
-    """One paired Monte Carlo trial at the given SNR.
+def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
+    """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*.
 
-    Degenerate channel draws (precoder rank loss) are resampled up to
-    MAX_RESAMPLES times before the trial is aborted.
+    Degenerate channel draws (precoder rank loss, misalignment, an
+    ill-conditioned filter) are resampled up to MAX_RESAMPLES times before
+    the trial is aborted with TrialAbortError.  Returns one result per SNR
+    value, in order.
     """
     vt = cfg.topology_expanded
     plan = extension_dims(vt.M, cfg.n) if cfg.run_snc else None
     n_ext = plan.N if plan is not None else 1
-    rho = cfg.p_max * 10.0 ** (snr_db / 10.0)
-    noise = NoiseModel(sigma2=cfg.p_max / rho)
     rng = _trial_rng(cfg.seed, trial_index)
 
-    snc_rate = None
-    detected = None
-    report = None
-    h = None
     for attempt in range(MAX_RESAMPLES + 1):
         h = sample_extended_channel(vt, n_ext, cfg.channel_model, rng)
         if not cfg.run_snc:
@@ -179,32 +188,40 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
                     f"degenerate channel after {MAX_RESAMPLES} resamples"
                 )
             continue
-
-        rates = per_link_rates(h, prec, filters, eff, noise)
-        report = end_to_end_sum_rate(rates, eff, rho, cfg.cap_enabled)
-        snc_rate = report.sum_rate
-
-        # noisy end-to-end pass for the recovery statistics
-        msgs = [rng.integers(0, cfg.q, size=plan.streams(k)) for k in range(vt.M)]
-        x = [modulate_bpsk(b, cfg.q) for b in msgs]
-        nvecs = [sample_noise(n_ext, noise, cfg.channel_model, rng) for _ in range(vt.M)]
-        y = transmit(h, prec, x, nvecs)
-        forwarded = np.concatenate(filter_and_demodulate(y, filters, eff))
-        detected = cp_recover(eff, forwarded).detected_error
+        gains = link_gains(h, prec, filters, eff)
         break
+    state = rng.bit_generator.state
 
-    cf_rate = None
-    outage = None
-    if cfg.run_cf:
-        total, outage = cf_trial_sum_rate(
-            h, rho, PrimeField(cfg.q), cfg.cf_radius,
-            cap=math.log2(1.0 + rho) if cfg.cap_enabled else None,
-        )
-        cf_rate = total
+    out = []
+    for snr_db in snr_dbs:
+        rho = cfg.p_max * 10.0 ** (snr_db / 10.0)
+        noise = NoiseModel(sigma2=cfg.p_max / rho)
+        snc_rate = detected = report = None
+        if cfg.run_snc:
+            report = end_to_end_sum_rate(per_link_rates(gains, noise.sigma2),
+                                         eff, rho, cfg.cap_enabled)
+            snc_rate = report.sum_rate
 
-    return TrialResult(snc_sum_rate=snc_rate, cf_sum_rate=cf_rate,
-                       detected_error=detected, cf_outage_frac=outage,
-                       snc_report=report)
+            # noisy end-to-end pass for the recovery statistics
+            rng.bit_generator.state = state
+            msgs = [rng.integers(0, cfg.q, size=plan.streams(k)) for k in range(vt.M)]
+            x = [modulate_bpsk(b, cfg.q) for b in msgs]
+            nvecs = [sample_noise(n_ext, noise, cfg.channel_model, rng)
+                     for _ in range(vt.M)]
+            y = transmit(h, prec, x, nvecs)
+            forwarded = np.concatenate(filter_and_demodulate(y, filters, eff))
+            detected = cp_recover(eff, forwarded).detected_error
+
+        cf_rate = outage = None
+        if cfg.run_cf:
+            cf_rate, outage = cf_trial_sum_rate(
+                h, rho, PrimeField(cfg.q), cfg.cf_radius,
+                cap=math.log2(1.0 + rho) if cfg.cap_enabled else None,
+            )
+        out.append(TrialResult(snc_sum_rate=snc_rate, cf_sum_rate=cf_rate,
+                               detected_error=detected, cf_outage_frac=outage,
+                               snc_report=report))
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,18 +250,46 @@ class SweepResult:
         raise KeyError((scheme, snr_db))
 
 
-def _trial_worker(cfg: SimConfig, snr_db: float, trial_index: int):
+def _trial_worker(cfg: SimConfig, trial_index: int):
+    """Per-SNR-point (snc rate, detected error, cf rate, cf outage) tuples
+    of one trial, or None when it aborted.  Only these numbers cross the
+    process boundary, not the rate reports."""
     try:
-        return run_trial(cfg, snr_db, trial_index)
+        results = run_trial(cfg, cfg.snr_grid, trial_index)
     except TrialAbortError:
-        return TrialResult(None, None, None, None, aborted=True)
+        return None
+    return [(r.snc_sum_rate, r.detected_error, r.cf_sum_rate, r.cf_outage_frac)
+            for r in results]
+
+
+def _sweep_point(scheme: str, snr_db: float, rows: list, n_ext: int) -> SweepPoint:
+    """Aggregate the kept trials' outcomes at one SNR point.  When every
+    trial aborted there is nothing to average: the rates are NaN."""
+    if not rows:
+        return SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=math.nan,
+                          std_sum_rate=math.nan, trials=0, outage_frac=0.0,
+                          detected_err_frac=0.0)
+    if scheme == "snc":
+        rates = [r[0] for r in rows]
+        outage = 0.0
+        errs = sum(1 for r in rows if r[1]) / len(rows)
+    else:
+        rates = [r[2] for r in rows]
+        outage = float(np.mean([r[3] for r in rows]))
+        errs = 0.0
+    samples = np.array(rates) / n_ext
+    return SweepPoint(scheme=scheme, snr_db=snr_db,
+                      mean_sum_rate=float(samples.mean()),
+                      std_sum_rate=float(samples.std()),
+                      trials=len(rows), outage_frac=outage, detected_err_frac=errs)
 
 
 def run_sweep(cfg: SimConfig) -> SweepResult:
-    """Run the full (SNR grid x trials) experiment and aggregate.
+    """Run the full (trials x SNR grid) experiment and aggregate.
 
-    Trials are independent work items; set the SNCSIM_WORKERS environment
-    variable above 1 for a process pool.  Aggregation always happens in
+    Trials are independent work items, each evaluated at every SNR point;
+    set the SNCSIM_WORKERS environment variable above 1 for a process pool,
+    which receives the trials in chunks.  Aggregation always happens in
     trial-index order, so results do not depend on the worker count.
     """
     cfg.validate()
@@ -252,56 +297,46 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     n_ext = extension_dims(vt.M, cfg.n).N if cfg.run_snc else 1
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     res = SweepResult(n_ext=n_ext)
-    per_scheme_means: dict[str, list[float]] = {"snc": [], "cf": []}
+    schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for snr_db in cfg.snr_grid:
-            fn = partial(_trial_worker, cfg, snr_db)
-            indices = range(cfg.trials)
-            results = list(pool.map(fn, indices)) if pool else [fn(i) for i in indices]
-            kept = [r for r in results if not r.aborted]
-            res.aborted_trials += len(results) - len(kept)
-            if cfg.run_snc:
-                samples = np.array([r.snc_sum_rate for r in kept]) / n_ext
-                errs = sum(1 for r in kept if r.detected_error)
-                res.points.append(SweepPoint(
-                    scheme="snc", snr_db=snr_db,
-                    mean_sum_rate=float(samples.mean()),
-                    std_sum_rate=float(samples.std()),
-                    trials=len(kept), outage_frac=0.0,
-                    detected_err_frac=errs / len(kept),
-                ))
-                per_scheme_means["snc"].append(float(samples.mean()) * n_ext)
-            if cfg.run_cf:
-                samples = np.array([r.cf_sum_rate for r in kept]) / n_ext
-                outage = float(np.mean([r.cf_outage_frac for r in kept]))
-                res.points.append(SweepPoint(
-                    scheme="cf", snr_db=snr_db,
-                    mean_sum_rate=float(samples.mean()),
-                    std_sum_rate=float(samples.std()),
-                    trials=len(kept), outage_frac=outage,
-                    detected_err_frac=0.0,
-                ))
-                per_scheme_means["cf"].append(float(samples.mean()) * n_ext)
-    finally:
-        if pool:
-            pool.shutdown()
+    fn = partial(_trial_worker, cfg)
+    indices = range(cfg.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, cfg.trials // (4 * workers))
+            results = list(pool.map(fn, indices, chunksize=chunk))
+    else:
+        results = [fn(i) for i in indices]
+    kept = [r for r in results if r is not None]
+    empty = []
+    for p, snr_db in enumerate(cfg.snr_grid):
+        res.aborted_trials += len(results) - len(kept)
+        rows = [r[p] for r in kept]
+        if not rows:
+            empty.append(snr_db)
+        res.points.extend(_sweep_point(s, snr_db, rows, n_ext) for s in schemes)
 
     if not cfg.cap_enabled:
         lo, hi = cfg.dof_window_db
-        in_window = [s for s in cfg.snr_grid if lo <= s <= hi]
-        if len(in_window) >= 2:
-            grid = list(cfg.snr_grid)
-            for scheme, means in per_scheme_means.items():
-                if means:
-                    res.dof_slopes[scheme] = estimate_dof_slope(
-                        grid, means, n_ext, cfg.dof_window_db
-                    )
+        for scheme in schemes:
+            fit = [pt for pt in res.points
+                   if pt.scheme == scheme and math.isfinite(pt.mean_sum_rate)]
+            if sum(1 for pt in fit if lo <= pt.snr_db <= hi) >= 2:
+                res.dof_slopes[scheme] = estimate_dof_slope(
+                    [pt.snr_db for pt in fit],
+                    [pt.mean_sum_rate * n_ext for pt in fit],
+                    n_ext, cfg.dof_window_db,
+                )
     total = len(cfg.snr_grid) * cfg.trials
+    notes = []
     if res.aborted_trials > 0.01 * total:
-        res.warning = (f"{res.aborted_trials} of {total} trials aborted "
-                       "on degenerate channels")
+        notes.append(f"{res.aborted_trials} of {total} trials aborted "
+                     "on degenerate channels")
+    if empty:
+        notes.append("every trial aborted at "
+                     + ", ".join(f"{s:g} dB" for s in empty)
+                     + "; no rates there")
+    res.warning = "; ".join(notes) or None
     return res
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseModel
+from .channel import ChannelRealization
 from .snc import EffectiveSystem, FilterSet, PrecoderSet
 
 
@@ -70,19 +70,19 @@ def filter_and_demodulate(y: list[np.ndarray], filters: FilterSet,
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
-    of the detected level index as the network-coded bit.
+    of the detected level index as the network-coded bit.  The level index
+    j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
+    _demod_sum_constellation, ties included, for every row at once.
     """
     if eff.field_q.q != 2:
         raise UnsupportedModulationError("noisy demodulation supports q=2 only")
-    N = eff.plan.N
+    weights = eff.f_int.sum(axis=1).reshape(len(y), eff.plan.N)
     out = []
     for l in range(len(y)):
-        z = filters.u[l] @ y[l]
-        bits = np.empty(N, dtype=np.int64)
-        for i in range(N):
-            m = len(eff.row_support[l * N + i])
-            bits[i] = _demod_sum_constellation(float(np.real(z[i])), m)
-        out.append(bits)
+        z = np.real(filters.u[l] @ y[l])
+        m = weights[l]
+        j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
+        out.append(j.astype(np.int64) % 2)
     return out
 
 
@@ -100,9 +100,10 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def per_link_rates(h: ChannelRealization, p: PrecoderSet, filters: FilterSet,
-                   eff: EffectiveSystem, noise: NoiseModel) -> dict:
-    """Rates R[(l, k, stream)] for every stream decoded at receiver l.
+def link_gains(h: ChannelRealization, p: PrecoderSet, filters: FilterSet,
+               eff: EffectiveSystem) -> dict:
+    """Noise-free terms of the rate of every stream decoded at receiver l:
+    G[(l, k, stream)] = (|u^H H v|^2, ||u||^2), computed once per channel.
 
     The decoding vector for row (l, i) is the conjugate of row i of the
     applied filter (so it acts as u^H y).  Rate accounting gives every
@@ -115,15 +116,23 @@ def per_link_rates(h: ChannelRealization, p: PrecoderSet, filters: FilterSet,
     p_budget = max(
         float(np.max(np.sum(np.abs(v) ** 2, axis=0))) for v in p.v.values()
     )
-    rates = {}
+    gains = {}
     for r, support in enumerate(eff.row_support):
         l, i = divmod(r, N)
         u = np.conj(filters.u[l][i, :])
+        nu = float(np.sum(np.abs(u) ** 2))
         for k, s in support:
             col = p.v[k][:, s]
             col = col * math.sqrt(p_budget) / float(np.linalg.norm(col))
-            rates[l, k, s] = link_rate(u, col, h.diag[l, k], noise.sigma2)
-    return rates
+            gains[l, k, s] = (float(abs(np.vdot(u, h.diag[l, k] * col)) ** 2), nu)
+    return gains
+
+
+def per_link_rates(gains: dict, sigma2: float) -> dict:
+    """Rates R[(l, k, stream)] = log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) at
+    noise power sigma2 from link_gains: the float operations of link_rate."""
+    return {key: math.log2(1.0 + sig / (sigma2 * nu))
+            for key, (sig, nu) in gains.items()}
 
 
 def signal_rate(per_link: dict, eff: EffectiveSystem) -> dict:

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf import (
-    InconsistentSystemError,
     PrimeField,
-    gf_rank,
-    gf_select_independent_rows,
-    gf_solve,
     find_valid_field_size,
+    gf_inv,
+    gf_select_independent_rows,
 )
 from .channel import ChannelRealization
 
@@ -263,6 +261,9 @@ class EffectiveSystem:
     Row r belongs to receiver r // N, component r % N.  ``row_support``
     lists, per row, the (transmitter, stream) pairs with coefficient 1.
     ``col_offset`` maps a transmitter to its first column in f_int.
+    ``indep_rows`` is the greedy independent row set of f_int over the
+    working field and ``indep_inv`` the inverse of that square subsystem,
+    so recovery needs no elimination.
     """
 
     f_real: np.ndarray = field(repr=False)
@@ -271,6 +272,8 @@ class EffectiveSystem:
     row_support: tuple[tuple[tuple[int, int], ...], ...]
     plan: ExtensionPlan
     col_offset: tuple[int, ...]
+    indep_rows: np.ndarray = field(repr=False)
+    indep_inv: np.ndarray = field(repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -301,8 +304,11 @@ def build_effective_system(h: ChannelRealization, p: PrecoderSet,
         )
     total = plan.total_streams
     field_q = PrimeField(q_default)
-    if gf_rank(f_int, field_q) != total:
+    rows = gf_select_independent_rows(f_int, field_q)
+    if len(rows) != total:
         field_q = find_valid_field_size(f_int, total)
+        rows = gf_select_independent_rows(f_int, field_q)
+    rows = np.array(rows, dtype=np.int64)
     offsets = [0]
     for k in range(K - 1):
         offsets.append(offsets[-1] + plan.streams(k))
@@ -316,7 +322,8 @@ def build_effective_system(h: ChannelRealization, p: PrecoderSet,
         support.append(tuple(entry))
     return EffectiveSystem(f_real=f_real, f_int=f_int, field_q=field_q,
                            row_support=tuple(support), plan=plan,
-                           col_offset=tuple(offsets))
+                           col_offset=tuple(offsets), indep_rows=rows,
+                           indep_inv=gf_inv(f_int[rows], field_q))
 
 
 @dataclass(frozen=True)
@@ -331,16 +338,13 @@ class RecoveryResult:
 def cp_recover(eff: EffectiveSystem, forwarded) -> RecoveryResult:
     """Central-processor recovery from the stacked forwarded messages.
 
-    Solves the independent-row subsystem of f_int mod q and reports (not
-    silently ignores) inconsistency of the redundant rows.
+    Solves the independent-row subsystem of f_int mod q with its stored
+    inverse and reports (not silently ignores) inconsistency of the
+    redundant rows.
     """
     field_q = eff.field_q
     forwarded = field_q.reduce(forwarded).ravel()
-    idx = gf_select_independent_rows(eff.f_int, field_q)
-    try:
-        x = gf_solve(eff.f_int[idx], forwarded[idx], field_q)
-    except InconsistentSystemError:  # cannot happen on an independent set
-        raise
+    x = (eff.indep_inv @ forwarded[eff.indep_rows]) % field_q.q
     detected = bool(np.any((eff.f_int @ x - forwarded) % field_q.q != 0))
     plan = eff.plan
     split = []

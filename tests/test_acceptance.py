@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  Criterion 4 pins its SNR window at 40-60 dB; the zero-forcing
 conditioning of the cascaded-ratio precoders only reaches the asymptotic
 slope above that window for (K=2, n=3) and (K=2, n=10), so those sub-cases
-fail honestly (see the decisions ledger for the convergence measurements).
+fail honestly (see the README for the convergence measurements).
 """
 
 import filecmp
@@ -177,8 +177,7 @@ class TestAcceptance:
         means = [res.point("snc", s).mean_sum_rate for s in cfg.snr_grid]
         monotone = all(b > a for a, b in zip(means, means[1:]))
         capped_ok = True
-        for snr in cfg.snr_grid:
-            r = run_trial(cfg, snr, trial_index=0)
+        for r in run_trial(cfg, cfg.snr_grid, trial_index=0):
             rep = r.snc_report
             capped = sum(min(v, rep.backhaul_cap)
                          for v in rep.per_signal.values())

@@ -12,6 +12,7 @@ from sncsim.gf import (
     RankDeficientError,
     ZeroInversionError,
     find_valid_field_size,
+    gf_inv,
     gf_rank,
     gf_select_independent_rows,
     gf_solve,
@@ -176,6 +177,34 @@ class TestSolve:
                 else:
                     with pytest.raises(InconsistentSystemError):
                         gf_solve(a, rhs, field)
+
+
+class TestInverse:
+    def test_identity_on_random_invertible(self):
+        rng = np.random.default_rng(11)
+        for q in (2, 3):
+            field = PrimeField(q)
+            checked = 0
+            while checked < 40:
+                n = int(rng.integers(1, 7))
+                a = rng.integers(0, q, size=(n, n))
+                if gf_rank(a, field) < n:
+                    continue
+                inv = gf_inv(a, field)
+                eye = np.eye(n, dtype=np.int64)
+                assert np.array_equal((a @ inv) % q, eye)
+                assert np.array_equal((inv @ a) % q, eye)
+                checked += 1
+
+    def test_singular_raises(self):
+        with pytest.raises(RankDeficientError):
+            gf_inv(np.array([[1, 1], [1, 1]]), PrimeField(2))
+        with pytest.raises(RankDeficientError):
+            gf_inv(np.array([[1, 2], [2, 1]]), PrimeField(3))  # det = -3
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            gf_inv(F_K2_N1, PrimeField(2))
 
 
 class TestFindValidFieldSize:

@@ -2,20 +2,30 @@ import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sncsim.cli import parse_cli
+from sncsim.cli import USAGE_EXIT, parse_cli
 from sncsim.harness import (
     ConfigError,
     SimConfig,
+    TrialAbortError,
     run_sweep,
     run_trial,
     write_results,
 )
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def one_point(cfg, snr_db, trial_index):
+    [result] = run_trial(cfg, (snr_db,), trial_index)
+    return result
 
 
 def small_config(**overrides):
@@ -43,23 +53,56 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(q=6).validate()
 
+    def test_alignment_scheme_needs_binary_field(self):
+        for scheme in ("snc", "both"):
+            with pytest.raises(ConfigError):
+                small_config(scheme=scheme, q=3).validate()
+        small_config(scheme="cf", q=3).validate()
+
 
 class TestRunTrial:
     def test_deterministic_replay(self):
         cfg = small_config()
-        a = run_trial(cfg, 20.0, trial_index=3)
-        b = run_trial(cfg, 20.0, trial_index=3)
+        a = run_trial(cfg, cfg.snr_grid, trial_index=3)
+        b = run_trial(cfg, cfg.snr_grid, trial_index=3)
         assert a == b
 
     def test_distinct_trials_differ(self):
         cfg = small_config()
-        a = run_trial(cfg, 20.0, trial_index=0)
-        b = run_trial(cfg, 20.0, trial_index=1)
+        a = one_point(cfg, 20.0, trial_index=0)
+        b = one_point(cfg, 20.0, trial_index=1)
         assert a.snc_sum_rate != b.snc_sum_rate
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="snc", n=2, channel_model="complex"),
+        dict(scheme="cf", K=3),
+        dict(scheme="both", n=2),
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False,
+             snr_start=40.0, snr_stop=60.0, snr_step=5.0),
+    ])
+    def test_every_point_equals_its_one_point_call(self, overrides):
+        # the generator-state contract: evaluating the whole grid from one
+        # channel build gives each point exactly what a one-point call gives
+        cfg = small_config(**overrides)
+        aborted = 0
+        for i in range(6):
+            try:
+                grid = run_trial(cfg, cfg.snr_grid, i)
+            except TrialAbortError:
+                aborted += 1
+                for snr_db in cfg.snr_grid:
+                    with pytest.raises(TrialAbortError):
+                        one_point(cfg, snr_db, i)
+                continue
+            assert len(grid) == len(cfg.snr_grid)
+            for p, snr_db in enumerate(cfg.snr_grid):
+                assert grid[p] == one_point(cfg, snr_db, i)
+        if cfg.n == 10:
+            assert 0 < aborted < 6  # both paths were exercised
 
     def test_cap_binds_at_zero_db(self):
         cfg = small_config(scheme="snc")
-        r = run_trial(cfg, 0.0, trial_index=0)
+        r = one_point(cfg, 0.0, trial_index=0)
         # every stream capped at log2(2) = 1 bit; 3 streams over N=2 slots
         assert r.snc_sum_rate <= 3.0 + 1e-12
 
@@ -70,7 +113,7 @@ class TestRunTrial:
                            channel_model="complex")
         sums, streams = [], []
         for i in range(30):
-            r = run_trial(cfg, 60.0, i)
+            r = one_point(cfg, 60.0, i)
             assert len(r.snc_report.per_signal) == 5
             assert r.snc_sum_rate == pytest.approx(
                 sum(r.snc_report.per_signal.values()), rel=1e-12)
@@ -83,7 +126,7 @@ class TestRunSweep:
     def test_single_point_single_trial(self):
         cfg = small_config(trials=1, snr_start=20.0, snr_stop=20.0)
         res = run_sweep(cfg)
-        sample = run_trial(cfg, 20.0, 0)
+        sample = one_point(cfg, 20.0, 0)
         pt = res.point("snc", 20.0)
         assert pt.trials == 1
         assert pt.mean_sum_rate == pytest.approx(sample.snc_sum_rate / res.n_ext)
@@ -95,7 +138,7 @@ class TestRunSweep:
         res = run_sweep(cfg)
         mean = 0.0
         for i in range(20):
-            x = run_trial(cfg, 10.0, i).snc_sum_rate / res.n_ext
+            x = one_point(cfg, 10.0, i).snc_sum_rate / res.n_ext
             mean += (x - mean) / (i + 1)
         assert abs(res.point("snc", 10.0).mean_sum_rate - mean) < 1e-12
 
@@ -115,6 +158,38 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert "snc" in res.dof_slopes
         assert res.dof_slopes["snc"] == pytest.approx(1.5, abs=0.1)  # (2n+1)/(n+1)
+
+    def test_point_where_every_trial_aborts(self):
+        cfg = SimConfig(K=2, n=10, scheme="snc", channel_model="complex",
+                        cap_enabled=False, trials=1, snr_start=40, snr_stop=40,
+                        seed=0)
+        res = run_sweep(cfg)
+        pt = res.point("snc", 40.0)
+        assert pt.trials == 0 and res.aborted_trials == 1
+        assert math.isnan(pt.mean_sum_rate) and math.isnan(pt.std_sum_rate)
+        assert pt.outage_frac == 0.0 and pt.detected_err_frac == 0.0
+        assert res.dof_slopes == {}
+        assert "40 dB" in res.warning
+
+    def test_pinned_sweeps_match_golden(self, monkeypatch):
+        # the benchmark's reference sweeps, each with its worker count
+        golden = json.loads((BENCH_DIR / "golden.json").read_text())["workloads"]
+        workloads = runpy.run_path(str(BENCH_DIR / "workloads.py"))["WORKLOADS"]
+        for name, ref in sorted(golden.items()):
+            monkeypatch.setenv("SNCSIM_WORKERS", str(workloads[name].workers))
+            res = run_sweep(SimConfig(**ref["config"]))
+            assert res.aborted_trials == ref["aborted_trials"], name
+            assert sorted(res.dof_slopes) == sorted(ref["dof_slopes"]), name
+            for scheme, slope in ref["dof_slopes"].items():
+                assert res.dof_slopes[scheme] == pytest.approx(slope, rel=1e-9), name
+            assert len(res.points) == len(ref["points"]), name
+            for scheme, snr_db, trials, *values in ref["points"]:
+                pt = res.point(scheme, snr_db)
+                assert pt.trials == trials, (name, scheme, snr_db)
+                got = [pt.mean_sum_rate, pt.std_sum_rate, pt.outage_frac,
+                       pt.detected_err_frac]
+                assert got == pytest.approx(values, rel=1e-9, abs=1e-12), (
+                    name, scheme, snr_db)
 
 
 class TestWriteResults:
@@ -176,6 +251,11 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--scheme", "cf", "--users", "2", "--rx", "3"])
         assert exc.value.code == 1
+
+    def test_alignment_scheme_with_field_size_three_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--scheme", "snc", "--field-size", "3"])
+        assert exc.value.code == USAGE_EXIT
 
     def test_bad_snr_spec_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

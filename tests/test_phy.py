@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sncsim.channel import NoiseModel
 from sncsim.phy import (
     UnsupportedModulationError,
     _demod_sum_constellation,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
+    link_gains,
     link_rate,
     modulate_bpsk,
     per_link_rates,
@@ -88,6 +88,32 @@ class TestDemodulation:
         assert _demod_sum_constellation(-1.0, m=2) == 1
         assert _demod_sum_constellation(0.0, m=1) == 0
 
+    def test_vectorised_rule_matches_oracle(self):
+        # the rule filter_and_demodulate applies to every row at once, on
+        # random values and on every exact midpoint (ties) for m <= 4
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3, 4):
+            values = np.concatenate([rng.uniform(-m - 3, m + 3, 2000),
+                                     np.arange(-m - 1, m + 2, dtype=float)])
+            j = np.clip(np.ceil((m - values) / 2 - 0.5), 0, m)
+            fast = j.astype(np.int64) % 2
+            slow = [_demod_sum_constellation(float(v), m) for v in values]
+            assert fast.tolist() == slow
+
+    def test_noisy_pipeline_matches_oracle(self):
+        plan, h, p, f, eff = build_all(3, 1, seed=18)
+        rng = np.random.default_rng(19)
+        weights = [len(s) for s in eff.row_support]
+        for _ in range(20):
+            msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(3)]
+            noise = [0.5 * (rng.standard_normal(plan.N)
+                            + 1j * rng.standard_normal(plan.N)) for _ in range(3)]
+            y = transmit(h, p, [modulate_bpsk(b) for b in msgs], noise)
+            out = np.concatenate(filter_and_demodulate(y, f, eff))
+            z = np.concatenate([np.real(f.u[l] @ y[l]) for l in range(3)])
+            slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
+            assert out.tolist() == slow
+
     def test_decision_regions_partition_line(self):
         for m in (1, 2, 3):
             values = np.linspace(-m - 2, m + 2, 401)
@@ -144,28 +170,46 @@ class TestRates:
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        rates = per_link_rates(h, p, f, eff, NoiseModel(1.0))
+        rates = per_link_rates(link_gains(h, p, f, eff), 1.0)
         covered = {(k, s) for (_, k, s) in rates}
         assert covered == {(0, 0), (0, 1), (1, 0)}
+
+    def test_per_link_rates_equal_link_rate_oracle(self):
+        # gains once, then rates at several noise powers: bit-equal to
+        # link_rate on the decoding vector and the budget-rescaled column
+        for K, n, model in [(2, 2, "complex"), (3, 1, "real")]:
+            plan, h, p, f, eff = build_all(K, n, seed=20 + K, model=model)
+            gains = link_gains(h, p, f, eff)
+            budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
+                         for v in p.v.values())
+            for sigma2 in (1.0, 1e-3, 1e-6):
+                rates = per_link_rates(gains, sigma2)
+                for r, support in enumerate(eff.row_support):
+                    l, i = divmod(r, plan.N)
+                    u = np.conj(f.u[l][i, :])
+                    for k, s in support:
+                        col = p.v[k][:, s]
+                        col = col * math.sqrt(budget) / float(np.linalg.norm(col))
+                        assert rates[l, k, s] == link_rate(u, col, h.diag[l, k], sigma2)
 
 
 class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
-        per_link = {key: 5.0 for key in per_link_rates(h, p, f, eff, NoiseModel(1.0))}
+        per_link = {key: 5.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
         report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0)
         assert report.backhaul_cap == pytest.approx(1.0)
         assert report.sum_rate == pytest.approx(3.0)  # 3 streams capped at 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
-        per_link = {key: 0.5 for key in per_link_rates(h, p, f, eff, NoiseModel(1.0))}
+        per_link = {key: 0.5 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
         report = end_to_end_sum_rate(per_link, eff, rho_bar=1e6)
         assert report.sum_rate == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
-        per_link = {key: 2.0 for key in per_link_rates(h, p, f, eff, NoiseModel(1.0))}
+        per_link = {key: 2.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
         assert end_to_end_sum_rate(per_link, eff, rho_bar=0.0).sum_rate == 0.0
 
     def test_monotone_in_link_snr(self):
@@ -173,7 +217,7 @@ class TestSumRate:
         prev = -1.0
         for snr_db in (0, 10, 20, 30, 40):
             rho = 10 ** (snr_db / 10)
-            rates = per_link_rates(h, p, f, eff, NoiseModel(1.0 / rho))
+            rates = per_link_rates(link_gains(h, p, f, eff), 1.0 / rho)
             total = end_to_end_sum_rate(rates, eff, rho).sum_rate
             assert total >= prev
             prev = total
