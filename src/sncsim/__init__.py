@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gf import PrimeField, gf_rank, gf_select_independent_rows, gf_solve
+from .gf import PrimeField, gf_full_rank, gf_rank, gf_select_independent_rows, gf_solve
 from .channel import (
     ChannelRealization,
     NoiseModel,
@@ -37,6 +37,7 @@ from .phy import (
     modulate_bpsk,
     per_link_rates,
     signal_rate,
+    stream_links,
     transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate

@@ -6,6 +6,12 @@ channel slot; its coefficient vector is picked by exhaustive bounded
 search on the computation-rate formula.  The central processor needs the
 stacked coefficient matrix to be invertible mod q; a rank-deficient slot
 is an outage and contributes zero rate.
+
+cf_trial_sum_rate runs once per trial over the whole SNR grid: the
+projections of every (slot, receiver) channel row on every candidate are
+computed once, each SNR point is one array pass over them, and one
+batched GF(q) test decides the outage of every (point, slot).
+cf_select_coeffs and cf_computation_rate are the per-row references.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import numpy as np
 
 from .channel import ChannelRealization
-from .gf import PrimeField, gf_rank
+from .gf import PrimeField, gf_full_rank
 
 
 def cf_computation_rate(h_row, a, rho: float) -> float:
@@ -37,18 +43,43 @@ def cf_computation_rate(h_row, a, rho: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _candidates(K: int, radius: int) -> np.ndarray:
-    """All nonzero integer vectors with max-norm <= radius, ordered by
-    squared norm then descending lexicographic order (so sign-flip ties
-    resolve to the vector with a positive leading entry)."""
+def _candidates(K: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer vectors with max-norm <= radius and a positive leading
+    nonzero entry, ordered by squared norm then descending lexicographic
+    order, and their squared norms as floats.  Both arrays are shared, so
+    they are read-only.
+
+    -a has the rate of a and a rank-equivalent coefficient row, and in the
+    full signed order a comes first, so sign-flip ties resolve to a and -a
+    never needs evaluating."""
     grid = np.array(
-        [a for a in itertools.product(range(-radius, radius + 1), repeat=K) if any(a)],
+        [a for a in itertools.product(range(-radius, radius + 1), repeat=K)
+         if next((x for x in a if x), 0) > 0],
         dtype=np.int64,
     )
     order = np.lexsort(tuple(-grid[:, c] for c in range(K - 1, -1, -1)))
     grid = grid[order]
     grid = grid[np.argsort(np.sum(grid * grid, axis=1), kind="stable")]
-    return grid
+    norm2 = np.sum(grid * grid, axis=1).astype(float)
+    grid.flags.writeable = norm2.flags.writeable = False
+    return grid, norm2
+
+
+def _projections(H, cand):
+    """(proj, hh) for the channel rows h of H, shape (..., K):
+    proj[..., c] = (h . cand[c])^2 and hh[..., 0] = ||h||^2.  The dot
+    products are summed term by term, so a row's values do not depend on
+    the batch shape."""
+    K = cand.shape[1]
+    proj = sum(H[..., k, None] * cand[:, k] for k in range(K)) ** 2
+    return proj, np.sum(H * H, axis=-1)[..., None]
+
+
+def _rates(proj, hh, norm2, rho: float) -> np.ndarray:
+    """Computation rates of every candidate at SNR rho (the formula of
+    cf_computation_rate, clamped the same way)."""
+    denom = np.maximum(norm2 - rho * proj / (1.0 + rho * hh), np.finfo(float).tiny)
+    return np.maximum(0.0, 0.5 * np.log2(1.0 / denom))
 
 
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
@@ -59,45 +90,45 @@ def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
     if radius < 1:
         raise ValueError("search radius must be >= 1")
     h = np.asarray(h_row, dtype=float)
-    cand = _candidates(len(h), radius)
-    # vectorized computation rate over all candidates
-    norm2 = np.sum(cand * cand, axis=1).astype(float)
-    proj = (cand @ h) ** 2
-    denom = norm2 - rho * proj / (1.0 + rho * float(h @ h))
-    denom = np.maximum(denom, np.finfo(float).tiny)
-    rates = np.maximum(0.0, 0.5 * np.log2(1.0 / denom))
+    cand, norm2 = _candidates(len(h), radius)
+    rates = _rates(*_projections(h, cand), norm2, rho)
     # candidates are pre-sorted by the tie-break order, so the first
     # maximizer is the preferred one
     return cand[int(np.argmax(rates))].copy()
 
 
-def cf_trial_sum_rate(h: ChannelRealization, rho: float, field: PrimeField,
-                      radius: int = 3, cap: float | None = None):
-    """Sum-rate of one compute-and-forward trial over all extension slots.
+def cf_trial_sum_rate(h: ChannelRealization, rhos, field: PrimeField,
+                      radius: int = 3, cap_enabled: bool = True):
+    """Sum-rate of one compute-and-forward trial at every SNR in *rhos*.
 
-    Per slot, each receiver picks its best coefficient vector; if the
-    stacked K x K coefficient matrix is full rank mod q, the slot carries
-    K times the worst receiver rate (capped per stream when *cap* is
-    given), otherwise the slot is an outage.
+    Per slot, each receiver picks its best coefficient vector (the search
+    of cf_select_coeffs); if the stacked K x K coefficient matrix is full
+    rank mod q, the slot carries K times the worst receiver rate, capped
+    per stream at log2(1 + rho) when *cap_enabled*; otherwise the slot is
+    an outage.
 
-    Returns (total rate over the N slots, outage fraction).
+    Returns one (total rate over the N slots, outage fraction) per rho.
     """
     if h.model != "real":
         raise ValueError("compute-and-forward baseline runs on real channels")
     if h.n_rx != h.n_tx:
         raise ValueError("one equation per receiver requires K = L")
+    if radius < 1:
+        raise ValueError("search radius must be >= 1")
     K, N = h.n_tx, h.n_ext
-    total = 0.0
-    outages = 0
-    for i in range(N):
-        rows = [np.array([h.diag[l, k][i] for k in range(K)]) for l in range(K)]
-        coeffs = [cf_select_coeffs(r, rho, radius) for r in rows]
-        A = np.vstack(coeffs)
-        if gf_rank(A, field) < K:
-            outages += 1
-            continue
-        r_min = min(cf_computation_rate(rows[l], coeffs[l], rho) for l in range(K))
-        if cap is not None:
-            r_min = min(r_min, cap)
-        total += K * r_min
-    return total, outages / N
+    cand, norm2 = _candidates(K, radius)
+    # H[slot, receiver, transmitter]
+    H = np.array([[h.diag[l, k] for k in range(K)] for l in range(K)]).transpose(2, 0, 1)
+    proj, hh = _projections(H, cand)
+    slot_rates, picks = [], []
+    for rho in rhos:
+        rates = _rates(proj, hh, norm2, rho)
+        picks.append(np.argmax(rates, axis=2))  # first maximizer: the tie-break order
+        r = rates.max(axis=2).min(axis=1)
+        slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
+    slot_rates = np.array(slot_rates)
+    full = gf_full_rank(cand[np.array(picks)].reshape(-1, K, K), field)
+    full = full.reshape(slot_rates.shape)
+    totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=1)
+    outages = np.count_nonzero(~full, axis=1) / N
+    return list(zip(totals.tolist(), outages.tolist()))

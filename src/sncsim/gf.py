@@ -2,8 +2,8 @@
 Exact arithmetic and dense linear algebra over prime fields GF(q).
 
 Matrices are plain numpy integer arrays with entries reduced to [0, q).
-All elimination is done with Python integer arithmetic, so results are
-exact for any prime q that fits in int64.
+Elimination runs on Python integers, or on int64 where every product fits,
+so results are exact for any prime q that fits in int64.
 """
 
 from __future__ import annotations
@@ -114,6 +114,36 @@ def gf_rank(m, field: PrimeField) -> int:
         return 0
     _, pivots, _ = _eliminate(a, field)
     return len(pivots)
+
+
+def gf_full_rank(mats, field: PrimeField) -> np.ndarray:
+    """Whether each matrix of a (B, K, K) integer stack is invertible mod q.
+
+    Batched fraction-free elimination: each row below the pivot becomes
+    pivot * row - lead * pivot_row, which scales it by a nonzero field
+    element and so keeps the rank, with no inverses needed.  The products
+    stay below q^2, so int64 is exact for q < 2^31; larger fields reduce
+    Python ints.  Later steps read only the rows below the pivot, so the
+    pivot row is taken from its copy and not written back.  gf_rank is the
+    reference.
+    """
+    q = field.q
+    a = field.reduce(mats)
+    if q >= 2**31:
+        a = a.astype(object)
+    B, K, _ = a.shape
+    full = np.ones(B, dtype=bool)
+    idx = np.arange(B)
+    for c in range(K - 1):
+        nz = a[:, c:, c] != 0
+        full &= nz.any(axis=1)
+        piv = c + np.argmax(nz, axis=1)
+        top = a[idx, piv]
+        a[idx, piv] = a[:, c]
+        below = a[:, c + 1:]
+        a[:, c + 1:] = (top[:, c, None, None] * below
+                        - below[:, :, c, None] * top[:, None, :]) % q
+    return full & (a[:, -1, -1] != 0)
 
 
 def gf_select_independent_rows(m, field: PrimeField) -> list[int]:

@@ -9,12 +9,14 @@ variance swept.
 
 The engine is trial-major: run_trial draws a trial's channel and builds
 everything that depends on the channel alone (precoders, rank and
-alignment checks, filters, effective system, link gains) once, then
-evaluates every SNR point from it.  Generator-state contract: the state
-reached after the channel loop is saved and restored before each point's
-message and noise draws, so a point sees exactly the draws of a one-point
-call, and a multi-point call equals the one-point calls it replaces.  No
-check depends on the SNR, so an aborted trial aborts at every point.
+alignment checks, filters, effective system, link gains and their
+grouping by stream) once, then evaluates every SNR point from it.  The
+compute-and-forward leg runs once per trial over the whole SNR grid and
+draws no randomness.  Generator-state contract: the state reached after
+the channel loop is saved and restored before each point's message and
+noise draws, so a point sees exactly the draws of a one-point call, and a
+multi-point call equals the one-point calls it replaces.  No check
+depends on the SNR, so an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .phy import (
     link_gains,
     modulate_bpsk,
     per_link_rates,
+    stream_links,
     transmit,
 )
 from .snc import (
@@ -107,6 +110,10 @@ class SimConfig:
             raise ConfigError("compute-and-forward requires K = L")
         if self.run_cf and self.channel_model != "real":
             raise ConfigError("compute-and-forward runs on real channels only")
+        if self.run_cf and self.cf_radius < 1:
+            raise ConfigError(
+                f"the coefficient search radius must be >= 1, got {self.cf_radius}"
+            )
         if self.run_snc and self.topology_expanded.M < 2:
             raise ConfigError("the alignment scheme needs at least 2 virtual users")
         if self.p_max <= 0:
@@ -189,17 +196,24 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
                 )
             continue
         gains = link_gains(h, prec, filters, eff)
+        streams = stream_links(gains, eff)
         break
     state = rng.bit_generator.state
 
+    rhos = [cfg.p_max * 10.0 ** (snr_db / 10.0) for snr_db in snr_dbs]
+    if cfg.run_cf:
+        cf = cf_trial_sum_rate(h, rhos, PrimeField(cfg.q), cfg.cf_radius,
+                               cfg.cap_enabled)
+    else:
+        cf = [(None, None)] * len(rhos)
+
     out = []
-    for snr_db in snr_dbs:
-        rho = cfg.p_max * 10.0 ** (snr_db / 10.0)
+    for rho, (cf_rate, outage) in zip(rhos, cf):
         noise = NoiseModel(sigma2=cfg.p_max / rho)
         snc_rate = detected = report = None
         if cfg.run_snc:
             report = end_to_end_sum_rate(per_link_rates(gains, noise.sigma2),
-                                         eff, rho, cfg.cap_enabled)
+                                         streams, rho, cfg.cap_enabled)
             snc_rate = report.sum_rate
 
             # noisy end-to-end pass for the recovery statistics
@@ -212,12 +226,6 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
             forwarded = np.concatenate(filter_and_demodulate(y, filters, eff))
             detected = cp_recover(eff, forwarded).detected_error
 
-        cf_rate = outage = None
-        if cfg.run_cf:
-            cf_rate, outage = cf_trial_sum_rate(
-                h, rho, PrimeField(cfg.q), cfg.cf_radius,
-                cap=math.log2(1.0 + rho) if cfg.cap_enabled else None,
-            )
         out.append(TrialResult(snc_sum_rate=snc_rate, cf_sum_rate=cf_rate,
                                detected_error=detected, cf_outage_frac=outage,
                                snc_report=report))

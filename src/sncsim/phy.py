@@ -135,18 +135,28 @@ def per_link_rates(gains: dict, sigma2: float) -> dict:
             for key, (sig, nu) in gains.items()}
 
 
-def signal_rate(per_link: dict, eff: EffectiveSystem) -> dict:
-    """Per-stream rate: min over the receivers that decode the stream."""
-    out: dict[tuple[int, int], float] = {}
-    for (l, k, s), r in per_link.items():
-        key = (k, s)
-        out[key] = min(out[key], r) if key in out else r
+def stream_links(links, eff: EffectiveSystem) -> dict:
+    """Group link keys (l, k, stream) by stream: {(k, stream): [(l, k, stream),
+    ...]}, streams in order of first appearance.  Depends on the channel
+    only, so it is built once per trial.
+
+    Raises CoverageError when a stream of the plan is decoded nowhere.
+    """
+    out: dict[tuple[int, int], list] = {}
+    for key in links:
+        out.setdefault(key[1:], []).append(key)
     plan = eff.plan
     for k in range(plan.K):
         for s in range(plan.streams(k)):
             if (k, s) not in out:
                 raise CoverageError(f"stream {(k, s)} decoded nowhere")
     return out
+
+
+def signal_rate(per_link: dict, streams: dict) -> dict:
+    """Per-stream rate: min over the receivers that decode the stream, with
+    *streams* from stream_links."""
+    return {key: min(per_link[x] for x in links) for key, links in streams.items()}
 
 
 @dataclass(frozen=True)
@@ -159,10 +169,11 @@ class RateReport:
     backhaul_cap: float
 
 
-def end_to_end_sum_rate(per_link: dict, eff: EffectiveSystem, rho_bar: float,
+def end_to_end_sum_rate(per_link: dict, streams: dict, rho_bar: float,
                         cap_enabled: bool = True) -> RateReport:
-    """Apply the cooperation-link cap log2(1 + rho_bar) per stream and sum."""
-    per_signal = signal_rate(per_link, eff)
+    """Apply the cooperation-link cap log2(1 + rho_bar) per stream and sum,
+    with *streams* from stream_links."""
+    per_signal = signal_rate(per_link, streams)
     cap = math.log2(1.0 + rho_bar)
     if cap_enabled:
         total = sum(min(r, cap) for r in per_signal.values())

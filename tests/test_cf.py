@@ -5,12 +5,36 @@ import pytest
 
 from sncsim.cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
 from sncsim.channel import ChannelRealization, expand_mimo_to_virtual, sample_extended_channel, single_antenna
-from sncsim.gf import PrimeField
+from sncsim.gf import PrimeField, gf_rank
 
 
 def real_channel(K, N, seed):
     vt = expand_mimo_to_virtual(single_antenna(K))
     return sample_extended_channel(vt, N, "real", np.random.default_rng(seed))
+
+
+def channel_from_rows(rows):
+    """One-slot K x K channel whose receiver l sees rows[l]."""
+    K = len(rows)
+    diag = {(l, k): np.array([float(rows[l][k])]) for l in range(K) for k in range(K)}
+    return ChannelRealization(n_ext=1, n_rx=K, n_tx=K, model="real", diag=diag)
+
+
+def per_point_oracle(h, rho, field, radius, cap_enabled):
+    """One SNR point slot by slot, from the per-row reference functions."""
+    K, N = h.n_tx, h.n_ext
+    total, outages = 0.0, 0
+    for i in range(N):
+        rows = [np.array([h.diag[l, k][i] for k in range(K)]) for l in range(K)]
+        coeffs = [cf_select_coeffs(r, rho, radius) for r in rows]
+        if gf_rank(np.vstack(coeffs), field) < K:
+            outages += 1
+            continue
+        r_min = min(cf_computation_rate(rows[l], coeffs[l], rho) for l in range(K))
+        if cap_enabled:
+            r_min = min(r_min, math.log2(1.0 + rho))
+        total += K * r_min
+    return total, outages / N
 
 
 class TestComputationRate:
@@ -97,7 +121,7 @@ class TestTrialSumRate:
         h = real_channel(1, 4, seed=0)
         rho = 100.0
         cap = math.log2(1 + rho)
-        total, outage = cf_trial_sum_rate(h, rho, PrimeField(2), cap=cap)
+        [(total, outage)] = cf_trial_sum_rate(h, [rho], PrimeField(2))
         assert outage == 0.0
         expected = sum(
             min(cf_computation_rate([h.diag[0, 0][i]],
@@ -111,7 +135,7 @@ class TestTrialSumRate:
         row = np.array([1.3, 0.7])
         diag = {(l, k): np.array([row[k]]) for l in range(2) for k in range(2)}
         h = ChannelRealization(n_ext=1, n_rx=2, n_tx=2, model="real", diag=diag)
-        total, outage = cf_trial_sum_rate(h, rho=100.0, field=PrimeField(2))
+        [(total, outage)] = cf_trial_sum_rate(h, rhos=[100.0], field=PrimeField(2))
         assert total == 0.0
         assert outage == 1.0
 
@@ -123,7 +147,7 @@ class TestTrialSumRate:
             rho = 10 ** rng.uniform(1, 4)
             rows = [np.array([h.diag[l, k][0] for k in range(2)]) for l in range(2)]
             A = np.vstack([cf_select_coeffs(r, rho) for r in rows])
-            total, outage = cf_trial_sum_rate(h, rho, field)
+            [(total, outage)] = cf_trial_sum_rate(h, [rho], field, cap_enabled=False)
             det_zero = int(round(np.linalg.det(A))) % 2 == 0
             assert (outage == 1.0) == det_zero
             assert (total == 0.0) == det_zero
@@ -132,4 +156,38 @@ class TestTrialSumRate:
         vt = expand_mimo_to_virtual(single_antenna(2))
         h = sample_extended_channel(vt, 2, "complex", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            cf_trial_sum_rate(h, 10.0, PrimeField(2))
+            cf_trial_sum_rate(h, [10.0], PrimeField(2))
+
+    def test_bad_radius_rejected(self):
+        with pytest.raises(ValueError):
+            cf_trial_sum_rate(real_channel(2, 1, seed=0), [1.0], PrimeField(2), radius=0)
+
+    @pytest.mark.parametrize("cap_enabled", [True, False])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_grid_matches_per_point_oracle(self, K, q, radius, cap_enabled):
+        # outages are decided exactly; rates differ only in float rounding
+        field = PrimeField(q)
+        rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
+        for seed in range(4):
+            h = real_channel(K, 3, seed=100 * K + seed)
+            got = cf_trial_sum_rate(h, rhos, field, radius, cap_enabled)
+            assert len(got) == len(rhos)
+            for rho, (total, outage) in zip(rhos, got):
+                exp_total, exp_outage = per_point_oracle(h, rho, field, radius, cap_enabled)
+                assert outage == exp_outage
+                assert total == pytest.approx(exp_total, rel=1e-9, abs=0.0)
+
+    def test_tie_selects_like_cf_select_coeffs(self):
+        # at rho = 0.5 the row [1, 1] rates [1, 0] and [0, 1] equally; the
+        # search must keep the first in candidate order, [1, 0], or the
+        # stack with receiver 1's [0, 1] would turn singular
+        rows = [[1.0, 1.0], [0.1, 2.0]]
+        rho = 0.5
+        assert list(cf_select_coeffs(rows[0], rho)) == [1, 0]
+        assert list(cf_select_coeffs(rows[1], rho)) == [0, 1]
+        [got] = cf_trial_sum_rate(channel_from_rows(rows), [rho], PrimeField(2))
+        expected = per_point_oracle(channel_from_rows(rows), rho, PrimeField(2), 3, True)
+        assert got[1] == expected[1] == 0.0
+        assert got[0] == pytest.approx(expected[0], rel=1e-12)

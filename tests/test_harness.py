@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sncsim.cli import USAGE_EXIT, parse_cli
 from sncsim.harness import (
@@ -58,6 +60,41 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 small_config(scheme=scheme, q=3).validate()
         small_config(scheme="cf", q=3).validate()
+
+    def test_cf_radius_must_be_positive(self):
+        for scheme in ("cf", "both"):
+            cfg = SimConfig(K=2, n=2, scheme=scheme, cf_radius=0, trials=2,
+                            snr_stop=10)
+            with pytest.raises(ConfigError):
+                cfg.validate()
+        small_config(scheme="snc", cf_radius=0).validate()  # CF never runs
+
+    @settings(max_examples=15, deadline=None)
+    @given(K=st.integers(1, 3), n=st.integers(1, 2),
+           scheme=st.sampled_from(["cf", "both"]),
+           q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
+           cap_enabled=st.booleans(), seed=st.integers(0, 2**16),
+           snr_start=st.integers(-10, 60), snr_step=st.integers(1, 30))
+    def test_every_validated_cf_config_completes(self, K, n, scheme, q, cf_radius,
+                                                 cap_enabled, seed, snr_start,
+                                                 snr_step):
+        # compute-and-forward runs on real channels only (checked above)
+        cfg = SimConfig(K=K, n=n, scheme=scheme, channel_model="real", q=q,
+                        cf_radius=cf_radius, cap_enabled=cap_enabled, seed=seed,
+                        trials=1, snr_start=float(snr_start),
+                        snr_stop=float(snr_start + snr_step), snr_step=float(snr_step))
+        try:
+            cfg.validate()
+        except (ConfigError, ValueError):
+            assume(False)
+        res = run_sweep(cfg)
+        assert len(res.points) == 2 * (1 + cfg.run_snc)
+        for pt in res.points:
+            assert 0.0 <= pt.outage_frac <= 1.0
+            assert 0.0 <= pt.detected_err_frac <= 1.0
+            if pt.trials:
+                assert math.isfinite(pt.mean_sum_rate) and pt.mean_sum_rate >= 0.0
+        assert res.aborted_trials == 2 * (1 - res.points[0].trials)
 
 
 class TestRunTrial:
@@ -255,6 +292,11 @@ class TestCli:
     def test_alignment_scheme_with_field_size_three_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--scheme", "snc", "--field-size", "3"])
+        assert exc.value.code == USAGE_EXIT
+
+    def test_zero_cf_radius_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--cf-radius", "0"])
         assert exc.value.code == USAGE_EXIT
 
     def test_bad_snr_spec_is_usage_error(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sncsim.phy import (
+    CoverageError,
     UnsupportedModulationError,
     _demod_sum_constellation,
     end_to_end_sum_rate,
@@ -14,6 +15,7 @@ from sncsim.phy import (
     modulate_bpsk,
     per_link_rates,
     signal_rate,
+    stream_links,
     transmit,
 )
 from tests.test_snc import build_all, make_channel
@@ -163,10 +165,16 @@ class TestRates:
         per_link = {(0, 0, 0): 2.0, (1, 0, 0): 3.0,
                     (0, 0, 1): 1.5, (1, 0, 1): 1.0,
                     (0, 1, 0): 4.0, (1, 1, 0): 2.5}
-        rates = signal_rate(per_link, eff)
+        rates = signal_rate(per_link, stream_links(per_link, eff))
         assert rates[0, 0] == 2.0
         assert rates[0, 1] == 1.0
         assert rates[1, 0] == 2.5
+
+    def test_stream_decoded_nowhere_raises(self):
+        plan, h, p, f, eff = build_all(2, 1, seed=5)
+        links = [key for key in link_gains(h, p, f, eff) if key[1:] != (1, 0)]
+        with pytest.raises(CoverageError):
+            stream_links(links, eff)
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
@@ -197,20 +205,20 @@ class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
         per_link = {key: 5.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0)
+        report = end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=1.0)
         assert report.backhaul_cap == pytest.approx(1.0)
         assert report.sum_rate == pytest.approx(3.0)  # 3 streams capped at 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
         per_link = {key: 0.5 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        report = end_to_end_sum_rate(per_link, eff, rho_bar=1e6)
+        report = end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=1e6)
         assert report.sum_rate == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
         per_link = {key: 2.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        assert end_to_end_sum_rate(per_link, eff, rho_bar=0.0).sum_rate == 0.0
+        assert end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=0.0).sum_rate == 0.0
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
@@ -218,7 +226,7 @@ class TestSumRate:
         for snr_db in (0, 10, 20, 30, 40):
             rho = 10 ** (snr_db / 10)
             rates = per_link_rates(link_gains(h, p, f, eff), 1.0 / rho)
-            total = end_to_end_sum_rate(rates, eff, rho).sum_rate
+            total = end_to_end_sum_rate(rates, stream_links(rates, eff), rho).sum_rate
             assert total >= prev
             prev = total
 
