@@ -7,7 +7,6 @@ from .channel import (
     ChannelRealization,
     NoiseModel,
     Topology,
-    average_link_snr,
     expand_mimo_to_virtual,
     sample_extended_channel,
     sample_noise,
@@ -18,11 +17,11 @@ from .snc import (
     ExtensionPlan,
     FilterSet,
     PrecoderSet,
-    build_effective_system,
     build_filters,
     build_precoders,
     check_precoder_ranks,
     cp_recover,
+    effective_system,
     extension_dims,
     theoretical_dof,
     verify_alignment,
@@ -36,8 +35,6 @@ from .phy import (
     link_rate,
     modulate_bpsk,
     per_link_rates,
-    signal_rate,
-    stream_links,
     transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate

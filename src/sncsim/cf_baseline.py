@@ -117,8 +117,7 @@ def cf_trial_sum_rate(h: ChannelRealization, rhos, field: PrimeField,
         raise ValueError("search radius must be >= 1")
     K, N = h.n_tx, h.n_ext
     cand, norm2 = _candidates(K, radius)
-    # H[slot, receiver, transmitter]
-    H = np.array([[h.diag[l, k] for k in range(K)] for l in range(K)]).transpose(2, 0, 1)
+    H = h.diag.transpose(2, 0, 1)  # H[slot, receiver, transmitter]
     proj, hh = _projections(H, cand)
     slot_rates, picks = [], []
     for rho in rhos:

@@ -1,11 +1,11 @@
 """
 Time-varying extended channels, noise, and MIMO virtual-node expansion.
 
-A channel realization holds one diagonal N x N extended-channel matrix per
-(receiver, transmitter) link; each diagonal slot is an independent draw
-(time-varying channel).  Multi-antenna topologies are mapped to an
-equivalent single-antenna network by treating every antenna as a virtual
-node.
+A channel realization holds the diagonal N x N extended-channel matrix of
+every (receiver, transmitter) link in one array; each diagonal slot is an
+independent draw (time-varying channel).  Multi-antenna topologies are
+mapped to an equivalent single-antenna network by treating every antenna
+as a virtual node.
 """
 
 from __future__ import annotations
@@ -81,15 +81,25 @@ class ChannelRealization:
     """All diagonal extended-channel matrices for one trial.
 
     ``diag[l, k]`` is the length-N diagonal of the extended channel from
-    virtual transmitter k to virtual receiver l.  Off-diagonals are zero
-    by representation.
+    virtual transmitter k to virtual receiver l; ``diag`` is one
+    (receivers, transmitters, N) array.  Off-diagonals are zero by
+    representation.
     """
 
-    n_ext: int
-    n_rx: int
-    n_tx: int
     model: str  # "real" | "complex"
-    diag: dict[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
+    diag: np.ndarray = field(repr=False)
+
+    @property
+    def n_rx(self) -> int:
+        return self.diag.shape[0]
+
+    @property
+    def n_tx(self) -> int:
+        return self.diag.shape[1]
+
+    @property
+    def n_ext(self) -> int:
+        return self.diag.shape[2]
 
     def matrix(self, l: int, k: int) -> np.ndarray:
         return np.diag(self.diag[l, k])
@@ -114,7 +124,7 @@ def sample_extended_channel(
     """
     if n_ext < 1:
         raise ValueError("extension length must be >= 1")
-    diag = {}
+    diag = np.empty((vt.M, vt.M, n_ext), dtype=complex if model == "complex" else float)
     for l in range(vt.M):
         for k in range(vt.M):
             h = _draw_coeffs(n_ext, model, rng)
@@ -122,7 +132,7 @@ def sample_extended_channel(
                 zero = h == 0
                 h[zero] = _draw_coeffs(int(zero.sum()), model, rng)
             diag[l, k] = h
-    return ChannelRealization(n_ext=n_ext, n_rx=vt.M, n_tx=vt.M, model=model, diag=diag)
+    return ChannelRealization(model=model, diag=diag)
 
 
 def sample_noise(
@@ -141,12 +151,3 @@ def sample_noise(
         return scale * rng.standard_normal(n_ext)
     raise ValueError(f"unknown channel model {model!r}")
 
-
-def average_link_snr(p_signal: float, noise: NoiseModel) -> float:
-    """Average per-link SNR: transmit power over noise power.
-
-    Channels have unit variance, so this equals the average link SNR.
-    """
-    if p_signal < 0:
-        raise ValueError("signal power must be nonnegative")
-    return p_signal / noise.sigma2

@@ -29,10 +29,6 @@ class InconsistentSystemError(GfError):
     """Redundant equations disagree with the unique solution."""
 
 
-class FieldSearchExhaustedError(GfError):
-    """No prime modulus below the search bound preserves the target rank."""
-
-
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -53,15 +49,6 @@ class PrimeField:
     def __post_init__(self):
         if not _is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
 
     def inv(self, a: int) -> int:
         if a % self.q == 0:
@@ -214,16 +201,3 @@ def gf_inv(a, field: PrimeField) -> np.ndarray:
         raise RankDeficientError("matrix is singular over the field")
     return red[:, n:]
 
-
-def find_valid_field_size(f_int, target_rank: int, q_max: int = 101) -> PrimeField:
-    """Smallest prime q <= q_max with gf_rank(f_int mod q) == target_rank."""
-    f_int = np.asarray(f_int, dtype=np.int64)
-    for q in range(2, q_max + 1):
-        if not _is_prime(q):
-            continue
-        field = PrimeField(q)
-        if gf_rank(f_int, field) == target_rank:
-            return field
-    raise FieldSearchExhaustedError(
-        f"no prime <= {q_max} preserves rank {target_rank}"
-    )

@@ -7,16 +7,18 @@ schemes share the channel realization of a trial (paired comparison).
 SNR is interpreted as p_max / sigma^2 with p_max fixed and the noise
 variance swept.
 
-The engine is trial-major: run_trial draws a trial's channel and builds
-everything that depends on the channel alone (precoders, rank and
-alignment checks, filters, effective system, link gains and their
-grouping by stream) once, then evaluates every SNR point from it.  The
-compute-and-forward leg runs once per trial over the whole SNR grid and
-draws no randomness.  Generator-state contract: the state reached after
-the channel loop is saved and restored before each point's message and
-noise draws, so a point sees exactly the draws of a one-point call, and a
-multi-point call equals the one-point calls it replaces.  No check
-depends on the SNR, so an aborted trial aborts at every point.
+Work that depends only on (K, n) -- the extension plan and its effective
+system -- is built once per plan, and SimConfig.validate() rejects a
+config whose plan cannot be built.  The engine is trial-major: run_trial
+draws a trial's channel and builds everything that depends on the channel
+alone (precoders, rank and conditioning checks, filters, link gains)
+once, then evaluates every SNR point from it.  The compute-and-forward
+leg runs once per trial over the whole SNR grid and draws no randomness.
+Generator-state contract: the state reached after the channel loop is
+saved and restored before each point's message and noise draws, so a
+point sees exactly the draws of a one-point call, and a multi-point call
+equals the one-point calls it replaces.  No check depends on the SNR, so
+an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -50,18 +52,18 @@ from .phy import (
     link_gains,
     modulate_bpsk,
     per_link_rates,
-    stream_links,
     transmit,
 )
+from .gf import RankDeficientError
 from .snc import (
+    CapacityError,
     SncError,
-    build_effective_system,
     build_filters,
     build_precoders,
     check_precoder_ranks,
     cp_recover,
+    effective_system,
     extension_dims,
-    verify_alignment,
 )
 
 WORKERS_ENV = "SNCSIM_WORKERS"
@@ -114,8 +116,16 @@ class SimConfig:
             raise ConfigError(
                 f"the coefficient search radius must be >= 1, got {self.cf_radius}"
             )
-        if self.run_snc and self.topology_expanded.M < 2:
-            raise ConfigError("the alignment scheme needs at least 2 virtual users")
+        if self.n < 1:
+            raise ConfigError(f"the extension parameter n must be >= 1, got {self.n}")
+        if self.run_snc:
+            M = self.topology_expanded.M
+            if M < 2:
+                raise ConfigError("the alignment scheme needs at least 2 virtual users")
+            try:
+                effective_system(extension_dims(M, self.n))
+            except (CapacityError, RankDeficientError) as exc:
+                raise ConfigError(f"no alignment plan for n={self.n}: {exc}") from exc
         if self.p_max <= 0:
             raise ConfigError("p_max must be positive")
         PrimeField(self.q)  # raises on non-prime
@@ -168,13 +178,14 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
     """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*.
 
-    Degenerate channel draws (precoder rank loss, misalignment, an
-    ill-conditioned filter) are resampled up to MAX_RESAMPLES times before
-    the trial is aborted with TrialAbortError.  Returns one result per SNR
-    value, in order.
+    Degenerate channel draws (precoder rank loss, an ill-conditioned
+    filter) are resampled up to MAX_RESAMPLES times before the trial is
+    aborted with TrialAbortError.  Returns one result per SNR value, in
+    order.
     """
     vt = cfg.topology_expanded
     plan = extension_dims(vt.M, cfg.n) if cfg.run_snc else None
+    eff = effective_system(plan) if plan is not None else None
     n_ext = plan.N if plan is not None else 1
     rng = _trial_rng(cfg.seed, trial_index)
 
@@ -185,18 +196,14 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
         try:
             prec = build_precoders(h, plan, cfg.p_max)
             check_precoder_ranks(prec, plan).raise_if_deficient()
-            if not verify_alignment(h, prec):
-                raise SncError("alignment check failed")
             filters = build_filters(h, prec)
-            eff = build_effective_system(h, prec, filters, plan, cfg.q)
         except SncError:
             if attempt == MAX_RESAMPLES:
                 raise TrialAbortError(
                     f"degenerate channel after {MAX_RESAMPLES} resamples"
                 )
             continue
-        gains = link_gains(h, prec, filters, eff)
-        streams = stream_links(gains, eff)
+        gains = link_gains(prec, filters, eff)
         break
     state = rng.bit_generator.state
 
@@ -213,7 +220,7 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
         snc_rate = detected = report = None
         if cfg.run_snc:
             report = end_to_end_sum_rate(per_link_rates(gains, noise.sigma2),
-                                         streams, rho, cfg.cap_enabled)
+                                         eff, rho, cfg.cap_enabled)
             snc_rate = report.sum_rate
 
             # noisy end-to-end pass for the recovery statistics

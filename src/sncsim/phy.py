@@ -6,6 +6,11 @@ filtered component equal to a sum of m BPSK symbols (m = row support size)
 plus filtered noise, so demodulation reduces to nearest-level detection on
 the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
 parity of the detected number of -1 symbols.
+
+Rates are arrays over the links of the effective system (the nonzero
+entries of F, grouped by stream): link_gains once per channel draw,
+per_link_rates and end_to_end_sum_rate once per SNR point.  link_rate and
+_demod_sum_constellation are the per-link and per-value references.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ class UnsupportedModulationError(Exception):
     """Demodulation paths support GF(2)/BPSK only."""
 
 
-class CoverageError(Exception):
-    """A stream is decoded at no receiver (impossible for full-rank F)."""
-
-
 def modulate_bpsk(b, q: int = 2) -> np.ndarray:
     """Map GF(2) symbols to antipodal samples: 0 -> +1, 1 -> -1."""
     if q != 2:
@@ -39,16 +40,14 @@ def modulate_bpsk(b, q: int = 2) -> np.ndarray:
 
 def transmit(h: ChannelRealization, p: PrecoderSet,
              x: dict[int, np.ndarray] | list[np.ndarray],
-             noise: dict[int, np.ndarray] | list[np.ndarray]) -> list[np.ndarray]:
-    """Received vector per receiver: y_l = sum_k H_{l,k} V_k x_k + n_l."""
+             noise: dict[int, np.ndarray] | list[np.ndarray]) -> np.ndarray:
+    """Received vectors, one row per receiver: y_l = sum_k H_{l,k} V_k x_k + n_l."""
     K = len(p.v)
-    out = []
-    for l in range(K):
-        y = np.asarray(noise[l], dtype=complex if h.model == "complex" else float).copy()
-        for k in range(K):
-            y = y + h.diag[l, k] * (p.v[k] @ np.asarray(x[k]))
-        out.append(y)
-    return out
+    y = np.array([noise[l] for l in range(K)],
+                 dtype=complex if h.model == "complex" else float)
+    for k in range(K):
+        y = y + h.diag[:K, k] * (p.v[k] @ np.asarray(x[k]))
+    return y
 
 
 def _demod_sum_constellation(value: float, m: int) -> int:
@@ -64,7 +63,7 @@ def _demod_sum_constellation(value: float, m: int) -> int:
     return best_j % 2
 
 
-def filter_and_demodulate(y: list[np.ndarray], filters: FilterSet,
+def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
                           eff: EffectiveSystem) -> list[np.ndarray]:
     """Filter each received vector and demodulate to network-coded bits.
 
@@ -74,13 +73,10 @@ def filter_and_demodulate(y: list[np.ndarray], filters: FilterSet,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    if eff.field_q.q != 2:
-        raise UnsupportedModulationError("noisy demodulation supports q=2 only")
-    weights = eff.f_int.sum(axis=1).reshape(len(y), eff.plan.N)
     out = []
     for l in range(len(y)):
         z = np.real(filters.u[l] @ y[l])
-        m = weights[l]
+        m = eff.weights[l]
         j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
         out.append(j.astype(np.int64) % 2)
     return out
@@ -100,87 +96,48 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def link_gains(h: ChannelRealization, p: PrecoderSet, filters: FilterSet,
-               eff: EffectiveSystem) -> dict:
-    """Noise-free terms of the rate of every stream decoded at receiver l:
-    G[(l, k, stream)] = (|u^H H v|^2, ||u||^2), computed once per channel.
+def link_gains(p: PrecoderSet, filters: FilterSet, eff: EffectiveSystem) -> np.ndarray:
+    """Noise-free SNR of every link of *eff*, computed once per channel:
+    the rate of link j at noise power sigma2 is log2(1 + gains[j] / sigma2).
 
     The decoding vector for row (l, i) is the conjugate of row i of the
-    applied filter (so it acts as u^H y).  Rate accounting gives every
+    applied filter, so it acts as u^H y.  Rate accounting gives every
     signal the full per-signal power budget (SNR is defined as per-signal
     transmit power over noise power), so each precoding column is rescaled
-    to the budget -- the largest column's power, which build_precoders
-    pins to p_max.
+    to the budget: the largest column's power, which build_precoders pins
+    to p_max.  The filter maps every linked column to a unit vector
+    (u^H H v = 1), so the gain of a link is the closed form
+    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).
     """
-    N = eff.plan.N
-    p_budget = max(
-        float(np.max(np.sum(np.abs(v) ** 2, axis=0))) for v in p.v.values()
-    )
-    gains = {}
-    for r, support in enumerate(eff.row_support):
-        l, i = divmod(r, N)
-        u = np.conj(filters.u[l][i, :])
-        nu = float(np.sum(np.abs(u) ** 2))
-        for k, s in support:
-            col = p.v[k][:, s]
-            col = col * math.sqrt(p_budget) / float(np.linalg.norm(col))
-            gains[l, k, s] = (float(abs(np.vdot(u, h.diag[l, k] * col)) ** 2), nu)
-    return gains
+    v_norm2 = np.concatenate([np.sum(np.abs(v) ** 2, axis=0) for v in p.v.values()])
+    u_norm2 = np.sum(np.abs(filters.u) ** 2, axis=2).ravel()
+    return v_norm2.max() / (u_norm2[eff.link_rows] * v_norm2[eff.link_cols])
 
 
-def per_link_rates(gains: dict, sigma2: float) -> dict:
-    """Rates R[(l, k, stream)] = log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) at
-    noise power sigma2 from link_gains: the float operations of link_rate."""
-    return {key: math.log2(1.0 + sig / (sigma2 * nu))
-            for key, (sig, nu) in gains.items()}
-
-
-def stream_links(links, eff: EffectiveSystem) -> dict:
-    """Group link keys (l, k, stream) by stream: {(k, stream): [(l, k, stream),
-    ...]}, streams in order of first appearance.  Depends on the channel
-    only, so it is built once per trial.
-
-    Raises CoverageError when a stream of the plan is decoded nowhere.
-    """
-    out: dict[tuple[int, int], list] = {}
-    for key in links:
-        out.setdefault(key[1:], []).append(key)
-    plan = eff.plan
-    for k in range(plan.K):
-        for s in range(plan.streams(k)):
-            if (k, s) not in out:
-                raise CoverageError(f"stream {(k, s)} decoded nowhere")
-    return out
-
-
-def signal_rate(per_link: dict, streams: dict) -> dict:
-    """Per-stream rate: min over the receivers that decode the stream, with
-    *streams* from stream_links."""
-    return {key: min(per_link[x] for x in links) for key, links in streams.items()}
+def per_link_rates(gains: np.ndarray, sigma2: float) -> np.ndarray:
+    """Rates log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) of every link at noise
+    power sigma2, from link_gains."""
+    return np.log2(1.0 + gains / sigma2)
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-link and per-stream rates plus the capped end-to-end sum."""
+    """Per-stream rates, in column order of F, plus the capped end-to-end sum."""
 
-    per_link: dict
-    per_signal: dict
+    per_signal: tuple[float, ...]
     sum_rate: float  # bits per extension block
     backhaul_cap: float
 
 
-def end_to_end_sum_rate(per_link: dict, streams: dict, rho_bar: float,
+def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bar: float,
                         cap_enabled: bool = True) -> RateReport:
-    """Apply the cooperation-link cap log2(1 + rho_bar) per stream and sum,
-    with *streams* from stream_links."""
-    per_signal = signal_rate(per_link, streams)
+    """Take each stream's rate as the minimum over the receivers that decode
+    it, apply the cooperation-link cap log2(1 + rho_bar) per stream and sum."""
+    per_signal = np.minimum.reduceat(per_link, eff.stream_start)
     cap = math.log2(1.0 + rho_bar)
-    if cap_enabled:
-        total = sum(min(r, cap) for r in per_signal.values())
-    else:
-        total = sum(per_signal.values())
-    return RateReport(per_link=per_link, per_signal=per_signal,
-                      sum_rate=total, backhaul_cap=cap)
+    capped = np.minimum(per_signal, cap) if cap_enabled else per_signal
+    return RateReport(per_signal=tuple(per_signal.tolist()),
+                      sum_rate=float(np.sum(capped)), backhaul_cap=cap)
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,

@@ -15,9 +15,7 @@ def real_channel(K, N, seed):
 
 def channel_from_rows(rows):
     """One-slot K x K channel whose receiver l sees rows[l]."""
-    K = len(rows)
-    diag = {(l, k): np.array([float(rows[l][k])]) for l in range(K) for k in range(K)}
-    return ChannelRealization(n_ext=1, n_rx=K, n_tx=K, model="real", diag=diag)
+    return ChannelRealization(model="real", diag=np.array(rows, dtype=float)[:, :, None])
 
 
 def per_point_oracle(h, rho, field, radius, cap_enabled):
@@ -132,9 +130,7 @@ class TestTrialSumRate:
     def test_identical_receivers_force_outage(self):
         # both receivers see the same channel row -> same coefficients ->
         # rank-deficient stack, slot contributes nothing
-        row = np.array([1.3, 0.7])
-        diag = {(l, k): np.array([row[k]]) for l in range(2) for k in range(2)}
-        h = ChannelRealization(n_ext=1, n_rx=2, n_tx=2, model="real", diag=diag)
+        h = channel_from_rows([[1.3, 0.7], [1.3, 0.7]])
         [(total, outage)] = cf_trial_sum_rate(h, rhos=[100.0], field=PrimeField(2))
         assert total == 0.0
         assert outage == 1.0
@@ -191,3 +187,17 @@ class TestTrialSumRate:
         expected = per_point_oracle(channel_from_rows(rows), rho, PrimeField(2), 3, True)
         assert got[1] == expected[1] == 0.0
         assert got[0] == pytest.approx(expected[0], rel=1e-12)
+
+    def test_rate_tie_resolves_in_candidate_order(self):
+        # at rho = 0.5 and radius 1, receiver 1's candidates (1, 0) and
+        # (0, 1) have denominators one ulp apart that give bit-equal rates:
+        # the pick must be the first maximiser of the rate, (1, 0), which
+        # with receiver 2's (0, 1) makes a full-rank stack.  Picking the
+        # smaller denominator, (0, 1), would make the slot an outage.
+        rows = [[0.9883184241510566, 0.988318424151057], [0.1, 2.0]]
+        rho = 0.5
+        assert list(cf_select_coeffs(rows[0], rho, radius=1)) == [1, 0]
+        assert list(cf_select_coeffs(rows[1], rho, radius=1)) == [0, 1]
+        [(total, outage)] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
+                                              PrimeField(2), radius=1)
+        assert outage == 0.0 and total > 0.0

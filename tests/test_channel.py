@@ -4,7 +4,6 @@ import pytest
 from sncsim.channel import (
     NoiseModel,
     Topology,
-    average_link_snr,
     expand_mimo_to_virtual,
     sample_extended_channel,
     sample_noise,
@@ -45,8 +44,17 @@ class TestChannelSampling:
         vt = expand_mimo_to_virtual(single_antenna(2))
         a = sample_extended_channel(vt, 3, "complex", np.random.default_rng(42))
         b = sample_extended_channel(vt, 3, "complex", np.random.default_rng(42))
-        for key in a.diag:
-            assert np.array_equal(a.diag[key], b.diag[key])
+        assert a.diag.shape == (2, 2, 3)
+        assert np.array_equal(a.diag, b.diag)
+
+    def test_links_drawn_in_receiver_then_transmitter_order(self):
+        vt = expand_mimo_to_virtual(single_antenna(3))
+        h = sample_extended_channel(vt, 4, "real", np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for l in range(3):
+            for k in range(3):
+                assert np.array_equal(h.diag[l, k], rng.standard_normal(4))
+        assert (h.n_rx, h.n_tx, h.n_ext) == (3, 3, 4)
 
     def test_unit_variance(self):
         vt = expand_mimo_to_virtual(single_antenna(1, 1))
@@ -60,14 +68,12 @@ class TestChannelSampling:
     def test_real_model_has_no_imaginary_part(self):
         vt = expand_mimo_to_virtual(single_antenna(2))
         h = sample_extended_channel(vt, 4, "real", np.random.default_rng(1))
-        for d in h.diag.values():
-            assert np.isrealobj(d)
+        assert np.isrealobj(h.diag)
 
     def test_no_zero_entries(self):
         vt = expand_mimo_to_virtual(single_antenna(2))
         h = sample_extended_channel(vt, 64, "real", np.random.default_rng(5))
-        for d in h.diag.values():
-            assert np.all(d != 0)
+        assert np.all(h.diag != 0)
 
     def test_link_independence_spot_check(self):
         vt = expand_mimo_to_virtual(single_antenna(2))
@@ -108,8 +114,3 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(-1.0)
 
-
-def test_average_link_snr():
-    assert average_link_snr(1.0, NoiseModel(1.0)) == 1.0
-    assert average_link_snr(100.0, NoiseModel(1.0)) == 100.0
-    assert average_link_snr(0.0, NoiseModel(2.0)) == 0.0

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from sncsim import harness
 from sncsim.cli import USAGE_EXIT, parse_cli
+from sncsim.gf import RankDeficientError
 from sncsim.harness import (
     ConfigError,
     SimConfig,
@@ -69,17 +71,38 @@ class TestConfig:
                 cfg.validate()
         small_config(scheme="snc", cf_radius=0).validate()  # CF never runs
 
-    @settings(max_examples=15, deadline=None)
-    @given(K=st.integers(1, 3), n=st.integers(1, 2),
-           scheme=st.sampled_from(["cf", "both"]),
+    def test_extension_parameter_must_be_positive(self):
+        for scheme in ("snc", "cf", "both"):
+            with pytest.raises(ConfigError):
+                SimConfig(K=2, n=0, scheme=scheme).validate()
+
+    def test_oversized_extension_rejected(self):
+        with pytest.raises(ConfigError):
+            SimConfig(K=2, n=2_000_000, scheme="snc").validate()
+        SimConfig(K=2, n=2_000_000, scheme="cf").validate()  # no plan needed
+
+    def test_singular_plan_rejected(self, monkeypatch):
+        def singular(plan):
+            raise RankDeficientError("GF(2) rank short")
+        monkeypatch.setattr(harness, "effective_system", singular)
+        with pytest.raises(ConfigError):
+            small_config(scheme="snc").validate()
+        small_config(scheme="cf").validate()
+
+    # most random configs are rejected (complex CF, q > 2 with SNC, ...), so
+    # the filter is heavy by design
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(K=st.integers(1, 3), n=st.integers(0, 2),
+           scheme=st.sampled_from(["snc", "cf", "both"]),
+           channel_model=st.sampled_from(["real", "complex"]),
            q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
            cap_enabled=st.booleans(), seed=st.integers(0, 2**16),
            snr_start=st.integers(-10, 60), snr_step=st.integers(1, 30))
-    def test_every_validated_cf_config_completes(self, K, n, scheme, q, cf_radius,
-                                                 cap_enabled, seed, snr_start,
-                                                 snr_step):
-        # compute-and-forward runs on real channels only (checked above)
-        cfg = SimConfig(K=K, n=n, scheme=scheme, channel_model="real", q=q,
+    def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
+                                              cf_radius, cap_enabled, seed,
+                                              snr_start, snr_step):
+        cfg = SimConfig(K=K, n=n, scheme=scheme, channel_model=channel_model, q=q,
                         cf_radius=cf_radius, cap_enabled=cap_enabled, seed=seed,
                         trials=1, snr_start=float(snr_start),
                         snr_stop=float(snr_start + snr_step), snr_step=float(snr_step))
@@ -87,8 +110,10 @@ class TestConfig:
             cfg.validate()
         except (ConfigError, ValueError):
             assume(False)
+        assert n >= 1
         res = run_sweep(cfg)
-        assert len(res.points) == 2 * (1 + cfg.run_snc)
+        schemes = cfg.run_snc + cfg.run_cf
+        assert len(res.points) == 2 * schemes
         for pt in res.points:
             assert 0.0 <= pt.outage_frac <= 1.0
             assert 0.0 <= pt.detected_err_frac <= 1.0
@@ -153,9 +178,9 @@ class TestRunTrial:
             r = one_point(cfg, 60.0, i)
             assert len(r.snc_report.per_signal) == 5
             assert r.snc_sum_rate == pytest.approx(
-                sum(r.snc_report.per_signal.values()), rel=1e-12)
+                sum(r.snc_report.per_signal), rel=1e-12)
             sums.append(r.snc_sum_rate)
-            streams.extend(r.snc_report.per_signal.values())
+            streams.extend(r.snc_report.per_signal)
         assert np.mean(sums) == pytest.approx(5 * np.mean(streams), rel=0.05)
 
 
@@ -293,6 +318,19 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--scheme", "snc", "--field-size", "3"])
         assert exc.value.code == USAGE_EXIT
+
+    def test_zero_extension_parameter_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--users", "2", "--ext-n", "0", "--scheme", "snc"])
+        assert exc.value.code == USAGE_EXIT
+
+    def test_oversized_extension_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sncsim.cli", "--users", "2", "--ext-n", "2000000",
+             "--scheme", "snc"],
+            capture_output=True, text=True)
+        assert proc.returncode == USAGE_EXIT
+        assert "Traceback" not in proc.stderr and "extension length" in proc.stderr
 
     def test_zero_cf_radius_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sncsim.phy import (
-    CoverageError,
     UnsupportedModulationError,
     _demod_sum_constellation,
     end_to_end_sum_rate,
@@ -14,9 +13,15 @@ from sncsim.phy import (
     link_rate,
     modulate_bpsk,
     per_link_rates,
-    signal_rate,
-    stream_links,
     transmit,
+)
+from sncsim.snc import (
+    IllConditionedError,
+    build_filters,
+    build_precoders,
+    check_precoder_ranks,
+    effective_system,
+    extension_dims,
 )
 from tests.test_snc import build_all, make_channel
 
@@ -105,7 +110,7 @@ class TestDemodulation:
     def test_noisy_pipeline_matches_oracle(self):
         plan, h, p, f, eff = build_all(3, 1, seed=18)
         rng = np.random.default_rng(19)
-        weights = [len(s) for s in eff.row_support]
+        weights = eff.weights.ravel().tolist()
         for _ in range(20):
             msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(3)]
             noise = [0.5 * (rng.standard_normal(plan.N)
@@ -161,72 +166,84 @@ class TestRates:
             assert link_rate(u, v, hd, s2) == pytest.approx(expected, rel=1e-12)
 
     def test_signal_rate_takes_min_over_decoding_receivers(self):
+        # K=2, n=1: stream column c is decoded at the rows r with F[r, c] = 1
         plan, h, p, f, eff = build_all(2, 1, seed=5)
-        per_link = {(0, 0, 0): 2.0, (1, 0, 0): 3.0,
-                    (0, 0, 1): 1.5, (1, 0, 1): 1.0,
-                    (0, 1, 0): 4.0, (1, 1, 0): 2.5}
-        rates = signal_rate(per_link, stream_links(per_link, eff))
-        assert rates[0, 0] == 2.0
-        assert rates[0, 1] == 1.0
-        assert rates[1, 0] == 2.5
-
-    def test_stream_decoded_nowhere_raises(self):
-        plan, h, p, f, eff = build_all(2, 1, seed=5)
-        links = [key for key in link_gains(h, p, f, eff) if key[1:] != (1, 0)]
-        with pytest.raises(CoverageError):
-            stream_links(links, eff)
+        rate = {(0, 0): 2.0, (2, 0): 3.0,
+                (1, 1): 1.5, (3, 1): 1.0,
+                (0, 2): 4.0, (3, 2): 2.5}
+        assert set(rate) == set(zip(eff.link_rows.tolist(), eff.link_cols.tolist()))
+        per_link = np.array([rate[r, c] for r, c in zip(eff.link_rows, eff.link_cols)])
+        report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0, cap_enabled=False)
+        assert report.per_signal == (2.0, 1.0, 2.5)
+        assert report.sum_rate == 5.5
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        rates = per_link_rates(link_gains(h, p, f, eff), 1.0)
-        covered = {(k, s) for (_, k, s) in rates}
-        assert covered == {(0, 0), (0, 1), (1, 0)}
+        rates = per_link_rates(link_gains(p, f, eff), 1.0)
+        assert rates.shape == eff.link_cols.shape and np.all(rates > 0)
+        assert sorted(set(eff.link_cols.tolist())) == [0, 1, 2]
 
     def test_per_link_rates_equal_link_rate_oracle(self):
-        # gains once, then rates at several noise powers: bit-equal to
-        # link_rate on the decoding vector and the budget-rescaled column
-        for K, n, model in [(2, 2, "complex"), (3, 1, "real")]:
-            plan, h, p, f, eff = build_all(K, n, seed=20 + K, model=model)
-            gains = link_gains(h, p, f, eff)
-            budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
-                         for v in p.v.values())
-            for sigma2 in (1.0, 1e-3, 1e-6):
-                rates = per_link_rates(gains, sigma2)
-                for r, support in enumerate(eff.row_support):
-                    l, i = divmod(r, plan.N)
-                    u = np.conj(f.u[l][i, :])
-                    for k, s in support:
-                        col = p.v[k][:, s]
+        # closed-form gains once, then rates at several noise powers, against
+        # link_rate on the decoding vector and the budget-rescaled column of
+        # every kept draw; rtol 1e-9 because the closed form takes u^H H v = 1
+        for K, n, model in [(2, 2, "complex"), (3, 1, "real"), (3, 2, "complex"),
+                            (2, 10, "complex")]:
+            plan = extension_dims(K, n)
+            eff = effective_system(plan)
+            kept = 0
+            for seed in range(40):
+                h = make_channel(K, plan.N, seed=20 + K + 100 * seed, model=model)
+                p = build_precoders(h, plan)
+                if not check_precoder_ranks(p, plan).passed:
+                    continue
+                try:
+                    f = build_filters(h, p)
+                except IllConditionedError:
+                    continue
+                kept += 1
+                gains = link_gains(p, f, eff)
+                budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
+                             for v in p.v.values())
+                for sigma2 in (1.0, 1e-3, 1e-6):
+                    rates = per_link_rates(gains, sigma2)
+                    for rate, r, c in zip(rates, eff.link_rows, eff.link_cols):
+                        l, i = divmod(int(r), plan.N)
+                        k = int(np.searchsorted(eff.col_offset, c, side="right")) - 1
+                        col = p.v[k][:, c - eff.col_offset[k]]
                         col = col * math.sqrt(budget) / float(np.linalg.norm(col))
-                        assert rates[l, k, s] == link_rate(u, col, h.diag[l, k], sigma2)
+                        u = np.conj(f.u[l][i, :])
+                        assert rate == pytest.approx(
+                            link_rate(u, col, h.diag[l, k], sigma2), rel=1e-9, abs=0.0)
+            assert kept >= 3, (K, n)
 
 
 class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
-        per_link = {key: 5.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        report = end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=1.0)
+        per_link = np.full(eff.link_rows.shape, 5.0)
+        report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0)
         assert report.backhaul_cap == pytest.approx(1.0)
         assert report.sum_rate == pytest.approx(3.0)  # 3 streams capped at 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
-        per_link = {key: 0.5 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        report = end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=1e6)
+        per_link = np.full(eff.link_rows.shape, 0.5)
+        report = end_to_end_sum_rate(per_link, eff, rho_bar=1e6)
         assert report.sum_rate == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
-        per_link = {key: 2.0 for key in per_link_rates(link_gains(h, p, f, eff), 1.0)}
-        assert end_to_end_sum_rate(per_link, stream_links(per_link, eff), rho_bar=0.0).sum_rate == 0.0
+        per_link = np.full(eff.link_rows.shape, 2.0)
+        assert end_to_end_sum_rate(per_link, eff, rho_bar=0.0).sum_rate == 0.0
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         prev = -1.0
         for snr_db in (0, 10, 20, 30, 40):
             rho = 10 ** (snr_db / 10)
-            rates = per_link_rates(link_gains(h, p, f, eff), 1.0 / rho)
-            total = end_to_end_sum_rate(rates, stream_links(rates, eff), rho).sum_rate
+            rates = per_link_rates(link_gains(p, f, eff), 1.0 / rho)
+            total = end_to_end_sum_rate(rates, eff, rho).sum_rate
             assert total >= prev
             prev = total
 

@@ -6,21 +6,27 @@ import pytest
 
 from sncsim.channel import (
     ChannelRealization,
+    Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
     single_antenna,
 )
+from sncsim.gf import RankDeficientError
 from sncsim.snc import (
-    AlignmentViolationError,
-    build_effective_system,
+    ExtensionPlan,
+    IllConditionedError,
     build_filters,
     build_precoders,
     check_precoder_ranks,
+    _plan_matrix,
     cp_recover,
+    effective_system,
     extension_dims,
     theoretical_dof,
     verify_alignment,
 )
+
+BINARY_ATOL = 1e-6
 
 
 def make_channel(K, N, seed, model="complex"):
@@ -28,18 +34,43 @@ def make_channel(K, N, seed, model="complex"):
     return sample_extended_channel(vt, N, model, np.random.default_rng(seed))
 
 
-def build_all(K, n, seed, model="complex", q_default=2):
+def build_all(K, n, seed, model="complex"):
     plan = extension_dims(K, n)
     h = make_channel(K, plan.N, seed, model)
     p = build_precoders(h, plan)
     f = build_filters(h, p)
-    eff = build_effective_system(h, p, f, plan, q_default)
-    return plan, h, p, f, eff
+    return plan, h, p, f, effective_system(plan)
+
+
+def numeric_system(h, p, f):
+    """The filtered blocks u[l] (H_{l,k} V_k) of one draw, stacked like F:
+    the numerical counterpart of effective_system's 0/1 matrix."""
+    K = len(p.v)
+    return np.vstack([np.hstack([f.u[l] @ (h.diag[l, k][:, None] * p.v[k])
+                                 for k in range(K)]) for l in range(K)])
+
+
+def rounds_to_plan(h, p, f, eff):
+    """Whether the draw's numeric system is within BINARY_ATOL of F."""
+    return float(np.max(np.abs(numeric_system(h, p, f) - eff.f_int))) <= BINARY_ATOL
+
+
+def gf2_rank(m):
+    """Rank over GF(2) with rows as integer bit masks, independent of sncsim.gf."""
+    basis = {}  # leading bit -> row
+    for row in np.packbits(np.asarray(m, dtype=np.uint8), axis=1):
+        v = int.from_bytes(row.tobytes(), "big")
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 def identity_channel(K, N):
-    diag = {(l, k): np.ones(N, dtype=complex) for l in range(K) for k in range(K)}
-    return ChannelRealization(n_ext=N, n_rx=K, n_tx=K, model="complex", diag=diag)
+    return ChannelRealization(model="complex", diag=np.ones((K, K, N), dtype=complex))
 
 
 class TestExtensionDims:
@@ -192,9 +223,7 @@ class TestFilters:
         f1, f2 = build_filters(h, p1), build_filters(h, p2)
         scale = p2.power_scale / p1.power_scale
         assert np.allclose(f2.u[0] * scale, f1.u[0])
-        eff1 = build_effective_system(h, p1, f1, plan)
-        eff2 = build_effective_system(h, p2, f2, plan)
-        assert np.array_equal(eff1.f_int, eff2.f_int)
+        assert np.allclose(numeric_system(h, p1, f1), numeric_system(h, p2, f2))
 
 
 class TestEffectiveSystem:
@@ -209,8 +238,7 @@ class TestEffectiveSystem:
             [0, 0, 1, 0, 1],
         ])
         assert np.array_equal(eff.f_int, expected)
-        assert eff.field_q.q == 2
-        assert np.max(np.abs(eff.f_real - eff.f_int)) < 1e-6
+        assert np.max(np.abs(numeric_system(h, p, f) - eff.f_int)) < 1e-6
 
     def test_two_user_n1_matrix(self):
         plan, h, p, f, eff = build_all(2, 1, seed=10)
@@ -221,17 +249,103 @@ class TestEffectiveSystem:
         for K, n in [(2, 2), (3, 1)]:
             for seed in range(100):
                 plan, h, p, f, eff = build_all(K, n, seed=seed)
-                assert np.linalg.matrix_rank(eff.f_int) == plan.total_streams
+                rank = np.linalg.matrix_rank(numeric_system(h, p, f))
+                assert rank == plan.total_streams
 
     def test_non_binary_entries_rejected(self):
-        plan = extension_dims(2, 1)
-        h = make_channel(2, 2, seed=11)
-        p = build_precoders(h, plan)
-        f = build_filters(h, p)
+        # the reference comparison has teeth: precoders that break the
+        # alignment leave entries that do not round to F
+        plan, h, p, f, eff = build_all(2, 1, seed=11)
+        assert rounds_to_plan(h, p, f, eff)
         bad = type(p)(v={0: p.v[0], 1: p.v[1] * 1.5}, w=p.w,
                       power_scale=p.power_scale)
-        with pytest.raises(AlignmentViolationError):
-            build_effective_system(h, bad, f, plan)
+        assert not rounds_to_plan(h, bad, f, eff)
+
+
+class TestPlanSystem:
+    """effective_system derives F from the exponents alone; every draw that
+    passes the per-trial rank and conditioning checks must agree with it."""
+
+    @pytest.mark.parametrize("K, n, model, draws", [
+        (2, 1, "real", 300), (2, 2, "real", 300), (2, 3, "complex", 200),
+        (2, 10, "complex", 400), (3, 1, "real", 200), (3, 2, "complex", 60),
+    ])
+    def test_kept_draws_align_and_round_to_plan(self, K, n, model, draws):
+        plan = extension_dims(K, n)
+        eff = effective_system(plan)
+        kept = 0
+        for seed in range(draws):
+            h = make_channel(K, plan.N, seed=50_000 + seed, model=model)
+            p = build_precoders(h, plan)
+            if not check_precoder_ranks(p, plan).passed:
+                continue
+            try:
+                f = build_filters(h, p)
+            except IllConditionedError:
+                continue
+            kept += 1
+            assert verify_alignment(h, p), seed
+            assert rounds_to_plan(h, p, f, eff), seed
+        assert kept >= 40
+
+    def test_mimo_kept_draws_align_and_round_to_plan(self):
+        vt = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (2, 1)))
+        plan = extension_dims(vt.M, 1)
+        eff = effective_system(plan)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            h = sample_extended_channel(vt, plan.N, "complex", rng)
+            p = build_precoders(h, plan)
+            if not check_precoder_ranks(p, plan).passed:
+                continue
+            f = build_filters(h, p)
+            assert verify_alignment(h, p)
+            assert rounds_to_plan(h, p, f, eff)
+
+    def test_full_gf2_rank_for_small_extensions(self):
+        # every K <= 4 whose extension has N <= 400 slots: F keeps every
+        # stream at some receiver and has full column rank over GF(2)
+        plans = 0
+        for K in (2, 3, 4):
+            n = 1
+            while extension_dims(K, n).N <= 400:
+                plan = extension_dims(K, n)
+                f, _ = _plan_matrix(plan)
+                assert f.any(axis=0).all(), (K, n)
+                assert gf2_rank(f) == plan.total_streams, (K, n)
+                plans += 1
+                n += 1
+        assert plans == 399 + 5 + 3
+
+    def test_stored_arrays_agree_with_f(self):
+        for K, n in [(2, 1), (2, 2), (2, 10), (3, 1), (3, 2), (4, 1)]:
+            plan = extension_dims(K, n)
+            eff = effective_system(plan)
+            assert gf2_rank(eff.f_int) == len(eff.indep_rows) == plan.total_streams
+            assert np.array_equal((eff.indep_inv @ eff.f_int[eff.indep_rows]) % 2,
+                                  np.eye(plan.total_streams, dtype=np.int64))
+            assert np.array_equal(eff.weights.ravel(), eff.f_int.sum(axis=1))
+            # links are the nonzero entries, grouped by stream column
+            assert np.all(eff.f_int[eff.link_rows, eff.link_cols] == 1)
+            assert len(eff.link_rows) == eff.f_int.sum()
+            assert np.all(np.diff(eff.link_cols) >= 0)
+            starts = eff.link_cols[eff.stream_start]
+            assert starts.tolist() == list(range(plan.total_streams))
+
+    def test_built_once_and_read_only(self):
+        plan = extension_dims(3, 1)
+        eff = effective_system(plan)
+        assert effective_system(extension_dims(3, 1)) is eff
+        with pytest.raises(ValueError):
+            eff.f_int[0, 0] = 0
+
+    def test_singular_plan_rejected(self):
+        # two transmitter-2 streams with the same exponents: identical columns
+        plan = ExtensionPlan(K=2, n=1, N=2, N_prime=2,
+                             tx1_exponents=((1, 0), (0, 1)),
+                             other_exponents=((0, 0), (0, 0)))
+        with pytest.raises(RankDeficientError):
+            effective_system(plan)
 
 
 class TestRecovery:
