@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .gf import PrimeField, gf_full_rank, gf_rank, gf_select_independent_rows, gf_solve
 from .channel import (
     ChannelRealization,
-    NoiseModel,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,

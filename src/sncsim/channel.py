@@ -5,7 +5,7 @@ A channel realization holds the diagonal N x N extended-channel matrix of
 every (receiver, transmitter) link in one array; each diagonal slot is an
 independent draw (time-varying channel).  Multi-antenna topologies are
 mapped to an equivalent single-antenna network by treating every antenna
-as a virtual node.
+as a virtual node.  Noise is drawn at unit variance and scaled per point.
 """
 
 from __future__ import annotations
@@ -63,17 +63,6 @@ def expand_mimo_to_virtual(t: Topology) -> VirtualTopology:
     tx_all = [(node, ant) for node in range(t.K) for ant in range(t.tx_antennas[node])]
     rx_all = [(node, ant) for node in range(t.L) for ant in range(t.rx_antennas[node])]
     return VirtualTopology(M, tuple(tx_all[:M]), tuple(rx_all[:M]))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-receiver noise variance (power units)."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -136,18 +125,17 @@ def sample_extended_channel(
 
 
 def sample_noise(
-    n_ext: int, noise: NoiseModel, model: str, rng: np.random.Generator
+    sigma2, n_rx: int, n_ext: int, model: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Length-N noise vector with total variance sigma2 per entry.
+    """(S, n_rx, n_ext) noise: one unit-variance draw scaled to each of the
+    S variances in *sigma2*, so every point sees the same unit noise.
 
     The complex model splits the variance equally across real/imag parts.
     """
-    scale = np.sqrt(noise.sigma2)
+    scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
     if model == "complex":
-        return scale * (
-            rng.standard_normal(n_ext) + 1j * rng.standard_normal(n_ext)
-        ) / np.sqrt(2.0)
+        re, im = np.moveaxis(rng.standard_normal((n_rx, 2, n_ext)), 1, 0)
+        return scale * (re + 1j * im) / np.sqrt(2.0)
     if model == "real":
-        return scale * rng.standard_normal(n_ext)
+        return scale * rng.standard_normal((n_rx, n_ext))
     raise ValueError(f"unknown channel model {model!r}")
-

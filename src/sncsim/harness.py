@@ -12,13 +12,13 @@ system -- is built once per plan, and SimConfig.validate() rejects a
 config whose plan cannot be built.  The engine is trial-major: run_trial
 draws a trial's channel and builds everything that depends on the channel
 alone (precoders, rank and conditioning checks, filters, link gains)
-once, then evaluates every SNR point from it.  The compute-and-forward
-leg runs once per trial over the whole SNR grid and draws no randomness.
-Generator-state contract: the state reached after the channel loop is
-saved and restored before each point's message and noise draws, so a
-point sees exactly the draws of a one-point call, and a multi-point call
-equals the one-point calls it replaces.  No check depends on the SNR, so
-an aborted trial aborts at every point.
+once, then evaluates the whole SNR grid in one array pass.  The
+compute-and-forward leg runs once per trial over the grid and draws no
+randomness.  Draw-order contract: per trial the generator draws the
+channel and its resamples, then the messages, then unit-variance noise,
+each once; only the noise scale depends on the SNR.  No draw depends on
+the grid, so a multi-point call equals the one-point calls it replaces.
+No check depends on the SNR, so an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    NoiseModel,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
@@ -104,10 +103,21 @@ class SimConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.channel_model not in ("real", "complex"):
             raise ConfigError(f"unknown channel model {self.channel_model!r}")
+        if self.seed < 0:
+            raise ConfigError(f"the seed must be >= 0, got {self.seed}")
+        for name in ("p_max", "snr_start", "snr_stop", "snr_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.snr_step <= 0:
             raise ConfigError("SNR step must be positive")
+        if self.snr_stop < self.snr_start:
+            raise ConfigError("the SNR grid has no points: stop is below start")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        try:
+            M = self.topology_expanded.M
+        except ValueError as exc:
+            raise ConfigError(f"bad topology: {exc}") from exc
         if self.run_cf and self.K != self.rx_count:
             raise ConfigError("compute-and-forward requires K = L")
         if self.run_cf and self.channel_model != "real":
@@ -119,7 +129,6 @@ class SimConfig:
         if self.n < 1:
             raise ConfigError(f"the extension parameter n must be >= 1, got {self.n}")
         if self.run_snc:
-            M = self.topology_expanded.M
             if M < 2:
                 raise ConfigError("the alignment scheme needs at least 2 virtual users")
             try:
@@ -205,7 +214,6 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
             continue
         gains = link_gains(prec, filters, eff)
         break
-    state = rng.bit_generator.state
 
     rhos = [cfg.p_max * 10.0 ** (snr_db / 10.0) for snr_db in snr_dbs]
     if cfg.run_cf:
@@ -213,30 +221,23 @@ def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
                                cfg.cap_enabled)
     else:
         cf = [(None, None)] * len(rhos)
+    reports = detected = [None] * len(rhos)
+    if cfg.run_snc:
+        sigma2 = np.array([cfg.p_max / rho for rho in rhos])
+        reports = end_to_end_sum_rate(per_link_rates(gains, sigma2), eff, rhos,
+                                      cfg.cap_enabled)
+        # noisy end-to-end pass for the recovery statistics, every point at once
+        msgs = rng.integers(0, cfg.q, size=plan.total_streams)
+        x = np.split(modulate_bpsk(msgs, cfg.q), eff.col_offset[1:])
+        noise = sample_noise(sigma2, vt.M, n_ext, cfg.channel_model, rng)
+        y = transmit(h, prec, x, noise)
+        rec = cp_recover(eff, filter_and_demodulate(y, filters, eff))
+        detected = rec.detected_error.tolist()
 
-    out = []
-    for rho, (cf_rate, outage) in zip(rhos, cf):
-        noise = NoiseModel(sigma2=cfg.p_max / rho)
-        snc_rate = detected = report = None
-        if cfg.run_snc:
-            report = end_to_end_sum_rate(per_link_rates(gains, noise.sigma2),
-                                         eff, rho, cfg.cap_enabled)
-            snc_rate = report.sum_rate
-
-            # noisy end-to-end pass for the recovery statistics
-            rng.bit_generator.state = state
-            msgs = [rng.integers(0, cfg.q, size=plan.streams(k)) for k in range(vt.M)]
-            x = [modulate_bpsk(b, cfg.q) for b in msgs]
-            nvecs = [sample_noise(n_ext, noise, cfg.channel_model, rng)
-                     for _ in range(vt.M)]
-            y = transmit(h, prec, x, nvecs)
-            forwarded = np.concatenate(filter_and_demodulate(y, filters, eff))
-            detected = cp_recover(eff, forwarded).detected_error
-
-        out.append(TrialResult(snc_sum_rate=snc_rate, cf_sum_rate=cf_rate,
-                               detected_error=detected, cf_outage_frac=outage,
-                               snc_report=report))
-    return out
+    return [TrialResult(snc_sum_rate=report.sum_rate if report else None,
+                        cf_sum_rate=cf_rate,
+                        detected_error=err, cf_outage_frac=outage, snc_report=report)
+            for report, err, (cf_rate, outage) in zip(reports, detected, cf)]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ plus filtered noise, so demodulation reduces to nearest-level detection on
 the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
 parity of the detected number of -1 symbols.
 
-Rates are arrays over the links of the effective system (the nonzero
-entries of F, grouped by stream): link_gains once per channel draw,
-per_link_rates and end_to_end_sum_rate once per SNR point.  link_rate and
-_demod_sum_constellation are the per-link and per-value references.
+Everything after the channel is evaluated for the whole SNR grid at once:
+transmit, filter_and_demodulate, per_link_rates and end_to_end_sum_rate
+take a leading SNR axis.  Rates are arrays over the links of the effective
+system (the nonzero entries of F, grouped by stream), with link_gains
+computed once per channel draw.  link_rate and _demod_sum_constellation
+are the per-link and per-value references.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ def modulate_bpsk(b, q: int = 2) -> np.ndarray:
     return 1.0 - 2.0 * b
 
 
-def transmit(h: ChannelRealization, p: PrecoderSet,
-             x: dict[int, np.ndarray] | list[np.ndarray],
-             noise: dict[int, np.ndarray] | list[np.ndarray]) -> np.ndarray:
-    """Received vectors, one row per receiver: y_l = sum_k H_{l,k} V_k x_k + n_l."""
-    K = len(p.v)
-    y = np.array([noise[l] for l in range(K)],
-                 dtype=complex if h.model == "complex" else float)
-    for k in range(K):
-        y = y + h.diag[:K, k] * (p.v[k] @ np.asarray(x[k]))
+def transmit(h: ChannelRealization, p: PrecoderSet, x: list[np.ndarray],
+             noise: np.ndarray) -> np.ndarray:
+    """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
+    noise (..., K, N); *x* holds the K transmitters' symbol vectors."""
+    y = np.asarray(noise, dtype=complex if h.model == "complex" else float)
+    for k in range(p.K):
+        y = y + h.diag[:p.K, k] * ((p.v_other if k else p.v1) @ np.asarray(x[k]))
     return y
 
 
@@ -64,8 +64,9 @@ def _demod_sum_constellation(value: float, m: int) -> int:
 
 
 def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
-                          eff: EffectiveSystem) -> list[np.ndarray]:
-    """Filter each received vector and demodulate to network-coded bits.
+                          eff: EffectiveSystem) -> np.ndarray:
+    """Filter the received vectors y (..., K, N) and demodulate them to the
+    network-coded bits (..., K N), stacked in row order of F.
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
@@ -73,13 +74,10 @@ def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    out = []
-    for l in range(len(y)):
-        z = np.real(filters.u[l] @ y[l])
-        m = eff.weights[l]
-        j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
-        out.append(j.astype(np.int64) % 2)
-    return out
+    z = np.real(np.einsum("lij,...lj->...li", filters.u, y))
+    m = eff.weights
+    j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
+    return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
 
 
 def link_rate(u, v, h_diag, sigma2: float) -> float:
@@ -109,35 +107,39 @@ def link_gains(p: PrecoderSet, filters: FilterSet, eff: EffectiveSystem) -> np.n
     (u^H H v = 1), so the gain of a link is the closed form
     p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).
     """
-    v_norm2 = np.concatenate([np.sum(np.abs(v) ** 2, axis=0) for v in p.v.values()])
+    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=0) for v in (p.v1, p.v_other))
+    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (p.K - 1))
     u_norm2 = np.sum(np.abs(filters.u) ** 2, axis=2).ravel()
     return v_norm2.max() / (u_norm2[eff.link_rows] * v_norm2[eff.link_cols])
 
 
-def per_link_rates(gains: np.ndarray, sigma2: float) -> np.ndarray:
-    """Rates log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) of every link at noise
-    power sigma2, from link_gains."""
-    return np.log2(1.0 + gains / sigma2)
+def per_link_rates(gains: np.ndarray, sigma2) -> np.ndarray:
+    """Rates log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) of every link at each
+    noise power in *sigma2* (S,), from link_gains: an (S, links) array."""
+    return np.log2(1.0 + gains / np.asarray(sigma2, dtype=float)[:, None])
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-stream rates, in column order of F, plus the capped end-to-end sum."""
+    """Per-stream rates, in column order of F, plus the capped end-to-end
+    sum, at one SNR point."""
 
     per_signal: tuple[float, ...]
     sum_rate: float  # bits per extension block
     backhaul_cap: float
 
 
-def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bar: float,
-                        cap_enabled: bool = True) -> RateReport:
-    """Take each stream's rate as the minimum over the receivers that decode
-    it, apply the cooperation-link cap log2(1 + rho_bar) per stream and sum."""
-    per_signal = np.minimum.reduceat(per_link, eff.stream_start)
-    cap = math.log2(1.0 + rho_bar)
-    capped = np.minimum(per_signal, cap) if cap_enabled else per_signal
-    return RateReport(per_signal=tuple(per_signal.tolist()),
-                      sum_rate=float(np.sum(capped)), backhaul_cap=cap)
+def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
+                        cap_enabled: bool = True) -> list[RateReport]:
+    """One report per SNR in *rho_bars* from per_link (S, links): each stream
+    takes the minimum over the receivers that decode it, is capped at the
+    cooperation-link rate log2(1 + rho_bar) and summed."""
+    per_signal = np.minimum.reduceat(per_link, eff.stream_start, axis=-1)
+    caps = np.array([math.log2(1.0 + rho) for rho in rho_bars])
+    capped = np.minimum(per_signal, caps[:, None]) if cap_enabled else per_signal
+    return [RateReport(per_signal=tuple(ps), sum_rate=total, backhaul_cap=cap)
+            for ps, total, cap in zip(per_signal.tolist(),
+                                      np.sum(capped, axis=-1).tolist(), caps.tolist())]
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,

@@ -5,15 +5,17 @@ Transmitter 1 sends N streams and every other transmitter sends N' streams
 over an N symbol extension.  Precoding columns are products of the ratio
 matrices G[i,j] = H[i,1]^-1 H[i,j] applied to a common seed vector, chosen
 so that at every receiver each interfering column coincides with a column
-of the desired signal space.  Inverting the desired signal space then
-leaves a 0/1 effective matrix F linking original messages to the
-network-coded messages collected by the central processor.
+of the desired signal space; transmitters 2..K share one precoding matrix.
+Inverting the desired signal space then leaves a 0/1 effective matrix F
+linking original messages to the network-coded messages collected by the
+central processor.
 
 The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents.  Per channel draw only the
 precoders, their rank check and the filters with their conditioning check
-remain.  verify_alignment is the numerical reference the tests hold the
+remain; cp_recover solves every SNR point of a trial in one call.
+verify_alignment is the numerical reference the tests hold the
 construction to.
 """
 
@@ -115,10 +117,13 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Per-transmitter precoding matrices (N x streams_k), a common seed
-    column, and the single global power scale applied to every column."""
+    """Precoding matrices ``v1`` (N x N) of transmitter 1 and ``v_other``
+    (N x N'), shared by transmitters 2..K, both carrying the single global
+    power scale, and the common seed column ``w``."""
 
-    v: dict[int, np.ndarray] = field(repr=False)
+    K: int
+    v1: np.ndarray = field(repr=False)
+    v_other: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     power_scale: float = 1.0
 
@@ -128,9 +133,11 @@ def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
     """Construct the precoding matrices from the channel ratio products.
 
     Each column is (prod over slots of G[i,j]^exponent) applied to the
-    all-ones seed vector.  One global scalar scales all transmitters so
-    the maximum column squared-norm equals p_max (per-column scaling would
-    break column-equality alignment).
+    all-ones seed vector, multiplied in slot order from a table of the
+    powers G[i,j]^e, e = 0..n (a zero exponent multiplies by exactly 1).
+    One global scalar scales all transmitters so the maximum column
+    squared-norm equals p_max (per-column scaling would break
+    column-equality alignment).
     """
     K, N = plan.K, plan.N
     if h.n_ext != N or h.n_tx < K or h.n_rx < K:
@@ -141,53 +148,46 @@ def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
         raise DegenerateChannelError(f"singular desired channel at receiver {bad[0]}")
     # diagonals of G[i,j] = H[i,1]^-1 H[i,j], in slot order (i, j), j >= 2
     g = (h.diag[:K, 1:K] / base[:, None]).reshape(K * (K - 1), N)
+    powers = np.stack([g ** e for e in range(plan.n + 1)], axis=1)  # [slot, e]
     w = np.ones(N, dtype=complex if h.model == "complex" else float)
-
-    def column(exponents):
-        col = w.copy()
-        for g_slot, e in zip(g, exponents):
-            if e:
-                col = col * g_slot ** e
-        return col
-
-    v = {0: np.column_stack([column(e) for e in plan.tx1_exponents])}
-    v_other = np.column_stack([column(e) for e in plan.other_exponents])
-    for k in range(1, K):
-        v[k] = v_other.copy()
-
-    max_norm2 = max(float(np.max(np.sum(np.abs(m) ** 2, axis=0))) for m in v.values())
+    v = []
+    for exponents in (plan.tx1_exponents, plan.other_exponents):
+        e = np.array(exponents)
+        cols = w
+        for slot in range(K * (K - 1)):
+            cols = cols * powers[slot, e[:, slot]]
+        v.append(np.ascontiguousarray(cols.T))  # C order fixes matvec rounding
+    max_norm2 = max(float(np.max(np.sum(np.abs(m) ** 2, axis=0))) for m in v)
     scale = math.sqrt(p_max / max_norm2)
-    v = {k: m * scale for k, m in v.items()}
-    return PrecoderSet(v=v, w=w, power_scale=scale)
+    return PrecoderSet(K=K, v1=v[0] * scale, v_other=v[1] * scale, w=w,
+                       power_scale=scale)
 
 
 @dataclass(frozen=True)
 class RankReport:
-    ranks: dict[int, int]
-    expected: dict[int, int]
+    """Numerical ranks of transmitter 1's and the shared precoder, and the
+    stream counts they must reach."""
+
+    ranks: tuple[int, int]
+    expected: tuple[int, int]
 
     @property
     def passed(self) -> bool:
         return self.ranks == self.expected
 
     def raise_if_deficient(self):
-        for k, r in self.ranks.items():
-            if r != self.expected[k]:
-                raise AlignmentDegenerateError(
-                    f"precoder of transmitter {k + 1} has rank {r}, "
-                    f"expected {self.expected[k]}"
-                )
+        if not self.passed:
+            raise AlignmentDegenerateError(
+                f"precoders of transmitter 1 and transmitters 2..K have ranks "
+                f"{self.ranks}, expected {self.expected}")
 
 
 def check_precoder_ranks(p: PrecoderSet, plan: ExtensionPlan) -> RankReport:
-    """Numerical ranks of all precoders (singular values above
+    """Numerical ranks of the two precoders (singular values above
     RANK_SV_RTOL times the largest)."""
-    ranks, expected = {}, {}
-    for k, m in p.v.items():
-        sv = np.linalg.svd(m, compute_uv=False)
-        ranks[k] = int(np.sum(sv > RANK_SV_RTOL * sv[0]))
-        expected[k] = plan.streams(k)
-    return RankReport(ranks=ranks, expected=expected)
+    svs = [np.linalg.svd(m, compute_uv=False) for m in (p.v1, p.v_other)]
+    return RankReport(ranks=tuple(int(np.sum(sv > RANK_SV_RTOL * sv[0])) for sv in svs),
+                      expected=(plan.N, plan.N_prime))
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,12 @@ def verify_alignment(h: ChannelRealization, p: PrecoderSet,
     H_{l,k} V_k equals (within relative tolerance) some column of
     H_{l,1} V_1.  The witness map records the matching column indices.
     """
-    K = len(p.v)
     witness = {}
-    for l in range(K):
-        desired = h.diag[l, 0][:, None] * p.v[0]
+    for l in range(p.K):
+        desired = h.diag[l, 0][:, None] * p.v1
         norms = np.linalg.norm(desired, axis=0)
-        for k in range(1, K):
-            cross = h.diag[l, k][:, None] * p.v[k]
+        for k in range(1, p.K):
+            cross = h.diag[l, k][:, None] * p.v_other
             for c in range(cross.shape[1]):
                 dist = np.linalg.norm(desired - cross[:, c][:, None], axis=0)
                 match = np.where(dist <= rtol * np.maximum(norms, 1e-300))[0]
@@ -235,7 +234,7 @@ class FilterSet:
 
 def build_filters(h: ChannelRealization, p: PrecoderSet) -> FilterSet:
     """Invert the desired signal space at every receiver."""
-    prods = h.diag[:len(p.v), 0, :, None] * p.v[0]
+    prods = h.diag[:p.K, 0, :, None] * p.v1
     bad = np.flatnonzero(np.linalg.cond(prods) > MAX_CONDITION)
     if bad.size:
         raise IllConditionedError(f"desired signal space at receiver {bad[0]} "
@@ -318,24 +317,26 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Per-transmitter recovered message vectors plus a detected-error flag
-    (redundant forwarded rows disagreed with the solved subsystem)."""
+    """Per-transmitter recovered message vectors plus the detected-error
+    flag (redundant forwarded rows disagreed with the solved subsystem),
+    each with the leading axes of the forwarded messages."""
 
     messages: tuple[np.ndarray, ...]
-    detected_error: bool
+    detected_error: np.ndarray
 
 
 def cp_recover(eff: EffectiveSystem, forwarded) -> RecoveryResult:
-    """Central-processor recovery from the stacked forwarded messages.
+    """Central-processor recovery from the forwarded messages (..., K N),
+    stacked in row order of F, with any leading (SNR) axes.
 
     Solves the independent-row subsystem of F mod 2 with its stored
     inverse and reports (not silently ignores) inconsistency of the
     redundant rows.
     """
-    forwarded = GF2.reduce(forwarded).ravel()
-    x = (eff.indep_inv @ forwarded[eff.indep_rows]) % 2
-    detected = bool(np.any((eff.f_int @ x - forwarded) % 2))
-    return RecoveryResult(messages=tuple(np.split(x, eff.col_offset[1:])),
+    forwarded = GF2.reduce(forwarded)
+    x = (forwarded[..., eff.indep_rows] @ eff.indep_inv.T) % 2
+    detected = np.any((x @ eff.f_int.T - forwarded) % 2, axis=-1)
+    return RecoveryResult(messages=tuple(np.split(x, eff.col_offset[1:], axis=-1)),
                           detected_error=detected)
 
 

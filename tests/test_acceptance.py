@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from sncsim.channel import (
-    NoiseModel,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
@@ -68,12 +67,12 @@ class TestAcceptance:
         assert np.linalg.matrix_rank(numeric_system(h, p, f)) == 5
         assert gf_rank(eff.f_int, PrimeField(2)) == 5
         rng = np.random.default_rng(1)
-        zero = [np.zeros(plan.N, dtype=complex) for _ in range(2)]
+        zero = np.zeros((2, plan.N), dtype=complex)
         failures = 0
         for _ in range(1000):
             msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(2)]
             y = transmit(h, p, [modulate_bpsk(b) for b in msgs], zero)
-            fwd = np.concatenate(filter_and_demodulate(y, f, eff))
+            fwd = filter_and_demodulate(y, f, eff)
             rec = cp_recover(eff, fwd)
             if rec.detected_error or any(
                 not np.array_equal(a, b) for a, b in zip(rec.messages, msgs)
@@ -114,7 +113,7 @@ class TestAcceptance:
             for seed in range(100):
                 h = make_channel(2, plan.N, seed=3000 + 100 * n + seed)
                 p = build_precoders(h, plan)
-                v1 = p.v[0] / p.power_scale
+                v1 = p.v1 / p.power_scale
                 alpha = h.diag[0, 1] / h.diag[0, 0]
                 beta = h.diag[1, 1] / h.diag[1, 0]
                 lhs = np.linalg.det(np.diag(alpha ** -float(n)) @ v1)
@@ -278,9 +277,9 @@ class TestAcceptance:
             eff = effective_system(plan)
             msgs = [rng.integers(0, 2, size=plan.streams(k))
                     for k in range(vt.M)]
-            zero = [np.zeros(plan.N, dtype=complex) for _ in range(vt.M)]
+            zero = np.zeros((vt.M, plan.N), dtype=complex)
             y = transmit(h, p, [modulate_bpsk(b) for b in msgs], zero)
-            fwd = np.concatenate(filter_and_demodulate(y, f, eff))
+            fwd = filter_and_demodulate(y, f, eff)
             rec = cp_recover(eff, fwd)
             if rec.detected_error or any(
                 not np.array_equal(a, b) for a, b in zip(rec.messages, msgs)

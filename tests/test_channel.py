@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sncsim.channel import (
-    NoiseModel,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
@@ -95,22 +94,35 @@ class TestChannelSampling:
 
 class TestNoise:
     def test_zero_variance_gives_zero_vector(self):
-        v = sample_noise(5, NoiseModel(0.0), "complex", np.random.default_rng(0))
-        assert np.all(v == 0)
+        v = sample_noise([0.0], 2, 5, "complex", np.random.default_rng(0))
+        assert v.shape == (1, 2, 5) and np.all(v == 0)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(11)
-        v = sample_noise(10**5, NoiseModel(2.0), "complex", rng)
-        assert np.mean(np.abs(v) ** 2) == pytest.approx(2.0, abs=0.05)
-        v = sample_noise(10**5, NoiseModel(2.0), "real", rng)
+        v = sample_noise([2.0, 0.5], 2, 10**5, "complex", rng)
+        assert np.mean(np.abs(v[0]) ** 2) == pytest.approx(2.0, abs=0.05)
+        assert np.mean(np.abs(v[1]) ** 2) == pytest.approx(0.5, abs=0.0125)
+        v = sample_noise([2.0], 2, 10**5, "real", rng)
         assert np.var(v) == pytest.approx(2.0, abs=0.05)
 
     def test_seed_replay(self):
-        a = sample_noise(8, NoiseModel(1.0), "real", np.random.default_rng(3))
-        b = sample_noise(8, NoiseModel(1.0), "real", np.random.default_rng(3))
+        a = sample_noise([1.0], 3, 8, "real", np.random.default_rng(3))
+        b = sample_noise([1.0], 3, 8, "real", np.random.default_rng(3))
         assert np.array_equal(a, b)
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-1.0)
-
+    def test_one_unit_draw_scaled_per_point(self):
+        # receiver by receiver, real then imaginary parts, as separate
+        # length-N draws would give them; every point scales the same draw
+        sigma2 = np.array([1.0, 0.1, 1e-6])
+        for model in ("real", "complex"):
+            v = sample_noise(sigma2, 3, 4, model, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            for l in range(3):
+                unit = rng.standard_normal(4)
+                if model == "complex":
+                    unit = unit + 1j * rng.standard_normal(4)
+                for s, s2 in enumerate(sigma2):
+                    expected = np.sqrt(s2) * unit
+                    if model == "complex":
+                        expected = expected / np.sqrt(2.0)
+                    assert np.array_equal(v[s, l], expected)

@@ -15,15 +15,17 @@ from sncsim.phy import (
     per_link_rates,
     transmit,
 )
+from sncsim.channel import sample_noise
 from sncsim.snc import (
     IllConditionedError,
     build_filters,
     build_precoders,
     check_precoder_ranks,
+    cp_recover,
     effective_system,
     extension_dims,
 )
-from tests.test_snc import build_all, make_channel
+from tests.test_snc import build_all, make_channel, precoder
 
 
 class TestModulation:
@@ -50,9 +52,8 @@ class TestTransmit:
         plan, h, p, f, eff = build_all(2, 1, seed=0)
         # zero out the interferer and undo precoding/channel by hand
         x = [np.array([1.0, -1.0]), np.zeros(1)]
-        zeros = [np.zeros(2), np.zeros(2)]
-        y = transmit(h, p, x, zeros)
-        expected = h.diag[0, 0] * (p.v[0] @ x[0])
+        y = transmit(h, p, x, np.zeros((2, 2)))
+        expected = h.diag[0, 0] * (p.v1 @ x[0])
         assert np.allclose(y[0], expected)
 
     def test_superposition_linearity(self):
@@ -60,7 +61,7 @@ class TestTransmit:
         rng = np.random.default_rng(0)
         xa = [rng.standard_normal(3), rng.standard_normal(2)]
         xb = [rng.standard_normal(3), rng.standard_normal(2)]
-        zeros = [np.zeros(3)] * 2
+        zeros = np.zeros((2, 3))
         ya = transmit(h, p, xa, zeros)
         yb = transmit(h, p, xb, zeros)
         yab = transmit(h, p, [a + b for a, b in zip(xa, xb)], zeros)
@@ -70,11 +71,11 @@ class TestTransmit:
     def test_matches_hand_expansion(self):
         plan, h, p, f, eff = build_all(2, 1, seed=2)
         x = [np.array([1.0, -1.0]), np.array([-1.0])]
-        n = [np.array([0.1, -0.2]), np.array([0.0, 0.3])]
+        n = np.array([[0.1, -0.2], [0.0, 0.3]])
         y = transmit(h, p, x, n)
         for l in range(2):
-            manual = (h.diag[l, 0] * (p.v[0] @ x[0])
-                      + h.diag[l, 1] * (p.v[1] @ x[1]) + n[l])
+            manual = (h.diag[l, 0] * (p.v1 @ x[0])
+                      + h.diag[l, 1] * (p.v_other @ x[1]) + n[l])
             assert np.allclose(y[l], manual, atol=1e-12)
 
 
@@ -113,10 +114,10 @@ class TestDemodulation:
         weights = eff.weights.ravel().tolist()
         for _ in range(20):
             msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(3)]
-            noise = [0.5 * (rng.standard_normal(plan.N)
-                            + 1j * rng.standard_normal(plan.N)) for _ in range(3)]
+            noise = 0.5 * (rng.standard_normal((3, plan.N))
+                           + 1j * rng.standard_normal((3, plan.N)))
             y = transmit(h, p, [modulate_bpsk(b) for b in msgs], noise)
-            out = np.concatenate(filter_and_demodulate(y, f, eff))
+            out = filter_and_demodulate(y, f, eff)
             z = np.concatenate([np.real(f.u[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
             assert out.tolist() == slow
@@ -134,8 +135,8 @@ class TestDemodulation:
         b1 = np.array([1, 0, 1])
         b2 = np.array([1, 1])
         x = [modulate_bpsk(b1), modulate_bpsk(b2)]
-        y = transmit(h, p, x, [np.zeros(3)] * 2)
-        out = filter_and_demodulate(y, f, eff)
+        y = transmit(h, p, x, np.zeros((2, 3)))
+        out = filter_and_demodulate(y, f, eff).reshape(2, 3)
         expected_r1 = np.array([b1[0] ^ b2[0], b1[1] ^ b2[1], b1[2]])
         expected_r2 = np.array([b1[0], b1[1] ^ b2[0], b1[2] ^ b2[1]])
         assert np.array_equal(out[0], expected_r1)
@@ -173,13 +174,13 @@ class TestRates:
                 (0, 2): 4.0, (3, 2): 2.5}
         assert set(rate) == set(zip(eff.link_rows.tolist(), eff.link_cols.tolist()))
         per_link = np.array([rate[r, c] for r, c in zip(eff.link_rows, eff.link_cols)])
-        report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0, cap_enabled=False)
+        [report] = end_to_end_sum_rate(per_link[None], eff, [1.0], cap_enabled=False)
         assert report.per_signal == (2.0, 1.0, 2.5)
         assert report.sum_rate == 5.5
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        rates = per_link_rates(link_gains(p, f, eff), 1.0)
+        [rates] = per_link_rates(link_gains(p, f, eff), [1.0])
         assert rates.shape == eff.link_cols.shape and np.all(rates > 0)
         assert sorted(set(eff.link_cols.tolist())) == [0, 1, 2]
 
@@ -204,13 +205,13 @@ class TestRates:
                 kept += 1
                 gains = link_gains(p, f, eff)
                 budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
-                             for v in p.v.values())
-                for sigma2 in (1.0, 1e-3, 1e-6):
-                    rates = per_link_rates(gains, sigma2)
+                             for v in (p.v1, p.v_other))
+                sigma2s = (1.0, 1e-3, 1e-6)
+                for sigma2, rates in zip(sigma2s, per_link_rates(gains, sigma2s)):
                     for rate, r, c in zip(rates, eff.link_rows, eff.link_cols):
                         l, i = divmod(int(r), plan.N)
                         k = int(np.searchsorted(eff.col_offset, c, side="right")) - 1
-                        col = p.v[k][:, c - eff.col_offset[k]]
+                        col = precoder(p, k)[:, c - eff.col_offset[k]]
                         col = col * math.sqrt(budget) / float(np.linalg.norm(col))
                         u = np.conj(f.u[l][i, :])
                         assert rate == pytest.approx(
@@ -221,31 +222,63 @@ class TestRates:
 class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
-        per_link = np.full(eff.link_rows.shape, 5.0)
-        report = end_to_end_sum_rate(per_link, eff, rho_bar=1.0)
+        per_link = np.full((1,) + eff.link_rows.shape, 5.0)
+        [report] = end_to_end_sum_rate(per_link, eff, [1.0])
         assert report.backhaul_cap == pytest.approx(1.0)
         assert report.sum_rate == pytest.approx(3.0)  # 3 streams capped at 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
-        per_link = np.full(eff.link_rows.shape, 0.5)
-        report = end_to_end_sum_rate(per_link, eff, rho_bar=1e6)
+        per_link = np.full((1,) + eff.link_rows.shape, 0.5)
+        [report] = end_to_end_sum_rate(per_link, eff, [1e6])
         assert report.sum_rate == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
-        per_link = np.full(eff.link_rows.shape, 2.0)
-        assert end_to_end_sum_rate(per_link, eff, rho_bar=0.0).sum_rate == 0.0
+        per_link = np.full((1,) + eff.link_rows.shape, 2.0)
+        assert end_to_end_sum_rate(per_link, eff, [0.0])[0].sum_rate == 0.0
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
-        prev = -1.0
-        for snr_db in (0, 10, 20, 30, 40):
-            rho = 10 ** (snr_db / 10)
-            rates = per_link_rates(link_gains(p, f, eff), 1.0 / rho)
-            total = end_to_end_sum_rate(rates, eff, rho).sum_rate
-            assert total >= prev
-            prev = total
+        rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
+        rates = per_link_rates(link_gains(p, f, eff), [1.0 / rho for rho in rhos])
+        totals = [r.sum_rate for r in end_to_end_sum_rate(rates, eff, rhos)]
+        assert totals == sorted(totals)
+
+
+class TestSnrBatch:
+    @pytest.mark.parametrize("K, n, model", [
+        (2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 3, "complex"),
+    ])
+    def test_batched_pass_equals_per_point_calls(self, K, n, model):
+        # the whole grid in one call gives every point the bits of a
+        # one-point call with the same messages and unit noise
+        plan, h, p, f, eff = build_all(K, n, seed=30 + n, model=model)
+        rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 5)]
+        sigma2 = np.array([1.0 / rho for rho in rhos])
+        msgs = np.random.default_rng(31).integers(0, 2, size=plan.total_streams)
+        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:])
+        noise = sample_noise(sigma2, K, plan.N, model, np.random.default_rng(32))
+        y = transmit(h, p, x, noise)
+        fwd = filter_and_demodulate(y, f, eff)
+        rec = cp_recover(eff, fwd)
+        rates = per_link_rates(link_gains(p, f, eff), sigma2)
+        reports = end_to_end_sum_rate(rates, eff, rhos)
+        assert noise.shape == y.shape == (len(rhos), K, plan.N)
+        assert fwd.shape == (len(rhos), K * plan.N)
+        for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
+            [n1] = sample_noise([s2], K, plan.N, model, np.random.default_rng(32))
+            y1 = transmit(h, p, x, n1)
+            fwd1 = filter_and_demodulate(y1, f, eff)
+            rec1 = cp_recover(eff, fwd1)
+            assert np.array_equal(n1, noise[s]) and np.array_equal(y1, y[s])
+            assert np.array_equal(fwd1, fwd[s])
+            assert rec1.detected_error == rec.detected_error[s]
+            for m1, m in zip(rec1.messages, rec.messages):
+                assert np.array_equal(m1, m[s])
+            [rates1] = per_link_rates(link_gains(p, f, eff), [s2])
+            assert np.array_equal(rates1, rates[s])
+            assert end_to_end_sum_rate(rates1[None], eff, [rho]) == [reports[s]]
 
 
 class TestDofSlope:

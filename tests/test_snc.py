@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from sncsim.channel import (
 )
 from sncsim.gf import RankDeficientError
 from sncsim.snc import (
+    AlignmentDegenerateError,
     ExtensionPlan,
     IllConditionedError,
     build_filters,
@@ -42,12 +44,16 @@ def build_all(K, n, seed, model="complex"):
     return plan, h, p, f, effective_system(plan)
 
 
+def precoder(p, k):
+    """The precoding matrix of transmitter k (0-based)."""
+    return p.v1 if k == 0 else p.v_other
+
+
 def numeric_system(h, p, f):
     """The filtered blocks u[l] (H_{l,k} V_k) of one draw, stacked like F:
     the numerical counterpart of effective_system's 0/1 matrix."""
-    K = len(p.v)
-    return np.vstack([np.hstack([f.u[l] @ (h.diag[l, k][:, None] * p.v[k])
-                                 for k in range(K)]) for l in range(K)])
+    return np.vstack([np.hstack([f.u[l] @ (h.diag[l, k][:, None] * precoder(p, k))
+                                 for k in range(p.K)]) for l in range(p.K)])
 
 
 def rounds_to_plan(h, p, f, eff):
@@ -117,8 +123,8 @@ class TestPrecoders:
         s = p.power_scale
         v1 = np.column_stack([g12**2 * w, g12 * g22 * w, g22**2 * w]) * s
         v2 = np.column_stack([g12 * w, g22 * w]) * s
-        assert np.allclose(p.v[0], v1)
-        assert np.allclose(p.v[1], v2)
+        assert np.allclose(p.v1, v1)
+        assert np.allclose(p.v_other, v2)
 
     def test_two_user_n1_column_structure(self):
         plan = extension_dims(2, 1)
@@ -127,14 +133,14 @@ class TestPrecoders:
         g12 = h.diag[0, 1] / h.diag[0, 0]
         g22 = h.diag[1, 1] / h.diag[1, 0]
         s = p.power_scale
-        assert np.allclose(p.v[0], np.column_stack([g12, g22]) * s)
-        assert np.allclose(p.v[1], np.ones((2, 1)) * s)
+        assert np.allclose(p.v1, np.column_stack([g12, g22]) * s)
+        assert np.allclose(p.v_other, np.ones((2, 1)) * s)
 
     def test_power_constraint(self):
         plan = extension_dims(3, 2)
         h = make_channel(3, plan.N, seed=2)
         p = build_precoders(h, plan, p_max=2.5)
-        norms = [np.sum(np.abs(m) ** 2, axis=0) for m in p.v.values()]
+        norms = [np.sum(np.abs(m) ** 2, axis=0) for m in (p.v1, p.v_other)]
         assert max(np.max(x) for x in norms) == pytest.approx(2.5, rel=1e-12)
         assert all(np.all(x <= 2.5 + 1e-9) for x in norms)
 
@@ -151,7 +157,49 @@ class TestPrecoders:
         plan = extension_dims(2, 3)
         h = make_channel(2, plan.N, seed=3)
         report = check_precoder_ranks(build_precoders(h, plan), plan)
-        assert report.ranks == {0: 4, 1: 3}
+        assert report.ranks == (4, 3) == report.expected
+
+    @pytest.mark.parametrize("K, n, model", [
+        (2, 1, "real"), (2, 3, "complex"), (2, 10, "complex"), (3, 1, "real"),
+        (3, 2, "complex"), (4, 1, "real"),
+    ])
+    def test_table_matches_per_column_products(self, K, n, model):
+        # reference: every column multiplied out on its own, skipping zero
+        # exponents; the exponent table must give the same bits and layout
+        plan = extension_dims(K, n)
+        for seed in range(20):
+            h = make_channel(K, plan.N, seed=900 + seed, model=model)
+            g = (h.diag[:K, 1:K] / h.diag[:K, 0][:, None]).reshape(K * (K - 1), -1)
+
+            def column(exponents):
+                col = np.ones(plan.N, dtype=h.diag.dtype)
+                for g_slot, e in zip(g, exponents):
+                    if e:
+                        col = col * g_slot ** e
+                return col
+
+            mats = [np.column_stack([column(e) for e in exps])
+                    for exps in (plan.tx1_exponents, plan.other_exponents)]
+            scale = math.sqrt(1.7 / max(float(np.max(np.sum(np.abs(m) ** 2, axis=0)))
+                                        for m in mats))
+            p = build_precoders(h, plan, p_max=1.7)
+            assert p.power_scale == scale
+            for got, ref in zip((p.v1, p.v_other), mats):
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, ref * scale)
+
+    def test_rank_deficient_shared_precoder_fails(self):
+        for K, n in [(2, 2), (3, 2)]:
+            plan = extension_dims(K, n)
+            h = make_channel(K, plan.N, seed=K)
+            p = build_precoders(h, plan)
+            assert check_precoder_ranks(p, plan).passed
+            # two equal columns: transmitters 2..K lose one stream
+            bad = dataclasses.replace(p, v_other=p.v_other[:, [0] * plan.N_prime])
+            report = check_precoder_ranks(bad, plan)
+            assert report.ranks == (plan.N, 1) and not report.passed
+            with pytest.raises(AlignmentDegenerateError, match="transmitters 2..K"):
+                report.raise_if_deficient()
 
     def test_rank_monte_carlo(self):
         plan = extension_dims(2, 2)
@@ -185,9 +233,8 @@ class TestAlignment:
         for seed in range(100):
             h = make_channel(2, 3, seed=seed)
             p = build_precoders(h, plan)
-            bad = type(p)(
-                v={k: rng.standard_normal(m.shape) for k, m in p.v.items()},
-                w=p.w, power_scale=1.0)
+            bad = dataclasses.replace(p, v1=rng.standard_normal(p.v1.shape),
+                                      v_other=rng.standard_normal(p.v_other.shape))
             if not verify_alignment(h, bad):
                 failures += 1
         assert failures == 100
@@ -200,7 +247,7 @@ class TestFilters:
         p = build_precoders(h, plan)
         f = build_filters(h, p)
         for l in range(2):
-            prod = f.u[l] @ (h.diag[l, 0][:, None] * p.v[0])
+            prod = f.u[l] @ (h.diag[l, 0][:, None] * p.v1)
             assert np.linalg.norm(prod - np.eye(3)) < 1e-9 * np.linalg.norm(prod)
 
     def test_hand_computed_two_by_two(self):
@@ -208,7 +255,7 @@ class TestFilters:
         h = make_channel(2, 2, seed=7)
         p = build_precoders(h, plan)
         f = build_filters(h, p)
-        m = h.diag[0, 0][:, None] * p.v[0]
+        m = h.diag[0, 0][:, None] * p.v1
         a, b = m[0]
         c, d = m[1]
         det = a * d - b * c
@@ -257,8 +304,7 @@ class TestEffectiveSystem:
         # alignment leave entries that do not round to F
         plan, h, p, f, eff = build_all(2, 1, seed=11)
         assert rounds_to_plan(h, p, f, eff)
-        bad = type(p)(v={0: p.v[0], 1: p.v[1] * 1.5}, w=p.w,
-                      power_scale=p.power_scale)
+        bad = dataclasses.replace(p, v_other=p.v_other * 1.5)
         assert not rounds_to_plan(h, bad, f, eff)
 
 
@@ -390,7 +436,7 @@ class TestVandermondeIdentity:
             for seed in range(25):
                 h = make_channel(2, plan.N, seed=1000 * n + seed)
                 p = build_precoders(h, plan)
-                v1 = p.v[0] / p.power_scale
+                v1 = p.v1 / p.power_scale
                 alpha = h.diag[0, 1] / h.diag[0, 0]
                 beta = h.diag[1, 1] / h.diag[1, 0]
                 lhs = np.linalg.det(np.diag(alpha**-n) @ v1)
