@@ -34,7 +34,15 @@ from .phy import (
     link_rate,
     modulate_bpsk,
     per_link_rates,
+    stream_rates,
     transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
-from .harness import SimConfig, SweepResult, run_sweep, run_trial, write_results
+from .harness import (
+    SimConfig,
+    SweepResult,
+    run_sweep,
+    run_trial,
+    run_trials,
+    write_results,
+)

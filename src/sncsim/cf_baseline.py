@@ -7,10 +7,11 @@ search on the computation-rate formula.  The central processor needs the
 stacked coefficient matrix to be invertible mod q; a rank-deficient slot
 is an outage and contributes zero rate.
 
-cf_trial_sum_rate runs once per trial over the whole SNR grid: the
-projections of every (slot, receiver) channel row on every candidate are
-computed once, each SNR point is one array pass over them, and one
-batched GF(q) test decides the outage of every (point, slot).
+cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid:
+the projections of every (trial, slot, receiver) channel row on every
+candidate are computed once, each SNR point is one array pass over them,
+and one batched GF(q) test decides the outage of every (trial, point,
+slot).
 cf_select_coeffs and cf_computation_rate are the per-row references.
 """
 
@@ -99,7 +100,8 @@ def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
 
 def cf_trial_sum_rate(h: ChannelRealization, rhos, field: PrimeField,
                       radius: int = 3, cap_enabled: bool = True):
-    """Sum-rate of one compute-and-forward trial at every SNR in *rhos*.
+    """Sum-rate of a compute-and-forward trial, or of a stack of trials, at
+    every SNR in *rhos*.
 
     Per slot, each receiver picks its best coefficient vector (the search
     of cf_select_coeffs); if the stacked K x K coefficient matrix is full
@@ -107,7 +109,8 @@ def cf_trial_sum_rate(h: ChannelRealization, rhos, field: PrimeField,
     per stream at log2(1 + rho) when *cap_enabled*; otherwise the slot is
     an outage.
 
-    Returns one (total rate over the N slots, outage fraction) per rho.
+    Returns one (total rate over the N slots, outage fraction) per rho; for
+    a stack of trials both are lists over the trials.
     """
     if h.model != "real":
         raise ValueError("compute-and-forward baseline runs on real channels")
@@ -117,17 +120,17 @@ def cf_trial_sum_rate(h: ChannelRealization, rhos, field: PrimeField,
         raise ValueError("search radius must be >= 1")
     K, N = h.n_tx, h.n_ext
     cand, norm2 = _candidates(K, radius)
-    H = h.diag.transpose(2, 0, 1)  # H[slot, receiver, transmitter]
+    H = np.moveaxis(h.diag, -1, -3)  # H[..., slot, receiver, transmitter]
     proj, hh = _projections(H, cand)
     slot_rates, picks = [], []
     for rho in rhos:
         rates = _rates(proj, hh, norm2, rho)
-        picks.append(np.argmax(rates, axis=2))  # first maximizer: the tie-break order
-        r = rates.max(axis=2).min(axis=1)
+        picks.append(np.argmax(rates, axis=-1))  # first maximizer: the tie-break order
+        r = rates.max(axis=-1).min(axis=-1)
         slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
-    slot_rates = np.array(slot_rates)
-    full = gf_full_rank(cand[np.array(picks)].reshape(-1, K, K), field)
+    slot_rates = np.stack(slot_rates, axis=-2)  # [..., point, slot]
+    full = gf_full_rank(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), field)
     full = full.reshape(slot_rates.shape)
-    totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=1)
-    outages = np.count_nonzero(~full, axis=1) / N
-    return list(zip(totals.tolist(), outages.tolist()))
+    totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
+    outages = np.count_nonzero(~full, axis=-1) / N
+    return list(zip(totals.T.tolist(), outages.T.tolist()))

@@ -72,7 +72,8 @@ class ChannelRealization:
     ``diag[l, k]`` is the length-N diagonal of the extended channel from
     virtual transmitter k to virtual receiver l; ``diag`` is one
     (receivers, transmitters, N) array.  Off-diagonals are zero by
-    representation.
+    representation.  A stack of trials puts a leading trial axis on
+    ``diag``.
     """
 
     model: str  # "real" | "complex"
@@ -80,26 +81,30 @@ class ChannelRealization:
 
     @property
     def n_rx(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-3]
 
     @property
     def n_tx(self) -> int:
-        return self.diag.shape[1]
+        return self.diag.shape[-2]
 
     @property
     def n_ext(self) -> int:
-        return self.diag.shape[2]
+        return self.diag.shape[-1]
 
     def matrix(self, l: int, k: int) -> np.ndarray:
         return np.diag(self.diag[l, k])
 
 
-def _draw_coeffs(size, model, rng):
+def _draw_coeffs(shape, model, rng):
+    """Unit-variance coefficients of *shape* in one generator call.  A
+    complex draw takes the real parts of each last-axis row, then its
+    imaginary parts, as two length-N calls per row would."""
     if model == "complex":
         # circularly-symmetric unit variance: real/imag each variance 1/2
-        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+        re, im = np.moveaxis(rng.standard_normal((*shape[:-1], 2, shape[-1])), -2, 0)
+        return (re + 1j * im) / np.sqrt(2.0)
     if model == "real":
-        return rng.standard_normal(size)
+        return rng.standard_normal(shape)
     raise ValueError(f"unknown channel model {model!r}")
 
 
@@ -108,19 +113,16 @@ def sample_extended_channel(
 ) -> ChannelRealization:
     """Draw i.i.d. unit-variance channel coefficients for every link and slot.
 
-    Exact-zero draws are resampled (measure-zero event that would break
-    channel inverses).
+    One generator call draws the links in receiver then transmitter order,
+    the stream that one length-N call per link would give.  Exact-zero
+    draws (a measure-zero event that would break channel inverses) are
+    then redrawn in that order.
     """
     if n_ext < 1:
         raise ValueError("extension length must be >= 1")
-    diag = np.empty((vt.M, vt.M, n_ext), dtype=complex if model == "complex" else float)
-    for l in range(vt.M):
-        for k in range(vt.M):
-            h = _draw_coeffs(n_ext, model, rng)
-            while np.any(h == 0):
-                zero = h == 0
-                h[zero] = _draw_coeffs(int(zero.sum()), model, rng)
-            diag[l, k] = h
+    diag = _draw_coeffs((vt.M, vt.M, n_ext), model, rng)
+    while np.any(zero := diag == 0):
+        diag[zero] = _draw_coeffs((int(zero.sum()),), model, rng)
     return ChannelRealization(model=model, diag=diag)
 
 

@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("real", "complex"), default="real")
     p.add_argument("--field-size", type=int, default=2, metavar="q")
     p.add_argument("--snr", type=_snr_spec, default=(0.0, 60.0, 5.0),
-                   metavar="START:STOP:STEP", help="SNR grid in dB (default 0:60:5)")
+                   metavar="START:STOP:STEP",
+                   help="SNR grid in dB (default 0:60:5); write a negative start "
+                        "with '=', as --snr=-10:0:5, or it is read as an option")
     p.add_argument("--trials", type=int, default=1000, metavar="T")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--p-max", type=float, default=1.0, metavar="P")

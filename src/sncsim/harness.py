@@ -9,16 +9,24 @@ variance swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan, and SimConfig.validate() rejects a
-config whose plan cannot be built.  The engine is trial-major: run_trial
-draws a trial's channel and builds everything that depends on the channel
-alone (precoders, rank and conditioning checks, filters, link gains)
-once, then evaluates the whole SNR grid in one array pass.  The
-compute-and-forward leg runs once per trial over the grid and draws no
-randomness.  Draw-order contract: per trial the generator draws the
+config whose plan cannot be built, or a p_max and SNR grid whose linear
+SNR or noise variance leaves LEVEL_RANGE (snr_levels, which the engine
+shares).  The engine evaluates chunks of consecutive trials: run_trials
+stacks a chunk's channels on a leading trial axis and builds everything
+that depends on the channel alone (precoders, rank and conditioning
+checks, filters, link gains) in one stacked pass, redrawing only the
+trials whose draw was degenerate, then evaluates the whole SNR grid of
+every kept trial in one array pass.  The compute-and-forward leg runs
+once per chunk over the grid and draws no randomness.
+
+Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
 each once; only the noise scale depends on the SNR.  No draw depends on
-the grid, so a multi-point call equals the one-point calls it replaces.
-No check depends on the SNR, so an aborted trial aborts at every point.
+the grid or on the other trials of the chunk, and every number of a
+trial is computed from that trial's arrays alone, so a multi-point call
+equals the one-point calls it replaces and a trial's result does not
+depend on how the trials are chunked.  No check depends on the SNR, so
+an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    ChannelRealization,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
@@ -45,18 +54,20 @@ from .channel import (
 from .cf_baseline import cf_trial_sum_rate
 from .gf import PrimeField
 from .phy import (
-    end_to_end_sum_rate,
+    RateReport,
     estimate_dof_slope,
     filter_and_demodulate,
     link_gains,
     modulate_bpsk,
     per_link_rates,
+    stream_rates,
     transmit,
 )
 from .gf import RankDeficientError
 from .snc import (
     CapacityError,
-    SncError,
+    FilterSet,
+    PrecoderSet,
     build_filters,
     build_precoders,
     check_precoder_ranks,
@@ -67,6 +78,13 @@ from .snc import (
 
 WORKERS_ENV = "SNCSIM_WORKERS"
 MAX_RESAMPLES = 3
+# array elements a chunk of trials may take per trial-stacked array
+BATCH_ELEMENTS = 2**16
+# Every rate formula multiplies p_max, rho or 1 / sigma2 by a channel term.
+# Holding them to the square root of the float range leaves the other half
+# of the exponent range to that term, so no product overflows or goes
+# subnormal.
+LEVEL_RANGE = (2.0 ** -511, 2.0 ** 511)
 
 
 class ConfigError(Exception):
@@ -75,6 +93,34 @@ class ConfigError(Exception):
 
 class TrialAbortError(Exception):
     """Channel stayed degenerate after the allowed resamples."""
+
+
+def snr_levels(p_max: float, snr_dbs) -> tuple[list[float], np.ndarray]:
+    """The linear SNR rho = p_max 10^(snr/10) and the noise variance
+    sigma2 = p_max / rho of every SNR point in dB.
+
+    Raises ConfigError unless p_max and every rho and sigma2 lie in
+    LEVEL_RANGE, which excludes every value that is not a finite, positive,
+    normal float: beyond it the sweep would overflow, divide by zero or
+    write non-finite rates.
+    """
+    lo, hi = LEVEL_RANGE
+    if not lo <= p_max <= hi:
+        raise ConfigError(f"p_max must lie in [{lo:g}, {hi:g}], got {p_max:g}")
+    rhos, sigma2 = [], []
+    for snr_db in snr_dbs:
+        try:
+            rho = p_max * 10.0 ** (snr_db / 10.0)
+            s2 = p_max / rho
+        except (OverflowError, ZeroDivisionError):
+            rho = s2 = math.nan
+        if not (lo <= rho <= hi and lo <= s2 <= hi):
+            raise ConfigError(f"at {snr_db:g} dB with p_max {p_max:g}, the linear SNR "
+                              "p_max 10^(snr/10) or the noise variance p_max / rho "
+                              f"leaves [{lo:g}, {hi:g}]")
+        rhos.append(rho)
+        sigma2.append(s2)
+    return rhos, np.array(sigma2)
 
 
 @dataclass(frozen=True)
@@ -137,6 +183,7 @@ class SimConfig:
                 raise ConfigError(f"no alignment plan for n={self.n}: {exc}") from exc
         if self.p_max <= 0:
             raise ConfigError("p_max must be positive")
+        snr_levels(self.p_max, self.snr_grid)
         PrimeField(self.q)  # raises on non-prime
         if self.run_snc and self.q != 2:
             raise ConfigError(
@@ -180,64 +227,140 @@ class TrialResult:
     snc_report: object = None  # RateReport when the SNC leg ran
 
 
+@dataclass(frozen=True)
+class TrialBatch:
+    """Outcomes of a chunk of trials.  ``kept`` (T,) marks the trials that
+    did not abort; every other array covers the kept trials only, in index
+    order, over the SNR points, and is None when its scheme did not run:
+    block sum rates ``snc_rate`` (Tk, S), per-stream rates ``per_signal``
+    (Tk, S, streams) under the backhaul ``caps`` (S,), the detected-error
+    flags ``detected`` (Tk, S), and ``cf_rate`` and ``cf_outage`` (Tk, S)."""
+
+    kept: np.ndarray
+    snc_rate: np.ndarray | None = None
+    per_signal: np.ndarray | None = None
+    caps: np.ndarray | None = None
+    detected: np.ndarray | None = None
+    cf_rate: np.ndarray | None = None
+    cf_outage: np.ndarray | None = None
+
+
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
-    """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*.
+def _usable_channels(cfg: SimConfig, plan, diag: np.ndarray, redraw):
+    """Resample the degenerate draws of a chunk (precoder rank loss, an
+    ill-conditioned filter) up to MAX_RESAMPLES times; each round redraws,
+    and checks, only the trials still pending.  Returns the kept trials'
+    channel, precoders and filters, and the kept mask."""
+    model = cfg.channel_model
+    T, K, N = len(diag), plan.K, plan.N
+    v1 = np.empty((T, N, N), diag.dtype)
+    v_other = np.empty((T, N, plan.N_prime), diag.dtype)
+    u = np.empty((T, K, N, N), diag.dtype)
+    scale = np.empty(T)
+    kept = np.zeros(T, dtype=bool)
+    pending = np.arange(T)
+    for attempt in range(MAX_RESAMPLES + 1):
+        if attempt:
+            diag[pending] = redraw(pending)
+        h = ChannelRealization(model, diag[pending])
+        prec = build_precoders(h, plan, cfg.p_max)
+        ranked = np.flatnonzero(check_precoder_ranks(prec, plan).passed)
+        if ranked.size:
+            prec = dataclasses.replace(prec, v1=prec.v1[ranked],
+                                       v_other=prec.v_other[ranked],
+                                       power_scale=prec.power_scale[ranked])
+            filters = build_filters(ChannelRealization(model, h.diag[ranked]), prec)
+            good = ranked[filters.ok]
+            done = pending[good]
+            v1[done] = prec.v1[filters.ok]
+            v_other[done] = prec.v_other[filters.ok]
+            scale[done] = prec.power_scale[filters.ok]
+            u[done] = filters.u
+            kept[done] = True
+            pending = np.delete(pending, good)
+        if not pending.size:
+            break
+    k = np.flatnonzero(kept)
+    return (ChannelRealization(model, diag[k]),
+            PrecoderSet(K=K, v1=v1[k], v_other=v_other[k], w=prec.w,
+                        power_scale=scale[k]),
+            FilterSet(u=u[k]), kept)
 
-    Degenerate channel draws (precoder rank loss, an ill-conditioned
-    filter) are resampled up to MAX_RESAMPLES times before the trial is
-    aborted with TrialAbortError.  Returns one result per SNR value, in
-    order.
+
+def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
+    """Paired Monte Carlo trials *indices*, evaluated at every SNR in
+    *snr_dbs* in one stacked pass over a leading trial axis.
+
+    Each trial draws from its own generator in the order of the
+    draw-order contract, and every check and number of a trial is
+    computed from that trial alone, so a trial's outcome does not depend
+    on the other trials of the chunk.  A trial whose channel stays
+    degenerate after MAX_RESAMPLES resamples is aborted: ``kept`` is False
+    for it.
     """
     vt = cfg.topology_expanded
     plan = extension_dims(vt.M, cfg.n) if cfg.run_snc else None
-    eff = effective_system(plan) if plan is not None else None
     n_ext = plan.N if plan is not None else 1
-    rng = _trial_rng(cfg.seed, trial_index)
+    rhos, sigma2 = snr_levels(cfg.p_max, snr_dbs)
+    rngs = [_trial_rng(cfg.seed, i) for i in indices]
 
-    for attempt in range(MAX_RESAMPLES + 1):
-        h = sample_extended_channel(vt, n_ext, cfg.channel_model, rng)
-        if not cfg.run_snc:
-            break
-        try:
-            prec = build_precoders(h, plan, cfg.p_max)
-            check_precoder_ranks(prec, plan).raise_if_deficient()
-            filters = build_filters(h, prec)
-        except SncError:
-            if attempt == MAX_RESAMPLES:
-                raise TrialAbortError(
-                    f"degenerate channel after {MAX_RESAMPLES} resamples"
-                )
-            continue
-        gains = link_gains(prec, filters, eff)
-        break
+    def draw(trials):
+        return np.stack([sample_extended_channel(vt, n_ext, cfg.channel_model, rngs[t]).diag
+                         for t in trials])
 
-    rhos = [cfg.p_max * 10.0 ** (snr_db / 10.0) for snr_db in snr_dbs]
-    if cfg.run_cf:
-        cf = cf_trial_sum_rate(h, rhos, PrimeField(cfg.q), cfg.cf_radius,
-                               cfg.cap_enabled)
-    else:
-        cf = [(None, None)] * len(rhos)
-    reports = detected = [None] * len(rhos)
+    h = ChannelRealization(cfg.channel_model, draw(range(len(rngs))))
+    kept = np.ones(len(rngs), dtype=bool)
     if cfg.run_snc:
-        sigma2 = np.array([cfg.p_max / rho for rho in rhos])
-        reports = end_to_end_sum_rate(per_link_rates(gains, sigma2), eff, rhos,
-                                      cfg.cap_enabled)
+        h, prec, filters, kept = _usable_channels(cfg, plan, h.diag, draw)
+    out = {}
+    if not kept.any():
+        return TrialBatch(kept=kept)
+    if cfg.run_cf:
+        cf = np.array(cf_trial_sum_rate(h, rhos, PrimeField(cfg.q), cfg.cf_radius,
+                                        cfg.cap_enabled))  # [point, rate/outage, trial]
+        out["cf_rate"], out["cf_outage"] = cf[:, 0].T, cf[:, 1].T
+    if cfg.run_snc:
+        eff = effective_system(plan)
+        out["per_signal"], out["snc_rate"], out["caps"] = stream_rates(
+            per_link_rates(link_gains(prec, filters, eff), sigma2), eff, rhos,
+            cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
-        msgs = rng.integers(0, cfg.q, size=plan.total_streams)
-        x = np.split(modulate_bpsk(msgs, cfg.q), eff.col_offset[1:])
-        noise = sample_noise(sigma2, vt.M, n_ext, cfg.channel_model, rng)
+        kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
+        msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
+                         for rng in kept_rngs])
+        x = np.split(modulate_bpsk(msgs, cfg.q), eff.col_offset[1:], axis=-1)
+        noise = np.stack([sample_noise(sigma2, vt.M, n_ext, cfg.channel_model, rng)
+                          for rng in kept_rngs])
         y = transmit(h, prec, x, noise)
-        rec = cp_recover(eff, filter_and_demodulate(y, filters, eff))
-        detected = rec.detected_error.tolist()
+        out["detected"] = cp_recover(eff, filter_and_demodulate(y, filters, eff)).detected_error
+    return TrialBatch(kept=kept, **out)
 
+
+def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
+    """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*:
+    run_trials on one index.  Raises TrialAbortError when the trial's
+    channel stays degenerate after MAX_RESAMPLES resamples.  Returns one
+    result per SNR value, in order.
+    """
+    b = run_trials(cfg, snr_dbs, [trial_index])
+    if not b.kept[0]:
+        raise TrialAbortError(f"degenerate channel after {MAX_RESAMPLES} resamples")
+    none = [None] * len(snr_dbs)
+    reports, detected, cf_rates, outages = none, none, none, none
+    if cfg.run_snc:
+        reports = [RateReport(per_signal=tuple(ps), sum_rate=total, backhaul_cap=cap)
+                   for ps, total, cap in zip(b.per_signal[0].tolist(),
+                                             b.snc_rate[0].tolist(), b.caps.tolist())]
+        detected = b.detected[0].tolist()
+    if cfg.run_cf:
+        cf_rates, outages = b.cf_rate[0].tolist(), b.cf_outage[0].tolist()
     return [TrialResult(snc_sum_rate=report.sum_rate if report else None,
-                        cf_sum_rate=cf_rate,
-                        detected_error=err, cf_outage_frac=outage, snc_report=report)
-            for report, err, (cf_rate, outage) in zip(reports, detected, cf)]
+                        cf_sum_rate=cf_rate, detected_error=err,
+                        cf_outage_frac=outage, snc_report=report)
+            for report, err, cf_rate, outage in zip(reports, detected, cf_rates, outages)]
 
 
 @dataclass(frozen=True)
@@ -266,47 +389,50 @@ class SweepResult:
         raise KeyError((scheme, snr_db))
 
 
-def _trial_worker(cfg: SimConfig, trial_index: int):
-    """Per-SNR-point (snc rate, detected error, cf rate, cf outage) tuples
-    of one trial, or None when it aborted.  Only these numbers cross the
-    process boundary, not the rate reports."""
-    try:
-        results = run_trial(cfg, cfg.snr_grid, trial_index)
-    except TrialAbortError:
-        return None
-    return [(r.snc_sum_rate, r.detected_error, r.cf_sum_rate, r.cf_outage_frac)
-            for r in results]
+def chunk_length(cfg: SimConfig, workers: int) -> int:
+    """Trials per chunk: all of them when serial, trials // (4 workers) on
+    a pool so that each worker gets several chunks, and at least 1.  At
+    most BATCH_ELEMENTS // (elements of one trial's largest array), so that
+    large extensions stay in memory; the largest arrays are the filters
+    (M, N, N), the per-link rates (S, M, M N) and the CF rates
+    (N, M, candidates), up to small factors."""
+    M, S = cfg.topology_expanded.M, len(cfg.snr_grid)
+    n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
+    elements = M * n_ext * max(n_ext, S * M)
+    if cfg.run_cf:
+        elements = max(elements, n_ext * M * (2 * cfg.cf_radius + 1) ** M // 2)
+    share = cfg.trials if workers <= 1 else cfg.trials // (4 * workers)
+    return max(1, min(share, BATCH_ELEMENTS // elements))
 
 
-def _sweep_point(scheme: str, snr_db: float, rows: list, n_ext: int) -> SweepPoint:
-    """Aggregate the kept trials' outcomes at one SNR point.  When every
-    trial aborted there is nothing to average: the rates are NaN."""
-    if not rows:
+def _sweep_point(scheme: str, snr_db: float, rates: np.ndarray, n_ext: int,
+                 outages: np.ndarray | None = None,
+                 detected: np.ndarray | None = None) -> SweepPoint:
+    """Aggregate the kept trials' block rates, CF outages and detected-error
+    flags at one SNR point.  When every trial aborted there is nothing to
+    average: the rates are NaN."""
+    if not len(rates):
         return SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=math.nan,
                           std_sum_rate=math.nan, trials=0, outage_frac=0.0,
                           detected_err_frac=0.0)
-    if scheme == "snc":
-        rates = [r[0] for r in rows]
-        outage = 0.0
-        errs = sum(1 for r in rows if r[1]) / len(rows)
-    else:
-        rates = [r[2] for r in rows]
-        outage = float(np.mean([r[3] for r in rows]))
-        errs = 0.0
-    samples = np.array(rates) / n_ext
-    return SweepPoint(scheme=scheme, snr_db=snr_db,
-                      mean_sum_rate=float(samples.mean()),
-                      std_sum_rate=float(samples.std()),
-                      trials=len(rows), outage_frac=outage, detected_err_frac=errs)
+    samples = rates / n_ext
+    return SweepPoint(
+        scheme=scheme, snr_db=snr_db, mean_sum_rate=float(samples.mean()),
+        std_sum_rate=float(samples.std()), trials=len(rates),
+        outage_frac=float(np.mean(outages)) if outages is not None else 0.0,
+        detected_err_frac=(int(np.count_nonzero(detected)) / len(rates)
+                           if detected is not None else 0.0))
 
 
 def run_sweep(cfg: SimConfig) -> SweepResult:
     """Run the full (trials x SNR grid) experiment and aggregate.
 
-    Trials are independent work items, each evaluated at every SNR point;
-    set the SNCSIM_WORKERS environment variable above 1 for a process pool,
-    which receives the trials in chunks.  Aggregation always happens in
-    trial-index order, so results do not depend on the worker count.
+    Trials are evaluated in chunks of consecutive indices (chunk_length),
+    each chunk at every SNR point in one stacked pass; set the
+    SNCSIM_WORKERS environment variable above 1 for a process pool, which
+    receives the chunks.  A trial's outcome does not depend on its chunk,
+    and aggregation happens in trial-index order, so results do not depend
+    on the worker count.
     """
     cfg.validate()
     vt = cfg.topology_expanded
@@ -315,22 +441,38 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     res = SweepResult(n_ext=n_ext)
     schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
 
-    fn = partial(_trial_worker, cfg)
-    indices = range(cfg.trials)
+    # only the outcome arrays of a chunk cross the process boundary
+    fn = partial(run_trials, cfg, cfg.snr_grid)
+    step = chunk_length(cfg, workers)
+    chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, cfg.trials // (4 * workers))
-            results = list(pool.map(fn, indices, chunksize=chunk))
+            batches = list(pool.map(fn, chunks))
     else:
-        results = [fn(i) for i in indices]
-    kept = [r for r in results if r is not None]
+        batches = [fn(c) for c in chunks]
+    aborted = sum(int(np.count_nonzero(~b.kept)) for b in batches)
+    kept = [b for b in batches if b.kept.any()]
+
+    def rows(name):
+        """One outcome as [point, kept trial], each point's row contiguous."""
+        parts = [getattr(b, name) for b in kept] or [np.empty((0, len(cfg.snr_grid)))]
+        return np.ascontiguousarray(np.concatenate(parts).T)
+
+    if cfg.run_snc:
+        snc_rate, detected = rows("snc_rate"), rows("detected")
+    if cfg.run_cf:
+        cf_rate, cf_outage = rows("cf_rate"), rows("cf_outage")
     empty = []
     for p, snr_db in enumerate(cfg.snr_grid):
-        res.aborted_trials += len(results) - len(kept)
-        rows = [r[p] for r in kept]
-        if not rows:
+        res.aborted_trials += aborted
+        if not kept:
             empty.append(snr_db)
-        res.points.extend(_sweep_point(s, snr_db, rows, n_ext) for s in schemes)
+        if cfg.run_snc:
+            res.points.append(_sweep_point("snc", snr_db, snc_rate[p], n_ext,
+                                           detected=detected[p]))
+        if cfg.run_cf:
+            res.points.append(_sweep_point("cf", snr_db, cf_rate[p], n_ext,
+                                           outages=cf_outage[p]))
 
     if not cfg.cap_enabled:
         lo, hi = cfg.dof_window_db

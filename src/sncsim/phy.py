@@ -7,11 +7,13 @@ plus filtered noise, so demodulation reduces to nearest-level detection on
 the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
 parity of the detected number of -1 symbols.
 
-Everything after the channel is evaluated for the whole SNR grid at once:
-transmit, filter_and_demodulate, per_link_rates and end_to_end_sum_rate
-take a leading SNR axis.  Rates are arrays over the links of the effective
-system (the nonzero entries of F, grouped by stream), with link_gains
-computed once per channel draw.  link_rate and _demod_sum_constellation
+Everything after the channel is evaluated for a chunk of trials and the
+whole SNR grid at once: transmit, filter_and_demodulate, link_gains,
+per_link_rates and stream_rates take a leading trial axis, followed by an
+SNR axis where the noise enters.  Rates are arrays over the links of the
+effective system (the nonzero entries of F, grouped by stream), with
+link_gains computed once per channel draw.  end_to_end_sum_rate wraps one
+trial's stream rates in reports.  link_rate and _demod_sum_constellation
 are the per-link and per-value references.
 """
 
@@ -43,10 +45,16 @@ def modulate_bpsk(b, q: int = 2) -> np.ndarray:
 def transmit(h: ChannelRealization, p: PrecoderSet, x: list[np.ndarray],
              noise: np.ndarray) -> np.ndarray:
     """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
-    noise (..., K, N); *x* holds the K transmitters' symbol vectors."""
+    noise (..., K, N); *x* holds the K transmitters' symbol vectors.  For a
+    stack of trials the trial axis of h, p and x leads the noise too, and
+    any further noise axes (SNR points) follow it."""
     y = np.asarray(noise, dtype=complex if h.model == "complex" else float)
+    lead = h.diag.ndim - 3
     for k in range(p.K):
-        y = y + h.diag[:p.K, k] * ((p.v_other if k else p.v1) @ np.asarray(x[k]))
+        vx = ((p.v_other if k else p.v1) @ np.asarray(x[k])[..., None])[..., 0]
+        sig = h.diag[..., :p.K, k, :] * vx[..., None, :]
+        y = y + sig.reshape(sig.shape[:lead] + (1,) * (y.ndim - sig.ndim)
+                            + sig.shape[lead:])
     return y
 
 
@@ -66,7 +74,8 @@ def _demod_sum_constellation(value: float, m: int) -> int:
 def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
                           eff: EffectiveSystem) -> np.ndarray:
     """Filter the received vectors y (..., K, N) and demodulate them to the
-    network-coded bits (..., K N), stacked in row order of F.
+    network-coded bits (..., K N), stacked in row order of F.  For a stack
+    of trials the filters' trial axis leads y's axes.
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
@@ -74,7 +83,9 @@ def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    z = np.real(np.einsum("lij,...lj->...li", filters.u, y))
+    u = filters.u
+    u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
+    z = np.real(np.einsum("...lij,...lj->...li", u, y))
     m = eff.weights
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
     return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
@@ -105,18 +116,22 @@ def link_gains(p: PrecoderSet, filters: FilterSet, eff: EffectiveSystem) -> np.n
     to the budget: the largest column's power, which build_precoders pins
     to p_max.  The filter maps every linked column to a unit vector
     (u^H H v = 1), so the gain of a link is the closed form
-    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).
+    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).  A stack of trials gives a
+    (T, links) array.
     """
-    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=0) for v in (p.v1, p.v_other))
-    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (p.K - 1))
-    u_norm2 = np.sum(np.abs(filters.u) ** 2, axis=2).ravel()
-    return v_norm2.max() / (u_norm2[eff.link_rows] * v_norm2[eff.link_cols])
+    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (p.v1, p.v_other))
+    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (p.K - 1), axis=-1)
+    u_norm2 = np.sum(np.abs(filters.u) ** 2, axis=-1)
+    u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
+    return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
+                                                  * v_norm2[..., eff.link_cols])
 
 
 def per_link_rates(gains: np.ndarray, sigma2) -> np.ndarray:
     """Rates log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) of every link at each
-    noise power in *sigma2* (S,), from link_gains: an (S, links) array."""
-    return np.log2(1.0 + gains / np.asarray(sigma2, dtype=float)[:, None])
+    noise power in *sigma2* (S,), from link_gains (..., links): an
+    (..., S, links) array."""
+    return np.log2(1.0 + gains[..., None, :] / np.asarray(sigma2, dtype=float)[:, None])
 
 
 @dataclass(frozen=True)
@@ -129,17 +144,25 @@ class RateReport:
     backhaul_cap: float
 
 
-def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
-                        cap_enabled: bool = True) -> list[RateReport]:
-    """One report per SNR in *rho_bars* from per_link (S, links): each stream
-    takes the minimum over the receivers that decode it, is capped at the
-    cooperation-link rate log2(1 + rho_bar) and summed."""
+def stream_rates(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
+                 cap_enabled: bool = True):
+    """(per_signal, sum_rate, caps) from per_link (..., S, links): each
+    stream's rate (..., S, streams) is the minimum over the receivers that
+    decode it; the sum (..., S) caps each at the cooperation-link rate
+    log2(1 + rho_bar), one cap (S,) per SNR in *rho_bars*."""
     per_signal = np.minimum.reduceat(per_link, eff.stream_start, axis=-1)
     caps = np.array([math.log2(1.0 + rho) for rho in rho_bars])
     capped = np.minimum(per_signal, caps[:, None]) if cap_enabled else per_signal
+    return per_signal, np.sum(capped, axis=-1), caps
+
+
+def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
+                        cap_enabled: bool = True) -> list[RateReport]:
+    """One report per SNR in *rho_bars* from one trial's per_link (S, links),
+    with the rates of stream_rates."""
+    per_signal, sums, caps = stream_rates(per_link, eff, rho_bars, cap_enabled)
     return [RateReport(per_signal=tuple(ps), sum_rate=total, backhaul_cap=cap)
-            for ps, total, cap in zip(per_signal.tolist(),
-                                      np.sum(capped, axis=-1).tolist(), caps.tolist())]
+            for ps, total, cap in zip(per_signal.tolist(), sums.tolist(), caps.tolist())]
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,

@@ -14,9 +14,11 @@ The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents.  Per channel draw only the
 precoders, their rank check and the filters with their conditioning check
-remain; cp_recover solves every SNR point of a trial in one call.
-verify_alignment is the numerical reference the tests hold the
-construction to.
+remain.  Each of them takes a stack of trials as well as one: a leading
+trial axis on the channel carries through, and every trial's numbers are
+those of its own one-trial call.  cp_recover solves every SNR point of a
+chunk of trials in one call.  verify_alignment is the numerical reference
+the tests hold the construction to.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
 class PrecoderSet:
     """Precoding matrices ``v1`` (N x N) of transmitter 1 and ``v_other``
     (N x N'), shared by transmitters 2..K, both carrying the single global
-    power scale, and the common seed column ``w``."""
+    power scale, and the common seed column ``w``.  For a stack of trials
+    ``v1``, ``v_other`` and ``power_scale`` have a leading trial axis."""
 
     K: int
     v1: np.ndarray = field(repr=False)
@@ -142,41 +145,44 @@ def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
     K, N = plan.K, plan.N
     if h.n_ext != N or h.n_tx < K or h.n_rx < K:
         raise ValueError("channel realization does not match the plan")
-    base = h.diag[:K, 0]
-    bad = np.flatnonzero(np.any(base == 0, axis=1))
+    base = h.diag[..., :K, 0, :]
+    bad = np.flatnonzero(np.any(base == 0, axis=-1)) % K
     if bad.size:
         raise DegenerateChannelError(f"singular desired channel at receiver {bad[0]}")
     # diagonals of G[i,j] = H[i,1]^-1 H[i,j], in slot order (i, j), j >= 2
-    g = (h.diag[:K, 1:K] / base[:, None]).reshape(K * (K - 1), N)
-    powers = np.stack([g ** e for e in range(plan.n + 1)], axis=1)  # [slot, e]
+    g = h.diag[..., :K, 1:K, :] / base[..., None, :]
+    g = g.reshape(*g.shape[:-3], K * (K - 1), N)
+    powers = np.stack([g ** e for e in range(plan.n + 1)], axis=-2)  # [slot, e]
     w = np.ones(N, dtype=complex if h.model == "complex" else float)
     v = []
     for exponents in (plan.tx1_exponents, plan.other_exponents):
         e = np.array(exponents)
         cols = w
         for slot in range(K * (K - 1)):
-            cols = cols * powers[slot, e[:, slot]]
-        v.append(np.ascontiguousarray(cols.T))  # C order fixes matvec rounding
-    max_norm2 = max(float(np.max(np.sum(np.abs(m) ** 2, axis=0))) for m in v)
-    scale = math.sqrt(p_max / max_norm2)
-    return PrecoderSet(K=K, v1=v[0] * scale, v_other=v[1] * scale, w=w,
-                       power_scale=scale)
+            cols = cols * powers[..., slot, e[:, slot], :]
+        # C order fixes matvec rounding
+        v.append(np.ascontiguousarray(np.swapaxes(cols, -1, -2)))
+    max_norm2 = np.maximum(*(np.max(np.sum(np.abs(m) ** 2, axis=-2), axis=-1) for m in v))
+    scale = np.sqrt(p_max / max_norm2)
+    return PrecoderSet(K=K, v1=v[0] * scale[..., None, None],
+                       v_other=v[1] * scale[..., None, None], w=w, power_scale=scale)
 
 
 @dataclass(frozen=True)
 class RankReport:
     """Numerical ranks of transmitter 1's and the shared precoder, and the
-    stream counts they must reach."""
+    stream counts they must reach.  For a stack of trials each rank is an
+    array over the trials, and so is ``passed``."""
 
     ranks: tuple[int, int]
     expected: tuple[int, int]
 
     @property
-    def passed(self) -> bool:
-        return self.ranks == self.expected
+    def passed(self):
+        return (self.ranks[0] == self.expected[0]) & (self.ranks[1] == self.expected[1])
 
     def raise_if_deficient(self):
-        if not self.passed:
+        if not np.all(self.passed):
             raise AlignmentDegenerateError(
                 f"precoders of transmitter 1 and transmitters 2..K have ranks "
                 f"{self.ranks}, expected {self.expected}")
@@ -186,7 +192,8 @@ def check_precoder_ranks(p: PrecoderSet, plan: ExtensionPlan) -> RankReport:
     """Numerical ranks of the two precoders (singular values above
     RANK_SV_RTOL times the largest)."""
     svs = [np.linalg.svd(m, compute_uv=False) for m in (p.v1, p.v_other)]
-    return RankReport(ranks=tuple(int(np.sum(sv > RANK_SV_RTOL * sv[0])) for sv in svs),
+    return RankReport(ranks=tuple(np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
+                                  for sv in svs),
                       expected=(plan.N, plan.N_prime))
 
 
@@ -227,18 +234,28 @@ def verify_alignment(h: ChannelRealization, p: PrecoderSet,
 @dataclass(frozen=True)
 class FilterSet:
     """Per-receiver filtering matrices, stored as applied: x' = u[l] @ y,
-    so u[l] @ (H_{l,1} V_1) is the identity.  ``u`` is one (K, N, N) array."""
+    so u[l] @ (H_{l,1} V_1) is the identity.  ``u`` is one (K, N, N) array,
+    or (T, K, N, N) for the trials of a stack that ``ok`` marks."""
 
     u: np.ndarray = field(repr=False)
+    ok: np.ndarray | None = field(default=None, repr=False)
 
 
 def build_filters(h: ChannelRealization, p: PrecoderSet) -> FilterSet:
-    """Invert the desired signal space at every receiver."""
-    prods = h.diag[:p.K, 0, :, None] * p.v1
-    bad = np.flatnonzero(np.linalg.cond(prods) > MAX_CONDITION)
-    if bad.size:
-        raise IllConditionedError(f"desired signal space at receiver {bad[0]} "
-                                  "is nearly singular")
+    """Invert the desired signal space at every receiver.
+
+    One trial whose desired space is ill-conditioned at some receiver
+    raises IllConditionedError.  A stack of trials drops such trials
+    instead: ``ok`` marks the kept ones, and only they are inverted.
+    """
+    prods = h.diag[..., :p.K, 0, :, None] * p.v1[..., None, :, :]
+    bad = np.linalg.cond(prods) > MAX_CONDITION
+    if bad.ndim > 1:
+        ok = ~np.any(bad, axis=-1)
+        return FilterSet(u=np.linalg.inv(prods[ok]), ok=ok)
+    if bad.any():
+        raise IllConditionedError(f"desired signal space at receiver "
+                                  f"{np.flatnonzero(bad)[0]} is nearly singular")
     return FilterSet(u=np.linalg.inv(prods))
 
 
@@ -327,7 +344,7 @@ class RecoveryResult:
 
 def cp_recover(eff: EffectiveSystem, forwarded) -> RecoveryResult:
     """Central-processor recovery from the forwarded messages (..., K N),
-    stacked in row order of F, with any leading (SNR) axes.
+    stacked in row order of F, with any leading (trial, SNR) axes.
 
     Solves the independent-row subsystem of F mod 2 with its stored
     inverse and reports (not silently ignores) inconsistency of the

@@ -55,6 +55,46 @@ class TestChannelSampling:
                 assert np.array_equal(h.diag[l, k], rng.standard_normal(4))
         assert (h.n_rx, h.n_tx, h.n_ext) == (3, 3, 4)
 
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_bulk_draw_equals_per_link_reference(self, model):
+        # one generator call per channel gives the stream of one length-N
+        # call per link (real parts, then imaginary parts, per link)
+        vt = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 2)))
+        drawn = np.random.default_rng(21)
+        h = sample_extended_channel(vt, 5, model, drawn)
+        rng = np.random.default_rng(21)
+        for l in range(vt.M):
+            for k in range(vt.M):
+                ref = rng.standard_normal(5)
+                if model == "complex":
+                    ref = (ref + 1j * rng.standard_normal(5)) / np.sqrt(2.0)
+                assert np.array_equal(h.diag[l, k], ref)
+        assert drawn.bit_generator.state == rng.bit_generator.state  # nothing more
+
+    def test_exact_zeros_are_redrawn_in_order(self):
+        class ZeroFirst:
+            """A generator whose first draw holds exact zeros."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(4)
+                self.calls = []
+
+            def standard_normal(self, shape):
+                self.calls.append(shape)
+                out = self.rng.standard_normal(shape)
+                if len(self.calls) == 1:
+                    out.flat[[1, 6]] = 0.0
+                return out
+
+        vt = expand_mimo_to_virtual(single_antenna(2))
+        gen = ZeroFirst()
+        h = sample_extended_channel(vt, 3, "real", gen)
+        assert gen.calls == [(2, 2, 3), (2,)]
+        ref = np.random.default_rng(4)
+        expected = ref.standard_normal((2, 2, 3))
+        expected.flat[[1, 6]] = ref.standard_normal(2)
+        assert np.array_equal(h.diag, expected)
+
     def test_unit_variance(self):
         vt = expand_mimo_to_virtual(single_antenna(1, 1))
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -15,14 +16,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sncsim import harness
-from sncsim.cli import USAGE_EXIT, parse_cli
+from sncsim.cli import USAGE_EXIT, build_parser, parse_cli
 from sncsim.gf import RankDeficientError
 from sncsim.harness import (
+    BATCH_ELEMENTS,
     ConfigError,
     SimConfig,
     TrialAbortError,
+    chunk_length,
     run_sweep,
     run_trial,
+    run_trials,
     write_results,
 )
 
@@ -100,6 +104,12 @@ class TestConfig:
         dict(snr_stop=math.nan),
         dict(snr_step=math.inf),
         dict(snr_start=10.0, snr_stop=0.0, snr_step=5.0),
+        # rho = p_max 10^(snr/10) or sigma2 = p_max / rho leaves the normal
+        # floats: overflow, division by zero, infinite rates, subnormal rho
+        dict(snr_start=4000.0, snr_stop=4000.0, snr_step=1.0),
+        dict(snr_start=-4000.0, snr_stop=-4000.0, snr_step=1.0),
+        dict(p_max=1e300, snr_start=100.0, snr_stop=100.0, snr_step=1.0),
+        dict(p_max=1e-320),
     ])
     def test_rejects_input_that_would_fail_mid_sweep(self, overrides):
         with pytest.raises(ConfigError):
@@ -114,9 +124,10 @@ class TestConfig:
            channel_model=st.sampled_from(["real", "complex"]),
            q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
            cap_enabled=st.booleans(), seed=st.integers(-2**16, 2**16),
-           p_max=st.one_of(st.floats(1e-3, 1e3),
-                           st.sampled_from([0.0, math.inf, -math.inf, math.nan])),
-           snr_start=st.integers(-10, 60), snr_span=st.integers(-20, 30),
+           p_max=st.one_of(st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
+                           st.sampled_from([0.0, 1e-320, math.inf, -math.inf, math.nan])),
+           snr_start=st.one_of(st.integers(-10, 60), st.integers(-4000, 4000)),
+           snr_span=st.integers(-20, 30),
            snr_step=st.integers(1, 30))
     def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
                                               cf_radius, cap_enabled, seed, p_max,
@@ -204,6 +215,80 @@ class TestRunTrial:
             sums.append(r.snc_sum_rate)
             streams.extend(r.snc_report.per_signal)
         assert np.mean(sums) == pytest.approx(5 * np.mean(streams), rel=0.05)
+
+
+TRIAL_ROWS = ("snc_rate", "per_signal", "detected", "cf_rate", "cf_outage")
+
+
+def trial_rows(batch):
+    """Per trial of a TrialBatch: None when it aborted, else its outcome
+    rows as exact Python values (None for a scheme that did not run)."""
+    rows, k = [], 0
+    for kept in batch.kept:
+        if not kept:
+            rows.append(None)
+            continue
+        rows.append(tuple(None if getattr(batch, name) is None
+                          else getattr(batch, name)[k].tolist() for name in TRIAL_ROWS))
+        k += 1
+    return rows
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="cf", K=3),
+        dict(scheme="both", tx_antennas=(2, 1), rx_antennas=(2, 1)),
+        dict(scheme="snc", K=3, n=2, channel_model="complex"),
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False,
+             snr_start=40.0, snr_stop=60.0, snr_step=5.0),
+    ])
+    def test_chunking_does_not_change_any_trial(self, overrides):
+        cfg = small_config(**overrides)
+        T = 15
+        whole = run_trials(cfg, cfg.snr_grid, range(T))
+        rows = trial_rows(whole)
+        for length in (1, 7, T):
+            chunks = [run_trials(cfg, cfg.snr_grid, range(i, min(i + length, T)))
+                      for i in range(0, T, length)]
+            assert sum((trial_rows(b) for b in chunks), []) == rows
+            for b in chunks:
+                if not b.kept.any():  # a chunk whose every trial aborted
+                    assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+        for i, row in enumerate(rows):
+            if row is None:
+                with pytest.raises(TrialAbortError):
+                    run_trial(cfg, cfg.snr_grid, i)
+                continue
+            results = run_trial(cfg, cfg.snr_grid, i)
+            snc_rate, per_signal, detected, cf_rate, cf_outage = row
+            assert [r.snc_sum_rate for r in results] == (snc_rate or [None] * len(results))
+            assert [r.detected_error for r in results] == (detected or [None] * len(results))
+            assert [r.cf_sum_rate for r in results] == (cf_rate or [None] * len(results))
+            assert [r.cf_outage_frac for r in results] == (cf_outage or [None] * len(results))
+            if per_signal is not None:
+                assert [list(r.snc_report.per_signal) for r in results] == per_signal
+        if cfg.n == 10:
+            aborted = [i for i, row in enumerate(rows) if row is None]
+            assert 0 < len(aborted) < T  # both paths were exercised
+            b = run_trials(cfg, cfg.snr_grid, aborted[:3])
+            assert not b.kept.any()
+            assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+
+    def test_chunk_length_bounds(self):
+        for workers in (1, 2, 3, 64):
+            for trials in (1, 5, 1000):
+                assert chunk_length(small_config(trials=trials), workers) >= 1
+        assert chunk_length(small_config(trials=40), 1) == 40
+        assert chunk_length(small_config(trials=40), 2) == 40 // 8
+        # one trial's filters, (K, N, N), take the most elements
+        for n in (30, 300):
+            cfg = SimConfig(K=2, n=n, scheme="snc", trials=1000)
+            N = n + 1
+            length = chunk_length(cfg, 1)
+            assert length >= 1
+            assert length * 2 * N * N <= BATCH_ELEMENTS or length == 1
+            assert (length + 1) * 2 * N * N > BATCH_ELEMENTS
+        assert chunk_length(SimConfig(K=2, n=300, scheme="snc", trials=1000), 1) == 1
 
 
 class TestRunSweep:
@@ -315,20 +400,16 @@ class TestWriteResults:
         p2, _ = write_results(run_sweep(cfg), cfg, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = small_config(trials=6, snr_stop=10.0)
-        old = os.environ.get("SNCSIM_WORKERS")
-        try:
-            os.environ["SNCSIM_WORKERS"] = "1"
-            p1, _ = write_results(run_sweep(cfg), cfg, tmp_path / "w1.csv")
-            os.environ["SNCSIM_WORKERS"] = "2"
-            p2, _ = write_results(run_sweep(cfg), cfg, tmp_path / "w2.csv")
-        finally:
-            if old is None:
-                os.environ.pop("SNCSIM_WORKERS", None)
-            else:
-                os.environ["SNCSIM_WORKERS"] = old
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        cfg = small_config(trials=24, snr_stop=10.0)
+        # 1, 2 and 3 workers chunk the trials differently
+        assert len({chunk_length(cfg, w) for w in (1, 2, 3)}) == 3
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("SNCSIM_WORKERS", str(workers))
+            paths = write_results(run_sweep(cfg), cfg, tmp_path / f"w{workers}.csv")
+            outputs.append([p.read_bytes() for p in paths])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCli:
@@ -384,12 +465,24 @@ class TestCli:
         ["--snr", "0:nan:5"],
         ["--snr", "0:60:inf"],
         ["--snr", "10:0:5"],
+        ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr", "4000:4000:1"],
+        ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr=-4000:-4000:1"],
+        ["--p-max", "1e300", "--snr", "100:100:1"],
+        ["--p-max", "1e-320"],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_cli(argv)
         assert exc.value.code == USAGE_EXIT
         assert "error" in capsys.readouterr().err
+
+    def test_negative_snr_start_needs_equals_form(self):
+        # argparse reads "-10:0:5" after "--snr" as an option, not a value
+        assert parse_cli(["--snr=-10:0:5"]).snr_grid == (-10.0, -5.0, 0.0)
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--snr", "-10:0:5"])
+        assert exc.value.code == USAGE_EXIT
+        assert "--snr=-10:0:5" in " ".join(build_parser().format_help().split())
 
     def test_bad_snr_spec_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -394,6 +394,48 @@ class TestPlanSystem:
             effective_system(plan)
 
 
+class TestTrialStack:
+    def test_stacked_precoders_and_ranks_equal_one_trial_calls(self):
+        # K=2, n=10 draws often lose rank; each trial's numbers are those
+        # of its own one-trial call
+        plan = extension_dims(2, 10)
+        hs = [make_channel(2, plan.N, seed=700 + s) for s in range(24)]
+        p = build_precoders(ChannelRealization("complex", np.stack([h.diag for h in hs])),
+                            plan)
+        ranks = check_precoder_ranks(p, plan)
+        for t, h in enumerate(hs):
+            p1 = build_precoders(h, plan)
+            assert np.array_equal(p1.v1, p.v1[t]) and np.array_equal(p1.v_other, p.v_other[t])
+            assert p1.power_scale == p.power_scale[t]
+            r1 = check_precoder_ranks(p1, plan)
+            assert r1.ranks == (ranks.ranks[0][t], ranks.ranks[1][t])
+            assert r1.passed == ranks.passed[t]
+        assert 0 < np.count_nonzero(ranks.passed) < len(hs)
+
+    def test_stacked_filters_drop_ill_conditioned_trials(self):
+        plan = extension_dims(2, 2)
+        hs, ps = [], []
+        for t in range(6):
+            h = make_channel(2, plan.N, seed=800 + t)
+            ps.append(build_precoders(h, plan))
+            if t in (2, 4):  # nearly singular desired space at receiver 1
+                diag = h.diag.copy()
+                diag[1, 0, 0] *= 1e-14
+                h = ChannelRealization("complex", diag)
+            hs.append(h)
+        stack = ChannelRealization("complex", np.stack([h.diag for h in hs]))
+        p = dataclasses.replace(ps[0], v1=np.stack([p.v1 for p in ps]))
+        f = build_filters(stack, p)
+        assert f.ok.tolist() == [True, True, False, True, False, True]
+        kept = iter(f.u)
+        for h, p1, ok in zip(hs, ps, f.ok):
+            if ok:
+                assert np.array_equal(build_filters(h, p1).u, next(kept))
+            else:
+                with pytest.raises(IllConditionedError):
+                    build_filters(h, p1)
+
+
 class TestRecovery:
     def test_noiseless_round_trip_random_vectors(self):
         rng = np.random.default_rng(12)
