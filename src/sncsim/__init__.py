@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .gf import PrimeField, gf_full_rank, gf_rank, gf_select_independent_rows, gf_solve
 from .channel import (
-    ChannelRealization,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
@@ -14,7 +13,6 @@ from .channel import (
 from .snc import (
     EffectiveSystem,
     ExtensionPlan,
-    FilterSet,
     PrecoderSet,
     build_filters,
     build_precoders,
@@ -26,7 +24,6 @@ from .snc import (
     verify_alignment,
 )
 from .phy import (
-    RateReport,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -34,7 +31,6 @@ from .phy import (
     link_rate,
     modulate_bpsk,
     per_link_rates,
-    stream_rates,
     transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate

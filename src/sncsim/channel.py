@@ -1,8 +1,11 @@
 """
 Time-varying extended channels, noise, and MIMO virtual-node expansion.
 
-A channel realization holds the diagonal N x N extended-channel matrix of
-every (receiver, transmitter) link in one array; each diagonal slot is an
+A channel is a bare array of diagonals: h[l, k] is the length-N diagonal
+of the extended channel from virtual transmitter k to virtual receiver l,
+so one draw is an (M, M, N) array, a stack of trials puts a leading trial
+axis on it, and its dtype tells a real channel from a complex one.
+Off-diagonals are zero by representation; each diagonal slot is an
 independent draw (time-varying channel).  Multi-antenna topologies are
 mapped to an equivalent single-antenna network by treating every antenna
 as a virtual node.  Noise is drawn at unit variance and scaled per point.
@@ -10,7 +13,7 @@ as a virtual node.  Noise is drawn at unit variance and scaled per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,36 +68,6 @@ def expand_mimo_to_virtual(t: Topology) -> VirtualTopology:
     return VirtualTopology(M, tuple(tx_all[:M]), tuple(rx_all[:M]))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """All diagonal extended-channel matrices for one trial.
-
-    ``diag[l, k]`` is the length-N diagonal of the extended channel from
-    virtual transmitter k to virtual receiver l; ``diag`` is one
-    (receivers, transmitters, N) array.  Off-diagonals are zero by
-    representation.  A stack of trials puts a leading trial axis on
-    ``diag``.
-    """
-
-    model: str  # "real" | "complex"
-    diag: np.ndarray = field(repr=False)
-
-    @property
-    def n_rx(self) -> int:
-        return self.diag.shape[-3]
-
-    @property
-    def n_tx(self) -> int:
-        return self.diag.shape[-2]
-
-    @property
-    def n_ext(self) -> int:
-        return self.diag.shape[-1]
-
-    def matrix(self, l: int, k: int) -> np.ndarray:
-        return np.diag(self.diag[l, k])
-
-
 def _draw_coeffs(shape, model, rng):
     """Unit-variance coefficients of *shape* in one generator call.  A
     complex draw takes the real parts of each last-axis row, then its
@@ -110,8 +83,9 @@ def _draw_coeffs(shape, model, rng):
 
 def sample_extended_channel(
     vt: VirtualTopology, n_ext: int, model: str, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw i.i.d. unit-variance channel coefficients for every link and slot.
+) -> np.ndarray:
+    """Draw i.i.d. unit-variance channel coefficients for every link and slot:
+    the (M, M, N) diagonal array, real or complex as *model* says.
 
     One generator call draws the links in receiver then transmitter order,
     the stream that one length-N call per link would give.  Exact-zero
@@ -123,7 +97,7 @@ def sample_extended_channel(
     diag = _draw_coeffs((vt.M, vt.M, n_ext), model, rng)
     while np.any(zero := diag == 0):
         diag[zero] = _draw_coeffs((int(zero.sum()),), model, rng)
-    return ChannelRealization(model=model, diag=diag)
+    return diag
 
 
 def sample_noise(

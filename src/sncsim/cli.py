@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, SimConfig, run_sweep, write_results
+from .harness import ConfigError, SimConfig, run_sweep, worker_count, write_results
 
 USAGE_EXIT = 1
 IO_EXIT = 2
@@ -100,6 +100,7 @@ def parse_cli(argv=None) -> SimConfig:
     )
     try:
         cfg.validate()
+        worker_count()  # a bad SNCSIM_WORKERS is a usage error too
     except (ConfigError, ValueError) as exc:
         print(f"snc-sim: error: {exc}", file=sys.stderr)
         sys.exit(USAGE_EXIT)

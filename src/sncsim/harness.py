@@ -12,12 +12,14 @@ system -- is built once per plan, and SimConfig.validate() rejects a
 config whose plan cannot be built, or a p_max and SNR grid whose linear
 SNR or noise variance leaves LEVEL_RANGE (snr_levels, which the engine
 shares).  The engine evaluates chunks of consecutive trials: run_trials
-stacks a chunk's channels on a leading trial axis and builds everything
-that depends on the channel alone (precoders, rank and conditioning
-checks, filters, link gains) in one stacked pass, redrawing only the
-trials whose draw was degenerate, then evaluates the whole SNR grid of
-every kept trial in one array pass.  The compute-and-forward leg runs
-once per chunk over the grid and draws no randomness.
+stacks a chunk's channels into one bare (T, M, M, N) array and builds
+everything that depends on the channel alone (precoders, rank and
+conditioning checks, filters, link gains) in one stacked pass, redrawing
+only the trials whose draw was degenerate, then evaluates the whole SNR
+grid of every kept trial in one array pass.  The compute-and-forward leg
+runs once per chunk over the grid and draws no randomness.  The arrays of
+a chunk are the only shape: run_trial is run_trials on one index and
+returns its one-trial TrialBatch.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
@@ -45,28 +47,25 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    ChannelRealization,
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
     sample_noise,
 )
-from .cf_baseline import cf_trial_sum_rate
+from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
 from .gf import PrimeField
 from .phy import (
-    RateReport,
+    end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
     link_gains,
     modulate_bpsk,
     per_link_rates,
-    stream_rates,
     transmit,
 )
 from .gf import RankDeficientError
 from .snc import (
     CapacityError,
-    FilterSet,
     PrecoderSet,
     build_filters,
     build_precoders,
@@ -93,6 +92,22 @@ class ConfigError(Exception):
 
 class TrialAbortError(Exception):
     """Channel stayed degenerate after the allowed resamples."""
+
+
+def worker_count() -> int:
+    """The process count that SNCSIM_WORKERS asks for (default 1), at least
+    1 and at most the CPUs this process may use (all CPUs where the OS
+    cannot say), so that a typo cannot fork thousands of processes.  Raises
+    ConfigError unless it is an integer."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if workers <= 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def snr_levels(p_max: float, snr_dbs) -> tuple[list[float], np.ndarray]:
@@ -172,6 +187,11 @@ class SimConfig:
             raise ConfigError(
                 f"the coefficient search radius must be >= 1, got {self.cf_radius}"
             )
+        if self.run_cf and search_grid_size(M, self.cf_radius) > MAX_SEARCH_GRID:
+            raise ConfigError(
+                f"cf_radius {self.cf_radius} makes the coefficient search enumerate "
+                f"(2 cf_radius + 1)^{M} vectors, more than {MAX_SEARCH_GRID}"
+            )
         if self.n < 1:
             raise ConfigError(f"the extension parameter n must be >= 1, got {self.n}")
         if self.run_snc:
@@ -219,27 +239,17 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    snc_sum_rate: float | None  # bits per extension block
-    cf_sum_rate: float | None
-    detected_error: bool | None
-    cf_outage_frac: float | None
-    snc_report: object = None  # RateReport when the SNC leg ran
-
-
-@dataclass(frozen=True)
 class TrialBatch:
     """Outcomes of a chunk of trials.  ``kept`` (T,) marks the trials that
     did not abort; every other array covers the kept trials only, in index
     order, over the SNR points, and is None when its scheme did not run:
     block sum rates ``snc_rate`` (Tk, S), per-stream rates ``per_signal``
-    (Tk, S, streams) under the backhaul ``caps`` (S,), the detected-error
-    flags ``detected`` (Tk, S), and ``cf_rate`` and ``cf_outage`` (Tk, S)."""
+    (Tk, S, streams) before the backhaul cap, the detected-error flags
+    ``detected`` (Tk, S), and ``cf_rate`` and ``cf_outage`` (Tk, S)."""
 
     kept: np.ndarray
     snc_rate: np.ndarray | None = None
     per_signal: np.ndarray | None = None
-    caps: np.ndarray | None = None
     detected: np.ndarray | None = None
     cf_rate: np.ndarray | None = None
     cf_outage: np.ndarray | None = None
@@ -249,45 +259,34 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def _usable_channels(cfg: SimConfig, plan, diag: np.ndarray, redraw):
-    """Resample the degenerate draws of a chunk (precoder rank loss, an
-    ill-conditioned filter) up to MAX_RESAMPLES times; each round redraws,
-    and checks, only the trials still pending.  Returns the kept trials'
-    channel, precoders and filters, and the kept mask."""
-    model = cfg.channel_model
-    T, K, N = len(diag), plan.K, plan.N
-    v1 = np.empty((T, N, N), diag.dtype)
-    v_other = np.empty((T, N, plan.N_prime), diag.dtype)
-    u = np.empty((T, K, N, N), diag.dtype)
+def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
+    """Resample the degenerate draws of the chunk's channel *h* (precoder
+    rank loss, an ill-conditioned filter) up to MAX_RESAMPLES times; each
+    round redraws, and checks, only the trials still pending.  Returns the
+    kept trials' channel, precoders and filters, and the kept mask."""
+    T, K, N = len(h), plan.K, plan.N
+    v1 = np.empty((T, N, N), h.dtype)
+    v_other = np.empty((T, N, plan.N_prime), h.dtype)
+    u = np.empty((T, K, N, N), h.dtype)
     scale = np.empty(T)
     kept = np.zeros(T, dtype=bool)
     pending = np.arange(T)
     for attempt in range(MAX_RESAMPLES + 1):
         if attempt:
-            diag[pending] = redraw(pending)
-        h = ChannelRealization(model, diag[pending])
-        prec = build_precoders(h, plan, cfg.p_max)
-        ranked = np.flatnonzero(check_precoder_ranks(prec, plan).passed)
-        if ranked.size:
-            prec = dataclasses.replace(prec, v1=prec.v1[ranked],
-                                       v_other=prec.v_other[ranked],
-                                       power_scale=prec.power_scale[ranked])
-            filters = build_filters(ChannelRealization(model, h.diag[ranked]), prec)
-            good = ranked[filters.ok]
-            done = pending[good]
-            v1[done] = prec.v1[filters.ok]
-            v_other[done] = prec.v_other[filters.ok]
-            scale[done] = prec.power_scale[filters.ok]
-            u[done] = filters.u
-            kept[done] = True
-            pending = np.delete(pending, good)
+            h[pending] = redraw(pending)
+        prec = build_precoders(h[pending], plan, cfg.p_max)
+        ranked = check_precoder_ranks(prec, plan).passed
+        prec = PrecoderSet(K, prec.v1[ranked], prec.v_other[ranked],
+                           prec.power_scale[ranked])
+        u_ranked, ok = build_filters(h[pending[ranked]], prec)
+        done = pending[ranked][ok]
+        v1[done], v_other[done], u[done] = prec.v1[ok], prec.v_other[ok], u_ranked
+        scale[done] = prec.power_scale[ok]
+        kept[done] = True
+        pending = pending[~kept[pending]]
         if not pending.size:
             break
-    k = np.flatnonzero(kept)
-    return (ChannelRealization(model, diag[k]),
-            PrecoderSet(K=K, v1=v1[k], v_other=v_other[k], w=prec.w,
-                        power_scale=scale[k]),
-            FilterSet(u=u[k]), kept)
+    return h[kept], PrecoderSet(K, v1[kept], v_other[kept], scale[kept]), u[kept], kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
@@ -308,25 +307,23 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     rngs = [_trial_rng(cfg.seed, i) for i in indices]
 
     def draw(trials):
-        return np.stack([sample_extended_channel(vt, n_ext, cfg.channel_model, rngs[t]).diag
+        return np.stack([sample_extended_channel(vt, n_ext, cfg.channel_model, rngs[t])
                          for t in trials])
 
-    h = ChannelRealization(cfg.channel_model, draw(range(len(rngs))))
+    h = draw(range(len(rngs)))
     kept = np.ones(len(rngs), dtype=bool)
     if cfg.run_snc:
-        h, prec, filters, kept = _usable_channels(cfg, plan, h.diag, draw)
+        h, prec, u, kept = _usable_channels(cfg, plan, h, draw)
     out = {}
     if not kept.any():
         return TrialBatch(kept=kept)
     if cfg.run_cf:
-        cf = np.array(cf_trial_sum_rate(h, rhos, PrimeField(cfg.q), cfg.cf_radius,
-                                        cfg.cap_enabled))  # [point, rate/outage, trial]
-        out["cf_rate"], out["cf_outage"] = cf[:, 0].T, cf[:, 1].T
+        out["cf_rate"], out["cf_outage"] = cf_trial_sum_rate(
+            h, rhos, PrimeField(cfg.q), cfg.cf_radius, cfg.cap_enabled)
     if cfg.run_snc:
         eff = effective_system(plan)
-        out["per_signal"], out["snc_rate"], out["caps"] = stream_rates(
-            per_link_rates(link_gains(prec, filters, eff), sigma2), eff, rhos,
-            cfg.cap_enabled)
+        out["per_signal"], out["snc_rate"] = end_to_end_sum_rate(
+            per_link_rates(link_gains(prec, u, eff), sigma2), eff, rhos, cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
         kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
         msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
@@ -335,32 +332,20 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
         noise = np.stack([sample_noise(sigma2, vt.M, n_ext, cfg.channel_model, rng)
                           for rng in kept_rngs])
         y = transmit(h, prec, x, noise)
-        out["detected"] = cp_recover(eff, filter_and_demodulate(y, filters, eff)).detected_error
+        out["detected"] = cp_recover(eff, filter_and_demodulate(y, u, eff)).detected_error
     return TrialBatch(kept=kept, **out)
 
 
-def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> list[TrialResult]:
+def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> TrialBatch:
     """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*:
-    run_trials on one index.  Raises TrialAbortError when the trial's
-    channel stays degenerate after MAX_RESAMPLES resamples.  Returns one
-    result per SNR value, in order.
+    run_trials on one index, whose TrialBatch it returns.  Raises
+    TrialAbortError when the trial's channel stays degenerate after
+    MAX_RESAMPLES resamples.
     """
     b = run_trials(cfg, snr_dbs, [trial_index])
     if not b.kept[0]:
         raise TrialAbortError(f"degenerate channel after {MAX_RESAMPLES} resamples")
-    none = [None] * len(snr_dbs)
-    reports, detected, cf_rates, outages = none, none, none, none
-    if cfg.run_snc:
-        reports = [RateReport(per_signal=tuple(ps), sum_rate=total, backhaul_cap=cap)
-                   for ps, total, cap in zip(b.per_signal[0].tolist(),
-                                             b.snc_rate[0].tolist(), b.caps.tolist())]
-        detected = b.detected[0].tolist()
-    if cfg.run_cf:
-        cf_rates, outages = b.cf_rate[0].tolist(), b.cf_outage[0].tolist()
-    return [TrialResult(snc_sum_rate=report.sum_rate if report else None,
-                        cf_sum_rate=cf_rate, detected_error=err,
-                        cf_outage_frac=outage, snc_report=report)
-            for report, err, cf_rate, outage in zip(reports, detected, cf_rates, outages)]
+    return b
 
 
 @dataclass(frozen=True)
@@ -400,7 +385,7 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
     elements = M * n_ext * max(n_ext, S * M)
     if cfg.run_cf:
-        elements = max(elements, n_ext * M * (2 * cfg.cf_radius + 1) ** M // 2)
+        elements = max(elements, n_ext * M * search_grid_size(M, cfg.cf_radius) // 2)
     share = cfg.trials if workers <= 1 else cfg.trials // (4 * workers)
     return max(1, min(share, BATCH_ELEMENTS // elements))
 
@@ -430,14 +415,14 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     Trials are evaluated in chunks of consecutive indices (chunk_length),
     each chunk at every SNR point in one stacked pass; set the
     SNCSIM_WORKERS environment variable above 1 for a process pool, which
-    receives the chunks.  A trial's outcome does not depend on its chunk,
-    and aggregation happens in trial-index order, so results do not depend
-    on the worker count.
+    receives the chunks (see worker_count).  A trial's outcome does not
+    depend on its chunk, and aggregation happens in trial-index order, so
+    results do not depend on the worker count.
     """
     cfg.validate()
     vt = cfg.topology_expanded
     n_ext = extension_dims(vt.M, cfg.n).N if cfg.run_snc else 1
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = worker_count()
     res = SweepResult(n_ext=n_ext)
     schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
 

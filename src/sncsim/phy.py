@@ -9,23 +9,21 @@ parity of the detected number of -1 symbols.
 
 Everything after the channel is evaluated for a chunk of trials and the
 whole SNR grid at once: transmit, filter_and_demodulate, link_gains,
-per_link_rates and stream_rates take a leading trial axis, followed by an
-SNR axis where the noise enters.  Rates are arrays over the links of the
-effective system (the nonzero entries of F, grouped by stream), with
-link_gains computed once per channel draw.  end_to_end_sum_rate wraps one
-trial's stream rates in reports.  link_rate and _demod_sum_constellation
-are the per-link and per-value references.
+per_link_rates and end_to_end_sum_rate take the leading trial axis of the
+bare channel array and of the filters, followed by an SNR axis where the
+noise enters.  Rates are arrays over the links of the effective system
+(the nonzero entries of F, grouped by stream), with link_gains computed
+once per channel draw.  link_rate and _demod_sum_constellation are the
+per-link and per-value references.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .snc import EffectiveSystem, FilterSet, PrecoderSet
+from .snc import EffectiveSystem, PrecoderSet
 
 
 class UnsupportedModulationError(Exception):
@@ -42,17 +40,17 @@ def modulate_bpsk(b, q: int = 2) -> np.ndarray:
     return 1.0 - 2.0 * b
 
 
-def transmit(h: ChannelRealization, p: PrecoderSet, x: list[np.ndarray],
+def transmit(h: np.ndarray, p: PrecoderSet, x: list[np.ndarray],
              noise: np.ndarray) -> np.ndarray:
     """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
-    noise (..., K, N); *x* holds the K transmitters' symbol vectors.  For a
-    stack of trials the trial axis of h, p and x leads the noise too, and
-    any further noise axes (SNR points) follow it."""
-    y = np.asarray(noise, dtype=complex if h.model == "complex" else float)
-    lead = h.diag.ndim - 3
+    noise (..., K, N); *x* holds the K transmitters' symbol vectors.  The
+    leading (trial) axes of the channel h, p and x lead the noise too, and
+    any further noise axes (SNR points) follow them."""
+    y = np.asarray(noise, dtype=h.dtype)
+    lead = h.ndim - 3
     for k in range(p.K):
         vx = ((p.v_other if k else p.v1) @ np.asarray(x[k])[..., None])[..., 0]
-        sig = h.diag[..., :p.K, k, :] * vx[..., None, :]
+        sig = h[..., :p.K, k, :] * vx[..., None, :]
         y = y + sig.reshape(sig.shape[:lead] + (1,) * (y.ndim - sig.ndim)
                             + sig.shape[lead:])
     return y
@@ -71,11 +69,11 @@ def _demod_sum_constellation(value: float, m: int) -> int:
     return best_j % 2
 
 
-def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
+def filter_and_demodulate(y: np.ndarray, u: np.ndarray,
                           eff: EffectiveSystem) -> np.ndarray:
-    """Filter the received vectors y (..., K, N) and demodulate them to the
-    network-coded bits (..., K N), stacked in row order of F.  For a stack
-    of trials the filters' trial axis leads y's axes.
+    """Filter the received vectors y (..., K, N) with the filters u of
+    build_filters and demodulate them to the network-coded bits (..., K N),
+    stacked in row order of F.  The filters' trial axis leads y's axes.
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
@@ -83,7 +81,6 @@ def filter_and_demodulate(y: np.ndarray, filters: FilterSet,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    u = filters.u
     u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
     z = np.real(np.einsum("...lij,...lj->...li", u, y))
     m = eff.weights
@@ -105,7 +102,7 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def link_gains(p: PrecoderSet, filters: FilterSet, eff: EffectiveSystem) -> np.ndarray:
+def link_gains(p: PrecoderSet, u: np.ndarray, eff: EffectiveSystem) -> np.ndarray:
     """Noise-free SNR of every link of *eff*, computed once per channel:
     the rate of link j at noise power sigma2 is log2(1 + gains[j] / sigma2).
 
@@ -116,12 +113,12 @@ def link_gains(p: PrecoderSet, filters: FilterSet, eff: EffectiveSystem) -> np.n
     to the budget: the largest column's power, which build_precoders pins
     to p_max.  The filter maps every linked column to a unit vector
     (u^H H v = 1), so the gain of a link is the closed form
-    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).  A stack of trials gives a
-    (T, links) array.
+    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).  The filters u of
+    build_filters and the precoders of those trials give a (T, links) array.
     """
     v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (p.v1, p.v_other))
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (p.K - 1), axis=-1)
-    u_norm2 = np.sum(np.abs(filters.u) ** 2, axis=-1)
+    u_norm2 = np.sum(np.abs(u) ** 2, axis=-1)
     u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
     return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
                                                   * v_norm2[..., eff.link_cols])
@@ -134,35 +131,17 @@ def per_link_rates(gains: np.ndarray, sigma2) -> np.ndarray:
     return np.log2(1.0 + gains[..., None, :] / np.asarray(sigma2, dtype=float)[:, None])
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Per-stream rates, in column order of F, plus the capped end-to-end
-    sum, at one SNR point."""
-
-    per_signal: tuple[float, ...]
-    sum_rate: float  # bits per extension block
-    backhaul_cap: float
-
-
-def stream_rates(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
-                 cap_enabled: bool = True):
-    """(per_signal, sum_rate, caps) from per_link (..., S, links): each
-    stream's rate (..., S, streams) is the minimum over the receivers that
-    decode it; the sum (..., S) caps each at the cooperation-link rate
-    log2(1 + rho_bar), one cap (S,) per SNR in *rho_bars*."""
+def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rhos,
+                        cap_enabled: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(per_signal, sum_rate) from per_link (..., S, links): each stream's
+    rate (..., S, streams), in column order of F, is the minimum over the
+    receivers that decode it; the block sum (..., S) caps each stream at
+    the cooperation-link rate log2(1 + rho) of its SNR in *rhos* when
+    *cap_enabled*."""
     per_signal = np.minimum.reduceat(per_link, eff.stream_start, axis=-1)
-    caps = np.array([math.log2(1.0 + rho) for rho in rho_bars])
+    caps = np.array([math.log2(1.0 + rho) for rho in rhos])
     capped = np.minimum(per_signal, caps[:, None]) if cap_enabled else per_signal
-    return per_signal, np.sum(capped, axis=-1), caps
-
-
-def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rho_bars,
-                        cap_enabled: bool = True) -> list[RateReport]:
-    """One report per SNR in *rho_bars* from one trial's per_link (S, links),
-    with the rates of stream_rates."""
-    per_signal, sums, caps = stream_rates(per_link, eff, rho_bars, cap_enabled)
-    return [RateReport(per_signal=tuple(ps), sum_rate=total, backhaul_cap=cap)
-            for ps, total, cap in zip(per_signal.tolist(), sums.tolist(), caps.tolist())]
+    return per_signal, np.sum(capped, axis=-1)
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,

@@ -14,11 +14,11 @@ The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents.  Per channel draw only the
 precoders, their rank check and the filters with their conditioning check
-remain.  Each of them takes a stack of trials as well as one: a leading
-trial axis on the channel carries through, and every trial's numbers are
-those of its own one-trial call.  cp_recover solves every SNR point of a
-chunk of trials in one call.  verify_alignment is the numerical reference
-the tests hold the construction to.
+remain, all on the bare channel array with a leading trial axis: every
+trial's numbers are those of a stack holding that trial alone.
+cp_recover solves every SNR point of a chunk of trials in one call.
+verify_alignment, on one trial's (M, M, N) channel, is the numerical
+reference the tests hold the construction to.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf import PrimeField, RankDeficientError, gf_inv, gf_select_independent_rows
-from .channel import ChannelRealization
 
 GF2 = PrimeField(2)
 ALIGNMENT_RTOL = 1e-9
@@ -49,14 +48,6 @@ class CapacityError(SncError):
 
 class DegenerateChannelError(SncError):
     """Channel realization unusable (singular desired channel)."""
-
-
-class AlignmentDegenerateError(SncError):
-    """A precoder lost rank (measure-zero channel draw)."""
-
-
-class IllConditionedError(SncError):
-    """Filter inversion numerically unreliable."""
 
 
 def _compositions(total: int, slots: int) -> list[tuple[int, ...]]:
@@ -121,17 +112,16 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
 class PrecoderSet:
     """Precoding matrices ``v1`` (N x N) of transmitter 1 and ``v_other``
     (N x N'), shared by transmitters 2..K, both carrying the single global
-    power scale, and the common seed column ``w``.  For a stack of trials
-    ``v1``, ``v_other`` and ``power_scale`` have a leading trial axis."""
+    power scale.  ``v1``, ``v_other`` and ``power_scale`` share the leading
+    (trial) axes of the channel."""
 
     K: int
     v1: np.ndarray = field(repr=False)
     v_other: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    power_scale: float = 1.0
+    power_scale: np.ndarray
 
 
-def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
+def build_precoders(h: np.ndarray, plan: ExtensionPlan,
                     p_max: float = 1.0) -> PrecoderSet:
     """Construct the precoding matrices from the channel ratio products.
 
@@ -143,21 +133,20 @@ def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
     column-equality alignment).
     """
     K, N = plan.K, plan.N
-    if h.n_ext != N or h.n_tx < K or h.n_rx < K:
+    if h.shape[-1] != N or min(h.shape[-3:-1]) < K:
         raise ValueError("channel realization does not match the plan")
-    base = h.diag[..., :K, 0, :]
+    base = h[..., :K, 0, :]
     bad = np.flatnonzero(np.any(base == 0, axis=-1)) % K
     if bad.size:
         raise DegenerateChannelError(f"singular desired channel at receiver {bad[0]}")
     # diagonals of G[i,j] = H[i,1]^-1 H[i,j], in slot order (i, j), j >= 2
-    g = h.diag[..., :K, 1:K, :] / base[..., None, :]
+    g = h[..., :K, 1:K, :] / base[..., None, :]
     g = g.reshape(*g.shape[:-3], K * (K - 1), N)
     powers = np.stack([g ** e for e in range(plan.n + 1)], axis=-2)  # [slot, e]
-    w = np.ones(N, dtype=complex if h.model == "complex" else float)
     v = []
     for exponents in (plan.tx1_exponents, plan.other_exponents):
         e = np.array(exponents)
-        cols = w
+        cols = np.ones(N, dtype=h.dtype)  # the common seed column
         for slot in range(K * (K - 1)):
             cols = cols * powers[..., slot, e[:, slot], :]
         # C order fixes matvec rounding
@@ -165,27 +154,21 @@ def build_precoders(h: ChannelRealization, plan: ExtensionPlan,
     max_norm2 = np.maximum(*(np.max(np.sum(np.abs(m) ** 2, axis=-2), axis=-1) for m in v))
     scale = np.sqrt(p_max / max_norm2)
     return PrecoderSet(K=K, v1=v[0] * scale[..., None, None],
-                       v_other=v[1] * scale[..., None, None], w=w, power_scale=scale)
+                       v_other=v[1] * scale[..., None, None], power_scale=scale)
 
 
 @dataclass(frozen=True)
 class RankReport:
     """Numerical ranks of transmitter 1's and the shared precoder, and the
-    stream counts they must reach.  For a stack of trials each rank is an
-    array over the trials, and so is ``passed``."""
+    stream counts they must reach.  Each rank, and ``passed``, is an array
+    over the leading (trial) axes of the precoders."""
 
-    ranks: tuple[int, int]
+    ranks: tuple[np.ndarray, np.ndarray]
     expected: tuple[int, int]
 
     @property
     def passed(self):
         return (self.ranks[0] == self.expected[0]) & (self.ranks[1] == self.expected[1])
-
-    def raise_if_deficient(self):
-        if not np.all(self.passed):
-            raise AlignmentDegenerateError(
-                f"precoders of transmitter 1 and transmitters 2..K have ranks "
-                f"{self.ranks}, expected {self.expected}")
 
 
 def check_precoder_ranks(p: PrecoderSet, plan: ExtensionPlan) -> RankReport:
@@ -208,9 +191,10 @@ class AlignmentResult:
         return self.aligned
 
 
-def verify_alignment(h: ChannelRealization, p: PrecoderSet,
+def verify_alignment(h: np.ndarray, p: PrecoderSet,
                      rtol: float = ALIGNMENT_RTOL) -> AlignmentResult:
-    """Check that every interfering column coincides with a desired column.
+    """Check that every interfering column of one trial's channel *h*
+    (M, M, N) and precoders coincides with a desired column.
 
     True iff for every receiver l and transmitter k >= 2, each column of
     H_{l,k} V_k equals (within relative tolerance) some column of
@@ -218,10 +202,10 @@ def verify_alignment(h: ChannelRealization, p: PrecoderSet,
     """
     witness = {}
     for l in range(p.K):
-        desired = h.diag[l, 0][:, None] * p.v1
+        desired = h[l, 0][:, None] * p.v1
         norms = np.linalg.norm(desired, axis=0)
         for k in range(1, p.K):
-            cross = h.diag[l, k][:, None] * p.v_other
+            cross = h[l, k][:, None] * p.v_other
             for c in range(cross.shape[1]):
                 dist = np.linalg.norm(desired - cross[:, c][:, None], axis=0)
                 match = np.where(dist <= rtol * np.maximum(norms, 1e-300))[0]
@@ -231,32 +215,18 @@ def verify_alignment(h: ChannelRealization, p: PrecoderSet,
     return AlignmentResult(True, witness)
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """Per-receiver filtering matrices, stored as applied: x' = u[l] @ y,
-    so u[l] @ (H_{l,1} V_1) is the identity.  ``u`` is one (K, N, N) array,
-    or (T, K, N, N) for the trials of a stack that ``ok`` marks."""
+def build_filters(h: np.ndarray, p: PrecoderSet) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the desired signal space at every receiver, for a stack of
+    trials: the channel (T, M, M, N) and precoders with that trial axis.
 
-    u: np.ndarray = field(repr=False)
-    ok: np.ndarray | None = field(default=None, repr=False)
-
-
-def build_filters(h: ChannelRealization, p: PrecoderSet) -> FilterSet:
-    """Invert the desired signal space at every receiver.
-
-    One trial whose desired space is ill-conditioned at some receiver
-    raises IllConditionedError.  A stack of trials drops such trials
-    instead: ``ok`` marks the kept ones, and only they are inverted.
+    Returns ``(u, ok)``.  ``ok`` (T,) marks the trials whose desired space
+    has condition number at most MAX_CONDITION at every receiver; only they
+    are inverted.  ``u`` (kept trials, K, N, N) holds their filters as
+    applied, x' = u[t, l] @ y, so u[t, l] @ (H_{l,1} V_1) is the identity.
     """
-    prods = h.diag[..., :p.K, 0, :, None] * p.v1[..., None, :, :]
-    bad = np.linalg.cond(prods) > MAX_CONDITION
-    if bad.ndim > 1:
-        ok = ~np.any(bad, axis=-1)
-        return FilterSet(u=np.linalg.inv(prods[ok]), ok=ok)
-    if bad.any():
-        raise IllConditionedError(f"desired signal space at receiver "
-                                  f"{np.flatnonzero(bad)[0]} is nearly singular")
-    return FilterSet(u=np.linalg.inv(prods))
+    prods = h[..., :p.K, 0, :, None] * p.v1[..., None, :, :]
+    ok = ~np.any(np.linalg.cond(prods) > MAX_CONDITION, axis=-1)
+    return np.linalg.inv(prods[ok]), ok
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sncsim.cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
-from sncsim.channel import ChannelRealization, expand_mimo_to_virtual, sample_extended_channel, single_antenna
+from sncsim.channel import expand_mimo_to_virtual, sample_extended_channel, single_antenna
 from sncsim.gf import PrimeField, gf_rank
 
 
@@ -15,15 +15,15 @@ def real_channel(K, N, seed):
 
 def channel_from_rows(rows):
     """One-slot K x K channel whose receiver l sees rows[l]."""
-    return ChannelRealization(model="real", diag=np.array(rows, dtype=float)[:, :, None])
+    return np.array(rows, dtype=float)[:, :, None]
 
 
 def per_point_oracle(h, rho, field, radius, cap_enabled):
     """One SNR point slot by slot, from the per-row reference functions."""
-    K, N = h.n_tx, h.n_ext
+    K, N = h.shape[-2:]
     total, outages = 0.0, 0
     for i in range(N):
-        rows = [np.array([h.diag[l, k][i] for k in range(K)]) for l in range(K)]
+        rows = [np.array([h[l, k][i] for k in range(K)]) for l in range(K)]
         coeffs = [cf_select_coeffs(r, rho, radius) for r in rows]
         if gf_rank(np.vstack(coeffs), field) < K:
             outages += 1
@@ -119,11 +119,11 @@ class TestTrialSumRate:
         h = real_channel(1, 4, seed=0)
         rho = 100.0
         cap = math.log2(1 + rho)
-        [(total, outage)] = cf_trial_sum_rate(h, [rho], PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(h, [rho], PrimeField(2))
         assert outage == 0.0
         expected = sum(
-            min(cf_computation_rate([h.diag[0, 0][i]],
-                                    cf_select_coeffs([h.diag[0, 0][i]], rho), rho), cap)
+            min(cf_computation_rate([h[0, 0][i]],
+                                    cf_select_coeffs([h[0, 0][i]], rho), rho), cap)
             for i in range(4))
         assert total == pytest.approx(expected)
 
@@ -131,7 +131,7 @@ class TestTrialSumRate:
         # both receivers see the same channel row -> same coefficients ->
         # rank-deficient stack, slot contributes nothing
         h = channel_from_rows([[1.3, 0.7], [1.3, 0.7]])
-        [(total, outage)] = cf_trial_sum_rate(h, rhos=[100.0], field=PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(h, rhos=[100.0], field=PrimeField(2))
         assert total == 0.0
         assert outage == 1.0
 
@@ -141,9 +141,9 @@ class TestTrialSumRate:
         for seed in range(30):
             h = real_channel(2, 1, seed=seed)
             rho = 10 ** rng.uniform(1, 4)
-            rows = [np.array([h.diag[l, k][0] for k in range(2)]) for l in range(2)]
+            rows = [np.array([h[l, k][0] for k in range(2)]) for l in range(2)]
             A = np.vstack([cf_select_coeffs(r, rho) for r in rows])
-            [(total, outage)] = cf_trial_sum_rate(h, [rho], field, cap_enabled=False)
+            [total], [outage] = cf_trial_sum_rate(h, [rho], field, cap_enabled=False)
             det_zero = int(round(np.linalg.det(A))) % 2 == 0
             assert (outage == 1.0) == det_zero
             assert (total == 0.0) == det_zero
@@ -168,9 +168,9 @@ class TestTrialSumRate:
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
         for seed in range(4):
             h = real_channel(K, 3, seed=100 * K + seed)
-            got = cf_trial_sum_rate(h, rhos, field, radius, cap_enabled)
-            assert len(got) == len(rhos)
-            for rho, (total, outage) in zip(rhos, got):
+            totals, outages = cf_trial_sum_rate(h, rhos, field, radius, cap_enabled)
+            assert totals.shape == outages.shape == (len(rhos),)
+            for rho, total, outage in zip(rhos, totals, outages):
                 exp_total, exp_outage = per_point_oracle(h, rho, field, radius, cap_enabled)
                 assert outage == exp_outage
                 assert total == pytest.approx(exp_total, rel=1e-9, abs=0.0)
@@ -183,10 +183,10 @@ class TestTrialSumRate:
         rho = 0.5
         assert list(cf_select_coeffs(rows[0], rho)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho)) == [0, 1]
-        [got] = cf_trial_sum_rate(channel_from_rows(rows), [rho], PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho], PrimeField(2))
         expected = per_point_oracle(channel_from_rows(rows), rho, PrimeField(2), 3, True)
-        assert got[1] == expected[1] == 0.0
-        assert got[0] == pytest.approx(expected[0], rel=1e-12)
+        assert outage == expected[1] == 0.0
+        assert total == pytest.approx(expected[0], rel=1e-12)
 
     def test_rate_tie_resolves_in_candidate_order(self):
         # at rho = 0.5 and radius 1, receiver 1's candidates (1, 0) and
@@ -198,6 +198,6 @@ class TestTrialSumRate:
         rho = 0.5
         assert list(cf_select_coeffs(rows[0], rho, radius=1)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho, radius=1)) == [0, 1]
-        [(total, outage)] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
+        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
                                               PrimeField(2), radius=1)
         assert outage == 0.0 and total > 0.0

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sncsim import harness
-from sncsim.cli import USAGE_EXIT, build_parser, parse_cli
+from sncsim.cli import USAGE_EXIT, build_parser, main, parse_cli
 from sncsim.gf import RankDeficientError
 from sncsim.harness import (
     BATCH_ELEMENTS,
@@ -34,8 +34,8 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def one_point(cfg, snr_db, trial_index):
-    [result] = run_trial(cfg, (snr_db,), trial_index)
-    return result
+    """run_trial at one SNR point: a TrialBatch of one trial and one point."""
+    return run_trial(cfg, (snr_db,), trial_index)
 
 
 def small_config(**overrides):
@@ -77,6 +77,42 @@ class TestConfig:
                 cfg.validate()
         small_config(scheme="snc", cf_radius=0).validate()  # CF never runs
 
+    def test_cf_search_grid_is_bounded(self):
+        # (2 radius + 1)^M vectors against MAX_SEARCH_GRID = 2^16: 255^2 fits
+        # and 257^2 does not; M counts virtual users, 3 for (2,1)/(2,1)
+        small_config(scheme="cf", cf_radius=127).validate()
+        with pytest.raises(ConfigError, match="cf_radius"):
+            small_config(scheme="both", cf_radius=128).validate()
+        mimo = dict(tx_antennas=(2, 1), rx_antennas=(2, 1))
+        small_config(scheme="cf", cf_radius=19, **mimo).validate()
+        with pytest.raises(ConfigError):
+            small_config(scheme="cf", cf_radius=20, **mimo).validate()
+        small_config(scheme="snc", cf_radius=10**6).validate()  # CF never runs
+
+    def test_worker_count_is_an_integer_clamped_to_the_cpus(self, monkeypatch):
+        # parsed only: no pool is started here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.delenv("SNCSIM_WORKERS", raising=False)
+        assert harness.worker_count() == 1
+        cases = [("1", 1), ("2", 2), (" 3 ", 3), ("0", 1), ("-4", 1), (str(10**6), 4)]
+        for text, workers in cases:
+            monkeypatch.setenv("SNCSIM_WORKERS", text)
+            assert harness.worker_count() == workers, text
+        for text in ("abc", "2.5", ""):
+            monkeypatch.setenv("SNCSIM_WORKERS", text)
+            with pytest.raises(ConfigError, match="SNCSIM_WORKERS"):
+                harness.worker_count()
+        # where the OS has no sched_getaffinity, the CPU count bounds it
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        for text, workers in [("1", 1), ("0", 1), ("5", 5), (str(10**6), 6)]:
+            monkeypatch.setenv("SNCSIM_WORKERS", text)
+            assert harness.worker_count() == workers, text
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setenv("SNCSIM_WORKERS", "4")
+        assert harness.worker_count() == 1
+
     def test_extension_parameter_must_be_positive(self):
         for scheme in ("snc", "cf", "both"):
             with pytest.raises(ConfigError):
@@ -110,6 +146,8 @@ class TestConfig:
         dict(snr_start=-4000.0, snr_stop=-4000.0, snr_step=1.0),
         dict(p_max=1e300, snr_start=100.0, snr_stop=100.0, snr_step=1.0),
         dict(p_max=1e-320),
+        # the coefficient search would enumerate (2 10^6 + 1)^3 vectors
+        dict(K=3, scheme="cf", cf_radius=10**6),
     ])
     def test_rejects_input_that_would_fail_mid_sweep(self, overrides):
         with pytest.raises(ConfigError):
@@ -159,13 +197,13 @@ class TestRunTrial:
         cfg = small_config()
         a = run_trial(cfg, cfg.snr_grid, trial_index=3)
         b = run_trial(cfg, cfg.snr_grid, trial_index=3)
-        assert a == b
+        assert trial_rows(a) == trial_rows(b)
 
     def test_distinct_trials_differ(self):
         cfg = small_config()
         a = one_point(cfg, 20.0, trial_index=0)
         b = one_point(cfg, 20.0, trial_index=1)
-        assert a.snc_sum_rate != b.snc_sum_rate
+        assert a.snc_rate[0, 0] != b.snc_rate[0, 0]
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="snc", n=2, channel_model="complex"),
@@ -182,16 +220,17 @@ class TestRunTrial:
         aborted = 0
         for i in range(6):
             try:
-                grid = run_trial(cfg, cfg.snr_grid, i)
+                [grid] = trial_rows(run_trial(cfg, cfg.snr_grid, i))
             except TrialAbortError:
                 aborted += 1
                 for snr_db in cfg.snr_grid:
                     with pytest.raises(TrialAbortError):
                         one_point(cfg, snr_db, i)
                 continue
-            assert len(grid) == len(cfg.snr_grid)
+            assert all(row is None or len(row) == len(cfg.snr_grid) for row in grid)
             for p, snr_db in enumerate(cfg.snr_grid):
-                assert grid[p] == one_point(cfg, snr_db, i)
+                point =tuple(None if row is None else row[p:p + 1] for row in grid)
+                assert trial_rows(one_point(cfg, snr_db, i)) == [point]
         if cfg.n == 10:
             assert 0 < aborted < 6  # both paths were exercised
 
@@ -199,7 +238,7 @@ class TestRunTrial:
         cfg = small_config(scheme="snc")
         r = one_point(cfg, 0.0, trial_index=0)
         # every stream capped at log2(2) = 1 bit; 3 streams over N=2 slots
-        assert r.snc_sum_rate <= 3.0 + 1e-12
+        assert r.snc_rate[0, 0] <= 3.0 + 1e-12
 
     def test_equal_rate_structure_at_high_snr(self):
         # rate-report structure at 60 dB, cap disabled: 5 streams carry the
@@ -209,11 +248,11 @@ class TestRunTrial:
         sums, streams = [], []
         for i in range(30):
             r = one_point(cfg, 60.0, i)
-            assert len(r.snc_report.per_signal) == 5
-            assert r.snc_sum_rate == pytest.approx(
-                sum(r.snc_report.per_signal), rel=1e-12)
-            sums.append(r.snc_sum_rate)
-            streams.extend(r.snc_report.per_signal)
+            [[per_signal]], [[sum_rate]] = r.per_signal.tolist(), r.snc_rate.tolist()
+            assert len(per_signal) == 5
+            assert sum_rate == pytest.approx(sum(per_signal), rel=1e-12)
+            sums.append(sum_rate)
+            streams.extend(per_signal)
         assert np.mean(sums) == pytest.approx(5 * np.mean(streams), rel=0.05)
 
 
@@ -259,14 +298,7 @@ class TestRunTrials:
                 with pytest.raises(TrialAbortError):
                     run_trial(cfg, cfg.snr_grid, i)
                 continue
-            results = run_trial(cfg, cfg.snr_grid, i)
-            snc_rate, per_signal, detected, cf_rate, cf_outage = row
-            assert [r.snc_sum_rate for r in results] == (snc_rate or [None] * len(results))
-            assert [r.detected_error for r in results] == (detected or [None] * len(results))
-            assert [r.cf_sum_rate for r in results] == (cf_rate or [None] * len(results))
-            assert [r.cf_outage_frac for r in results] == (cf_outage or [None] * len(results))
-            if per_signal is not None:
-                assert [list(r.snc_report.per_signal) for r in results] == per_signal
+            assert trial_rows(run_trial(cfg, cfg.snr_grid, i)) == [row]
         if cfg.n == 10:
             aborted = [i for i, row in enumerate(rows) if row is None]
             assert 0 < len(aborted) < T  # both paths were exercised
@@ -298,7 +330,7 @@ class TestRunSweep:
         sample = one_point(cfg, 20.0, 0)
         pt = res.point("snc", 20.0)
         assert pt.trials == 1
-        assert pt.mean_sum_rate == pytest.approx(sample.snc_sum_rate / res.n_ext)
+        assert pt.mean_sum_rate == pytest.approx(sample.snc_rate[0, 0] / res.n_ext)
         assert pt.std_sum_rate == 0.0
 
     def test_mean_matches_streaming_recomputation(self):
@@ -307,7 +339,7 @@ class TestRunSweep:
         res = run_sweep(cfg)
         mean = 0.0
         for i in range(20):
-            x = one_point(cfg, 10.0, i).snc_sum_rate / res.n_ext
+            x = one_point(cfg, 10.0, i).snc_rate[0, 0] / res.n_ext
             mean += (x - mean) / (i + 1)
         assert abs(res.point("snc", 10.0).mean_sum_rate - mean) < 1e-12
 
@@ -402,13 +434,18 @@ class TestWriteResults:
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = small_config(trials=24, snr_stop=10.0)
-        # 1, 2 and 3 workers chunk the trials differently
-        assert len({chunk_length(cfg, w) for w in (1, 2, 3)}) == 3
-        outputs = []
+        # 3 usable CPUs, so that 1, 2 and 3 workers reach run_sweep unclamped
+        # and chunk the trials differently
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        chunks, outputs = set(), []
         for workers in (1, 2, 3):
             monkeypatch.setenv("SNCSIM_WORKERS", str(workers))
+            assert harness.worker_count() == workers
+            chunks.add(chunk_length(cfg, harness.worker_count()))
             paths = write_results(run_sweep(cfg), cfg, tmp_path / f"w{workers}.csv")
             outputs.append([p.read_bytes() for p in paths])
+        assert len(chunks) == 3
         assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -469,12 +506,21 @@ class TestCli:
         ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr=-4000:-4000:1"],
         ["--p-max", "1e300", "--snr", "100:100:1"],
         ["--p-max", "1e-320"],
+        ["--users", "3", "--ext-n", "1", "--scheme", "cf", "--cf-radius", "1000000"],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_cli(argv)
         assert exc.value.code == USAGE_EXIT
         assert "error" in capsys.readouterr().err
+
+    def test_bad_worker_count_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SNCSIM_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--trials", "1", "--snr", "10:10:10", "--ext-n", "1"])
+        assert exc.value.code == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert "SNCSIM_WORKERS" in err and "Traceback" not in err
 
     def test_negative_snr_start_needs_equals_form(self):
         # argparse reads "-10:0:5" after "--snr" as an option, not a value

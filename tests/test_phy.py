@@ -17,15 +17,13 @@ from sncsim.phy import (
 )
 from sncsim.channel import sample_noise
 from sncsim.snc import (
-    IllConditionedError,
-    build_filters,
     build_precoders,
     check_precoder_ranks,
     cp_recover,
     effective_system,
     extension_dims,
 )
-from tests.test_snc import build_all, make_channel, precoder
+from tests.test_snc import build_all, make_channel, one_trial_filters, precoder
 
 
 class TestModulation:
@@ -53,7 +51,7 @@ class TestTransmit:
         # zero out the interferer and undo precoding/channel by hand
         x = [np.array([1.0, -1.0]), np.zeros(1)]
         y = transmit(h, p, x, np.zeros((2, 2)))
-        expected = h.diag[0, 0] * (p.v1 @ x[0])
+        expected = h[0, 0] * (p.v1 @ x[0])
         assert np.allclose(y[0], expected)
 
     def test_superposition_linearity(self):
@@ -74,8 +72,8 @@ class TestTransmit:
         n = np.array([[0.1, -0.2], [0.0, 0.3]])
         y = transmit(h, p, x, n)
         for l in range(2):
-            manual = (h.diag[l, 0] * (p.v1 @ x[0])
-                      + h.diag[l, 1] * (p.v_other @ x[1]) + n[l])
+            manual = (h[l, 0] * (p.v1 @ x[0])
+                      + h[l, 1] * (p.v_other @ x[1]) + n[l])
             assert np.allclose(y[l], manual, atol=1e-12)
 
 
@@ -118,7 +116,7 @@ class TestDemodulation:
                            + 1j * rng.standard_normal((3, plan.N)))
             y = transmit(h, p, [modulate_bpsk(b) for b in msgs], noise)
             out = filter_and_demodulate(y, f, eff)
-            z = np.concatenate([np.real(f.u[l] @ y[l]) for l in range(3)])
+            z = np.concatenate([np.real(f[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
             assert out.tolist() == slow
 
@@ -174,9 +172,9 @@ class TestRates:
                 (0, 2): 4.0, (3, 2): 2.5}
         assert set(rate) == set(zip(eff.link_rows.tolist(), eff.link_cols.tolist()))
         per_link = np.array([rate[r, c] for r, c in zip(eff.link_rows, eff.link_cols)])
-        [report] = end_to_end_sum_rate(per_link[None], eff, [1.0], cap_enabled=False)
-        assert report.per_signal == (2.0, 1.0, 2.5)
-        assert report.sum_rate == 5.5
+        per_signal, sums = end_to_end_sum_rate(per_link[None], eff, [1.0], cap_enabled=False)
+        assert per_signal.tolist() == [[2.0, 1.0, 2.5]]
+        assert sums.tolist() == [5.5]
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
@@ -198,9 +196,8 @@ class TestRates:
                 p = build_precoders(h, plan)
                 if not check_precoder_ranks(p, plan).passed:
                     continue
-                try:
-                    f = build_filters(h, p)
-                except IllConditionedError:
+                f = one_trial_filters(h, p)
+                if f is None:
                     continue
                 kept += 1
                 gains = link_gains(p, f, eff)
@@ -213,9 +210,9 @@ class TestRates:
                         k = int(np.searchsorted(eff.col_offset, c, side="right")) - 1
                         col = precoder(p, k)[:, c - eff.col_offset[k]]
                         col = col * math.sqrt(budget) / float(np.linalg.norm(col))
-                        u = np.conj(f.u[l][i, :])
+                        u = np.conj(f[l][i, :])
                         assert rate == pytest.approx(
-                            link_rate(u, col, h.diag[l, k], sigma2), rel=1e-9, abs=0.0)
+                            link_rate(u, col, h[l, k], sigma2), rel=1e-9, abs=0.0)
             assert kept >= 3, (K, n)
 
 
@@ -223,26 +220,26 @@ class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
         per_link = np.full((1,) + eff.link_rows.shape, 5.0)
-        [report] = end_to_end_sum_rate(per_link, eff, [1.0])
-        assert report.backhaul_cap == pytest.approx(1.0)
-        assert report.sum_rate == pytest.approx(3.0)  # 3 streams capped at 1
+        _, [total] = end_to_end_sum_rate(per_link, eff, [1.0])
+        assert total == pytest.approx(3.0)  # 3 streams capped at log2(1 + 1) = 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
         per_link = np.full((1,) + eff.link_rows.shape, 0.5)
-        [report] = end_to_end_sum_rate(per_link, eff, [1e6])
-        assert report.sum_rate == pytest.approx(1.5)
+        _, [total] = end_to_end_sum_rate(per_link, eff, [1e6])
+        assert total == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
         per_link = np.full((1,) + eff.link_rows.shape, 2.0)
-        assert end_to_end_sum_rate(per_link, eff, [0.0])[0].sum_rate == 0.0
+        _, [total] = end_to_end_sum_rate(per_link, eff, [0.0])
+        assert total == 0.0
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
         rates = per_link_rates(link_gains(p, f, eff), [1.0 / rho for rho in rhos])
-        totals = [r.sum_rate for r in end_to_end_sum_rate(rates, eff, rhos)]
+        totals = end_to_end_sum_rate(rates, eff, rhos)[1].tolist()
         assert totals == sorted(totals)
 
 
@@ -263,7 +260,7 @@ class TestSnrBatch:
         fwd = filter_and_demodulate(y, f, eff)
         rec = cp_recover(eff, fwd)
         rates = per_link_rates(link_gains(p, f, eff), sigma2)
-        reports = end_to_end_sum_rate(rates, eff, rhos)
+        per_signal, sums = end_to_end_sum_rate(rates, eff, rhos)
         assert noise.shape == y.shape == (len(rhos), K, plan.N)
         assert fwd.shape == (len(rhos), K * plan.N)
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
@@ -278,7 +275,9 @@ class TestSnrBatch:
                 assert np.array_equal(m1, m[s])
             [rates1] = per_link_rates(link_gains(p, f, eff), [s2])
             assert np.array_equal(rates1, rates[s])
-            assert end_to_end_sum_rate(rates1[None], eff, [rho]) == [reports[s]]
+            per_signal1, sums1 = end_to_end_sum_rate(rates1[None], eff, [rho])
+            assert np.array_equal(per_signal1, per_signal[s:s + 1])
+            assert np.array_equal(sums1, sums[s:s + 1])
 
 
 class TestDofSlope:
