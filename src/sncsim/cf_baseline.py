@@ -9,10 +9,12 @@ is an outage and contributes zero rate.
 
 cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid,
 on the bare (T, K, K, N) channel array: the projections of every (trial,
-slot, receiver) channel row on every candidate are computed once, each SNR
-point is one array pass over them, and one batched GF(q) test decides the
+slot, receiver) channel row on every candidate are computed once into one
+array, each SNR point is one array pass over them into one rate buffer that
+every point of the chunk reuses, and one batched GF(q) test decides the
 outage of every (trial, point, slot).  It returns (T, S) arrays.
-cf_select_coeffs and cf_computation_rate are the per-row references.
+cf_select_coeffs evaluates the same rate function on one row; it and
+cf_computation_rate are the per-row references.
 """
 
 from __future__ import annotations
@@ -78,18 +80,28 @@ def _candidates(K: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 def _projections(H, cand):
     """(proj, hh) for the channel rows h of H, shape (..., K):
     proj[..., c] = (h . cand[c])^2 and hh[..., 0] = ||h||^2.  The dot
-    products are summed term by term, so a row's values do not depend on
-    the batch shape."""
-    K = cand.shape[1]
-    proj = sum(H[..., k, None] * cand[:, k] for k in range(K)) ** 2
-    return proj, np.sum(H * H, axis=-1)[..., None]
+    products are summed term by term into one array, so a row's values do
+    not depend on the batch shape."""
+    proj = H[..., 0, None] * cand[:, 0]
+    term = np.empty_like(proj)
+    for k in range(1, cand.shape[1]):
+        proj += np.multiply(H[..., k, None], cand[:, k], out=term)
+    return np.square(proj, out=proj), np.sum(H * H, axis=-1)[..., None]
 
 
-def _rates(proj, hh, norm2, rho: float) -> np.ndarray:
+def _rates(proj, hh, norm2, rho: float, out=None) -> np.ndarray:
     """Computation rates of every candidate at SNR rho (the formula of
-    cf_computation_rate, clamped the same way)."""
-    denom = np.maximum(norm2 - rho * proj / (1.0 + rho * hh), np.finfo(float).tiny)
-    return np.maximum(0.0, 0.5 * np.log2(1.0 / denom))
+    cf_computation_rate, clamped the same way), written into *out* (shaped
+    like proj; a new array when None) one operation at a time, so a caller
+    that evaluates many SNR points reuses one buffer."""
+    out = np.multiply(rho, proj, out=out)
+    np.divide(out, 1.0 + rho * hh, out=out)
+    np.subtract(norm2, out, out=out)
+    np.maximum(out, np.finfo(float).tiny, out=out)
+    np.divide(1.0, out, out=out)
+    np.log2(out, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.maximum(0.0, out, out=out)
 
 
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
@@ -131,9 +143,10 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     cand, norm2 = _candidates(K, radius)
     H = np.moveaxis(h, -1, -3)  # H[..., slot, receiver, transmitter]
     proj, hh = _projections(H, cand)
+    rates = np.empty_like(proj)  # every point's rates, one at a time
     slot_rates, picks = [], []
     for rho in rhos:
-        rates = _rates(proj, hh, norm2, rho)
+        _rates(proj, hh, norm2, rho, out=rates)
         picks.append(np.argmax(rates, axis=-1))  # first maximizer: the tie-break order
         r = rates.max(axis=-1).min(axis=-1)
         slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)

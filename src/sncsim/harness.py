@@ -19,7 +19,9 @@ only the trials whose draw was degenerate, then evaluates the whole SNR
 grid of every kept trial in one array pass.  The compute-and-forward leg
 runs once per chunk over the grid and draws no randomness.  The arrays of
 a chunk are the only shape: run_trial is run_trials on one index and
-returns its one-trial TrialBatch.
+returns its one-trial TrialBatch.  run_sweep joins the chunks' outcomes
+into [point, kept trial] arrays and aggregates every point of a scheme in
+one pass over the trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
@@ -111,8 +113,9 @@ def worker_count() -> int:
 
 
 def snr_levels(p_max: float, snr_dbs) -> tuple[list[float], np.ndarray]:
-    """The linear SNR rho = p_max 10^(snr/10) and the noise variance
-    sigma2 = p_max / rho of every SNR point in dB.
+    """The linear SNR rho = 10^(snr/10) and the noise variance
+    sigma2 = p_max / rho of every SNR point in dB, so that the per-signal
+    SNR p_max / sigma2 is the labelled one whatever p_max is.
 
     Raises ConfigError unless p_max and every rho and sigma2 lie in
     LEVEL_RANGE, which excludes every value that is not a finite, positive,
@@ -125,13 +128,13 @@ def snr_levels(p_max: float, snr_dbs) -> tuple[list[float], np.ndarray]:
     rhos, sigma2 = [], []
     for snr_db in snr_dbs:
         try:
-            rho = p_max * 10.0 ** (snr_db / 10.0)
+            rho = 10.0 ** (snr_db / 10.0)
             s2 = p_max / rho
         except (OverflowError, ZeroDivisionError):
             rho = s2 = math.nan
         if not (lo <= rho <= hi and lo <= s2 <= hi):
             raise ConfigError(f"at {snr_db:g} dB with p_max {p_max:g}, the linear SNR "
-                              "p_max 10^(snr/10) or the noise variance p_max / rho "
+                              "10^(snr/10) or the noise variance p_max / rho "
                               f"leaves [{lo:g}, {hi:g}]")
         rhos.append(rho)
         sigma2.append(s2)
@@ -390,23 +393,27 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     return max(1, min(share, BATCH_ELEMENTS // elements))
 
 
-def _sweep_point(scheme: str, snr_db: float, rates: np.ndarray, n_ext: int,
-                 outages: np.ndarray | None = None,
-                 detected: np.ndarray | None = None) -> SweepPoint:
+def _sweep_points(scheme: str, snr_dbs, rates: np.ndarray, n_ext: int,
+                  outages: np.ndarray | None = None,
+                  detected: np.ndarray | None = None) -> list[SweepPoint]:
     """Aggregate the kept trials' block rates, CF outages and detected-error
-    flags at one SNR point.  When every trial aborted there is nothing to
-    average: the rates are NaN."""
-    if not len(rates):
-        return SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=math.nan,
-                          std_sum_rate=math.nan, trials=0, outage_frac=0.0,
-                          detected_err_frac=0.0)
+    flags, each a [point, kept trial] array, in one pass over the trial
+    axis: one SweepPoint per SNR in *snr_dbs*.  When every trial aborted
+    there is nothing to average: the rates are NaN."""
+    trials = rates.shape[1]
+    if not trials:
+        return [SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=math.nan,
+                           std_sum_rate=math.nan, trials=0, outage_frac=0.0,
+                           detected_err_frac=0.0) for snr_db in snr_dbs]
     samples = rates / n_ext
-    return SweepPoint(
-        scheme=scheme, snr_db=snr_db, mean_sum_rate=float(samples.mean()),
-        std_sum_rate=float(samples.std()), trials=len(rates),
-        outage_frac=float(np.mean(outages)) if outages is not None else 0.0,
-        detected_err_frac=(int(np.count_nonzero(detected)) / len(rates)
-                           if detected is not None else 0.0))
+    zeros = np.zeros(len(snr_dbs))
+    outage = outages.mean(axis=1) if outages is not None else zeros
+    err = np.count_nonzero(detected, axis=1) / trials if detected is not None else zeros
+    return [SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=float(m),
+                       std_sum_rate=float(sd), trials=trials, outage_frac=float(o),
+                       detected_err_frac=float(e))
+            for snr_db, m, sd, o, e in zip(snr_dbs, samples.mean(axis=1),
+                                           samples.std(axis=1), outage, err)]
 
 
 def run_sweep(cfg: SimConfig) -> SweepResult:
@@ -443,21 +450,15 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
         parts = [getattr(b, name) for b in kept] or [np.empty((0, len(cfg.snr_grid)))]
         return np.ascontiguousarray(np.concatenate(parts).T)
 
+    per_scheme = []
     if cfg.run_snc:
-        snc_rate, detected = rows("snc_rate"), rows("detected")
+        per_scheme.append(_sweep_points("snc", cfg.snr_grid, rows("snc_rate"), n_ext,
+                                        detected=rows("detected")))
     if cfg.run_cf:
-        cf_rate, cf_outage = rows("cf_rate"), rows("cf_outage")
-    empty = []
-    for p, snr_db in enumerate(cfg.snr_grid):
-        res.aborted_trials += aborted
-        if not kept:
-            empty.append(snr_db)
-        if cfg.run_snc:
-            res.points.append(_sweep_point("snc", snr_db, snc_rate[p], n_ext,
-                                           detected=detected[p]))
-        if cfg.run_cf:
-            res.points.append(_sweep_point("cf", snr_db, cf_rate[p], n_ext,
-                                           outages=cf_outage[p]))
+        per_scheme.append(_sweep_points("cf", cfg.snr_grid, rows("cf_rate"), n_ext,
+                                        outages=rows("cf_outage")))
+    res.points = [pt for at_point in zip(*per_scheme) for pt in at_point]
+    res.aborted_trials = aborted * len(cfg.snr_grid)
 
     if not cfg.cap_enabled:
         lo, hi = cfg.dof_window_db
@@ -475,9 +476,9 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     if res.aborted_trials > 0.01 * total:
         notes.append(f"{res.aborted_trials} of {total} trials aborted "
                      "on degenerate channels")
-    if empty:
+    if not kept:
         notes.append("every trial aborted at "
-                     + ", ".join(f"{s:g} dB" for s in empty)
+                     + ", ".join(f"{s:g} dB" for s in cfg.snr_grid)
                      + "; no rates there")
     res.warning = "; ".join(notes) or None
     return res

@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sncsim import cf_baseline
 from sncsim.cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
 from sncsim.channel import expand_mimo_to_virtual, sample_extended_channel, single_antenna
-from sncsim.gf import PrimeField, gf_rank
+from sncsim.gf import PrimeField, gf_full_rank, gf_rank
 
 
 def real_channel(K, N, seed):
@@ -33,6 +35,29 @@ def per_point_oracle(h, rho, field, radius, cap_enabled):
             r_min = min(r_min, math.log2(1.0 + rho))
         total += K * r_min
     return total, outages / N
+
+
+def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
+    """cf_trial_sum_rate written with a new array for every operation: the
+    same operations in the same order as the buffered leg, so the two must
+    agree bit for bit."""
+    K, N = h.shape[-2:]
+    cand, norm2 = cf_baseline._candidates(K, radius)
+    H = np.moveaxis(h, -1, -3)
+    proj = sum(H[..., k, None] * cand[:, k] for k in range(K)) ** 2
+    hh = np.sum(H * H, axis=-1)[..., None]
+    slot_rates, picks = [], []
+    for rho in rhos:
+        denom = np.maximum(norm2 - rho * proj / (1.0 + rho * hh), np.finfo(float).tiny)
+        rates = np.maximum(0.0, 0.5 * np.log2(1.0 / denom))
+        picks.append(np.argmax(rates, axis=-1))
+        r = rates.max(axis=-1).min(axis=-1)
+        slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
+    slot_rates = np.stack(slot_rates, axis=-2)
+    full = gf_full_rank(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), field)
+    full = full.reshape(slot_rates.shape)
+    totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
+    return totals, np.count_nonzero(~full, axis=-1) / N
 
 
 class TestComputationRate:
@@ -201,3 +226,56 @@ class TestTrialSumRate:
         [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
                                               PrimeField(2), radius=1)
         assert outage == 0.0 and total > 0.0
+
+
+class TestRateBuffer:
+    RHOS = [10.0 ** (snr_db / 10.0) for snr_db in range(-10, 61, 5)]
+
+    @pytest.mark.parametrize("cap_enabled", [True, False])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("K, radius", itertools.product([1, 2, 3, 4], [1, 2, 3]))
+    def test_buffered_leg_equals_allocating_leg(self, K, radius, q, cap_enabled):
+        field = PrimeField(q)
+        for T in (1, 5):
+            h = np.random.default_rng([K, radius, q, T]).standard_normal((T, K, K, 3))
+            got = cf_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
+            want = allocating_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("rows, radius", [
+        ([[1.0, 1.0], [0.1, 2.0]], 3),
+        ([[0.9883184241510566, 0.988318424151057], [0.1, 2.0]], 1),
+    ])
+    def test_pinned_tie_rows_equal_allocating_leg(self, rows, radius):
+        h = channel_from_rows(rows)
+        for cap_enabled in (True, False):
+            got = cf_trial_sum_rate(h, [0.5, 10.0], PrimeField(2), radius, cap_enabled)
+            want = allocating_trial_sum_rate(h, [0.5, 10.0], PrimeField(2), radius,
+                                             cap_enabled)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_rates_into_buffer_equal_new_array(self):
+        cand, norm2 = cf_baseline._candidates(3, 2)
+        H = np.random.default_rng(5).standard_normal((4, 2, 3))
+        proj, hh = cf_baseline._projections(H, cand)
+        buf = np.full_like(proj, np.nan)  # stale contents must not leak
+        for rho in self.RHOS:
+            want = cf_baseline._rates(proj, hh, norm2, rho)
+            got = cf_baseline._rates(proj, hh, norm2, rho, out=buf)
+            assert got is buf and np.array_equal(got, want)
+
+    def test_rates_clamp_like_the_reference(self):
+        # candidate 0: rho proj / (1 + rho hh) exceeds ||a||^2, so the
+        # denominator is negative and clamps to tiny; candidate 1: the
+        # denominator is above 1, so the rate clamps to 0; candidate 2: a
+        # denominator of exactly 0
+        proj = np.array([[4.0, 0.0, 1.0]])
+        hh = np.array([[1.0]])
+        norm2 = np.array([1.0, 2.0, 1.0])
+        rho = 2.0 ** 60
+        tiny_rate = 0.5 * math.log2(1.0 / np.finfo(float).tiny)
+        want = np.array([[tiny_rate, 0.0, tiny_rate]])
+        buf = np.empty_like(proj)
+        for out in (None, buf):
+            assert np.array_equal(cf_baseline._rates(proj, hh, norm2, rho, out=out), want)

@@ -8,6 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,16 @@ from sncsim.harness import (
 )
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SRC_DIR = BENCH_DIR.parent / "src"
+
+
+def cli_env():
+    """The environment for a `python -m sncsim.cli` child process: this
+    checkout's src first on PYTHONPATH, so the CLI runs without an
+    installed package."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([str(SRC_DIR)] + ([path] if path else [])))
 
 
 def one_point(cfg, snr_db, trial_index):
@@ -140,8 +151,8 @@ class TestConfig:
         dict(snr_stop=math.nan),
         dict(snr_step=math.inf),
         dict(snr_start=10.0, snr_stop=0.0, snr_step=5.0),
-        # rho = p_max 10^(snr/10) or sigma2 = p_max / rho leaves the normal
-        # floats: overflow, division by zero, infinite rates, subnormal rho
+        # rho = 10^(snr/10) or sigma2 = p_max / rho leaves the normal floats:
+        # overflow, division by zero, infinite rates, subnormal sigma2
         dict(snr_start=4000.0, snr_stop=4000.0, snr_step=1.0),
         dict(snr_start=-4000.0, snr_stop=-4000.0, snr_step=1.0),
         dict(p_max=1e300, snr_start=100.0, snr_stop=100.0, snr_step=1.0),
@@ -372,6 +383,31 @@ class TestRunSweep:
         assert res.dof_slopes == {}
         assert "40 dB" in res.warning
 
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(scheme="snc", n=2, channel_model="complex"),
+        dict(K=3, scheme="both"),
+        dict(scheme="snc", channel_model="complex", cap_enabled=False),
+    ])
+    def test_p_max_does_not_move_the_snr_label(self, overrides):
+        # rho = 10^(snr/10) and sigma2 = p_max / rho, so the per-signal SNR
+        # p_max / sigma2 is the labelled one.  A power-of-two p_max scales
+        # precoders, filters, gains and noise exactly, so every point is
+        # equal; another p_max changes them only by rounding.
+        cfg = small_config(trials=20, snr_start=0.0, snr_stop=40.0, **overrides)
+        ref = run_sweep(cfg).points
+        assert run_sweep(dataclasses.replace(cfg, p_max=4.0)).points == ref
+        other = run_sweep(dataclasses.replace(cfg, p_max=100.0)).points
+        assert len(other) == len(ref)
+        for got, want in zip(other, ref):
+            assert (got.scheme, got.snr_db, got.trials) == (want.scheme, want.snr_db,
+                                                            want.trials)
+            values = [got.mean_sum_rate, got.std_sum_rate, got.outage_frac,
+                      got.detected_err_frac]
+            assert values == pytest.approx([want.mean_sum_rate, want.std_sum_rate,
+                                            want.outage_frac, want.detected_err_frac],
+                                           rel=1e-12, abs=0.0)
+
     def test_pinned_sweeps_match_golden(self, monkeypatch):
         # the benchmark's reference sweeps, each with its worker count
         golden = json.loads((BENCH_DIR / "golden.json").read_text())["workloads"]
@@ -391,6 +427,47 @@ class TestRunSweep:
                        pt.detected_err_frac]
                 assert got == pytest.approx(values, rel=1e-9, abs=1e-12), (
                     name, scheme, snr_db)
+
+
+class TestAggregation:
+    GRID = (0.0, 10.0, 20.0)
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000])
+    def test_one_pass_equals_per_point_reductions(self, trials):
+        # the [point, kept trial] pass gives each point what np.mean, np.std
+        # and np.count_nonzero give on that point's row, bit for bit
+        rng = np.random.default_rng(trials)
+        shape = (len(self.GRID), trials)
+        rates = rng.exponential(3.0, shape)
+        outages = rng.integers(0, 4, shape) / 3
+        detected = rng.random(shape) < 0.3
+        n_ext = 3
+        snc = harness._sweep_points("snc", self.GRID, rates, n_ext, detected=detected)
+        cf = harness._sweep_points("cf", self.GRID, rates, n_ext, outages=outages)
+        for p, snr_db in enumerate(self.GRID):
+            samples = rates[p] / n_ext
+            for pt in (snc[p], cf[p]):
+                assert (pt.snr_db, pt.trials) == (snr_db, trials)
+                assert pt.mean_sum_rate == float(np.mean(samples))
+                assert pt.std_sum_rate == float(np.std(samples))
+                # plain floats, whose repr the CSV writes
+                assert {type(v) for v in dataclasses.astuple(pt)[2:]} == {float, int}
+            assert snc[p].detected_err_frac == (int(np.count_nonzero(detected[p]))
+                                                / trials)
+            assert cf[p].outage_frac == float(np.mean(outages[p]))
+            assert snc[p].outage_frac == cf[p].detected_err_frac == 0.0
+
+    def test_no_kept_trial_gives_nan_rates_without_warnings(self):
+        empty = np.empty((len(self.GRID), 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = (harness._sweep_points("snc", self.GRID, empty, 3, detected=empty)
+                      + harness._sweep_points("cf", self.GRID, empty, 1, outages=empty))
+        assert [pt.snr_db for pt in points] == list(self.GRID) * 2
+        for pt in points:
+            assert pt.trials == 0
+            assert math.isnan(pt.mean_sum_rate) and math.isnan(pt.std_sum_rate)
+            assert pt.outage_frac == pt.detected_err_frac == 0.0
 
 
 def test_traced_layers_exist():
@@ -484,7 +561,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "sncsim.cli", "--users", "2", "--ext-n", "2000000",
              "--scheme", "snc"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == USAGE_EXIT
         assert "Traceback" not in proc.stderr and "extension length" in proc.stderr
 
@@ -540,7 +617,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "sncsim.cli", "--users", "2", "--ext-n", "1",
              "--trials", "2", "--snr", "10:20:10", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and out.with_suffix(".json").exists()
 
@@ -549,5 +626,5 @@ class TestCli:
             [sys.executable, "-m", "sncsim.cli", "--trials", "1",
              "--snr", "10:10:10", "--ext-n", "1",
              "--out", str(tmp_path / "missing_dir" / "x.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2
