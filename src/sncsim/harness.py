@@ -19,7 +19,11 @@ only the trials whose draw was degenerate, then evaluates the whole SNR
 grid of every kept trial in one array pass.  The compute-and-forward leg
 runs once per chunk over the grid and draws no randomness.  The arrays of
 a chunk are the only shape: run_trial is run_trials on one index and
-returns its one-trial TrialBatch.  run_sweep joins the chunks' outcomes
+returns its one-trial TrialBatch.  A sweep that fits one chunk of at most
+BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
+says: a process pool could not amortise its start-up over one chunk.  A
+larger sweep goes to a pool of at most SNCSIM_WORKERS processes in chunks
+of trials // (4 workers) trials.  run_sweep joins the chunks' outcomes
 into [point, kept trial] arrays and aggregates every point of a scheme in
 one pass over the trial axis.
 
@@ -46,6 +50,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here means forked pool
+# workers inherit it instead of each loading it on its first trial
+from numpy.random import SeedSequence, default_rng
 
 from . import __version__
 from .channel import (
@@ -99,8 +106,9 @@ class TrialAbortError(Exception):
 def worker_count() -> int:
     """The process count that SNCSIM_WORKERS asks for (default 1), at least
     1 and at most the CPUs this process may use (all CPUs where the OS
-    cannot say), so that a typo cannot fork thousands of processes.  Raises
-    ConfigError unless it is an integer."""
+    cannot say), so that a typo cannot fork thousands of processes.  It is
+    a ceiling: run_sweep runs a sweep that fits one chunk in this process.
+    Raises ConfigError unless it is an integer."""
     text = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(text)
@@ -259,7 +267,7 @@ class TrialBatch:
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
+    return default_rng(SeedSequence([seed, trial_index]))
 
 
 def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
@@ -383,7 +391,9 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     most BATCH_ELEMENTS // (elements of one trial's largest array), so that
     large extensions stay in memory; the largest arrays are the filters
     (M, N, N), the per-link rates (S, M, M N) and the CF rates
-    (N, M, candidates), up to small factors."""
+    (N, M, candidates), up to small factors.  run_sweep uses a pool only
+    when chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans
+    more than one such chunk."""
     M, S = cfg.topology_expanded.M, len(cfg.snr_grid)
     n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
     elements = M * n_ext * max(n_ext, S * M)
@@ -420,16 +430,19 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     """Run the full (trials x SNR grid) experiment and aggregate.
 
     Trials are evaluated in chunks of consecutive indices (chunk_length),
-    each chunk at every SNR point in one stacked pass; set the
-    SNCSIM_WORKERS environment variable above 1 for a process pool, which
-    receives the chunks (see worker_count).  A trial's outcome does not
-    depend on its chunk, and aggregation happens in trial-index order, so
-    results do not depend on the worker count.
+    each chunk at every SNR point in one stacked pass.  A sweep that fits
+    one chunk is one run_trials call in this process.  A larger one goes
+    to a process pool when the SNCSIM_WORKERS environment variable is above
+    1; that value is a ceiling on the pool's size (see worker_count).  A
+    trial's outcome does not depend on its chunk, and aggregation happens
+    in trial-index order, so results do not depend on the worker count.
     """
     cfg.validate()
     vt = cfg.topology_expanded
     n_ext = extension_dims(vt.M, cfg.n).N if cfg.run_snc else 1
     workers = worker_count()
+    if chunk_length(cfg, 1) >= cfg.trials:
+        workers = 1  # one chunk: a pool would cost more than it saves
     res = SweepResult(n_ext=n_ext)
     schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
 

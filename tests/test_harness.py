@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,16 @@ def test_traced_layers_exist():
     assert missing <= {"snc.build_effective_system", "gf.find_valid_field_size"}
 
 
+def test_import_loads_numpy_random():
+    # numpy loads numpy.random lazily; pool workers fork from the parent, so
+    # unless the harness import loads it each worker loads it on its first trial
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sncsim.harness; sys.exit('numpy.random' not in sys.modules)"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestWriteResults:
     def test_round_trip(self, tmp_path):
         cfg = small_config(trials=3)
@@ -511,6 +522,18 @@ class TestWriteResults:
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = small_config(trials=24, snr_stop=10.0)
+        # a smaller batch bound makes the sweep span several batches, so that
+        # 2 and 3 workers reach the pool
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", harness.BATCH_ELEMENTS // 64)
+        assert chunk_length(cfg, 1) < cfg.trials
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         # 3 usable CPUs, so that 1, 2 and 3 workers reach run_sweep unclamped
         # and chunk the trials differently
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -523,7 +546,34 @@ class TestWriteResults:
             paths = write_results(run_sweep(cfg), cfg, tmp_path / f"w{workers}.csv")
             outputs.append([p.read_bytes() for p in paths])
         assert len(chunks) == 3
+        assert pools == [2, 3]
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_batch_sweep_starts_no_pool(self, monkeypatch):
+        # a sweep that fits one batch runs in this process whatever
+        # SNCSIM_WORKERS asks for: the benchmark's pinned sweeps and the
+        # one-trial sweep of its set-up probe
+        golden = json.loads((BENCH_DIR / "golden.json").read_text())["workloads"]
+        configs = [SimConfig(**ref["config"]) for _, ref in sorted(golden.items())]
+        configs.append(small_config(trials=1, snr_stop=10.0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        serial = []
+        for cfg in configs:
+            assert chunk_length(cfg, 1) >= cfg.trials
+            monkeypatch.setenv("SNCSIM_WORKERS", "1")
+            serial.append(run_sweep(cfg))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-batch sweep started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("SNCSIM_WORKERS", "2")
+        assert harness.worker_count() == 2
+        for cfg, ref in zip(configs, serial):
+            res = run_sweep(cfg)
+            assert (res.points, res.dof_slopes, res.aborted_trials) == (
+                ref.points, ref.dof_slopes, ref.aborted_trials)
 
 
 class TestCli:
