@@ -2,8 +2,10 @@
 Exact arithmetic and dense linear algebra over prime fields GF(q).
 
 Matrices are plain numpy integer arrays with entries reduced to [0, q).
-Elimination runs on Python integers, or on int64 where every product fits,
-so results are exact for any prime q that fits in int64.
+_row_basis reduces rows one by one into a reduced row echelon basis that
+rank, independent rows, solve and inverse all read; gf_full_rank is the
+batched full-rank test of the CF leg.  Arithmetic is on Python ints, or on
+int64 where every product fits: exact for every prime q < 2^63.
 """
 
 from __future__ import annotations
@@ -29,14 +31,29 @@ class InconsistentSystemError(GfError):
     """Redundant equations disagree with the unique solution."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(q: int) -> bool:
-    if q < 2:
+    """Deterministic Miller-Rabin: the first 12 prime bases are exact for
+    every q < 3.3e24, so for every 64-bit integer."""
+    if q in _MR_BASES:
+        return True
+    if q < 2 or any(q % p == 0 for p in _MR_BASES):
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
             return False
-        d += 1
     return True
 
 
@@ -47,6 +64,8 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        if self.q >= 2**63:
+            raise ValueError(f"field size must be below 2^63 to fit int64, got {self.q}")
         if not _is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
 
@@ -60,47 +79,38 @@ class PrimeField:
         return np.asarray(m, dtype=np.int64) % self.q
 
 
-def _eliminate(m: np.ndarray, field: PrimeField):
-    """Row-reduce a copy of *m* mod q.
+def _row_basis(m, field: PrimeField):
+    """Reduce the rows of *m* mod q in ascending order; return (kept, basis).
 
-    Returns (reduced matrix, pivot column list, row permutation applied).
-    The rows are Python int lists while reducing: exact, and far cheaper
-    than numpy element access on the small systems solved here.
+    A row that stays nonzero against the basis so far is kept, scaled to a
+    leading 1, and its pivot column cleared from the earlier rows, so basis
+    (pivot column -> row, as Python int lists) is the RREF of the kept rows.
     """
     q = field.q
-    a = field.reduce(m)
-    rows, cols = a.shape
-    a = a.tolist()
-    pivot_cols: list[int] = []
-    perm = list(range(rows))
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][c]), -1)
-        if pivot == -1:
+    kept: list[int] = []
+    basis: dict[int, list[int]] = {}
+    for i, v in enumerate(field.reduce(m).tolist()):
+        for c, b in basis.items():
+            f = v[c]
+            if f:
+                v = [(x - f * y) % q for x, y in zip(v, b)]
+        p = next((j for j, x in enumerate(v) if x), -1)
+        if p == -1:
             continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            perm[r], perm[pivot] = perm[pivot], perm[r]
-        inv = field.inv(a[r][c])
-        lead = a[r] = [x * inv % q for x in a[r]]
-        for i in range(rows):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], lead)]
-        pivot_cols.append(c)
-        r += 1
-    return np.array(a, dtype=np.int64).reshape(rows, cols), pivot_cols, perm
+        inv = pow(v[p], -1, q)
+        v = [x * inv % q for x in v]
+        for b in basis.values():
+            f = b[p]
+            if f:
+                b[:] = [(x - f * y) % q for x, y in zip(b, v)]
+        basis[p] = v
+        kept.append(i)
+    return kept, basis
 
 
 def gf_rank(m, field: PrimeField) -> int:
-    """Rank of *m* over GF(q) via Gaussian elimination."""
-    a = field.reduce(m)
-    if a.size == 0:
-        return 0
-    _, pivots, _ = _eliminate(a, field)
-    return len(pivots)
+    """Rank of *m* over GF(q)."""
+    return len(_row_basis(m, field)[0])
 
 
 def gf_full_rank(mats, field: PrimeField) -> np.ndarray:
@@ -139,52 +149,30 @@ def gf_select_independent_rows(m, field: PrimeField) -> list[int]:
     Rows are scanned in ascending order; a row is kept iff it increases
     the rank of the set kept so far.  The result has length gf_rank(m).
     """
-    q = field.q
-    basis: list[tuple[int, list[int]]] = []  # (leading column, row with leading 1)
-    kept: list[int] = []
-    for i, v in enumerate(field.reduce(m).tolist()):
-        for c, b in basis:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % q for x, y in zip(v, b)]
-        c = next((j for j, x in enumerate(v) if x), -1)
-        if c == -1:
-            continue
-        inv = field.inv(v[c])
-        basis.append((c, [x * inv % q for x in v]))
-        kept.append(i)
-    return kept
+    return _row_basis(m, field)[0]
 
 
 def gf_solve(a, rhs, field: PrimeField) -> np.ndarray:
-    """Solve a @ x = rhs (mod q) for the unique x.
+    """Solve a @ x = rhs (mod q) for the unique x, by row-reducing [a | rhs].
 
-    *a* must have full column rank over GF(q).  The solution is computed
-    from an independent-row subsystem; every redundant row is then checked
-    against it and a mismatch raises InconsistentSystemError (upstream this
-    signals a demodulation error).
+    Raises RankDeficientError unless *a* has full column rank over GF(q), and
+    InconsistentSystemError when a pivot lands in the rhs column: redundant
+    rows disagree (upstream this signals a demodulation error).
     """
     a = field.reduce(a)
     rhs = field.reduce(rhs).ravel()
     rows, cols = a.shape
     if rhs.shape[0] != rows:
         raise ValueError("rhs length must equal the number of rows")
-    idx = gf_select_independent_rows(a, field)
-    if len(idx) < cols:
+    _, basis = _row_basis(np.hstack([a, rhs[:, None]]), field)
+    rank = len(basis) - (cols in basis)
+    if rank < cols:
         raise RankDeficientError(
-            f"column rank {len(idx)} < {cols}; system has no unique solution"
+            f"column rank {rank} < {cols}; system has no unique solution"
         )
-    sub = a[idx]
-    red, pivots, perm = _eliminate(
-        np.hstack([sub, rhs[idx].reshape(-1, 1)]), field
-    )
-    if len(pivots) != cols or pivots != list(range(cols)):
-        raise RankDeficientError("independent-row subsystem is singular")
-    x = red[:cols, cols].copy()
-    residual = (a @ x - rhs) % field.q
-    if np.any(residual != 0):
+    if cols in basis:
         raise InconsistentSystemError("redundant rows disagree with solution")
-    return x
+    return np.array([basis[c][cols] for c in range(cols)], dtype=np.int64)
 
 
 def gf_inv(a, field: PrimeField) -> np.ndarray:
@@ -196,8 +184,7 @@ def gf_inv(a, field: PrimeField) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("only square matrices have an inverse")
     n = a.shape[0]
-    red, pivots, _ = _eliminate(np.hstack([a, np.eye(n, dtype=np.int64)]), field)
-    if pivots[:n] != list(range(n)):
+    _, basis = _row_basis(np.hstack([a, np.eye(n, dtype=np.int64)]), field)
+    if any(c not in basis for c in range(n)):
         raise RankDeficientError("matrix is singular over the field")
-    return red[:, n:]
-
+    return np.array([basis[c][n:] for c in range(n)], dtype=np.int64).reshape(n, n)

@@ -62,7 +62,7 @@ from .channel import (
     sample_noise,
 )
 from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
-from .gf import PrimeField
+from .gf import PrimeField, RankDeficientError
 from .phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
@@ -72,7 +72,6 @@ from .phy import (
     per_link_rates,
     transmit,
 )
-from .gf import RankDeficientError
 from .snc import (
     CapacityError,
     PrecoderSet,

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sncsim.gf import (
     PrimeField,
     RankDeficientError,
     ZeroInversionError,
+    _is_prime,
     gf_full_rank,
     gf_inv,
     gf_rank,
@@ -51,6 +53,28 @@ class TestFieldOps:
             PrimeField(4)
         with pytest.raises(ValueError):
             PrimeField(1)
+
+    def test_primality_matches_trial_division(self):
+        oracle = [q >= 2 and all(q % d for d in range(2, int(q**0.5) + 1))
+                  for q in range(10**5)]
+        assert [_is_prime(q) for q in range(10**5)] == oracle
+
+    def test_pseudoprimes_rejected(self):
+        # 561 is a Carmichael number; 3215031751 = 151 * 751 * 28351 is a
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        for q in (561, 3215031751):
+            assert not _is_prime(q)
+            with pytest.raises(ValueError):
+                PrimeField(q)
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        PrimeField(2**61 - 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="2\\^63"):
+            PrimeField(2**63 + 29)
 
     def test_characteristic_two_addition(self):
         assert PrimeField(2).reduce([1 + 1, 1 + 0, 1 + 1 + 1]).tolist() == [0, 1, 1]
@@ -116,6 +140,9 @@ class TestSelectIndependentRows:
         idx = gf_select_independent_rows(m, field)
         assert len(idx) == gf_rank(m, field)
         assert gf_rank(m[idx], field) == len(idx)
+        # greedy: row i is kept exactly when it raises the rank of rows 0..i
+        assert idx == [i for i in range(len(m))
+                       if gf_rank(m[:i + 1], field) > gf_rank(m[:i], field)]
 
 
 class TestSolve:
@@ -155,9 +182,20 @@ class TestSolve:
         with pytest.raises(InconsistentSystemError):
             gf_solve(a, [1, 1, 1], PrimeField(2))  # third row should be 0
 
+    @pytest.mark.parametrize("q", [4294967311, 2**61 - 1])
+    def test_large_field_round_trip(self, q):
+        # products leave int64 here: a @ x is checked on Python ints
+        field = PrimeField(q)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a = rng.integers(0, q, size=(4, 3))
+            x = rng.integers(0, q, size=3)
+            rhs = a.astype(object) @ x.astype(object) % q
+            assert np.array_equal(gf_solve(a, rhs.astype(np.int64), field), x)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
-        for q in (2, 3):
+        for q in (2, 3, 5, 7):
             field = PrimeField(q)
             for _ in range(30):
                 a = rng.integers(0, q, size=(4, 3))
@@ -175,7 +213,7 @@ class TestSolve:
 class TestInverse:
     def test_identity_on_random_invertible(self):
         rng = np.random.default_rng(11)
-        for q in (2, 3):
+        for q in (2, 3, 5, 7):
             field = PrimeField(q)
             checked = 0
             while checked < 40:
@@ -198,6 +236,29 @@ class TestInverse:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gf_inv(F_K2_N1, PrimeField(2))
+
+
+class TestEdgeShapes:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_rank_and_rows(self, shape):
+        m = np.zeros(shape, dtype=np.int64)
+        assert gf_rank(m, PrimeField(2)) == 0
+        assert gf_select_independent_rows(m, PrimeField(2)) == []
+
+    def test_empty_inverse(self):
+        inv = gf_inv(np.zeros((0, 0), dtype=np.int64), PrimeField(3))
+        assert inv.shape == (0, 0) and inv.dtype == np.int64
+
+    def test_no_unknowns(self):
+        a = np.zeros((2, 0), dtype=np.int64)
+        x = gf_solve(a, [0, 0], PrimeField(2))
+        assert x.shape == (0,) and x.dtype == np.int64
+        with pytest.raises(InconsistentSystemError):
+            gf_solve(a, [0, 1], PrimeField(2))
+
+    def test_wide_system_names_its_rank(self):
+        with pytest.raises(RankDeficientError, match="column rank 1 < 2"):
+            gf_solve(np.array([[1, 1]]), [1], PrimeField(2))
 
 
 class TestFullRankBatch:

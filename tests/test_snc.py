@@ -69,18 +69,27 @@ def rounds_to_plan(h, p, f, eff):
     return float(np.max(np.abs(numeric_system(h, p, f) - eff.f_int))) <= BINARY_ATOL
 
 
-def gf2_rank(m):
-    """Rank over GF(2) with rows as integer bit masks, independent of sncsim.gf."""
+def gf2_greedy_rows(m):
+    """The rows kept by a greedy scan over GF(2), with rows as integer bit
+    masks, independent of sncsim.gf: a row is kept when its mask does not
+    reduce to 0 against the masks kept before it."""
     basis = {}  # leading bit -> row
-    for row in np.packbits(np.asarray(m, dtype=np.uint8), axis=1):
+    kept = []
+    for i, row in enumerate(np.packbits(np.asarray(m, dtype=np.uint8), axis=1)):
         v = int.from_bytes(row.tobytes(), "big")
         while v:
             top = v.bit_length() - 1
             if top not in basis:
                 basis[top] = v
+                kept.append(i)
                 break
             v ^= basis[top]
-    return len(basis)
+    return kept
+
+
+def gf2_rank(m):
+    """Rank over GF(2), independent of sncsim.gf."""
+    return len(gf2_greedy_rows(m))
 
 
 def identity_channel(K, N):
@@ -381,6 +390,12 @@ class TestPlanSystem:
             assert np.all(np.diff(eff.link_cols) >= 0)
             starts = eff.link_cols[eff.stream_start]
             assert starts.tolist() == list(range(plan.total_streams))
+
+    @pytest.mark.parametrize("K, n", [(3, 3), (2, 50)])
+    def test_indep_rows_match_bitmask_greedy(self, K, n):
+        # large sparse plans that the randomised GF tests never reach
+        eff = effective_system(extension_dims(K, n))
+        assert eff.indep_rows.tolist() == gf2_greedy_rows(eff.f_int)
 
     def test_built_once_and_read_only(self):
         plan = extension_dims(3, 1)
