@@ -147,8 +147,9 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     slot_rates, picks = [], []
     for rho in rhos:
         _rates(proj, hh, norm2, rho, out=rates)
-        picks.append(np.argmax(rates, axis=-1))  # first maximizer: the tie-break order
-        r = rates.max(axis=-1).min(axis=-1)
+        best = np.argmax(rates, axis=-1)  # first maximizer: the tie-break order
+        picks.append(best)
+        r = np.take_along_axis(rates, best[..., None], -1)[..., 0].min(axis=-1)
         slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
     slot_rates = np.stack(slot_rates, axis=-2)  # [..., point, slot]
     full = gf_full_rank(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), field)

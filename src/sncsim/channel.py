@@ -74,8 +74,8 @@ def _draw_coeffs(shape, model, rng):
     imaginary parts, as two length-N calls per row would."""
     if model == "complex":
         # circularly-symmetric unit variance: real/imag each variance 1/2
-        re, im = np.moveaxis(rng.standard_normal((*shape[:-1], 2, shape[-1])), -2, 0)
-        return (re + 1j * im) / np.sqrt(2.0)
+        z = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+        return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     if model == "real":
         return rng.standard_normal(shape)
     raise ValueError(f"unknown channel model {model!r}")
@@ -95,7 +95,7 @@ def sample_extended_channel(
     if n_ext < 1:
         raise ValueError("extension length must be >= 1")
     diag = _draw_coeffs((vt.M, vt.M, n_ext), model, rng)
-    while np.any(zero := diag == 0):
+    while (zero := diag == 0).any():
         diag[zero] = _draw_coeffs((int(zero.sum()),), model, rng)
     return diag
 
@@ -110,8 +110,8 @@ def sample_noise(
     """
     scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
     if model == "complex":
-        re, im = np.moveaxis(rng.standard_normal((n_rx, 2, n_ext)), 1, 0)
-        return scale * (re + 1j * im) / np.sqrt(2.0)
+        z = rng.standard_normal((n_rx, 2, n_ext))
+        return scale * (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     if model == "real":
         return scale * rng.standard_normal((n_rx, n_ext))
     raise ValueError(f"unknown channel model {model!r}")

@@ -16,7 +16,9 @@ stacks a chunk's channels into one bare (T, M, M, N) array and builds
 everything that depends on the channel alone (precoders, rank and
 conditioning checks, filters, link gains) in one stacked pass, redrawing
 only the trials whose draw was degenerate, then evaluates the whole SNR
-grid of every kept trial in one array pass.  The compute-and-forward leg
+grid of every kept trial in one array pass.  The rank check's SVD of V_1
+also gives its condition number, which certifies most trials' conditioning
+without a further SVD (snc.build_filters).  The compute-and-forward leg
 runs once per chunk over the grid and draws no randomness.  The arrays of
 a chunk are the only shape: run_trial is run_trials on one index and
 returns its one-trial TrialBatch.  A sweep that fits one chunk of at most
@@ -272,8 +274,10 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
     """Resample the degenerate draws of the chunk's channel *h* (precoder
     rank loss, an ill-conditioned filter) up to MAX_RESAMPLES times; each
-    round redraws, and checks, only the trials still pending.  Returns the
-    kept trials' channel, precoders and filters, and the kept mask."""
+    round redraws, and checks, only the trials still pending.  The filters'
+    conditioning is checked only for trials that pass the rank check, from
+    the condition number of V_1 that check returns.  Returns the kept
+    trials' channel, precoders and filters, and the kept mask."""
     T, K, N = len(h), plan.K, plan.N
     v1 = np.empty((T, N, N), h.dtype)
     v_other = np.empty((T, N, plan.N_prime), h.dtype)
@@ -285,10 +289,11 @@ def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
         if attempt:
             h[pending] = redraw(pending)
         prec = build_precoders(h[pending], plan, cfg.p_max)
-        ranked = check_precoder_ranks(prec, plan).passed
+        report = check_precoder_ranks(prec, plan)
+        ranked = report.passed
         prec = PrecoderSet(K, prec.v1[ranked], prec.v_other[ranked],
                            prec.power_scale[ranked])
-        u_ranked, ok = build_filters(h[pending[ranked]], prec)
+        u_ranked, ok = build_filters(h[pending[ranked]], prec, report.v1_cond[ranked])
         done = pending[ranked][ok]
         v1[done], v_other[done], u[done] = prec.v1[ok], prec.v_other[ok], u_ranked
         scale[done] = prec.power_scale[ok]

@@ -15,7 +15,12 @@ stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents.  Per channel draw only the
 precoders, their rank check and the filters with their conditioning check
 remain, all on the bare channel array with a leading trial axis: every
-trial's numbers are those of a stack holding that trial alone.
+trial's numbers are those of a stack holding that trial alone.  The checks
+are staged: one SVD of V_1 gives its rank and condition number, the shared
+precoder is ranked only where V_1 has full rank, and a receiver's
+conditioning is certified from cond(V_1) and its channel gains, with the
+exact np.linalg.cond check only where that bound does not settle it.  The
+filters take one inverse of V_1 per trial.
 cp_recover solves every SNR point of a chunk of trials in one call.
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
@@ -35,6 +40,11 @@ GF2 = PrimeField(2)
 ALIGNMENT_RTOL = 1e-9
 RANK_SV_RTOL = 1e-9
 MAX_CONDITION = 1e12
+# Computed singular values are off by O(eps) times the largest (Demmel,
+# Applied Numerical Linear Algebra, 5.2), so a computed condition number up
+# to MAX_CONDITION is off by a relative O(eps MAX_CONDITION), about 1e-4.
+# build_filters certifies a bound this many times below MAX_CONDITION.
+CONDITION_MARGIN = 16
 MAX_EXTENSION = 10**6
 
 
@@ -159,25 +169,42 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan,
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical ranks of transmitter 1's and the shared precoder, and the
-    stream counts they must reach.  Each rank, and ``passed``, is an array
-    over the leading (trial) axes of the precoders."""
+    """Numerical ranks of transmitter 1's and the shared precoder, the
+    stream counts they must reach, and the 2-norm condition number
+    ``v1_cond`` = sigma_max / sigma_min of ``v1`` (inf when sigma_min is 0).
+    Each rank, ``v1_cond`` and ``passed`` is an array over the leading
+    (trial) axes of the precoders.  The shared precoder is ranked only
+    where ``v1`` reached full rank; elsewhere ``ranks[1]`` reads 0, which
+    leaves ``passed`` False there as it would be anyway."""
 
     ranks: tuple[np.ndarray, np.ndarray]
     expected: tuple[int, int]
+    v1_cond: np.ndarray
 
     @property
     def passed(self):
         return (self.ranks[0] == self.expected[0]) & (self.ranks[1] == self.expected[1])
 
 
+def _numerical_rank(sv: np.ndarray) -> np.ndarray:
+    """The number of singular values above RANK_SV_RTOL times the largest."""
+    return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
+
+
 def check_precoder_ranks(p: PrecoderSet, plan: ExtensionPlan) -> RankReport:
     """Numerical ranks of the two precoders (singular values above
-    RANK_SV_RTOL times the largest)."""
-    svs = [np.linalg.svd(m, compute_uv=False) for m in (p.v1, p.v_other)]
-    return RankReport(ranks=tuple(np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
-                                  for sv in svs),
-                      expected=(plan.N, plan.N_prime))
+    RANK_SV_RTOL times the largest) and the condition number of ``v1``,
+    all from one SVD of ``v1`` and one of ``v_other`` for the trials whose
+    ``v1`` reached rank N."""
+    sv1 = np.linalg.svd(p.v1, compute_uv=False)
+    rank1 = _numerical_rank(sv1)
+    full = rank1 == plan.N
+    rank_other = np.zeros_like(rank1)
+    rank_other[full] = _numerical_rank(np.linalg.svd(p.v_other[full], compute_uv=False))
+    with np.errstate(divide="ignore"):  # a singular v1 has condition number inf
+        v1_cond = sv1[..., 0] / sv1[..., -1]
+    return RankReport(ranks=(rank1, rank_other), expected=(plan.N, plan.N_prime),
+                      v1_cond=v1_cond)
 
 
 @dataclass(frozen=True)
@@ -215,18 +242,34 @@ def verify_alignment(h: np.ndarray, p: PrecoderSet,
     return AlignmentResult(True, witness)
 
 
-def build_filters(h: np.ndarray, p: PrecoderSet) -> tuple[np.ndarray, np.ndarray]:
+def build_filters(h: np.ndarray, p: PrecoderSet,
+                  v1_cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert the desired signal space at every receiver, for a stack of
-    trials: the channel (T, M, M, N) and precoders with that trial axis.
+    trials: the channel (T, M, M, N), precoders with that trial axis and
+    the (T,) condition numbers of their ``v1`` (RankReport.v1_cond).
 
     Returns ``(u, ok)``.  ``ok`` (T,) marks the trials whose desired space
-    has condition number at most MAX_CONDITION at every receiver; only they
-    are inverted.  ``u`` (kept trials, K, N, N) holds their filters as
-    applied, x' = u[t, l] @ y, so u[t, l] @ (H_{l,1} V_1) is the identity.
+    D_l V_1, D_l = diag(h[t, l, 0]), has condition number at most
+    MAX_CONDITION at every receiver; only they are inverted.  Since
+    cond(D_l V_1) <= cond(D_l) cond(V_1), a receiver whose bound is at most
+    MAX_CONDITION / CONDITION_MARGIN is certified without an SVD.  Every
+    other receiver is checked by np.linalg.cond, so ``ok`` is the mask that
+    check gives on every receiver.
+
+    ``u`` (kept trials, K, N, N) holds their filters as applied,
+    x' = u[t, l] @ y, so u[t, l] @ (D_l V_1) is the identity.  They come
+    from one inverse per trial, (D_l V_1)^-1 = V_1^-1 D_l^-1.
     """
-    prods = h[..., :p.K, 0, :, None] * p.v1[..., None, :, :]
-    ok = ~np.any(np.linalg.cond(prods) > MAX_CONDITION, axis=-1)
-    return np.linalg.inv(prods[ok]), ok
+    d = h[..., :p.K, 0, :]  # (T, K, N): the diagonals D_l
+    mag = np.abs(d)
+    certified = (v1_cond[:, None] * mag.max(axis=-1)
+                 <= MAX_CONDITION / CONDITION_MARGIN * mag.min(axis=-1))
+    bad = np.zeros(certified.shape, dtype=bool)
+    t, l = np.nonzero(~certified)
+    if t.size:
+        bad[t, l] = np.linalg.cond(d[t, l, :, None] * p.v1[t]) > MAX_CONDITION
+    ok = ~bad.any(axis=-1)
+    return np.linalg.inv(p.v1[ok])[:, None] / d[ok, :, None, :], ok
 
 
 @dataclass(frozen=True)

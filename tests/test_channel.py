@@ -3,6 +3,7 @@ import pytest
 
 from sncsim.channel import (
     Topology,
+    _draw_coeffs,
     expand_mimo_to_virtual,
     sample_extended_channel,
     sample_noise,
@@ -161,3 +162,70 @@ class TestNoise:
                     if model == "complex":
                         expected = expected / np.sqrt(2.0)
                     assert np.array_equal(v[s, l], expected)
+
+
+def moveaxis_coeffs(shape, model, rng):
+    """The coefficient draw written with np.moveaxis: the reference the
+    indexed draw must equal bit for bit."""
+    if model == "complex":
+        re, im = np.moveaxis(rng.standard_normal((*shape[:-1], 2, shape[-1])), -2, 0)
+        return (re + 1j * im) / np.sqrt(2.0)
+    return rng.standard_normal(shape)
+
+
+class ZeroingGenerator:
+    """A generator whose first draw is exactly zero in the last-axis
+    positions *slots*, real and imaginary parts alike, so that the
+    zero-redraw loop runs."""
+
+    def __init__(self, seed, slots):
+        self.rng = np.random.default_rng(seed)
+        self.slots = slots
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        if self.slots is not None:
+            z[..., self.slots] = 0.0
+            self.slots = None
+        return z
+
+
+class TestDrawsPinned:
+    """Channel and noise draws equal the np.moveaxis / np.any expressions
+    they replace, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_coeffs_equal_moveaxis_draw(self, model):
+        for seed in range(300):
+            for shape in [(2, 2, 11), (3, 3, 21), (7,), (1,)]:
+                got = _draw_coeffs(shape, model, np.random.default_rng(seed))
+                ref = moveaxis_coeffs(shape, model, np.random.default_rng(seed))
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_zero_redraw_equals_np_any_loop(self, model):
+        vt = expand_mimo_to_virtual(single_antenna(2))
+        for seed in range(50):
+            got = sample_extended_channel(vt, 5, model, ZeroingGenerator(seed, [1, 3]))
+            rng = ZeroingGenerator(seed, [1, 3])
+            ref = moveaxis_coeffs((2, 2, 5), model, rng)
+            redrawn = []
+            while np.any(zero := ref == 0):
+                redrawn.append(int(zero.sum()))
+                ref[zero] = moveaxis_coeffs((redrawn[-1],), model, rng)
+            assert redrawn == [8] and np.all(got != 0)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_noise_equals_moveaxis_draw(self, model):
+        sigma2 = np.array([1.0, 0.1])
+        for seed in range(300):
+            got = sample_noise(sigma2, 3, 11, model, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            scale = np.sqrt(sigma2)[:, None, None]
+            if model == "complex":
+                re, im = np.moveaxis(rng.standard_normal((3, 2, 11)), 1, 0)
+                ref = scale * (re + 1j * im) / np.sqrt(2.0)
+            else:
+                ref = scale * rng.standard_normal((3, 11))
+            assert np.array_equal(got, ref)

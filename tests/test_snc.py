@@ -15,6 +15,9 @@ from sncsim.channel import (
 from sncsim.gf import PrimeField, RankDeficientError
 from sncsim.phy import end_to_end_sum_rate, link_gains, per_link_rates
 from sncsim.snc import (
+    CONDITION_MARGIN,
+    MAX_CONDITION,
+    RANK_SV_RTOL,
     ExtensionPlan,
     PrecoderSet,
     build_filters,
@@ -36,10 +39,15 @@ def make_channel(K, N, seed, model="complex"):
     return sample_extended_channel(vt, N, model, np.random.default_rng(seed))
 
 
+def stack_of_one(p):
+    """One trial's precoders as a stack of one trial."""
+    return PrecoderSet(p.K, p.v1[None], p.v_other[None], np.atleast_1d(p.power_scale))
+
+
 def one_trial_filters(h, p):
     """The filters (K, N, N) of one trial's channel and precoders, built as a
     stack of one; None when the trial's desired space is ill-conditioned."""
-    u, ok = build_filters(h[None], p)
+    u, ok = build_filters(h[None], stack_of_one(p), np.atleast_1d(np.linalg.cond(p.v1)))
     return u[0] if ok[0] else None
 
 
@@ -413,6 +421,99 @@ class TestPlanSystem:
             effective_system(plan)
 
 
+class TestConditioningCheck:
+    """build_filters certifies a receiver from cond(V_1) cond(D_l) and runs
+    np.linalg.cond only where that bound does not settle it; its mask and
+    filters are those of the exact check and of K inverses per trial."""
+
+    @staticmethod
+    def stack(K, n, model, trials, seed):
+        """Precoders of *trials* draws and their channels, a third of them
+        with one entry of H_{l,1} shrunk by 1e-4 to 1e-14 after the
+        precoders were built, so that every branch of the check runs."""
+        plan = extension_dims(K, n)
+        h = np.stack([make_channel(K, plan.N, seed + s, model) for s in range(trials)])
+        p = build_precoders(h, plan)
+        rng = np.random.default_rng(seed)
+        for t in range(0, trials, 3):
+            h[t, rng.integers(K), 0, rng.integers(plan.N)] *= 10.0 ** -rng.uniform(4, 14)
+        return plan, h, p
+
+    @staticmethod
+    def certified(h, v1_cond, K):
+        mag = np.abs(h[:, :K, 0])
+        return (v1_cond[:, None] * mag.max(axis=-1)
+                <= MAX_CONDITION / CONDITION_MARGIN * mag.min(axis=-1))
+
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        """The matrices every np.linalg.cond call receives, in order."""
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda x: calls.append(x) or cond(x))
+        return calls
+
+    @pytest.mark.parametrize("K, n, model, trials", [
+        (2, 2, "real", 300), (3, 1, "real", 300), (3, 2, "complex", 90),
+        (2, 10, "complex", 300),
+    ])
+    def test_mask_and_filters_equal_exact_check(self, K, n, model, trials, cond_calls):
+        plan, h, p = self.stack(K, n, model, trials, seed=1200)
+        report = check_precoder_ranks(p, plan)
+        prods = h[:, :K, 0, :, None] * p.v1[:, None]
+        cond_calls.clear()
+        u, ok = build_filters(h, p, report.v1_cond)
+        checked = list(cond_calls)
+        conds = np.linalg.cond(prods)
+        assert np.array_equal(ok, ~np.any(conds > MAX_CONDITION, axis=-1))
+        certified = self.certified(h, report.v1_cond, K)
+        assert np.all(conds[certified] <= MAX_CONDITION)
+        assert certified.any() and not certified.all()
+        # one exact check, of the pairs the certificate left open
+        assert [len(m) for m in checked] == [np.count_nonzero(~certified)]
+        ref = np.linalg.inv(prods[ok])
+        err = np.linalg.norm(u - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+        assert np.all(err <= 32 * plan.N * np.finfo(float).eps * conds[ok])
+
+    @pytest.mark.parametrize("K, n, model", [
+        (2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex"),
+    ])
+    def test_v1_cond_is_the_condition_number(self, K, n, model):
+        plan, _, p = self.stack(K, n, model, 60, seed=1300)
+        assert np.array_equal(check_precoder_ranks(p, plan).v1_cond, np.linalg.cond(p.v1))
+        # a singular v1 reads inf, without a warning
+        p = build_precoders(identity_channel(2, 3), extension_dims(2, 2))
+        assert check_precoder_ranks(p, extension_dims(2, 2)).v1_cond == np.inf
+
+    def test_passed_equals_two_svd_reference(self):
+        # the stack of test_stacked_precoders_and_ranks_equal_one_trial_calls
+        plan = extension_dims(2, 10)
+        p = build_precoders(np.stack([make_channel(2, plan.N, seed=700 + s)
+                                      for s in range(24)]), plan)
+        ranks = [np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
+                 for sv in (np.linalg.svd(m, compute_uv=False) for m in (p.v1, p.v_other))]
+        report = check_precoder_ranks(p, plan)
+        full = ranks[0] == plan.N
+        assert np.array_equal(report.passed, (ranks[0] == plan.N) & (ranks[1] == plan.N_prime))
+        assert np.array_equal(report.ranks[0], ranks[0])
+        assert np.array_equal(report.ranks[1], np.where(full, ranks[1], 0))
+        assert 0 < np.count_nonzero(full) < len(full)
+
+    def test_certified_fallback_accepted_and_rejected(self, cond_calls):
+        plan = extension_dims(2, 2)
+        h = np.stack([make_channel(2, plan.N, seed=800 + t) for t in range(6)])
+        p = build_precoders(h, plan)
+        v1_cond = check_precoder_ranks(p, plan).v1_cond
+        h[0, 1, 0, 0] *= 1e-10  # bound 2.5e11, condition number 9.6e10
+        h[2, 1, 0, 0] *= 1e-14  # condition number above MAX_CONDITION
+        cond_calls.clear()
+        u, ok = build_filters(h, p, v1_cond)
+        certified = self.certified(h, v1_cond, 2)
+        assert np.array_equal(~certified, [[False, True], [False, False], [False, True],
+                                           [False, False], [False, False], [False, False]])
+        assert [len(m) for m in cond_calls] == [2]
+        assert ok.tolist() == [True, True, False, True, True, True] and len(u) == 5
+
+
 class TestTrialStack:
     """Every layer that takes a stack of T trials gives each trial the bits
     of a stack holding that trial alone."""
@@ -444,12 +545,13 @@ class TestTrialStack:
                 h[1, 0, 0] *= 1e-14
             hs.append(h)
         p = dataclasses.replace(ps[0], v1=np.stack([p.v1 for p in ps]))
-        u, ok = build_filters(np.stack(hs), p)
+        u, ok = build_filters(np.stack(hs), p, np.linalg.cond(p.v1))
         assert ok.tolist() == [True, True, False, True, False, True]
         assert len(u) == 4
         kept = iter(u)
         for h, p1, ok_t in zip(hs, ps, ok):
-            u1, ok1 = build_filters(h[None], p1)
+            u1, ok1 = build_filters(h[None], stack_of_one(p1),
+                                    np.atleast_1d(np.linalg.cond(p1.v1)))
             assert ok1.tolist() == [ok_t]
             assert np.array_equal(u1, [next(kept)] if ok_t else np.empty((0, 2, 3, 3)))
 
@@ -461,9 +563,10 @@ class TestTrialStack:
         eff = effective_system(plan)
         h = np.stack([make_channel(K, plan.N, seed=600 + s, model=model) for s in range(40)])
         p = build_precoders(h, plan)
-        ranked = check_precoder_ranks(p, plan).passed
+        ranks = check_precoder_ranks(p, plan)
+        ranked = ranks.passed
         p = PrecoderSet(K, p.v1[ranked], p.v_other[ranked], p.power_scale[ranked])
-        u, ok = build_filters(h[ranked], p)
+        u, ok = build_filters(h[ranked], p, ranks.v1_cond[ranked])
         p = PrecoderSet(K, p.v1[ok], p.v_other[ok], p.power_scale[ok])
         assert len(u) >= 4
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
