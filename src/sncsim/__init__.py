@@ -13,7 +13,6 @@ from .channel import (
 from .snc import (
     EffectiveSystem,
     ExtensionPlan,
-    PrecoderSet,
     build_filters,
     build_precoders,
     check_precoder_ranks,

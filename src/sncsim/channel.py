@@ -8,7 +8,8 @@ axis on it, and its dtype tells a real channel from a complex one.
 Off-diagonals are zero by representation; each diagonal slot is an
 independent draw (time-varying channel).  Multi-antenna topologies are
 mapped to an equivalent single-antenna network by treating every antenna
-as a virtual node.  Noise is drawn at unit variance and scaled per point.
+as a virtual node: expand_mimo_to_virtual gives its user count M, which is
+all that a draw needs.  Noise is drawn at unit variance and scaled per point.
 """
 
 from __future__ import annotations
@@ -42,30 +43,15 @@ def single_antenna(K: int, L: int | None = None) -> Topology:
     return Topology(K, L, (1,) * K, (1,) * L)
 
 
-@dataclass(frozen=True)
-class VirtualTopology:
-    """Expansion of a physical topology into M single-antenna virtual nodes.
-
-    tx_map / rx_map give, for each virtual index, the originating
-    (physical node, antenna) pair.
-    """
-
-    M: int
-    tx_map: tuple[tuple[int, int], ...]
-    rx_map: tuple[tuple[int, int], ...]
-
-
-def expand_mimo_to_virtual(t: Topology) -> VirtualTopology:
-    """Treat each antenna as a virtual single-antenna node.
+def expand_mimo_to_virtual(t: Topology) -> int:
+    """The number M of virtual single-antenna users when each antenna is
+    treated as a virtual node.
 
     Activates M = min(total tx antennas, total rx antennas) virtual
     transmitters and M virtual receivers, taking antennas in node order
     then antenna order (lowest indices first).
     """
-    M = min(sum(t.tx_antennas), sum(t.rx_antennas))
-    tx_all = [(node, ant) for node in range(t.K) for ant in range(t.tx_antennas[node])]
-    rx_all = [(node, ant) for node in range(t.L) for ant in range(t.rx_antennas[node])]
-    return VirtualTopology(M, tuple(tx_all[:M]), tuple(rx_all[:M]))
+    return min(sum(t.tx_antennas), sum(t.rx_antennas))
 
 
 def _draw_coeffs(shape, model, rng):
@@ -82,10 +68,11 @@ def _draw_coeffs(shape, model, rng):
 
 
 def sample_extended_channel(
-    vt: VirtualTopology, n_ext: int, model: str, rng: np.random.Generator
+    M: int, n_ext: int, model: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw i.i.d. unit-variance channel coefficients for every link and slot:
-    the (M, M, N) diagonal array, real or complex as *model* says.
+    """Draw i.i.d. unit-variance channel coefficients for every link and slot
+    between *M* virtual users: the (M, M, N) diagonal array, real or complex
+    as *model* says.
 
     One generator call draws the links in receiver then transmitter order,
     the stream that one length-N call per link would give.  Exact-zero
@@ -94,7 +81,7 @@ def sample_extended_channel(
     """
     if n_ext < 1:
         raise ValueError("extension length must be >= 1")
-    diag = _draw_coeffs((vt.M, vt.M, n_ext), model, rng)
+    diag = _draw_coeffs((M, M, n_ext), model, rng)
     while (zero := diag == 0).any():
         diag[zero] = _draw_coeffs((int(zero.sum()),), model, rng)
     return diag

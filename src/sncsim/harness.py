@@ -9,25 +9,26 @@ variance swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan, and SimConfig.validate() rejects a
-config whose plan cannot be built, or a p_max and SNR grid whose linear
-SNR or noise variance leaves LEVEL_RANGE (snr_levels, which the engine
-shares).  The engine evaluates chunks of consecutive trials: run_trials
-stacks a chunk's channels into one bare (T, M, M, N) array and builds
-everything that depends on the channel alone (precoders, rank and
-conditioning checks, filters, link gains) in one stacked pass, redrawing
-only the trials whose draw was degenerate, then evaluates the whole SNR
-grid of every kept trial in one array pass.  The rank check's SVD of V_1
-also gives its condition number, which certifies most trials' conditioning
-without a further SVD (snc.build_filters).  The compute-and-forward leg
-runs once per chunk over the grid and draws no randomness.  The arrays of
-a chunk are the only shape: run_trial is run_trials on one index and
-returns its one-trial TrialBatch.  A sweep that fits one chunk of at most
-BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
-says: a process pool could not amortise its start-up over one chunk.  A
-larger sweep goes to a pool of at most SNCSIM_WORKERS processes in chunks
-of trials // (4 workers) trials.  run_sweep joins the chunks' outcomes
-into [point, kept trial] arrays and aggregates every point of a scheme in
-one pass over the trial axis.
+config whose plan cannot be built, a count that is not an integer, a cap
+flag that is not a bool, or a p_max and SNR grid whose linear SNR or noise
+variance leaves LEVEL_RANGE (snr_levels, which the engine shares).  The
+engine evaluates chunks of consecutive trials: run_trials stacks a chunk's
+channels into one bare (T, M, M, N) array and builds everything that
+depends on the channel alone (the precoders v1 and v_other, their rank and
+conditioning checks, the filters u, the link gains) as plain arrays in one
+stacked pass, redrawing only the trials whose draw was degenerate, then
+evaluates the whole SNR grid of every kept trial in one array pass.  The
+rank check's SVD of V_1 also gives its condition number, which certifies
+most trials' conditioning without a further SVD (snc.build_filters).  The
+compute-and-forward leg runs once per chunk over the grid and draws no
+randomness.  The arrays of a chunk are the only shape: run_trial is
+run_trials on one index and returns its one-trial TrialBatch.  A sweep
+that fits one chunk of at most BATCH_ELEMENTS per array runs in this
+process, whatever SNCSIM_WORKERS says: a process pool could not amortise
+its start-up over one chunk.  A larger sweep goes to a pool of at most
+SNCSIM_WORKERS processes in chunks of trials // (4 workers) trials.
+run_sweep joins the chunks' outcomes into [point, kept trial] arrays and
+aggregates every point of a scheme in one pass over the trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
@@ -45,6 +46,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -66,6 +68,7 @@ from .channel import (
 from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
 from .gf import PrimeField, RankDeficientError
 from .phy import (
+    DOF_WINDOW_DB,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -76,7 +79,6 @@ from .phy import (
 )
 from .snc import (
     CapacityError,
-    PrecoderSet,
     build_filters,
     build_precoders,
     check_precoder_ranks,
@@ -169,9 +171,18 @@ class SimConfig:
     cf_radius: int = 3
     cap_enabled: bool = True
     out_path: str = "sweep.csv"
-    dof_window_db: tuple[float, float] = (40.0, 60.0)
 
     def validate(self):
+        names = ("K", "n", "q", "trials", "seed", "cf_radius")
+        integers = [(name, getattr(self, name)) for name in names] + [("L", self.rx_count)]
+        integers += [("an antenna count", a)
+                     for a in (*(self.tx_antennas or ()), *(self.rx_antennas or ()))]
+        for name, value in integers:
+            # bool is an Integral too, but True users or trials is a mistake
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.cap_enabled, bool):
+            raise ConfigError(f"cap_enabled must be a bool, got {self.cap_enabled!r}")
         if self.scheme not in ("snc", "cf", "both"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.channel_model not in ("real", "complex"):
@@ -188,7 +199,7 @@ class SimConfig:
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         try:
-            M = self.topology_expanded.M
+            M = self.M
         except ValueError as exc:
             raise ConfigError(f"bad topology: {exc}") from exc
         if self.run_cf and self.K != self.rx_count:
@@ -227,14 +238,10 @@ class SimConfig:
         return self.K if self.L is None else self.L
 
     @property
-    def topology(self) -> Topology:
+    def M(self) -> int:
         tx = self.tx_antennas or (1,) * self.K
         rx = self.rx_antennas or (1,) * self.rx_count
-        return Topology(self.K, self.rx_count, tuple(tx), tuple(rx))
-
-    @property
-    def topology_expanded(self):
-        return expand_mimo_to_virtual(self.topology)
+        return expand_mimo_to_virtual(Topology(self.K, self.rx_count, tuple(tx), tuple(rx)))
 
     @property
     def run_snc(self) -> bool:
@@ -267,41 +274,34 @@ class TrialBatch:
     cf_outage: np.ndarray | None = None
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return default_rng(SeedSequence([seed, trial_index]))
-
-
 def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
     """Resample the degenerate draws of the chunk's channel *h* (precoder
     rank loss, an ill-conditioned filter) up to MAX_RESAMPLES times; each
     round redraws, and checks, only the trials still pending.  The filters'
     conditioning is checked only for trials that pass the rank check, from
     the condition number of V_1 that check returns.  Returns the kept
-    trials' channel, precoders and filters, and the kept mask."""
+    trials' channel, precoders v1 and v_other, and filters, and the kept
+    mask."""
     T, K, N = len(h), plan.K, plan.N
     v1 = np.empty((T, N, N), h.dtype)
     v_other = np.empty((T, N, plan.N_prime), h.dtype)
     u = np.empty((T, K, N, N), h.dtype)
-    scale = np.empty(T)
     kept = np.zeros(T, dtype=bool)
     pending = np.arange(T)
     for attempt in range(MAX_RESAMPLES + 1):
         if attempt:
             h[pending] = redraw(pending)
-        prec = build_precoders(h[pending], plan, cfg.p_max)
-        report = check_precoder_ranks(prec, plan)
-        ranked = report.passed
-        prec = PrecoderSet(K, prec.v1[ranked], prec.v_other[ranked],
-                           prec.power_scale[ranked])
-        u_ranked, ok = build_filters(h[pending[ranked]], prec, report.v1_cond[ranked])
-        done = pending[ranked][ok]
-        v1[done], v_other[done], u[done] = prec.v1[ok], prec.v_other[ok], u_ranked
-        scale[done] = prec.power_scale[ok]
+        pv1, pv_other = build_precoders(h[pending], plan, cfg.p_max)
+        ranked, v1_cond = check_precoder_ranks(pv1, pv_other, plan)
+        u_ranked, ok = build_filters(h[pending[ranked]], pv1[ranked], v1_cond[ranked])
+        good = np.flatnonzero(ranked)[ok]
+        done = pending[good]
+        v1[done], v_other[done], u[done] = pv1[good], pv_other[good], u_ranked
         kept[done] = True
         pending = pending[~kept[pending]]
         if not pending.size:
             break
-    return h[kept], PrecoderSet(K, v1[kept], v_other[kept], scale[kept]), u[kept], kept
+    return h[kept], v1[kept], v_other[kept], u[kept], kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
@@ -315,20 +315,20 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     degenerate after MAX_RESAMPLES resamples is aborted: ``kept`` is False
     for it.
     """
-    vt = cfg.topology_expanded
-    plan = extension_dims(vt.M, cfg.n) if cfg.run_snc else None
+    M = cfg.M
+    plan = extension_dims(M, cfg.n) if cfg.run_snc else None
     n_ext = plan.N if plan is not None else 1
     rhos, sigma2 = snr_levels(cfg.p_max, snr_dbs)
-    rngs = [_trial_rng(cfg.seed, i) for i in indices]
+    rngs = [default_rng(SeedSequence([cfg.seed, i])) for i in indices]
 
     def draw(trials):
-        return np.stack([sample_extended_channel(vt, n_ext, cfg.channel_model, rngs[t])
+        return np.stack([sample_extended_channel(M, n_ext, cfg.channel_model, rngs[t])
                          for t in trials])
 
     h = draw(range(len(rngs)))
     kept = np.ones(len(rngs), dtype=bool)
     if cfg.run_snc:
-        h, prec, u, kept = _usable_channels(cfg, plan, h, draw)
+        h, v1, v_other, u, kept = _usable_channels(cfg, plan, h, draw)
     out = {}
     if not kept.any():
         return TrialBatch(kept=kept)
@@ -337,17 +337,18 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
             h, rhos, PrimeField(cfg.q), cfg.cf_radius, cfg.cap_enabled)
     if cfg.run_snc:
         eff = effective_system(plan)
+        gains = link_gains(v1, v_other, u, eff)
         out["per_signal"], out["snc_rate"] = end_to_end_sum_rate(
-            per_link_rates(link_gains(prec, u, eff), sigma2), eff, rhos, cfg.cap_enabled)
+            per_link_rates(gains, sigma2), eff, rhos, cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
         kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
         msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
                          for rng in kept_rngs])
-        x = np.split(modulate_bpsk(msgs, cfg.q), eff.col_offset[1:], axis=-1)
-        noise = np.stack([sample_noise(sigma2, vt.M, n_ext, cfg.channel_model, rng)
+        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
+        noise = np.stack([sample_noise(sigma2, M, n_ext, cfg.channel_model, rng)
                           for rng in kept_rngs])
-        y = transmit(h, prec, x, noise)
-        out["detected"] = cp_recover(eff, filter_and_demodulate(y, u, eff)).detected_error
+        y = transmit(h, v1, v_other, x, noise)
+        _, out["detected"] = cp_recover(eff, filter_and_demodulate(y, u, eff))
     return TrialBatch(kept=kept, **out)
 
 
@@ -398,7 +399,7 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     (N, M, candidates), up to small factors.  run_sweep uses a pool only
     when chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans
     more than one such chunk."""
-    M, S = cfg.topology_expanded.M, len(cfg.snr_grid)
+    M, S = cfg.M, len(cfg.snr_grid)
     n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
     elements = M * n_ext * max(n_ext, S * M)
     if cfg.run_cf:
@@ -442,8 +443,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     in trial-index order, so results do not depend on the worker count.
     """
     cfg.validate()
-    vt = cfg.topology_expanded
-    n_ext = extension_dims(vt.M, cfg.n).N if cfg.run_snc else 1
+    n_ext = extension_dims(cfg.M, cfg.n).N if cfg.run_snc else 1
     workers = worker_count()
     if chunk_length(cfg, 1) >= cfg.trials:
         workers = 1  # one chunk: a pool would cost more than it saves
@@ -478,16 +478,14 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     res.aborted_trials = aborted * len(cfg.snr_grid)
 
     if not cfg.cap_enabled:
-        lo, hi = cfg.dof_window_db
+        lo, hi = DOF_WINDOW_DB
         for scheme in schemes:
             fit = [pt for pt in res.points
                    if pt.scheme == scheme and math.isfinite(pt.mean_sum_rate)]
             if sum(1 for pt in fit if lo <= pt.snr_db <= hi) >= 2:
                 res.dof_slopes[scheme] = estimate_dof_slope(
                     [pt.snr_db for pt in fit],
-                    [pt.mean_sum_rate * n_ext for pt in fit],
-                    n_ext, cfg.dof_window_db,
-                )
+                    [pt.mean_sum_rate * n_ext for pt in fit], n_ext)
     total = len(cfg.snr_grid) * cfg.trials
     notes = []
     if res.aborted_trials > 0.01 * total:

@@ -10,8 +10,8 @@ parity of the detected number of -1 symbols.
 Everything after the channel is evaluated for a chunk of trials and the
 whole SNR grid at once: transmit, filter_and_demodulate, link_gains,
 per_link_rates and end_to_end_sum_rate take the leading trial axis of the
-bare channel array and of the filters, followed by an SNR axis where the
-noise enters.  Rates are arrays over the links of the effective system
+bare channel, precoder and filter arrays, followed by an SNR axis where
+the noise enters.  Rates are arrays over the links of the effective system
 (the nonzero entries of F, grouped by stream), with link_gains computed
 once per channel draw.  link_rate and _demod_sum_constellation are the
 per-link and per-value references.
@@ -23,34 +23,35 @@ import math
 
 import numpy as np
 
-from .snc import EffectiveSystem, PrecoderSet
+from .snc import EffectiveSystem
+
+DOF_WINDOW_DB = (40.0, 60.0)  # the SNR window of the DoF slope fit
 
 
 class UnsupportedModulationError(Exception):
     """Demodulation paths support GF(2)/BPSK only."""
 
 
-def modulate_bpsk(b, q: int = 2) -> np.ndarray:
+def modulate_bpsk(b) -> np.ndarray:
     """Map GF(2) symbols to antipodal samples: 0 -> +1, 1 -> -1."""
-    if q != 2:
-        raise UnsupportedModulationError(f"BPSK requires q=2, got q={q}")
     b = np.asarray(b)
     if b.size and (b.min() < 0 or b.max() > 1):
         raise UnsupportedModulationError("symbols must be in {0, 1}")
     return 1.0 - 2.0 * b
 
 
-def transmit(h: np.ndarray, p: PrecoderSet, x: list[np.ndarray],
-             noise: np.ndarray) -> np.ndarray:
+def transmit(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
+             x: list[np.ndarray], noise: np.ndarray) -> np.ndarray:
     """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
-    noise (..., K, N); *x* holds the K transmitters' symbol vectors.  The
-    leading (trial) axes of the channel h, p and x lead the noise too, and
-    any further noise axes (SNR points) follow them."""
+    noise (..., K, N); *x* holds the K transmitters' symbol vectors, sent
+    through transmitter 1's precoder *v1* and the shared *v_other*.  The
+    leading (trial) axes of the channel h, the precoders and x lead the
+    noise too, and any further noise axes (SNR points) follow them."""
     y = np.asarray(noise, dtype=h.dtype)
     lead = h.ndim - 3
-    for k in range(p.K):
-        vx = ((p.v_other if k else p.v1) @ np.asarray(x[k])[..., None])[..., 0]
-        sig = h[..., :p.K, k, :] * vx[..., None, :]
+    for k, xk in enumerate(x):
+        vx = ((v_other if k else v1) @ np.asarray(xk)[..., None])[..., 0]
+        sig = h[..., k, :] * vx[..., None, :]
         y = y + sig.reshape(sig.shape[:lead] + (1,) * (y.ndim - sig.ndim)
                             + sig.shape[lead:])
     return y
@@ -102,7 +103,8 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def link_gains(p: PrecoderSet, u: np.ndarray, eff: EffectiveSystem) -> np.ndarray:
+def link_gains(v1: np.ndarray, v_other: np.ndarray, u: np.ndarray,
+               eff: EffectiveSystem) -> np.ndarray:
     """Noise-free SNR of every link of *eff*, computed once per channel:
     the rate of link j at noise power sigma2 is log2(1 + gains[j] / sigma2).
 
@@ -116,8 +118,8 @@ def link_gains(p: PrecoderSet, u: np.ndarray, eff: EffectiveSystem) -> np.ndarra
     p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).  The filters u of
     build_filters and the precoders of those trials give a (T, links) array.
     """
-    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (p.v1, p.v_other))
-    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (p.K - 1), axis=-1)
+    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
+    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
     u_norm2 = np.sum(np.abs(u) ** 2, axis=-1)
     u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
     return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
@@ -145,7 +147,7 @@ def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rhos,
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,
-                       window_db: tuple[float, float] = (40.0, 60.0)) -> float:
+                       window_db: tuple[float, float] = DOF_WINDOW_DB) -> float:
     """Least-squares slope of block sum-rate vs log2(SNR), divided by N.
 
     The result is the empirical total DoF per channel use.  Sum rates must

@@ -21,7 +21,10 @@ precoder is ranked only where V_1 has full rank, and a receiver's
 conditioning is certified from cond(V_1) and its channel gains, with the
 exact np.linalg.cond check only where that bound does not settle it.  The
 filters take one inverse of V_1 per trial.
-cp_recover solves every SNR point of a chunk of trials in one call.
+cp_recover solves every SNR point of a chunk of trials in one call.  Each
+stage returns plain arrays, only those the next stage reads:
+build_precoders (v1, v_other), check_precoder_ranks (passed, v1_cond),
+build_filters (u, ok) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -48,16 +51,8 @@ CONDITION_MARGIN = 16
 MAX_EXTENSION = 10**6
 
 
-class SncError(Exception):
-    """Base class for scheme-construction errors."""
-
-
-class CapacityError(SncError):
+class CapacityError(Exception):
     """Extension dimensions overflow the supported size."""
-
-
-class DegenerateChannelError(SncError):
-    """Channel realization unusable (singular desired channel)."""
 
 
 def _compositions(total: int, slots: int) -> list[tuple[int, ...]]:
@@ -118,22 +113,12 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
                          tx1_exponents=tx1, other_exponents=other)
 
 
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Precoding matrices ``v1`` (N x N) of transmitter 1 and ``v_other``
-    (N x N'), shared by transmitters 2..K, both carrying the single global
-    power scale.  ``v1``, ``v_other`` and ``power_scale`` share the leading
-    (trial) axes of the channel."""
-
-    K: int
-    v1: np.ndarray = field(repr=False)
-    v_other: np.ndarray = field(repr=False)
-    power_scale: np.ndarray
-
-
 def build_precoders(h: np.ndarray, plan: ExtensionPlan,
-                    p_max: float = 1.0) -> PrecoderSet:
-    """Construct the precoding matrices from the channel ratio products.
+                    p_max: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Construct the precoding matrices from the channel ratio products:
+    ``(v1, v_other)``, transmitter 1's (..., N, N) and the (..., N, N')
+    one that transmitters 2..K share, with the leading (trial) axes of the
+    channel *h*.
 
     Each column is (prod over slots of G[i,j]^exponent) applied to the
     all-ones seed vector, multiplied in slot order from a table of the
@@ -145,10 +130,7 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan,
     K, N = plan.K, plan.N
     if h.shape[-1] != N or min(h.shape[-3:-1]) < K:
         raise ValueError("channel realization does not match the plan")
-    base = h[..., :K, 0, :]
-    bad = np.flatnonzero(np.any(base == 0, axis=-1)) % K
-    if bad.size:
-        raise DegenerateChannelError(f"singular desired channel at receiver {bad[0]}")
+    base = h[..., :K, 0, :]  # nonzero: sample_extended_channel redraws exact zeros
     # diagonals of G[i,j] = H[i,1]^-1 H[i,j], in slot order (i, j), j >= 2
     g = h[..., :K, 1:K, :] / base[..., None, :]
     g = g.reshape(*g.shape[:-3], K * (K - 1), N)
@@ -162,28 +144,8 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan,
         # C order fixes matvec rounding
         v.append(np.ascontiguousarray(np.swapaxes(cols, -1, -2)))
     max_norm2 = np.maximum(*(np.max(np.sum(np.abs(m) ** 2, axis=-2), axis=-1) for m in v))
-    scale = np.sqrt(p_max / max_norm2)
-    return PrecoderSet(K=K, v1=v[0] * scale[..., None, None],
-                       v_other=v[1] * scale[..., None, None], power_scale=scale)
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Numerical ranks of transmitter 1's and the shared precoder, the
-    stream counts they must reach, and the 2-norm condition number
-    ``v1_cond`` = sigma_max / sigma_min of ``v1`` (inf when sigma_min is 0).
-    Each rank, ``v1_cond`` and ``passed`` is an array over the leading
-    (trial) axes of the precoders.  The shared precoder is ranked only
-    where ``v1`` reached full rank; elsewhere ``ranks[1]`` reads 0, which
-    leaves ``passed`` False there as it would be anyway."""
-
-    ranks: tuple[np.ndarray, np.ndarray]
-    expected: tuple[int, int]
-    v1_cond: np.ndarray
-
-    @property
-    def passed(self):
-        return (self.ranks[0] == self.expected[0]) & (self.ranks[1] == self.expected[1])
+    scale = np.sqrt(p_max / max_norm2)[..., None, None]
+    return v[0] * scale, v[1] * scale
 
 
 def _numerical_rank(sv: np.ndarray) -> np.ndarray:
@@ -191,20 +153,24 @@ def _numerical_rank(sv: np.ndarray) -> np.ndarray:
     return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
 
 
-def check_precoder_ranks(p: PrecoderSet, plan: ExtensionPlan) -> RankReport:
-    """Numerical ranks of the two precoders (singular values above
-    RANK_SV_RTOL times the largest) and the condition number of ``v1``,
-    all from one SVD of ``v1`` and one of ``v_other`` for the trials whose
-    ``v1`` reached rank N."""
-    sv1 = np.linalg.svd(p.v1, compute_uv=False)
-    rank1 = _numerical_rank(sv1)
-    full = rank1 == plan.N
-    rank_other = np.zeros_like(rank1)
-    rank_other[full] = _numerical_rank(np.linalg.svd(p.v_other[full], compute_uv=False))
+def check_precoder_ranks(v1: np.ndarray, v_other: np.ndarray,
+                         plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """``(passed, v1_cond)`` over the leading (trial) axes of the precoders.
+
+    ``passed`` marks the trials where both precoders have full column rank
+    (N and N' singular values above RANK_SV_RTOL times the largest), and
+    ``v1_cond`` is the 2-norm condition number sigma_max / sigma_min of
+    ``v1`` (inf when sigma_min is 0).  Both come from one SVD of ``v1``
+    and one of ``v_other``, taken only for the trials whose ``v1`` reached
+    rank N.
+    """
+    sv1 = np.linalg.svd(v1, compute_uv=False)
+    passed = np.asarray(_numerical_rank(sv1) == plan.N)  # an array even for one trial
+    passed[passed] = (_numerical_rank(np.linalg.svd(v_other[passed], compute_uv=False))
+                      == plan.N_prime)
     with np.errstate(divide="ignore"):  # a singular v1 has condition number inf
         v1_cond = sv1[..., 0] / sv1[..., -1]
-    return RankReport(ranks=(rank1, rank_other), expected=(plan.N, plan.N_prime),
-                      v1_cond=v1_cond)
+    return passed, v1_cond
 
 
 @dataclass(frozen=True)
@@ -212,13 +178,12 @@ class AlignmentResult:
     aligned: bool
     # (receiver, transmitter, column) -> matching column index of H_{l,1} V_1
     witness: dict[tuple[int, int, int], int]
-    first_failure: tuple[int, int, int] | None = None
 
     def __bool__(self):
         return self.aligned
 
 
-def verify_alignment(h: np.ndarray, p: PrecoderSet,
+def verify_alignment(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
                      rtol: float = ALIGNMENT_RTOL) -> AlignmentResult:
     """Check that every interfering column of one trial's channel *h*
     (M, M, N) and precoders coincides with a desired column.
@@ -228,25 +193,26 @@ def verify_alignment(h: np.ndarray, p: PrecoderSet,
     H_{l,1} V_1.  The witness map records the matching column indices.
     """
     witness = {}
-    for l in range(p.K):
-        desired = h[l, 0][:, None] * p.v1
+    K = len(h)
+    for l in range(K):
+        desired = h[l, 0][:, None] * v1
         norms = np.linalg.norm(desired, axis=0)
-        for k in range(1, p.K):
-            cross = h[l, k][:, None] * p.v_other
+        for k in range(1, K):
+            cross = h[l, k][:, None] * v_other
             for c in range(cross.shape[1]):
                 dist = np.linalg.norm(desired - cross[:, c][:, None], axis=0)
                 match = np.where(dist <= rtol * np.maximum(norms, 1e-300))[0]
                 if match.size == 0:
-                    return AlignmentResult(False, witness, (l, k, c))
+                    return AlignmentResult(False, witness)
                 witness[l, k, c] = int(match[0])
     return AlignmentResult(True, witness)
 
 
-def build_filters(h: np.ndarray, p: PrecoderSet,
+def build_filters(h: np.ndarray, v1: np.ndarray,
                   v1_cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert the desired signal space at every receiver, for a stack of
-    trials: the channel (T, M, M, N), precoders with that trial axis and
-    the (T,) condition numbers of their ``v1`` (RankReport.v1_cond).
+    trials: the channel (T, K, K, N), transmitter 1's precoders ``v1``
+    (T, N, N) and their (T,) condition numbers from check_precoder_ranks.
 
     Returns ``(u, ok)``.  ``ok`` (T,) marks the trials whose desired space
     D_l V_1, D_l = diag(h[t, l, 0]), has condition number at most
@@ -260,16 +226,16 @@ def build_filters(h: np.ndarray, p: PrecoderSet,
     x' = u[t, l] @ y, so u[t, l] @ (D_l V_1) is the identity.  They come
     from one inverse per trial, (D_l V_1)^-1 = V_1^-1 D_l^-1.
     """
-    d = h[..., :p.K, 0, :]  # (T, K, N): the diagonals D_l
+    d = h[..., 0, :]  # (T, K, N): the diagonals D_l
     mag = np.abs(d)
     certified = (v1_cond[:, None] * mag.max(axis=-1)
                  <= MAX_CONDITION / CONDITION_MARGIN * mag.min(axis=-1))
     bad = np.zeros(certified.shape, dtype=bool)
     t, l = np.nonzero(~certified)
     if t.size:
-        bad[t, l] = np.linalg.cond(d[t, l, :, None] * p.v1[t]) > MAX_CONDITION
+        bad[t, l] = np.linalg.cond(d[t, l, :, None] * v1[t]) > MAX_CONDITION
     ok = ~bad.any(axis=-1)
-    return np.linalg.inv(p.v1[ok])[:, None] / d[ok, :, None, :], ok
+    return np.linalg.inv(v1[ok])[:, None] / d[ok, :, None, :], ok
 
 
 @dataclass(frozen=True)
@@ -345,29 +311,19 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     return EffectiveSystem(plan=plan, col_offset=offsets, **arrays)
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    """Per-transmitter recovered message vectors plus the detected-error
-    flag (redundant forwarded rows disagreed with the solved subsystem),
-    each with the leading axes of the forwarded messages."""
-
-    messages: tuple[np.ndarray, ...]
-    detected_error: np.ndarray
-
-
-def cp_recover(eff: EffectiveSystem, forwarded) -> RecoveryResult:
+def cp_recover(eff: EffectiveSystem, forwarded) -> tuple[np.ndarray, np.ndarray]:
     """Central-processor recovery from the forwarded messages (..., K N),
     stacked in row order of F, with any leading (trial, SNR) axes.
 
-    Solves the independent-row subsystem of F mod 2 with its stored
-    inverse and reports (not silently ignores) inconsistency of the
-    redundant rows.
+    Returns ``(x, detected)``: the recovered messages (..., total_streams)
+    in column order of F, solved from the independent-row subsystem of F
+    mod 2 with its stored inverse, and the flag (...) that reports (not
+    silently ignores) redundant rows disagreeing with that solution.
     """
     forwarded = GF2.reduce(forwarded)
     x = (forwarded[..., eff.indep_rows] @ eff.indep_inv.T) % 2
     detected = np.any((x @ eff.f_int.T - forwarded) % 2, axis=-1)
-    return RecoveryResult(messages=tuple(np.split(x, eff.col_offset[1:], axis=-1)),
-                          detected_error=detected)
+    return x, detected
 
 
 def theoretical_dof(plan: ExtensionPlan):

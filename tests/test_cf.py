@@ -11,8 +11,8 @@ from sncsim.gf import PrimeField, gf_full_rank, gf_rank
 
 
 def real_channel(K, N, seed):
-    vt = expand_mimo_to_virtual(single_antenna(K))
-    return sample_extended_channel(vt, N, "real", np.random.default_rng(seed))
+    M = expand_mimo_to_virtual(single_antenna(K))
+    return sample_extended_channel(M, N, "real", np.random.default_rng(seed))
 
 
 def channel_from_rows(rows):
@@ -174,8 +174,8 @@ class TestTrialSumRate:
             assert (total == 0.0) == det_zero
 
     def test_complex_channels_rejected(self):
-        vt = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(vt, 2, "complex", np.random.default_rng(0))
+        M = expand_mimo_to_virtual(single_antenna(2))
+        h = sample_extended_channel(M, 2, "complex", np.random.default_rng(0))
         with pytest.raises(ValueError):
             cf_trial_sum_rate(h, [10.0], PrimeField(2))
 

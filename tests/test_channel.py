@@ -22,34 +22,26 @@ def test_topology_validation():
 
 class TestVirtualExpansion:
     def test_single_antenna_identity(self):
-        vt = expand_mimo_to_virtual(single_antenna(2))
-        assert vt.M == 2
-        assert vt.tx_map == ((0, 0), (1, 0))
-        assert vt.rx_map == ((0, 0), (1, 0))
+        assert expand_mimo_to_virtual(single_antenna(2)) == 2
 
     def test_min_rule_with_asymmetric_antennas(self):
-        vt = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 1)))
-        assert vt.M == 2
-        # antennas taken in node order then antenna order
-        assert vt.tx_map == ((0, 0), (0, 1))
+        assert expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 1))) == 2
 
     def test_three_by_two(self):
-        vt = expand_mimo_to_virtual(Topology(3, 2, (1, 1, 1), (2, 2)))
-        assert vt.M == 3
-        assert vt.rx_map == ((0, 0), (0, 1), (1, 0))
+        assert expand_mimo_to_virtual(Topology(3, 2, (1, 1, 1), (2, 2))) == 3
 
 
 class TestChannelSampling:
     def test_deterministic_under_fixed_seed(self):
-        vt = expand_mimo_to_virtual(single_antenna(2))
-        a = sample_extended_channel(vt, 3, "complex", np.random.default_rng(42))
-        b = sample_extended_channel(vt, 3, "complex", np.random.default_rng(42))
+        M = expand_mimo_to_virtual(single_antenna(2))
+        a = sample_extended_channel(M, 3, "complex", np.random.default_rng(42))
+        b = sample_extended_channel(M, 3, "complex", np.random.default_rng(42))
         assert a.shape == (2, 2, 3)
         assert np.array_equal(a, b)
 
     def test_links_drawn_in_receiver_then_transmitter_order(self):
-        vt = expand_mimo_to_virtual(single_antenna(3))
-        h = sample_extended_channel(vt, 4, "real", np.random.default_rng(8))
+        M = expand_mimo_to_virtual(single_antenna(3))
+        h = sample_extended_channel(M, 4, "real", np.random.default_rng(8))
         rng = np.random.default_rng(8)
         for l in range(3):
             for k in range(3):
@@ -60,12 +52,12 @@ class TestChannelSampling:
     def test_bulk_draw_equals_per_link_reference(self, model):
         # one generator call per channel gives the stream of one length-N
         # call per link (real parts, then imaginary parts, per link)
-        vt = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 2)))
+        M = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 2)))
         drawn = np.random.default_rng(21)
-        h = sample_extended_channel(vt, 5, model, drawn)
+        h = sample_extended_channel(M, 5, model, drawn)
         rng = np.random.default_rng(21)
-        for l in range(vt.M):
-            for k in range(vt.M):
+        for l in range(M):
+            for k in range(M):
                 ref = rng.standard_normal(5)
                 if model == "complex":
                     ref = (ref + 1j * rng.standard_normal(5)) / np.sqrt(2.0)
@@ -87,9 +79,9 @@ class TestChannelSampling:
                     out.flat[[1, 6]] = 0.0
                 return out
 
-        vt = expand_mimo_to_virtual(single_antenna(2))
+        M = expand_mimo_to_virtual(single_antenna(2))
         gen = ZeroFirst()
-        h = sample_extended_channel(vt, 3, "real", gen)
+        h = sample_extended_channel(M, 3, "real", gen)
         assert gen.calls == [(2, 2, 3), (2,)]
         ref = np.random.default_rng(4)
         expected = ref.standard_normal((2, 2, 3))
@@ -97,30 +89,30 @@ class TestChannelSampling:
         assert np.array_equal(h, expected)
 
     def test_unit_variance(self):
-        vt = expand_mimo_to_virtual(single_antenna(1, 1))
+        M = expand_mimo_to_virtual(single_antenna(1, 1))
         rng = np.random.default_rng(0)
         draws = np.concatenate([
-            sample_extended_channel(vt, 10**4, "complex", rng)[0, 0]
+            sample_extended_channel(M, 10**4, "complex", rng)[0, 0]
             for _ in range(10)
         ])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_real_model_has_no_imaginary_part(self):
         # the dtype is how every layer tells a real channel from a complex one
-        vt = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(vt, 4, "real", np.random.default_rng(1))
+        M = expand_mimo_to_virtual(single_antenna(2))
+        h = sample_extended_channel(M, 4, "real", np.random.default_rng(1))
         assert np.isrealobj(h) and h.dtype == np.float64
 
     def test_no_zero_entries(self):
-        vt = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(vt, 64, "real", np.random.default_rng(5))
+        M = expand_mimo_to_virtual(single_antenna(2))
+        h = sample_extended_channel(M, 64, "real", np.random.default_rng(5))
         assert np.all(h != 0)
 
     def test_link_independence_spot_check(self):
-        vt = expand_mimo_to_virtual(single_antenna(2))
+        M = expand_mimo_to_virtual(single_antenna(2))
         rng = np.random.default_rng(9)
         n = 10**5
-        h = sample_extended_channel(vt, n, "real", rng)
+        h = sample_extended_channel(M, n, "real", rng)
         c = np.corrcoef(h[0, 0], h[0, 1])[0, 1]
         assert abs(c) < 0.02
         # distinct slots of one link
@@ -204,9 +196,9 @@ class TestDrawsPinned:
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_zero_redraw_equals_np_any_loop(self, model):
-        vt = expand_mimo_to_virtual(single_antenna(2))
+        M = expand_mimo_to_virtual(single_antenna(2))
         for seed in range(50):
-            got = sample_extended_channel(vt, 5, model, ZeroingGenerator(seed, [1, 3]))
+            got = sample_extended_channel(M, 5, model, ZeroingGenerator(seed, [1, 3]))
             rng = ZeroingGenerator(seed, [1, 3])
             ref = moveaxis_coeffs((2, 2, 5), model, rng)
             redrawn = []

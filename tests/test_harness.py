@@ -50,6 +50,15 @@ def one_point(cfg, snr_db, trial_index):
     return run_trial(cfg, (snr_db,), trial_index)
 
 
+def spoil(value, how):
+    """An integer as a float, a non-integral float or a bool (*how* 0, 1
+    or 2), and a bool as an int, a string or None: stand-ins that
+    validate() must reject."""
+    if isinstance(value, bool):
+        return (int(value), "no", None)[how]
+    return (float(value), value + 0.5, bool(value))[how]
+
+
 def small_config(**overrides):
     base = dict(K=2, n=1, scheme="both", channel_model="real", trials=5,
                 snr_start=10.0, snr_stop=30.0, snr_step=10.0, seed=7,
@@ -165,6 +174,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        # validate() passed these, then the sweep raised TypeError
+        dict(trials=2.5), dict(seed=1.5), dict(cf_radius=1.5),
+        # validate() itself raised TypeError
+        dict(n=1.5), dict(K=2.0),
+        # ran, with the cap on
+        dict(cap_enabled="no"),
+        # other stand-ins for an integer or a bool
+        dict(trials=True), dict(L=2.0), dict(tx_antennas=(1.0, 1)),
+        dict(rx_antennas=(1, 1.5)), dict(cap_enabled=0),
+    ])
+    def test_rejects_non_integer_counts_and_non_bool_cap(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides).validate()
+
     # most random configs are rejected (complex CF, q > 2 with SNC, ...), so
     # the filter is heavy by design
     @settings(max_examples=25, deadline=None,
@@ -174,23 +198,33 @@ class TestConfig:
            channel_model=st.sampled_from(["real", "complex"]),
            q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
            cap_enabled=st.booleans(), seed=st.integers(-2**16, 2**16),
+           spoiled=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["K", "n", "q", "cf_radius", "seed", "trials",
+                                "cap_enabled"]),
+               st.integers(0, 2))),
            p_max=st.one_of(st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
                            st.sampled_from([0.0, 1e-320, math.inf, -math.inf, math.nan])),
            snr_start=st.one_of(st.integers(-10, 60), st.integers(-4000, 4000)),
            snr_span=st.integers(-20, 30),
            snr_step=st.integers(1, 30))
     def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
-                                              cf_radius, cap_enabled, seed, p_max,
-                                              snr_start, snr_span, snr_step):
-        cfg = SimConfig(K=K, n=n, scheme=scheme, channel_model=channel_model, q=q,
-                        cf_radius=cf_radius, cap_enabled=cap_enabled, seed=seed,
-                        p_max=p_max, trials=1, snr_start=float(snr_start),
-                        snr_stop=float(snr_start + snr_span), snr_step=float(snr_step))
+                                              cf_radius, cap_enabled, seed, spoiled,
+                                              p_max, snr_start, snr_span, snr_step):
+        fields = dict(K=K, n=n, q=q, cf_radius=cf_radius, seed=seed, trials=1,
+                      cap_enabled=cap_enabled)
+        if spoiled is not None:
+            name, how = spoiled
+            fields[name] = spoil(fields[name], how)
+        cfg = SimConfig(scheme=scheme, channel_model=channel_model, p_max=p_max,
+                        snr_start=float(snr_start), snr_stop=float(snr_start + snr_span),
+                        snr_step=float(snr_step), **fields)
         try:
             cfg.validate()
         except (ConfigError, ValueError):
             assume(False)
         assert n >= 1
+        # a float, bool or other stand-in would run on as something else
+        assert spoiled is None
         res = run_sweep(cfg)
         points = len(cfg.snr_grid)
         schemes = cfg.run_snc + cfg.run_cf
@@ -588,7 +622,7 @@ class TestCli:
 
     def test_extension_length_derived(self):
         cfg = parse_cli(["--users", "2", "--ext-n", "2"])
-        assert cfg.topology_expanded.M == 2
+        assert cfg.M == 2
         from sncsim.snc import extension_dims
         assert extension_dims(2, cfg.n).N == 3
 
