@@ -9,7 +9,13 @@ Off-diagonals are zero by representation; each diagonal slot is an
 independent draw (time-varying channel).  Multi-antenna topologies are
 mapped to an equivalent single-antenna network by treating every antenna
 as a virtual node: expand_mimo_to_virtual gives its user count M, which is
-all that a draw needs.  Noise is drawn at unit variance and scaled per point.
+all that a draw needs.
+
+Draws are stacked: sample_extended_channel and sample_noise take one
+generator per trial, make one standard_normal call on each, and combine,
+normalise and scale the whole (T, ...) stack at once, so every trial gets
+the bits of a draw from its generator alone.  Noise is drawn at unit
+variance and scaled per point.
 """
 
 from __future__ import annotations
@@ -54,51 +60,52 @@ def expand_mimo_to_virtual(t: Topology) -> int:
     return min(sum(t.tx_antennas), sum(t.rx_antennas))
 
 
-def _draw_coeffs(shape, model, rng):
-    """Unit-variance coefficients of *shape* in one generator call.  A
+def _draw_coeffs(shape, model, rngs) -> np.ndarray:
+    """Unit-variance coefficients (len(rngs), *shape): one call on each
+    generator, then one complex combine and normalisation of the stack.  A
     complex draw takes the real parts of each last-axis row, then its
     imaginary parts, as two length-N calls per row would."""
     if model == "complex":
         # circularly-symmetric unit variance: real/imag each variance 1/2
-        z = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+        z = np.stack([rng.standard_normal((*shape[:-1], 2, shape[-1])) for rng in rngs])
         return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     if model == "real":
-        return rng.standard_normal(shape)
+        return np.stack([rng.standard_normal(shape) for rng in rngs])
     raise ValueError(f"unknown channel model {model!r}")
 
 
-def sample_extended_channel(
-    M: int, n_ext: int, model: str, rng: np.random.Generator
-) -> np.ndarray:
+def sample_extended_channel(M: int, n_ext: int, model: str, rngs) -> np.ndarray:
     """Draw i.i.d. unit-variance channel coefficients for every link and slot
-    between *M* virtual users: the (M, M, N) diagonal array, real or complex
-    as *model* says.
+    between *M* virtual users, one trial per generator in *rngs*: the
+    (T, M, M, N) stack of diagonal arrays, real or complex as *model* says.
 
-    One generator call draws the links in receiver then transmitter order,
-    the stream that one length-N call per link would give.  Exact-zero
-    draws (a measure-zero event that would break channel inverses) are
-    then redrawn in that order.
+    Each generator draws its trial's links in one call, in receiver then
+    transmitter order, the stream that one length-N call per link would
+    give.  Exact-zero draws (a measure-zero event that would break channel
+    inverses) are then redrawn in that order, only for the trials that have
+    them, each from its own generator.
     """
     if n_ext < 1:
         raise ValueError("extension length must be >= 1")
-    diag = _draw_coeffs((M, M, n_ext), model, rng)
-    while (zero := diag == 0).any():
-        diag[zero] = _draw_coeffs((int(zero.sum()),), model, rng)
+    diag = _draw_coeffs((M, M, n_ext), model, rngs)
+    for t in np.flatnonzero((diag == 0).any(axis=(1, 2, 3))):
+        while (zero := diag[t] == 0).any():
+            diag[t][zero] = _draw_coeffs((int(zero.sum()),), model, rngs[t:t + 1])[0]
     return diag
 
 
-def sample_noise(
-    sigma2, n_rx: int, n_ext: int, model: str, rng: np.random.Generator
-) -> np.ndarray:
-    """(S, n_rx, n_ext) noise: one unit-variance draw scaled to each of the
-    S variances in *sigma2*, so every point sees the same unit noise.
+def sample_noise(sigma2, n_rx: int, n_ext: int, model: str, rngs) -> np.ndarray:
+    """(T, S, n_rx, n_ext) noise, one trial per generator in *rngs*: each
+    generator makes one unit-variance draw, scaled to each of the S
+    variances in *sigma2*, so every point of a trial sees the same unit
+    noise.
 
     The complex model splits the variance equally across real/imag parts.
     """
     scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
     if model == "complex":
-        z = rng.standard_normal((n_rx, 2, n_ext))
+        z = np.stack([rng.standard_normal((n_rx, 2, n_ext)) for rng in rngs])[:, None]
         return scale * (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
     if model == "real":
-        return scale * rng.standard_normal((n_rx, n_ext))
+        return scale * np.stack([rng.standard_normal((n_rx, n_ext)) for rng in rngs])[:, None]
     raise ValueError(f"unknown channel model {model!r}")

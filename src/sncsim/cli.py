@@ -101,7 +101,7 @@ def parse_cli(argv=None) -> SimConfig:
     try:
         cfg.validate()
         worker_count()  # a bad SNCSIM_WORKERS is a usage error too
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"snc-sim: error: {exc}", file=sys.stderr)
         sys.exit(USAGE_EXIT)
     return cfg

@@ -8,36 +8,43 @@ SNR is interpreted as p_max / sigma^2 with p_max fixed and the noise
 variance swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
-system -- is built once per plan, and SimConfig.validate() rejects a
-config whose plan cannot be built, a count that is not an integer, a cap
-flag that is not a bool, or a p_max and SNR grid whose linear SNR or noise
-variance leaves LEVEL_RANGE (snr_levels, which the engine shares).  The
-engine evaluates chunks of consecutive trials: run_trials stacks a chunk's
-channels into one bare (T, M, M, N) array and builds everything that
-depends on the channel alone (the precoders v1 and v_other, their rank and
-conditioning checks, the filters u, the link gains) as plain arrays in one
-stacked pass, redrawing only the trials whose draw was degenerate, then
-evaluates the whole SNR grid of every kept trial in one array pass.  The
-rank check's SVD of V_1 also gives its condition number, which certifies
-most trials' conditioning without a further SVD (snc.build_filters).  The
-compute-and-forward leg runs once per chunk over the grid and draws no
-randomness.  The arrays of a chunk are the only shape: run_trial is
-run_trials on one index and returns its one-trial TrialBatch.  A sweep
-that fits one chunk of at most BATCH_ELEMENTS per array runs in this
-process, whatever SNCSIM_WORKERS says: a process pool could not amortise
-its start-up over one chunk.  A larger sweep goes to a pool of at most
-SNCSIM_WORKERS processes in chunks of trials // (4 workers) trials.
-run_sweep joins the chunks' outcomes into [point, kept trial] arrays and
-aggregates every point of a scheme in one pass over the trial axis.
+system -- is built once per plan.  SimConfig.validate() raises
+ConfigError for every config it rejects: one whose plan cannot be built,
+a count that is not an integer, a cap flag that is not a bool, an antenna
+list that is not a sequence, a p_max or SNR field that is not a real
+number, a field size that is not a prime below 2^63, or a p_max and SNR
+grid whose linear SNR or noise variance leaves LEVEL_RANGE (snr_levels,
+which the engine shares).  The engine evaluates chunks of consecutive
+trials: run_trials draws a chunk's channels as one bare (T, M, M, N)
+stack, one generator call per trial, and builds everything that depends
+on the channel alone (the precoders v1 and v_other, their rank and
+conditioning checks, the filters' shared inverse w of V_1, the link
+gains) as plain arrays in one stacked pass, redrawing only the trials
+whose draw was degenerate, then evaluates the whole SNR grid of every
+kept trial in one array pass.  The rank check's SVD of V_1 also gives its
+condition number, which certifies most trials' V_other rank and filter
+conditioning without a further SVD (snc.check_precoder_ranks,
+snc.build_filters).  The compute-and-forward leg runs once per chunk over
+the grid and draws no randomness.  The arrays of a chunk are the only
+shape: run_trial is run_trials on one index and returns its one-trial
+TrialBatch.  A sweep that fits one chunk of at most BATCH_ELEMENTS per
+array runs in this process, whatever SNCSIM_WORKERS says: a process pool
+could not amortise its start-up over one chunk.  A larger sweep goes to a
+pool of at most SNCSIM_WORKERS processes in chunks of trials // (4
+workers) trials.  run_sweep joins the chunks' outcomes into [point, kept
+trial] arrays and aggregates every point of a scheme in one pass over the
+trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
-each once; only the noise scale depends on the SNR.  No draw depends on
-the grid or on the other trials of the chunk, and every number of a
-trial is computed from that trial's arrays alone, so a multi-point call
-equals the one-point calls it replaces and a trial's result does not
-depend on how the trials are chunked.  No check depends on the SNR, so
-an aborted trial aborts at every point.
+each once; only the noise scale depends on the SNR.  The channel and
+noise draws of a chunk are stacked (one call on each trial's generator,
+one combine and scaling of the stack), which keeps every trial's bits.
+No draw depends on the grid or on the other trials of the chunk, and
+every number of a trial is computed from that trial's arrays alone, so a
+multi-point call equals the one-point calls it replaces and a trial's
+result does not depend on how the trials are chunked.  No check depends
+on the SNR, so an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -175,8 +182,11 @@ class SimConfig:
     def validate(self):
         names = ("K", "n", "q", "trials", "seed", "cf_radius")
         integers = [(name, getattr(self, name)) for name in names] + [("L", self.rx_count)]
-        integers += [("an antenna count", a)
-                     for a in (*(self.tx_antennas or ()), *(self.rx_antennas or ()))]
+        for name in ("tx_antennas", "rx_antennas"):
+            counts = getattr(self, name)
+            if counts is not None and not isinstance(counts, (tuple, list)):
+                raise ConfigError(f"{name} must be a sequence of counts, got {counts!r}")
+            integers += [("an antenna count", a) for a in counts or ()]
         for name, value in integers:
             # bool is an Integral too, but True users or trials is a mistake
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -190,8 +200,11 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError(f"the seed must be >= 0, got {self.seed}")
         for name in ("p_max", "snr_start", "snr_stop", "snr_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.snr_step <= 0:
             raise ConfigError("SNR step must be positive")
         if self.snr_stop < self.snr_start:
@@ -227,7 +240,10 @@ class SimConfig:
         if self.p_max <= 0:
             raise ConfigError("p_max must be positive")
         snr_levels(self.p_max, self.snr_grid)
-        PrimeField(self.q)  # raises on non-prime
+        try:
+            PrimeField(self.q)
+        except ValueError as exc:
+            raise ConfigError(f"bad field size: {exc}") from exc
         if self.run_snc and self.q != 2:
             raise ConfigError(
                 f"the alignment scheme demodulates BPSK over GF(2) only, got q={self.q}"
@@ -280,28 +296,29 @@ def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
     round redraws, and checks, only the trials still pending.  The filters'
     conditioning is checked only for trials that pass the rank check, from
     the condition number of V_1 that check returns.  Returns the kept
-    trials' channel, precoders v1 and v_other, and filters, and the kept
-    mask."""
-    T, K, N = len(h), plan.K, plan.N
+    trials' channel, precoders v1 and v_other, and filter inverses w, and
+    the kept mask."""
+    T, N = len(h), plan.N
     v1 = np.empty((T, N, N), h.dtype)
     v_other = np.empty((T, N, plan.N_prime), h.dtype)
-    u = np.empty((T, K, N, N), h.dtype)
+    w = np.empty((T, N, N), h.dtype)
     kept = np.zeros(T, dtype=bool)
     pending = np.arange(T)
     for attempt in range(MAX_RESAMPLES + 1):
         if attempt:
             h[pending] = redraw(pending)
-        pv1, pv_other = build_precoders(h[pending], plan, cfg.p_max)
-        ranked, v1_cond = check_precoder_ranks(pv1, pv_other, plan)
-        u_ranked, ok = build_filters(h[pending[ranked]], pv1[ranked], v1_cond[ranked])
+        hp = h[pending]
+        pv1, pv_other = build_precoders(hp, plan, cfg.p_max)
+        ranked, v1_cond = check_precoder_ranks(hp, pv1, pv_other, plan)
+        w_ranked, ok = build_filters(hp[ranked], pv1[ranked], v1_cond[ranked])
         good = np.flatnonzero(ranked)[ok]
         done = pending[good]
-        v1[done], v_other[done], u[done] = pv1[good], pv_other[good], u_ranked
+        v1[done], v_other[done], w[done] = pv1[good], pv_other[good], w_ranked
         kept[done] = True
         pending = pending[~kept[pending]]
         if not pending.size:
             break
-    return h[kept], v1[kept], v_other[kept], u[kept], kept
+    return h[kept], v1[kept], v_other[kept], w[kept], kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
@@ -322,13 +339,13 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     rngs = [default_rng(SeedSequence([cfg.seed, i])) for i in indices]
 
     def draw(trials):
-        return np.stack([sample_extended_channel(M, n_ext, cfg.channel_model, rngs[t])
-                         for t in trials])
+        return sample_extended_channel(M, n_ext, cfg.channel_model,
+                                       [rngs[t] for t in trials])
 
     h = draw(range(len(rngs)))
     kept = np.ones(len(rngs), dtype=bool)
     if cfg.run_snc:
-        h, v1, v_other, u, kept = _usable_channels(cfg, plan, h, draw)
+        h, v1, v_other, w, kept = _usable_channels(cfg, plan, h, draw)
     out = {}
     if not kept.any():
         return TrialBatch(kept=kept)
@@ -337,7 +354,7 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
             h, rhos, PrimeField(cfg.q), cfg.cf_radius, cfg.cap_enabled)
     if cfg.run_snc:
         eff = effective_system(plan)
-        gains = link_gains(v1, v_other, u, eff)
+        gains = link_gains(h, v1, v_other, w, eff)
         out["per_signal"], out["snc_rate"] = end_to_end_sum_rate(
             per_link_rates(gains, sigma2), eff, rhos, cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
@@ -345,10 +362,9 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
         msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
                          for rng in kept_rngs])
         x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
-        noise = np.stack([sample_noise(sigma2, M, n_ext, cfg.channel_model, rng)
-                          for rng in kept_rngs])
+        noise = sample_noise(sigma2, M, n_ext, cfg.channel_model, kept_rngs)
         y = transmit(h, v1, v_other, x, noise)
-        _, out["detected"] = cp_recover(eff, filter_and_demodulate(y, u, eff))
+        _, out["detected"] = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
     return TrialBatch(kept=kept, **out)
 
 
@@ -394,9 +410,11 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     """Trials per chunk: all of them when serial, trials // (4 workers) on
     a pool so that each worker gets several chunks, and at least 1.  At
     most BATCH_ELEMENTS // (elements of one trial's largest array), so that
-    large extensions stay in memory; the largest arrays are the filters
-    (M, N, N), the per-link rates (S, M, M N) and the CF rates
-    (N, M, candidates), up to small factors.  run_sweep uses a pool only
+    large extensions stay in memory; the largest arrays are the per-link
+    rates (S, M, M N) and the CF rates (N, M, candidates), up to small
+    factors.  The M N^2 term once counted the per-receiver filters, which
+    are now one (N, N) inverse per trial; it stays so that chunking, and
+    with it the pool decision, do not move.  run_sweep uses a pool only
     when chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans
     more than one such chunk."""
     M, S = cfg.M, len(cfg.snr_grid)

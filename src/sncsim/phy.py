@@ -11,10 +11,15 @@ Everything after the channel is evaluated for a chunk of trials and the
 whole SNR grid at once: transmit, filter_and_demodulate, link_gains,
 per_link_rates and end_to_end_sum_rate take the leading trial axis of the
 bare channel, precoder and filter arrays, followed by an SNR axis where
-the noise enters.  Rates are arrays over the links of the effective system
-(the nonzero entries of F, grouped by stream), with link_gains computed
-once per channel draw.  link_rate and _demod_sum_constellation are the
-per-link and per-value references.
+the noise enters.  The filters come factored: receiver l's zero-forcing
+filter is w / d_l, the one inverse w = V_1^-1 of a trial with its columns
+divided by the receiver's channel diagonal d_l = h[l, 0], so
+filter_and_demodulate divides y_l by d_l and applies w in one batched
+matmul, and link_gains reads the filter row norms from |w|^2 and 1/|d_l|^2
+in one real matmul.  Rates are arrays over the links of the effective
+system (the nonzero entries of F, grouped by stream), with link_gains
+computed once per channel draw.  link_rate and _demod_sum_constellation
+are the per-link and per-value references.
 """
 
 from __future__ import annotations
@@ -70,11 +75,13 @@ def _demod_sum_constellation(value: float, m: int) -> int:
     return best_j % 2
 
 
-def filter_and_demodulate(y: np.ndarray, u: np.ndarray,
+def filter_and_demodulate(y: np.ndarray, h: np.ndarray, w: np.ndarray,
                           eff: EffectiveSystem) -> np.ndarray:
-    """Filter the received vectors y (..., K, N) with the filters u of
-    build_filters and demodulate them to the network-coded bits (..., K N),
-    stacked in row order of F.  The filters' trial axis leads y's axes.
+    """Filter the received vectors y (..., K, N) and demodulate them to the
+    network-coded bits (..., K N), stacked in row order of F.  Receiver l's
+    filter is w / d_l, the inverse *w* of build_filters with its columns
+    divided by the diagonal d_l = h[l, 0] of the channel *h*, so its output
+    is z_l = w (y_l / d_l).  The trial axes of h and w lead y's axes.
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
@@ -82,8 +89,12 @@ def filter_and_demodulate(y: np.ndarray, u: np.ndarray,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
-    z = np.real(np.einsum("...lij,...lj->...li", u, y))
+    lead = w.ndim - 2
+    d = h[..., 0, :]
+    y = y / d.reshape(d.shape[:lead] + (1,) * (y.ndim - d.ndim) + d.shape[lead:])
+    # every (SNR point, receiver) row of a trial through w in one matmul
+    rows = y.reshape(y.shape[:lead] + (-1, y.shape[-1]))
+    z = np.real(rows @ np.swapaxes(w, -1, -2)).reshape(y.shape)
     m = eff.weights
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
     return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
@@ -103,24 +114,27 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def link_gains(v1: np.ndarray, v_other: np.ndarray, u: np.ndarray,
+def link_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray,
                eff: EffectiveSystem) -> np.ndarray:
     """Noise-free SNR of every link of *eff*, computed once per channel:
     the rate of link j at noise power sigma2 is log2(1 + gains[j] / sigma2).
 
-    The decoding vector for row (l, i) is the conjugate of row i of the
-    applied filter, so it acts as u^H y.  Rate accounting gives every
-    signal the full per-signal power budget (SNR is defined as per-signal
-    transmit power over noise power), so each precoding column is rescaled
-    to the budget: the largest column's power, which build_precoders pins
-    to p_max.  The filter maps every linked column to a unit vector
-    (u^H H v = 1), so the gain of a link is the closed form
-    p_budget / (||u_{l,i}||^2 ||v_{k,s}||^2).  The filters u of
-    build_filters and the precoders of those trials give a (T, links) array.
+    The decoding vector for row (l, i) is the conjugate of row i of
+    receiver l's applied filter w / d_l (see filter_and_demodulate), so it
+    acts as u^H y.  Rate accounting gives every signal the full per-signal
+    power budget (SNR is defined as per-signal transmit power over noise
+    power), so each precoding column is rescaled to the budget: the
+    largest column's power, which build_precoders pins to p_max.  The
+    filter maps every linked column to a unit vector (u^H H v = 1), so the
+    gain of a link is the closed form p_budget / (||u_{l,i}||^2
+    ||v_{k,s}||^2), with ||u_{l,i}||^2 = sum_j |w_ij|^2 / |d_lj|^2.  The
+    channel *h*, the inverses *w* of build_filters and the precoders of
+    those trials give a (T, links) array.
     """
     v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
-    u_norm2 = np.sum(np.abs(u) ** 2, axis=-1)
+    # ||u_{l,i}||^2 for every receiver l and row i in one real matmul
+    u_norm2 = (1.0 / np.abs(h[..., 0, :]) ** 2) @ np.swapaxes(np.abs(w) ** 2, -1, -2)
     u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
     return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
                                                   * v_norm2[..., eff.link_cols])

@@ -16,15 +16,20 @@ them once per plan from the exponents.  Per channel draw only the
 precoders, their rank check and the filters with their conditioning check
 remain, all on the bare channel array with a leading trial axis: every
 trial's numbers are those of a stack holding that trial alone.  The checks
-are staged: one SVD of V_1 gives its rank and condition number, the shared
-precoder is ranked only where V_1 has full rank, and a receiver's
-conditioning is certified from cond(V_1) and its channel gains, with the
-exact np.linalg.cond check only where that bound does not settle it.  The
-filters take one inverse of V_1 per trial.
+are staged and lean on two identities of the construction.  One SVD of V_1
+gives its rank and condition number.  The shared precoder satisfies
+diag(g_s) V_other = V_1 P_s for every ratio slot s, with P_s the column
+selection of the exponent shift rule (_plan_matrix), so cond(V_other) <=
+cond(V_1) cond(diag(g_s)) and V_other is ranked by an SVD only where that
+bound does not settle it.  A receiver's filter is (D_l V_1)^-1 =
+V_1^-1 D_l^-1, so its conditioning is certified from cond(V_1) and its
+channel gains, with the exact np.linalg.cond check only where that bound
+does not settle it, and all K receivers share the one inverse w = V_1^-1
+per trial: the phy layer applies D_l^-1 to the received vector, not to w.
 cp_recover solves every SNR point of a chunk of trials in one call.  Each
 stage returns plain arrays, only those the next stage reads:
 build_precoders (v1, v_other), check_precoder_ranks (passed, v1_cond),
-build_filters (u, ok) and cp_recover (x, detected).
+build_filters (w, ok) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -46,7 +51,8 @@ MAX_CONDITION = 1e12
 # Computed singular values are off by O(eps) times the largest (Demmel,
 # Applied Numerical Linear Algebra, 5.2), so a computed condition number up
 # to MAX_CONDITION is off by a relative O(eps MAX_CONDITION), about 1e-4.
-# build_filters certifies a bound this many times below MAX_CONDITION.
+# build_filters certifies a bound this many times below MAX_CONDITION, and
+# check_precoder_ranks one this many times below 1 / RANK_SV_RTOL.
 CONDITION_MARGIN = 16
 MAX_EXTENSION = 10**6
 
@@ -153,23 +159,40 @@ def _numerical_rank(sv: np.ndarray) -> np.ndarray:
     return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
 
 
-def check_precoder_ranks(v1: np.ndarray, v_other: np.ndarray,
+def check_precoder_ranks(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
                          plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """``(passed, v1_cond)`` over the leading (trial) axes of the precoders.
+    """``(passed, v1_cond)`` over the leading (trial) axes of the channel *h*
+    and the precoders that build_precoders made from it.
 
     ``passed`` marks the trials where both precoders have full column rank
     (N and N' singular values above RANK_SV_RTOL times the largest), and
     ``v1_cond`` is the 2-norm condition number sigma_max / sigma_min of
-    ``v1`` (inf when sigma_min is 0).  Both come from one SVD of ``v1``
-    and one of ``v_other``, taken only for the trials whose ``v1`` reached
-    rank N.
+    ``v1`` (inf when sigma_min is 0), from one SVD of ``v1``.
+
+    By the exponent shift rule (_plan_matrix), diag(g_s) V_other = V_1 P_s
+    for every slot s = (l, k), with g_s = h[l, k] / h[l, 0] and P_s a
+    selection of N' distinct columns, so cond(V_other) <= cond(V_1)
+    max|g_s| / min|g_s|.  Where V_1 has full rank and that bound is at most
+    1 / (RANK_SV_RTOL CONDITION_MARGIN) for some slot, V_other has full
+    rank (the margin covers the rounding of the computed precoders and
+    singular values); the SVD of ``v_other`` runs only on the other trials
+    whose ``v1`` reached rank N, so ``passed`` is the mask the two SVDs
+    give.
     """
+    K = plan.K
     sv1 = np.linalg.svd(v1, compute_uv=False)
     passed = np.asarray(_numerical_rank(sv1) == plan.N)  # an array even for one trial
-    passed[passed] = (_numerical_rank(np.linalg.svd(v_other[passed], compute_uv=False))
-                      == plan.N_prime)
     with np.errstate(divide="ignore"):  # a singular v1 has condition number inf
         v1_cond = sv1[..., 0] / sv1[..., -1]
+    hp = h[passed]
+    mag = np.abs(hp[..., :K, 1:K, :] / hp[..., :K, 0, None, :])  # |g| per slot
+    uncertified = passed.copy()
+    uncertified[passed] = ~np.any(
+        v1_cond[passed][:, None, None] * mag.max(axis=-1)
+        <= mag.min(axis=-1) / (RANK_SV_RTOL * CONDITION_MARGIN), axis=(-2, -1))
+    if uncertified.any():
+        passed[uncertified] = (_numerical_rank(
+            np.linalg.svd(v_other[uncertified], compute_uv=False)) == plan.N_prime)
     return passed, v1_cond
 
 
@@ -214,7 +237,7 @@ def build_filters(h: np.ndarray, v1: np.ndarray,
     trials: the channel (T, K, K, N), transmitter 1's precoders ``v1``
     (T, N, N) and their (T,) condition numbers from check_precoder_ranks.
 
-    Returns ``(u, ok)``.  ``ok`` (T,) marks the trials whose desired space
+    Returns ``(w, ok)``.  ``ok`` (T,) marks the trials whose desired space
     D_l V_1, D_l = diag(h[t, l, 0]), has condition number at most
     MAX_CONDITION at every receiver; only they are inverted.  Since
     cond(D_l V_1) <= cond(D_l) cond(V_1), a receiver whose bound is at most
@@ -222,9 +245,9 @@ def build_filters(h: np.ndarray, v1: np.ndarray,
     other receiver is checked by np.linalg.cond, so ``ok`` is the mask that
     check gives on every receiver.
 
-    ``u`` (kept trials, K, N, N) holds their filters as applied,
-    x' = u[t, l] @ y, so u[t, l] @ (D_l V_1) is the identity.  They come
-    from one inverse per trial, (D_l V_1)^-1 = V_1^-1 D_l^-1.
+    ``w`` (kept trials, N, N) is V_1^-1, the factor that every receiver's
+    filter shares: (D_l V_1)^-1 = V_1^-1 D_l^-1 = w / d_l, w with its
+    columns divided by the diagonal d_l = h[t, l, 0] of D_l.
     """
     d = h[..., 0, :]  # (T, K, N): the diagonals D_l
     mag = np.abs(d)
@@ -235,7 +258,7 @@ def build_filters(h: np.ndarray, v1: np.ndarray,
     if t.size:
         bad[t, l] = np.linalg.cond(d[t, l, :, None] * v1[t]) > MAX_CONDITION
     ok = ~bad.any(axis=-1)
-    return np.linalg.inv(v1[ok])[:, None] / d[ok, :, None, :], ok
+    return np.linalg.inv(v1[ok]), ok
 
 
 @dataclass(frozen=True)

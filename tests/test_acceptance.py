@@ -38,7 +38,13 @@ from sncsim.snc import (
     verify_alignment,
 )
 
-from tests.test_snc import build_all, make_channel, numeric_system, one_trial_filters
+from tests.test_snc import (
+    build_all,
+    make_channel,
+    numeric_system,
+    one_trial_filters,
+    one_trial_inverse,
+)
 
 
 def report(num, ok, detail):
@@ -65,13 +71,14 @@ class TestAcceptance:
         assert np.array_equal(eff.f_int, F_WORKED_EXAMPLE)
         assert np.linalg.matrix_rank(numeric_system(h, p, f)) == 5
         assert gf_rank(eff.f_int, PrimeField(2)) == 5
+        w = one_trial_inverse(h, p)
         rng = np.random.default_rng(1)
         zero = np.zeros((2, plan.N), dtype=complex)
         failures = 0
         for _ in range(1000):
             msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(2)]
             y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], zero)
-            x, detected = cp_recover(eff, filter_and_demodulate(y, f, eff))
+            x, detected = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
             if detected or not np.array_equal(x, np.concatenate(msgs)):
                 failures += 1
         elapsed = time.perf_counter() - t0
@@ -87,7 +94,7 @@ class TestAcceptance:
             for seed in range(1000):
                 h = make_channel(K, plan.N, seed=seed)
                 p = build_precoders(h, plan)
-                passed, _ = check_precoder_ranks(*p, plan)
+                passed, _ = check_precoder_ranks(h, *p, plan)
                 if not passed:
                     failures += 1
                     continue
@@ -269,13 +276,13 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         failures = 0
         for trial in range(50):
-            h = sample_extended_channel(M, plan.N, "complex", rng)
+            [h] = sample_extended_channel(M, plan.N, "complex", [rng])
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(*p, plan)[0]:
+            if not check_precoder_ranks(h, *p, plan)[0]:
                 failures += 1
                 continue
-            f = one_trial_filters(h, p)
-            if f is None:
+            w = one_trial_inverse(h, p)
+            if w is None:
                 failures += 1
                 continue
             eff = effective_system(plan)
@@ -283,7 +290,7 @@ class TestAcceptance:
                     for k in range(M)]
             zero = np.zeros((M, plan.N), dtype=complex)
             y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], zero)
-            x, detected = cp_recover(eff, filter_and_demodulate(y, f, eff))
+            x, detected = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
             if detected or not np.array_equal(x, np.concatenate(msgs)):
                 failures += 1
         report(8, failures == 0,

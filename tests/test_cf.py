@@ -12,7 +12,7 @@ from sncsim.gf import PrimeField, gf_full_rank, gf_rank
 
 def real_channel(K, N, seed):
     M = expand_mimo_to_virtual(single_antenna(K))
-    return sample_extended_channel(M, N, "real", np.random.default_rng(seed))
+    return sample_extended_channel(M, N, "real", [np.random.default_rng(seed)])[0]
 
 
 def channel_from_rows(rows):
@@ -175,7 +175,7 @@ class TestTrialSumRate:
 
     def test_complex_channels_rejected(self):
         M = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(M, 2, "complex", np.random.default_rng(0))
+        [h] = sample_extended_channel(M, 2, "complex", [np.random.default_rng(0)])
         with pytest.raises(ValueError):
             cf_trial_sum_rate(h, [10.0], PrimeField(2))
 

@@ -34,14 +34,14 @@ class TestVirtualExpansion:
 class TestChannelSampling:
     def test_deterministic_under_fixed_seed(self):
         M = expand_mimo_to_virtual(single_antenna(2))
-        a = sample_extended_channel(M, 3, "complex", np.random.default_rng(42))
-        b = sample_extended_channel(M, 3, "complex", np.random.default_rng(42))
-        assert a.shape == (2, 2, 3)
+        a = sample_extended_channel(M, 3, "complex", [np.random.default_rng(42)])
+        b = sample_extended_channel(M, 3, "complex", [np.random.default_rng(42)])
+        assert a.shape == (1, 2, 2, 3)
         assert np.array_equal(a, b)
 
     def test_links_drawn_in_receiver_then_transmitter_order(self):
         M = expand_mimo_to_virtual(single_antenna(3))
-        h = sample_extended_channel(M, 4, "real", np.random.default_rng(8))
+        [h] = sample_extended_channel(M, 4, "real", [np.random.default_rng(8)])
         rng = np.random.default_rng(8)
         for l in range(3):
             for k in range(3):
@@ -54,7 +54,7 @@ class TestChannelSampling:
         # call per link (real parts, then imaginary parts, per link)
         M = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 2)))
         drawn = np.random.default_rng(21)
-        h = sample_extended_channel(M, 5, model, drawn)
+        [h] = sample_extended_channel(M, 5, model, [drawn])
         rng = np.random.default_rng(21)
         for l in range(M):
             for k in range(M):
@@ -81,7 +81,7 @@ class TestChannelSampling:
 
         M = expand_mimo_to_virtual(single_antenna(2))
         gen = ZeroFirst()
-        h = sample_extended_channel(M, 3, "real", gen)
+        [h] = sample_extended_channel(M, 3, "real", [gen])
         assert gen.calls == [(2, 2, 3), (2,)]
         ref = np.random.default_rng(4)
         expected = ref.standard_normal((2, 2, 3))
@@ -92,7 +92,7 @@ class TestChannelSampling:
         M = expand_mimo_to_virtual(single_antenna(1, 1))
         rng = np.random.default_rng(0)
         draws = np.concatenate([
-            sample_extended_channel(M, 10**4, "complex", rng)[0, 0]
+            sample_extended_channel(M, 10**4, "complex", [rng])[0, 0, 0]
             for _ in range(10)
         ])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
@@ -100,19 +100,19 @@ class TestChannelSampling:
     def test_real_model_has_no_imaginary_part(self):
         # the dtype is how every layer tells a real channel from a complex one
         M = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(M, 4, "real", np.random.default_rng(1))
+        h = sample_extended_channel(M, 4, "real", [np.random.default_rng(1)])
         assert np.isrealobj(h) and h.dtype == np.float64
 
     def test_no_zero_entries(self):
         M = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(M, 64, "real", np.random.default_rng(5))
+        h = sample_extended_channel(M, 64, "real", [np.random.default_rng(5)])
         assert np.all(h != 0)
 
     def test_link_independence_spot_check(self):
         M = expand_mimo_to_virtual(single_antenna(2))
         rng = np.random.default_rng(9)
         n = 10**5
-        h = sample_extended_channel(M, n, "real", rng)
+        [h] = sample_extended_channel(M, n, "real", [rng])
         c = np.corrcoef(h[0, 0], h[0, 1])[0, 1]
         assert abs(c) < 0.02
         # distinct slots of one link
@@ -122,20 +122,20 @@ class TestChannelSampling:
 
 class TestNoise:
     def test_zero_variance_gives_zero_vector(self):
-        v = sample_noise([0.0], 2, 5, "complex", np.random.default_rng(0))
-        assert v.shape == (1, 2, 5) and np.all(v == 0)
+        v = sample_noise([0.0], 2, 5, "complex", [np.random.default_rng(0)])
+        assert v.shape == (1, 1, 2, 5) and np.all(v == 0)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(11)
-        v = sample_noise([2.0, 0.5], 2, 10**5, "complex", rng)
+        [v] = sample_noise([2.0, 0.5], 2, 10**5, "complex", [rng])
         assert np.mean(np.abs(v[0]) ** 2) == pytest.approx(2.0, abs=0.05)
         assert np.mean(np.abs(v[1]) ** 2) == pytest.approx(0.5, abs=0.0125)
-        v = sample_noise([2.0], 2, 10**5, "real", rng)
+        v = sample_noise([2.0], 2, 10**5, "real", [rng])
         assert np.var(v) == pytest.approx(2.0, abs=0.05)
 
     def test_seed_replay(self):
-        a = sample_noise([1.0], 3, 8, "real", np.random.default_rng(3))
-        b = sample_noise([1.0], 3, 8, "real", np.random.default_rng(3))
+        a = sample_noise([1.0], 3, 8, "real", [np.random.default_rng(3)])
+        b = sample_noise([1.0], 3, 8, "real", [np.random.default_rng(3)])
         assert np.array_equal(a, b)
 
     def test_one_unit_draw_scaled_per_point(self):
@@ -143,7 +143,7 @@ class TestNoise:
         # length-N draws would give them; every point scales the same draw
         sigma2 = np.array([1.0, 0.1, 1e-6])
         for model in ("real", "complex"):
-            v = sample_noise(sigma2, 3, 4, model, np.random.default_rng(5))
+            [v] = sample_noise(sigma2, 3, 4, model, [np.random.default_rng(5)])
             rng = np.random.default_rng(5)
             for l in range(3):
                 unit = rng.standard_normal(4)
@@ -165,6 +165,26 @@ def moveaxis_coeffs(shape, model, rng):
     return rng.standard_normal(shape)
 
 
+def reference_channel(M, n_ext, model, rng):
+    """One trial's channel from its own generator, with the np.any
+    zero-redraw loop; returns it and the sizes of the redraws."""
+    ref = moveaxis_coeffs((M, M, n_ext), model, rng)
+    redrawn = []
+    while np.any(zero := ref == 0):
+        redrawn.append(int(zero.sum()))
+        ref[zero] = moveaxis_coeffs((redrawn[-1],), model, rng)
+    return ref, redrawn
+
+
+def reference_noise(sigma2, n_rx, n_ext, model, rng):
+    """One trial's (S, n_rx, n_ext) noise written with np.moveaxis."""
+    scale = np.sqrt(sigma2)[:, None, None]
+    if model == "complex":
+        re, im = np.moveaxis(rng.standard_normal((n_rx, 2, n_ext)), 1, 0)
+        return scale * (re + 1j * im) / np.sqrt(2.0)
+    return scale * rng.standard_normal((n_rx, n_ext))
+
+
 class ZeroingGenerator:
     """A generator whose first draw is exactly zero in the last-axis
     positions *slots*, real and imaginary parts alike, so that the
@@ -182,15 +202,21 @@ class ZeroingGenerator:
         return z
 
 
+def chunk_generators(seed, zeroing=()):
+    """Five generators, trials in *zeroing* as ZeroingGenerator."""
+    return [ZeroingGenerator(seed + t, [1, 3]) if t in zeroing
+            else np.random.default_rng(seed + t) for t in range(5)]
+
+
 class TestDrawsPinned:
     """Channel and noise draws equal the np.moveaxis / np.any expressions
-    they replace, bit for bit."""
+    they replace, bit for bit, one generator at a time and stacked."""
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_coeffs_equal_moveaxis_draw(self, model):
         for seed in range(300):
             for shape in [(2, 2, 11), (3, 3, 21), (7,), (1,)]:
-                got = _draw_coeffs(shape, model, np.random.default_rng(seed))
+                [got] = _draw_coeffs(shape, model, [np.random.default_rng(seed)])
                 ref = moveaxis_coeffs(shape, model, np.random.default_rng(seed))
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -198,26 +224,36 @@ class TestDrawsPinned:
     def test_zero_redraw_equals_np_any_loop(self, model):
         M = expand_mimo_to_virtual(single_antenna(2))
         for seed in range(50):
-            got = sample_extended_channel(M, 5, model, ZeroingGenerator(seed, [1, 3]))
-            rng = ZeroingGenerator(seed, [1, 3])
-            ref = moveaxis_coeffs((2, 2, 5), model, rng)
-            redrawn = []
-            while np.any(zero := ref == 0):
-                redrawn.append(int(zero.sum()))
-                ref[zero] = moveaxis_coeffs((redrawn[-1],), model, rng)
+            [got] = sample_extended_channel(M, 5, model, [ZeroingGenerator(seed, [1, 3])])
+            ref, redrawn = reference_channel(M, 5, model, ZeroingGenerator(seed, [1, 3]))
             assert redrawn == [8] and np.all(got != 0)
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_stacked_channel_equals_per_generator_draws(self, model):
+        # trials 1 and 3 take the zero-redraw path, the others do not
+        M = expand_mimo_to_virtual(single_antenna(3))
+        for seed in range(0, 200, 5):
+            got = sample_extended_channel(M, 4, model, chunk_generators(seed, (1, 3)))
+            refs = [reference_channel(M, 4, model, rng)
+                    for rng in chunk_generators(seed, (1, 3))]
+            assert [r for _, r in refs] == [[], [18], [], [18], []]  # 9 links x 2 slots
+            assert got.dtype == refs[0][0].dtype
+            assert np.array_equal(got, np.stack([ref for ref, _ in refs]))
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_noise_equals_moveaxis_draw(self, model):
         sigma2 = np.array([1.0, 0.1])
         for seed in range(300):
-            got = sample_noise(sigma2, 3, 11, model, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            scale = np.sqrt(sigma2)[:, None, None]
-            if model == "complex":
-                re, im = np.moveaxis(rng.standard_normal((3, 2, 11)), 1, 0)
-                ref = scale * (re + 1j * im) / np.sqrt(2.0)
-            else:
-                ref = scale * rng.standard_normal((3, 11))
+            [got] = sample_noise(sigma2, 3, 11, model, [np.random.default_rng(seed)])
+            ref = reference_noise(sigma2, 3, 11, model, np.random.default_rng(seed))
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_stacked_noise_equals_per_generator_draws(self, model):
+        sigma2 = np.array([1.0, 0.1, 1e-6])
+        for seed in range(0, 200, 5):
+            got = sample_noise(sigma2, 3, 11, model, chunk_generators(seed))
+            ref = np.stack([reference_noise(sigma2, 3, 11, model, rng)
+                            for rng in chunk_generators(seed)])
+            assert got.shape == (5, 3, 3, 11) and np.array_equal(got, ref)

@@ -52,10 +52,15 @@ def one_point(cfg, snr_db, trial_index):
 
 def spoil(value, how):
     """An integer as a float, a non-integral float or a bool (*how* 0, 1
-    or 2), and a bool as an int, a string or None: stand-ins that
+    or 2), a bool as an int, a string or None, a float as a string, None
+    or a bool, and an absent antenna list as an int: stand-ins that
     validate() must reject."""
     if isinstance(value, bool):
         return (int(value), "no", None)[how]
+    if isinstance(value, float):
+        return (str(value), None, bool(value))[how]
+    if value is None:
+        return how + 1
     return (float(value), value + 0.5, bool(value))[how]
 
 
@@ -81,7 +86,7 @@ class TestConfig:
             small_config(scheme="cf", channel_model="complex").validate()
 
     def test_field_size_must_be_prime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             small_config(q=6).validate()
 
     def test_alignment_scheme_needs_binary_field(self):
@@ -189,6 +194,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        # validate() raised TypeError from math.isfinite
+        dict(p_max="1"), dict(snr_step="5"), dict(snr_start=None),
+        # validate() raised TypeError unpacking the antenna list
+        dict(tx_antennas=2),
+        # validate() raised ValueError from PrimeField
+        dict(q=4), dict(q=2**63 + 1),
+    ])
+    def test_rejects_non_numbers_and_bad_field_sizes(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides).validate()
+
     # most random configs are rejected (complex CF, q > 2 with SNC, ...), so
     # the filter is heavy by design
     @settings(max_examples=25, deadline=None,
@@ -200,7 +217,8 @@ class TestConfig:
            cap_enabled=st.booleans(), seed=st.integers(-2**16, 2**16),
            spoiled=st.one_of(st.none(), st.tuples(
                st.sampled_from(["K", "n", "q", "cf_radius", "seed", "trials",
-                                "cap_enabled"]),
+                                "cap_enabled", "p_max", "snr_start", "snr_stop",
+                                "snr_step", "tx_antennas", "rx_antennas"]),
                st.integers(0, 2))),
            p_max=st.one_of(st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
                            st.sampled_from([0.0, 1e-320, math.inf, -math.inf, math.nan])),
@@ -211,16 +229,16 @@ class TestConfig:
                                               cf_radius, cap_enabled, seed, spoiled,
                                               p_max, snr_start, snr_span, snr_step):
         fields = dict(K=K, n=n, q=q, cf_radius=cf_radius, seed=seed, trials=1,
-                      cap_enabled=cap_enabled)
+                      cap_enabled=cap_enabled, p_max=p_max, snr_start=float(snr_start),
+                      snr_stop=float(snr_start + snr_span), snr_step=float(snr_step),
+                      tx_antennas=None, rx_antennas=None)
         if spoiled is not None:
             name, how = spoiled
             fields[name] = spoil(fields[name], how)
-        cfg = SimConfig(scheme=scheme, channel_model=channel_model, p_max=p_max,
-                        snr_start=float(snr_start), snr_stop=float(snr_start + snr_span),
-                        snr_step=float(snr_step), **fields)
+        cfg = SimConfig(scheme=scheme, channel_model=channel_model, **fields)
         try:
             cfg.validate()
-        except (ConfigError, ValueError):
+        except ConfigError:
             assume(False)
         assert n >= 1
         # a float, bool or other stand-in would run on as something else

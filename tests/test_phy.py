@@ -15,15 +15,22 @@ from sncsim.phy import (
     per_link_rates,
     transmit,
 )
-from sncsim.channel import sample_noise
+from sncsim.channel import sample_extended_channel, sample_noise
 from sncsim.snc import (
+    build_filters,
     build_precoders,
     check_precoder_ranks,
     cp_recover,
     effective_system,
     extension_dims,
 )
-from tests.test_snc import build_all, make_channel, one_trial_filters, precoder
+from tests.test_snc import (
+    build_all,
+    explicit_filters,
+    make_channel,
+    one_trial_inverse,
+    precoder,
+)
 
 
 class TestModulation:
@@ -113,7 +120,7 @@ class TestDemodulation:
             noise = 0.5 * (rng.standard_normal((3, plan.N))
                            + 1j * rng.standard_normal((3, plan.N)))
             y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], noise)
-            out = filter_and_demodulate(y, f, eff)
+            out = filter_and_demodulate(y, h, one_trial_inverse(h, p), eff)
             z = np.concatenate([np.real(f[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
             assert out.tolist() == slow
@@ -132,11 +139,76 @@ class TestDemodulation:
         b2 = np.array([1, 1])
         x = [modulate_bpsk(b1), modulate_bpsk(b2)]
         y = transmit(h, *p, x, np.zeros((2, 3)))
-        out = filter_and_demodulate(y, f, eff).reshape(2, 3)
+        out = filter_and_demodulate(y, h, one_trial_inverse(h, p), eff).reshape(2, 3)
         expected_r1 = np.array([b1[0] ^ b2[0], b1[1] ^ b2[1], b1[2]])
         expected_r2 = np.array([b1[0], b1[1] ^ b2[0], b1[2] ^ b2[1]])
         assert np.array_equal(out[0], expected_r1)
         assert np.array_equal(out[1], expected_r2)
+
+
+def einsum_demodulate(y, u, eff):
+    """filter_and_demodulate with the explicit filters u (..., K, N, N) of
+    explicit_filters in one einsum: the form the factored filters replace,
+    kept as their reference."""
+    u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
+    z = np.real(np.einsum("...lij,...lj->...li", u, y))
+    m = eff.weights
+    j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
+    return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
+
+
+def explicit_link_gains(v1, v_other, u, eff):
+    """link_gains with the row norms read from the explicit filters u."""
+    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
+    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
+    u_norm2 = np.sum(np.abs(u) ** 2, axis=-1)
+    u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
+    return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
+                                                  * v_norm2[..., eff.link_cols])
+
+
+WORKLOAD_PLANS = [(2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex")]
+
+
+class TestFactoredFilters:
+    """The factored filters w / d_l give the bits and gains of the explicit
+    per-receiver filters, on noisy stacks of the benchmark's plans."""
+
+    @staticmethod
+    def noisy_stack(K, n, model, trials, seed):
+        """The kept trials of *trials* draws: their channel, precoders and
+        inverses w, and the received vectors (T, S, K, N) of random
+        messages at 0, 10, ..., 60 dB."""
+        plan = extension_dims(K, n)
+        eff = effective_system(plan)
+        rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+        h = sample_extended_channel(K, plan.N, model, rngs)
+        v1, v_other = build_precoders(h, plan)
+        ranked, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
+        w, ok = build_filters(h[ranked], v1[ranked], v1_cond[ranked])
+        keep = np.flatnonzero(ranked)[ok]
+        h, v1, v_other = h[keep], v1[keep], v_other[keep]
+        msgs = np.stack([rngs[t].integers(0, 2, plan.total_streams) for t in keep])
+        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
+        sigma2 = 10.0 ** -(np.arange(0, 61, 10) / 10.0)
+        noise = sample_noise(sigma2, K, plan.N, model, [rngs[t] for t in keep])
+        return eff, h, v1, v_other, w, transmit(h, v1, v_other, x, noise)
+
+    @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
+    def test_bits_equal_explicit_filters(self, K, n, model):
+        eff, h, _, _, w, y = self.noisy_stack(K, n, model, 60, seed=41)
+        bits = filter_and_demodulate(y, h, w, eff)
+        assert len(h) >= 8 and bits.shape == (len(h), 7, K * eff.plan.N)
+        assert np.array_equal(bits, einsum_demodulate(y, explicit_filters(h, w), eff))
+        assert 0 < np.count_nonzero(bits) < bits.size
+
+    @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
+    def test_gains_equal_explicit_filters(self, K, n, model):
+        eff, h, v1, v_other, w, _ = self.noisy_stack(K, n, model, 60, seed=42)
+        gains = link_gains(h, v1, v_other, w, eff)
+        ref = explicit_link_gains(v1, v_other, explicit_filters(h, w), eff)
+        assert gains.shape == ref.shape == (len(h), len(eff.link_rows))
+        assert np.all(np.abs(gains - ref) <= 1e-12 * ref)
 
 
 class TestRates:
@@ -176,7 +248,7 @@ class TestRates:
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        [rates] = per_link_rates(link_gains(*p, f, eff), [1.0])
+        [rates] = per_link_rates(link_gains(h, *p, one_trial_inverse(h, p), eff), [1.0])
         assert rates.shape == eff.link_cols.shape and np.all(rates > 0)
         assert sorted(set(eff.link_cols.tolist())) == [0, 1, 2]
 
@@ -192,13 +264,14 @@ class TestRates:
             for seed in range(40):
                 h = make_channel(K, plan.N, seed=20 + K + 100 * seed, model=model)
                 p = build_precoders(h, plan)
-                if not check_precoder_ranks(*p, plan)[0]:
+                if not check_precoder_ranks(h, *p, plan)[0]:
                     continue
-                f = one_trial_filters(h, p)
-                if f is None:
+                w = one_trial_inverse(h, p)
+                if w is None:
                     continue
                 kept += 1
-                gains = link_gains(*p, f, eff)
+                f = explicit_filters(h, w)
+                gains = link_gains(h, *p, w, eff)
                 budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0))) for v in p)
                 sigma2s = (1.0, 1e-3, 1e-6)
                 for sigma2, rates in zip(sigma2s, per_link_rates(gains, sigma2s)):
@@ -235,7 +308,8 @@ class TestSumRate:
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
-        rates = per_link_rates(link_gains(*p, f, eff), [1.0 / rho for rho in rhos])
+        rates = per_link_rates(link_gains(h, *p, one_trial_inverse(h, p), eff),
+                               [1.0 / rho for rho in rhos])
         totals = end_to_end_sum_rate(rates, eff, rhos)[1].tolist()
         assert totals == sorted(totals)
 
@@ -248,28 +322,29 @@ class TestSnrBatch:
         # the whole grid in one call gives every point the bits of a
         # one-point call with the same messages and unit noise
         plan, h, p, f, eff = build_all(K, n, seed=30 + n, model=model)
+        w = one_trial_inverse(h, p)
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 5)]
         sigma2 = np.array([1.0 / rho for rho in rhos])
         msgs = np.random.default_rng(31).integers(0, 2, size=plan.total_streams)
         x = np.split(modulate_bpsk(msgs), eff.col_offset[1:])
-        noise = sample_noise(sigma2, K, plan.N, model, np.random.default_rng(32))
+        [noise] = sample_noise(sigma2, K, plan.N, model, [np.random.default_rng(32)])
         y = transmit(h, *p, x, noise)
-        fwd = filter_and_demodulate(y, f, eff)
+        fwd = filter_and_demodulate(y, h, w, eff)
         msgs_out, detected = cp_recover(eff, fwd)
-        rates = per_link_rates(link_gains(*p, f, eff), sigma2)
+        rates = per_link_rates(link_gains(h, *p, w, eff), sigma2)
         per_signal, sums = end_to_end_sum_rate(rates, eff, rhos)
         assert noise.shape == y.shape == (len(rhos), K, plan.N)
         assert fwd.shape == (len(rhos), K * plan.N)
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
-            [n1] = sample_noise([s2], K, plan.N, model, np.random.default_rng(32))
+            [[n1]] = sample_noise([s2], K, plan.N, model, [np.random.default_rng(32)])
             y1 = transmit(h, *p, x, n1)
-            fwd1 = filter_and_demodulate(y1, f, eff)
+            fwd1 = filter_and_demodulate(y1, h, w, eff)
             msgs1, detected1 = cp_recover(eff, fwd1)
             assert np.array_equal(n1, noise[s]) and np.array_equal(y1, y[s])
             assert np.array_equal(fwd1, fwd[s])
             assert detected1 == detected[s]
             assert np.array_equal(msgs1, msgs_out[s])
-            [rates1] = per_link_rates(link_gains(*p, f, eff), [s2])
+            [rates1] = per_link_rates(link_gains(h, *p, w, eff), [s2])
             assert np.array_equal(rates1, rates[s])
             per_signal1, sums1 = end_to_end_sum_rate(rates1[None], eff, [rho])
             assert np.array_equal(per_signal1, per_signal[s:s + 1])

@@ -34,16 +34,32 @@ BINARY_ATOL = 1e-6
 
 def make_channel(K, N, seed, model="complex"):
     M = expand_mimo_to_virtual(single_antenna(K))
-    return sample_extended_channel(M, N, model, np.random.default_rng(seed))
+    return sample_extended_channel(M, N, model, [np.random.default_rng(seed)])[0]
+
+
+def explicit_filters(h, w):
+    """The filters (..., K, N, N) that build_filters' inverses w stand for,
+    u[l] = (D_l V_1)^-1 = w / d_l with d_l = h[l, 0], applied as
+    x' = u[l] @ y_l: the per-receiver filter stack the engine once built,
+    kept as the reference for the factored form."""
+    return w[..., None, :, :] / h[..., 0, None, :]
+
+
+def one_trial_inverse(h, p):
+    """build_filters' inverse w (N, N) of V_1 for one trial's channel and
+    precoders p = (v1, v_other), built as a stack of one; None when the
+    trial's desired space is ill-conditioned."""
+    v1 = p[0]
+    w, ok = build_filters(h[None], v1[None], np.atleast_1d(np.linalg.cond(v1)))
+    return w[0] if ok[0] else None
 
 
 def one_trial_filters(h, p):
-    """The filters (K, N, N) of one trial's channel and precoders p =
-    (v1, v_other), built as a stack of one; None when the trial's desired
-    space is ill-conditioned."""
-    v1 = p[0]
-    u, ok = build_filters(h[None], v1[None], np.atleast_1d(np.linalg.cond(v1)))
-    return u[0] if ok[0] else None
+    """The filters (K, N, N) of one trial, built from (w, d) as
+    explicit_filters; None when the trial's desired space is
+    ill-conditioned."""
+    w = one_trial_inverse(h, p)
+    return None if w is None else explicit_filters(h, w)
 
 
 def build_all(K, n, seed, model="complex"):
@@ -168,15 +184,16 @@ class TestPrecoders:
 
     def test_identity_channel_collapses_rank(self):
         plan = extension_dims(2, 2)
-        v1, v_other = build_precoders(identity_channel(2, 3), plan)
+        h = identity_channel(2, 3)
+        v1, v_other = build_precoders(h, plan)
         assert np.linalg.matrix_rank(v1) == 1
-        passed, _ = check_precoder_ranks(v1, v_other, plan)
+        passed, _ = check_precoder_ranks(h, v1, v_other, plan)
         assert not passed
 
     def test_random_channels_full_rank(self):
         plan = extension_dims(2, 3)
         h = make_channel(2, plan.N, seed=3)
-        passed, _ = check_precoder_ranks(*build_precoders(h, plan), plan)
+        passed, _ = check_precoder_ranks(h, *build_precoders(h, plan), plan)
         assert passed and (plan.N, plan.N_prime) == (4, 3)
 
     @pytest.mark.parametrize("K, n, model", [
@@ -207,20 +224,28 @@ class TestPrecoders:
                 assert np.array_equal(got, ref * scale)
 
     def test_rank_deficient_shared_precoder_fails(self):
+        # build_precoders' V_other inherits its rank from V_1, so a
+        # rank-deficient one it did not make is caught where the
+        # certificate leaves the SVD to run: here every ratio vector has
+        # one slot stretched by 1e9
         for K, n in [(2, 2), (3, 2)]:
             plan = extension_dims(K, n)
             h = make_channel(K, plan.N, seed=K)
             v1, v_other = build_precoders(h, plan)
-            assert check_precoder_ranks(v1, v_other, plan)[0]
+            assert check_precoder_ranks(h, v1, v_other, plan)[0]
+            stretched = h.copy()
+            stretched[:K, 1:K, 0] *= 1e9
+            assert check_precoder_ranks(stretched, v1, v_other, plan)[0]
             # two equal columns: transmitters 2..K lose one stream
-            passed, _ = check_precoder_ranks(v1, v_other[:, [0] * plan.N_prime], plan)
+            passed, _ = check_precoder_ranks(stretched, v1, v_other[:, [0] * plan.N_prime],
+                                             plan)
             assert not passed
 
     def test_rank_monte_carlo(self):
         plan = extension_dims(2, 2)
         for seed in range(200):
             h = make_channel(2, plan.N, seed=seed)
-            assert check_precoder_ranks(*build_precoders(h, plan), plan)[0]
+            assert check_precoder_ranks(h, *build_precoders(h, plan), plan)[0]
 
 
 class TestAlignment:
@@ -334,7 +359,7 @@ class TestPlanSystem:
         for seed in range(draws):
             h = make_channel(K, plan.N, seed=50_000 + seed, model=model)
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(*p, plan)[0]:
+            if not check_precoder_ranks(h, *p, plan)[0]:
                 continue
             f = one_trial_filters(h, p)
             if f is None:
@@ -350,9 +375,9 @@ class TestPlanSystem:
         eff = effective_system(plan)
         rng = np.random.default_rng(21)
         for _ in range(200):
-            h = sample_extended_channel(M, plan.N, "complex", rng)
+            [h] = sample_extended_channel(M, plan.N, "complex", [rng])
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(*p, plan)[0]:
+            if not check_precoder_ranks(h, *p, plan)[0]:
                 continue
             f = one_trial_filters(h, p)
             assert f is not None
@@ -411,6 +436,67 @@ class TestPlanSystem:
             effective_system(plan)
 
 
+def two_svd_reference(v1, v_other, plan):
+    """(V_1 has full rank, both precoders have full rank) from one SVD of
+    each precoder: the mask check_precoder_ranks must give."""
+    ranks = [np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
+             for sv in (np.linalg.svd(m, compute_uv=False) for m in (v1, v_other))]
+    full = ranks[0] == plan.N
+    return full, full & (ranks[1] == plan.N_prime)
+
+
+class TestRankCertificate:
+    """check_precoder_ranks certifies V_other's rank from cond(V_1) and the
+    spread max|g_s| / min|g_s| of a ratio vector g_s, and takes the SVD of
+    V_other only where that bound does not settle it; its mask is that of
+    the two SVDs."""
+
+    @staticmethod
+    def stack(K, n, model, trials, seed):
+        """*trials* draws, a third of them with one entry of one ratio
+        vector g_s stretched by 1e3 to 1e9, and their precoders."""
+        plan = extension_dims(K, n)
+        h = np.stack([make_channel(K, plan.N, seed + s, model) for s in range(trials)])
+        rng = np.random.default_rng(seed)
+        for t in range(0, trials, 3):
+            l, k, j = rng.integers(K), rng.integers(1, K), rng.integers(plan.N)
+            h[t, l, k, j] *= 10.0 ** rng.uniform(3, 9)
+        return plan, h, build_precoders(h, plan)
+
+    @staticmethod
+    def certified(h, v1_cond, K):
+        """cond(V_1) min over slots of the spread of g_s, against
+        1 / (RANK_SV_RTOL CONDITION_MARGIN)."""
+        g = np.abs(h[:, :K, 1:K] / h[:, :K, :1]).reshape(len(h), K * (K - 1), -1)
+        bound = v1_cond * (g.max(axis=-1) / g.min(axis=-1)).min(axis=-1)
+        return bound <= 1 / (RANK_SV_RTOL * CONDITION_MARGIN)
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        """The matrices every np.linalg.svd call receives, in order."""
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: calls.append(a) or svd(a, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("K, n, model, trials", [
+        (2, 2, "real", 300), (3, 1, "real", 300), (3, 2, "complex", 90),
+        (2, 10, "complex", 300),
+    ])
+    def test_passed_equals_two_svd_reference(self, K, n, model, trials, svd_calls):
+        plan, h, (v1, v_other) = self.stack(K, n, model, trials, seed=1400)
+        full, ref = two_svd_reference(v1, v_other, plan)
+        svd_calls.clear()
+        passed, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
+        assert np.array_equal(passed, ref)
+        certified = full & self.certified(h, v1_cond, K)
+        uncertified = full & ~certified
+        assert certified.any() and uncertified.any()
+        # one SVD of every v1, one of the v_other the certificate left open
+        assert len(svd_calls) == 2 and np.array_equal(svd_calls[0], v1)
+        assert np.array_equal(svd_calls[1], v_other[uncertified])
+
+
 class TestConditioningCheck:
     """build_filters certifies a receiver from cond(V_1) cond(D_l) and runs
     np.linalg.cond only where that bound does not settle it; its mask and
@@ -448,10 +534,11 @@ class TestConditioningCheck:
     ])
     def test_mask_and_filters_equal_exact_check(self, K, n, model, trials, cond_calls):
         plan, h, (v1, v_other) = self.stack(K, n, model, trials, seed=1200)
-        _, v1_cond = check_precoder_ranks(v1, v_other, plan)
+        _, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
         prods = h[:, :K, 0, :, None] * v1[:, None]
         cond_calls.clear()
-        u, ok = build_filters(h, v1, v1_cond)
+        w, ok = build_filters(h, v1, v1_cond)
+        u = explicit_filters(h[ok], w)
         checked = list(cond_calls)
         conds = np.linalg.cond(prods)
         assert np.array_equal(ok, ~np.any(conds > MAX_CONDITION, axis=-1))
@@ -468,38 +555,38 @@ class TestConditioningCheck:
         (2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex"),
     ])
     def test_v1_cond_is_the_condition_number(self, K, n, model):
-        plan, _, (v1, v_other) = self.stack(K, n, model, 60, seed=1300)
-        assert np.array_equal(check_precoder_ranks(v1, v_other, plan)[1], np.linalg.cond(v1))
+        plan, h, (v1, v_other) = self.stack(K, n, model, 60, seed=1300)
+        assert np.array_equal(check_precoder_ranks(h, v1, v_other, plan)[1],
+                              np.linalg.cond(v1))
         # a singular v1 reads inf, without a warning
-        p = build_precoders(identity_channel(2, 3), extension_dims(2, 2))
-        assert check_precoder_ranks(*p, extension_dims(2, 2))[1] == np.inf
+        h = identity_channel(2, 3)
+        p = build_precoders(h, extension_dims(2, 2))
+        assert check_precoder_ranks(h, *p, extension_dims(2, 2))[1] == np.inf
 
     def test_passed_equals_two_svd_reference(self):
         # the stack of test_stacked_precoders_and_ranks_equal_one_trial_calls
         plan = extension_dims(2, 10)
-        p = build_precoders(np.stack([make_channel(2, plan.N, seed=700 + s)
-                                      for s in range(24)]), plan)
-        ranks = [np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
-                 for sv in (np.linalg.svd(m, compute_uv=False) for m in p)]
-        passed, _ = check_precoder_ranks(*p, plan)
-        full = ranks[0] == plan.N
-        assert np.array_equal(passed, full & (ranks[1] == plan.N_prime))
+        h = np.stack([make_channel(2, plan.N, seed=700 + s) for s in range(24)])
+        p = build_precoders(h, plan)
+        passed, _ = check_precoder_ranks(h, *p, plan)
+        full, ref = two_svd_reference(*p, plan)
+        assert np.array_equal(passed, ref)
         assert 0 < np.count_nonzero(full) < len(full)
 
     def test_certified_fallback_accepted_and_rejected(self, cond_calls):
         plan = extension_dims(2, 2)
         h = np.stack([make_channel(2, plan.N, seed=800 + t) for t in range(6)])
         v1, v_other = build_precoders(h, plan)
-        _, v1_cond = check_precoder_ranks(v1, v_other, plan)
+        _, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
         h[0, 1, 0, 0] *= 1e-10  # bound 2.5e11, condition number 9.6e10
         h[2, 1, 0, 0] *= 1e-14  # condition number above MAX_CONDITION
         cond_calls.clear()
-        u, ok = build_filters(h, v1, v1_cond)
+        w, ok = build_filters(h, v1, v1_cond)
         certified = self.certified(h, v1_cond, 2)
         assert np.array_equal(~certified, [[False, True], [False, False], [False, True],
                                            [False, False], [False, False], [False, False]])
         assert [len(m) for m in cond_calls] == [2]
-        assert ok.tolist() == [True, True, False, True, True, True] and len(u) == 5
+        assert ok.tolist() == [True, True, False, True, True, True] and len(w) == 5
 
 
 class TestTrialStack:
@@ -512,11 +599,11 @@ class TestTrialStack:
         plan = extension_dims(2, 10)
         hs = [make_channel(2, plan.N, seed=700 + s) for s in range(24)]
         v1, v_other = build_precoders(np.stack(hs), plan)
-        passed, _ = check_precoder_ranks(v1, v_other, plan)
+        passed, _ = check_precoder_ranks(np.stack(hs), v1, v_other, plan)
         for t, h in enumerate(hs):
             v1_t, v_other_t = build_precoders(h, plan)
             assert np.array_equal(v1_t, v1[t]) and np.array_equal(v_other_t, v_other[t])
-            assert check_precoder_ranks(v1_t, v_other_t, plan)[0] == passed[t]
+            assert check_precoder_ranks(h, v1_t, v_other_t, plan)[0] == passed[t]
         assert 0 < np.count_nonzero(passed) < len(hs)
 
     def test_stacked_filters_drop_ill_conditioned_trials(self):
@@ -530,15 +617,15 @@ class TestTrialStack:
                 h[1, 0, 0] *= 1e-14
             hs.append(h)
         v1 = np.stack(v1s)
-        u, ok = build_filters(np.stack(hs), v1, np.linalg.cond(v1))
+        w, ok = build_filters(np.stack(hs), v1, np.linalg.cond(v1))
         assert ok.tolist() == [True, True, False, True, False, True]
-        assert len(u) == 4
-        kept = iter(u)
+        assert len(w) == 4
+        kept = iter(w)
         for h, v1_t, ok_t in zip(hs, v1s, ok):
-            u1, ok1 = build_filters(h[None], v1_t[None],
+            w1, ok1 = build_filters(h[None], v1_t[None],
                                     np.atleast_1d(np.linalg.cond(v1_t)))
             assert ok1.tolist() == [ok_t]
-            assert np.array_equal(u1, [next(kept)] if ok_t else np.empty((0, 2, 3, 3)))
+            assert np.array_equal(w1, [next(kept)] if ok_t else np.empty((0, 3, 3)))
 
     @pytest.mark.parametrize("K, n, model", [
         (2, 2, "real"), (3, 1, "complex"), (2, 10, "complex"),
@@ -548,21 +635,21 @@ class TestTrialStack:
         eff = effective_system(plan)
         h = np.stack([make_channel(K, plan.N, seed=600 + s, model=model) for s in range(40)])
         v1, v_other = build_precoders(h, plan)
-        ranked, v1_cond = check_precoder_ranks(v1, v_other, plan)
-        u, ok = build_filters(h[ranked], v1[ranked], v1_cond[ranked])
-        v1, v_other = v1[ranked][ok], v_other[ranked][ok]
-        assert len(u) >= 4
+        ranked, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
+        w, ok = build_filters(h[ranked], v1[ranked], v1_cond[ranked])
+        h, v1, v_other = h[ranked][ok], v1[ranked][ok], v_other[ranked][ok]
+        assert len(w) >= 4
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
         sigma2 = [1.0 / rho for rho in rhos]
-        gains = link_gains(v1, v_other, u, eff)
+        gains = link_gains(h, v1, v_other, w, eff)
         per_link = per_link_rates(gains, sigma2)
         for cap_enabled in (True, False):
             per_signal, sums = end_to_end_sum_rate(per_link, eff, rhos, cap_enabled)
-            assert per_signal.shape == (len(u), len(rhos), plan.total_streams)
-            assert sums.shape == (len(u), len(rhos))
-            for t in range(len(u)):
+            assert per_signal.shape == (len(w), len(rhos), plan.total_streams)
+            assert sums.shape == (len(w), len(rhos))
+            for t in range(len(w)):
                 one = slice(t, t + 1)
-                gains1 = link_gains(v1[one], v_other[one], u[one], eff)
+                gains1 = link_gains(h[one], v1[one], v_other[one], w[one], eff)
                 assert np.array_equal(gains1, gains[one])
                 per_signal1, sums1 = end_to_end_sum_rate(per_link_rates(gains1, sigma2),
                                                          eff, rhos, cap_enabled)
