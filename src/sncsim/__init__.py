@@ -26,10 +26,10 @@ from .phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
-    link_gains,
     link_rate,
     modulate_bpsk,
     per_link_rates,
+    stream_gains,
     transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate

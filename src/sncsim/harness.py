@@ -18,22 +18,22 @@ which the engine shares).  The engine evaluates chunks of consecutive
 trials: run_trials draws a chunk's channels as one bare (T, M, M, N)
 stack, one generator call per trial, and builds everything that depends
 on the channel alone (the precoders v1 and v_other, their rank and
-conditioning checks, the filters' shared inverse w of V_1, the link
-gains) as plain arrays in one stacked pass, redrawing only the trials
-whose draw was degenerate, then evaluates the whole SNR grid of every
-kept trial in one array pass.  The rank check's SVD of V_1 also gives its
-condition number, which certifies most trials' V_other rank and filter
-conditioning without a further SVD (snc.check_precoder_ranks,
-snc.build_filters).  The compute-and-forward leg runs once per chunk over
-the grid and draws no randomness.  The arrays of a chunk are the only
-shape: run_trial is run_trials on one index and returns its one-trial
-TrialBatch.  A sweep that fits one chunk of at most BATCH_ELEMENTS per
-array runs in this process, whatever SNCSIM_WORKERS says: a process pool
-could not amortise its start-up over one chunk.  A larger sweep goes to a
-pool of at most SNCSIM_WORKERS processes in chunks of trials // (4
-workers) trials.  run_sweep joins the chunks' outcomes into [point, kept
-trial] arrays and aggregates every point of a scheme in one pass over the
-trial axis.
+conditioning checks, the filters' shared inverse w of V_1, each stream's
+gain at its weakest receiver) as plain arrays in one stacked pass,
+redrawing only the trials whose draw was degenerate, then evaluates the
+whole SNR grid of every kept trial in one array pass.  The rank check's
+SVD of V_1 also gives its condition number, which certifies most trials'
+V_other rank and filter conditioning without a further SVD
+(snc.check_precoder_ranks, snc.build_filters).  The compute-and-forward
+leg runs once per chunk over the grid and draws no randomness.  The
+arrays of a chunk are the only shape: run_trial is run_trials on one
+index and returns its one-trial TrialBatch.  A sweep that fits one chunk
+of at most BATCH_ELEMENTS per array runs in this process, whatever
+SNCSIM_WORKERS says: a process pool could not amortise its start-up over
+one chunk.  A larger sweep goes to a pool of at most SNCSIM_WORKERS
+processes in chunks of trials // (4 workers) trials.  run_sweep joins
+the chunks' outcomes into [point, kept trial] arrays and aggregates
+every point of a scheme in one pass over the trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
@@ -79,9 +79,9 @@ from .phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
-    link_gains,
     modulate_bpsk,
     per_link_rates,
+    stream_gains,
     transmit,
 )
 from .snc import (
@@ -237,8 +237,6 @@ class SimConfig:
                 effective_system(extension_dims(M, self.n))
             except (CapacityError, RankDeficientError) as exc:
                 raise ConfigError(f"no alignment plan for n={self.n}: {exc}") from exc
-        if self.p_max <= 0:
-            raise ConfigError("p_max must be positive")
         snr_levels(self.p_max, self.snr_grid)
         try:
             PrimeField(self.q)
@@ -278,13 +276,11 @@ class TrialBatch:
     """Outcomes of a chunk of trials.  ``kept`` (T,) marks the trials that
     did not abort; every other array covers the kept trials only, in index
     order, over the SNR points, and is None when its scheme did not run:
-    block sum rates ``snc_rate`` (Tk, S), per-stream rates ``per_signal``
-    (Tk, S, streams) before the backhaul cap, the detected-error flags
+    block sum rates ``snc_rate`` (Tk, S), the detected-error flags
     ``detected`` (Tk, S), and ``cf_rate`` and ``cf_outage`` (Tk, S)."""
 
     kept: np.ndarray
     snc_rate: np.ndarray | None = None
-    per_signal: np.ndarray | None = None
     detected: np.ndarray | None = None
     cf_rate: np.ndarray | None = None
     cf_outage: np.ndarray | None = None
@@ -354,9 +350,9 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
             h, rhos, PrimeField(cfg.q), cfg.cf_radius, cfg.cap_enabled)
     if cfg.run_snc:
         eff = effective_system(plan)
-        gains = link_gains(h, v1, v_other, w, eff)
-        out["per_signal"], out["snc_rate"] = end_to_end_sum_rate(
-            per_link_rates(gains, sigma2), eff, rhos, cfg.cap_enabled)
+        gains = stream_gains(h, v1, v_other, w, eff)
+        out["snc_rate"] = end_to_end_sum_rate(per_link_rates(gains, sigma2), rhos,
+                                              cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
         kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
         msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
@@ -396,7 +392,7 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
     dof_slopes: dict[str, float] = field(default_factory=dict)
     n_ext: int = 1
-    aborted_trials: int = 0
+    aborted_trials: int = 0  # aborted trials times SNR points
     warning: str | None = None
 
     def point(self, scheme: str, snr_db: float) -> SweepPoint:
@@ -409,14 +405,13 @@ class SweepResult:
 def chunk_length(cfg: SimConfig, workers: int) -> int:
     """Trials per chunk: all of them when serial, trials // (4 workers) on
     a pool so that each worker gets several chunks, and at least 1.  At
-    most BATCH_ELEMENTS // (elements of one trial's largest array), so that
-    large extensions stay in memory; the largest arrays are the per-link
-    rates (S, M, M N) and the CF rates (N, M, candidates), up to small
-    factors.  The M N^2 term once counted the per-receiver filters, which
-    are now one (N, N) inverse per trial; it stays so that chunking, and
-    with it the pool decision, do not move.  run_sweep uses a pool only
-    when chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans
-    more than one such chunk."""
+    most BATCH_ELEMENTS // (elements per trial), so that large extensions
+    stay in memory.  Elements per trial is a fixed bound, M N max(N, S M),
+    and for CF at least N M candidates / 2: it is kept as it is, not
+    fitted to the arrays the engine builds now, so that chunking, and with
+    it the pool decision, do not move.  run_sweep uses a pool only when
+    chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans more
+    than one such chunk."""
     M, S = cfg.M, len(cfg.snr_grid)
     n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
     elements = M * n_ext * max(n_ext, S * M)
@@ -504,11 +499,9 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
                 res.dof_slopes[scheme] = estimate_dof_slope(
                     [pt.snr_db for pt in fit],
                     [pt.mean_sum_rate * n_ext for pt in fit], n_ext)
-    total = len(cfg.snr_grid) * cfg.trials
     notes = []
-    if res.aborted_trials > 0.01 * total:
-        notes.append(f"{res.aborted_trials} of {total} trials aborted "
-                     "on degenerate channels")
+    if aborted > 0.01 * cfg.trials:
+        notes.append(f"{aborted} of {cfg.trials} trials aborted on degenerate channels")
     if not kept:
         notes.append("every trial aborted at "
                      + ", ".join(f"{s:g} dB" for s in cfg.snr_grid)

@@ -8,18 +8,19 @@ the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
 parity of the detected number of -1 symbols.
 
 Everything after the channel is evaluated for a chunk of trials and the
-whole SNR grid at once: transmit, filter_and_demodulate, link_gains,
+whole SNR grid at once: transmit, filter_and_demodulate, stream_gains,
 per_link_rates and end_to_end_sum_rate take the leading trial axis of the
 bare channel, precoder and filter arrays, followed by an SNR axis where
 the noise enters.  The filters come factored: receiver l's zero-forcing
 filter is w / d_l, the one inverse w = V_1^-1 of a trial with its columns
 divided by the receiver's channel diagonal d_l = h[l, 0], so
 filter_and_demodulate divides y_l by d_l and applies w in one batched
-matmul, and link_gains reads the filter row norms from |w|^2 and 1/|d_l|^2
-in one real matmul.  Rates are arrays over the links of the effective
-system (the nonzero entries of F, grouped by stream), with link_gains
-computed once per channel draw.  link_rate and _demod_sum_constellation
-are the per-link and per-value references.
+matmul, and stream_gains reads the filter row norms from |w|^2 and
+1/|d_l|^2 in one real matmul.  A stream runs at the rate of the weakest
+receiver that decodes it, and the rate is monotone in the gain, so
+stream_gains takes that minimum once per channel draw: rates are arrays
+over the streams, in column order of F.  link_rate and
+_demod_sum_constellation are the per-link and per-value references.
 """
 
 from __future__ import annotations
@@ -114,10 +115,11 @@ def link_rate(u, v, h_diag, sigma2: float) -> float:
     return math.log2(1.0 + sig / (sigma2 * nu))
 
 
-def link_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray,
-               eff: EffectiveSystem) -> np.ndarray:
-    """Noise-free SNR of every link of *eff*, computed once per channel:
-    the rate of link j at noise power sigma2 is log2(1 + gains[j] / sigma2).
+def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray,
+                 eff: EffectiveSystem) -> np.ndarray:
+    """Noise-free SNR of every stream of *eff* at its weakest receiver,
+    computed once per channel: the rate of stream c at noise power sigma2
+    is log2(1 + gains[c] / sigma2).
 
     The decoding vector for row (l, i) is the conjugate of row i of
     receiver l's applied filter w / d_l (see filter_and_demodulate), so it
@@ -126,38 +128,39 @@ def link_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray
     power), so each precoding column is rescaled to the budget: the
     largest column's power, which build_precoders pins to p_max.  The
     filter maps every linked column to a unit vector (u^H H v = 1), so the
-    gain of a link is the closed form p_budget / (||u_{l,i}||^2
-    ||v_{k,s}||^2), with ||u_{l,i}||^2 = sum_j |w_ij|^2 / |d_lj|^2.  The
+    gain of the link from column c to row (l, i) is the closed form
+    p_budget / (||u_{l,i}||^2 ||v_c||^2), with ||u_{l,i}||^2 =
+    sum_j |w_ij|^2 / |d_lj|^2, and the weakest link of column c is the row
+    linked to it with the largest ||u||^2.  Rounded products and quotients
+    are monotone, so this is the smallest link gain to the last bit.  The
     channel *h*, the inverses *w* of build_filters and the precoders of
-    those trials give a (T, links) array.
+    those trials give a (T, streams) array.
     """
     v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
     # ||u_{l,i}||^2 for every receiver l and row i in one real matmul
     u_norm2 = (1.0 / np.abs(h[..., 0, :]) ** 2) @ np.swapaxes(np.abs(w) ** 2, -1, -2)
     u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
-    return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
-                                                  * v_norm2[..., eff.link_cols])
+    worst = np.maximum.reduceat(u_norm2[..., eff.link_rows], eff.stream_start, axis=-1)
+    return v_norm2.max(axis=-1, keepdims=True) / (worst * v_norm2)
 
 
 def per_link_rates(gains: np.ndarray, sigma2) -> np.ndarray:
-    """Rates log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) of every link at each
-    noise power in *sigma2* (S,), from link_gains (..., links): an
-    (..., S, links) array."""
+    """Rates log2(1 + gain / sigma2) of every stream at each noise power in
+    *sigma2* (S,), from stream_gains (..., streams): an (..., S, streams)
+    array."""
     return np.log2(1.0 + gains[..., None, :] / np.asarray(sigma2, dtype=float)[:, None])
 
 
-def end_to_end_sum_rate(per_link: np.ndarray, eff: EffectiveSystem, rhos,
-                        cap_enabled: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(per_signal, sum_rate) from per_link (..., S, links): each stream's
-    rate (..., S, streams), in column order of F, is the minimum over the
-    receivers that decode it; the block sum (..., S) caps each stream at
-    the cooperation-link rate log2(1 + rho) of its SNR in *rhos* when
-    *cap_enabled*."""
-    per_signal = np.minimum.reduceat(per_link, eff.stream_start, axis=-1)
-    caps = np.array([math.log2(1.0 + rho) for rho in rhos])
-    capped = np.minimum(per_signal, caps[:, None]) if cap_enabled else per_signal
-    return per_signal, np.sum(capped, axis=-1)
+def end_to_end_sum_rate(per_signal: np.ndarray, rhos,
+                        cap_enabled: bool = True) -> np.ndarray:
+    """The block sum rate (..., S) of the stream rates *per_signal*
+    (..., S, streams), each stream capped at the cooperation-link rate
+    log2(1 + rho) of its SNR in *rhos* when *cap_enabled*."""
+    if cap_enabled:
+        caps = np.array([math.log2(1.0 + rho) for rho in rhos])
+        per_signal = np.minimum(per_signal, caps[:, None])
+    return np.sum(per_signal, axis=-1)
 
 
 def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,

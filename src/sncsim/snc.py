@@ -12,12 +12,14 @@ central processor.
 
 The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
-them once per plan from the exponents.  Per channel draw only the
-precoders, their rank check and the filters with their conditioning check
-remain, all on the bare channel array with a leading trial axis: every
-trial's numbers are those of a stack holding that trial alone.  The checks
-are staged and lean on two identities of the construction.  One SVD of V_1
-gives its rank and condition number.  The shared precoder satisfies
+them once per plan from the exponents, and phy.stream_gains reduces each
+stream's links to its weakest receiver once per channel draw.  Per
+channel draw only the precoders, their rank check and the filters with
+their conditioning check remain, all on the bare channel array with a
+leading trial axis: every trial's numbers are those of a stack holding
+that trial alone.  The checks are staged and lean on two identities of
+the construction.  One SVD of V_1 gives its rank and condition
+number.  The shared precoder satisfies
 diag(g_s) V_other = V_1 P_s for every ratio slot s, with P_s the column
 selection of the exponent shift rule (_plan_matrix), so cond(V_other) <=
 cond(V_1) cond(diag(g_s)) and V_other is ranked by an SVD only where that
@@ -271,9 +273,9 @@ class EffectiveSystem:
     is the greedy independent row set of F over GF(2) and ``indep_inv``
     the inverse of that square subsystem, so recovery needs no
     elimination.  ``weights[l, i]`` is the support size of row (l, i).
-    The links (``link_rows[j]``, ``link_cols[j]``) are the nonzero entries
-    of F ordered by column, so the links of stream column c start at
-    ``stream_start[c]``.
+    ``link_rows`` lists the rows of the nonzero entries of F, column by
+    column, so the receiver rows that decode stream column c start at
+    ``link_rows[stream_start[c]]``.
     """
 
     plan: ExtensionPlan
@@ -283,7 +285,6 @@ class EffectiveSystem:
     indep_inv: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     link_rows: np.ndarray = field(repr=False)
-    link_cols: np.ndarray = field(repr=False)
     stream_start: np.ndarray = field(repr=False)
 
 
@@ -324,11 +325,11 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     if len(rows) != total:
         raise RankDeficientError(f"the K={plan.K}, n={plan.n} effective system has "
                                  f"GF(2) rank {len(rows)} < {total} streams")
-    link_cols, link_rows = np.nonzero(f.T)
+    links_per_stream = f.sum(axis=0)
     arrays = dict(f_int=f, indep_rows=np.array(rows), indep_inv=gf_inv(f[rows], GF2),
-                  weights=f.sum(axis=1).reshape(plan.K, plan.N), link_rows=link_rows,
-                  link_cols=link_cols,
-                  stream_start=np.searchsorted(link_cols, np.arange(total)))
+                  weights=f.sum(axis=1).reshape(plan.K, plan.N),
+                  link_rows=np.nonzero(f.T)[1],
+                  stream_start=np.cumsum(links_per_stream) - links_per_stream)
     for a in arrays.values():
         a.flags.writeable = False
     return EffectiveSystem(plan=plan, col_offset=offsets, **arrays)

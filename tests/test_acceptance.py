@@ -37,7 +37,7 @@ from sncsim.snc import (
     extension_dims,
     verify_alignment,
 )
-
+from tests.test_harness import stream_rates
 from tests.test_snc import (
     build_all,
     make_channel,
@@ -181,7 +181,8 @@ class TestAcceptance:
         monotone = all(b > a for a, b in zip(means, means[1:]))
         capped_ok = True
         b = run_trial(cfg, cfg.snr_grid, trial_index=0)
-        for snr_db, per_signal, sum_rate in zip(cfg.snr_grid, b.per_signal[0].tolist(),
+        [per_signals] = stream_rates(cfg, cfg.snr_grid, [0]).tolist()
+        for snr_db, per_signal, sum_rate in zip(cfg.snr_grid, per_signals,
                                                 b.snc_rate[0].tolist()):
             cap = math.log2(1.0 + 10.0 ** (snr_db / 10.0))  # p_max = 1
             capped = sum(min(v, cap) for v in per_signal)

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sncsim import harness
+from sncsim.channel import sample_extended_channel
 from sncsim.cli import USAGE_EXIT, build_parser, main, parse_cli
 from sncsim.gf import RankDeficientError
 from sncsim.harness import (
@@ -29,8 +30,12 @@ from sncsim.harness import (
     run_sweep,
     run_trial,
     run_trials,
+    snr_levels,
     write_results,
 )
+from sncsim.phy import per_link_rates, stream_gains
+from sncsim.snc import effective_system, extension_dims
+from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SRC_DIR = BENCH_DIR.parent / "src"
@@ -48,6 +53,28 @@ def cli_env():
 def one_point(cfg, snr_db, trial_index):
     """run_trial at one SNR point: a TrialBatch of one trial and one point."""
     return run_trial(cfg, (snr_db,), trial_index)
+
+
+def kept_channels(cfg, indices):
+    """The kept trials of *indices* as run_trials builds them, from the
+    stage functions in its draw order: their channel, precoders v1 and
+    v_other, and filter inverses w."""
+    plan = extension_dims(cfg.M, cfg.n)
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in indices]
+
+    def draw(trials):
+        return sample_extended_channel(cfg.M, plan.N, cfg.channel_model,
+                                       [rngs[t] for t in trials])
+
+    return harness._usable_channels(cfg, plan, draw(range(len(rngs))), draw)[:4]
+
+
+def stream_rates(cfg, snr_dbs, indices):
+    """The per-stream rates (kept trials, S, streams) of the trials
+    *indices* before the backhaul cap."""
+    eff = effective_system(extension_dims(cfg.M, cfg.n))
+    _, sigma2 = snr_levels(cfg.p_max, snr_dbs)
+    return per_link_rates(stream_gains(*kept_channels(cfg, indices), eff), sigma2)
 
 
 def spoil(value, how):
@@ -162,6 +189,8 @@ class TestConfig:
         dict(scheme="cf", tx_antennas=(1,)),
         dict(p_max=math.nan),
         dict(p_max=math.inf),
+        dict(p_max=0.0),
+        dict(p_max=-1.0),
         dict(snr_start=math.nan),
         dict(snr_stop=math.nan),
         dict(snr_step=math.inf),
@@ -312,7 +341,8 @@ class TestRunTrial:
         sums, streams = [], []
         for i in range(30):
             r = one_point(cfg, 60.0, i)
-            [[per_signal]], [[sum_rate]] = r.per_signal.tolist(), r.snc_rate.tolist()
+            [[per_signal]] = stream_rates(cfg, (60.0,), [i]).tolist()
+            [[sum_rate]] = r.snc_rate.tolist()
             assert len(per_signal) == 5
             assert sum_rate == pytest.approx(sum(per_signal), rel=1e-12)
             sums.append(sum_rate)
@@ -320,7 +350,7 @@ class TestRunTrial:
         assert np.mean(sums) == pytest.approx(5 * np.mean(streams), rel=0.05)
 
 
-TRIAL_ROWS = ("snc_rate", "per_signal", "detected", "cf_rate", "cf_outage")
+TRIAL_ROWS = ("snc_rate", "detected", "cf_rate", "cf_outage")
 
 
 def trial_rows(batch):
@@ -369,6 +399,29 @@ class TestRunTrials:
             b = run_trials(cfg, cfg.snr_grid, aborted[:3])
             assert not b.kept.any()
             assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="snc", n=2, channel_model="real"),
+        dict(scheme="snc", K=3, n=2, channel_model="complex", p_max=3.7),
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False,
+             snr_start=40.0, snr_stop=60.0, snr_step=5.0),
+    ])
+    def test_snc_rate_equals_link_level_formula(self, overrides):
+        # each stream at the smallest rate log2(1 + g / sigma2) over its
+        # links, then capped and summed: the rate taken once per link and
+        # SNR point gives the engine's block rates to the last bit
+        cfg = small_config(**{"trials": 15, "snr_start": 0.0, "snr_stop": 60.0, **overrides})
+        h, v1, v_other, w = kept_channels(cfg, range(cfg.trials))
+        eff = effective_system(extension_dims(cfg.M, cfg.n))
+        gains = explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff)
+        rhos, sigma2 = snr_levels(cfg.p_max, cfg.snr_grid)
+        per_signal = min_over_links(np.log2(1.0 + gains[:, None, :] / sigma2[:, None]), eff)
+        if cfg.cap_enabled:
+            caps = np.array([math.log2(1.0 + rho) for rho in rhos])
+            per_signal = np.minimum(per_signal, caps[:, None])
+        b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        assert len(h) == np.count_nonzero(b.kept) > 0
+        assert np.array_equal(b.snc_rate, per_signal.sum(axis=-1))
 
     def test_chunk_length_bounds(self):
         for workers in (1, 2, 3, 64):
@@ -435,6 +488,16 @@ class TestRunSweep:
         assert pt.outage_frac == 0.0 and pt.detected_err_frac == 0.0
         assert res.dof_slopes == {}
         assert "40 dB" in res.warning
+
+    def test_abort_warning_counts_trials(self):
+        # the trial of test_point_where_every_trial_aborts over five points:
+        # one trial aborted, five trial-SNR evaluations lost
+        cfg = SimConfig(K=2, n=10, scheme="snc", channel_model="complex",
+                        cap_enabled=False, trials=1, snr_start=40, snr_stop=60,
+                        snr_step=5, seed=0)
+        res = run_sweep(cfg)
+        assert res.aborted_trials == 5
+        assert "1 of 1 trials aborted" in res.warning
 
     @pytest.mark.parametrize("overrides", [
         dict(),

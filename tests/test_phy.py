@@ -9,10 +9,10 @@ from sncsim.phy import (
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
-    link_gains,
     link_rate,
     modulate_bpsk,
     per_link_rates,
+    stream_gains,
     transmit,
 )
 from sncsim.channel import sample_extended_channel, sample_noise
@@ -157,14 +157,40 @@ def einsum_demodulate(y, u, eff):
     return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
 
 
-def explicit_link_gains(v1, v_other, u, eff):
-    """link_gains with the row norms read from the explicit filters u."""
+def links(eff):
+    """(link_cols, link_rows): the nonzero entries of F, column by column."""
+    return np.nonzero(eff.f_int.T)
+
+
+def factored_row_norms(h, w):
+    """||u_{l,i}||^2 (..., K N) of the factored filters w / d_l, in
+    stream_gains' one real matmul."""
+    u_norm2 = (1.0 / np.abs(h[..., 0, :]) ** 2) @ np.swapaxes(np.abs(w) ** 2, -1, -2)
+    return u_norm2.reshape(*u_norm2.shape[:-2], -1)
+
+
+def explicit_row_norms(h, w):
+    """||u_{l,i}||^2 (..., K N) read from the explicit filters u."""
+    u_norm2 = np.sum(np.abs(explicit_filters(h, w)) ** 2, axis=-1)
+    return u_norm2.reshape(*u_norm2.shape[:-2], -1)
+
+
+def explicit_link_gains(v1, v_other, u_norm2, eff):
+    """The closed-form gain p_budget / (||u_{l,i}||^2 ||v_c||^2) of every
+    link of *eff*, from the filter row norms u_norm2 (..., K N): the
+    per-link array that stream_gains reduces to one gain per stream."""
+    link_cols, link_rows = links(eff)
     v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
-    u_norm2 = np.sum(np.abs(u) ** 2, axis=-1)
-    u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
-    return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., eff.link_rows]
-                                                  * v_norm2[..., eff.link_cols])
+    return v_norm2.max(axis=-1, keepdims=True) / (u_norm2[..., link_rows]
+                                                  * v_norm2[..., link_cols])
+
+
+def min_over_links(per_link, eff):
+    """Each stream's minimum (..., streams) of a per-link array (..., links)."""
+    link_cols, _ = links(eff)
+    return np.stack([per_link[..., link_cols == c].min(axis=-1)
+                     for c in range(eff.plan.total_streams)], axis=-1)
 
 
 WORKLOAD_PLANS = [(2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex")]
@@ -205,10 +231,14 @@ class TestFactoredFilters:
     @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
     def test_gains_equal_explicit_filters(self, K, n, model):
         eff, h, v1, v_other, w, _ = self.noisy_stack(K, n, model, 60, seed=42)
-        gains = link_gains(h, v1, v_other, w, eff)
-        ref = explicit_link_gains(v1, v_other, explicit_filters(h, w), eff)
-        assert gains.shape == ref.shape == (len(h), len(eff.link_rows))
+        gains = stream_gains(h, v1, v_other, w, eff)
+        ref = min_over_links(explicit_link_gains(v1, v_other, explicit_row_norms(h, w),
+                                                 eff), eff)
+        assert gains.shape == ref.shape == (len(h), eff.plan.total_streams)
         assert np.all(np.abs(gains - ref) <= 1e-12 * ref)
+        # the weakest receiver's gain, to the last bit, from the same row norms
+        assert np.array_equal(gains, min_over_links(
+            explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff), eff))
 
 
 class TestRates:
@@ -237,25 +267,31 @@ class TestRates:
     def test_signal_rate_takes_min_over_decoding_receivers(self):
         # K=2, n=1: stream column c is decoded at the rows r with F[r, c] = 1
         plan, h, p, f, eff = build_all(2, 1, seed=5)
-        rate = {(0, 0): 2.0, (2, 0): 3.0,
-                (1, 1): 1.5, (3, 1): 1.0,
-                (0, 2): 4.0, (3, 2): 2.5}
-        assert set(rate) == set(zip(eff.link_rows.tolist(), eff.link_cols.tolist()))
-        per_link = np.array([rate[r, c] for r, c in zip(eff.link_rows, eff.link_cols)])
-        per_signal, sums = end_to_end_sum_rate(per_link[None], eff, [1.0], cap_enabled=False)
-        assert per_signal.tolist() == [[2.0, 1.0, 2.5]]
+        link_cols, link_rows = links(eff)
+        assert set(zip(link_rows.tolist(), link_cols.tolist())) == {
+            (0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (3, 2)}
+        w = one_trial_inverse(h, p)
+        u_norm2 = factored_row_norms(h, w).tolist()
+        v_norm2 = np.sum(np.abs(np.hstack(p)) ** 2, axis=0).tolist()  # columns of F
+        expected = [min(max(v_norm2) / (u_norm2[r] * v_norm2[c])
+                        for r in link_rows[link_cols == c].tolist()) for c in range(3)]
+        assert stream_gains(h, *p, w, eff).tolist() == expected
+
+    def test_sum_rate_adds_stream_rates(self):
+        sums = end_to_end_sum_rate(np.array([[2.0, 1.0, 2.5]]), [1.0], cap_enabled=False)
         assert sums.tolist() == [5.5]
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        [rates] = per_link_rates(link_gains(h, *p, one_trial_inverse(h, p), eff), [1.0])
-        assert rates.shape == eff.link_cols.shape and np.all(rates > 0)
-        assert sorted(set(eff.link_cols.tolist())) == [0, 1, 2]
+        [rates] = per_link_rates(stream_gains(h, *p, one_trial_inverse(h, p), eff), [1.0])
+        assert rates.shape == (plan.total_streams,) and np.all(rates > 0)
+        assert sorted(set(links(eff)[0].tolist())) == [0, 1, 2]
 
     def test_per_link_rates_equal_link_rate_oracle(self):
-        # closed-form gains once, then rates at several noise powers, against
-        # link_rate on the decoding vector and the budget-rescaled column of
-        # every kept draw; rtol 1e-9 because the closed form takes u^H H v = 1
+        # closed-form gains once, then each stream's rate at several noise
+        # powers, against the minimum over its links of link_rate on the
+        # decoding vector and the budget-rescaled column of every kept draw;
+        # rtol 1e-9 because the closed form takes u^H H v = 1
         for K, n, model in [(2, 2, "complex"), (3, 1, "real"), (3, 2, "complex"),
                             (2, 10, "complex")]:
             plan = extension_dims(K, n)
@@ -271,46 +307,50 @@ class TestRates:
                     continue
                 kept += 1
                 f = explicit_filters(h, w)
-                gains = link_gains(h, *p, w, eff)
+                gains = stream_gains(h, *p, w, eff)
                 budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0))) for v in p)
+                link_cols, link_rows = links(eff)
                 sigma2s = (1.0, 1e-3, 1e-6)
                 for sigma2, rates in zip(sigma2s, per_link_rates(gains, sigma2s)):
-                    for rate, r, c in zip(rates, eff.link_rows, eff.link_cols):
-                        l, i = divmod(int(r), plan.N)
+                    assert rates.shape == (plan.total_streams,)
+                    for c, rate in enumerate(rates):
                         k = int(np.searchsorted(eff.col_offset, c, side="right")) - 1
                         col = precoder(p, k)[:, c - eff.col_offset[k]]
                         col = col * math.sqrt(budget) / float(np.linalg.norm(col))
-                        u = np.conj(f[l][i, :])
-                        assert rate == pytest.approx(
-                            link_rate(u, col, h[l, k], sigma2), rel=1e-9, abs=0.0)
+                        oracle = []
+                        for r in link_rows[link_cols == c]:
+                            l, i = divmod(int(r), plan.N)
+                            u = np.conj(f[l][i, :])
+                            oracle.append(link_rate(u, col, h[l, k], sigma2))
+                        assert rate == pytest.approx(min(oracle), rel=1e-9, abs=0.0)
             assert kept >= 3, (K, n)
 
 
 class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
-        per_link = np.full((1,) + eff.link_rows.shape, 5.0)
-        _, [total] = end_to_end_sum_rate(per_link, eff, [1.0])
+        per_signal = np.full((1, plan.total_streams), 5.0)
+        [total] = end_to_end_sum_rate(per_signal, [1.0])
         assert total == pytest.approx(3.0)  # 3 streams capped at log2(1 + 1) = 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
-        per_link = np.full((1,) + eff.link_rows.shape, 0.5)
-        _, [total] = end_to_end_sum_rate(per_link, eff, [1e6])
+        per_signal = np.full((1, plan.total_streams), 0.5)
+        [total] = end_to_end_sum_rate(per_signal, [1e6])
         assert total == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
-        per_link = np.full((1,) + eff.link_rows.shape, 2.0)
-        _, [total] = end_to_end_sum_rate(per_link, eff, [0.0])
+        per_signal = np.full((1, plan.total_streams), 2.0)
+        [total] = end_to_end_sum_rate(per_signal, [0.0])
         assert total == 0.0
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
-        rates = per_link_rates(link_gains(h, *p, one_trial_inverse(h, p), eff),
+        rates = per_link_rates(stream_gains(h, *p, one_trial_inverse(h, p), eff),
                                [1.0 / rho for rho in rhos])
-        totals = end_to_end_sum_rate(rates, eff, rhos)[1].tolist()
+        totals = end_to_end_sum_rate(rates, rhos).tolist()
         assert totals == sorted(totals)
 
 
@@ -331,8 +371,8 @@ class TestSnrBatch:
         y = transmit(h, *p, x, noise)
         fwd = filter_and_demodulate(y, h, w, eff)
         msgs_out, detected = cp_recover(eff, fwd)
-        rates = per_link_rates(link_gains(h, *p, w, eff), sigma2)
-        per_signal, sums = end_to_end_sum_rate(rates, eff, rhos)
+        rates = per_link_rates(stream_gains(h, *p, w, eff), sigma2)
+        sums = end_to_end_sum_rate(rates, rhos)
         assert noise.shape == y.shape == (len(rhos), K, plan.N)
         assert fwd.shape == (len(rhos), K * plan.N)
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
@@ -344,10 +384,9 @@ class TestSnrBatch:
             assert np.array_equal(fwd1, fwd[s])
             assert detected1 == detected[s]
             assert np.array_equal(msgs1, msgs_out[s])
-            [rates1] = per_link_rates(link_gains(h, *p, w, eff), [s2])
+            [rates1] = per_link_rates(stream_gains(h, *p, w, eff), [s2])
             assert np.array_equal(rates1, rates[s])
-            per_signal1, sums1 = end_to_end_sum_rate(rates1[None], eff, [rho])
-            assert np.array_equal(per_signal1, per_signal[s:s + 1])
+            sums1 = end_to_end_sum_rate(rates1[None], [rho])
             assert np.array_equal(sums1, sums[s:s + 1])
 
 

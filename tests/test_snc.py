@@ -12,7 +12,7 @@ from sncsim.channel import (
     single_antenna,
 )
 from sncsim.gf import PrimeField, RankDeficientError
-from sncsim.phy import end_to_end_sum_rate, link_gains, per_link_rates
+from sncsim.phy import end_to_end_sum_rate, per_link_rates, stream_gains
 from sncsim.snc import (
     CONDITION_MARGIN,
     MAX_CONDITION,
@@ -408,11 +408,11 @@ class TestPlanSystem:
                                   np.eye(plan.total_streams, dtype=np.int64))
             assert np.array_equal(eff.weights.ravel(), eff.f_int.sum(axis=1))
             # links are the nonzero entries, grouped by stream column
-            assert np.all(eff.f_int[eff.link_rows, eff.link_cols] == 1)
-            assert len(eff.link_rows) == eff.f_int.sum()
-            assert np.all(np.diff(eff.link_cols) >= 0)
-            starts = eff.link_cols[eff.stream_start]
+            link_cols, link_rows = np.nonzero(eff.f_int.T)
+            assert np.array_equal(eff.link_rows, link_rows)
+            starts = link_cols[eff.stream_start]
             assert starts.tolist() == list(range(plan.total_streams))
+            assert np.all(np.diff(eff.stream_start) > 0)  # no stream without a link
 
     @pytest.mark.parametrize("K, n", [(3, 3), (2, 50)])
     def test_indep_rows_match_bitmask_greedy(self, K, n):
@@ -641,19 +641,19 @@ class TestTrialStack:
         assert len(w) >= 4
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
         sigma2 = [1.0 / rho for rho in rhos]
-        gains = link_gains(h, v1, v_other, w, eff)
-        per_link = per_link_rates(gains, sigma2)
+        gains = stream_gains(h, v1, v_other, w, eff)
+        per_signal = per_link_rates(gains, sigma2)
+        assert per_signal.shape == (len(w), len(rhos), plan.total_streams)
         for cap_enabled in (True, False):
-            per_signal, sums = end_to_end_sum_rate(per_link, eff, rhos, cap_enabled)
-            assert per_signal.shape == (len(w), len(rhos), plan.total_streams)
+            sums = end_to_end_sum_rate(per_signal, rhos, cap_enabled)
             assert sums.shape == (len(w), len(rhos))
             for t in range(len(w)):
                 one = slice(t, t + 1)
-                gains1 = link_gains(h[one], v1[one], v_other[one], w[one], eff)
+                gains1 = stream_gains(h[one], v1[one], v_other[one], w[one], eff)
                 assert np.array_equal(gains1, gains[one])
-                per_signal1, sums1 = end_to_end_sum_rate(per_link_rates(gains1, sigma2),
-                                                         eff, rhos, cap_enabled)
+                per_signal1 = per_link_rates(gains1, sigma2)
                 assert np.array_equal(per_signal1, per_signal[one])
+                sums1 = end_to_end_sum_rate(per_signal1, rhos, cap_enabled)
                 assert np.array_equal(sums1, sums[one])
 
     @pytest.mark.parametrize("K, q, cap_enabled", [(2, 2, True), (3, 3, False)])
