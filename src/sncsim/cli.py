@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "with '=', as --snr=-10:0:5, or it is read as an option")
     p.add_argument("--trials", type=int, default=1000, metavar="T")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--p-max", type=float, default=1.0, metavar="P")
     p.add_argument("--cf-radius", type=int, default=3, metavar="R",
                    help="max-norm bound of the coefficient search")
     p.add_argument("--no-backhaul-cap", action="store_true",
@@ -93,7 +92,6 @@ def parse_cli(argv=None) -> SimConfig:
         snr_step=step,
         trials=args.trials,
         seed=args.seed,
-        p_max=args.p_max,
         cf_radius=args.cf_radius,
         cap_enabled=not args.no_backhaul_cap,
         out_path=args.out,

@@ -19,10 +19,6 @@ class GfError(Exception):
     """Base class for finite-field errors."""
 
 
-class ZeroInversionError(GfError):
-    """Attempted multiplicative inverse of 0."""
-
-
 class RankDeficientError(GfError):
     """Linear system has no unique solution (column-rank deficiency)."""
 
@@ -68,11 +64,6 @@ class PrimeField:
             raise ValueError(f"field size must be below 2^63 to fit int64, got {self.q}")
         if not _is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroInversionError("0 has no multiplicative inverse")
-        return pow(int(a), -1, self.q)
 
     def reduce(self, m) -> np.ndarray:
         """Return *m* as an int64 array with entries reduced mod q."""

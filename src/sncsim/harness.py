@@ -4,28 +4,25 @@ Seeded Monte Carlo sweeps over SNR with CSV/JSON output.
 Each trial derives its own RNG stream from (master seed, trial index), so
 runs are byte-identical across repeats and across worker counts.  The two
 schemes share the channel realization of a trial (paired comparison).
-SNR is interpreted as p_max / sigma^2 with p_max fixed and the noise
-variance swept.
+SNR is interpreted as 1 / sigma^2: the precoders' largest column has
+unit power and the noise variance is swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan.  SimConfig.validate() raises
 ConfigError for every config it rejects: one whose plan cannot be built,
 a count that is not an integer, a cap flag that is not a bool, an antenna
-list that is not a sequence, a p_max or SNR field that is not a real
-number, a field size that is not a prime below 2^63, or a p_max and SNR
-grid whose linear SNR or noise variance leaves LEVEL_RANGE (snr_levels,
-which the engine shares).  The engine evaluates chunks of consecutive
-trials: run_trials draws a chunk's channels as one bare (T, M, M, N)
-stack, one generator call per trial, and builds everything that depends
-on the channel alone (the precoders v1 and v_other, their rank and
-conditioning checks, the filters' shared inverse w of V_1, each stream's
-gain at its weakest receiver) as plain arrays in one stacked pass,
-redrawing only the trials whose draw was degenerate, then evaluates the
-whole SNR grid of every kept trial in one array pass.  The rank check's
-SVD of V_1 also gives its condition number, which certifies most trials'
-V_other rank and filter conditioning without a further SVD
-(snc.check_precoder_ranks, snc.build_filters).  The compute-and-forward
-leg runs once per chunk over the grid and draws no randomness.  The
+list that is not a sequence, an SNR field that is not a real number, a
+field size that is not a prime below 2^63, or an SNR grid whose linear
+SNR leaves LEVEL_RANGE (snr_levels, which the engine shares).  The
+engine evaluates chunks of consecutive trials: run_trials draws a
+chunk's channels as one bare (T, M, M, N) stack, one generator call per
+trial, and builds everything that depends on the channel alone (the
+precoders v1 and v_other, V_1's rank test, the filters' shared inverse w
+of V_1, each stream's gain at its weakest receiver) as plain arrays in
+one stacked pass, redrawing only the trials whose V_1 lost rank, then
+evaluates the whole SNR grid of every kept trial in one array pass.  The
+compute-and-forward leg runs once per chunk over the grid and draws no
+randomness.  The
 arrays of a chunk are the only shape: run_trial is run_trials on one
 index and returns its one-trial TrialBatch.  A sweep that fits one chunk
 of at most BATCH_ELEMENTS per array runs in this process, whatever
@@ -98,7 +95,7 @@ WORKERS_ENV = "SNCSIM_WORKERS"
 MAX_RESAMPLES = 3
 # array elements a chunk of trials may take per trial-stacked array
 BATCH_ELEMENTS = 2**16
-# Every rate formula multiplies p_max, rho or 1 / sigma2 by a channel term.
+# Every rate formula multiplies rho or 1 / sigma2 by a channel term.
 # Holding them to the square root of the float range leaves the other half
 # of the exponent range to that term, so no product overflows or goes
 # subnormal.
@@ -130,33 +127,27 @@ def worker_count() -> int:
     return min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def snr_levels(p_max: float, snr_dbs) -> tuple[list[float], np.ndarray]:
+def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
     """The linear SNR rho = 10^(snr/10) and the noise variance
-    sigma2 = p_max / rho of every SNR point in dB, so that the per-signal
-    SNR p_max / sigma2 is the labelled one whatever p_max is.
+    sigma2 = 1 / rho of every SNR point in dB.
 
-    Raises ConfigError unless p_max and every rho and sigma2 lie in
-    LEVEL_RANGE, which excludes every value that is not a finite, positive,
+    Raises ConfigError unless every rho lies in LEVEL_RANGE, and with it
+    sigma2, which excludes every value that is not a finite, positive,
     normal float: beyond it the sweep would overflow, divide by zero or
     write non-finite rates.
     """
     lo, hi = LEVEL_RANGE
-    if not lo <= p_max <= hi:
-        raise ConfigError(f"p_max must lie in [{lo:g}, {hi:g}], got {p_max:g}")
-    rhos, sigma2 = [], []
+    rhos = []
     for snr_db in snr_dbs:
         try:
             rho = 10.0 ** (snr_db / 10.0)
-            s2 = p_max / rho
-        except (OverflowError, ZeroDivisionError):
-            rho = s2 = math.nan
-        if not (lo <= rho <= hi and lo <= s2 <= hi):
-            raise ConfigError(f"at {snr_db:g} dB with p_max {p_max:g}, the linear SNR "
-                              "10^(snr/10) or the noise variance p_max / rho "
+        except OverflowError:
+            rho = math.nan
+        if not lo <= rho <= hi:
+            raise ConfigError(f"at {snr_db:g} dB the linear SNR 10^(snr/10) "
                               f"leaves [{lo:g}, {hi:g}]")
         rhos.append(rho)
-        sigma2.append(s2)
-    return rhos, np.array(sigma2)
+    return rhos, np.array([1.0 / rho for rho in rhos])
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,6 @@ class SimConfig:
     snr_step: float = 5.0
     trials: int = 1000
     seed: int = 0
-    p_max: float = 1.0
     cf_radius: int = 3
     cap_enabled: bool = True
     out_path: str = "sweep.csv"
@@ -199,7 +189,7 @@ class SimConfig:
             raise ConfigError(f"unknown channel model {self.channel_model!r}")
         if self.seed < 0:
             raise ConfigError(f"the seed must be >= 0, got {self.seed}")
-        for name in ("p_max", "snr_start", "snr_stop", "snr_step"):
+        for name in ("snr_start", "snr_stop", "snr_step"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
@@ -237,7 +227,7 @@ class SimConfig:
                 effective_system(extension_dims(M, self.n))
             except (CapacityError, RankDeficientError) as exc:
                 raise ConfigError(f"no alignment plan for n={self.n}: {exc}") from exc
-        snr_levels(self.p_max, self.snr_grid)
+        snr_levels(self.snr_grid)
         try:
             PrimeField(self.q)
         except ValueError as exc:
@@ -286,35 +276,28 @@ class TrialBatch:
     cf_outage: np.ndarray | None = None
 
 
-def _usable_channels(cfg: SimConfig, plan, h: np.ndarray, redraw):
-    """Resample the degenerate draws of the chunk's channel *h* (precoder
-    rank loss, an ill-conditioned filter) up to MAX_RESAMPLES times; each
-    round redraws, and checks, only the trials still pending.  The filters'
-    conditioning is checked only for trials that pass the rank check, from
-    the condition number of V_1 that check returns.  Returns the kept
-    trials' channel, precoders v1 and v_other, and filter inverses w, and
-    the kept mask."""
+def _usable_channels(plan, h: np.ndarray, redraw):
+    """Resample the draws of the chunk's channel *h* whose V_1 loses rank
+    up to MAX_RESAMPLES times; each round redraws, and checks, only the
+    trials still pending.  Returns the kept trials' channel, precoders v1
+    and v_other, and filter inverses w, and the kept mask."""
     T, N = len(h), plan.N
     v1 = np.empty((T, N, N), h.dtype)
     v_other = np.empty((T, N, plan.N_prime), h.dtype)
-    w = np.empty((T, N, N), h.dtype)
     kept = np.zeros(T, dtype=bool)
     pending = np.arange(T)
     for attempt in range(MAX_RESAMPLES + 1):
         if attempt:
             h[pending] = redraw(pending)
-        hp = h[pending]
-        pv1, pv_other = build_precoders(hp, plan, cfg.p_max)
-        ranked, v1_cond = check_precoder_ranks(hp, pv1, pv_other, plan)
-        w_ranked, ok = build_filters(hp[ranked], pv1[ranked], v1_cond[ranked])
-        good = np.flatnonzero(ranked)[ok]
-        done = pending[good]
-        v1[done], v_other[done], w[done] = pv1[good], pv_other[good], w_ranked
+        pv1, pv_other = build_precoders(h[pending], plan)
+        passed = check_precoder_ranks(pv1)
+        done = pending[passed]
+        v1[done], v_other[done] = pv1[passed], pv_other[passed]
         kept[done] = True
-        pending = pending[~kept[pending]]
+        pending = pending[~passed]
         if not pending.size:
             break
-    return h[kept], v1[kept], v_other[kept], w[kept], kept
+    return h[kept], v1[kept], v_other[kept], build_filters(v1[kept]), kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
@@ -324,14 +307,14 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     Each trial draws from its own generator in the order of the
     draw-order contract, and every check and number of a trial is
     computed from that trial alone, so a trial's outcome does not depend
-    on the other trials of the chunk.  A trial whose channel stays
-    degenerate after MAX_RESAMPLES resamples is aborted: ``kept`` is False
-    for it.
+    on the other trials of the chunk.  A trial whose V_1 still lacks full
+    rank after MAX_RESAMPLES resamples is aborted: ``kept`` is False for
+    it.
     """
     M = cfg.M
     plan = extension_dims(M, cfg.n) if cfg.run_snc else None
     n_ext = plan.N if plan is not None else 1
-    rhos, sigma2 = snr_levels(cfg.p_max, snr_dbs)
+    rhos, sigma2 = snr_levels(snr_dbs)
     rngs = [default_rng(SeedSequence([cfg.seed, i])) for i in indices]
 
     def draw(trials):
@@ -341,7 +324,7 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     h = draw(range(len(rngs)))
     kept = np.ones(len(rngs), dtype=bool)
     if cfg.run_snc:
-        h, v1, v_other, w, kept = _usable_channels(cfg, plan, h, draw)
+        h, v1, v_other, w, kept = _usable_channels(plan, h, draw)
     out = {}
     if not kept.any():
         return TrialBatch(kept=kept)

@@ -5,7 +5,11 @@ Filtering with the exact inverse of the desired signal space leaves each
 filtered component equal to a sum of m BPSK symbols (m = row support size)
 plus filtered noise, so demodulation reduces to nearest-level detection on
 the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
-parity of the detected number of -1 symbols.
+parity of the detected number of -1 symbols.  Every receiver applies the
+same computed w = V_1^-1, whose residual w V_1 - I is bounded through
+cond(V_1) alone (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 14), so a draw that passes V_1's rank test needs no further
+conditioning check.
 
 Everything after the channel is evaluated for a chunk of trials and the
 whole SNR grid at once: transmit, filter_and_demodulate, stream_gains,
@@ -126,7 +130,7 @@ def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarr
     acts as u^H y.  Rate accounting gives every signal the full per-signal
     power budget (SNR is defined as per-signal transmit power over noise
     power), so each precoding column is rescaled to the budget: the
-    largest column's power, which build_precoders pins to p_max.  The
+    largest column's power, which build_precoders pins to 1.  The
     filter maps every linked column to a unit vector (u^H H v = 1), so the
     gain of the link from column c to row (l, i) is the closed form
     p_budget / (||u_{l,i}||^2 ||v_c||^2), with ||u_{l,i}||^2 =
@@ -163,16 +167,17 @@ def end_to_end_sum_rate(per_signal: np.ndarray, rhos,
     return np.sum(per_signal, axis=-1)
 
 
-def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int,
-                       window_db: tuple[float, float] = DOF_WINDOW_DB) -> float:
-    """Least-squares slope of block sum-rate vs log2(SNR), divided by N.
+def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int) -> float:
+    """Least-squares slope of block sum-rate vs log2(SNR) over the points
+    in DOF_WINDOW_DB, divided by N.
 
     The result is the empirical total DoF per channel use.  Sum rates must
     be uncapped (the backhaul cap flattens the slope).
     """
     snr_db = np.asarray(snr_db, dtype=float)
     rates = np.asarray(mean_sum_rates, dtype=float)
-    sel = (snr_db >= window_db[0]) & (snr_db <= window_db[1])
+    lo, hi = DOF_WINDOW_DB
+    sel = (snr_db >= lo) & (snr_db <= hi)
     if int(sel.sum()) < 2:
         raise ValueError("need at least 2 points inside the fit window")
     log2_rho = snr_db[sel] * (math.log(10.0) / (10.0 * math.log(2.0)))

@@ -14,24 +14,19 @@ The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents, and phy.stream_gains reduces each
 stream's links to its weakest receiver once per channel draw.  Per
-channel draw only the precoders, their rank check and the filters with
-their conditioning check remain, all on the bare channel array with a
-leading trial axis: every trial's numbers are those of a stack holding
-that trial alone.  The checks are staged and lean on two identities of
-the construction.  One SVD of V_1 gives its rank and condition
-number.  The shared precoder satisfies
-diag(g_s) V_other = V_1 P_s for every ratio slot s, with P_s the column
-selection of the exponent shift rule (_plan_matrix), so cond(V_other) <=
-cond(V_1) cond(diag(g_s)) and V_other is ranked by an SVD only where that
-bound does not settle it.  A receiver's filter is (D_l V_1)^-1 =
-V_1^-1 D_l^-1, so its conditioning is certified from cond(V_1) and its
-channel gains, with the exact np.linalg.cond check only where that bound
-does not settle it, and all K receivers share the one inverse w = V_1^-1
-per trial: the phy layer applies D_l^-1 to the received vector, not to w.
-cp_recover solves every SNR point of a chunk of trials in one call.  Each
-stage returns plain arrays, only those the next stage reads:
-build_precoders (v1, v_other), check_precoder_ranks (passed, v1_cond),
-build_filters (w, ok) and cp_recover (x, detected).
+channel draw only the precoders, V_1's rank test and V_1's inverse
+remain, all on arrays with a leading trial axis: every trial's numbers
+are those of a stack holding that trial alone.  Every receiver inverts
+its desired space D_l V_1, D_l = diag(h[l, 0]), as V_1^-1 D_l^-1, so all
+K receivers share the one inverse w = V_1^-1 per trial and the phy layer
+applies D_l^-1 to the received vector.  V_1's rank is the only check a
+draw must pass: diag(g_s) V_other = V_1 P_s for every ratio slot s, with
+P_s a selection of distinct columns (_plan_matrix), so V_other has full
+column rank whenever V_1 does, and the error of w is bounded through
+cond(V_1) alone.  cp_recover solves every SNR point of a chunk of trials
+in one call.  Each stage returns plain arrays, only those the next stage
+reads: build_precoders (v1, v_other), check_precoder_ranks (passed),
+build_filters (w) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -49,13 +44,6 @@ from .gf import PrimeField, RankDeficientError, gf_inv, gf_select_independent_ro
 GF2 = PrimeField(2)
 ALIGNMENT_RTOL = 1e-9
 RANK_SV_RTOL = 1e-9
-MAX_CONDITION = 1e12
-# Computed singular values are off by O(eps) times the largest (Demmel,
-# Applied Numerical Linear Algebra, 5.2), so a computed condition number up
-# to MAX_CONDITION is off by a relative O(eps MAX_CONDITION), about 1e-4.
-# build_filters certifies a bound this many times below MAX_CONDITION, and
-# check_precoder_ranks one this many times below 1 / RANK_SV_RTOL.
-CONDITION_MARGIN = 16
 MAX_EXTENSION = 10**6
 
 
@@ -97,10 +85,6 @@ class ExtensionPlan:
     def total_streams(self) -> int:
         return self.N + (self.K - 1) * self.N_prime
 
-    def streams(self, k: int) -> int:
-        """Number of streams sent by transmitter k (0-based)."""
-        return self.N if k == 0 else self.N_prime
-
 
 @functools.lru_cache(maxsize=None)
 def extension_dims(K: int, n: int) -> ExtensionPlan:
@@ -121,8 +105,7 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
                          tx1_exponents=tx1, other_exponents=other)
 
 
-def build_precoders(h: np.ndarray, plan: ExtensionPlan,
-                    p_max: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def build_precoders(h: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
     """Construct the precoding matrices from the channel ratio products:
     ``(v1, v_other)``, transmitter 1's (..., N, N) and the (..., N, N')
     one that transmitters 2..K share, with the leading (trial) axes of the
@@ -132,7 +115,7 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan,
     all-ones seed vector, multiplied in slot order from a table of the
     powers G[i,j]^e, e = 0..n (a zero exponent multiplies by exactly 1).
     One global scalar scales all transmitters so the maximum column
-    squared-norm equals p_max (per-column scaling would break
+    squared-norm equals 1 (per-column scaling would break
     column-equality alignment).
     """
     K, N = plan.K, plan.N
@@ -152,50 +135,16 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan,
         # C order fixes matvec rounding
         v.append(np.ascontiguousarray(np.swapaxes(cols, -1, -2)))
     max_norm2 = np.maximum(*(np.max(np.sum(np.abs(m) ** 2, axis=-2), axis=-1) for m in v))
-    scale = np.sqrt(p_max / max_norm2)[..., None, None]
+    scale = np.sqrt(1.0 / max_norm2)[..., None, None]
     return v[0] * scale, v[1] * scale
 
 
-def _numerical_rank(sv: np.ndarray) -> np.ndarray:
-    """The number of singular values above RANK_SV_RTOL times the largest."""
-    return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1)
-
-
-def check_precoder_ranks(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
-                         plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """``(passed, v1_cond)`` over the leading (trial) axes of the channel *h*
-    and the precoders that build_precoders made from it.
-
-    ``passed`` marks the trials where both precoders have full column rank
-    (N and N' singular values above RANK_SV_RTOL times the largest), and
-    ``v1_cond`` is the 2-norm condition number sigma_max / sigma_min of
-    ``v1`` (inf when sigma_min is 0), from one SVD of ``v1``.
-
-    By the exponent shift rule (_plan_matrix), diag(g_s) V_other = V_1 P_s
-    for every slot s = (l, k), with g_s = h[l, k] / h[l, 0] and P_s a
-    selection of N' distinct columns, so cond(V_other) <= cond(V_1)
-    max|g_s| / min|g_s|.  Where V_1 has full rank and that bound is at most
-    1 / (RANK_SV_RTOL CONDITION_MARGIN) for some slot, V_other has full
-    rank (the margin covers the rounding of the computed precoders and
-    singular values); the SVD of ``v_other`` runs only on the other trials
-    whose ``v1`` reached rank N, so ``passed`` is the mask the two SVDs
-    give.
-    """
-    K = plan.K
-    sv1 = np.linalg.svd(v1, compute_uv=False)
-    passed = np.asarray(_numerical_rank(sv1) == plan.N)  # an array even for one trial
-    with np.errstate(divide="ignore"):  # a singular v1 has condition number inf
-        v1_cond = sv1[..., 0] / sv1[..., -1]
-    hp = h[passed]
-    mag = np.abs(hp[..., :K, 1:K, :] / hp[..., :K, 0, None, :])  # |g| per slot
-    uncertified = passed.copy()
-    uncertified[passed] = ~np.any(
-        v1_cond[passed][:, None, None] * mag.max(axis=-1)
-        <= mag.min(axis=-1) / (RANK_SV_RTOL * CONDITION_MARGIN), axis=(-2, -1))
-    if uncertified.any():
-        passed[uncertified] = (_numerical_rank(
-            np.linalg.svd(v_other[uncertified], compute_uv=False)) == plan.N_prime)
-    return passed, v1_cond
+def check_precoder_ranks(v1: np.ndarray) -> np.ndarray:
+    """The mask, over the leading (trial) axes of transmitter 1's precoders
+    *v1*, of the trials where V_1 has full rank: N singular values above
+    RANK_SV_RTOL times the largest."""
+    sv = np.linalg.svd(v1, compute_uv=False)
+    return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == v1.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -233,34 +182,12 @@ def verify_alignment(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
     return AlignmentResult(True, witness)
 
 
-def build_filters(h: np.ndarray, v1: np.ndarray,
-                  v1_cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the desired signal space at every receiver, for a stack of
-    trials: the channel (T, K, K, N), transmitter 1's precoders ``v1``
-    (T, N, N) and their (T,) condition numbers from check_precoder_ranks.
-
-    Returns ``(w, ok)``.  ``ok`` (T,) marks the trials whose desired space
-    D_l V_1, D_l = diag(h[t, l, 0]), has condition number at most
-    MAX_CONDITION at every receiver; only they are inverted.  Since
-    cond(D_l V_1) <= cond(D_l) cond(V_1), a receiver whose bound is at most
-    MAX_CONDITION / CONDITION_MARGIN is certified without an SVD.  Every
-    other receiver is checked by np.linalg.cond, so ``ok`` is the mask that
-    check gives on every receiver.
-
-    ``w`` (kept trials, N, N) is V_1^-1, the factor that every receiver's
-    filter shares: (D_l V_1)^-1 = V_1^-1 D_l^-1 = w / d_l, w with its
-    columns divided by the diagonal d_l = h[t, l, 0] of D_l.
-    """
-    d = h[..., 0, :]  # (T, K, N): the diagonals D_l
-    mag = np.abs(d)
-    certified = (v1_cond[:, None] * mag.max(axis=-1)
-                 <= MAX_CONDITION / CONDITION_MARGIN * mag.min(axis=-1))
-    bad = np.zeros(certified.shape, dtype=bool)
-    t, l = np.nonzero(~certified)
-    if t.size:
-        bad[t, l] = np.linalg.cond(d[t, l, :, None] * v1[t]) > MAX_CONDITION
-    ok = ~bad.any(axis=-1)
-    return np.linalg.inv(v1[ok]), ok
+def build_filters(v1: np.ndarray) -> np.ndarray:
+    """The inverse w = V_1^-1 of transmitter 1's precoders *v1* (..., N, N),
+    the factor that every receiver's filter shares: (D_l V_1)^-1 =
+    V_1^-1 D_l^-1 = w / d_l, w with its columns divided by the diagonal
+    d_l = h[l, 0] of D_l."""
+    return np.linalg.inv(v1)
 
 
 @dataclass(frozen=True)

@@ -66,14 +66,14 @@ def kept_channels(cfg, indices):
         return sample_extended_channel(cfg.M, plan.N, cfg.channel_model,
                                        [rngs[t] for t in trials])
 
-    return harness._usable_channels(cfg, plan, draw(range(len(rngs))), draw)[:4]
+    return harness._usable_channels(plan, draw(range(len(rngs))), draw)[:4]
 
 
 def stream_rates(cfg, snr_dbs, indices):
     """The per-stream rates (kept trials, S, streams) of the trials
     *indices* before the backhaul cap."""
     eff = effective_system(extension_dims(cfg.M, cfg.n))
-    _, sigma2 = snr_levels(cfg.p_max, snr_dbs)
+    _, sigma2 = snr_levels(snr_dbs)
     return per_link_rates(stream_gains(*kept_channels(cfg, indices), eff), sigma2)
 
 
@@ -187,20 +187,17 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         dict(seed=-1),
         dict(scheme="cf", tx_antennas=(1,)),
-        dict(p_max=math.nan),
-        dict(p_max=math.inf),
-        dict(p_max=0.0),
-        dict(p_max=-1.0),
         dict(snr_start=math.nan),
         dict(snr_stop=math.nan),
         dict(snr_step=math.inf),
         dict(snr_start=10.0, snr_stop=0.0, snr_step=5.0),
-        # rho = 10^(snr/10) or sigma2 = p_max / rho leaves the normal floats:
-        # overflow, division by zero, infinite rates, subnormal sigma2
+        # rho = 10^(snr/10) overflows or underflows to 0: infinite rates,
+        # division by zero
         dict(snr_start=4000.0, snr_stop=4000.0, snr_step=1.0),
         dict(snr_start=-4000.0, snr_stop=-4000.0, snr_step=1.0),
-        dict(p_max=1e300, snr_start=100.0, snr_stop=100.0, snr_step=1.0),
-        dict(p_max=1e-320),
+        # rho is finite and nonzero but leaves LEVEL_RANGE
+        dict(snr_start=1600.0, snr_stop=1600.0, snr_step=1.0),
+        dict(snr_start=-1600.0, snr_stop=-1600.0, snr_step=1.0),
         # the coefficient search would enumerate (2 10^6 + 1)^3 vectors
         dict(K=3, scheme="cf", cf_radius=10**6),
     ])
@@ -225,7 +222,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         # validate() raised TypeError from math.isfinite
-        dict(p_max="1"), dict(snr_step="5"), dict(snr_start=None),
+        dict(snr_step="5"), dict(snr_start=None),
         # validate() raised TypeError unpacking the antenna list
         dict(tx_antennas=2),
         # validate() raised ValueError from PrimeField
@@ -246,19 +243,17 @@ class TestConfig:
            cap_enabled=st.booleans(), seed=st.integers(-2**16, 2**16),
            spoiled=st.one_of(st.none(), st.tuples(
                st.sampled_from(["K", "n", "q", "cf_radius", "seed", "trials",
-                                "cap_enabled", "p_max", "snr_start", "snr_stop",
+                                "cap_enabled", "snr_start", "snr_stop",
                                 "snr_step", "tx_antennas", "rx_antennas"]),
                st.integers(0, 2))),
-           p_max=st.one_of(st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
-                           st.sampled_from([0.0, 1e-320, math.inf, -math.inf, math.nan])),
            snr_start=st.one_of(st.integers(-10, 60), st.integers(-4000, 4000)),
            snr_span=st.integers(-20, 30),
            snr_step=st.integers(1, 30))
     def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
                                               cf_radius, cap_enabled, seed, spoiled,
-                                              p_max, snr_start, snr_span, snr_step):
+                                              snr_start, snr_span, snr_step):
         fields = dict(K=K, n=n, q=q, cf_radius=cf_radius, seed=seed, trials=1,
-                      cap_enabled=cap_enabled, p_max=p_max, snr_start=float(snr_start),
+                      cap_enabled=cap_enabled, snr_start=float(snr_start),
                       snr_stop=float(snr_start + snr_span), snr_step=float(snr_step),
                       tx_antennas=None, rx_antennas=None)
         if spoiled is not None:
@@ -402,7 +397,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="snc", n=2, channel_model="real"),
-        dict(scheme="snc", K=3, n=2, channel_model="complex", p_max=3.7),
+        dict(scheme="snc", K=3, n=2, channel_model="complex"),
         dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False,
              snr_start=40.0, snr_stop=60.0, snr_step=5.0),
     ])
@@ -414,7 +409,7 @@ class TestRunTrials:
         h, v1, v_other, w = kept_channels(cfg, range(cfg.trials))
         eff = effective_system(extension_dims(cfg.M, cfg.n))
         gains = explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff)
-        rhos, sigma2 = snr_levels(cfg.p_max, cfg.snr_grid)
+        rhos, sigma2 = snr_levels(cfg.snr_grid)
         per_signal = min_over_links(np.log2(1.0 + gains[:, None, :] / sigma2[:, None]), eff)
         if cfg.cap_enabled:
             caps = np.array([math.log2(1.0 + rho) for rho in rhos])
@@ -498,31 +493,6 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert res.aborted_trials == 5
         assert "1 of 1 trials aborted" in res.warning
-
-    @pytest.mark.parametrize("overrides", [
-        dict(),
-        dict(scheme="snc", n=2, channel_model="complex"),
-        dict(K=3, scheme="both"),
-        dict(scheme="snc", channel_model="complex", cap_enabled=False),
-    ])
-    def test_p_max_does_not_move_the_snr_label(self, overrides):
-        # rho = 10^(snr/10) and sigma2 = p_max / rho, so the per-signal SNR
-        # p_max / sigma2 is the labelled one.  A power-of-two p_max scales
-        # precoders, filters, gains and noise exactly, so every point is
-        # equal; another p_max changes them only by rounding.
-        cfg = small_config(trials=20, snr_start=0.0, snr_stop=40.0, **overrides)
-        ref = run_sweep(cfg).points
-        assert run_sweep(dataclasses.replace(cfg, p_max=4.0)).points == ref
-        other = run_sweep(dataclasses.replace(cfg, p_max=100.0)).points
-        assert len(other) == len(ref)
-        for got, want in zip(other, ref):
-            assert (got.scheme, got.snr_db, got.trials) == (want.scheme, want.snr_db,
-                                                            want.trials)
-            values = [got.mean_sum_rate, got.std_sum_rate, got.outage_frac,
-                      got.detected_err_frac]
-            assert values == pytest.approx([want.mean_sum_rate, want.std_sum_rate,
-                                            want.outage_frac, want.detected_err_frac],
-                                           rel=1e-12, abs=0.0)
 
     def test_pinned_sweeps_match_golden(self, monkeypatch):
         # the benchmark's reference sweeps, each with its worker count
@@ -698,7 +668,7 @@ class TestCli:
         assert cfg.n == 2 and cfg.scheme == "both"
         assert cfg.channel_model == "real" and cfg.q == 2
         assert cfg.snr_grid[0] == 0.0 and cfg.snr_grid[-1] == 60.0
-        assert cfg.trials == 1000 and cfg.p_max == 1.0
+        assert cfg.trials == 1000
         assert cfg.cf_radius == 3 and cfg.cap_enabled
 
     def test_extension_length_derived(self):
@@ -738,16 +708,15 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["--seed", "-1"],
         ["--users", "2", "--scheme", "cf", "--antennas-tx", "1"],
-        ["--p-max", "nan"],
-        ["--p-max", "inf"],
+        ["--p-max", "2"],  # no such option: the SNR is 1 / sigma^2
         ["--snr", "nan:60:5"],
         ["--snr", "0:nan:5"],
         ["--snr", "0:60:inf"],
         ["--snr", "10:0:5"],
         ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr", "4000:4000:1"],
         ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr=-4000:-4000:1"],
-        ["--p-max", "1e300", "--snr", "100:100:1"],
-        ["--p-max", "1e-320"],
+        ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr", "1600:1600:1"],
+        ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr=-1600:-1600:1"],
         ["--users", "3", "--ext-n", "1", "--scheme", "cf", "--cf-radius", "1000000"],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):

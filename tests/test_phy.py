@@ -28,7 +28,6 @@ from tests.test_snc import (
     build_all,
     explicit_filters,
     make_channel,
-    one_trial_inverse,
     precoder,
 )
 
@@ -116,11 +115,12 @@ class TestDemodulation:
         rng = np.random.default_rng(19)
         weights = eff.weights.ravel().tolist()
         for _ in range(20):
-            msgs = [rng.integers(0, 2, size=plan.streams(k)) for k in range(3)]
+            msgs = [rng.integers(0, 2, size=plan.N if k == 0 else plan.N_prime)
+                    for k in range(3)]
             noise = 0.5 * (rng.standard_normal((3, plan.N))
                            + 1j * rng.standard_normal((3, plan.N)))
             y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], noise)
-            out = filter_and_demodulate(y, h, one_trial_inverse(h, p), eff)
+            out = filter_and_demodulate(y, h, build_filters(p[0]), eff)
             z = np.concatenate([np.real(f[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
             assert out.tolist() == slow
@@ -139,7 +139,7 @@ class TestDemodulation:
         b2 = np.array([1, 1])
         x = [modulate_bpsk(b1), modulate_bpsk(b2)]
         y = transmit(h, *p, x, np.zeros((2, 3)))
-        out = filter_and_demodulate(y, h, one_trial_inverse(h, p), eff).reshape(2, 3)
+        out = filter_and_demodulate(y, h, build_filters(p[0]), eff).reshape(2, 3)
         expected_r1 = np.array([b1[0] ^ b2[0], b1[1] ^ b2[1], b1[2]])
         expected_r2 = np.array([b1[0], b1[1] ^ b2[0], b1[2] ^ b2[1]])
         assert np.array_equal(out[0], expected_r1)
@@ -210,10 +210,9 @@ class TestFactoredFilters:
         rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
         h = sample_extended_channel(K, plan.N, model, rngs)
         v1, v_other = build_precoders(h, plan)
-        ranked, v1_cond = check_precoder_ranks(h, v1, v_other, plan)
-        w, ok = build_filters(h[ranked], v1[ranked], v1_cond[ranked])
-        keep = np.flatnonzero(ranked)[ok]
+        keep = np.flatnonzero(check_precoder_ranks(v1))
         h, v1, v_other = h[keep], v1[keep], v_other[keep]
+        w = build_filters(v1)
         msgs = np.stack([rngs[t].integers(0, 2, plan.total_streams) for t in keep])
         x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
         sigma2 = 10.0 ** -(np.arange(0, 61, 10) / 10.0)
@@ -270,7 +269,7 @@ class TestRates:
         link_cols, link_rows = links(eff)
         assert set(zip(link_rows.tolist(), link_cols.tolist())) == {
             (0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (3, 2)}
-        w = one_trial_inverse(h, p)
+        w = build_filters(p[0])
         u_norm2 = factored_row_norms(h, w).tolist()
         v_norm2 = np.sum(np.abs(np.hstack(p)) ** 2, axis=0).tolist()  # columns of F
         expected = [min(max(v_norm2) / (u_norm2[r] * v_norm2[c])
@@ -283,7 +282,7 @@ class TestRates:
 
     def test_every_stream_is_decoded_somewhere(self):
         plan, h, p, f, eff = build_all(2, 1, seed=6)
-        [rates] = per_link_rates(stream_gains(h, *p, one_trial_inverse(h, p), eff), [1.0])
+        [rates] = per_link_rates(stream_gains(h, *p, build_filters(p[0]), eff), [1.0])
         assert rates.shape == (plan.total_streams,) and np.all(rates > 0)
         assert sorted(set(links(eff)[0].tolist())) == [0, 1, 2]
 
@@ -300,11 +299,9 @@ class TestRates:
             for seed in range(40):
                 h = make_channel(K, plan.N, seed=20 + K + 100 * seed, model=model)
                 p = build_precoders(h, plan)
-                if not check_precoder_ranks(h, *p, plan)[0]:
+                if not check_precoder_ranks(p[0]):
                     continue
-                w = one_trial_inverse(h, p)
-                if w is None:
-                    continue
+                w = build_filters(p[0])
                 kept += 1
                 f = explicit_filters(h, w)
                 gains = stream_gains(h, *p, w, eff)
@@ -348,7 +345,7 @@ class TestSumRate:
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
-        rates = per_link_rates(stream_gains(h, *p, one_trial_inverse(h, p), eff),
+        rates = per_link_rates(stream_gains(h, *p, build_filters(p[0]), eff),
                                [1.0 / rho for rho in rhos])
         totals = end_to_end_sum_rate(rates, rhos).tolist()
         assert totals == sorted(totals)
@@ -362,7 +359,7 @@ class TestSnrBatch:
         # the whole grid in one call gives every point the bits of a
         # one-point call with the same messages and unit noise
         plan, h, p, f, eff = build_all(K, n, seed=30 + n, model=model)
-        w = one_trial_inverse(h, p)
+        w = build_filters(p[0])
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 5)]
         sigma2 = np.array([1.0 / rho for rho in rhos])
         msgs = np.random.default_rng(31).integers(0, 2, size=plan.total_streams)
@@ -402,4 +399,4 @@ class TestDofSlope:
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
-            estimate_dof_slope([0, 10], [1, 2], n_ext=1, window_db=(40, 60))
+            estimate_dof_slope([0, 10], [1, 2], n_ext=1)
