@@ -10,27 +10,27 @@ unit power and the noise variance is swept.
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan.  SimConfig.validate() raises
 ConfigError for every config it rejects: one whose plan cannot be built,
-a count that is not an integer, a cap flag that is not a bool, an antenna
-list that is not a sequence, an SNR field that is not a real number, a
-field size that is not a prime below 2^63, or an SNR grid whose linear
-SNR leaves LEVEL_RANGE (snr_levels, which the engine shares).  The
-engine evaluates chunks of consecutive trials: run_trials draws a
-chunk's channels as one bare (T, M, M, N) stack, one generator call per
-trial, and builds everything that depends on the channel alone (the
-precoders v1 and v_other, V_1's rank test, the filters' shared inverse w
-of V_1, each stream's gain at its weakest receiver) as plain arrays in
-one stacked pass, redrawing only the trials whose V_1 lost rank, then
-evaluates the whole SNR grid of every kept trial in one array pass.  The
+a count that is not an integer, a cap flag that is not a bool, an
+antenna list that is not a sequence, an SNR field that is not a real
+number, a field size that is not a prime below 2^63, an SNR grid of more
+than MAX_SNR_POINTS points, or one whose linear SNR leaves LEVEL_RANGE
+(snr_levels, which the engine shares).  The engine evaluates chunks of
+consecutive trials: run_trials draws a chunk's channels as one bare
+(T, M, M, N) stack, one generator call per trial, and builds everything
+that depends on the channel alone (the precoders v1 and v_other, the
+filters' shared inverse w of V_1, V_1's rank test read from w, each
+stream's gain at its weakest receiver) as plain arrays in one stacked
+pass, redrawing only the trials whose V_1 lost rank, then evaluates the
+whole SNR grid of every kept trial in one array pass.  The
 compute-and-forward leg runs once per chunk over the grid and draws no
-randomness.  The
-arrays of a chunk are the only shape: run_trial is run_trials on one
-index and returns its one-trial TrialBatch.  A sweep that fits one chunk
-of at most BATCH_ELEMENTS per array runs in this process, whatever
-SNCSIM_WORKERS says: a process pool could not amortise its start-up over
-one chunk.  A larger sweep goes to a pool of at most SNCSIM_WORKERS
-processes in chunks of trials // (4 workers) trials.  run_sweep joins
-the chunks' outcomes into [point, kept trial] arrays and aggregates
-every point of a scheme in one pass over the trial axis.
+randomness.  The arrays of a chunk are the only shape: run_trial is
+run_trials on one index and returns its one-trial TrialBatch.  A sweep
+that fits one chunk of at most BATCH_ELEMENTS per array runs in this
+process, whatever SNCSIM_WORKERS says: a process pool could not amortise
+its start-up over one chunk.  A larger sweep goes to a pool of at most
+SNCSIM_WORKERS processes in chunks of trials // (4 workers) trials.
+run_sweep joins the chunks' outcomes into [point, kept trial] arrays and
+aggregates every point of a scheme in one pass over the trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
 channel and its resamples, then the messages, then unit-variance noise,
@@ -100,6 +100,7 @@ BATCH_ELEMENTS = 2**16
 # of the exponent range to that term, so no product overflows or goes
 # subnormal.
 LEVEL_RANGE = (2.0 ** -511, 2.0 ** 511)
+MAX_SNR_POINTS = 10**4
 
 
 class ConfigError(Exception):
@@ -199,6 +200,10 @@ class SimConfig:
             raise ConfigError("SNR step must be positive")
         if self.snr_stop < self.snr_start:
             raise ConfigError("the SNR grid has no points: stop is below start")
+        # counted before snr_grid builds them: a tiny step gives inf or ~1e300
+        steps = (float(self.snr_stop) - float(self.snr_start)) / float(self.snr_step)
+        if not steps + 1 <= MAX_SNR_POINTS:
+            raise ConfigError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         try:
@@ -278,11 +283,12 @@ class TrialBatch:
 
 def _usable_channels(plan, h: np.ndarray, redraw):
     """Resample the draws of the chunk's channel *h* whose V_1 loses rank
-    up to MAX_RESAMPLES times; each round redraws, and checks, only the
-    trials still pending.  Returns the kept trials' channel, precoders v1
-    and v_other, and filter inverses w, and the kept mask."""
+    up to MAX_RESAMPLES times; each round redraws, inverts and checks only
+    the trials still pending, and a kept trial keeps the inverse w that its
+    rank test read.  Returns the kept trials' channel, precoders v1 and
+    v_other, and filter inverses w, and the kept mask."""
     T, N = len(h), plan.N
-    v1 = np.empty((T, N, N), h.dtype)
+    v1, w = np.empty((2, T, N, N), h.dtype)
     v_other = np.empty((T, N, plan.N_prime), h.dtype)
     kept = np.zeros(T, dtype=bool)
     pending = np.arange(T)
@@ -290,14 +296,15 @@ def _usable_channels(plan, h: np.ndarray, redraw):
         if attempt:
             h[pending] = redraw(pending)
         pv1, pv_other = build_precoders(h[pending], plan)
-        passed = check_precoder_ranks(pv1)
+        pw = build_filters(pv1)
+        passed = check_precoder_ranks(pv1, pw)
         done = pending[passed]
-        v1[done], v_other[done] = pv1[passed], pv_other[passed]
+        v1[done], v_other[done], w[done] = pv1[passed], pv_other[passed], pw[passed]
         kept[done] = True
         pending = pending[~passed]
         if not pending.size:
             break
-    return h[kept], v1[kept], v_other[kept], build_filters(v1[kept]), kept
+    return h[kept], v1[kept], v_other[kept], w[kept], kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:

@@ -14,7 +14,7 @@ The alignment holds by construction, so F, its GF(2) inverse and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents, and phy.stream_gains reduces each
 stream's links to its weakest receiver once per channel draw.  Per
-channel draw only the precoders, V_1's rank test and V_1's inverse
+channel draw only the precoders, V_1's inverse and V_1's rank test
 remain, all on arrays with a leading trial axis: every trial's numbers
 are those of a stack holding that trial alone.  Every receiver inverts
 its desired space D_l V_1, D_l = diag(h[l, 0]), as V_1^-1 D_l^-1, so all
@@ -23,10 +23,11 @@ applies D_l^-1 to the received vector.  V_1's rank is the only check a
 draw must pass: diag(g_s) V_other = V_1 P_s for every ratio slot s, with
 P_s a selection of distinct columns (_plan_matrix), so V_other has full
 column rank whenever V_1 does, and the error of w is bounded through
-cond(V_1) alone.  cp_recover solves every SNR point of a chunk of trials
-in one call.  Each stage returns plain arrays, only those the next stage
-reads: build_precoders (v1, v_other), check_precoder_ranks (passed),
-build_filters (w) and cp_recover (x, detected).
+cond(V_1) alone.  The rank test reads its verdict from w, with an SVD
+only where a bound leaves it open.  cp_recover solves every SNR point of
+a chunk of trials in one call.  Each stage returns plain arrays, only
+those the next stage reads: build_precoders (v1, v_other), build_filters
+(w), check_precoder_ranks (passed) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -44,6 +45,7 @@ from .gf import PrimeField, RankDeficientError, gf_inv, gf_select_independent_ro
 GF2 = PrimeField(2)
 ALIGNMENT_RTOL = 1e-9
 RANK_SV_RTOL = 1e-9
+RANK_MARGIN = 1e-3
 MAX_EXTENSION = 10**6
 
 
@@ -139,12 +141,28 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.
     return v[0] * scale, v[1] * scale
 
 
-def check_precoder_ranks(v1: np.ndarray) -> np.ndarray:
+def check_precoder_ranks(v1: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The mask, over the leading (trial) axes of transmitter 1's precoders
     *v1*, of the trials where V_1 has full rank: N singular values above
-    RANK_SV_RTOL times the largest."""
-    sv = np.linalg.svd(v1, compute_uv=False)
-    return np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == v1.shape[-1]
+    RANK_SV_RTOL times the largest, that is cond_2(V_1) < 1 / RANK_SV_RTOL.
+    With *w* = build_filters(v1) and kappa = ||V_1||_F ||w||_F, cond_2 lies
+    in [kappa / N, kappa] and w errs by about N eps cond_2 relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14):
+    - pass where kappa (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL: |w V_1 - I| <=
+      N eps kappa << RANK_MARGIN, so ||V_1^-1||_F < (1 + RANK_MARGIN) ||w||_F;
+    - fail where kappa / N > (1 + RANK_MARGIN) / RANK_SV_RTOL: a full-rank V_1
+      has w accurate far within RANK_MARGIN, so kappa < (1 + RANK_MARGIN) N cond_2.
+    An overflowing w fails, a NaN one is open; only open draws take the SVD,
+    so the mask is the SVD test's verdict on every draw."""
+    n = v1.shape[-1]
+    v, u = (m.reshape(*m.shape[:-2], -1).view(m.real.dtype) for m in (v1, w))
+    kappa = np.sqrt(np.einsum("...i,...i", v, v)) * np.sqrt(np.einsum("...i,...i", u, u))
+    passed = np.asarray(kappa * (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL)
+    open_ = ~passed & ~(kappa / n > (1 + RANK_MARGIN) / RANK_SV_RTOL)
+    if open_.any():
+        sv = np.linalg.svd(v1[open_], compute_uv=False)
+        passed[open_] = np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == n
+    return passed
 
 
 @dataclass(frozen=True)
@@ -186,8 +204,13 @@ def build_filters(v1: np.ndarray) -> np.ndarray:
     """The inverse w = V_1^-1 of transmitter 1's precoders *v1* (..., N, N),
     the factor that every receiver's filter shares: (D_l V_1)^-1 =
     V_1^-1 D_l^-1 = w / d_l, w with its columns divided by the diagonal
-    d_l = h[l, 0] of D_l."""
-    return np.linalg.inv(v1)
+    d_l = h[l, 0] of D_l.  An exactly singular V_1 gets a NaN w instead of
+    raising, and every other trial's w keeps its bits."""
+    try:
+        return np.linalg.inv(v1)
+    except np.linalg.LinAlgError:
+        return (np.stack([build_filters(m) for m in v1]) if v1.ndim > 2
+                else np.full_like(v1, np.nan))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from sncsim.channel import (
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
-    single_antenna,
 )
 from sncsim.gf import (
     PrimeField,
@@ -36,7 +35,6 @@ from sncsim.snc import (
     cp_recover,
     effective_system,
     extension_dims,
-    verify_alignment,
 )
 from tests.test_harness import stream_rates
 from tests.test_snc import (
@@ -95,7 +93,7 @@ class TestAcceptance:
             for seed in range(1000):
                 h = make_channel(K, plan.N, seed=seed)
                 p = build_precoders(h, plan)
-                if not check_precoder_ranks(p[0]):
+                if not check_precoder_ranks(p[0], build_filters(p[0])):
                     failures += 1
                     continue
                 f_num = numeric_system(h, p, one_trial_filters(h, p))
@@ -275,7 +273,7 @@ class TestAcceptance:
         for trial in range(50):
             [h] = sample_extended_channel(M, plan.N, "complex", [rng])
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(p[0]):
+            if not check_precoder_ranks(p[0], build_filters(p[0])):
                 failures += 1
                 continue
             w = build_filters(p[0])

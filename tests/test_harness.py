@@ -200,6 +200,10 @@ class TestConfig:
         dict(snr_start=-1600.0, snr_stop=-1600.0, snr_step=1.0),
         # the coefficient search would enumerate (2 10^6 + 1)^3 vectors
         dict(K=3, scheme="cf", cf_radius=10**6),
+        # the point count overflows to inf, or the grid would hold about
+        # 6e301 floats: both are rejected before the grid is built
+        dict(snr_start=0.0, snr_stop=60.0, snr_step=5e-324),
+        dict(snr_start=0.0, snr_stop=60.0, snr_step=1e-300),
     ])
     def test_rejects_input_that_would_fail_mid_sweep(self, overrides):
         with pytest.raises(ConfigError):
@@ -394,6 +398,24 @@ class TestRunTrials:
             b = run_trials(cfg, cfg.snr_grid, aborted[:3])
             assert not b.kept.any()
             assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+
+    def test_kept_inverses_are_those_of_one_call_after_the_loop(self):
+        # K=2, n=10 draws often lose rank: this chunk resamples and aborts
+        cfg = small_config(scheme="snc", n=10, channel_model="complex")
+        plan = extension_dims(cfg.M, cfg.n)
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+                for i in range(15)]
+
+        def draw(trials):
+            return sample_extended_channel(cfg.M, plan.N, cfg.channel_model,
+                                           [rngs[t] for t in trials])
+
+        first = draw(range(len(rngs)))
+        h, v1, _, w, kept = harness._usable_channels(plan, first.copy(), draw)
+        assert not kept.all()
+        assert np.any(np.any(h != first[kept], axis=(1, 2, 3)))  # resampled
+        # each round's inverses equal one stacked inverse of the kept V_1
+        assert np.array_equal(w, np.linalg.inv(v1))
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="snc", n=2, channel_model="real"),
@@ -718,6 +740,8 @@ class TestCli:
         ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr", "1600:1600:1"],
         ["--users", "2", "--ext-n", "1", "--trials", "1", "--snr=-1600:-1600:1"],
         ["--users", "3", "--ext-n", "1", "--scheme", "cf", "--cf-radius", "1000000"],
+        ["--snr", "0:60:5e-324"],
+        ["--snr", "0:60:1e-300"],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

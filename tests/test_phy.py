@@ -210,7 +210,7 @@ class TestFactoredFilters:
         rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
         h = sample_extended_channel(K, plan.N, model, rngs)
         v1, v_other = build_precoders(h, plan)
-        keep = np.flatnonzero(check_precoder_ranks(v1))
+        keep = np.flatnonzero(check_precoder_ranks(v1, build_filters(v1)))
         h, v1, v_other = h[keep], v1[keep], v_other[keep]
         w = build_filters(v1)
         msgs = np.stack([rngs[t].integers(0, 2, plan.total_streams) for t in keep])
@@ -299,7 +299,7 @@ class TestRates:
             for seed in range(40):
                 h = make_channel(K, plan.N, seed=20 + K + 100 * seed, model=model)
                 p = build_precoders(h, plan)
-                if not check_precoder_ranks(p[0]):
+                if not check_precoder_ranks(p[0], build_filters(p[0])):
                     continue
                 w = build_filters(p[0])
                 kept += 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,12 +181,13 @@ class TestPrecoders:
         h = identity_channel(2, 3)
         v1, v_other = build_precoders(h, plan)
         assert np.linalg.matrix_rank(v1) == 1
-        assert not check_precoder_ranks(v1)
+        assert not check_precoder_ranks(v1, build_filters(v1))
 
     def test_random_channels_full_rank(self):
         plan = extension_dims(2, 3)
         h = make_channel(2, plan.N, seed=3)
-        assert check_precoder_ranks(build_precoders(h, plan)[0])
+        v1 = build_precoders(h, plan)[0]
+        assert check_precoder_ranks(v1, build_filters(v1))
         assert (plan.N, plan.N_prime) == (4, 3)
 
     @pytest.mark.parametrize("K, n, model", [
@@ -219,7 +221,8 @@ class TestPrecoders:
         plan = extension_dims(2, 2)
         for seed in range(200):
             h = make_channel(2, plan.N, seed=seed)
-            assert check_precoder_ranks(build_precoders(h, plan)[0])
+            v1 = build_precoders(h, plan)[0]
+            assert check_precoder_ranks(v1, build_filters(v1))
 
 
 class TestAlignment:
@@ -333,7 +336,7 @@ class TestPlanSystem:
         for seed in range(draws):
             h = make_channel(K, plan.N, seed=50_000 + seed, model=model)
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(p[0]):
+            if not check_precoder_ranks(p[0], build_filters(p[0])):
                 continue
             kept += 1
             assert verify_alignment(h, *p), seed
@@ -348,7 +351,7 @@ class TestPlanSystem:
         for _ in range(200):
             [h] = sample_extended_channel(M, plan.N, "complex", [rng])
             p = build_precoders(h, plan)
-            if not check_precoder_ranks(p[0]):
+            if not check_precoder_ranks(p[0], build_filters(p[0])):
                 continue
             assert verify_alignment(h, *p)
             assert rounds_to_plan(h, p, one_trial_filters(h, p), eff)
@@ -421,7 +424,7 @@ class TestRankTestSuffices:
                 for s in range(draws)]
         h = sample_extended_channel(K, plan.N, model, rngs)
         v1, v_other = build_precoders(h, plan)
-        kept = check_precoder_ranks(v1)
+        kept = check_precoder_ranks(v1, build_filters(v1))
         assert np.count_nonzero(kept) >= draws // 10
         h, v1, v_other = h[kept], v1[kept], v_other[kept]
         w = build_filters(v1)
@@ -436,17 +439,116 @@ class TestRankTestSuffices:
         assert np.array_equal(bits, msgs @ eff.f_int.T % 2)
 
 
+def graded_stack(n, dtype, seed):
+    """Matrices U diag(s) V^H (real or complex, n x n) whose condition
+    number straddles 1 / RANK_SV_RTOL: s_1 = 1 and s_n = RANK_SV_RTOL
+    (1 +- 10^-k) for k = 0..8, the others either all 1 (the Frobenius
+    bound near sqrt(n - 1) cond), all sqrt(s_n) (near cond) or half 1 and
+    half s_n (near n cond / 2), with random unitary U and V.  At k = 7
+    and 8 the gap to the threshold is within the rounding of w and of the
+    SVD, so only RANK_MARGIN keeps the bound from contradicting the SVD."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        a = rng.standard_normal((n, n))
+        if dtype == complex:
+            a = a + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(a)[0]
+
+    out = []
+    for k, sign, profile in itertools.product(range(9), (1, -1), range(3)):
+        small = RANK_SV_RTOL * (1 + sign * 10.0 ** -k)
+        middle = (1.0, math.sqrt(small), small)[profile]
+        s = np.array([1.0] + [middle] * (n - 2) + [small])
+        if profile == 2:
+            s[1:] = np.where(np.arange(1, n) < n // 2, 1.0, small)
+        out.append((unitary() * s) @ unitary().conj().T)
+    return np.stack(out)
+
+
+def svd_verdicts(monkeypatch, v1):
+    """check_precoder_ranks on the stack *v1*, asserted equal to V_1's SVD
+    rank test on every matrix, and the mask of the matrices that an
+    np.linalg.svd spy saw, that is the draws the SVD had to decide."""
+    full = np.linalg.matrix_rank(v1, rtol=RANK_SV_RTOL) == v1.shape[-1]
+    w = build_filters(v1)
+    seen = set()
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.update(m.tobytes() for m in a.reshape(-1, *a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        passed = check_precoder_ranks(v1, w)
+    assert np.array_equal(passed, full)
+    return passed, np.array([m.tobytes() in seen for m in v1])
+
+
 class TestConditioningCheck:
-    """V_1's rank test is the whole check a draw must pass before its one
-    inverse is taken: V_other needs no check of its own, since
-    diag(g_s) V_other = V_1 P_s gives it full rank wherever V_1 has it."""
+    """V_1's rank test is the whole check a draw must pass, and its verdict
+    is the SVD's: the Frobenius bound from build_filters' inverse settles
+    most draws and the SVD the rest.  V_other needs no check of its own,
+    since diag(g_s) V_other = V_1 P_s gives it full rank wherever V_1 has
+    it."""
+
+    @pytest.mark.parametrize("n", [3, 6, 11, 21])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_graded_stacks_take_the_svd_verdict(self, monkeypatch, n, dtype):
+        v1 = np.concatenate([graded_stack(n, dtype, seed) for seed in range(4)])
+        passed, by_svd = svd_verdicts(monkeypatch, v1)
+        # both certified regions and the open band between them are used
+        assert np.any(passed & ~by_svd) and np.any(~passed & ~by_svd)
+        assert np.any(by_svd)
+
+    @pytest.mark.parametrize("K, n, model, draws", [
+        (2, 2, "real", 2000), (3, 1, "real", 2000), (3, 2, "complex", 500),
+        (2, 3, "complex", 2000), (2, 5, "real", 2000), (2, 10, "complex", 2000),
+    ])
+    def test_first_draws_take_the_svd_verdict(self, monkeypatch, K, n, model, draws):
+        plan = extension_dims(K, n)
+        rngs = [np.random.default_rng(np.random.SeedSequence([11, K, n, i]))
+                for i in range(draws)]
+        v1, _ = build_precoders(sample_extended_channel(K, plan.N, model, rngs), plan)
+        passed, by_svd = svd_verdicts(monkeypatch, v1)
+        # the bound settles the bulk of every plan's draws, both ways where
+        # draws fail
+        assert np.count_nonzero(by_svd) <= 0.2 * draws
+        assert np.any(passed & ~by_svd)
+        assert np.all(passed) or np.any(~passed & ~by_svd)
+
+    @pytest.mark.parametrize("K, n, model", [(2, 2, "real"), (3, 1, "complex")])
+    def test_exactly_singular_trial_is_rejected_alone(self, K, n, model):
+        plan = extension_dims(K, n)
+        h = np.stack([make_channel(K, plan.N, seed=950 + s, model=model) for s in range(6)])
+        v1, _ = build_precoders(h, plan)
+        v1[2, :, 0] = 0  # no RuntimeWarning either: pytest makes them errors
+        w = build_filters(v1)
+        passed = check_precoder_ranks(v1, w)
+        assert not passed[2]
+        rest = np.delete(v1, 2, axis=0)
+        w_rest = build_filters(rest)
+        assert np.array_equal(np.delete(passed, 2), check_precoder_ranks(rest, w_rest))
+        assert np.array_equal(np.delete(w, 2, axis=0), w_rest)
+        assert np.all(np.delete(passed, 2))
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-320])
+    def test_overflowing_inverse_is_rejected_silently(self, tiny):
+        # ||w||_F^2 overflows to inf at 1e-200; at 1e-320 LAPACK's w holds
+        # inf and NaN
+        v1 = np.stack([np.eye(3), np.diag([1.0, 1.0, tiny]), np.diag([1.0, 0.5, 0.25])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passed = check_precoder_ranks(v1, build_filters(v1))
+        assert passed.tolist() == [True, False, True]
 
     def test_passed_equals_two_svd_reference(self):
         # the stack of test_stacked_precoders_and_ranks_equal_one_trial_calls
         plan = extension_dims(2, 10)
         h = np.stack([make_channel(2, plan.N, seed=700 + s) for s in range(24)])
         v1, v_other = build_precoders(h, plan)
-        passed = check_precoder_ranks(v1)
+        passed = check_precoder_ranks(v1, build_filters(v1))
         full, other_full = (np.linalg.matrix_rank(m, rtol=RANK_SV_RTOL) == m.shape[-1]
                       for m in (v1, v_other))
         # the mask is V_1's numerical rank from its SVD, and the SVD of
@@ -466,11 +568,11 @@ class TestTrialStack:
         plan = extension_dims(2, 10)
         hs = [make_channel(2, plan.N, seed=700 + s) for s in range(24)]
         v1, v_other = build_precoders(np.stack(hs), plan)
-        passed = check_precoder_ranks(v1)
+        passed = check_precoder_ranks(v1, build_filters(v1))
         for t, h in enumerate(hs):
             v1_t, v_other_t = build_precoders(h, plan)
             assert np.array_equal(v1_t, v1[t]) and np.array_equal(v_other_t, v_other[t])
-            assert check_precoder_ranks(v1_t) == passed[t]
+            assert check_precoder_ranks(v1_t, build_filters(v1_t)) == passed[t]
         assert 0 < np.count_nonzero(passed) < len(hs)
 
     def test_stacked_filters_equal_one_trial_calls(self):
@@ -491,7 +593,7 @@ class TestTrialStack:
         eff = effective_system(plan)
         h = np.stack([make_channel(K, plan.N, seed=600 + s, model=model) for s in range(40)])
         v1, v_other = build_precoders(h, plan)
-        ranked = check_precoder_ranks(v1)
+        ranked = check_precoder_ranks(v1, build_filters(v1))
         h, v1, v_other = h[ranked], v1[ranked], v_other[ranked]
         w = build_filters(v1)
         assert len(w) >= 4
