@@ -8,13 +8,14 @@ stacked coefficient matrix to be invertible mod q; a rank-deficient slot
 is an outage and contributes zero rate.
 
 cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid,
-on the bare (T, K, K, N) channel array: the projections of every (trial,
-slot, receiver) channel row on every candidate are computed once into one
-array, each SNR point is one array pass over them into one rate buffer that
-every point of the chunk reuses, and one batched GF(q) test decides the
-outage of every (trial, point, slot).  It returns (T, S) arrays.
-cf_select_coeffs evaluates the same rate function on one row; it and
-cf_computation_rate are the per-row references.
+on the bare (T, K, K, N) channel array.  Every (point, row) rates one
+leader per orbit of the candidates under coordinate permutations and sign
+flips, all points in one array pass, and a certificate proves the winning
+orbit's best member the exhaustive search's pick (see _search); a (point,
+row) it leaves open takes the exhaustive search.  One batched GF(q) test
+decides the outage of every (trial, point, slot).  It returns (T, S)
+arrays.  cf_select_coeffs evaluates the same rate function on one row; it
+and cf_computation_rate are the per-row references.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .gf import PrimeField, gf_full_rank
 # enumerate: radius 127 at K=2, 19 at K=3 and 7 at K=4.  At the bound the
 # candidate table takes about 1 MB and 0.1 s to build (2-vCPU Xeon).
 MAX_SEARCH_GRID = 2**16
+# Most (point, row, orbit leader) rates one pass of the search holds.
+PASS_ELEMENTS = 2**18
 
 
 def search_grid_size(K: int, radius: int) -> int:
@@ -77,24 +80,35 @@ def _candidates(K: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, norm2
 
 
+@functools.lru_cache(maxsize=None)
+def _orbits(K: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leaders of the candidates' orbits under coordinate permutations
+    and sign flips, radius >= b_1 >= ... >= b_K >= 0 with b != 0, and their
+    squared norms, as floats.  Both arrays are shared, so read-only."""
+    leaders = np.array(list(itertools.combinations_with_replacement(
+        range(radius, -1, -1), K))[:-1], dtype=float)
+    norm2 = np.sum(leaders * leaders, axis=1)
+    leaders.flags.writeable = norm2.flags.writeable = False
+    return leaders, norm2
+
+
 def _projections(H, cand):
     """(proj, hh) for the channel rows h of H, shape (..., K):
-    proj[..., c] = (h . cand[c])^2 and hh[..., 0] = ||h||^2.  The dot
-    products are summed term by term into one array, so a row's values do
-    not depend on the batch shape."""
-    proj = H[..., 0, None] * cand[:, 0]
+    proj[..., c] = (h . cand[..., c, :])^2 and hh[..., 0] = ||h||^2.  The
+    dot products are summed term by term into one array, so a row's values
+    do not depend on the batch shape."""
+    proj = H[..., 0, None] * cand[..., 0]
     term = np.empty_like(proj)
-    for k in range(1, cand.shape[1]):
-        proj += np.multiply(H[..., k, None], cand[:, k], out=term)
+    for k in range(1, cand.shape[-1]):
+        proj += np.multiply(H[..., k, None], cand[..., k], out=term)
     return np.square(proj, out=proj), np.sum(H * H, axis=-1)[..., None]
 
 
-def _rates(proj, hh, norm2, rho: float, out=None) -> np.ndarray:
+def _rates(proj, hh, norm2, rho) -> np.ndarray:
     """Computation rates of every candidate at SNR rho (the formula of
-    cf_computation_rate, clamped the same way), written into *out* (shaped
-    like proj; a new array when None) one operation at a time, so a caller
-    that evaluates many SNR points reuses one buffer."""
-    out = np.multiply(rho, proj, out=out)
+    cf_computation_rate, clamped the same way), one operation at a time in
+    one new array, so that every caller rounds alike."""
+    out = np.multiply(rho, proj)
     np.divide(out, 1.0 + rho * hh, out=out)
     np.subtract(norm2, out, out=out)
     np.maximum(out, np.finfo(float).tiny, out=out)
@@ -102,6 +116,48 @@ def _rates(proj, hh, norm2, rho: float, out=None) -> np.ndarray:
     np.log2(out, out=out)
     np.multiply(0.5, out, out=out)
     return np.maximum(0.0, out, out=out)
+
+
+def _search(H, hh, rho, radius: int):
+    """(picks, rates), (S, R, K) and (S, R): the first maximiser, up to
+    sign, of the rate of every row of H (R, K) at every SNR of rho
+    (S, 1, 1), and that rate, bit for bit those of the exhaustive search.
+
+    The members of the orbit of a leader b share its norm.  With s = |h|
+    sorted in descending order, the best one on h is b placed in |h|'s
+    order with h's signs, and |h.a| = s.b (rearrangement inequality).  A
+    member with a misplaced magnitude loses at least Delta, the smallest
+    gap of s; one with mixed signs is bounded by the orbit of b with the
+    entries on the lighter side of the flip zeroed, which has a smaller
+    norm.  So when every other orbit's bound (s.b)^2 and the winning
+    orbit's (s.b - Delta)^2 rate strictly below its best member, that
+    member is the unique maximiser.  Rates are monotone in (h.a)^2, as
+    every operation of _rates is, given a monotone log2."""
+    cand, norm2 = _candidates(H.shape[-1], radius)
+    leaders, lead_norm2 = _orbits(H.shape[-1], radius)
+    points, rows = np.arange(len(rho))[:, None], np.arange(len(H))
+    order = np.argsort(-np.abs(H), axis=-1)
+    s = np.abs(H)[rows[:, None], order]
+    # (s . b)(1 + 2^-40) bounds the computed |h . a| of every member: both
+    # sums err by about K eps relative, and MAX_SEARCH_GRID keeps K <= 10
+    m = (s @ leaders.T) * (1 + 2.0 ** -40)
+    bound = _rates(m * m, hh, lead_norm2, rho)  # (S, R, leader)
+    win = np.argmax(bound, axis=-1)
+    a = np.empty((*win.shape, H.shape[-1]))
+    a[:, rows[:, None], order] = leaders[win]
+    a *= np.where(H < 0, -1.0, 1.0)
+    n2 = lead_norm2[win][..., None]
+    best = _rates(_projections(H, a[..., None, :])[0], hh, n2, rho)[..., 0]
+    # at K = 1 there is no gap, and an orbit holds one candidate
+    delta = np.min(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
+    runner = np.maximum(m[rows, win] - delta, 0.0)[..., None]
+    bound[points, rows, win] = _rates(runner * runner, hh, n2, rho)[..., 0]
+    i, j = np.nonzero(~(bound.max(axis=-1) < best))
+    if i.size:  # not certified: the exhaustive search
+        r = _rates(_projections(H[j], cand)[0], hh[j], norm2, rho[i, 0])
+        k = np.argmax(r, axis=-1)  # first maximizer: the tie-break order
+        a[i, j], best[i, j] = cand[k], r[np.arange(len(k)), k]
+    return a.astype(np.int64), best
 
 
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
@@ -140,19 +196,20 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     if radius < 1:
         raise ValueError("search radius must be >= 1")
     K, N = h.shape[-2:]
-    cand, norm2 = _candidates(K, radius)
     H = np.moveaxis(h, -1, -3)  # H[..., slot, receiver, transmitter]
-    proj, hh = _projections(H, cand)
-    rates = np.empty_like(proj)  # every point's rates, one at a time
-    slot_rates, picks = [], []
-    for rho in rhos:
-        _rates(proj, hh, norm2, rho, out=rates)
-        best = np.argmax(rates, axis=-1)  # first maximizer: the tie-break order
-        picks.append(best)
-        r = np.take_along_axis(rates, best[..., None], -1)[..., 0].min(axis=-1)
-        slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
-    slot_rates = np.stack(slot_rates, axis=-2)  # [..., point, slot]
-    full = gf_full_rank(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), field)
-    full = full.reshape(slot_rates.shape)
+    hh = np.sum(H * H, axis=-1).reshape(-1, 1)
+    H = H.reshape(-1, K)  # one row per (trial, slot, receiver)
+    rhos = np.asarray(rhos, dtype=float)
+    step = max(1, PASS_ELEMENTS // (len(H) * len(_orbits(K, radius)[0])))
+    picks, rates = (np.concatenate(x) for x in zip(*(
+        _search(H, hh, rhos[i:i + step, None, None], radius)
+        for i in range(0, len(rhos), step))))
+    shape = (len(rhos), *h.shape[:-3], N, K)
+    r = np.ascontiguousarray(np.moveaxis(rates.reshape(shape).min(axis=-1), 0, -2))
+    caps = np.array([math.log2(1.0 + rho) for rho in rhos])[:, None]
+    slot_rates = np.minimum(r, caps) if cap_enabled else r  # [..., point, slot]
+    # a coefficient matrix has the rank of its rows up to sign
+    mats = picks.reshape(len(rhos), -1, N, K, K).swapaxes(0, 1).reshape(-1, K, K)
+    full = gf_full_rank(mats, field).reshape(slot_rates.shape)
     totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
     return totals, np.count_nonzero(~full, axis=-1) / N

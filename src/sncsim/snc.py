@@ -107,6 +107,7 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
                          tx1_exponents=tx1, other_exponents=other)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_precoders(h: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
     """Construct the precoding matrices from the channel ratio products:
     ``(v1, v_other)``, transmitter 1's (..., N, N) and the (..., N, N')
@@ -118,7 +119,8 @@ def build_precoders(h: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.
     powers G[i,j]^e, e = 0..n (a zero exponent multiplies by exactly 1).
     One global scalar scales all transmitters so the maximum column
     squared-norm equals 1 (per-column scaling would break
-    column-equality alignment).
+    column-equality alignment).  Where the powers overflow, V_1 holds inf
+    or NaN, which check_precoder_ranks rejects, so this warns of nothing.
     """
     K, N = plan.K, plan.N
     if h.shape[-1] != N or min(h.shape[-3:-1]) < K:
@@ -152,13 +154,14 @@ def check_precoder_ranks(v1: np.ndarray, w: np.ndarray) -> np.ndarray:
       N eps kappa << RANK_MARGIN, so ||V_1^-1||_F < (1 + RANK_MARGIN) ||w||_F;
     - fail where kappa / N > (1 + RANK_MARGIN) / RANK_SV_RTOL: a full-rank V_1
       has w accurate far within RANK_MARGIN, so kappa < (1 + RANK_MARGIN) N cond_2.
-    An overflowing w fails, a NaN one is open; only open draws take the SVD,
-    so the mask is the SVD test's verdict on every draw."""
+    Only a finite kappa is open, and only open draws take the SVD, so the
+    mask is the SVD test's verdict on every finite draw; an overflowing or
+    NaN kappa (an exactly singular V_1, or V_1 holding inf or NaN) fails."""
     n = v1.shape[-1]
     v, u = (m.reshape(*m.shape[:-2], -1).view(m.real.dtype) for m in (v1, w))
     kappa = np.sqrt(np.einsum("...i,...i", v, v)) * np.sqrt(np.einsum("...i,...i", u, u))
     passed = np.asarray(kappa * (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL)
-    open_ = ~passed & ~(kappa / n > (1 + RANK_MARGIN) / RANK_SV_RTOL)
+    open_ = ~passed & (kappa / n <= (1 + RANK_MARGIN) / RANK_SV_RTOL)
     if open_.any():
         sv = np.linalg.svd(v1[open_], compute_uv=False)
         passed[open_] = np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == n

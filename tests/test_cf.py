@@ -38,9 +38,9 @@ def per_point_oracle(h, rho, field, radius, cap_enabled):
 
 
 def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
-    """cf_trial_sum_rate written with a new array for every operation: the
-    same operations in the same order as the buffered leg, so the two must
-    agree bit for bit."""
+    """cf_trial_sum_rate as the exhaustive search at every point, written
+    with a new array for every operation: the operations of the rate
+    function in the same order, so the two must agree bit for bit."""
     K, N = h.shape[-2:]
     cand, norm2 = cf_baseline._candidates(K, radius)
     H = np.moveaxis(h, -1, -3)
@@ -58,6 +58,16 @@ def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
     full = full.reshape(slot_rates.shape)
     totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
     return totals, np.count_nonzero(~full, axis=-1) / N
+
+
+def stress_channels(K, seed, T=5, N=3):
+    """Gaussian (T, K, K, N) channels, the same with every channel row
+    scaled by 10^U(-8, 8), and half-integer ones, whose rows tie exactly
+    and hold zeros."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((T, K, K, N))
+    return [g, g * 10.0 ** rng.uniform(-8, 8, (T, K, 1, N)),
+            rng.integers(-4, 5, (T, K, K, N)) / 2.0]
 
 
 class TestComputationRate:
@@ -229,41 +239,39 @@ class TestTrialSumRate:
 
 
 class TestRateBuffer:
-    RHOS = [10.0 ** (snr_db / 10.0) for snr_db in range(-10, 61, 5)]
+    RHOS = [10.0 ** (snr_db / 10.0) for snr_db in
+            [*range(-10, 61, 5), -1500, -300, -160, 100, 160, 300, 1500]]
 
     @pytest.mark.parametrize("cap_enabled", [True, False])
     @pytest.mark.parametrize("q", [2, 3, 5])
-    @pytest.mark.parametrize("K, radius", itertools.product([1, 2, 3, 4], [1, 2, 3]))
+    @pytest.mark.parametrize("K, radius", [*itertools.product([1, 2, 3, 4], [1, 2, 3]),
+                                           (5, 1), (5, 2), (5, 3), (2, 127)])
     def test_buffered_leg_equals_allocating_leg(self, K, radius, q, cap_enabled):
         field = PrimeField(q)
-        for T in (1, 5):
-            h = np.random.default_rng([K, radius, q, T]).standard_normal((T, K, K, 3))
+        T = 5 if cf_baseline.search_grid_size(K, radius) <= 7 ** 4 else 1
+        for h in [*stress_channels(K, [K, radius, q], T), real_channel(K, 3, seed=K)]:
             got = cf_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
             want = allocating_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
+    # the last two receiver-0 rows sit in a rate tie of two orbits at the
+    # third and fourth SNR, where the leaders' bounds need their slack
     @pytest.mark.parametrize("rows, radius", [
         ([[1.0, 1.0], [0.1, 2.0]], 3),
         ([[0.9883184241510566, 0.988318424151057], [0.1, 2.0]], 1),
+        ([[-0.43643524714322124, -1.169801907772864, 1.739367877130134],
+          [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]], 3),
+        ([[0.0011648639811110283, 0.0007875882217058695, 0.000844078680578592],
+          [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]], 3),
     ])
     def test_pinned_tie_rows_equal_allocating_leg(self, rows, radius):
         h = channel_from_rows(rows)
+        rhos = [0.5, 10.0, 27.82321647366683, 72326846.56891178]
         for cap_enabled in (True, False):
-            got = cf_trial_sum_rate(h, [0.5, 10.0], PrimeField(2), radius, cap_enabled)
-            want = allocating_trial_sum_rate(h, [0.5, 10.0], PrimeField(2), radius,
-                                             cap_enabled)
+            got = cf_trial_sum_rate(h, rhos, PrimeField(2), radius, cap_enabled)
+            want = allocating_trial_sum_rate(h, rhos, PrimeField(2), radius, cap_enabled)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-    def test_rates_into_buffer_equal_new_array(self):
-        cand, norm2 = cf_baseline._candidates(3, 2)
-        H = np.random.default_rng(5).standard_normal((4, 2, 3))
-        proj, hh = cf_baseline._projections(H, cand)
-        buf = np.full_like(proj, np.nan)  # stale contents must not leak
-        for rho in self.RHOS:
-            want = cf_baseline._rates(proj, hh, norm2, rho)
-            got = cf_baseline._rates(proj, hh, norm2, rho, out=buf)
-            assert got is buf and np.array_equal(got, want)
 
     def test_rates_clamp_like_the_reference(self):
         # candidate 0: rho proj / (1 + rho hh) exceeds ||a||^2, so the
@@ -276,6 +284,58 @@ class TestRateBuffer:
         rho = 2.0 ** 60
         tiny_rate = 0.5 * math.log2(1.0 / np.finfo(float).tiny)
         want = np.array([[tiny_rate, 0.0, tiny_rate]])
-        buf = np.empty_like(proj)
-        for out in (None, buf):
-            assert np.array_equal(cf_baseline._rates(proj, hh, norm2, rho, out=out), want)
+        assert np.array_equal(cf_baseline._rates(proj, hh, norm2, rho), want)
+
+
+class TestOrbitSearch:
+    @pytest.mark.parametrize("K, radius", [*itertools.product([1, 2, 3, 4], [1, 2, 3]),
+                                           (2, 127), (10, 1)])
+    def test_orbits_cover_the_candidates_once(self, K, radius):
+        cand, _ = cf_baseline._candidates(K, radius)
+        leaders, lead_norm2 = cf_baseline._orbits(K, radius)
+        assert len(leaders) == math.comb(radius + K, K) - 1
+        assert np.all(leaders[:, :-1] >= leaders[:, 1:]) and np.all(leaders[:, -1] >= 0)
+        assert np.array_equal(lead_norm2, np.sum(leaders ** 2, axis=1))
+        # the candidates are distinct, so each leader's orbit is covered
+        # exactly once when as many candidates sort to it as the orbit,
+        # modulo sign, has members
+        leader_of = -np.sort(-np.abs(cand), axis=1)
+        index = {tuple(b): i for i, b in enumerate(leaders.astype(np.int64))}
+        counts = np.bincount([index[tuple(b)] for b in leader_of], minlength=len(leaders))
+        for b, count in zip(leaders.astype(np.int64), counts):
+            perms = math.factorial(K) // math.prod(
+                math.factorial(m) for m in np.unique(b, return_counts=True)[1])
+            assert count == perms * 2 ** np.count_nonzero(b) // 2
+
+    def test_log2_is_monotone(self):
+        # the certificate rates bounds with the operations of the search,
+        # which are monotone given a monotone log2
+        rng = np.random.default_rng(6)
+        x = np.exp2(rng.uniform(-2, 1023, 2**20))
+        assert np.all(np.log2(np.nextafter(x, np.inf)) >= np.log2(x))
+
+    def test_certified_and_fallback_rows(self, monkeypatch):
+        exhaustive = []
+
+        def spy(H, cand):
+            if cand.ndim == 2:
+                exhaustive.append(len(H))
+            return projections(H, cand)
+
+        projections = cf_baseline._projections
+        monkeypatch.setattr(cf_baseline, "_projections", spy)
+        rhos = TestRateBuffer.RHOS
+        rows = 0
+        for K in (2, 3, 4):
+            for h in stress_channels(K, 60 + K):
+                cf_trial_sum_rate(h, rhos, PrimeField(2))
+                rows += len(rhos) * h[..., 0, :].size  # (point, trial, receiver, slot)
+        assert 0 < sum(exhaustive) < rows
+        # Gaussian chunks the size of the benchmark's: no fallback at 0-60 dB
+        exhaustive.clear()
+        rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
+        rng = np.random.default_rng(61)
+        for T, K, N in [(12, 3, 1), (7, 2, 3), (12, 1, 3)]:
+            for _ in range(20):
+                cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, PrimeField(2))
+        assert exhaustive == []

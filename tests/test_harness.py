@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sncsim import harness
@@ -253,6 +253,12 @@ class TestConfig:
            snr_start=st.one_of(st.integers(-10, 60), st.integers(-4000, 4000)),
            snr_span=st.integers(-20, 30),
            snr_step=st.integers(1, 30))
+    # at K=2 the precoders' powers overflow for large n: V_1 holds inf and
+    # NaN, which raised LinAlgError from the SVD, after RuntimeWarnings
+    @example(K=2, n=100, scheme="snc", channel_model="real", q=2, cf_radius=3,
+             cap_enabled=True, seed=0, spoiled=None, snr_start=0, snr_span=0, snr_step=1)
+    @example(K=2, n=200, scheme="snc", channel_model="complex", q=2, cf_radius=3,
+             cap_enabled=True, seed=0, spoiled=None, snr_start=0, snr_span=0, snr_step=1)
     def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
                                               cf_radius, cap_enabled, seed, spoiled,
                                               snr_start, snr_span, snr_step):
@@ -778,6 +784,16 @@ class TestCli:
             capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and out.with_suffix(".json").exists()
+
+    def test_overflowing_precoders_abort_every_trial(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sncsim.cli",
+             "--users", "2", "--ext-n", "200",
+             "--scheme", "snc", "--trials", "5", "--snr", "0:0:1",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "5 of 5 trials aborted" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         proc = subprocess.run(
