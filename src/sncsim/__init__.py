@@ -19,6 +19,7 @@ from .snc import (
     cp_recover,
     effective_system,
     extension_dims,
+    pack_bits,
     theoretical_dof,
     verify_alignment,
 )

@@ -283,28 +283,29 @@ class TrialBatch:
 
 def _usable_channels(plan, h: np.ndarray, redraw):
     """Resample the draws of the chunk's channel *h* whose V_1 loses rank
-    up to MAX_RESAMPLES times; each round redraws, inverts and checks only
-    the trials still pending, and a kept trial keeps the inverse w that its
-    rank test read.  Returns the kept trials' channel, precoders v1 and
-    v_other, and filter inverses w, and the kept mask."""
-    T, N = len(h), plan.N
-    v1, w = np.empty((2, T, N, N), h.dtype)
-    v_other = np.empty((T, N, plan.N_prime), h.dtype)
-    kept = np.zeros(T, dtype=bool)
-    pending = np.arange(T)
-    for attempt in range(MAX_RESAMPLES + 1):
-        if attempt:
-            h[pending] = redraw(pending)
+    up to MAX_RESAMPLES times.  The first round builds, inverts and checks
+    the whole chunk; each later round redraws, inverts and checks only the
+    trials still pending and writes its results over theirs, so a kept
+    trial keeps the inverse w that its rank test read.  Returns the kept
+    trials' channel, precoders v1 and v_other, and filter inverses w, and
+    the kept mask; the arrays are gathered only when some trial aborted."""
+    v1, v_other = build_precoders(h, plan)
+    w = build_filters(v1)
+    kept = check_precoder_ranks(v1, w)
+    pending = np.flatnonzero(~kept)
+    for _ in range(MAX_RESAMPLES):
+        if not pending.size:
+            break
+        h[pending] = redraw(pending)
         pv1, pv_other = build_precoders(h[pending], plan)
         pw = build_filters(pv1)
         passed = check_precoder_ranks(pv1, pw)
-        done = pending[passed]
-        v1[done], v_other[done], w[done] = pv1[passed], pv_other[passed], pw[passed]
-        kept[done] = True
+        v1[pending], v_other[pending], w[pending] = pv1, pv_other, pw
+        kept[pending[passed]] = True
         pending = pending[~passed]
-        if not pending.size:
-            break
-    return h[kept], v1[kept], v_other[kept], w[kept], kept
+    if pending.size:
+        return h[kept], v1[kept], v_other[kept], w[kept], kept
+    return h, v1, v_other, w, kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:

@@ -5,11 +5,13 @@ Filtering with the exact inverse of the desired signal space leaves each
 filtered component equal to a sum of m BPSK symbols (m = row support size)
 plus filtered noise, so demodulation reduces to nearest-level detection on
 the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
-parity of the detected number of -1 symbols.  Every receiver applies the
-same computed w = V_1^-1, whose residual w V_1 - I is bounded through
-cond(V_1) alone (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 14), so a draw that passes V_1's rank test needs no further
-conditioning check.
+parity of the detected number of -1 symbols.  The K N bits of a (trial,
+SNR point) leave packed into uint64 words (snc.pack_bits), which the
+central processor reads against its parity masks.  Every receiver
+applies the same computed w = V_1^-1, whose residual w V_1 - I is
+bounded through cond(V_1) alone (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 14), so a draw that passes V_1's rank test
+needs no further conditioning check.
 
 Everything after the channel is evaluated for a chunk of trials and the
 whole SNR grid at once: transmit, filter_and_demodulate, stream_gains,
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 
-from .snc import EffectiveSystem
+from .snc import EffectiveSystem, pack_bits
 
 DOF_WINDOW_DB = (40.0, 60.0)  # the SNR window of the DoF slope fit
 
@@ -83,7 +85,9 @@ def _demod_sum_constellation(value: float, m: int) -> int:
 def filter_and_demodulate(y: np.ndarray, h: np.ndarray, w: np.ndarray,
                           eff: EffectiveSystem) -> np.ndarray:
     """Filter the received vectors y (..., K, N) and demodulate them to the
-    network-coded bits (..., K N), stacked in row order of F.  Receiver l's
+    network-coded bits, the K N bits of each (trial, SNR point) stacked in
+    row order of F and packed by pack_bits into uint64 words
+    (..., ceil(K N / 64)), the form snc.cp_recover reads.  Receiver l's
     filter is w / d_l, the inverse *w* of build_filters with its columns
     divided by the diagonal d_l = h[l, 0] of the channel *h*, so its output
     is z_l = w (y_l / d_l).  The trial axes of h and w lead y's axes.
@@ -102,7 +106,7 @@ def filter_and_demodulate(y: np.ndarray, h: np.ndarray, w: np.ndarray,
     z = np.real(rows @ np.swapaxes(w, -1, -2)).reshape(y.shape)
     m = eff.weights
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
-    return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
+    return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], -1))
 
 
 def link_rate(u, v, h_diag, sigma2: float) -> float:

@@ -10,7 +10,7 @@ Inverting the desired signal space then leaves a 0/1 effective matrix F
 linking original messages to the network-coded messages collected by the
 central processor.
 
-The alignment holds by construction, so F, its GF(2) inverse and the
+The alignment holds by construction, so F, its GF(2) parity masks and the
 stream-to-receiver links depend only on (K, n): effective_system builds
 them once per plan from the exponents, and phy.stream_gains reduces each
 stream's links to its weakest receiver once per channel draw.  Per
@@ -24,8 +24,12 @@ draw must pass: diag(g_s) V_other = V_1 P_s for every ratio slot s, with
 P_s a selection of distinct columns (_plan_matrix), so V_other has full
 column rank whenever V_1 does, and the error of w is bounded through
 cond(V_1) alone.  The rank test reads its verdict from w, with an SVD
-only where a bound leaves it open.  cp_recover solves every SNR point of
-a chunk of trials in one call.  Each stage returns plain arrays, only
+only where a bound leaves it open.  The K N network-coded bits of a
+(trial, SNR point) travel packed into uint64 words in row order of F
+(pack_bits), and every recovered message and every redundancy check is
+the parity of popcount(words & mask) against one of the plan's masks, so
+cp_recover solves every SNR point of a chunk of trials in one call with
+no arithmetic mod 2.  Each stage returns plain arrays, only
 those the next stage reads: build_precoders (v1, v_other), build_filters
 (w), check_precoder_ranks (passed) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
@@ -216,6 +220,25 @@ def build_filters(v1: np.ndarray) -> np.ndarray:
                 else np.full_like(v1, np.nan))
 
 
+def pack_bits(bits) -> np.ndarray:
+    """The 0/1 entries of *bits* (..., n) packed into (..., ceil(n / 64))
+    uint64 words: entry r goes to word r // 64, in the byte and bit order
+    of np.packbits(..., bitorder="little"), and a nonzero entry counts as
+    1.  Every row is padded to whole 64-bit lanes first, so one packbits
+    pass over the contiguous lanes packs every row.  The demodulated words
+    and the masks of effective_system are both built here, so they share
+    one layout whatever the host's byte order, and
+    np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :n]
+    returns the bits."""
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    words = -(-n // 64)
+    lanes = np.zeros(bits.shape[:-1] + (64 * words,), dtype=bool)
+    lanes[..., :n] = bits
+    packed = np.packbits(lanes, bitorder="little").view(np.uint64)
+    return packed.reshape(bits.shape[:-1] + (words,))
+
+
 @dataclass(frozen=True)
 class EffectiveSystem:
     """The 0/1 matrix F relating original and network-coded messages, with
@@ -223,9 +246,15 @@ class EffectiveSystem:
 
     Row r of ``f_int`` belongs to receiver r // N, component r % N;
     ``col_offset`` maps a transmitter to its first column.  ``indep_rows``
-    is the greedy independent row set of F over GF(2) and ``indep_inv``
-    the inverse of that square subsystem, so recovery needs no
-    elimination.  ``weights[l, i]`` is the support size of row (l, i).
+    is the greedy independent row set of F over GF(2).  ``masks`` holds
+    one row of pack_bits words per row of F, so recovery needs no
+    elimination: row i < total_streams selects the independent rows whose
+    sum mod 2 is message i (row i of the inverse of F[indep_rows], placed
+    at indep_rows), and each further row checks one redundant row r of F,
+    in ascending order: bit r plus the independent rows that predict it,
+    (F[r] F[indep_rows]^-1 mod 2) placed at indep_rows, so its parity is
+    zero on every codeword.  ``weights[l, i]`` is the support size of row
+    (l, i).
     ``link_rows`` lists the rows of the nonzero entries of F, column by
     column, so the receiver rows that decode stream column c start at
     ``link_rows[stream_start[c]]``.
@@ -235,7 +264,7 @@ class EffectiveSystem:
     col_offset: tuple[int, ...]
     f_int: np.ndarray = field(repr=False)
     indep_rows: np.ndarray = field(repr=False)
-    indep_inv: np.ndarray = field(repr=False)
+    masks: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     link_rows: np.ndarray = field(repr=False)
     stream_start: np.ndarray = field(repr=False)
@@ -279,7 +308,13 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
         raise RankDeficientError(f"the K={plan.K}, n={plan.n} effective system has "
                                  f"GF(2) rank {len(rows)} < {total} streams")
     links_per_stream = f.sum(axis=0)
-    arrays = dict(f_int=f, indep_rows=np.array(rows), indep_inv=gf_inv(f[rows], GF2),
+    inv = gf_inv(f[rows], GF2)
+    redundant = sorted(set(range(len(f))).difference(rows))
+    bits = np.zeros((len(f), len(f)), dtype=np.uint8)
+    bits[:total, rows] = inv
+    bits[total:, rows] = (f[redundant] @ inv) % 2
+    bits[np.arange(total, len(f)), redundant] = 1
+    arrays = dict(f_int=f, indep_rows=np.array(rows), masks=pack_bits(bits),
                   weights=f.sum(axis=1).reshape(plan.K, plan.N),
                   link_rows=np.nonzero(f.T)[1],
                   stream_start=np.cumsum(links_per_stream) - links_per_stream)
@@ -288,19 +323,24 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     return EffectiveSystem(plan=plan, col_offset=offsets, **arrays)
 
 
-def cp_recover(eff: EffectiveSystem, forwarded) -> tuple[np.ndarray, np.ndarray]:
-    """Central-processor recovery from the forwarded messages (..., K N),
-    stacked in row order of F, with any leading (trial, SNR) axes.
+def cp_recover(eff: EffectiveSystem, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-processor recovery from the forwarded messages, the K N bits
+    of each (trial, SNR point) packed by pack_bits in row order of F into
+    *words* (..., ceil(K N / 64)), with any leading (trial, SNR) axes.
 
-    Returns ``(x, detected)``: the recovered messages (..., total_streams)
-    in column order of F, solved from the independent-row subsystem of F
-    mod 2 with its stored inverse, and the flag (...) that reports (not
+    Returns ``(x, detected)``: the recovered messages, 0/1 uint8
+    (..., total_streams) in column order of F, solved from the
+    independent-row subsystem of F, and the flag (...) that reports (not
     silently ignores) redundant rows disagreeing with that solution.
+    Message i is the parity of popcount(words & eff.masks[i]), and the flag
+    is set where any further row of ``eff.masks`` has parity 1.  The parity
+    of a sum of per-word popcounts is the parity of the popcount of the
+    words' XOR, so the words of a mask fold into one first.
     """
-    forwarded = GF2.reduce(forwarded)
-    x = (forwarded[..., eff.indep_rows] @ eff.indep_inv.T) % 2
-    detected = np.any((x @ eff.f_int.T - forwarded) % 2, axis=-1)
-    return x, detected
+    total = eff.plan.total_streams
+    folded = np.bitwise_xor.reduce(words[..., None, :] & eff.masks, axis=-1)
+    parity = np.bitwise_count(folded) & 1
+    return parity[..., :total], np.any(parity[..., total:], axis=-1)
 
 
 def theoretical_dof(plan: ExtensionPlan):

@@ -23,6 +23,7 @@ from sncsim.snc import (
     cp_recover,
     effective_system,
     extension_dims,
+    pack_bits,
 )
 from tests.test_snc import (
     build_all,
@@ -123,7 +124,7 @@ class TestDemodulation:
             out = filter_and_demodulate(y, h, build_filters(p[0]), eff)
             z = np.concatenate([np.real(f[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
-            assert out.tolist() == slow
+            assert np.array_equal(out, pack_bits(slow))
 
     def test_decision_regions_partition_line(self):
         for m in (1, 2, 3):
@@ -139,11 +140,10 @@ class TestDemodulation:
         b2 = np.array([1, 1])
         x = [modulate_bpsk(b1), modulate_bpsk(b2)]
         y = transmit(h, *p, x, np.zeros((2, 3)))
-        out = filter_and_demodulate(y, h, build_filters(p[0]), eff).reshape(2, 3)
+        out = filter_and_demodulate(y, h, build_filters(p[0]), eff)
         expected_r1 = np.array([b1[0] ^ b2[0], b1[1] ^ b2[1], b1[2]])
         expected_r2 = np.array([b1[0], b1[1] ^ b2[0], b1[2] ^ b2[1]])
-        assert np.array_equal(out[0], expected_r1)
-        assert np.array_equal(out[1], expected_r2)
+        assert np.array_equal(out, pack_bits(np.concatenate([expected_r1, expected_r2])))
 
 
 def einsum_demodulate(y, u, eff):
@@ -222,9 +222,11 @@ class TestFactoredFilters:
     @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
     def test_bits_equal_explicit_filters(self, K, n, model):
         eff, h, _, _, w, y = self.noisy_stack(K, n, model, 60, seed=41)
-        bits = filter_and_demodulate(y, h, w, eff)
+        words = filter_and_demodulate(y, h, w, eff)
+        bits = einsum_demodulate(y, explicit_filters(h, w), eff)
         assert len(h) >= 8 and bits.shape == (len(h), 7, K * eff.plan.N)
-        assert np.array_equal(bits, einsum_demodulate(y, explicit_filters(h, w), eff))
+        assert words.shape == (len(h), 7, -(-K * eff.plan.N // 64))
+        assert np.array_equal(words, pack_bits(bits))
         assert 0 < np.count_nonzero(bits) < bits.size
 
     @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
@@ -371,7 +373,7 @@ class TestSnrBatch:
         rates = per_link_rates(stream_gains(h, *p, w, eff), sigma2)
         sums = end_to_end_sum_rate(rates, rhos)
         assert noise.shape == y.shape == (len(rhos), K, plan.N)
-        assert fwd.shape == (len(rhos), K * plan.N)
+        assert fwd.shape == (len(rhos), -(-K * plan.N // 64))
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
             [[n1]] = sample_noise([s2], K, plan.N, model, [np.random.default_rng(32)])
             y1 = transmit(h, *p, x, n1)

@@ -12,7 +12,7 @@ from sncsim.channel import (
     sample_extended_channel,
     single_antenna,
 )
-from sncsim.gf import PrimeField, RankDeficientError
+from sncsim.gf import PrimeField, RankDeficientError, gf_inv
 from sncsim.phy import (
     end_to_end_sum_rate,
     filter_and_demodulate,
@@ -31,6 +31,7 @@ from sncsim.snc import (
     cp_recover,
     effective_system,
     extension_dims,
+    pack_bits,
     theoretical_dof,
     verify_alignment,
 )
@@ -104,6 +105,25 @@ def gf2_greedy_rows(m):
 def gf2_rank(m):
     """Rank over GF(2), independent of sncsim.gf."""
     return len(gf2_greedy_rows(m))
+
+
+def unpack_bits(words, n):
+    """The n bits (..., n) that pack_bits packed into *words*."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :n]
+
+
+def reference_cp_recover(eff, forwarded):
+    """Central-processor recovery from the forwarded bits (..., K N), one
+    int64 entry per bit in row order of F, by two int64 matmuls mod 2: the
+    messages solved from the independent rows with the GF(2) inverse of
+    F[indep_rows], and the flag of a solution whose re-encoding differs
+    from the forwarded bits.  The reference that cp_recover's packed
+    parities are held to."""
+    forwarded = PrimeField(2).reduce(forwarded)
+    inv = gf_inv(eff.f_int[eff.indep_rows], PrimeField(2))
+    x = (forwarded[..., eff.indep_rows] @ inv.T) % 2
+    detected = np.any((x @ eff.f_int.T - forwarded) % 2, axis=-1)
+    return x, detected
 
 
 def identity_channel(K, N):
@@ -375,9 +395,23 @@ class TestPlanSystem:
         for K, n in [(2, 1), (2, 2), (2, 10), (3, 1), (3, 2), (4, 1)]:
             plan = extension_dims(K, n)
             eff = effective_system(plan)
-            assert gf2_rank(eff.f_int) == len(eff.indep_rows) == plan.total_streams
-            assert np.array_equal((eff.indep_inv @ eff.f_int[eff.indep_rows]) % 2,
-                                  np.eye(plan.total_streams, dtype=np.int64))
+            total, rows = plan.total_streams, eff.indep_rows
+            assert gf2_rank(eff.f_int) == len(rows) == total
+            # message masks: the GF(2) inverse of F[indep_rows], at indep_rows
+            bits = unpack_bits(eff.masks, len(eff.f_int))
+            assert eff.masks.shape == (len(eff.f_int), -(-len(eff.f_int) // 64))
+            inv = gf_inv(eff.f_int[rows], PrimeField(2))
+            assert np.array_equal(bits[:total, rows], inv)
+            assert np.array_equal((inv @ eff.f_int[rows]) % 2,
+                                  np.eye(total, dtype=np.int64))
+            assert np.count_nonzero(bits[:total]) == np.count_nonzero(inv)
+            # check masks: one per redundant row r, bit r plus the
+            # independent rows predicting it, zero parity on every codeword
+            redundant = np.setdiff1d(np.arange(len(eff.f_int)), rows)
+            assert np.array_equal(bits[total:, redundant],
+                                  np.eye(len(redundant), dtype=np.uint8))
+            assert np.array_equal(bits[total:, rows], (eff.f_int[redundant] @ inv) % 2)
+            assert not np.any((bits[total:].astype(np.int64) @ eff.f_int) % 2)
             assert np.array_equal(eff.weights.ravel(), eff.f_int.sum(axis=1))
             # links are the nonzero entries, grouped by stream column
             link_cols, link_rows = np.nonzero(eff.f_int.T)
@@ -435,8 +469,8 @@ class TestRankTestSuffices:
         msgs = np.random.default_rng(1501).integers(0, 2, size=(len(h), plan.total_streams))
         x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
         y = transmit(h, v1, v_other, x, np.zeros((len(h), K, plan.N)))
-        bits = filter_and_demodulate(y, h, w, eff)
-        assert np.array_equal(bits, msgs @ eff.f_int.T % 2)
+        words = filter_and_demodulate(y, h, w, eff)
+        assert np.array_equal(words, pack_bits(msgs @ eff.f_int.T % 2))
 
 
 def graded_stack(n, dtype, seed):
@@ -636,7 +670,7 @@ class TestRecovery:
             for _ in range(50):
                 b = rng.integers(0, 2, size=plan.total_streams)
                 fwd = (eff.f_int @ b) % 2
-                x, detected = cp_recover(eff, fwd)
+                x, detected = cp_recover(eff, pack_bits(fwd))
                 assert not detected
                 assert np.array_equal(x, b)
 
@@ -644,12 +678,12 @@ class TestRecovery:
         plan, h, p, f, eff = build_all(2, 1, seed=14)
         for b in itertools.product((0, 1), repeat=3):
             b = np.array(b)
-            x, _ = cp_recover(eff, (eff.f_int @ b) % 2)
+            x, _ = cp_recover(eff, pack_bits((eff.f_int @ b) % 2))
             assert np.array_equal(x, b)
 
     def test_zero_message_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 2, seed=15)
-        x, _ = cp_recover(eff, np.zeros(6, dtype=int))
+        x, _ = cp_recover(eff, pack_bits(np.zeros(6, dtype=int)))
         assert x.shape == (plan.total_streams,) and np.all(x == 0)
 
     def test_corrupted_redundant_row_detected(self):
@@ -657,8 +691,43 @@ class TestRecovery:
         b = np.array([1, 1, 0, 1, 0])
         fwd = (eff.f_int @ b) % 2
         fwd[-1] ^= 1  # flip a redundant equation
-        _, detected = cp_recover(eff, fwd)
+        _, detected = cp_recover(eff, pack_bits(fwd))
         assert detected
+
+    @pytest.mark.parametrize("n_bits", [1, 6, 63, 64, 65, 82, 168, 312])
+    def test_pack_bits_round_trips(self, n_bits):
+        bits = np.random.default_rng(n_bits).integers(0, 2, size=(3, 4, n_bits))
+        words = pack_bits(bits)
+        assert words.dtype == np.uint64 and words.shape == (3, 4, -(-n_bits // 64))
+        assert np.array_equal(unpack_bits(words, n_bits), bits)
+        # nothing beyond bit n_bits - 1 is set
+        assert np.array_equal(np.bitwise_count(words).sum(axis=-1), bits.sum(axis=-1))
+
+    # (2, 40), (3, 3) and (4, 2) span 2, 3 and 5 words (K N = 82, 168, 312)
+    @pytest.mark.parametrize("K, n", [(2, 1), (2, 2), (2, 10), (2, 40), (3, 1),
+                                      (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_packed_recovery_equals_reference(self, K, n):
+        # random codewords, and codewords with one to three flipped bits,
+        # in a (2, 30) stack: x and detected equal the int64 reference, and
+        # detected holds exactly on the words that are not codewords
+        plan = extension_dims(K, n)
+        eff = effective_system(plan)
+        rows, total = len(eff.f_int), plan.total_streams
+        rng = np.random.default_rng([1900, K, n])
+        msgs = rng.integers(0, 2, size=(2, 30, total))
+        errors = np.zeros((2, 30, rows), dtype=np.int64)
+        for e in errors[1]:
+            e[rng.choice(rows, size=rng.integers(1, 4), replace=False)] = 1
+        fwd = (msgs @ eff.f_int.T + errors) % 2
+        x, detected = cp_recover(eff, pack_bits(fwd))
+        ref_x, ref_detected = reference_cp_recover(eff, fwd)
+        assert x.shape == ref_x.shape == (2, 30, total)
+        assert np.array_equal(x, ref_x) and np.array_equal(detected, ref_detected)
+        assert np.array_equal(x[0], msgs[0]) and not detected[0].any()
+        codeword = [gf2_rank(np.column_stack([eff.f_int, e])) == total
+                    for e in errors[1]]
+        assert detected[1].tolist() == [not c for c in codeword]
+        assert detected[1].any()
 
 
 class TestVandermondeIdentity:
