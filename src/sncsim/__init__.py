@@ -24,6 +24,7 @@ from .snc import (
     verify_alignment,
 )
 from .phy import (
+    cooperation_caps,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -31,14 +32,12 @@ from .phy import (
     modulate_bpsk,
     per_link_rates,
     stream_gains,
-    transmit,
 )
 from .cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
 from .harness import (
     SimConfig,
     SweepResult,
     run_sweep,
-    run_trial,
     run_trials,
     write_results,
 )

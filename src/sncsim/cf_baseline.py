@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .gf import PrimeField, gf_full_rank
+from .phy import cooperation_caps
 
 # Most integer vectors, (2 radius + 1)^K, the coefficient search may
 # enumerate: radius 127 at K=2, 19 at K=3 and 7 at K=4.  At the bound the
@@ -206,7 +207,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
         for i in range(0, len(rhos), step))))
     shape = (len(rhos), *h.shape[:-3], N, K)
     r = np.ascontiguousarray(np.moveaxis(rates.reshape(shape).min(axis=-1), 0, -2))
-    caps = np.array([math.log2(1.0 + rho) for rho in rhos])[:, None]
+    caps = cooperation_caps(rhos)[:, None]
     slot_rates = np.minimum(r, caps) if cap_enabled else r  # [..., point, slot]
     # a coefficient matrix has the rank of its rows up to sign
     mats = picks.reshape(len(rhos), -1, N, K, K).swapaxes(0, 1).reshape(-1, K, K)

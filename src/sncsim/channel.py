@@ -12,10 +12,11 @@ as a virtual node: expand_mimo_to_virtual gives its user count M, which is
 all that a draw needs.
 
 Draws are stacked: sample_extended_channel and sample_noise take one
-generator per trial, make one standard_normal call on each, and combine,
-normalise and scale the whole (T, ...) stack at once, so every trial gets
-the bits of a draw from its generator alone.  Noise is drawn at unit
-variance and scaled per point.
+generator per trial, make one standard_normal call on each, and combine
+and normalise the whole (T, ...) stack at once, so every trial gets the
+bits of a draw from its generator alone.  Noise is drawn at unit
+variance and has no SNR axis: the noise power scales it only after the
+filter (phy.filter_and_demodulate).
 """
 
 from __future__ import annotations
@@ -94,18 +95,11 @@ def sample_extended_channel(M: int, n_ext: int, model: str, rngs) -> np.ndarray:
     return diag
 
 
-def sample_noise(sigma2, n_rx: int, n_ext: int, model: str, rngs) -> np.ndarray:
-    """(T, S, n_rx, n_ext) noise, one trial per generator in *rngs*: each
-    generator makes one unit-variance draw, scaled to each of the S
-    variances in *sigma2*, so every point of a trial sees the same unit
-    noise.
-
-    The complex model splits the variance equally across real/imag parts.
-    """
-    scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
-    if model == "complex":
-        z = np.stack([rng.standard_normal((n_rx, 2, n_ext)) for rng in rngs])[:, None]
-        return scale * (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
-    if model == "real":
-        return scale * np.stack([rng.standard_normal((n_rx, n_ext)) for rng in rngs])[:, None]
-    raise ValueError(f"unknown channel model {model!r}")
+def sample_noise(n_rx: int, n_ext: int, model: str, rngs) -> np.ndarray:
+    """(T, n_rx, n_ext) unit-variance noise, one trial per generator in
+    *rngs*, receiver by receiver: the draw _draw_coeffs makes for the
+    coefficients.  The complex model splits the variance equally across
+    real/imag parts.  Only phy.filter_and_demodulate scales it, by
+    sqrt(sigma2) per SNR point, so every point of a trial sees the same
+    unit noise."""
+    return _draw_coeffs((n_rx, n_ext), model, rngs)

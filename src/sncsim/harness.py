@@ -21,27 +21,29 @@ that depends on the channel alone (the precoders v1 and v_other, the
 filters' shared inverse w of V_1, V_1's rank test read from w, each
 stream's gain at its weakest receiver) as plain arrays in one stacked
 pass, redrawing only the trials whose V_1 lost rank, then evaluates the
-whole SNR grid of every kept trial in one array pass.  The
-compute-and-forward leg runs once per chunk over the grid and draws no
-randomness.  The arrays of a chunk are the only shape: run_trial is
-run_trials on one index and returns its one-trial TrialBatch.  A sweep
-that fits one chunk of at most BATCH_ELEMENTS per array runs in this
-process, whatever SNCSIM_WORKERS says: a process pool could not amortise
-its start-up over one chunk.  A larger sweep goes to a pool of at most
-SNCSIM_WORKERS processes in chunks of trials // (4 workers) trials.
-run_sweep joins the chunks' outcomes into [point, kept trial] arrays and
-aggregates every point of a scheme in one pass over the trial axis.
+whole SNR grid of every kept trial in one array pass, in which the
+noisy pass filters each trial's unit noise once and scales it per point.
+The compute-and-forward leg runs once per chunk over the grid and draws
+no randomness.  The arrays of a chunk are the only shape: one trial is
+run_trials on one index.  A sweep that fits one chunk of at most
+BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
+says: a process pool could not amortise its start-up over one chunk.
+A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
+chunks of trials // (4 workers) trials.  run_sweep joins the chunks'
+outcomes into [point, kept trial] arrays and aggregates every point of a
+scheme in one pass over the trial axis.
 
 Draw-order contract: each trial has its own generator, which draws the
-channel and its resamples, then the messages, then unit-variance noise,
-each once; only the noise scale depends on the SNR.  The channel and
-noise draws of a chunk are stacked (one call on each trial's generator,
-one combine and scaling of the stack), which keeps every trial's bits.
-No draw depends on the grid or on the other trials of the chunk, and
-every number of a trial is computed from that trial's arrays alone, so a
-multi-point call equals the one-point calls it replaces and a trial's
-result does not depend on how the trials are chunked.  No check depends
-on the SNR, so an aborted trial aborts at every point.
+channel and its resamples, then the messages, then the noise, each once.
+The noise is drawn at unit variance with no SNR axis; only its scale,
+applied after the filter, depends on the SNR.  The channel and noise
+draws of a chunk are stacked (one call on each trial's generator, one
+combine of the stack), which keeps every trial's bits.  No draw depends
+on the grid or on the other trials of the chunk, and every number of a
+trial is computed from that trial's arrays alone, so a multi-point call
+equals the one-point calls it replaces and a trial's result does not
+depend on how the trials are chunked.  No check depends on the SNR, so
+an aborted trial aborts at every point.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .phy import (
     modulate_bpsk,
     per_link_rates,
     stream_gains,
-    transmit,
 )
 from .snc import (
     CapacityError,
@@ -105,10 +106,6 @@ MAX_SNR_POINTS = 10**4
 
 class ConfigError(Exception):
     """Invalid or contradictory simulation configuration."""
-
-
-class TrialAbortError(Exception):
-    """Channel stayed degenerate after the allowed resamples."""
 
 
 def worker_count() -> int:
@@ -261,6 +258,12 @@ class SimConfig:
         return self.scheme in ("cf", "both")
 
     @property
+    def n_ext(self) -> int:
+        """The block length N: the alignment plan's extension, or one slot
+        when only compute-and-forward runs."""
+        return extension_dims(self.M, self.n).N if self.run_snc else 1
+
+    @property
     def snr_grid(self) -> tuple[float, ...]:
         count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9))
         return tuple(self.snr_start + i * self.snr_step for i in range(count + 1))
@@ -319,9 +322,8 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     rank after MAX_RESAMPLES resamples is aborted: ``kept`` is False for
     it.
     """
-    M = cfg.M
+    M, n_ext = cfg.M, cfg.n_ext
     plan = extension_dims(M, cfg.n) if cfg.run_snc else None
-    n_ext = plan.N if plan is not None else 1
     rhos, sigma2 = snr_levels(snr_dbs)
     rngs = [default_rng(SeedSequence([cfg.seed, i])) for i in indices]
 
@@ -348,23 +350,10 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
         kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
         msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
                          for rng in kept_rngs])
-        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
-        noise = sample_noise(sigma2, M, n_ext, cfg.channel_model, kept_rngs)
-        y = transmit(h, v1, v_other, x, noise)
-        _, out["detected"] = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
+        noise = sample_noise(M, n_ext, cfg.channel_model, kept_rngs)
+        words = filter_and_demodulate(modulate_bpsk(msgs), noise, h, w, sigma2, eff)
+        _, out["detected"] = cp_recover(eff, words)
     return TrialBatch(kept=kept, **out)
-
-
-def run_trial(cfg: SimConfig, snr_dbs, trial_index: int) -> TrialBatch:
-    """One paired Monte Carlo trial, evaluated at every SNR in *snr_dbs*:
-    run_trials on one index, whose TrialBatch it returns.  Raises
-    TrialAbortError when the trial's channel stays degenerate after
-    MAX_RESAMPLES resamples.
-    """
-    b = run_trials(cfg, snr_dbs, [trial_index])
-    if not b.kept[0]:
-        raise TrialAbortError(f"degenerate channel after {MAX_RESAMPLES} resamples")
-    return b
 
 
 @dataclass(frozen=True)
@@ -403,8 +392,7 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     it the pool decision, do not move.  run_sweep uses a pool only when
     chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans more
     than one such chunk."""
-    M, S = cfg.M, len(cfg.snr_grid)
-    n_ext = extension_dims(M, cfg.n).N if cfg.run_snc else 1
+    M, S, n_ext = cfg.M, len(cfg.snr_grid), cfg.n_ext
     elements = M * n_ext * max(n_ext, S * M)
     if cfg.run_cf:
         elements = max(elements, n_ext * M * search_grid_size(M, cfg.cf_radius) // 2)
@@ -447,7 +435,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     in trial-index order, so results do not depend on the worker count.
     """
     cfg.validate()
-    n_ext = extension_dims(cfg.M, cfg.n).N if cfg.run_snc else 1
+    n_ext = cfg.n_ext
     workers = worker_count()
     if chunk_length(cfg, 1) >= cfg.trials:
         workers = 1  # one chunk: a pool would cost more than it saves

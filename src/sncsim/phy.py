@@ -1,31 +1,31 @@
 """
-Modulation, noisy transmission, PNC demodulation, and rate accounting.
+Modulation, PNC demodulation, and rate accounting.
 
 Filtering with the exact inverse of the desired signal space leaves each
-filtered component equal to a sum of m BPSK symbols (m = row support size)
-plus filtered noise, so demodulation reduces to nearest-level detection on
-the sum constellation {m, m-2, ..., -m}; the network-coded bit is the
-parity of the detected number of -1 symbols.  The K N bits of a (trial,
-SNR point) leave packed into uint64 words (snc.pack_bits), which the
-central processor reads against its parity masks.  Every receiver
-applies the same computed w = V_1^-1, whose residual w V_1 - I is
-bounded through cond(V_1) alone (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 14), so a draw that passes V_1's rank test
-needs no further conditioning check.
+filtered component equal to a sum of m BPSK symbols (m = row support size),
+row (l, i) of F s, plus filtered noise, so demodulation reduces to
+nearest-level detection on the sum constellation {m, m-2, ..., -m}; the
+network-coded bit is the parity of the detected number of -1 symbols.
+The K N bits of a (trial, SNR point) leave packed into uint64 words
+(snc.pack_bits), which the central processor reads against its parity
+masks.  Every receiver applies the same computed w = V_1^-1, whose
+residual w V_1 - I is bounded through cond(V_1) alone (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 14), so a draw that passes
+V_1's rank test needs no further conditioning check.
 
 Everything after the channel is evaluated for a chunk of trials and the
-whole SNR grid at once: transmit, filter_and_demodulate, stream_gains,
+whole SNR grid at once: filter_and_demodulate, stream_gains,
 per_link_rates and end_to_end_sum_rate take the leading trial axis of the
 bare channel, precoder and filter arrays, followed by an SNR axis where
-the noise enters.  The filters come factored: receiver l's zero-forcing
-filter is w / d_l, the one inverse w = V_1^-1 of a trial with its columns
-divided by the receiver's channel diagonal d_l = h[l, 0], so
-filter_and_demodulate divides y_l by d_l and applies w in one batched
-matmul, and stream_gains reads the filter row norms from |w|^2 and
-1/|d_l|^2 in one real matmul.  A stream runs at the rate of the weakest
-receiver that decodes it, and the rate is monotone in the gain, so
-stream_gains takes that minimum once per channel draw: rates are arrays
-over the streams, in column order of F.  link_rate and
+the noise power enters.  The filters come factored: receiver l's
+zero-forcing filter is w / d_l, w with its columns divided by the
+receiver's channel diagonal d_l = h[l, 0], so filter_and_demodulate
+filters a trial's unit noise in one batched matmul and scales it by
+sqrt(sigma2) per point, and stream_gains reads the filter row norms from
+|w|^2 and 1/|d_l|^2 in one real matmul.  A stream runs at the rate of the
+weakest receiver that decodes it, and the rate is monotone in the gain,
+so stream_gains takes that minimum once per channel draw: rates are
+arrays over the streams, in column order of F.  link_rate and
 _demod_sum_constellation are the per-link and per-value references.
 """
 
@@ -52,23 +52,6 @@ def modulate_bpsk(b) -> np.ndarray:
     return 1.0 - 2.0 * b
 
 
-def transmit(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
-             x: list[np.ndarray], noise: np.ndarray) -> np.ndarray:
-    """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
-    noise (..., K, N); *x* holds the K transmitters' symbol vectors, sent
-    through transmitter 1's precoder *v1* and the shared *v_other*.  The
-    leading (trial) axes of the channel h, the precoders and x lead the
-    noise too, and any further noise axes (SNR points) follow them."""
-    y = np.asarray(noise, dtype=h.dtype)
-    lead = h.ndim - 3
-    for k, xk in enumerate(x):
-        vx = ((v_other if k else v1) @ np.asarray(xk)[..., None])[..., 0]
-        sig = h[..., k, :] * vx[..., None, :]
-        y = y + sig.reshape(sig.shape[:lead] + (1,) * (y.ndim - sig.ndim)
-                            + sig.shape[lead:])
-    return y
-
-
 def _demod_sum_constellation(value: float, m: int) -> int:
     """Nearest-level detection on {m-2j : j=0..m}; returns parity of j.
 
@@ -82,15 +65,18 @@ def _demod_sum_constellation(value: float, m: int) -> int:
     return best_j % 2
 
 
-def filter_and_demodulate(y: np.ndarray, h: np.ndarray, w: np.ndarray,
-                          eff: EffectiveSystem) -> np.ndarray:
-    """Filter the received vectors y (..., K, N) and demodulate them to the
-    network-coded bits, the K N bits of each (trial, SNR point) stacked in
-    row order of F and packed by pack_bits into uint64 words
-    (..., ceil(K N / 64)), the form snc.cp_recover reads.  Receiver l's
-    filter is w / d_l, the inverse *w* of build_filters with its columns
-    divided by the diagonal d_l = h[l, 0] of the channel *h*, so its output
-    is z_l = w (y_l / d_l).  The trial axes of h and w lead y's axes.
+def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
+                          w: np.ndarray, sigma2, eff: EffectiveSystem) -> np.ndarray:
+    """Demodulate the filter outputs of the BPSK symbols *s* (..., streams),
+    in column order of F, and the unit noise *noise* (..., K, N) at each
+    noise power in *sigma2* (S,) to the network-coded bits, the K N bits of
+    each (trial, SNR point) in row order of F packed by pack_bits into
+    uint64 words (..., S, ceil(K N / 64)), the form snc.cp_recover reads.
+    Receiver l's filter is w / d_l, the inverse *w* of build_filters with
+    its columns divided by the diagonal d_l = h[l, 0] of the channel *h*.
+    The alignment makes its real output
+    z_l = (F s)_l + sqrt(sigma2) Re(w (n_l / d_l)), of which only the noise
+    is filtered, once per trial.
 
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
@@ -98,13 +84,11 @@ def filter_and_demodulate(y: np.ndarray, h: np.ndarray, w: np.ndarray,
     j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
     _demod_sum_constellation, ties included, for every row at once.
     """
-    lead = w.ndim - 2
-    d = h[..., 0, :]
-    y = y / d.reshape(d.shape[:lead] + (1,) * (y.ndim - d.ndim) + d.shape[lead:])
-    # every (SNR point, receiver) row of a trial through w in one matmul
-    rows = y.reshape(y.shape[:lead] + (-1, y.shape[-1]))
-    z = np.real(rows @ np.swapaxes(w, -1, -2)).reshape(y.shape)
     m = eff.weights
+    signal = (s @ eff.f_int.T).reshape(s.shape[:-1] + m.shape)
+    filtered = np.real((noise / h[..., 0, :]) @ np.swapaxes(w, -1, -2))
+    scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
+    z = signal[..., None, :, :] + scale * filtered[..., None, :, :]
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
     return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], -1))
 
@@ -160,14 +144,19 @@ def per_link_rates(gains: np.ndarray, sigma2) -> np.ndarray:
     return np.log2(1.0 + gains[..., None, :] / np.asarray(sigma2, dtype=float)[:, None])
 
 
+def cooperation_caps(rhos) -> np.ndarray:
+    """The cooperation-link rate log2(1 + rho) (S,) at each SNR in *rhos*,
+    the cap on every stream of both schemes."""
+    return np.array([math.log2(1.0 + rho) for rho in rhos])
+
+
 def end_to_end_sum_rate(per_signal: np.ndarray, rhos,
                         cap_enabled: bool = True) -> np.ndarray:
     """The block sum rate (..., S) of the stream rates *per_signal*
     (..., S, streams), each stream capped at the cooperation-link rate
     log2(1 + rho) of its SNR in *rhos* when *cap_enabled*."""
     if cap_enabled:
-        caps = np.array([math.log2(1.0 + rho) for rho in rhos])
-        per_signal = np.minimum(per_signal, caps[:, None])
+        per_signal = np.minimum(per_signal, cooperation_caps(rhos)[:, None])
     return np.sum(per_signal, axis=-1)
 
 

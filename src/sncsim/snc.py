@@ -10,28 +10,30 @@ Inverting the desired signal space then leaves a 0/1 effective matrix F
 linking original messages to the network-coded messages collected by the
 central processor.
 
-The alignment holds by construction, so F, its GF(2) parity masks and the
-stream-to-receiver links depend only on (K, n): effective_system builds
-them once per plan from the exponents, and phy.stream_gains reduces each
-stream's links to its weakest receiver once per channel draw.  Per
-channel draw only the precoders, V_1's inverse and V_1's rank test
-remain, all on arrays with a leading trial axis: every trial's numbers
-are those of a stack holding that trial alone.  Every receiver inverts
-its desired space D_l V_1, D_l = diag(h[l, 0]), as V_1^-1 D_l^-1, so all
-K receivers share the one inverse w = V_1^-1 per trial and the phy layer
-applies D_l^-1 to the received vector.  V_1's rank is the only check a
-draw must pass: diag(g_s) V_other = V_1 P_s for every ratio slot s, with
-P_s a selection of distinct columns (_plan_matrix), so V_other has full
-column rank whenever V_1 does, and the error of w is bounded through
-cond(V_1) alone.  The rank test reads its verdict from w, with an SVD
-only where a bound leaves it open.  The K N network-coded bits of a
-(trial, SNR point) travel packed into uint64 words in row order of F
+The alignment holds by construction, so F, its GF(2) parity masks and
+the stream-to-receiver links depend only on (K, n): effective_system
+builds them once per plan from the exponents, and phy.stream_gains
+reduces each stream's links to its weakest receiver once per channel
+draw.  Per channel draw only the precoders, V_1's inverse and V_1's rank
+test remain, all on arrays with a leading trial axis: every trial's
+numbers are those of a stack holding that trial alone.  Every receiver
+inverts its desired space D_l V_1, D_l = diag(h[l, 0]), as V_1^-1
+D_l^-1, so all K receivers share the one inverse w = V_1^-1 per trial.
+By construction that filter outputs the aligned signals as F s, s the
+messages' BPSK symbols, so the phy layer filters only the noise,
+applying D_l^-1 and w to it once per trial.  V_1's rank is the only
+check a draw must pass: diag(g_s) V_other = V_1 P_s for every ratio slot
+s, with P_s a selection of distinct columns (_plan_matrix), so V_other
+has full column rank whenever V_1 does, and the error of w is bounded
+through cond(V_1) alone.  The rank test reads its verdict from w, with
+an SVD only where a bound leaves it open.  The K N network-coded bits of
+a (trial, SNR point) travel packed into uint64 words in row order of F
 (pack_bits), and every recovered message and every redundancy check is
 the parity of popcount(words & mask) against one of the plan's masks, so
 cp_recover solves every SNR point of a chunk of trials in one call with
-no arithmetic mod 2.  Each stage returns plain arrays, only
-those the next stage reads: build_precoders (v1, v_other), build_filters
-(w), check_precoder_ranks (passed) and cp_recover (x, detected).
+no arithmetic mod 2.  Each stage returns plain arrays, only those the
+next stage reads: build_precoders (v1, v_other), build_filters (w),
+check_precoder_ranks (passed) and cp_recover (x, detected).
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -244,8 +246,9 @@ class EffectiveSystem:
     """The 0/1 matrix F relating original and network-coded messages, with
     everything recovery, demodulation and rate accounting read from it.
 
-    Row r of ``f_int`` belongs to receiver r // N, component r % N;
-    ``col_offset`` maps a transmitter to its first column.  ``indep_rows``
+    Row r of ``f_int`` belongs to receiver r // N, component r % N, and
+    column c to stream c: transmitter 1's N streams, then N' streams for
+    each further transmitter in order.  ``indep_rows``
     is the greedy independent row set of F over GF(2).  ``masks`` holds
     one row of pack_bits words per row of F, so recovery needs no
     elimination: row i < total_streams selects the independent rows whose
@@ -261,7 +264,6 @@ class EffectiveSystem:
     """
 
     plan: ExtensionPlan
-    col_offset: tuple[int, ...]
     f_int: np.ndarray = field(repr=False)
     indep_rows: np.ndarray = field(repr=False)
     masks: np.ndarray = field(repr=False)
@@ -270,9 +272,8 @@ class EffectiveSystem:
     stream_start: np.ndarray = field(repr=False)
 
 
-def _plan_matrix(plan: ExtensionPlan) -> tuple[np.ndarray, tuple[int, ...]]:
-    """F of *plan* by the exponent shift rule, and the first column of
-    every transmitter.
+def _plan_matrix(plan: ExtensionPlan) -> np.ndarray:
+    """F of *plan* by the exponent shift rule.
 
     At receiver l, H_{l,k} = H_{l,1} G[l,k], so column s of transmitter
     k >= 2 arrives along the transmitter-1 column whose exponents are
@@ -290,7 +291,7 @@ def _plan_matrix(plan: ExtensionPlan) -> tuple[np.ndarray, tuple[int, ...]]:
             for s, e in enumerate(plan.other_exponents):
                 shifted = e[:slot] + (e[slot] + 1,) + e[slot + 1:]
                 f[l * N + tx1[shifted], offsets[k] + s] = 1
-    return f, offsets
+    return f
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,7 +302,7 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     Raises RankDeficientError when F is singular over GF(2), which covers
     a stream column that no receiver decodes.
     """
-    f, offsets = _plan_matrix(plan)
+    f = _plan_matrix(plan)
     total = plan.total_streams
     rows = gf_select_independent_rows(f, GF2)
     if len(rows) != total:
@@ -320,7 +321,7 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
                   stream_start=np.cumsum(links_per_stream) - links_per_stream)
     for a in arrays.values():
         a.flags.writeable = False
-    return EffectiveSystem(plan=plan, col_offset=offsets, **arrays)
+    return EffectiveSystem(plan=plan, **arrays)
 
 
 def cp_recover(eff: EffectiveSystem, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,8 +26,8 @@ from sncsim.gf import (
     gf_rank,
     gf_solve,
 )
-from sncsim.harness import SimConfig, run_sweep, run_trial, write_results
-from sncsim.phy import filter_and_demodulate, modulate_bpsk, transmit
+from sncsim.harness import SimConfig, run_sweep, run_trials, write_results
+from sncsim.phy import filter_and_demodulate, modulate_bpsk
 from sncsim.snc import (
     build_filters,
     build_precoders,
@@ -35,14 +35,31 @@ from sncsim.snc import (
     cp_recover,
     effective_system,
     extension_dims,
+    pack_bits,
 )
 from tests.test_harness import stream_rates
 from tests.test_snc import (
     build_all,
+    einsum_demodulate,
     make_channel,
     numeric_system,
     one_trial_filters,
+    transmit,
 )
+
+
+def zero_noise_round_trip(h, p, f, eff, msgs):
+    """Whether the messages *msgs* of the K transmitters, sent without
+    noise, come back from cp_recover undetected, with the words of
+    filter_and_demodulate equal to those of the physical chain: transmit
+    through the explicit filters *f*."""
+    s = modulate_bpsk(np.concatenate(msgs))
+    zero = np.zeros((len(h), eff.plan.N), dtype=complex)
+    y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], zero)
+    [words] = filter_and_demodulate(s, zero, h, build_filters(p[0]), [1.0], eff)
+    x, detected = cp_recover(eff, words)
+    return (np.array_equal(words, pack_bits(einsum_demodulate(y, f, eff)))
+            and not detected and np.array_equal(x, np.concatenate(msgs)))
 
 
 def report(num, ok, detail):
@@ -69,16 +86,12 @@ class TestAcceptance:
         assert np.array_equal(eff.f_int, F_WORKED_EXAMPLE)
         assert np.linalg.matrix_rank(numeric_system(h, p, f)) == 5
         assert gf_rank(eff.f_int, PrimeField(2)) == 5
-        w = build_filters(p[0])
         rng = np.random.default_rng(1)
-        zero = np.zeros((2, plan.N), dtype=complex)
         failures = 0
         for _ in range(1000):
             msgs = [rng.integers(0, 2, size=plan.N if k == 0 else plan.N_prime)
                     for k in range(2)]
-            y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], zero)
-            x, detected = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
-            if detected or not np.array_equal(x, np.concatenate(msgs)):
+            if not zero_noise_round_trip(h, p, f, eff, msgs):
                 failures += 1
         elapsed = time.perf_counter() - t0
         report(1, failures == 0 and elapsed < 1.0,
@@ -174,7 +187,8 @@ class TestAcceptance:
         means = [res.point("snc", s).mean_sum_rate for s in cfg.snr_grid]
         monotone = all(b > a for a, b in zip(means, means[1:]))
         capped_ok = True
-        b = run_trial(cfg, cfg.snr_grid, trial_index=0)
+        b = run_trials(cfg, cfg.snr_grid, [0])
+        assert b.kept[0]
         [per_signals] = stream_rates(cfg, cfg.snr_grid, [0]).tolist()
         for snr_db, per_signal, sum_rate in zip(cfg.snr_grid, per_signals,
                                                 b.snc_rate[0].tolist()):
@@ -276,14 +290,10 @@ class TestAcceptance:
             if not check_precoder_ranks(p[0], build_filters(p[0])):
                 failures += 1
                 continue
-            w = build_filters(p[0])
             eff = effective_system(plan)
             msgs = [rng.integers(0, 2, size=plan.N if k == 0 else plan.N_prime)
                     for k in range(M)]
-            zero = np.zeros((M, plan.N), dtype=complex)
-            y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], zero)
-            x, detected = cp_recover(eff, filter_and_demodulate(y, h, w, eff))
-            if detected or not np.array_equal(x, np.concatenate(msgs)):
+            if not zero_noise_round_trip(h, p, one_trial_filters(h, p), eff, msgs):
                 failures += 1
         report(8, failures == 0,
                f"M=3 virtual users, {plan.total_streams}-stream blocks, "

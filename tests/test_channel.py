@@ -121,39 +121,32 @@ class TestChannelSampling:
 
 
 class TestNoise:
-    def test_zero_variance_gives_zero_vector(self):
-        v = sample_noise([0.0], 2, 5, "complex", [np.random.default_rng(0)])
-        assert v.shape == (1, 1, 2, 5) and np.all(v == 0)
-
     def test_empirical_variance(self):
         rng = np.random.default_rng(11)
-        [v] = sample_noise([2.0, 0.5], 2, 10**5, "complex", [rng])
-        assert np.mean(np.abs(v[0]) ** 2) == pytest.approx(2.0, abs=0.05)
-        assert np.mean(np.abs(v[1]) ** 2) == pytest.approx(0.5, abs=0.0125)
-        v = sample_noise([2.0], 2, 10**5, "real", [rng])
-        assert np.var(v) == pytest.approx(2.0, abs=0.05)
+        [v] = sample_noise(2, 10**5, "complex", [rng])
+        assert v.shape == (2, 10**5) and v.dtype == complex
+        assert np.mean(np.abs(v) ** 2) == pytest.approx(1.0, abs=0.025)
+        assert np.var(v.real) == pytest.approx(0.5, abs=0.0125)
+        v = sample_noise(2, 10**5, "real", [rng])
+        assert v.shape == (1, 2, 10**5) and v.dtype == float
+        assert np.var(v) == pytest.approx(1.0, abs=0.025)
 
     def test_seed_replay(self):
-        a = sample_noise([1.0], 3, 8, "real", [np.random.default_rng(3)])
-        b = sample_noise([1.0], 3, 8, "real", [np.random.default_rng(3)])
+        a = sample_noise(3, 8, "real", [np.random.default_rng(3)])
+        b = sample_noise(3, 8, "real", [np.random.default_rng(3)])
         assert np.array_equal(a, b)
 
-    def test_one_unit_draw_scaled_per_point(self):
+    def test_unit_draw_in_receiver_order(self):
         # receiver by receiver, real then imaginary parts, as separate
-        # length-N draws would give them; every point scales the same draw
-        sigma2 = np.array([1.0, 0.1, 1e-6])
+        # length-N draws would give them
         for model in ("real", "complex"):
-            [v] = sample_noise(sigma2, 3, 4, model, [np.random.default_rng(5)])
+            [v] = sample_noise(3, 4, model, [np.random.default_rng(5)])
             rng = np.random.default_rng(5)
             for l in range(3):
-                unit = rng.standard_normal(4)
+                expected = rng.standard_normal(4)
                 if model == "complex":
-                    unit = unit + 1j * rng.standard_normal(4)
-                for s, s2 in enumerate(sigma2):
-                    expected = np.sqrt(s2) * unit
-                    if model == "complex":
-                        expected = expected / np.sqrt(2.0)
-                    assert np.array_equal(v[s, l], expected)
+                    expected = (expected + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
+                assert np.array_equal(v[l], expected)
 
 
 def moveaxis_coeffs(shape, model, rng):
@@ -176,13 +169,12 @@ def reference_channel(M, n_ext, model, rng):
     return ref, redrawn
 
 
-def reference_noise(sigma2, n_rx, n_ext, model, rng):
-    """One trial's (S, n_rx, n_ext) noise written with np.moveaxis."""
-    scale = np.sqrt(sigma2)[:, None, None]
+def reference_noise(n_rx, n_ext, model, rng):
+    """One trial's (n_rx, n_ext) unit noise written with np.moveaxis."""
     if model == "complex":
         re, im = np.moveaxis(rng.standard_normal((n_rx, 2, n_ext)), 1, 0)
-        return scale * (re + 1j * im) / np.sqrt(2.0)
-    return scale * rng.standard_normal((n_rx, n_ext))
+        return (re + 1j * im) / np.sqrt(2.0)
+    return rng.standard_normal((n_rx, n_ext))
 
 
 class ZeroingGenerator:
@@ -243,17 +235,15 @@ class TestDrawsPinned:
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_noise_equals_moveaxis_draw(self, model):
-        sigma2 = np.array([1.0, 0.1])
         for seed in range(300):
-            [got] = sample_noise(sigma2, 3, 11, model, [np.random.default_rng(seed)])
-            ref = reference_noise(sigma2, 3, 11, model, np.random.default_rng(seed))
+            [got] = sample_noise(3, 11, model, [np.random.default_rng(seed)])
+            ref = reference_noise(3, 11, model, np.random.default_rng(seed))
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_stacked_noise_equals_per_generator_draws(self, model):
-        sigma2 = np.array([1.0, 0.1, 1e-6])
         for seed in range(0, 200, 5):
-            got = sample_noise(sigma2, 3, 11, model, chunk_generators(seed))
-            ref = np.stack([reference_noise(sigma2, 3, 11, model, rng)
+            got = sample_noise(3, 11, model, chunk_generators(seed))
+            ref = np.stack([reference_noise(3, 11, model, rng)
                             for rng in chunk_generators(seed)])
-            assert got.shape == (5, 3, 3, 11) and np.array_equal(got, ref)
+            assert got.shape == (5, 3, 11) and np.array_equal(got, ref)

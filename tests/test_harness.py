@@ -18,24 +18,29 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sncsim import harness
-from sncsim.channel import sample_extended_channel
+from sncsim.channel import sample_extended_channel, sample_noise
 from sncsim.cli import USAGE_EXIT, build_parser, main, parse_cli
 from sncsim.gf import RankDeficientError
 from sncsim.harness import (
     BATCH_ELEMENTS,
     ConfigError,
     SimConfig,
-    TrialAbortError,
     chunk_length,
     run_sweep,
-    run_trial,
     run_trials,
     snr_levels,
     write_results,
 )
-from sncsim.phy import per_link_rates, stream_gains
+from sncsim.phy import modulate_bpsk, per_link_rates, stream_gains
 from sncsim.snc import effective_system, extension_dims
 from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
+from tests.test_snc import (
+    einsum_demodulate,
+    explicit_filters,
+    reference_cp_recover,
+    split_by_transmitter,
+    transmit,
+)
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SRC_DIR = BENCH_DIR.parent / "src"
@@ -51,14 +56,16 @@ def cli_env():
 
 
 def one_point(cfg, snr_db, trial_index):
-    """run_trial at one SNR point: a TrialBatch of one trial and one point."""
-    return run_trial(cfg, (snr_db,), trial_index)
+    """run_trials on one trial at one SNR point: a TrialBatch of one trial
+    and one point."""
+    return run_trials(cfg, (snr_db,), [trial_index])
 
 
 def kept_channels(cfg, indices):
     """The kept trials of *indices* as run_trials builds them, from the
     stage functions in its draw order: their channel, precoders v1 and
-    v_other, and filter inverses w."""
+    v_other, and filter inverses w, and their generators, whose next
+    draws are the messages."""
     plan = extension_dims(cfg.M, cfg.n)
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in indices]
 
@@ -66,7 +73,24 @@ def kept_channels(cfg, indices):
         return sample_extended_channel(cfg.M, plan.N, cfg.channel_model,
                                        [rngs[t] for t in trials])
 
-    return harness._usable_channels(plan, draw(range(len(rngs))), draw)[:4]
+    h, v1, v_other, w, kept = harness._usable_channels(plan, draw(range(len(rngs))), draw)
+    return h, v1, v_other, w, [rngs[t] for t in np.flatnonzero(kept)]
+
+
+def oracle_detected(cfg, indices):
+    """The detected-error flags (kept trials, S) of the trials *indices*
+    through the physical chain: the received vectors of transmit, with the
+    unit noise scaled to each point's variance, the explicit per-receiver
+    filters, nearest-level demodulation and the int64 reference recovery."""
+    plan = extension_dims(cfg.M, cfg.n)
+    eff = effective_system(plan)
+    h, v1, v_other, w, rngs = kept_channels(cfg, indices)
+    msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams) for rng in rngs])
+    noise = sample_noise(cfg.M, plan.N, cfg.channel_model, rngs)
+    _, sigma2 = snr_levels(cfg.snr_grid)
+    y = transmit(h, v1, v_other, split_by_transmitter(modulate_bpsk(msgs), plan),
+                 np.sqrt(sigma2)[:, None, None] * noise[:, None])
+    return reference_cp_recover(eff, einsum_demodulate(y, explicit_filters(h, w), eff))[1]
 
 
 def stream_rates(cfg, snr_dbs, indices):
@@ -74,7 +98,7 @@ def stream_rates(cfg, snr_dbs, indices):
     *indices* before the backhaul cap."""
     eff = effective_system(extension_dims(cfg.M, cfg.n))
     _, sigma2 = snr_levels(snr_dbs)
-    return per_link_rates(stream_gains(*kept_channels(cfg, indices), eff), sigma2)
+    return per_link_rates(stream_gains(*kept_channels(cfg, indices)[:4], eff), sigma2)
 
 
 def spoil(value, how):
@@ -293,14 +317,15 @@ class TestConfig:
 class TestRunTrial:
     def test_deterministic_replay(self):
         cfg = small_config()
-        a = run_trial(cfg, cfg.snr_grid, trial_index=3)
-        b = run_trial(cfg, cfg.snr_grid, trial_index=3)
-        assert trial_rows(a) == trial_rows(b)
+        a = run_trials(cfg, cfg.snr_grid, [3])
+        b = run_trials(cfg, cfg.snr_grid, [3])
+        assert a.kept[0] and trial_rows(a) == trial_rows(b)
 
     def test_distinct_trials_differ(self):
         cfg = small_config()
         a = one_point(cfg, 20.0, trial_index=0)
         b = one_point(cfg, 20.0, trial_index=1)
+        assert a.kept[0] and b.kept[0]
         assert a.snc_rate[0, 0] != b.snc_rate[0, 0]
 
     @pytest.mark.parametrize("overrides", [
@@ -317,14 +342,13 @@ class TestRunTrial:
         cfg = small_config(**overrides)
         aborted = 0
         for i in range(6):
-            try:
-                [grid] = trial_rows(run_trial(cfg, cfg.snr_grid, i))
-            except TrialAbortError:
+            b = run_trials(cfg, cfg.snr_grid, [i])
+            if not b.kept[0]:
                 aborted += 1
                 for snr_db in cfg.snr_grid:
-                    with pytest.raises(TrialAbortError):
-                        one_point(cfg, snr_db, i)
+                    assert not one_point(cfg, snr_db, i).kept[0]
                 continue
+            [grid] = trial_rows(b)
             assert all(row is None or len(row) == len(cfg.snr_grid) for row in grid)
             for p, snr_db in enumerate(cfg.snr_grid):
                 point =tuple(None if row is None else row[p:p + 1] for row in grid)
@@ -335,6 +359,7 @@ class TestRunTrial:
     def test_cap_binds_at_zero_db(self):
         cfg = small_config(scheme="snc")
         r = one_point(cfg, 0.0, trial_index=0)
+        assert r.kept[0]
         # every stream capped at log2(2) = 1 bit; 3 streams over N=2 slots
         assert r.snc_rate[0, 0] <= 3.0 + 1e-12
 
@@ -346,6 +371,7 @@ class TestRunTrial:
         sums, streams = [], []
         for i in range(30):
             r = one_point(cfg, 60.0, i)
+            assert r.kept[0]
             [[per_signal]] = stream_rates(cfg, (60.0,), [i]).tolist()
             [[sum_rate]] = r.snc_rate.tolist()
             assert len(per_signal) == 5
@@ -393,11 +419,9 @@ class TestRunTrials:
                 if not b.kept.any():  # a chunk whose every trial aborted
                     assert all(getattr(b, name) is None for name in TRIAL_ROWS)
         for i, row in enumerate(rows):
-            if row is None:
-                with pytest.raises(TrialAbortError):
-                    run_trial(cfg, cfg.snr_grid, i)
-                continue
-            assert trial_rows(run_trial(cfg, cfg.snr_grid, i)) == [row]
+            b = run_trials(cfg, cfg.snr_grid, [i])
+            assert b.kept[0] == (row is not None)
+            assert trial_rows(b) == [row]
         if cfg.n == 10:
             aborted = [i for i, row in enumerate(rows) if row is None]
             assert 0 < len(aborted) < T  # both paths were exercised
@@ -434,7 +458,7 @@ class TestRunTrials:
         # links, then capped and summed: the rate taken once per link and
         # SNR point gives the engine's block rates to the last bit
         cfg = small_config(**{"trials": 15, "snr_start": 0.0, "snr_stop": 60.0, **overrides})
-        h, v1, v_other, w = kept_channels(cfg, range(cfg.trials))
+        h, v1, v_other, w, _ = kept_channels(cfg, range(cfg.trials))
         eff = effective_system(extension_dims(cfg.M, cfg.n))
         gains = explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff)
         rhos, sigma2 = snr_levels(cfg.snr_grid)
@@ -445,6 +469,24 @@ class TestRunTrials:
         b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         assert len(h) == np.count_nonzero(b.kept) > 0
         assert np.array_equal(b.snc_rate, per_signal.sum(axis=-1))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="snc", n=2),
+        dict(scheme="snc", K=3, n=2, channel_model="complex"),
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False),
+        dict(scheme="snc", K=4, channel_model="complex"),
+        dict(scheme="both", tx_antennas=(2, 1), rx_antennas=(2, 1)),
+    ])
+    def test_detected_equals_physical_chain(self, overrides):
+        # F s plus the filtered unit noise flags, at every point, the errors
+        # that the received vectors through the explicit filters flag
+        cfg = small_config(**{"trials": 30, "snr_start": -10.0, "snr_stop": 300.0,
+                              "snr_step": 10.0, **overrides})
+        b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        ref = oracle_detected(cfg, range(cfg.trials))
+        assert b.detected.shape == ref.shape == (np.count_nonzero(b.kept), 32)
+        assert np.array_equal(b.detected, ref)
+        assert ref[:, 0].any() and not ref[:, -1].any()
 
     def test_chunk_length_bounds(self):
         for workers in (1, 2, 3, 64):
@@ -468,6 +510,7 @@ class TestRunSweep:
         cfg = small_config(trials=1, snr_start=20.0, snr_stop=20.0)
         res = run_sweep(cfg)
         sample = one_point(cfg, 20.0, 0)
+        assert sample.kept[0]
         pt = res.point("snc", 20.0)
         assert pt.trials == 1
         assert pt.mean_sum_rate == pytest.approx(sample.snc_rate[0, 0] / res.n_ext)
@@ -479,7 +522,9 @@ class TestRunSweep:
         res = run_sweep(cfg)
         mean = 0.0
         for i in range(20):
-            x = one_point(cfg, 10.0, i).snc_rate[0, 0] / res.n_ext
+            b = one_point(cfg, 10.0, i)
+            assert b.kept[0]
+            x = b.snc_rate[0, 0] / res.n_ext
             mean += (x - mean) / (i + 1)
         assert abs(res.point("snc", 10.0).mean_sum_rate - mean) < 1e-12
 
@@ -596,8 +641,11 @@ def test_traced_layers_exist():
         layer, fn = name.split(".")
         if not callable(getattr(importlib.import_module(f"sncsim.{layer}"), fn, None)):
             missing.add(name)
-    # removed before this check existed; the benchmark still lists them
-    assert missing <= {"snc.build_effective_system", "gf.find_valid_field_size"}
+    # removed before this check existed, and phy.transmit (the noisy pass
+    # filters only the noise) and harness.run_trial (run_trials on one
+    # index) since; the benchmark still lists them
+    assert missing <= {"snc.build_effective_system", "gf.find_valid_field_size",
+                       "phy.transmit", "harness.run_trial"}
 
 
 def test_import_loads_numpy_random():

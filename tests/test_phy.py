@@ -13,9 +13,13 @@ from sncsim.phy import (
     modulate_bpsk,
     per_link_rates,
     stream_gains,
-    transmit,
 )
-from sncsim.channel import sample_extended_channel, sample_noise
+from sncsim.channel import (
+    Topology,
+    expand_mimo_to_virtual,
+    sample_extended_channel,
+    sample_noise,
+)
 from sncsim.snc import (
     build_filters,
     build_precoders,
@@ -27,9 +31,13 @@ from sncsim.snc import (
 )
 from tests.test_snc import (
     build_all,
+    einsum_demodulate,
     explicit_filters,
     make_channel,
     precoder,
+    split_by_transmitter,
+    stream_offsets,
+    transmit,
 )
 
 
@@ -121,7 +129,8 @@ class TestDemodulation:
             noise = 0.5 * (rng.standard_normal((3, plan.N))
                            + 1j * rng.standard_normal((3, plan.N)))
             y = transmit(h, *p, [modulate_bpsk(b) for b in msgs], noise)
-            out = filter_and_demodulate(y, h, build_filters(p[0]), eff)
+            s = modulate_bpsk(np.concatenate(msgs))
+            [out] = filter_and_demodulate(s, noise, h, build_filters(p[0]), [1.0], eff)
             z = np.concatenate([np.real(f[l] @ y[l]) for l in range(3)])
             slow = [_demod_sum_constellation(float(v), m) for v, m in zip(z, weights)]
             assert np.array_equal(out, pack_bits(slow))
@@ -139,22 +148,27 @@ class TestDemodulation:
         b1 = np.array([1, 0, 1])
         b2 = np.array([1, 1])
         x = [modulate_bpsk(b1), modulate_bpsk(b2)]
-        y = transmit(h, *p, x, np.zeros((2, 3)))
-        out = filter_and_demodulate(y, h, build_filters(p[0]), eff)
+        zero = np.zeros((2, 3))
+        y = transmit(h, *p, x, zero)
+        w = build_filters(p[0])
+        [out] = filter_and_demodulate(np.concatenate(x), zero, h, w, [1.0], eff)
         expected_r1 = np.array([b1[0] ^ b2[0], b1[1] ^ b2[1], b1[2]])
         expected_r2 = np.array([b1[0], b1[1] ^ b2[0], b1[2] ^ b2[1]])
-        assert np.array_equal(out, pack_bits(np.concatenate([expected_r1, expected_r2])))
+        expected = np.concatenate([expected_r1, expected_r2])
+        assert np.array_equal(out, pack_bits(expected))
+        assert np.array_equal(einsum_demodulate(y, f, eff), expected)
 
-
-def einsum_demodulate(y, u, eff):
-    """filter_and_demodulate with the explicit filters u (..., K, N, N) of
-    explicit_filters in one einsum: the form the factored filters replace,
-    kept as their reference."""
-    u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
-    z = np.real(np.einsum("...lij,...lj->...li", u, y))
-    m = eff.weights
-    j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
-    return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
+    def test_zero_variance_gives_noiseless_words(self):
+        # sigma2 = 0 scales the filtered unit noise away: the words of F s
+        plan, h, p, f, eff = build_all(3, 2, seed=4)
+        rng = np.random.default_rng(5)
+        msgs = rng.integers(0, 2, size=(6, plan.total_streams))
+        [noise] = sample_noise(3, plan.N, "complex", [rng])
+        words = filter_and_demodulate(modulate_bpsk(msgs), noise, h,
+                                      build_filters(p[0]), [0.0, 1.0], eff)
+        assert words.shape == (6, 2, -(-3 * plan.N // 64))
+        assert np.array_equal(words[:, 0], pack_bits(msgs @ eff.f_int.T % 2))
+        assert not np.array_equal(words[:, 1], words[:, 0])
 
 
 def links(eff):
@@ -194,17 +208,30 @@ def min_over_links(per_link, eff):
 
 
 WORKLOAD_PLANS = [(2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex")]
+# the (2, 1) x (2, 1) antenna topology: 3 virtual users
+MIMO_USERS = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (2, 1)))
+ORACLE_PLANS = WORKLOAD_PLANS + [
+    (2, 1, "real"), (2, 1, "complex"), (3, 1, "complex"), (4, 1, "real"),
+    (4, 1, "complex"),
+    pytest.param(MIMO_USERS, 1, "real", id="mimo-2x1-real"),
+    pytest.param(MIMO_USERS, 1, "complex", id="mimo-2x1-complex"),
+]
+# -20, 0, ..., 300 dB: from noise-dominated to noise far below rounding
+ORACLE_SNR_DB = np.arange(-20, 301, 20)
 
 
 class TestFactoredFilters:
-    """The factored filters w / d_l give the bits and gains of the explicit
-    per-receiver filters, on noisy stacks of the benchmark's plans."""
+    """The closed form F s plus noise through the factored filters w / d_l
+    gives the bits of the physical chain, transmit through the explicit
+    per-receiver filters, and the factored filters give their gains, on
+    noisy stacks of the benchmark's plans and more."""
 
     @staticmethod
     def noisy_stack(K, n, model, trials, seed):
-        """The kept trials of *trials* draws: their channel, precoders and
-        inverses w, and the received vectors (T, S, K, N) of random
-        messages at 0, 10, ..., 60 dB."""
+        """The kept trials of *trials* draws of K users: their channel,
+        precoders and inverses w, the BPSK symbols s of random messages,
+        their unit noise, the noise powers sigma2 of ORACLE_SNR_DB, and the
+        received vectors (T, S, K, N) of transmit."""
         plan = extension_dims(K, n)
         eff = effective_system(plan)
         rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
@@ -214,24 +241,32 @@ class TestFactoredFilters:
         h, v1, v_other = h[keep], v1[keep], v_other[keep]
         w = build_filters(v1)
         msgs = np.stack([rngs[t].integers(0, 2, plan.total_streams) for t in keep])
-        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
-        sigma2 = 10.0 ** -(np.arange(0, 61, 10) / 10.0)
-        noise = sample_noise(sigma2, K, plan.N, model, [rngs[t] for t in keep])
-        return eff, h, v1, v_other, w, transmit(h, v1, v_other, x, noise)
+        s = modulate_bpsk(msgs)
+        sigma2 = 10.0 ** -(ORACLE_SNR_DB / 10.0)
+        noise = sample_noise(K, plan.N, model, [rngs[t] for t in keep])
+        y = transmit(h, v1, v_other, split_by_transmitter(s, plan),
+                     np.sqrt(sigma2)[:, None, None] * noise[:, None])
+        return eff, h, v1, v_other, w, s, noise, sigma2, y
 
-    @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
+    @pytest.mark.parametrize("K, n, model", ORACLE_PLANS)
     def test_bits_equal_explicit_filters(self, K, n, model):
-        eff, h, _, _, w, y = self.noisy_stack(K, n, model, 60, seed=41)
-        words = filter_and_demodulate(y, h, w, eff)
+        eff, h, _, _, w, s, noise, sigma2, y = self.noisy_stack(K, n, model, 60, seed=41)
+        words = filter_and_demodulate(s, noise, h, w, sigma2, eff)
         bits = einsum_demodulate(y, explicit_filters(h, w), eff)
-        assert len(h) >= 8 and bits.shape == (len(h), 7, K * eff.plan.N)
-        assert words.shape == (len(h), 7, -(-K * eff.plan.N // 64))
+        S = len(ORACLE_SNR_DB)
+        assert len(h) >= 8 and bits.shape == (len(h), S, K * eff.plan.N)
+        assert words.shape == (len(h), S, -(-K * eff.plan.N // 64))
         assert np.array_equal(words, pack_bits(bits))
         assert 0 < np.count_nonzero(bits) < bits.size
+        # the noise flips bits at -20 dB and none at 300 dB
+        msgs = ((1 - s) / 2).astype(np.int64)
+        noiseless = pack_bits(msgs @ eff.f_int.T % 2)
+        assert np.array_equal(words[:, -1], noiseless)
+        assert not np.array_equal(words[:, 0], noiseless)
 
     @pytest.mark.parametrize("K, n, model", WORKLOAD_PLANS)
     def test_gains_equal_explicit_filters(self, K, n, model):
-        eff, h, v1, v_other, w, _ = self.noisy_stack(K, n, model, 60, seed=42)
+        eff, h, v1, v_other, w, *_ = self.noisy_stack(K, n, model, 60, seed=42)
         gains = stream_gains(h, v1, v_other, w, eff)
         ref = min_over_links(explicit_link_gains(v1, v_other, explicit_row_norms(h, w),
                                                  eff), eff)
@@ -310,11 +345,12 @@ class TestRates:
                 budget = max(float(np.max(np.sum(np.abs(v) ** 2, axis=0))) for v in p)
                 link_cols, link_rows = links(eff)
                 sigma2s = (1.0, 1e-3, 1e-6)
+                offsets = stream_offsets(plan)
                 for sigma2, rates in zip(sigma2s, per_link_rates(gains, sigma2s)):
                     assert rates.shape == (plan.total_streams,)
                     for c, rate in enumerate(rates):
-                        k = int(np.searchsorted(eff.col_offset, c, side="right")) - 1
-                        col = precoder(p, k)[:, c - eff.col_offset[k]]
+                        k = int(np.searchsorted(offsets, c, side="right")) - 1
+                        col = precoder(p, k)[:, c - offsets[k]]
                         col = col * math.sqrt(budget) / float(np.linalg.norm(col))
                         oracle = []
                         for r in link_rows[link_cols == c]:
@@ -365,21 +401,19 @@ class TestSnrBatch:
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 5)]
         sigma2 = np.array([1.0 / rho for rho in rhos])
         msgs = np.random.default_rng(31).integers(0, 2, size=plan.total_streams)
-        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:])
-        [noise] = sample_noise(sigma2, K, plan.N, model, [np.random.default_rng(32)])
-        y = transmit(h, *p, x, noise)
-        fwd = filter_and_demodulate(y, h, w, eff)
+        x = modulate_bpsk(msgs)
+        [noise] = sample_noise(K, plan.N, model, [np.random.default_rng(32)])
+        fwd = filter_and_demodulate(x, noise, h, w, sigma2, eff)
         msgs_out, detected = cp_recover(eff, fwd)
         rates = per_link_rates(stream_gains(h, *p, w, eff), sigma2)
         sums = end_to_end_sum_rate(rates, rhos)
-        assert noise.shape == y.shape == (len(rhos), K, plan.N)
+        assert noise.shape == (K, plan.N)
         assert fwd.shape == (len(rhos), -(-K * plan.N // 64))
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
-            [[n1]] = sample_noise([s2], K, plan.N, model, [np.random.default_rng(32)])
-            y1 = transmit(h, *p, x, n1)
-            fwd1 = filter_and_demodulate(y1, h, w, eff)
+            [n1] = sample_noise(K, plan.N, model, [np.random.default_rng(32)])
+            [fwd1] = filter_and_demodulate(x, n1, h, w, [s2], eff)
             msgs1, detected1 = cp_recover(eff, fwd1)
-            assert np.array_equal(n1, noise[s]) and np.array_equal(y1, y[s])
+            assert np.array_equal(n1, noise)
             assert np.array_equal(fwd1, fwd[s])
             assert detected1 == detected[s]
             assert np.array_equal(msgs1, msgs_out[s])

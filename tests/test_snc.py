@@ -19,7 +19,6 @@ from sncsim.phy import (
     modulate_bpsk,
     per_link_rates,
     stream_gains,
-    transmit,
 )
 from sncsim.snc import (
     RANK_SV_RTOL,
@@ -50,6 +49,49 @@ def explicit_filters(h, w):
     x' = u[l] @ y_l: the per-receiver filter stack the engine once built,
     kept as the reference for the factored form."""
     return w[..., None, :, :] / h[..., 0, None, :]
+
+
+def stream_offsets(plan):
+    """The first column of F of every transmitter: transmitter 1's N
+    streams, then N' streams for each further transmitter."""
+    return (0,) + tuple(plan.N + k * plan.N_prime for k in range(plan.K - 1))
+
+
+def split_by_transmitter(s, plan):
+    """The symbols s (..., streams), in column order of F, as the K
+    transmitters' symbol vectors."""
+    return np.split(s, stream_offsets(plan)[1:], axis=-1)
+
+
+def transmit(h, v1, v_other, x, noise):
+    """Received vectors y_l = sum_k H_{l,k} V_k x_k + n_l, shaped like the
+    noise (..., K, N); *x* holds the K transmitters' symbol vectors, sent
+    through transmitter 1's precoder *v1* and the shared *v_other*.  The
+    leading (trial) axes of the channel h, the precoders and x lead the
+    noise too, and any further noise axes (SNR points) follow them.  The
+    physical chain that filter_and_demodulate's closed form F s plus
+    filtered noise replaces, kept as its reference."""
+    y = np.asarray(noise, dtype=h.dtype)
+    lead = h.ndim - 3
+    for k, xk in enumerate(x):
+        vx = ((v_other if k else v1) @ np.asarray(xk)[..., None])[..., 0]
+        sig = h[..., k, :] * vx[..., None, :]
+        y = y + sig.reshape(sig.shape[:lead] + (1,) * (y.ndim - sig.ndim)
+                            + sig.shape[lead:])
+    return y
+
+
+def einsum_demodulate(y, u, eff):
+    """The network-coded bits (..., K N) of the received vectors y
+    (..., K, N) through the explicit filters u (..., K, N, N) of
+    explicit_filters in one einsum, one int64 entry per bit in row order
+    of F: with transmit, the physical chain that filter_and_demodulate's
+    words are held to."""
+    u = u.reshape(u.shape[:-3] + (1,) * (y.ndim + 1 - u.ndim) + u.shape[-3:])
+    z = np.real(np.einsum("...lij,...lj->...li", u, y))
+    m = eff.weights
+    j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
+    return (j.astype(np.int64) % 2).reshape(*z.shape[:-2], -1)
 
 
 def one_trial_filters(h, p):
@@ -384,7 +426,7 @@ class TestPlanSystem:
             n = 1
             while extension_dims(K, n).N <= 400:
                 plan = extension_dims(K, n)
-                f, _ = _plan_matrix(plan)
+                f = _plan_matrix(plan)
                 assert f.any(axis=0).all(), (K, n)
                 assert gf2_rank(f) == plan.total_streams, (K, n)
                 plans += 1
@@ -467,10 +509,13 @@ class TestRankTestSuffices:
         residual = np.max(np.abs(w @ v1 - np.eye(plan.N)), axis=(-2, -1))
         assert np.all(residual <= plan.N * np.finfo(float).eps * np.linalg.cond(v1))
         msgs = np.random.default_rng(1501).integers(0, 2, size=(len(h), plan.total_streams))
-        x = np.split(modulate_bpsk(msgs), eff.col_offset[1:], axis=-1)
-        y = transmit(h, v1, v_other, x, np.zeros((len(h), K, plan.N)))
-        words = filter_and_demodulate(y, h, w, eff)
-        assert np.array_equal(words, pack_bits(msgs @ eff.f_int.T % 2))
+        s = modulate_bpsk(msgs)
+        zero = np.zeros((len(h), K, plan.N))
+        y = transmit(h, v1, v_other, split_by_transmitter(s, plan), zero)
+        bits = einsum_demodulate(y, explicit_filters(h, w), eff)
+        assert np.array_equal(bits, msgs @ eff.f_int.T % 2)
+        words = filter_and_demodulate(s, zero, h, w, [1.0], eff)
+        assert np.array_equal(words[:, 0], pack_bits(bits))
 
 
 def graded_stack(n, dtype, seed):
