@@ -2,8 +2,10 @@
 Seeded Monte Carlo sweeps over SNR with CSV/JSON output.
 
 Each trial derives its own RNG stream from (master seed, trial index), so
-runs are byte-identical across repeats and across worker counts.  The two
-schemes share the channel realization of a trial (paired comparison).
+runs are byte-identical across repeats and across worker counts;
+run_trials builds a chunk's generators with one vectorised SeedSequence
+hash (channel.trial_generators).  The two schemes share the channel
+realization of a trial (paired comparison).
 SNR is interpreted as 1 / sigma^2: the precoders' largest column has
 unit power and the noise variance is swept.
 
@@ -13,10 +15,11 @@ ConfigError for every config it rejects: one whose plan cannot be built,
 a count that is not an integer, a cap flag that is not a bool, an
 antenna list that is not a sequence, an SNR field that is not a real
 number, a field size that is not a prime below 2^63, an SNR grid of more
-than MAX_SNR_POINTS points, or one whose linear SNR leaves LEVEL_RANGE
-(snr_levels, which the engine shares).  The engine evaluates chunks of
-consecutive trials: run_trials draws a chunk's channels as one bare
-(T, M, M, N) stack, one generator call per trial, and builds everything
+than MAX_SNR_POINTS points, one whose linear SNR leaves LEVEL_RANGE
+(snr_levels, which the engine shares), or more than MAX_TRIALS trials.
+The engine evaluates chunks of consecutive trials: run_trials draws a
+chunk's channels as one bare (T, M, M, N) stack, one generator call per
+trial, and builds everything
 that depends on the channel alone (the precoders v1 and v_other, the
 filters' shared inverse w of V_1, V_1's rank test read from w, each
 stream's gain at its weakest receiver) as plain arrays in one stacked
@@ -33,8 +36,11 @@ chunks of trials // (4 workers) trials.  run_sweep joins the chunks'
 outcomes into [point, kept trial] arrays and aggregates every point of a
 scheme in one pass over the trial axis.
 
-Draw-order contract: each trial has its own generator, which draws the
-channel and its resamples, then the messages, then the noise, each once.
+Draw-order contract: trial i has its own generator, the one
+default_rng(SeedSequence([seed, i])) gives, which draws the channel and
+its resamples, then the messages, then the noise, each once.  The
+messages are the bits Generator.integers(0, 2) would draw, read from the
+generator's raw outputs (channel.sample_message_bits).
 The noise is drawn at unit variance with no SNR axis; only its scale,
 applied after the filter, depends on the SNR.  The channel and noise
 draws of a chunk are stacked (one call on each trial's generator, one
@@ -56,20 +62,22 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
-# numpy loads numpy.random lazily; importing it here means forked pool
-# workers inherit it instead of each loading it on its first trial
-from numpy.random import SeedSequence, default_rng
 
 from . import __version__
+# channel imports numpy.random, which numpy loads lazily: importing it here
+# means forked pool workers inherit it instead of each loading it on its
+# first trial
 from .channel import (
     Topology,
     expand_mimo_to_virtual,
     sample_extended_channel,
+    sample_message_bits,
     sample_noise,
+    trial_generators,
 )
 from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
 from .gf import PrimeField, RankDeficientError
@@ -102,6 +110,8 @@ BATCH_ELEMENTS = 2**16
 # subnormal.
 LEVEL_RANGE = (2.0 ** -511, 2.0 ** 511)
 MAX_SNR_POINTS = 10**4
+# a trial index is one 32-bit word of its generator's entropy
+MAX_TRIALS = 2**32
 
 
 class ConfigError(Exception):
@@ -203,6 +213,9 @@ class SimConfig:
             raise ConfigError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"at most {MAX_TRIALS} trials, got {self.trials}: "
+                              "a trial index must fit one 32-bit seed word")
         try:
             M = self.M
         except ValueError as exc:
@@ -243,7 +256,12 @@ class SimConfig:
     def rx_count(self) -> int:
         return self.K if self.L is None else self.L
 
-    @property
+    def __getstate__(self):
+        # the fields alone: the cached derived values are rebuilt on demand,
+        # so a config pickles to the same bytes whether or not they were read
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @cached_property
     def M(self) -> int:
         tx = self.tx_antennas or (1,) * self.K
         rx = self.rx_antennas or (1,) * self.rx_count
@@ -257,13 +275,13 @@ class SimConfig:
     def run_cf(self) -> bool:
         return self.scheme in ("cf", "both")
 
-    @property
+    @cached_property
     def n_ext(self) -> int:
         """The block length N: the alignment plan's extension, or one slot
         when only compute-and-forward runs."""
         return extension_dims(self.M, self.n).N if self.run_snc else 1
 
-    @property
+    @cached_property
     def snr_grid(self) -> tuple[float, ...]:
         count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9))
         return tuple(self.snr_start + i * self.snr_step for i in range(count + 1))
@@ -325,7 +343,7 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     M, n_ext = cfg.M, cfg.n_ext
     plan = extension_dims(M, cfg.n) if cfg.run_snc else None
     rhos, sigma2 = snr_levels(snr_dbs)
-    rngs = [default_rng(SeedSequence([cfg.seed, i])) for i in indices]
+    rngs = trial_generators(cfg.seed, indices)
 
     def draw(trials):
         return sample_extended_channel(M, n_ext, cfg.channel_model,
@@ -348,8 +366,7 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
                                               cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
         kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
-        msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams)
-                         for rng in kept_rngs])
+        msgs = sample_message_bits(plan.total_streams, kept_rngs)
         noise = sample_noise(M, n_ext, cfg.channel_model, kept_rngs)
         words = filter_and_demodulate(modulate_bpsk(msgs), noise, h, w, sigma2, eff)
         _, out["detected"] = cp_recover(eff, words)

@@ -6,8 +6,10 @@ from sncsim.channel import (
     _draw_coeffs,
     expand_mimo_to_virtual,
     sample_extended_channel,
+    sample_message_bits,
     sample_noise,
     single_antenna,
+    trial_generators,
 )
 
 
@@ -72,9 +74,9 @@ class TestChannelSampling:
                 self.rng = np.random.default_rng(4)
                 self.calls = []
 
-            def standard_normal(self, shape):
-                self.calls.append(shape)
-                out = self.rng.standard_normal(shape)
+            def standard_normal(self, out):
+                self.calls.append(out.shape)
+                self.rng.standard_normal(out=out)
                 if len(self.calls) == 1:
                     out.flat[[1, 6]] = 0.0
                 return out
@@ -186,8 +188,8 @@ class ZeroingGenerator:
         self.rng = np.random.default_rng(seed)
         self.slots = slots
 
-    def standard_normal(self, size):
-        z = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
         if self.slots is not None:
             z[..., self.slots] = 0.0
             self.slots = None
@@ -247,3 +249,56 @@ class TestDrawsPinned:
             ref = np.stack([reference_noise(3, 11, model, rng)
                             for rng in chunk_generators(seed)])
             assert got.shape == (5, 3, 11) and np.array_equal(got, ref)
+
+
+def reference_generators(seed, indices):
+    """The per-trial generators that trial_generators must equal."""
+    return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in indices]
+
+
+class TestTrialGenerators:
+    """The vectorised SeedSequence hash builds default_rng's generators."""
+
+    # one to seven seed words: 2^96 and 2^200 + 5 put entropy past the pool
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**200 + 5]
+    CHUNKS = [range(301), range(150, 170), range(2**32 - 3, 2**32),
+              [2**32 - 1, 0, 300, 7, 7, 123456789, 2**31]]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_and_raw_streams_equal_default_rng(self, seed):
+        for indices in self.CHUNKS:
+            got = trial_generators(seed, indices)
+            ref = reference_generators(seed, indices)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert type(g.bit_generator) is type(r.bit_generator)
+                assert g.bit_generator.state == r.bit_generator.state
+            raw = np.stack([g.bit_generator.random_raw(64) for g in got])
+            assert np.array_equal(raw, np.stack([r.bit_generator.random_raw(64)
+                                                 for r in ref]))
+
+    def test_generators_are_independent(self):
+        a, b = trial_generators(5, [3, 3])
+        a.standard_normal(10)
+        assert b.bit_generator.state == reference_generators(5, [3])[0].bit_generator.state
+
+    def test_index_past_one_word_is_rejected(self):
+        with pytest.raises(OverflowError):
+            trial_generators(0, [2**32])
+
+
+class TestMessageBits:
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_equal_integers_after_a_channel_draw(self, model):
+        # odd n leaves half a raw output unread, which the normal draws
+        # after the messages must not see
+        for n in range(1, 201):
+            got = trial_generators(n, range(3))
+            ref = reference_generators(n, range(3))
+            assert np.array_equal(sample_extended_channel(2, 3, model, got),
+                                  sample_extended_channel(2, 3, model, ref))
+            bits = sample_message_bits(n, got)
+            expected = np.stack([rng.integers(0, 2, size=n) for rng in ref])
+            assert bits.dtype == expected.dtype and np.array_equal(bits, expected)
+            assert np.array_equal(sample_noise(2, 3, model, got),
+                                  sample_noise(2, 3, model, ref))

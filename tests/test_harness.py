@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import runpy
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from sncsim.harness import (
 )
 from sncsim.phy import modulate_bpsk, per_link_rates, stream_gains
 from sncsim.snc import effective_system, extension_dims
+from tests.test_channel import reference_generators
 from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
 from tests.test_snc import (
     einsum_demodulate,
@@ -145,6 +147,26 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 small_config(scheme=scheme, q=3).validate()
         small_config(scheme="cf", q=3).validate()
+
+    def test_trial_count_fits_one_seed_word(self):
+        # trial i's generator hashes i as one uint32 entropy word
+        small_config(trials=2**32).validate()
+        with pytest.raises(ConfigError, match="32-bit"):
+            small_config(trials=2**32 + 1).validate()
+
+    def test_derived_values_stay_out_of_equality_asdict_and_pickle(self):
+        mimo = dict(tx_antennas=(2, 1), rx_antennas=(2, 1))
+        cfg = small_config(**mimo)
+        before = pickle.dumps(cfg), dataclasses.asdict(cfg), hash(cfg)
+        assert (cfg.M, cfg.n_ext) == (3, extension_dims(3, 1).N)
+        assert cfg.snr_grid == (10.0, 20.0, 30.0)
+        assert (pickle.dumps(cfg), dataclasses.asdict(cfg), hash(cfg)) == before
+        assert cfg == small_config(**mimo)
+        copy = pickle.loads(before[0])
+        assert copy == cfg and (copy.M, copy.n_ext, copy.snr_grid) == (cfg.M, cfg.n_ext,
+                                                                       cfg.snr_grid)
+        # a replaced field derives afresh
+        assert dataclasses.replace(cfg, n=2).n_ext == extension_dims(3, 2).N
 
     def test_cf_radius_must_be_positive(self):
         for scheme in ("cf", "both"):
@@ -428,6 +450,30 @@ class TestRunTrials:
             b = run_trials(cfg, cfg.snr_grid, aborted[:3])
             assert not b.kept.any()
             assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="both", n=2),
+        dict(scheme="snc", K=3, n=2, channel_model="complex"),
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False),
+        dict(scheme="both", tx_antennas=(2, 1), rx_antennas=(2, 1)),
+    ])
+    def test_equals_per_trial_seed_sequence_path(self, overrides, monkeypatch):
+        # every array of the batch is what default_rng(SeedSequence([seed,
+        # i])) and its integers(0, 2) messages give, bit for bit
+        cfg = small_config(**{"trials": 40, "seed": 2**40 + 7, "snr_start": -10.0,
+                              "snr_stop": 60.0, **overrides})
+        got = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        monkeypatch.setattr(harness, "trial_generators", reference_generators)
+        monkeypatch.setattr(harness, "sample_message_bits", lambda n, rngs: np.stack(
+            [rng.integers(0, 2, size=n) for rng in rngs]))
+        ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        if cfg.n == 10:
+            assert 0 < np.count_nonzero(ref.kept) < cfg.trials
+        for name in ("kept", *TRIAL_ROWS):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_kept_inverses_are_those_of_one_call_after_the_loop(self):
         # K=2, n=10 draws often lose rank: this chunk resamples and aborts
@@ -796,6 +842,7 @@ class TestCli:
         ["--users", "3", "--ext-n", "1", "--scheme", "cf", "--cf-radius", "1000000"],
         ["--snr", "0:60:5e-324"],
         ["--snr", "0:60:1e-300"],
+        ["--trials", str(2**32 + 1)],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
