@@ -14,15 +14,13 @@ flips, all points in one array pass, and a certificate proves the winning
 orbit's best member the exhaustive search's pick (see _search); a (point,
 row) it leaves open takes the exhaustive search.  One batched GF(q) test
 decides the outage of every (trial, point, slot).  It returns (T, S)
-arrays.  cf_select_coeffs evaluates the same rate function on one row; it
-and cf_computation_rate are the per-row references.
+arrays.  cf_select_coeffs evaluates the same rate function on one row.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -40,22 +38,6 @@ PASS_ELEMENTS = 2**18
 def search_grid_size(K: int, radius: int) -> int:
     """Integer vectors of length K with max-norm <= radius, (2 radius + 1)^K."""
     return (2 * radius + 1) ** K
-
-
-def cf_computation_rate(h_row, a, rho: float) -> float:
-    """Computation rate for equation coefficients *a* on channel row *h*.
-
-    R = (1/2) log2( 1 / (||a||^2 - rho (h.a)^2 / (1 + rho ||h||^2)) ),
-    clamped at 0 from below.
-    """
-    h = np.asarray(h_row, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not np.any(a):
-        raise ValueError("coefficient vector must be nonzero")
-    denom = float(a @ a) - rho * float(h @ a) ** 2 / (1.0 + rho * float(h @ h))
-    if denom <= 0:  # cannot happen mathematically; guard fp noise
-        denom = np.finfo(float).tiny
-    return max(0.0, 0.5 * math.log2(1.0 / denom))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,9 +88,11 @@ def _projections(H, cand):
 
 
 def _rates(proj, hh, norm2, rho) -> np.ndarray:
-    """Computation rates of every candidate at SNR rho (the formula of
-    cf_computation_rate, clamped the same way), one operation at a time in
-    one new array, so that every caller rounds alike."""
+    """Computation rates R = (1/2) log2(1 / (||a||^2 - rho (h.a)^2 /
+    (1 + rho ||h||^2))) of every candidate a at SNR rho, the denominator
+    clamped to the smallest normal float and R to 0 from below, one
+    operation at a time in one new array, so that every caller rounds
+    alike."""
     out = np.multiply(rho, proj)
     np.divide(out, 1.0 + rho * hh, out=out)
     np.subtract(norm2, out, out=out)

@@ -1,15 +1,13 @@
 """
-Time-varying extended channels, noise, and MIMO virtual-node expansion.
+Time-varying extended channels and noise.
 
 A channel is a bare array of diagonals: h[l, k] is the length-N diagonal
 of the extended channel from virtual transmitter k to virtual receiver l,
 so one draw is an (M, M, N) array, a stack of trials puts a leading trial
 axis on it, and its dtype tells a real channel from a complex one.
 Off-diagonals are zero by representation; each diagonal slot is an
-independent draw (time-varying channel).  Multi-antenna topologies are
-mapped to an equivalent single-antenna network by treating every antenna
-as a virtual node: expand_mimo_to_virtual gives its user count M, which is
-all that a draw needs.
+independent draw (time-varying channel).  A draw needs only the number M
+of virtual single-antenna users (harness.SimConfig.M).
 
 Trial i of a sweep seeded with *seed* draws from the generator
 default_rng(SeedSequence([seed, i])) would build.  trial_generators builds
@@ -29,46 +27,9 @@ after the filter (phy.filter_and_demodulate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Physical network: K transmitters, L receivers, antennas per node."""
-
-    K: int
-    L: int
-    tx_antennas: tuple[int, ...]
-    rx_antennas: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.K < 1 or self.L < 1:
-            raise ValueError("need at least one transmitter and receiver")
-        if len(self.tx_antennas) != self.K or len(self.rx_antennas) != self.L:
-            raise ValueError("antenna list lengths must match K and L")
-        if min(self.tx_antennas) < 1 or min(self.rx_antennas) < 1:
-            raise ValueError("antenna counts must be >= 1")
-
-
-def single_antenna(K: int, L: int | None = None) -> Topology:
-    """Topology with one antenna per node (L defaults to K)."""
-    L = K if L is None else L
-    return Topology(K, L, (1,) * K, (1,) * L)
-
-
-def expand_mimo_to_virtual(t: Topology) -> int:
-    """The number M of virtual single-antenna users when each antenna is
-    treated as a virtual node.
-
-    Activates M = min(total tx antennas, total rx antennas) virtual
-    transmitters and M virtual receivers, taking antennas in node order
-    then antenna order (lowest indices first).
-    """
-    return min(sum(t.tx_antennas), sum(t.rx_antennas))
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of

@@ -21,12 +21,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _antenna_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad antenna list {text!r}")
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError("antenna counts must be >= 1")
-    return values
 
 
 def _snr_spec(text: str) -> tuple[float, float, float]:
@@ -41,61 +38,49 @@ def _snr_spec(text: str) -> tuple[float, float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser.  Each option stores into the SimConfig field it sets,
+    and only when given, so every default lives in SimConfig alone."""
     p = _Parser(
         prog="snc-sim",
         description="Monte Carlo sum-rate sweeps for signal-aligned network "
                     "coding vs compute-and-forward in K-user interference "
                     "channels with limited receiver cooperation.",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--users", type=int, default=2, metavar="K",
-                   help="number of transmitters (default 2)")
-    p.add_argument("--rx", type=int, default=None, metavar="L",
+    p.add_argument("--users", dest="K", type=int, metavar="K",
+                   help=f"number of transmitters (default {SimConfig.K})")
+    p.add_argument("--rx", dest="L", type=int, metavar="L",
                    help="number of receivers (default: same as --users)")
-    p.add_argument("--antennas-tx", type=_antenna_list, default=None,
+    p.add_argument("--antennas-tx", dest="tx_antennas", type=_antenna_list,
                    metavar="LIST", help="comma-separated antennas per transmitter")
-    p.add_argument("--antennas-rx", type=_antenna_list, default=None,
+    p.add_argument("--antennas-rx", dest="rx_antennas", type=_antenna_list,
                    metavar="LIST", help="comma-separated antennas per receiver")
-    p.add_argument("--ext-n", type=int, default=2, metavar="n",
-                   help="symbol-extension parameter (default 2)")
-    p.add_argument("--scheme", choices=("snc", "cf", "both"), default="both")
-    p.add_argument("--channel", choices=("real", "complex"), default="real")
-    p.add_argument("--field-size", type=int, default=2, metavar="q")
-    p.add_argument("--snr", type=_snr_spec, default=(0.0, 60.0, 5.0),
-                   metavar="START:STOP:STEP",
-                   help="SNR grid in dB (default 0:60:5); write a negative start "
-                        "with '=', as --snr=-10:0:5, or it is read as an option")
-    p.add_argument("--trials", type=int, default=1000, metavar="T")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--cf-radius", type=int, default=3, metavar="R",
+    p.add_argument("--ext-n", dest="n", type=int, metavar="n",
+                   help=f"symbol-extension parameter (default {SimConfig.n})")
+    p.add_argument("--scheme", choices=("snc", "cf", "both"))
+    p.add_argument("--channel", dest="channel_model", choices=("real", "complex"))
+    p.add_argument("--field-size", dest="q", type=int, metavar="q")
+    p.add_argument("--snr", type=_snr_spec, metavar="START:STOP:STEP",
+                   help=f"SNR grid in dB (default {SimConfig.snr_start:g}:"
+                        f"{SimConfig.snr_stop:g}:{SimConfig.snr_step:g}); write a "
+                        "negative start with '=', as --snr=-10:0:5, or it is "
+                        "read as an option")
+    p.add_argument("--trials", type=int, metavar="T")
+    p.add_argument("--seed", type=int, metavar="S")
+    p.add_argument("--cf-radius", dest="cf_radius", type=int, metavar="R",
                    help="max-norm bound of the coefficient search")
-    p.add_argument("--no-backhaul-cap", action="store_true",
+    p.add_argument("--no-backhaul-cap", dest="cap_enabled", action="store_false",
                    help="disable the per-stream cooperation-link cap")
-    p.add_argument("--out", default="sweep.csv", metavar="PATH",
+    p.add_argument("--out", dest="out_path", metavar="PATH",
                    help="output CSV path (JSON sidecar written next to it)")
     return p
 
 
 def parse_cli(argv=None) -> SimConfig:
-    args = build_parser().parse_args(argv)
-    start, stop, step = args.snr
-    cfg = SimConfig(
-        K=args.users,
-        L=args.rx,
-        tx_antennas=args.antennas_tx,
-        rx_antennas=args.antennas_rx,
-        n=args.ext_n,
-        scheme=args.scheme,
-        channel_model=args.channel,
-        q=args.field_size,
-        snr_start=start,
-        snr_stop=stop,
-        snr_step=step,
-        trials=args.trials,
-        seed=args.seed,
-        cf_radius=args.cf_radius,
-        cap_enabled=not args.no_backhaul_cap,
-        out_path=args.out,
-    )
+    given = vars(build_parser().parse_args(argv))
+    if "snr" in given:
+        given["snr_start"], given["snr_stop"], given["snr_step"] = given.pop("snr")
+    cfg = SimConfig(**given)
     try:
         cfg.validate()
         worker_count()  # a bad SNCSIM_WORKERS is a usage error too

@@ -12,10 +12,11 @@ unit power and the noise variance is swept.
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan.  SimConfig.validate() raises
 ConfigError for every config it rejects: one whose plan cannot be built,
-a count that is not an integer, a cap flag that is not a bool, an
-antenna list that is not a sequence, an SNR field that is not a real
-number, a field size that is not a prime below 2^63, an SNR grid of more
-than MAX_SNR_POINTS points, one whose linear SNR leaves LEVEL_RANGE
+a count that is not an integer, a cap flag that is not a bool, no
+transmitter or no receiver, an antenna list that is not a sequence of
+one count >= 1 per node, an SNR field that is not a real number, a field
+size that is not a prime below 2^63, an SNR grid of more than
+MAX_SNR_POINTS points, one whose linear SNR leaves LEVEL_RANGE
 (snr_levels, which the engine shares), or more than MAX_TRIALS trials.
 The engine evaluates chunks of consecutive trials: run_trials draws a
 chunk's channels as one bare (T, M, M, N) stack, one generator call per
@@ -72,8 +73,6 @@ from . import __version__
 # means forked pool workers inherit it instead of each loading it on its
 # first trial
 from .channel import (
-    Topology,
-    expand_mimo_to_virtual,
     sample_extended_channel,
     sample_message_bits,
     sample_noise,
@@ -216,10 +215,14 @@ class SimConfig:
         if self.trials > MAX_TRIALS:
             raise ConfigError(f"at most {MAX_TRIALS} trials, got {self.trials}: "
                               "a trial index must fit one 32-bit seed word")
-        try:
-            M = self.M
-        except ValueError as exc:
-            raise ConfigError(f"bad topology: {exc}") from exc
+        if self.K < 1 or self.rx_count < 1:
+            raise ConfigError("bad topology: need at least one transmitter and receiver")
+        for name, nodes in (("tx_antennas", self.K), ("rx_antennas", self.rx_count)):
+            counts = getattr(self, name)
+            if counts is not None and (len(counts) != nodes or min(counts) < 1):
+                raise ConfigError(f"bad topology: {name} must list {nodes} counts "
+                                  f">= 1, got {counts!r}")
+        M = self.M
         if self.run_cf and self.K != self.rx_count:
             raise ConfigError("compute-and-forward requires K = L")
         if self.run_cf and self.channel_model != "real":
@@ -263,9 +266,13 @@ class SimConfig:
 
     @cached_property
     def M(self) -> int:
-        tx = self.tx_antennas or (1,) * self.K
-        rx = self.rx_antennas or (1,) * self.rx_count
-        return expand_mimo_to_virtual(Topology(self.K, self.rx_count, tuple(tx), tuple(rx)))
+        """The number of virtual single-antenna users: every antenna is a
+        virtual node, and the first min(total tx antennas, total rx
+        antennas) of each side, in node then antenna order, are active.  An
+        absent antenna list means one antenna per node."""
+        tx = self.K if self.tx_antennas is None else sum(self.tx_antennas)
+        rx = self.rx_count if self.rx_antennas is None else sum(self.rx_antennas)
+        return min(tx, rx)
 
     @property
     def run_snc(self) -> bool:

@@ -25,8 +25,7 @@ sqrt(sigma2) per point, and stream_gains reads the filter row norms from
 |w|^2 and 1/|d_l|^2 in one real matmul.  A stream runs at the rate of the
 weakest receiver that decodes it, and the rate is monotone in the gain,
 so stream_gains takes that minimum once per channel draw: rates are
-arrays over the streams, in column order of F.  link_rate and
-_demod_sum_constellation are the per-link and per-value references.
+arrays over the streams, in column order of F.
 """
 
 from __future__ import annotations
@@ -52,19 +51,6 @@ def modulate_bpsk(b) -> np.ndarray:
     return 1.0 - 2.0 * b
 
 
-def _demod_sum_constellation(value: float, m: int) -> int:
-    """Nearest-level detection on {m-2j : j=0..m}; returns parity of j.
-
-    Ties at exact midpoints break toward smaller j.
-    """
-    best_j, best_d = 0, abs(value - m)
-    for j in range(1, m + 1):
-        d = abs(value - (m - 2 * j))
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j % 2
-
-
 def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
                           w: np.ndarray, sigma2, eff: EffectiveSystem) -> np.ndarray:
     """Demodulate the filter outputs of the BPSK symbols *s* (..., streams),
@@ -81,8 +67,9 @@ def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
     of the detected level index as the network-coded bit.  The level index
-    j = clip(ceil((m - z)/2 - 0.5), 0, m) is the rule of
-    _demod_sum_constellation, ties included, for every row at once.
+    j = clip(ceil((m - z)/2 - 0.5), 0, m) is the nearest level m - 2j of
+    {m, m-2, ..., -m}, an exact midpoint breaking toward the smaller j,
+    for every row at once.
     """
     m = eff.weights
     signal = (s @ eff.f_int.T).reshape(s.shape[:-1] + m.shape)
@@ -91,20 +78,6 @@ def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
     z = signal[..., None, :, :] + scale * filtered[..., None, :, :]
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
     return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], -1))
-
-
-def link_rate(u, v, h_diag, sigma2: float) -> float:
-    """Achievable rate of one stream through decoding vector u.
-
-    R = log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) with H = diag(h_diag);
-    u is the decoding vector applied as u^H y.
-    """
-    u = np.asarray(u)
-    nu = float(np.sum(np.abs(u) ** 2))
-    if nu == 0:
-        raise ValueError("decoding vector must be nonzero")
-    sig = abs(np.vdot(u, np.asarray(h_diag) * np.asarray(v))) ** 2
-    return math.log2(1.0 + sig / (sigma2 * nu))
 
 
 def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray,

@@ -343,8 +343,3 @@ def cp_recover(eff: EffectiveSystem, words: np.ndarray) -> tuple[np.ndarray, np.
     parity = np.bitwise_count(folded) & 1
     return parity[..., :total], np.any(parity[..., total:], axis=-1)
 
-
-def theoretical_dof(plan: ExtensionPlan):
-    """(per-user DoF tuple, total DoF per channel use, stream count)."""
-    per_user = (1.0,) + (plan.N_prime / plan.N,) * (plan.K - 1)
-    return per_user, plan.total_streams / plan.N, plan.total_streams

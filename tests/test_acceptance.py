@@ -15,11 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from sncsim.channel import (
-    Topology,
-    expand_mimo_to_virtual,
-    sample_extended_channel,
-)
+from sncsim.channel import sample_extended_channel
 from sncsim.gf import (
     PrimeField,
     InconsistentSystemError,
@@ -278,8 +274,7 @@ class TestAcceptance:
                f"{elapsed:.1f} s")
 
     def test_criterion_8_mimo_expansion(self):
-        topo = Topology(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(2, 1))
-        M = expand_mimo_to_virtual(topo)
+        M = SimConfig(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(2, 1)).M
         assert M == 3
         plan = extension_dims(M, 1)
         rng = np.random.default_rng(0)

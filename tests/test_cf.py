@@ -5,19 +5,35 @@ import numpy as np
 import pytest
 
 from sncsim import cf_baseline
-from sncsim.cf_baseline import cf_computation_rate, cf_select_coeffs, cf_trial_sum_rate
-from sncsim.channel import expand_mimo_to_virtual, sample_extended_channel, single_antenna
+from sncsim.cf_baseline import cf_select_coeffs, cf_trial_sum_rate
+from sncsim.channel import sample_extended_channel
 from sncsim.gf import PrimeField, gf_full_rank, gf_rank
 
 
 def real_channel(K, N, seed):
-    M = expand_mimo_to_virtual(single_antenna(K))
-    return sample_extended_channel(M, N, "real", [np.random.default_rng(seed)])[0]
+    return sample_extended_channel(K, N, "real", [np.random.default_rng(seed)])[0]
 
 
 def channel_from_rows(rows):
     """One-slot K x K channel whose receiver l sees rows[l]."""
     return np.array(rows, dtype=float)[:, :, None]
+
+
+def cf_computation_rate(h_row, a, rho: float) -> float:
+    """The per-row reference: the computation rate for equation
+    coefficients *a* on channel row *h*,
+
+    R = (1/2) log2( 1 / (||a||^2 - rho (h.a)^2 / (1 + rho ||h||^2)) ),
+    clamped at 0 from below.
+    """
+    h = np.asarray(h_row, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not np.any(a):
+        raise ValueError("coefficient vector must be nonzero")
+    denom = float(a @ a) - rho * float(h @ a) ** 2 / (1.0 + rho * float(h @ h))
+    if denom <= 0:  # cannot happen mathematically; guard fp noise
+        denom = np.finfo(float).tiny
+    return max(0.0, 0.5 * math.log2(1.0 / denom))
 
 
 def per_point_oracle(h, rho, field, radius, cap_enabled):
@@ -184,8 +200,7 @@ class TestTrialSumRate:
             assert (total == 0.0) == det_zero
 
     def test_complex_channels_rejected(self):
-        M = expand_mimo_to_virtual(single_antenna(2))
-        [h] = sample_extended_channel(M, 2, "complex", [np.random.default_rng(0)])
+        [h] = sample_extended_channel(2, 2, "complex", [np.random.default_rng(0)])
         with pytest.raises(ValueError):
             cf_trial_sum_rate(h, [10.0], PrimeField(2))
 

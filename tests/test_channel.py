@@ -2,48 +2,44 @@ import numpy as np
 import pytest
 
 from sncsim.channel import (
-    Topology,
     _draw_coeffs,
-    expand_mimo_to_virtual,
     sample_extended_channel,
     sample_message_bits,
     sample_noise,
-    single_antenna,
     trial_generators,
 )
+from sncsim.harness import ConfigError, SimConfig
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology(0, 1, (), (1,))
-    with pytest.raises(ValueError):
-        Topology(2, 2, (1,), (1, 1))
-    with pytest.raises(ValueError):
-        Topology(1, 1, (0,), (1,))
+    for bad in (dict(K=0, L=1, tx_antennas=(), rx_antennas=(1,)),
+                dict(K=2, L=2, tx_antennas=(1,), rx_antennas=(1, 1)),
+                dict(K=1, L=1, tx_antennas=(0,), rx_antennas=(1,))):
+        with pytest.raises(ConfigError, match="bad topology"):
+            SimConfig(**bad).validate()
 
 
 class TestVirtualExpansion:
     def test_single_antenna_identity(self):
-        assert expand_mimo_to_virtual(single_antenna(2)) == 2
+        assert SimConfig(K=2).M == 2
 
     def test_min_rule_with_asymmetric_antennas(self):
-        assert expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 1))) == 2
+        assert SimConfig(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(1, 1)).M == 2
 
     def test_three_by_two(self):
-        assert expand_mimo_to_virtual(Topology(3, 2, (1, 1, 1), (2, 2))) == 3
+        assert SimConfig(K=3, L=2, tx_antennas=(1, 1, 1), rx_antennas=(2, 2)).M == 3
 
 
 class TestChannelSampling:
     def test_deterministic_under_fixed_seed(self):
-        M = expand_mimo_to_virtual(single_antenna(2))
+        M = 2
         a = sample_extended_channel(M, 3, "complex", [np.random.default_rng(42)])
         b = sample_extended_channel(M, 3, "complex", [np.random.default_rng(42)])
         assert a.shape == (1, 2, 2, 3)
         assert np.array_equal(a, b)
 
     def test_links_drawn_in_receiver_then_transmitter_order(self):
-        M = expand_mimo_to_virtual(single_antenna(3))
-        [h] = sample_extended_channel(M, 4, "real", [np.random.default_rng(8)])
+        [h] = sample_extended_channel(3, 4, "real", [np.random.default_rng(8)])
         rng = np.random.default_rng(8)
         for l in range(3):
             for k in range(3):
@@ -54,7 +50,7 @@ class TestChannelSampling:
     def test_bulk_draw_equals_per_link_reference(self, model):
         # one generator call per channel gives the stream of one length-N
         # call per link (real parts, then imaginary parts, per link)
-        M = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (1, 2)))
+        M = 3  # the (2, 1) x (1, 2) antenna topology
         drawn = np.random.default_rng(21)
         [h] = sample_extended_channel(M, 5, model, [drawn])
         rng = np.random.default_rng(21)
@@ -81,9 +77,8 @@ class TestChannelSampling:
                     out.flat[[1, 6]] = 0.0
                 return out
 
-        M = expand_mimo_to_virtual(single_antenna(2))
         gen = ZeroFirst()
-        [h] = sample_extended_channel(M, 3, "real", [gen])
+        [h] = sample_extended_channel(2, 3, "real", [gen])
         assert gen.calls == [(2, 2, 3), (2,)]
         ref = np.random.default_rng(4)
         expected = ref.standard_normal((2, 2, 3))
@@ -91,30 +86,26 @@ class TestChannelSampling:
         assert np.array_equal(h, expected)
 
     def test_unit_variance(self):
-        M = expand_mimo_to_virtual(single_antenna(1, 1))
         rng = np.random.default_rng(0)
         draws = np.concatenate([
-            sample_extended_channel(M, 10**4, "complex", [rng])[0, 0, 0]
+            sample_extended_channel(1, 10**4, "complex", [rng])[0, 0, 0]
             for _ in range(10)
         ])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_real_model_has_no_imaginary_part(self):
         # the dtype is how every layer tells a real channel from a complex one
-        M = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(M, 4, "real", [np.random.default_rng(1)])
+        h = sample_extended_channel(2, 4, "real", [np.random.default_rng(1)])
         assert np.isrealobj(h) and h.dtype == np.float64
 
     def test_no_zero_entries(self):
-        M = expand_mimo_to_virtual(single_antenna(2))
-        h = sample_extended_channel(M, 64, "real", [np.random.default_rng(5)])
+        h = sample_extended_channel(2, 64, "real", [np.random.default_rng(5)])
         assert np.all(h != 0)
 
     def test_link_independence_spot_check(self):
-        M = expand_mimo_to_virtual(single_antenna(2))
         rng = np.random.default_rng(9)
         n = 10**5
-        [h] = sample_extended_channel(M, n, "real", [rng])
+        [h] = sample_extended_channel(2, n, "real", [rng])
         c = np.corrcoef(h[0, 0], h[0, 1])[0, 1]
         assert abs(c) < 0.02
         # distinct slots of one link
@@ -216,7 +207,7 @@ class TestDrawsPinned:
 
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_zero_redraw_equals_np_any_loop(self, model):
-        M = expand_mimo_to_virtual(single_antenna(2))
+        M = 2
         for seed in range(50):
             [got] = sample_extended_channel(M, 5, model, [ZeroingGenerator(seed, [1, 3])])
             ref, redrawn = reference_channel(M, 5, model, ZeroingGenerator(seed, [1, 3]))
@@ -226,7 +217,7 @@ class TestDrawsPinned:
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_stacked_channel_equals_per_generator_draws(self, model):
         # trials 1 and 3 take the zero-redraw path, the others do not
-        M = expand_mimo_to_virtual(single_antenna(3))
+        M = 3
         for seed in range(0, 200, 5):
             got = sample_extended_channel(M, 4, model, chunk_generators(seed, (1, 3)))
             refs = [reference_channel(M, 4, model, rng)

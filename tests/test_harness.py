@@ -106,7 +106,8 @@ def stream_rates(cfg, snr_dbs, indices):
 def spoil(value, how):
     """An integer as a float, a non-integral float or a bool (*how* 0, 1
     or 2), a bool as an int, a string or None, a float as a string, None
-    or a bool, and an absent antenna list as an int: stand-ins that
+    or a bool, an absent antenna list as an int, and a given one as an
+    empty list, one count too many or a zero first count: stand-ins that
     validate() must reject."""
     if isinstance(value, bool):
         return (int(value), "no", None)[how]
@@ -114,7 +115,20 @@ def spoil(value, how):
         return (str(value), None, bool(value))[how]
     if value is None:
         return how + 1
+    if isinstance(value, tuple):
+        return ((), value + (1,), (0,) + value[1:])[how]
     return (float(value), value + 0.5, bool(value))[how]
+
+
+# K and L are shared with the antenna lists, which are drawn for them
+USERS = st.shared(st.integers(1, 3), key="K")
+RECEIVERS = st.shared(st.one_of(st.none(), USERS, st.integers(1, 3)), key="L")
+
+
+def antenna_lists(nodes):
+    """Absent, one antenna per node, or two at the first (MIMO)."""
+    ones = (1,) * nodes
+    return st.one_of(st.none(), st.sampled_from([ones, (2,) + ones[1:]]))
 
 
 def small_config(**overrides):
@@ -233,6 +247,9 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         dict(seed=-1),
         dict(scheme="cf", tx_antennas=(1,)),
+        # an empty list is a list, not an absent one
+        dict(tx_antennas=()),
+        dict(rx_antennas=[]),
         dict(snr_start=math.nan),
         dict(snr_stop=math.nan),
         dict(snr_step=math.inf),
@@ -286,7 +303,10 @@ class TestConfig:
     # the filter is heavy by design
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
-    @given(K=st.integers(1, 3), n=st.integers(0, 2),
+    @given(K=USERS, L=RECEIVERS, tx_antennas=USERS.flatmap(antenna_lists),
+           rx_antennas=st.tuples(USERS, RECEIVERS).flatmap(
+               lambda kl: antenna_lists(kl[0] if kl[1] is None else kl[1])),
+           n=st.integers(0, 2),
            scheme=st.sampled_from(["snc", "cf", "both"]),
            channel_model=st.sampled_from(["real", "complex"]),
            q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
@@ -301,17 +321,28 @@ class TestConfig:
            snr_step=st.integers(1, 30))
     # at K=2 the precoders' powers overflow for large n: V_1 holds inf and
     # NaN, which raised LinAlgError from the SVD, after RuntimeWarnings
-    @example(K=2, n=100, scheme="snc", channel_model="real", q=2, cf_radius=3,
-             cap_enabled=True, seed=0, spoiled=None, snr_start=0, snr_span=0, snr_step=1)
-    @example(K=2, n=200, scheme="snc", channel_model="complex", q=2, cf_radius=3,
-             cap_enabled=True, seed=0, spoiled=None, snr_start=0, snr_span=0, snr_step=1)
-    def test_every_validated_config_completes(self, K, n, scheme, channel_model, q,
-                                              cf_radius, cap_enabled, seed, spoiled,
-                                              snr_start, snr_span, snr_step):
-        fields = dict(K=K, n=n, q=q, cf_radius=cf_radius, seed=seed, trials=1,
+    @example(K=2, L=None, tx_antennas=None, rx_antennas=None, n=100, scheme="snc",
+             channel_model="real", q=2, cf_radius=3, cap_enabled=True, seed=0,
+             spoiled=None, snr_start=0, snr_span=0, snr_step=1)
+    @example(K=2, L=None, tx_antennas=None, rx_antennas=None, n=200, scheme="snc",
+             channel_model="complex", q=2, cf_radius=3, cap_enabled=True, seed=0,
+             spoiled=None, snr_start=0, snr_span=0, snr_step=1)
+    # validate() passed an empty antenna list, and the sweep ran it as one
+    # antenna per node
+    @example(K=2, L=None, tx_antennas=(1, 1), rx_antennas=None, n=1, scheme="both",
+             channel_model="real", q=2, cf_radius=3, cap_enabled=True, seed=0,
+             spoiled=("tx_antennas", 0), snr_start=0, snr_span=0, snr_step=1)
+    @example(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(2, 1), n=1, scheme="both",
+             channel_model="real", q=2, cf_radius=2, cap_enabled=False, seed=0,
+             spoiled=None, snr_start=40, snr_span=20, snr_step=10)
+    def test_every_validated_config_completes(self, K, L, tx_antennas, rx_antennas, n,
+                                              scheme, channel_model, q, cf_radius,
+                                              cap_enabled, seed, spoiled, snr_start,
+                                              snr_span, snr_step):
+        fields = dict(K=K, L=L, n=n, q=q, cf_radius=cf_radius, seed=seed, trials=1,
                       cap_enabled=cap_enabled, snr_start=float(snr_start),
                       snr_stop=float(snr_start + snr_span), snr_step=float(snr_step),
-                      tx_antennas=None, rx_antennas=None)
+                      tx_antennas=tx_antennas, rx_antennas=rx_antennas)
         if spoiled is not None:
             name, how = spoiled
             fields[name] = spoil(fields[name], how)
@@ -321,7 +352,8 @@ class TestConfig:
         except ConfigError:
             assume(False)
         assert n >= 1
-        # a float, bool or other stand-in would run on as something else
+        # a float, bool, empty list or other stand-in would run on as
+        # something else
         assert spoiled is None
         res = run_sweep(cfg)
         points = len(cfg.snr_grid)
@@ -694,6 +726,32 @@ def test_traced_layers_exist():
                        "phy.transmit", "harness.run_trial"}
 
 
+def test_src_holds_no_test_only_code():
+    # a top-level function or class of src/ that no src/ module references
+    # outside its own definition, and that the benchmark does not trace, is
+    # test-only code: it belongs in tests/, next to the tests that use it
+    tree = ast.parse((BENCH_DIR / "run.py").read_text())
+    [traced] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((SRC_DIR / "sncsim").glob("*.py"))}
+    references = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+                  for module in modules.values() for node in ast.walk(module)
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for layer, module in modules.items():
+        for definition in module.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if (f"{layer}.{definition.name}" not in traced
+                    and not any(name == definition.name and id(node) not in inside
+                                for node, name in references)):
+                unused.append(f"{layer}.{definition.name}")
+    assert unused == []
+
+
 def test_import_loads_numpy_random():
     # numpy loads numpy.random lazily; pool workers fork from the parent, so
     # unless the harness import loads it each worker loads it on its first trial
@@ -786,6 +844,7 @@ class TestWriteResults:
 class TestCli:
     def test_defaults(self):
         cfg = parse_cli([])
+        assert cfg == SimConfig()  # every default lives in SimConfig
         assert cfg.K == 2 and cfg.rx_count == 2
         assert cfg.n == 2 and cfg.scheme == "both"
         assert cfg.channel_model == "real" and cfg.q == 2

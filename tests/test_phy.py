@@ -5,21 +5,15 @@ import pytest
 
 from sncsim.phy import (
     UnsupportedModulationError,
-    _demod_sum_constellation,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
-    link_rate,
     modulate_bpsk,
     per_link_rates,
     stream_gains,
 )
-from sncsim.channel import (
-    Topology,
-    expand_mimo_to_virtual,
-    sample_extended_channel,
-    sample_noise,
-)
+from sncsim.channel import sample_extended_channel, sample_noise
+from sncsim.harness import SimConfig
 from sncsim.snc import (
     build_filters,
     build_precoders,
@@ -88,6 +82,20 @@ class TestTransmit:
             manual = (h[l, 0] * (p[0] @ x[0])
                       + h[l, 1] * (p[1] @ x[1]) + n[l])
             assert np.allclose(y[l], manual, atol=1e-12)
+
+
+def _demod_sum_constellation(value: float, m: int) -> int:
+    """The per-value demodulation reference: nearest-level detection on
+    {m-2j : j=0..m}; returns parity of j.
+
+    Ties at exact midpoints break toward smaller j.
+    """
+    best_j, best_d = 0, abs(value - m)
+    for j in range(1, m + 1):
+        d = abs(value - (m - 2 * j))
+        if d < best_d:
+            best_j, best_d = j, d
+    return best_j % 2
 
 
 class TestDemodulation:
@@ -209,7 +217,7 @@ def min_over_links(per_link, eff):
 
 WORKLOAD_PLANS = [(2, 2, "real"), (3, 1, "real"), (3, 2, "complex"), (2, 10, "complex")]
 # the (2, 1) x (2, 1) antenna topology: 3 virtual users
-MIMO_USERS = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (2, 1)))
+MIMO_USERS = SimConfig(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(2, 1)).M
 ORACLE_PLANS = WORKLOAD_PLANS + [
     (2, 1, "real"), (2, 1, "complex"), (3, 1, "complex"), (4, 1, "real"),
     (4, 1, "complex"),
@@ -275,6 +283,21 @@ class TestFactoredFilters:
         # the weakest receiver's gain, to the last bit, from the same row norms
         assert np.array_equal(gains, min_over_links(
             explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff), eff))
+
+
+def link_rate(u, v, h_diag, sigma2: float) -> float:
+    """The per-link rate reference: the achievable rate of one stream
+    through decoding vector u.
+
+    R = log2(1 + |u^H H v|^2 / (sigma2 ||u||^2)) with H = diag(h_diag);
+    u is the decoding vector applied as u^H y.
+    """
+    u = np.asarray(u)
+    nu = float(np.sum(np.abs(u) ** 2))
+    if nu == 0:
+        raise ValueError("decoding vector must be nonzero")
+    sig = abs(np.vdot(u, np.asarray(h_diag) * np.asarray(v))) ** 2
+    return math.log2(1.0 + sig / (sigma2 * nu))
 
 
 class TestRates:

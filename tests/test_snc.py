@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from sncsim.cf_baseline import cf_trial_sum_rate
-from sncsim.channel import (
-    Topology,
-    expand_mimo_to_virtual,
-    sample_extended_channel,
-    single_antenna,
-)
+from sncsim.channel import sample_extended_channel
 from sncsim.gf import PrimeField, RankDeficientError, gf_inv
 from sncsim.phy import (
     end_to_end_sum_rate,
@@ -31,7 +26,6 @@ from sncsim.snc import (
     effective_system,
     extension_dims,
     pack_bits,
-    theoretical_dof,
     verify_alignment,
 )
 
@@ -39,8 +33,7 @@ BINARY_ATOL = 1e-6
 
 
 def make_channel(K, N, seed, model="complex"):
-    M = expand_mimo_to_virtual(single_antenna(K))
-    return sample_extended_channel(M, N, model, [np.random.default_rng(seed)])[0]
+    return sample_extended_channel(K, N, model, [np.random.default_rng(seed)])[0]
 
 
 def explicit_filters(h, w):
@@ -406,7 +399,7 @@ class TestPlanSystem:
         assert kept >= 40
 
     def test_mimo_kept_draws_align_and_round_to_plan(self):
-        M = expand_mimo_to_virtual(Topology(2, 2, (2, 1), (2, 1)))
+        M = 3  # the (2, 1) x (2, 1) antenna topology's virtual users
         plan = extension_dims(M, 1)
         eff = effective_system(plan)
         rng = np.random.default_rng(21)
@@ -795,17 +788,19 @@ class TestVandermondeIdentity:
 
 
 class TestTheoreticalDof:
+    # transmitter 1 has DoF 1 and every other N' / N, so the total DoF per
+    # channel use is total_streams / N
     def test_two_user_worked_example(self):
-        per_user, total, streams = theoretical_dof(extension_dims(2, 2))
-        assert per_user == (1.0, 2 / 3)
-        assert total == pytest.approx(5 / 3)
-        assert streams == 5
+        plan = extension_dims(2, 2)
+        assert plan.N_prime / plan.N == 2 / 3
+        assert plan.total_streams / plan.N == pytest.approx(5 / 3)
+        assert plan.total_streams == 5
 
     def test_limit_approaches_user_count(self):
-        _, total, _ = theoretical_dof(extension_dims(2, 1000))
-        assert abs(total - 2.0) < 0.002
+        plan = extension_dims(2, 1000)
+        assert abs(plan.total_streams / plan.N - 2.0) < 0.002
 
     def test_three_user(self):
-        _, total, streams = theoretical_dof(extension_dims(3, 1))
-        assert total == pytest.approx(8 / 6)
-        assert streams == 8
+        plan = extension_dims(3, 1)
+        assert plan.total_streams / plan.N == pytest.approx(8 / 6)
+        assert plan.total_streams == 8
