@@ -12,9 +12,10 @@ on the bare (T, K, K, N) channel array.  Every (point, row) rates one
 leader per orbit of the candidates under coordinate permutations and sign
 flips, all points in one array pass, and a certificate proves the winning
 orbit's best member the exhaustive search's pick (see _search); a (point,
-row) it leaves open takes the exhaustive search.  One batched GF(q) test
-decides the outage of every (trial, point, slot).  It returns (T, S)
-arrays.  cf_select_coeffs evaluates the same rate function on one row.
+row) it leaves open takes the exhaustive search.  One exact determinant
+call decides the outage of every (trial, point, slot) (_invertible_mod).
+It returns (T, S) arrays.  cf_select_coeffs evaluates the same rate
+function on one row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .gf import PrimeField, gf_full_rank
+from .gf import PrimeField
 from .phy import cooperation_caps
 
 # Most integer vectors, (2 radius + 1)^K, the coefficient search may
@@ -142,7 +143,25 @@ def _search(H, hh, rho, radius: int):
         r = _rates(_projections(H[j], cand)[0], hh[j], norm2, rho[i, 0])
         k = np.argmax(r, axis=-1)  # first maximizer: the tie-break order
         a[i, j], best[i, j] = cand[k], r[np.arange(len(k)), k]
-    return a.astype(np.int64), best
+    return a, best
+
+
+def _invertible_mod(A, q: int) -> np.ndarray:
+    """Whether each integer matrix of the float stack A (..., K, K) is
+    invertible mod q: rint(det A) mod q != 0.  Exact for every search that
+    validate() admits, because
+    - Hadamard's bound (r sqrt K)^K on |det A| is at most 1.0e5 at every K
+      and largest radius r that MAX_SEARCH_GRID admits (3^11 > 2^16 keeps
+      K <= 10; K=10, r=1 is the worst case);
+    - LU with partial pivoting has growth at most 2^(K-1), which bounds its
+      backward error, and numpy forms the determinant as
+      sign * exp(sum log|u_ii|): the computed value is within about 1e-5
+      of the true integer, which rint recovers;
+    - det(A) = det(A mod q) (mod q), the determinant being an integer
+      polynomial in the entries: q divides det A exactly when A is
+      singular over GF(q).
+    """
+    return np.rint(np.linalg.det(A)).astype(np.int64) % q != 0
 
 
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
@@ -194,7 +213,6 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     caps = cooperation_caps(rhos)[:, None]
     slot_rates = np.minimum(r, caps) if cap_enabled else r  # [..., point, slot]
     # a coefficient matrix has the rank of its rows up to sign
-    mats = picks.reshape(len(rhos), -1, N, K, K).swapaxes(0, 1).reshape(-1, K, K)
-    full = gf_full_rank(mats, field).reshape(slot_rates.shape)
+    full = np.moveaxis(_invertible_mod(picks.reshape(*shape, K), field.q), 0, -2)
     totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
     return totals, np.count_nonzero(~full, axis=-1) / N

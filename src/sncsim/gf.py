@@ -3,9 +3,9 @@ Exact arithmetic and dense linear algebra over prime fields GF(q).
 
 Matrices are plain numpy integer arrays with entries reduced to [0, q).
 _row_basis reduces rows one by one into a reduced row echelon basis that
-rank, independent rows, solve and inverse all read; gf_full_rank is the
-batched full-rank test of the CF leg.  Arithmetic is on Python ints, or on
-int64 where every product fits: exact for every prime q < 2^63.
+rank, independent rows, solve and inverse all read.  Arithmetic is on
+Python ints, exact for every prime q < 2^63.  It runs once per plan (the
+GF(2) effective system) and in the test oracles, never per trial.
 """
 
 from __future__ import annotations
@@ -102,36 +102,6 @@ def _row_basis(m, field: PrimeField):
 def gf_rank(m, field: PrimeField) -> int:
     """Rank of *m* over GF(q)."""
     return len(_row_basis(m, field)[0])
-
-
-def gf_full_rank(mats, field: PrimeField) -> np.ndarray:
-    """Whether each matrix of a (B, K, K) integer stack is invertible mod q.
-
-    Batched fraction-free elimination: each row below the pivot becomes
-    pivot * row - lead * pivot_row, which scales it by a nonzero field
-    element and so keeps the rank, with no inverses needed.  The products
-    stay below q^2, so int64 is exact for q < 2^31; larger fields reduce
-    Python ints.  Later steps read only the rows below the pivot, so the
-    pivot row is taken from its copy and not written back.  gf_rank is the
-    reference.
-    """
-    q = field.q
-    a = field.reduce(mats)
-    if q >= 2**31:
-        a = a.astype(object)
-    B, K, _ = a.shape
-    full = np.ones(B, dtype=bool)
-    idx = np.arange(B)
-    for c in range(K - 1):
-        nz = a[:, c:, c] != 0
-        full &= nz.any(axis=1)
-        piv = c + np.argmax(nz, axis=1)
-        top = a[idx, piv]
-        a[idx, piv] = a[:, c]
-        below = a[:, c + 1:]
-        a[:, c + 1:] = (top[:, c, None, None] * below
-                        - below[:, :, c, None] * top[:, None, :]) % q
-    return full & (a[:, -1, -1] != 0)
 
 
 def gf_select_independent_rows(m, field: PrimeField) -> list[int]:

@@ -17,7 +17,8 @@ transmitter or no receiver, an antenna list that is not a sequence of
 one count >= 1 per node, an SNR field that is not a real number, a field
 size that is not a prime below 2^63, an SNR grid of more than
 MAX_SNR_POINTS points, one whose linear SNR leaves LEVEL_RANGE
-(snr_levels, which the engine shares), or more than MAX_TRIALS trials.
+(snr_levels, which the engine shares), more than MAX_TRIALS trials, or
+an out_path that is not a path or is its own JSON sidecar's.
 The engine evaluates chunks of consecutive trials: run_trials draws a
 chunk's channels as one bare (T, M, M, N) stack, one generator call per
 trial, and builds everything
@@ -254,6 +255,11 @@ class SimConfig:
             raise ConfigError(
                 f"the alignment scheme demodulates BPSK over GF(2) only, got q={self.q}"
             )
+        if not isinstance(self.out_path, (str, os.PathLike)):
+            raise ConfigError(f"out_path must be a path, got {self.out_path!r}")
+        if Path(self.out_path).suffix == ".json":  # write_results' sidecar path
+            raise ConfigError(f"out_path {self.out_path!r} would be overwritten by "
+                              "its JSON sidecar")
 
     @property
     def rx_count(self) -> int:

@@ -7,7 +7,7 @@ import pytest
 from sncsim import cf_baseline
 from sncsim.cf_baseline import cf_select_coeffs, cf_trial_sum_rate
 from sncsim.channel import sample_extended_channel
-from sncsim.gf import PrimeField, gf_full_rank, gf_rank
+from sncsim.gf import PrimeField, gf_rank
 
 
 def real_channel(K, N, seed):
@@ -70,10 +70,20 @@ def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
         r = rates.max(axis=-1).min(axis=-1)
         slot_rates.append(np.minimum(r, math.log2(1.0 + rho)) if cap_enabled else r)
     slot_rates = np.stack(slot_rates, axis=-2)
-    full = gf_full_rank(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), field)
+    mats, index = np.unique(cand[np.stack(picks, axis=-3)].reshape(-1, K, K), axis=0,
+                            return_inverse=True)
+    full = np.array([gf_rank(m, field) == K for m in mats])[index]
     full = full.reshape(slot_rates.shape)
     totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
     return totals, np.count_nonzero(~full, axis=-1) / N
+
+
+def largest_radius(K):
+    """The largest coefficient search radius validate() admits at K users."""
+    r = 1
+    while cf_baseline.search_grid_size(K, r + 1) <= cf_baseline.MAX_SEARCH_GRID:
+        r += 1
+    return r
 
 
 def stress_channels(K, seed, T=5, N=3):
@@ -84,6 +94,65 @@ def stress_channels(K, seed, T=5, N=3):
     g = rng.standard_normal((T, K, K, N))
     return [g, g * 10.0 ** rng.uniform(-8, 8, (T, K, 1, N)),
             rng.integers(-4, 5, (T, K, K, N)) / 2.0]
+
+
+class TestFullRankBatch:
+    """The outage rule of the CF leg, rint(det A) mod q != 0, against the
+    rank of A over GF(q)."""
+
+    @staticmethod
+    def check(stack, field):
+        # the search hands its picks over as floats
+        got = cf_baseline._invertible_mod(stack.astype(float), field.q)
+        assert got.tolist() == [gf_rank(m, field) == len(m) for m in stack]
+        return got
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_matches_gf_rank(self, K, q):
+        field = PrimeField(q)
+        r = largest_radius(K)
+        rng = np.random.default_rng(100 * K + q)
+        random = rng.integers(-r, r + 1, size=(200, K, K))
+        # deliberately singular: a repeated row, and a row equal to another
+        # mod q but not over the integers; q <= r keeps it within the radius
+        repeated = random[:50].copy()
+        repeated[:, K - 1] = repeated[:, 0]
+        shifted = random[50:100].copy()
+        shifted[:, 1] = shifted[:, 0] - q * np.where(shifted[:, 0] > 0, 1, -1)
+        assert np.abs(shifted).max() <= r
+        got = self.check(np.concatenate([random, repeated, shifted]), field)
+        assert not got[200:].any()
+        assert 0 < got[:200].sum() < 200  # both outcomes occur
+
+    @pytest.mark.parametrize("K", range(1, 11))
+    def test_exact_at_the_largest_radius(self, K):
+        r = largest_radius(K)
+        rng = np.random.default_rng(K)
+        stacks = [r * rng.choice([-1, 1], size=(40, K, K)),
+                  rng.integers(-r, r + 1, size=(40, K, K))]
+        if K & (K - 1) == 0:  # Sylvester's Hadamard matrix meets Hadamard's bound
+            hadamard = np.ones((1, 1), dtype=np.int64)
+            while len(hadamard) < K:
+                hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+            stacks.append(r * hadamard[None])
+        stack = np.concatenate(stacks)
+        det = np.linalg.det(stack.astype(float))
+        assert np.abs(det).max() <= 1.0e5
+        assert np.all(np.abs(det - np.rint(det)) < 1e-5)
+        for q in (2, 3, 5, 7, 2**31 - 1):
+            self.check(stack, PrimeField(q))
+
+    def test_identity_and_large_field(self):
+        # small entries keep |det A| below the large fields, where only
+        # det A = 0 is singular
+        for q in (2, 2147483647, 4294967311):
+            stack = np.array([np.eye(3, dtype=np.int64),
+                              [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+                              [[-1, 1, 0], [1, -1, 5], [7, 0, -2]],
+                              [[2, 0, 0], [0, 1, 0], [0, 0, 1]]])
+            got = self.check(stack, PrimeField(q))
+            assert got.tolist() == [True, False, True, q != 2]
 
 
 class TestComputationRate:
@@ -202,6 +271,11 @@ class TestTrialSumRate:
     def test_complex_channels_rejected(self):
         [h] = sample_extended_channel(2, 2, "complex", [np.random.default_rng(0)])
         with pytest.raises(ValueError):
+            cf_trial_sum_rate(h, [10.0], PrimeField(2))
+
+    def test_non_square_channel_rejected(self):
+        h = np.ones((2, 3, 1))  # 2 receivers, 3 transmitters
+        with pytest.raises(ValueError, match="K = L"):
             cf_trial_sum_rate(h, [10.0], PrimeField(2))
 
     def test_bad_radius_rejected(self):

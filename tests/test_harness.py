@@ -267,6 +267,15 @@ class TestConfig:
         # 6e301 floats: both are rejected before the grid is built
         dict(snr_start=0.0, snr_stop=60.0, snr_step=5e-324),
         dict(snr_start=0.0, snr_stop=60.0, snr_step=1e-300),
+        dict(scheme="snc+cf"),
+        dict(channel_model="rayleigh"),
+        dict(snr_step=0.0),
+        dict(snr_step=-5.0),
+        dict(trials=0),
+        # the JSON sidecar would overwrite the CSV after the sweep
+        dict(out_path="r.json"),
+        dict(out_path="out/./r.json/"),
+        dict(out_path=None),
     ])
     def test_rejects_input_that_would_fail_mid_sweep(self, overrides):
         with pytest.raises(ConfigError):
@@ -310,14 +319,16 @@ class TestConfig:
            scheme=st.sampled_from(["snc", "cf", "both"]),
            channel_model=st.sampled_from(["real", "complex"]),
            q=st.sampled_from([2, 3, 5, 7]), cf_radius=st.integers(0, 3),
-           cap_enabled=st.booleans(), seed=st.integers(-2**16, 2**16),
+           # the negative seed and the empty grid are one value each, -1, so
+           # that they stay reachable without crowding out the valid draws
+           cap_enabled=st.booleans(), seed=st.integers(-1, 2**16),
            spoiled=st.one_of(st.none(), st.tuples(
                st.sampled_from(["K", "n", "q", "cf_radius", "seed", "trials",
                                 "cap_enabled", "snr_start", "snr_stop",
                                 "snr_step", "tx_antennas", "rx_antennas"]),
                st.integers(0, 2))),
            snr_start=st.one_of(st.integers(-10, 60), st.integers(-4000, 4000)),
-           snr_span=st.integers(-20, 30),
+           snr_span=st.integers(-1, 30),
            snr_step=st.integers(1, 30))
     # at K=2 the precoders' powers overflow for large n: V_1 holds inf and
     # NaN, which raised LinAlgError from the SVD, after RuntimeWarnings
@@ -707,15 +718,21 @@ class TestAggregation:
             assert pt.outage_frac == pt.detected_err_frac == 0.0
 
 
-def test_traced_layers_exist():
-    # bench/run.py wraps the functions of TRACED by name and skips a missing
-    # one, so a refactor that drops or renames a traced layer must fail here
+def traced_layers():
+    """The "layer.function" names of bench/run.py's TRACED, read without
+    importing the benchmark."""
     tree = ast.parse((BENCH_DIR / "run.py").read_text())
     [traced] = [ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    return traced
+
+
+def test_traced_layers_exist():
+    # bench/run.py wraps the functions of TRACED by name and skips a missing
+    # one, so a refactor that drops or renames a traced layer must fail here
     missing = set()
-    for name in traced:
+    for name in traced_layers():
         layer, fn = name.split(".")
         if not callable(getattr(importlib.import_module(f"sncsim.{layer}"), fn, None)):
             missing.add(name)
@@ -730,10 +747,7 @@ def test_src_holds_no_test_only_code():
     # a top-level function or class of src/ that no src/ module references
     # outside its own definition, and that the benchmark does not trace, is
     # test-only code: it belongs in tests/, next to the tests that use it
-    tree = ast.parse((BENCH_DIR / "run.py").read_text())
-    [traced] = [ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    traced = traced_layers()
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted((SRC_DIR / "sncsim").glob("*.py"))}
     references = [(node, node.id if isinstance(node, ast.Name) else node.attr)
@@ -902,6 +916,10 @@ class TestCli:
         ["--snr", "0:60:5e-324"],
         ["--snr", "0:60:1e-300"],
         ["--trials", str(2**32 + 1)],
+        ["--snr", "a:60:5"],
+        ["--antennas-tx", "2,x"],
+        # the sidecar r.json would overwrite the CSV r.json
+        ["--trials", "1", "--snr", "10:10:10", "--ext-n", "1", "--out", "r.json"],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -212,6 +212,13 @@ class TestPrecoders:
         assert np.allclose(v1, ref1 * s)
         assert np.allclose(v_other, ref2 * s)
 
+    def test_channel_must_match_the_plan(self):
+        plan = extension_dims(2, 2)  # K = 2 users, N = 3 slots
+        # two slots, then one user
+        for h in (make_channel(2, 2, seed=0), make_channel(1, 3, seed=0)):
+            with pytest.raises(ValueError, match="does not match the plan"):
+                build_precoders(h, plan)
+
     def test_two_user_n1_column_structure(self):
         plan = extension_dims(2, 1)
         h = make_channel(2, 2, seed=1)
