@@ -8,14 +8,17 @@ stacked coefficient matrix to be invertible mod q; a rank-deficient slot
 is an outage and contributes zero rate.
 
 cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid,
-on the bare (T, K, K, N) channel array.  Every (point, row) rates one
+on the bare (T, K, K, N) channel array.  Every (point, row) bounds one
 leader per orbit of the candidates under coordinate permutations and sign
-flips, all points in one array pass, and a certificate proves the winning
-orbit's best member the exhaustive search's pick (see _search); a (point,
-row) it leaves open takes the exhaustive search.  One exact determinant
-call decides the outage of every (trial, point, slot) (_invertible_mod).
-It returns (T, S) arrays.  cf_select_coeffs evaluates the same rate
-function on one row.
+flips, all points in one array pass.  The bounds are kept as rate
+denominators, which the rate map (_rate_of) turns into rates
+monotonically, so only the winner and the largest remaining bound are
+rated; a certificate proves the winning orbit's best member the
+exhaustive search's pick (see _search), and a (point, row) it leaves open
+takes the exhaustive search.  The exact integer determinant of every
+(trial, point, slot) decides its outage (_invertible_mod), in closed form
+for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs evaluates the
+same rate function on one row.
 """
 
 from __future__ import annotations
@@ -77,31 +80,43 @@ def _orbits(K: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _projections(H, cand):
-    """(proj, hh) for the channel rows h of H, shape (..., K):
-    proj[..., c] = (h . cand[..., c, :])^2 and hh[..., 0] = ||h||^2.  The
-    dot products are summed term by term into one array, so a row's values
-    do not depend on the batch shape."""
+    """proj[..., c] = (h . cand[..., c, :])^2 for the channel rows h of H,
+    shape (..., K).  The dot products are summed term by term into one
+    array, so a row's values do not depend on the batch shape."""
     proj = H[..., 0, None] * cand[..., 0]
     term = np.empty_like(proj)
     for k in range(1, cand.shape[-1]):
         proj += np.multiply(H[..., k, None], cand[..., k], out=term)
-    return np.square(proj, out=proj), np.sum(H * H, axis=-1)[..., None]
+    return np.square(proj, out=proj)
+
+
+def _denominators(proj, hh, norm2, rho) -> np.ndarray:
+    """Denominators ||a||^2 - rho (h.a)^2 / (1 + rho ||h||^2) of the
+    computation rates of every candidate a at SNR rho, one operation at a
+    time in one new array."""
+    out = np.multiply(rho, proj)
+    np.divide(out, 1.0 + rho * hh, out=out)
+    return np.subtract(norm2, out, out=out)
+
+
+def _rate_of(den) -> np.ndarray:
+    """The rates (1/2) log2(1 / den) of the denominators *den*, computed
+    in place: den clamped to the smallest normal float, R to 0 from below.
+    Every operation is monotone, given a monotone log2, so a smaller
+    denominator never rates lower."""
+    np.maximum(den, np.finfo(float).tiny, out=den)
+    np.divide(1.0, den, out=den)
+    np.log2(den, out=den)
+    np.multiply(0.5, den, out=den)
+    return np.maximum(0.0, den, out=den)
 
 
 def _rates(proj, hh, norm2, rho) -> np.ndarray:
     """Computation rates R = (1/2) log2(1 / (||a||^2 - rho (h.a)^2 /
-    (1 + rho ||h||^2))) of every candidate a at SNR rho, the denominator
-    clamped to the smallest normal float and R to 0 from below, one
-    operation at a time in one new array, so that every caller rounds
-    alike."""
-    out = np.multiply(rho, proj)
-    np.divide(out, 1.0 + rho * hh, out=out)
-    np.subtract(norm2, out, out=out)
-    np.maximum(out, np.finfo(float).tiny, out=out)
-    np.divide(1.0, out, out=out)
-    np.log2(out, out=out)
-    np.multiply(0.5, out, out=out)
-    return np.maximum(0.0, out, out=out)
+    (1 + rho ||h||^2))) of every candidate a at SNR rho: _rate_of of
+    _denominators, one operation at a time in one new array, so that every
+    caller rounds alike."""
+    return _rate_of(_denominators(proj, hh, norm2, rho))
 
 
 def _search(H, hh, rho, radius: int):
@@ -117,8 +132,12 @@ def _search(H, hh, rho, radius: int):
     entries on the lighter side of the flip zeroed, which has a smaller
     norm.  So when every other orbit's bound (s.b)^2 and the winning
     orbit's (s.b - Delta)^2 rate strictly below its best member, that
-    member is the unique maximiser.  Rates are monotone in (h.a)^2, as
-    every operation of _rates is, given a monotone log2."""
+    member is the unique maximiser.  Denominators fall as (h.a)^2 grows,
+    and _rate_of is monotone, so the bounds are held as denominators: the
+    winner is a smallest one, and the rate of the smallest remaining one
+    is the largest bound rate, bit for bit.  Any smallest denominator may
+    win: a certified row has a unique maximiser, and a row where two
+    orbits tie in rate fails the certificate whichever of them wins."""
     cand, norm2 = _candidates(H.shape[-1], radius)
     leaders, lead_norm2 = _orbits(H.shape[-1], radius)
     points, rows = np.arange(len(rho))[:, None], np.arange(len(H))
@@ -127,41 +146,65 @@ def _search(H, hh, rho, radius: int):
     # (s . b)(1 + 2^-40) bounds the computed |h . a| of every member: both
     # sums err by about K eps relative, and MAX_SEARCH_GRID keeps K <= 10
     m = (s @ leaders.T) * (1 + 2.0 ** -40)
-    bound = _rates(m * m, hh, lead_norm2, rho)  # (S, R, leader)
-    win = np.argmax(bound, axis=-1)
+    den = _denominators(m * m, hh, lead_norm2, rho)  # (S, R, leader)
+    win = np.argmin(den, axis=-1)
     a = np.empty((*win.shape, H.shape[-1]))
     a[:, rows[:, None], order] = leaders[win]
     a *= np.where(H < 0, -1.0, 1.0)
     n2 = lead_norm2[win][..., None]
-    best = _rates(_projections(H, a[..., None, :])[0], hh, n2, rho)[..., 0]
+    best = _rates(_projections(H, a[..., None, :]), hh, n2, rho)[..., 0]
     # at K = 1 there is no gap, and an orbit holds one candidate
     delta = np.min(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
     runner = np.maximum(m[rows, win] - delta, 0.0)[..., None]
-    bound[points, rows, win] = _rates(runner * runner, hh, n2, rho)[..., 0]
-    i, j = np.nonzero(~(bound.max(axis=-1) < best))
+    den[points, rows, win] = _denominators(runner * runner, hh, n2, rho)[..., 0]
+    i, j = np.nonzero(~(_rate_of(den.min(axis=-1)) < best))
     if i.size:  # not certified: the exhaustive search
-        r = _rates(_projections(H[j], cand)[0], hh[j], norm2, rho[i, 0])
+        r = _rates(_projections(H[j], cand), hh[j], norm2, rho[i, 0])
         k = np.argmax(r, axis=-1)  # first maximizer: the tie-break order
         a[i, j], best[i, j] = cand[k], r[np.arange(len(k)), k]
     return a, best
 
 
-def _invertible_mod(A, q: int) -> np.ndarray:
-    """Whether each integer matrix of the float stack A (..., K, K) is
-    invertible mod q: rint(det A) mod q != 0.  Exact for every search that
-    validate() admits, because
+def _integer_det(A) -> np.ndarray:
+    """The determinants, as int64, of the integer matrices of the float
+    stack A (..., K, K), exact for every search that validate() admits.
+
+    For K <= 3 it is the explicit polynomial, a00 a11 - a01 a10 and the
+    3 x 3 cofactor expansion along the first row.  Every product and
+    partial sum is an integer of magnitude at most 6 r^K, far below 2^53
+    at the largest radius r that MAX_SEARCH_GRID admits (32767, 127, 19),
+    so each operation is exact.  For K >= 4 it is rint(np.linalg.det(A)),
+    which is exact because
     - Hadamard's bound (r sqrt K)^K on |det A| is at most 1.0e5 at every K
       and largest radius r that MAX_SEARCH_GRID admits (3^11 > 2^16 keeps
       K <= 10; K=10, r=1 is the worst case);
     - LU with partial pivoting has growth at most 2^(K-1), which bounds its
       backward error, and numpy forms the determinant as
       sign * exp(sum log|u_ii|): the computed value is within about 1e-5
-      of the true integer, which rint recovers;
-    - det(A) = det(A mod q) (mod q), the determinant being an integer
-      polynomial in the entries: q divides det A exactly when A is
-      singular over GF(q).
+      of the true integer, which rint recovers.
+    The rule is chosen from K alone.
     """
-    return np.rint(np.linalg.det(A)).astype(np.int64) % q != 0
+    K = A.shape[-1]
+    if K == 1:
+        det = A[..., 0, 0]
+    elif K == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    elif K == 3:
+        (a, b, c), (d, e, f), (g, h, i) = (
+            (A[..., r, 0], A[..., r, 1], A[..., r, 2]) for r in range(3))
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        det = np.rint(np.linalg.det(A))
+    return det.astype(np.int64)
+
+
+def _invertible_mod(A, q: int) -> np.ndarray:
+    """Whether each integer matrix of the float stack A (..., K, K) is
+    invertible mod q: det A mod q != 0, with det A exact (_integer_det).
+    det(A) = det(A mod q) (mod q), the determinant being an integer
+    polynomial in the entries, so q divides det A exactly when A is
+    singular over GF(q)."""
+    return _integer_det(A) % q != 0
 
 
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
@@ -173,7 +216,7 @@ def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
         raise ValueError("search radius must be >= 1")
     h = np.asarray(h_row, dtype=float)
     cand, norm2 = _candidates(len(h), radius)
-    rates = _rates(*_projections(h, cand), norm2, rho)
+    rates = _rates(_projections(h, cand), np.sum(h * h)[None], norm2, rho)
     # candidates are pre-sorted by the tie-break order, so the first
     # maximizer is the preferred one
     return cand[int(np.argmax(rates))].copy()
@@ -208,11 +251,14 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     picks, rates = (np.concatenate(x) for x in zip(*(
         _search(H, hh, rhos[i:i + step, None, None], radius)
         for i in range(0, len(rhos), step))))
-    shape = (len(rhos), *h.shape[:-3], N, K)
-    r = np.ascontiguousarray(np.moveaxis(rates.reshape(shape).min(axis=-1), 0, -2))
-    caps = cooperation_caps(rhos)[:, None]
-    slot_rates = np.minimum(r, caps) if cap_enabled else r  # [..., point, slot]
+    rates = rates.reshape(len(rhos), *h.shape[:-3], N, K)
+    r = rates[..., 0]  # then the worst receiver rate of every [point, ..., slot]
+    for k in range(1, K):
+        r = np.minimum(r, rates[..., k])
+    if cap_enabled:
+        r = np.minimum(r, cooperation_caps(rhos).reshape(-1, *[1] * (r.ndim - 1)))
     # a coefficient matrix has the rank of its rows up to sign
-    full = np.moveaxis(_invertible_mod(picks.reshape(*shape, K), field.q), 0, -2)
-    totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
-    return totals, np.count_nonzero(~full, axis=-1) / N
+    full = _invertible_mod(picks.reshape(*rates.shape, K), field.q)
+    totals = np.sum(np.where(full, K * r, 0.0), axis=-1)
+    outages = np.count_nonzero(~full, axis=-1) / N
+    return np.moveaxis(totals, 0, -1), np.moveaxis(outages, 0, -1)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .harness import ConfigError, SimConfig, run_sweep, worker_count, write_results
 
@@ -76,6 +78,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(out_path):
+    """Raise ConfigError unless the CSV out_path and its JSON sidecar can
+    be created: neither names a directory, and the CSV's directory exists
+    and is writable.  Checked before the sweep, so that a bad path costs
+    no trial; run_sweep itself writes nothing."""
+    path = Path(out_path)
+    try:
+        if path.is_dir():
+            problem = "names a directory, not a CSV file"
+        elif path.with_suffix(".json").is_dir():
+            problem = f"its JSON sidecar {str(path.with_suffix('.json'))!r} names a directory"
+        elif not path.parent.is_dir():
+            problem = f"no directory {str(path.parent)!r}"
+        elif not os.access(path.parent, os.W_OK | os.X_OK):
+            problem = f"directory {str(path.parent)!r} is not writable"
+        else:
+            return
+    except OSError as exc:  # a name too long, say
+        problem = str(exc)
+    raise ConfigError(f"--out {str(out_path)!r}: {problem}")
+
+
 def parse_cli(argv=None) -> SimConfig:
     given = vars(build_parser().parse_args(argv))
     if "snr" in given:
@@ -83,6 +107,7 @@ def parse_cli(argv=None) -> SimConfig:
     cfg = SimConfig(**given)
     try:
         cfg.validate()
+        _check_writable(cfg.out_path)
         worker_count()  # a bad SNCSIM_WORKERS is a usage error too
     except ConfigError as exc:
         print(f"snc-sim: error: {exc}", file=sys.stderr)

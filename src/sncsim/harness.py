@@ -62,7 +62,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -477,6 +476,8 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     step = chunk_length(cfg, workers)
     chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
     if workers > 1:
+        # imported here, so that a sweep without a pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(fn, chunks))
     else:

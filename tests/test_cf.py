@@ -86,6 +86,24 @@ def largest_radius(K):
     return r
 
 
+def leibniz_det(m) -> int:
+    """The determinant of the integer matrix m, in Python integers."""
+    K = len(m)
+    total = 0
+    for perm in itertools.permutations(range(K)):
+        inversions = sum(perm[i] > perm[j] for i in range(K) for j in range(i + 1, K))
+        total += (-1) ** inversions * math.prod(int(m[i][perm[i]]) for i in range(K))
+    return total
+
+
+def sylvester_hadamard(K):
+    """Sylvester's K x K Hadamard matrix, K a power of two."""
+    hadamard = np.ones((1, 1), dtype=np.int64)
+    while len(hadamard) < K:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    return hadamard
+
+
 def stress_channels(K, seed, T=5, N=3):
     """Gaussian (T, K, K, N) channels, the same with every channel row
     scaled by 10^U(-8, 8), and half-integer ones, whose rows tie exactly
@@ -96,9 +114,26 @@ def stress_channels(K, seed, T=5, N=3):
             rng.integers(-4, 5, (T, K, K, N)) / 2.0]
 
 
+def singular_mod(q, stack):
+    """A copy of the integer stack (..., K, K), entries within the largest
+    radius r at K, made singular mod q but mostly not over the integers:
+    at K = 1 each entry is rounded toward zero to a multiple of q; above,
+    the second row becomes the first shifted by q toward zero, which
+    q <= r keeps within the radius."""
+    stack = stack.copy()
+    K = stack.shape[-1]
+    if K == 1:
+        stack -= np.sign(stack) * (np.abs(stack) % q)
+    else:
+        stack[:, 1] = stack[:, 0] - q * np.where(stack[:, 0] > 0, 1, -1)
+    assert np.abs(stack).max() <= largest_radius(K)
+    return stack
+
+
 class TestFullRankBatch:
-    """The outage rule of the CF leg, rint(det A) mod q != 0, against the
-    rank of A over GF(q)."""
+    """The outage rule of the CF leg, det A mod q != 0 with det A exact
+    (the closed forms at K <= 3, rint of LAPACK's above), against the rank
+    of A over GF(q)."""
 
     @staticmethod
     def check(stack, field):
@@ -108,22 +143,41 @@ class TestFullRankBatch:
         return got
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_matches_gf_rank(self, K, q):
         field = PrimeField(q)
         r = largest_radius(K)
         rng = np.random.default_rng(100 * K + q)
         random = rng.integers(-r, r + 1, size=(200, K, K))
-        # deliberately singular: a repeated row, and a row equal to another
-        # mod q but not over the integers; q <= r keeps it within the radius
-        repeated = random[:50].copy()
-        repeated[:, K - 1] = repeated[:, 0]
-        shifted = random[50:100].copy()
-        shifted[:, 1] = shifted[:, 0] - q * np.where(shifted[:, 0] > 0, 1, -1)
-        assert np.abs(shifted).max() <= r
-        got = self.check(np.concatenate([random, repeated, shifted]), field)
+        # deliberately singular: a row equal to another mod q but not over
+        # the integers (at K = 1, a multiple of q), and a repeated row
+        singular = [singular_mod(q, random[50:100])]
+        if K > 1:
+            repeated = random[:50].copy()
+            repeated[:, K - 1] = repeated[:, 0]
+            singular.append(repeated)
+        got = self.check(np.concatenate([random, *singular]), field)
         assert not got[200:].any()
         assert 0 < got[:200].sum() < 200  # both outcomes occur
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_closed_form_determinant_is_exact(self, K):
+        # the largest radius validate() admits gives the largest products
+        r = largest_radius(K)
+        rng = np.random.default_rng(30 + K)
+        random = rng.integers(-r, r + 1, size=(300, K, K))
+        stacks = [random, r * rng.choice([-1, 1], size=(100, K, K))]
+        if K & (K - 1) == 0:  # Sylvester's Hadamard matrix meets Hadamard's bound
+            stacks.append(r * sylvester_hadamard(K)[None])
+        singular = {q: singular_mod(q, random[:50]) for q in (2, 3, 5, 7)}
+        stack = np.concatenate([*stacks, *singular.values()])
+        want = [leibniz_det(m) for m in stack]
+        assert cf_baseline._integer_det(stack.astype(float)).tolist() == want
+        assert max(abs(d) for d in want) >= r ** K
+        for q, m in singular.items():  # singular mod q, but not over the integers
+            dets = [leibniz_det(a) for a in m]
+            assert all(d % q == 0 for d in dets) and any(dets)
+            assert not cf_baseline._invertible_mod(m.astype(float), q).any()
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_exact_at_the_largest_radius(self, K):
@@ -132,10 +186,7 @@ class TestFullRankBatch:
         stacks = [r * rng.choice([-1, 1], size=(40, K, K)),
                   rng.integers(-r, r + 1, size=(40, K, K))]
         if K & (K - 1) == 0:  # Sylvester's Hadamard matrix meets Hadamard's bound
-            hadamard = np.ones((1, 1), dtype=np.int64)
-            while len(hadamard) < K:
-                hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
-            stacks.append(r * hadamard[None])
+            stacks.append(r * sylvester_hadamard(K)[None])
         stack = np.concatenate(stacks)
         det = np.linalg.det(stack.astype(float))
         assert np.abs(det).max() <= 1.0e5
@@ -403,6 +454,51 @@ class TestOrbitSearch:
         x = np.exp2(rng.uniform(-2, 1023, 2**20))
         assert np.all(np.log2(np.nextafter(x, np.inf)) >= np.log2(x))
 
+    @pytest.mark.parametrize("K, radius", [(1, 3), (2, 3), (3, 3), (4, 3), (2, 127)])
+    def test_denominator_certificate_equals_rate_certificate(self, K, radius):
+        # the rate of the smallest leader denominator is the largest leader
+        # rate, bit for bit, and a smallest denominator rates the largest
+        leaders, lead_norm2 = cf_baseline._orbits(K, radius)
+        rho = np.array(TestRateBuffer.RHOS)[:, None, None]
+        for h in stress_channels(K, 80 + K):
+            H = np.moveaxis(h, -1, -3).reshape(-1, K)
+            hh = np.sum(H * H, axis=-1)[:, None]
+            m = -np.sort(-np.abs(H), axis=-1) @ leaders.T
+            den = cf_baseline._denominators(m * m, hh, lead_norm2, rho)
+            bound = cf_baseline._rates(m * m, hh, lead_norm2, rho)
+            assert np.array_equal(cf_baseline._rate_of(den.copy()), bound)
+            top = bound.max(axis=-1)
+            assert np.array_equal(cf_baseline._rate_of(den.min(axis=-1)), top)
+            win = np.argmin(den, axis=-1)[..., None]
+            assert np.array_equal(np.take_along_axis(bound, win, axis=-1)[..., 0], top)
+
+    def test_any_smallest_denominator_may_win(self, monkeypatch):
+        # the search takes its winner by np.argmin over the leaders'
+        # denominators; a stand-in returns the last leader whose rate ties
+        # the largest, which is the last smallest denominator where
+        # denominators tie, and a rate-tied larger one elsewhere (rates
+        # tie at 0 on the -1500 dB point, and through clamping and
+        # rounding), and the outputs must not change
+        rhos = TestRateBuffer.RHOS
+        channels = [h for K in (1, 2, 3, 4) for h in stress_channels(K, 90 + K)]
+        want = [cf_trial_sum_rate(h, rhos, PrimeField(3)) for h in channels]
+        first_argmin = np.argmin
+        moved = []
+
+        def last_argmin(den, axis):
+            assert axis == -1
+            rate = cf_baseline._rate_of(den.copy())
+            ties = rate == rate.max(axis=-1, keepdims=True)
+            last = den.shape[-1] - 1 - np.argmax(ties[..., ::-1], axis=-1)
+            moved.append(np.count_nonzero(last != first_argmin(den, axis=-1)))
+            return last
+
+        monkeypatch.setattr(cf_baseline.np, "argmin", last_argmin)
+        for h, ref in zip(channels, want):
+            got = cf_trial_sum_rate(h, rhos, PrimeField(3))
+            assert all(np.array_equal(g, w) for g, w in zip(got, ref))
+        assert sum(moved) > 0
+
     def test_certified_and_fallback_rows(self, monkeypatch):
         exhaustive = []
 
@@ -419,7 +515,9 @@ class TestOrbitSearch:
             for h in stress_channels(K, 60 + K):
                 cf_trial_sum_rate(h, rhos, PrimeField(2))
                 rows += len(rhos) * h[..., 0, :].size  # (point, trial, receiver, slot)
-        assert 0 < sum(exhaustive) < rows
+        # the count the rate certificate gave on this set: the denominator
+        # certificate opens the same rows
+        assert (sum(exhaustive), rows) == (2840, 8910)
         # Gaussian chunks the size of the benchmark's: no fallback at 0-60 dB
         exhaustive.clear()
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import csv
 import dataclasses
 import importlib
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sncsim import harness
+from sncsim import cli, harness
 from sncsim.channel import sample_extended_channel, sample_noise
-from sncsim.cli import USAGE_EXIT, build_parser, main, parse_cli
+from sncsim.cli import IO_EXIT, USAGE_EXIT, build_parser, main, parse_cli
 from sncsim.gf import RankDeficientError
 from sncsim.harness import (
     BATCH_ELEMENTS,
@@ -812,7 +813,7 @@ class TestWriteResults:
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         # 3 usable CPUs, so that 1, 2 and 3 workers reach run_sweep unclamped
         # and chunk the trials differently
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -827,6 +828,16 @@ class TestWriteResults:
         assert len(chunks) == 3
         assert pools == [2, 3]
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # only a pool sweep imports the process pool, so a fresh
+        # interpreter's set-up does not pay for it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sncsim.cli, sncsim.harness; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_one_batch_sweep_starts_no_pool(self, monkeypatch):
         # a sweep that fits one batch runs in this process whatever
@@ -846,7 +857,7 @@ class TestWriteResults:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-batch sweep started a process pool")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("SNCSIM_WORKERS", "2")
         assert harness.worker_count() == 2
         for cfg, ref in zip(configs, serial):
@@ -920,12 +931,28 @@ class TestCli:
         ["--antennas-tx", "2,x"],
         # the sidecar r.json would overwrite the CSV r.json
         ["--trials", "1", "--snr", "10:10:10", "--ext-n", "1", "--out", "r.json"],
+        # a CSV that could not be written once the sweep is done
+        ["--trials", "5", "--ext-n", "1", "--out", "no_such_directory/x.csv"],
+        ["--trials", "5", "--ext-n", "1", "--out", ""],
+        ["--trials", "5", "--ext-n", "1", "--out", "x" * 300 + ".csv"],
     ])
-    def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys):
+    def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys,
+                                                            monkeypatch):
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran on a usage error")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         with pytest.raises(SystemExit) as exc:
-            parse_cli(argv)
+            main(argv)
         assert exc.value.code == USAGE_EXIT
         assert "error" in capsys.readouterr().err
+
+    def test_sidecar_that_names_a_directory_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "r.json").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == USAGE_EXIT
+        assert "names a directory" in capsys.readouterr().err
 
     def test_bad_worker_count_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("SNCSIM_WORKERS", "abc")
@@ -967,10 +994,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "5 of 5 trials aborted" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_unwritable_output_is_io_error(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sncsim.cli", "--trials", "1",
-             "--snr", "10:10:10", "--ext-n", "1",
-             "--out", str(tmp_path / "missing_dir" / "x.csv")],
-            capture_output=True, text=True, env=cli_env())
-        assert proc.returncode == 2
+    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
+        # the directory passes the check before the sweep and is gone when
+        # the results are written
+        out_dir = tmp_path / "vanishing"
+        out_dir.mkdir()
+
+        def sweep_then_remove(cfg):
+            res = run_sweep(cfg)
+            out_dir.rmdir()
+            return res
+
+        monkeypatch.setattr(cli, "run_sweep", sweep_then_remove)
+        code = main(["--trials", "1", "--snr", "10:10:10", "--ext-n", "1",
+                     "--out", str(out_dir / "x.csv")])
+        assert code == IO_EXIT
+        assert "I/O error" in capsys.readouterr().err
