@@ -167,7 +167,7 @@ def _search(H, hh, rho, radius: int):
 
 def _integer_det(A) -> np.ndarray:
     """The determinants, as int64, of the integer matrices of the float
-    stack A (..., K, K), exact for every search that validate() admits.
+    stack A (..., K, K), exact for every search that SimConfig admits.
 
     For K <= 3 it is the explicit polynomial, a00 a11 - a01 a10 and the
     3 x 3 cofactor expansion along the first row.  Every product and

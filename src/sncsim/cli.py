@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,13 +28,11 @@ def _antenna_list(text: str) -> tuple[int, ...]:
 
 
 def _snr_spec(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("SNR spec must be start:stop:step (dB)")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = map(float, text.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad SNR spec {text!r}")
+        raise argparse.ArgumentTypeError(f"bad SNR spec {text!r}: it must be "
+                                         "start:stop:step (dB)") from None
     return start, stop, step
 
 
@@ -78,38 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_writable(out_path):
-    """Raise ConfigError unless the CSV out_path and its JSON sidecar can
-    be created: neither names a directory, and the CSV's directory exists
-    and is writable.  Checked before the sweep, so that a bad path costs
-    no trial; run_sweep itself writes nothing."""
-    path = Path(out_path)
-    try:
-        if path.is_dir():
-            problem = "names a directory, not a CSV file"
-        elif path.with_suffix(".json").is_dir():
-            problem = f"its JSON sidecar {str(path.with_suffix('.json'))!r} names a directory"
-        elif not path.parent.is_dir():
-            problem = f"no directory {str(path.parent)!r}"
-        elif not os.access(path.parent, os.W_OK | os.X_OK):
-            problem = f"directory {str(path.parent)!r} is not writable"
-        else:
-            return
-    except OSError as exc:  # a name too long, say
-        problem = str(exc)
-    raise ConfigError(f"--out {str(out_path)!r}: {problem}")
-
-
 def parse_cli(argv=None) -> SimConfig:
+    """The config the arguments ask for.  A config SimConfig rejects, a bad
+    SNCSIM_WORKERS, or an --out whose CSV or JSON sidecar cannot be opened
+    for appending (which creates a missing file and truncates nothing) is a
+    usage error, raised before any trial runs."""
     given = vars(build_parser().parse_args(argv))
     if "snr" in given:
         given["snr_start"], given["snr_stop"], given["snr_step"] = given.pop("snr")
-    cfg = SimConfig(**given)
     try:
-        cfg.validate()
-        _check_writable(cfg.out_path)
-        worker_count()  # a bad SNCSIM_WORKERS is a usage error too
-    except ConfigError as exc:
+        cfg = SimConfig(**given)
+        worker_count()
+        with open(cfg.out_path, "a"), open(Path(cfg.out_path).with_suffix(".json"), "a"):
+            pass
+    except (ConfigError, OSError) as exc:
         print(f"snc-sim: error: {exc}", file=sys.stderr)
         sys.exit(USAGE_EXIT)
     return cfg

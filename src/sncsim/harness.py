@@ -10,15 +10,9 @@ SNR is interpreted as 1 / sigma^2: the precoders' largest column has
 unit power and the noise variance is swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
-system -- is built once per plan.  SimConfig.validate() raises
-ConfigError for every config it rejects: one whose plan cannot be built,
-a count that is not an integer, a cap flag that is not a bool, no
-transmitter or no receiver, an antenna list that is not a sequence of
-one count >= 1 per node, an SNR field that is not a real number, a field
-size that is not a prime below 2^63, an SNR grid of more than
-MAX_SNR_POINTS points, one whose linear SNR leaves LEVEL_RANGE
-(snr_levels, which the engine shares), more than MAX_TRIALS trials, or
-an out_path that is not a path or is its own JSON sidecar's.
+system -- is built once per plan.  A SimConfig checks itself when it is
+built and raises ConfigError for every config it rejects (the list is in
+its docstring), so a config that exists runs to the end.
 The engine evaluates chunks of consecutive trials: run_trials draws a
 chunk's channels as one bare (T, M, M, N) stack, one generator call per
 trial, and builds everything
@@ -63,7 +57,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +153,19 @@ def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One sweep's configuration, checked when it is built: it raises
+    ConfigError for a plan that cannot be built, a count that is not an
+    integer, a cap flag that is not a bool, no transmitter or receiver, an
+    antenna list that is not a sequence of one count >= 1 per node, an SNR
+    field that is not a real number with a finite float value, a field size
+    that is not a prime below 2^63, an SNR grid of more than MAX_SNR_POINTS
+    points, one whose linear SNR leaves LEVEL_RANGE (snr_levels, which the
+    engine shares), more than MAX_TRIALS trials, a coefficient search of
+    more than MAX_SEARCH_GRID vectors, or an out_path that is not a text
+    path or is its own JSON sidecar's.  Every field is stored as a plain
+    value (int, float, tuple of ints, str), so that configs compare, hash
+    and serialise alike whatever numeric or path types they were given."""
+
     K: int = 2
     L: int | None = None
     tx_antennas: tuple[int, ...] | None = None
@@ -176,39 +183,54 @@ class SimConfig:
     cap_enabled: bool = True
     out_path: str = "sweep.csv"
 
-    def validate(self):
-        names = ("K", "n", "q", "trials", "seed", "cf_radius")
-        integers = [(name, getattr(self, name)) for name in names] + [("L", self.rx_count)]
+    def __post_init__(self):
+        def integer(name, value):
+            # bool is an Integral too, but True users or trials is a mistake
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            return int(value)
+
+        # every field as a plain value, which the checks below read
+        plain = {name: integer(name, getattr(self, name))
+                 for name in ("K", "n", "q", "trials", "seed", "cf_radius")}
+        if self.L is not None:
+            plain["L"] = integer("L", self.L)
         for name in ("tx_antennas", "rx_antennas"):
             counts = getattr(self, name)
             if counts is not None and not isinstance(counts, (tuple, list)):
                 raise ConfigError(f"{name} must be a sequence of counts, got {counts!r}")
-            integers += [("an antenna count", a) for a in counts or ()]
-        for name, value in integers:
-            # bool is an Integral too, but True users or trials is a mistake
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if counts is not None:
+                plain[name] = tuple(integer("an antenna count", a) for a in counts)
         if not isinstance(self.cap_enabled, bool):
             raise ConfigError(f"cap_enabled must be a bool, got {self.cap_enabled!r}")
+        for name in ("snr_start", "snr_stop", "snr_step"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            try:
+                plain[name] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is beyond the float range") from None
+            if not math.isfinite(plain[name]):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        path = self.out_path
+        plain["out_path"] = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+        if not isinstance(plain["out_path"], str):
+            raise ConfigError(f"out_path must be a text path, got {path!r}")
+        for name, value in plain.items():
+            object.__setattr__(self, name, value)
         if self.scheme not in ("snc", "cf", "both"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.channel_model not in ("real", "complex"):
             raise ConfigError(f"unknown channel model {self.channel_model!r}")
         if self.seed < 0:
             raise ConfigError(f"the seed must be >= 0, got {self.seed}")
-        for name in ("snr_start", "snr_stop", "snr_step"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
         if self.snr_step <= 0:
             raise ConfigError("SNR step must be positive")
         if self.snr_stop < self.snr_start:
             raise ConfigError("the SNR grid has no points: stop is below start")
         # counted before snr_grid builds them: a tiny step gives inf or ~1e300
-        steps = (float(self.snr_stop) - float(self.snr_start)) / float(self.snr_step)
-        if not steps + 1 <= MAX_SNR_POINTS:
+        if not (self.snr_stop - self.snr_start) / self.snr_step + 1 <= MAX_SNR_POINTS:
             raise ConfigError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
@@ -223,19 +245,21 @@ class SimConfig:
                 raise ConfigError(f"bad topology: {name} must list {nodes} counts "
                                   f">= 1, got {counts!r}")
         M = self.M
-        if self.run_cf and self.K != self.rx_count:
-            raise ConfigError("compute-and-forward requires K = L")
-        if self.run_cf and self.channel_model != "real":
-            raise ConfigError("compute-and-forward runs on real channels only")
-        if self.run_cf and self.cf_radius < 1:
-            raise ConfigError(
-                f"the coefficient search radius must be >= 1, got {self.cf_radius}"
-            )
-        if self.run_cf and search_grid_size(M, self.cf_radius) > MAX_SEARCH_GRID:
-            raise ConfigError(
-                f"cf_radius {self.cf_radius} makes the coefficient search enumerate "
-                f"(2 cf_radius + 1)^{M} vectors, more than {MAX_SEARCH_GRID}"
-            )
+        if self.run_cf:
+            if self.K != self.rx_count:
+                raise ConfigError("compute-and-forward requires K = L")
+            if self.channel_model != "real":
+                raise ConfigError("compute-and-forward runs on real channels only")
+            if self.cf_radius < 1:
+                raise ConfigError("the coefficient search radius must be >= 1, "
+                                  f"got {self.cf_radius}")
+            grid = 1  # (2 cf_radius + 1)^M, multiplied only until it passes the bound
+            for _ in range(M):
+                grid *= 2 * self.cf_radius + 1
+                if grid > MAX_SEARCH_GRID:
+                    raise ConfigError(f"cf_radius {self.cf_radius} makes the coefficient "
+                                      f"search enumerate (2 cf_radius + 1)^{M} vectors, "
+                                      f"more than {MAX_SEARCH_GRID}")
         if self.n < 1:
             raise ConfigError(f"the extension parameter n must be >= 1, got {self.n}")
         if self.run_snc:
@@ -254,8 +278,6 @@ class SimConfig:
             raise ConfigError(
                 f"the alignment scheme demodulates BPSK over GF(2) only, got q={self.q}"
             )
-        if not isinstance(self.out_path, (str, os.PathLike)):
-            raise ConfigError(f"out_path must be a path, got {self.out_path!r}")
         if Path(self.out_path).suffix == ".json":  # write_results' sidecar path
             raise ConfigError(f"out_path {self.out_path!r} would be overwritten by "
                               "its JSON sidecar")
@@ -264,12 +286,7 @@ class SimConfig:
     def rx_count(self) -> int:
         return self.K if self.L is None else self.L
 
-    def __getstate__(self):
-        # the fields alone: the cached derived values are rebuilt on demand,
-        # so a config pickles to the same bytes whether or not they were read
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    @cached_property
+    @property
     def M(self) -> int:
         """The number of virtual single-antenna users: every antenna is a
         virtual node, and the first min(total tx antennas, total rx
@@ -287,13 +304,13 @@ class SimConfig:
     def run_cf(self) -> bool:
         return self.scheme in ("cf", "both")
 
-    @cached_property
+    @property
     def n_ext(self) -> int:
         """The block length N: the alignment plan's extension, or one slot
         when only compute-and-forward runs."""
         return extension_dims(self.M, self.n).N if self.run_snc else 1
 
-    @cached_property
+    @property
     def snr_grid(self) -> tuple[float, ...]:
         count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9))
         return tuple(self.snr_start + i * self.snr_step for i in range(count + 1))
@@ -463,7 +480,6 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     trial's outcome does not depend on its chunk, and aggregation happens
     in trial-index order, so results do not depend on the worker count.
     """
-    cfg.validate()
     n_ext = cfg.n_ext
     workers = worker_count()
     if chunk_length(cfg, 1) >= cfg.trials:

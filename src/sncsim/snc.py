@@ -102,10 +102,14 @@ def extension_dims(K: int, n: int) -> ExtensionPlan:
     if n < 1:
         raise ValueError("extension parameter must be >= 1")
     slots = K * (K - 1)
-    N = math.comb(n + slots - 1, n)
+    # N = C(n + slots - 1, n) over its smaller side: each partial product is a
+    # binomial at least twice the last, so past the cap it stops in ~20 steps
+    k, N = min(n, slots - 1), 1
+    for i in range(1, k + 1):
+        N = N * (n + slots - 1 - k + i) // i
+        if N > MAX_EXTENSION:
+            raise CapacityError(f"extension length exceeds cap {MAX_EXTENSION}")
     N_prime = math.comb(n + slots - 2, n - 1)
-    if N > MAX_EXTENSION:
-        raise CapacityError(f"extension length {N} exceeds cap {MAX_EXTENSION}")
     tx1 = tuple(_compositions(n, slots))
     other = tuple(_compositions(n - 1, slots))
     assert len(tx1) == N and len(other) == N_prime

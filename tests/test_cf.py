@@ -79,7 +79,7 @@ def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
 
 
 def largest_radius(K):
-    """The largest coefficient search radius validate() admits at K users."""
+    """The largest coefficient search radius SimConfig admits at K users."""
     r = 1
     while cf_baseline.search_grid_size(K, r + 1) <= cf_baseline.MAX_SEARCH_GRID:
         r += 1
@@ -162,7 +162,7 @@ class TestFullRankBatch:
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_closed_form_determinant_is_exact(self, K):
-        # the largest radius validate() admits gives the largest products
+        # the largest radius SimConfig admits gives the largest products
         r = largest_radius(K)
         rng = np.random.default_rng(30 + K)
         random = rng.integers(-r, r + 1, size=(300, K, K))

@@ -16,7 +16,7 @@ def test_topology_validation():
                 dict(K=2, L=2, tx_antennas=(1,), rx_antennas=(1, 1)),
                 dict(K=1, L=1, tx_antennas=(0,), rx_antennas=(1,))):
         with pytest.raises(ConfigError, match="bad topology"):
-            SimConfig(**bad).validate()
+            SimConfig(**bad)
 
 
 class TestVirtualExpansion:
@@ -27,7 +27,9 @@ class TestVirtualExpansion:
         assert SimConfig(K=2, L=2, tx_antennas=(2, 1), rx_antennas=(1, 1)).M == 2
 
     def test_three_by_two(self):
-        assert SimConfig(K=3, L=2, tx_antennas=(1, 1, 1), rx_antennas=(2, 2)).M == 3
+        # alignment only: compute-and-forward needs K = L
+        assert SimConfig(K=3, L=2, tx_antennas=(1, 1, 1), rx_antennas=(2, 2),
+                         scheme="snc").M == 3
 
 
 class TestChannelSampling:

@@ -2,14 +2,17 @@ import ast
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import importlib
 import json
 import math
 import os
 import pickle
+import re
 import runpy
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -109,7 +112,7 @@ def spoil(value, how):
     or 2), a bool as an int, a string or None, a float as a string, None
     or a bool, an absent antenna list as an int, and a given one as an
     empty list, one count too many or a zero first count: stand-ins that
-    validate() must reject."""
+    SimConfig must reject."""
     if isinstance(value, bool):
         return (int(value), "no", None)[how]
     if isinstance(value, float):
@@ -147,27 +150,27 @@ class TestConfig:
 
     def test_cf_requires_square(self):
         with pytest.raises(ConfigError):
-            small_config(scheme="cf", L=3).validate()
+            small_config(scheme="cf", L=3)
 
     def test_cf_requires_real_channels(self):
         with pytest.raises(ConfigError):
-            small_config(scheme="cf", channel_model="complex").validate()
+            small_config(scheme="cf", channel_model="complex")
 
     def test_field_size_must_be_prime(self):
         with pytest.raises(ConfigError):
-            small_config(q=6).validate()
+            small_config(q=6)
 
     def test_alignment_scheme_needs_binary_field(self):
         for scheme in ("snc", "both"):
             with pytest.raises(ConfigError):
-                small_config(scheme=scheme, q=3).validate()
-        small_config(scheme="cf", q=3).validate()
+                small_config(scheme=scheme, q=3)
+        small_config(scheme="cf", q=3)
 
     def test_trial_count_fits_one_seed_word(self):
         # trial i's generator hashes i as one uint32 entropy word
-        small_config(trials=2**32).validate()
+        small_config(trials=2**32)
         with pytest.raises(ConfigError, match="32-bit"):
-            small_config(trials=2**32 + 1).validate()
+            small_config(trials=2**32 + 1)
 
     def test_derived_values_stay_out_of_equality_asdict_and_pickle(self):
         mimo = dict(tx_antennas=(2, 1), rx_antennas=(2, 1))
@@ -183,25 +186,59 @@ class TestConfig:
         # a replaced field derives afresh
         assert dataclasses.replace(cfg, n=2).n_ext == extension_dims(3, 2).N
 
+    def test_fields_are_stored_as_plain_values(self, tmp_path):
+        plain = dict(K=2, L=2, n=1, q=2, trials=3, seed=7, cf_radius=2,
+                     snr_start=10.0, snr_stop=30.0, snr_step=10.0,
+                     tx_antennas=(1, 1), rx_antennas=(1, 1),
+                     out_path=str(tmp_path / "r.csv"))
+        given = dict(K=np.int64(2), L=np.int32(2), n=np.int8(1), q=np.int64(2),
+                     trials=np.uint16(3), seed=np.int64(7), cf_radius=np.int64(2),
+                     snr_start=np.float32(10.0), snr_stop=30, snr_step=np.float64(10.0),
+                     tx_antennas=[1, np.int64(1)], rx_antennas=[1, 1],
+                     out_path=tmp_path / "r.csv")
+        cfg, ref = SimConfig(**given), SimConfig(**plain)
+        # a list antenna list once made the config unhashable
+        assert cfg == ref and hash(cfg) == hash(ref)
+        assert ({name: type(getattr(cfg, name)) for name in plain}
+                == {name: type(value) for name, value in plain.items()})
+        assert {type(a) for a in cfg.tx_antennas + cfg.rx_antennas} == {int}
+        # numpy counts and a Path once ran the sweep, then failed to write
+        # the JSON sidecar
+        written = [p.read_bytes() for p in write_results(run_sweep(cfg), cfg, cfg.out_path)]
+        meta = json.loads(written[1])
+        assert meta["config"] == json.loads(json.dumps(dataclasses.asdict(ref)))
+        assert written == [p.read_bytes()
+                           for p in write_results(run_sweep(ref), ref, ref.out_path)]
+
+    def test_huge_configs_rejected_at_once(self):
+        # the search grid and the extension length are computed only until
+        # they pass their bounds: (2 cf_radius + 1)^K at K = 10^9 would never
+        # finish, and an N of thousands of digits could not be printed
+        for overrides in (dict(K=10**9, scheme="cf"), dict(K=2000, n=2000, scheme="snc"),
+                          dict(K=2, n=10**100, scheme="snc")):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError) as exc:
+                SimConfig(**overrides)
+            assert time.perf_counter() - start < 1.0, overrides
+            assert len(str(exc.value)) < 200
+
     def test_cf_radius_must_be_positive(self):
         for scheme in ("cf", "both"):
-            cfg = SimConfig(K=2, n=2, scheme=scheme, cf_radius=0, trials=2,
-                            snr_stop=10)
             with pytest.raises(ConfigError):
-                cfg.validate()
-        small_config(scheme="snc", cf_radius=0).validate()  # CF never runs
+                SimConfig(K=2, n=2, scheme=scheme, cf_radius=0, trials=2, snr_stop=10)
+        small_config(scheme="snc", cf_radius=0)  # CF never runs
 
     def test_cf_search_grid_is_bounded(self):
         # (2 radius + 1)^M vectors against MAX_SEARCH_GRID = 2^16: 255^2 fits
         # and 257^2 does not; M counts virtual users, 3 for (2,1)/(2,1)
-        small_config(scheme="cf", cf_radius=127).validate()
+        small_config(scheme="cf", cf_radius=127)
         with pytest.raises(ConfigError, match="cf_radius"):
-            small_config(scheme="both", cf_radius=128).validate()
+            small_config(scheme="both", cf_radius=128)
         mimo = dict(tx_antennas=(2, 1), rx_antennas=(2, 1))
-        small_config(scheme="cf", cf_radius=19, **mimo).validate()
+        small_config(scheme="cf", cf_radius=19, **mimo)
         with pytest.raises(ConfigError):
-            small_config(scheme="cf", cf_radius=20, **mimo).validate()
-        small_config(scheme="snc", cf_radius=10**6).validate()  # CF never runs
+            small_config(scheme="cf", cf_radius=20, **mimo)
+        small_config(scheme="snc", cf_radius=10**6)  # CF never runs
 
     def test_worker_count_is_an_integer_clamped_to_the_cpus(self, monkeypatch):
         # parsed only: no pool is started here
@@ -230,20 +267,20 @@ class TestConfig:
     def test_extension_parameter_must_be_positive(self):
         for scheme in ("snc", "cf", "both"):
             with pytest.raises(ConfigError):
-                SimConfig(K=2, n=0, scheme=scheme).validate()
+                SimConfig(K=2, n=0, scheme=scheme)
 
     def test_oversized_extension_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(K=2, n=2_000_000, scheme="snc").validate()
-        SimConfig(K=2, n=2_000_000, scheme="cf").validate()  # no plan needed
+            SimConfig(K=2, n=2_000_000, scheme="snc")
+        SimConfig(K=2, n=2_000_000, scheme="cf")  # no plan needed
 
     def test_singular_plan_rejected(self, monkeypatch):
         def singular(plan):
             raise RankDeficientError("GF(2) rank short")
         monkeypatch.setattr(harness, "effective_system", singular)
         with pytest.raises(ConfigError):
-            small_config(scheme="snc").validate()
-        small_config(scheme="cf").validate()
+            small_config(scheme="snc")
+        small_config(scheme="cf")
 
     @pytest.mark.parametrize("overrides", [
         dict(seed=-1),
@@ -280,12 +317,12 @@ class TestConfig:
     ])
     def test_rejects_input_that_would_fail_mid_sweep(self, overrides):
         with pytest.raises(ConfigError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
     @pytest.mark.parametrize("overrides", [
-        # validate() passed these, then the sweep raised TypeError
+        # these once passed the checks, then the sweep raised TypeError
         dict(trials=2.5), dict(seed=1.5), dict(cf_radius=1.5),
-        # validate() itself raised TypeError
+        # the checks themselves once raised TypeError
         dict(n=1.5), dict(K=2.0),
         # ran, with the cap on
         dict(cap_enabled="no"),
@@ -295,19 +332,22 @@ class TestConfig:
     ])
     def test_rejects_non_integer_counts_and_non_bool_cap(self, overrides):
         with pytest.raises(ConfigError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
     @pytest.mark.parametrize("overrides", [
-        # validate() raised TypeError from math.isfinite
+        # the checks once raised TypeError from math.isfinite
         dict(snr_step="5"), dict(snr_start=None),
-        # validate() raised TypeError unpacking the antenna list
+        # the checks once raised TypeError unpacking the antenna list
         dict(tx_antennas=2),
-        # validate() raised ValueError from PrimeField
+        # the checks once raised ValueError from PrimeField
         dict(q=4), dict(q=2**63 + 1),
+        # math.isfinite raised OverflowError
+        dict(snr_start=10**400), dict(snr_start=-10**400, snr_stop=0.0),
+        dict(snr_step=10**400),
     ])
     def test_rejects_non_numbers_and_bad_field_sizes(self, overrides):
         with pytest.raises(ConfigError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
     # most random configs are rejected (complex CF, q > 2 with SNC, ...), so
     # the filter is heavy by design
@@ -339,7 +379,7 @@ class TestConfig:
     @example(K=2, L=None, tx_antennas=None, rx_antennas=None, n=200, scheme="snc",
              channel_model="complex", q=2, cf_radius=3, cap_enabled=True, seed=0,
              spoiled=None, snr_start=0, snr_span=0, snr_step=1)
-    # validate() passed an empty antenna list, and the sweep ran it as one
+    # the checks once passed an empty antenna list, and the sweep ran it as one
     # antenna per node
     @example(K=2, L=None, tx_antennas=(1, 1), rx_antennas=None, n=1, scheme="both",
              channel_model="real", q=2, cf_radius=3, cap_enabled=True, seed=0,
@@ -358,9 +398,8 @@ class TestConfig:
         if spoiled is not None:
             name, how = spoiled
             fields[name] = spoil(fields[name], how)
-        cfg = SimConfig(scheme=scheme, channel_model=channel_model, **fields)
         try:
-            cfg.validate()
+            cfg = SimConfig(scheme=scheme, channel_model=channel_model, **fields)
         except ConfigError:
             assume(False)
         assert n >= 1
@@ -767,6 +806,18 @@ def test_src_holds_no_test_only_code():
     assert unused == []
 
 
+def test_sources_parse_at_the_python_floor():
+    # tier-1 runs on a newer Python than pyproject.toml promises; tomllib
+    # needs 3.11, so the floor is read with a pattern
+    text = (SRC_DIR.parent / "pyproject.toml").read_text()
+    [floor] = re.findall(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M)
+    sources = sorted(path for top in (SRC_DIR, SRC_DIR.parent / "tests", BENCH_DIR)
+                     for path in top.rglob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=tuple(map(int, floor)))
+
+
 def test_import_loads_numpy_random():
     # numpy loads numpy.random lazily; pool workers fork from the parent, so
     # unless the harness import loads it each worker loads it on its first trial
@@ -867,6 +918,18 @@ class TestWriteResults:
 
 
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        # parse_cli creates the --out files, by default sweep.csv and sweep.json
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def sweep(cfg):
+            raise AssertionError("the sweep ran on a usage error")
+
+        monkeypatch.setattr(cli, "run_sweep", sweep)
+
     def test_defaults(self):
         cfg = parse_cli([])
         assert cfg == SimConfig()  # every default lives in SimConfig
@@ -906,6 +969,16 @@ class TestCli:
         assert proc.returncode == USAGE_EXIT
         assert "Traceback" not in proc.stderr and "extension length" in proc.stderr
 
+    def test_extension_past_the_cap_is_one_line_usage_error(self):
+        # N = C(2000 * 1999 + 1999, 2000) has more digits than int-to-str
+        # converts: writing it into the error once raised ValueError
+        proc = subprocess.run(
+            [sys.executable, "-m", "sncsim.cli", "--users", "2000", "--ext-n", "2000",
+             "--scheme", "snc"],
+            capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == USAGE_EXIT
+        assert proc.stderr.count("\n") == 1 and "extension length" in proc.stderr
+
     def test_zero_cf_radius_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--cf-radius", "0"])
@@ -935,13 +1008,10 @@ class TestCli:
         ["--trials", "5", "--ext-n", "1", "--out", "no_such_directory/x.csv"],
         ["--trials", "5", "--ext-n", "1", "--out", ""],
         ["--trials", "5", "--ext-n", "1", "--out", "x" * 300 + ".csv"],
+        ["--trials", "5", "--ext-n", "1", "--out", "."],
     ])
     def test_input_that_would_fail_mid_sweep_is_usage_error(self, argv, capsys,
-                                                            monkeypatch):
-        def no_sweep(cfg):
-            raise AssertionError("the sweep ran on a usage error")
-
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+                                                            no_sweep):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == USAGE_EXIT
@@ -952,7 +1022,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--out", str(tmp_path / "r.csv")])
         assert exc.value.code == USAGE_EXIT
-        assert "names a directory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert os.strerror(errno.EISDIR) in err and "r.json" in err
+
+    def test_dangling_symlink_out_is_usage_error(self, tmp_path, capsys, no_sweep):
+        # its directory exists and is writable, but the file it points to
+        # cannot be created: the sweep once ran, then the CLI exited 2
+        (tmp_path / "r.csv").symlink_to(tmp_path / "missing" / "r.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["--trials", "5", "--ext-n", "1", "--out", "r.csv"])
+        assert exc.value.code == USAGE_EXIT
+        assert os.strerror(errno.ENOENT) in capsys.readouterr().err
+
+    def test_out_check_creates_both_files_and_truncates_nothing(self, tmp_path):
+        (tmp_path / "r.csv").write_text("kept\n")
+        cfg = parse_cli(["--out", "r.csv"])
+        assert cfg.out_path == "r.csv"
+        assert (tmp_path / "r.csv").read_text() == "kept\n"
+        assert (tmp_path / "r.json").read_bytes() == b""
 
     def test_bad_worker_count_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("SNCSIM_WORKERS", "abc")
@@ -1002,6 +1089,8 @@ class TestCli:
 
         def sweep_then_remove(cfg):
             res = run_sweep(cfg)
+            for path in out_dir.iterdir():  # the files the --out check created
+                path.unlink()
             out_dir.rmdir()
             return res
 
