@@ -15,11 +15,12 @@ built and raises ConfigError for every config it rejects (the list is in
 its docstring), so a config that exists runs to the end.
 The engine evaluates chunks of consecutive trials: run_trials draws a
 chunk's channels as one bare (T, M, M, N) stack, one generator call per
-trial, and builds everything
-that depends on the channel alone (the precoders v1 and v_other, the
-filters' shared inverse w of V_1, V_1's rank test read from w, each
-stream's gain at its weakest receiver) as plain arrays in one stacked
-pass, redrawing only the trials whose V_1 lost rank, then evaluates the
+trial, and builds everything that depends on the channel alone (the
+ratio table, from which snc.ratio_bound_rejects fails most doomed draws,
+then for the other draws the precoders v1 and v_other, the filters'
+shared inverse w of V_1, V_1's rank test read from w, each stream's gain
+at its weakest receiver) as plain arrays in one stacked pass, redrawing
+only the trials whose V_1 lost rank, then evaluates the
 whole SNR grid of every kept trial in one array pass, in which the
 noisy pass filters each trial's unit noise once and scales it per point.
 The compute-and-forward leg runs once per chunk over the grid and draws
@@ -87,10 +88,12 @@ from .snc import (
     CapacityError,
     build_filters,
     build_precoders,
+    channel_ratios,
     check_precoder_ranks,
     cp_recover,
     effective_system,
     extension_dims,
+    ratio_bound_rejects,
 )
 
 WORKERS_ENV = "SNCSIM_WORKERS"
@@ -105,6 +108,10 @@ LEVEL_RANGE = (2.0 ** -511, 2.0 ** 511)
 MAX_SNR_POINTS = 10**4
 # a trial index is one 32-bit word of its generator's entropy
 MAX_TRIALS = 2**32
+# Every integer field is written in decimal, to messages, the CSV and the
+# sidecar, and Python refuses to convert an int of more than 4,300 digits;
+# a seed may still take 32 words.
+MAX_INT_BITS = 1024
 
 
 class ConfigError(Exception):
@@ -155,14 +162,15 @@ def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
 class SimConfig:
     """One sweep's configuration, checked when it is built: it raises
     ConfigError for a plan that cannot be built, a count that is not an
-    integer, a cap flag that is not a bool, no transmitter or receiver, an
-    antenna list that is not a sequence of one count >= 1 per node, an SNR
-    field that is not a real number with a finite float value, a field size
-    that is not a prime below 2^63, an SNR grid of more than MAX_SNR_POINTS
-    points, one whose linear SNR leaves LEVEL_RANGE (snr_levels, which the
-    engine shares), more than MAX_TRIALS trials, a coefficient search of
-    more than MAX_SEARCH_GRID vectors, or an out_path that is not a text
-    path or is its own JSON sidecar's.  Every field is stored as a plain
+    integer or has more than MAX_INT_BITS bits, a cap flag that is not a
+    bool, no transmitter or receiver, an antenna list that is not a
+    sequence of one count >= 1 per node, an SNR field that is not a real
+    number with a finite float value, a field size that is not a prime
+    below 2^63, an SNR grid of more than MAX_SNR_POINTS points, one whose
+    linear SNR leaves LEVEL_RANGE (snr_levels, which the engine shares),
+    more than MAX_TRIALS trials, a coefficient search of more than
+    MAX_SEARCH_GRID vectors, or an out_path that is not a text path or is
+    its own JSON sidecar's.  Every field is stored as a plain
     value (int, float, tuple of ints, str), so that configs compare, hash
     and serialise alike whatever numeric or path types they were given."""
 
@@ -188,6 +196,8 @@ class SimConfig:
             # bool is an Integral too, but True users or trials is a mistake
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if int(value).bit_length() > MAX_INT_BITS:  # checked before it is printed
+                raise ConfigError(f"{name} has more than {MAX_INT_BITS} bits")
             return int(value)
 
         # every field as a plain value, which the checks below read
@@ -331,31 +341,49 @@ class TrialBatch:
     cf_outage: np.ndarray | None = None
 
 
+def _draw_round(plan, h: np.ndarray):
+    """One round of V_1's rank test over the channel stack *h*: the mask of
+    the draws that pass, and their precoders v1 and v_other and inverses w
+    in index order.  The ratio table is built once; ratio_bound_rejects
+    fails most doomed draws from it, and only the draws it leaves open are
+    built, inverted and checked."""
+    g = channel_ratios(h, plan)
+    passed = ~ratio_bound_rejects(g, plan)
+    v1, v_other = build_precoders(g if passed.all() else g[passed], plan)
+    w = build_filters(v1)
+    ok = check_precoder_ranks(v1, w)
+    passed[passed] = ok
+    if not ok.all():
+        v1, v_other, w = v1[ok], v_other[ok], w[ok]
+    return passed, v1, v_other, w
+
+
 def _usable_channels(plan, h: np.ndarray, redraw):
     """Resample the draws of the chunk's channel *h* whose V_1 loses rank
-    up to MAX_RESAMPLES times.  The first round builds, inverts and checks
-    the whole chunk; each later round redraws, inverts and checks only the
-    trials still pending and writes its results over theirs, so a kept
-    trial keeps the inverse w that its rank test read.  Returns the kept
-    trials' channel, precoders v1 and v_other, and filter inverses w, and
-    the kept mask; the arrays are gathered only when some trial aborted."""
-    v1, v_other = build_precoders(h, plan)
-    w = build_filters(v1)
-    kept = check_precoder_ranks(v1, w)
-    pending = np.flatnonzero(~kept)
-    for _ in range(MAX_RESAMPLES):
+    up to MAX_RESAMPLES times.  The first round tests the whole chunk; each
+    later round redraws and tests only the trials still pending (one
+    _draw_round each), so a kept trial keeps the inverse w that its rank
+    test read.  Returns the kept trials' channel, precoders v1 and v_other,
+    and filter inverses w, and the kept mask; the rounds' arrays are joined
+    only when the first round did not keep every trial."""
+    pending = np.arange(len(h))
+    rounds = []  # (trials that passed, their v1, v_other and w) per round
+    for resample in range(MAX_RESAMPLES + 1):
+        if resample:
+            h[pending] = redraw(pending)
+        passed, *arrays = _draw_round(plan, h[pending] if resample else h)
+        rounds.append((pending[passed], arrays))
+        pending = pending[~passed]
         if not pending.size:
             break
-        h[pending] = redraw(pending)
-        pv1, pv_other = build_precoders(h[pending], plan)
-        pw = build_filters(pv1)
-        passed = check_precoder_ranks(pv1, pw)
-        v1[pending], v_other[pending], w[pending] = pv1, pv_other, pw
-        kept[pending[passed]] = True
-        pending = pending[~passed]
-    if pending.size:
-        return h[kept], v1[kept], v_other[kept], w[kept], kept
-    return h, v1, v_other, w, kept
+    kept = np.ones(len(h), dtype=bool)
+    kept[pending] = False
+    if len(rounds) == 1:  # every trial passed the first round
+        return h, *rounds[0][1], kept
+    order = np.argsort(np.concatenate([done for done, _ in rounds]))
+    v1, v_other, w = (np.concatenate(parts)[order]
+                      for parts in zip(*(arrays for _, arrays in rounds)))
+    return (h[kept] if pending.size else h), v1, v_other, w, kept
 
 
 def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:

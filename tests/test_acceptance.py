@@ -26,7 +26,6 @@ from sncsim.harness import SimConfig, run_sweep, run_trials, write_results
 from sncsim.phy import filter_and_demodulate, modulate_bpsk
 from sncsim.snc import (
     build_filters,
-    build_precoders,
     check_precoder_ranks,
     cp_recover,
     effective_system,
@@ -40,6 +39,7 @@ from tests.test_snc import (
     make_channel,
     numeric_system,
     one_trial_filters,
+    precoders,
     transmit,
 )
 
@@ -101,7 +101,7 @@ class TestAcceptance:
             plan = extension_dims(K, n)
             for seed in range(1000):
                 h = make_channel(K, plan.N, seed=seed)
-                p = build_precoders(h, plan)
+                p = precoders(h, plan)
                 if not check_precoder_ranks(p[0], build_filters(p[0])):
                     failures += 1
                     continue
@@ -124,7 +124,7 @@ class TestAcceptance:
                 h = make_channel(2, plan.N, seed=3000 + 100 * n + seed)
                 alpha = h[0, 1] / h[0, 0]
                 beta = h[1, 1] / h[1, 0]
-                v1 = build_precoders(h, plan)[0]
+                v1 = precoders(h, plan)[0]
                 v1 = v1 * (alpha[0] ** n / v1[0, 0])  # column 0 is alpha^n, unscaled
                 lhs = np.linalg.det(np.diag(alpha ** -float(n)) @ v1)
                 r = beta / alpha
@@ -281,7 +281,7 @@ class TestAcceptance:
         failures = 0
         for trial in range(50):
             [h] = sample_extended_channel(M, plan.N, "complex", [rng])
-            p = build_precoders(h, plan)
+            p = precoders(h, plan)
             if not check_precoder_ranks(p[0], build_filters(p[0])):
                 failures += 1
                 continue

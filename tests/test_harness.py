@@ -37,7 +37,7 @@ from sncsim.harness import (
     write_results,
 )
 from sncsim.phy import modulate_bpsk, per_link_rates, stream_gains
-from sncsim.snc import effective_system, extension_dims
+from sncsim.snc import build_precoders, effective_system, extension_dims
 from tests.test_channel import reference_generators
 from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
 from tests.test_snc import (
@@ -221,6 +221,25 @@ class TestConfig:
                 SimConfig(**overrides)
             assert time.perf_counter() - start < 1.0, overrides
             assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize("overrides", [
+        # str() refuses ints of more than 4,300 digits: these raised
+        # ValueError from their own error message
+        dict(seed=-10**5000), dict(trials=10**5000), dict(K=10**5000),
+        dict(scheme="cf", cf_radius=10**5000), dict(scheme="snc", n=10**5000),
+        # these ran, then the CSV or the sidecar could not write the field
+        dict(seed=10**5000), dict(scheme="snc", L=10**5000),
+        dict(tx_antennas=(10**5000, 1)),
+    ])
+    def test_oversized_integers_rejected_without_printing_them(self, overrides):
+        with pytest.raises(ConfigError, match=f"more than {harness.MAX_INT_BITS} bits") as exc:
+            small_config(**overrides)
+        assert len(str(exc.value)) < 200
+
+    def test_largest_seed_runs_and_is_written(self, tmp_path):
+        cfg = small_config(seed=2**harness.MAX_INT_BITS - 1, out_path=str(tmp_path / "r.csv"))
+        write_results(run_sweep(cfg), cfg, cfg.out_path)
+        assert json.loads((tmp_path / "r.json").read_text())["seed"] == cfg.seed
 
     def test_cf_radius_must_be_positive(self):
         for scheme in ("cf", "both"):
@@ -538,6 +557,8 @@ class TestRunTrials:
         dict(scheme="both", n=2),
         dict(scheme="snc", K=3, n=2, channel_model="complex"),
         dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False),
+        dict(scheme="snc", n=20, channel_model="complex"),
+        dict(scheme="snc", n=5, channel_model="real"),
         dict(scheme="both", tx_antennas=(2, 1), rx_antennas=(2, 1)),
     ])
     def test_equals_per_trial_seed_sequence_path(self, overrides, monkeypatch):
@@ -552,6 +573,26 @@ class TestRunTrials:
         ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         if cfg.n == 10:
             assert 0 < np.count_nonzero(ref.kept) < cfg.trials
+        for name in ("kept", *TRIAL_ROWS):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("overrides", [
+        # some trials abort, none do, every trial aborts
+        dict(scheme="snc", n=10, channel_model="complex", cap_enabled=False),
+        dict(scheme="both", n=5),
+        dict(scheme="snc", n=10),
+    ])
+    def test_ratio_bound_changes_no_outcome(self, overrides, monkeypatch):
+        # the bound only rejects draws the rank test would fail, so the
+        # batch is bit for bit that of building and checking every draw
+        cfg = small_config(**{"trials": 60, **overrides})
+        got = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        monkeypatch.setattr(harness, "ratio_bound_rejects",
+                            lambda g, plan: np.zeros(g.shape[:-2], dtype=bool))
+        ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         for name in ("kept", *TRIAL_ROWS):
             a, b = getattr(got, name), getattr(ref, name)
             assert (a is None) == (b is None)
@@ -685,6 +726,19 @@ class TestRunSweep:
         assert pt.outage_frac == 0.0 and pt.detected_err_frac == 0.0
         assert res.dof_slopes == {}
         assert "40 dB" in res.warning
+
+    def test_plan_whose_every_draw_aborts_builds_no_precoders(self, monkeypatch):
+        # past about n = 50 no K=2 draw keeps V_1's rank, and the ratio
+        # bound rejects every draw from |g| before its precoders are built
+        built = []
+        monkeypatch.setattr(harness, "build_precoders",
+                            lambda g, plan: built.append(len(g)) or build_precoders(g, plan))
+        cfg = SimConfig(K=2, n=100, scheme="snc", trials=20, snr_start=0, snr_stop=0)
+        start = time.perf_counter()
+        res = run_sweep(cfg)
+        assert time.perf_counter() - start < 5.0
+        assert res.point("snc", 0.0).trials == 0 and res.aborted_trials == 20
+        assert built and not any(built)
 
     def test_abort_warning_counts_trials(self):
         # the trial of test_point_where_every_trial_aborts over five points:

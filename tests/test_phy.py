@@ -16,7 +16,6 @@ from sncsim.channel import sample_extended_channel, sample_noise
 from sncsim.harness import SimConfig
 from sncsim.snc import (
     build_filters,
-    build_precoders,
     check_precoder_ranks,
     cp_recover,
     effective_system,
@@ -29,6 +28,7 @@ from tests.test_snc import (
     explicit_filters,
     make_channel,
     precoder,
+    precoders,
     split_by_transmitter,
     stream_offsets,
     transmit,
@@ -244,7 +244,7 @@ class TestFactoredFilters:
         eff = effective_system(plan)
         rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
         h = sample_extended_channel(K, plan.N, model, rngs)
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         keep = np.flatnonzero(check_precoder_ranks(v1, build_filters(v1)))
         h, v1, v_other = h[keep], v1[keep], v_other[keep]
         w = build_filters(v1)
@@ -358,7 +358,7 @@ class TestRates:
             kept = 0
             for seed in range(40):
                 h = make_channel(K, plan.N, seed=20 + K + 100 * seed, model=model)
-                p = build_precoders(h, plan)
+                p = precoders(h, plan)
                 if not check_precoder_ranks(p[0], build_filters(p[0])):
                     continue
                 w = build_filters(p[0])

@@ -20,12 +20,14 @@ from sncsim.snc import (
     ExtensionPlan,
     build_filters,
     build_precoders,
+    channel_ratios,
     check_precoder_ranks,
     _plan_matrix,
     cp_recover,
     effective_system,
     extension_dims,
     pack_bits,
+    ratio_bound_rejects,
     verify_alignment,
 )
 
@@ -34,6 +36,11 @@ BINARY_ATOL = 1e-6
 
 def make_channel(K, N, seed, model="complex"):
     return sample_extended_channel(K, N, model, [np.random.default_rng(seed)])[0]
+
+
+def precoders(h, plan):
+    """build_precoders on the ratio table of the channel *h*."""
+    return build_precoders(channel_ratios(h, plan), plan)
 
 
 def explicit_filters(h, w):
@@ -97,7 +104,7 @@ def one_trial_filters(h, p):
 def build_all(K, n, seed, model="complex"):
     plan = extension_dims(K, n)
     h = make_channel(K, plan.N, seed, model)
-    p = build_precoders(h, plan)
+    p = precoders(h, plan)
     return plan, h, p, one_trial_filters(h, p), effective_system(plan)
 
 
@@ -202,7 +209,7 @@ class TestPrecoders:
     def test_two_user_n2_column_structure(self):
         plan = extension_dims(2, 2)
         h = make_channel(2, 3, seed=0)
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         g12 = h[0, 1] / h[0, 0]
         g22 = h[1, 1] / h[1, 0]
         w = np.ones(3)
@@ -217,12 +224,12 @@ class TestPrecoders:
         # two slots, then one user
         for h in (make_channel(2, 2, seed=0), make_channel(1, 3, seed=0)):
             with pytest.raises(ValueError, match="does not match the plan"):
-                build_precoders(h, plan)
+                channel_ratios(h, plan)
 
     def test_two_user_n1_column_structure(self):
         plan = extension_dims(2, 1)
         h = make_channel(2, 2, seed=1)
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         g12 = h[0, 1] / h[0, 0]
         g22 = h[1, 1] / h[1, 0]
         ref1, ref2 = np.column_stack([g12, g22]), np.ones((2, 1))
@@ -233,7 +240,7 @@ class TestPrecoders:
     def test_power_constraint(self):
         plan = extension_dims(3, 2)
         h = make_channel(3, plan.N, seed=2)
-        p = build_precoders(h, plan)
+        p = precoders(h, plan)
         norms = [np.sum(np.abs(m) ** 2, axis=0) for m in p]
         assert max(np.max(x) for x in norms) == pytest.approx(1.0, rel=1e-12)
         assert all(np.all(x <= 1.0 + 1e-9) for x in norms)
@@ -241,14 +248,14 @@ class TestPrecoders:
     def test_identity_channel_collapses_rank(self):
         plan = extension_dims(2, 2)
         h = identity_channel(2, 3)
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         assert np.linalg.matrix_rank(v1) == 1
         assert not check_precoder_ranks(v1, build_filters(v1))
 
     def test_random_channels_full_rank(self):
         plan = extension_dims(2, 3)
         h = make_channel(2, plan.N, seed=3)
-        v1 = build_precoders(h, plan)[0]
+        v1 = precoders(h, plan)[0]
         assert check_precoder_ranks(v1, build_filters(v1))
         assert (plan.N, plan.N_prime) == (4, 3)
 
@@ -263,6 +270,7 @@ class TestPrecoders:
         for seed in range(20):
             h = make_channel(K, plan.N, seed=900 + seed, model=model)
             g = (h[:K, 1:K] / h[:K, 0][:, None]).reshape(K * (K - 1), -1)
+            assert np.array_equal(channel_ratios(h, plan), g)
 
             def column(exponents):
                 col = np.ones(plan.N, dtype=h.dtype)
@@ -275,7 +283,7 @@ class TestPrecoders:
                     for exps in (plan.tx1_exponents, plan.other_exponents)]
             scale = math.sqrt(1.0 / max(float(np.max(np.sum(np.abs(m) ** 2, axis=0)))
                                         for m in mats))
-            for got, ref in zip(build_precoders(h, plan), mats):
+            for got, ref in zip(build_precoders(g, plan), mats):
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, ref * scale)
 
@@ -283,7 +291,7 @@ class TestPrecoders:
         plan = extension_dims(2, 2)
         for seed in range(200):
             h = make_channel(2, plan.N, seed=seed)
-            v1 = build_precoders(h, plan)[0]
+            v1 = precoders(h, plan)[0]
             assert check_precoder_ranks(v1, build_filters(v1))
 
 
@@ -291,7 +299,7 @@ class TestAlignment:
     def test_two_user_witness_columns(self):
         plan = extension_dims(2, 2)
         h = make_channel(2, 3, seed=4)
-        res = verify_alignment(h, *build_precoders(h, plan))
+        res = verify_alignment(h, *precoders(h, plan))
         assert res.aligned
         # receiver 1: column j of V2 aligns with column j of V1
         assert res.witness[0, 1, 0] == 0 and res.witness[0, 1, 1] == 1
@@ -302,7 +310,7 @@ class TestAlignment:
         for K, n in [(2, 1), (2, 3), (3, 1), (3, 2)]:
             plan = extension_dims(K, n)
             h = make_channel(K, plan.N, seed=K * 10 + n)
-            assert verify_alignment(h, *build_precoders(h, plan)).aligned
+            assert verify_alignment(h, *precoders(h, plan)).aligned
 
     def test_random_precoders_do_not_align(self):
         plan = extension_dims(2, 2)
@@ -310,7 +318,7 @@ class TestAlignment:
         failures = 0
         for seed in range(100):
             h = make_channel(2, 3, seed=seed)
-            v1, v_other = build_precoders(h, plan)
+            v1, v_other = precoders(h, plan)
             if not verify_alignment(h, rng.standard_normal(v1.shape),
                                     rng.standard_normal(v_other.shape)):
                 failures += 1
@@ -321,7 +329,7 @@ class TestFilters:
     def test_inverse_property(self):
         plan = extension_dims(2, 2)
         h = make_channel(2, 3, seed=6)
-        p = build_precoders(h, plan)
+        p = precoders(h, plan)
         f = one_trial_filters(h, p)
         for l in range(2):
             prod = f[l] @ (h[l, 0][:, None] * p[0])
@@ -330,7 +338,7 @@ class TestFilters:
     def test_hand_computed_two_by_two(self):
         plan = extension_dims(2, 1)
         h = make_channel(2, 2, seed=7)
-        p = build_precoders(h, plan)
+        p = precoders(h, plan)
         f = one_trial_filters(h, p)
         m = h[0, 0][:, None] * p[0]
         a, b = m[0]
@@ -342,7 +350,7 @@ class TestFilters:
     def test_filters_absorb_global_scale(self):
         plan = extension_dims(2, 2)
         h = make_channel(2, 3, seed=8)
-        p1 = build_precoders(h, plan)
+        p1 = precoders(h, plan)
         p2 = (p1[0] * 3, p1[1] * 3)
         f1, f2 = one_trial_filters(h, p1), one_trial_filters(h, p2)
         assert np.allclose(f2[0] * 3, f1[0])
@@ -397,7 +405,7 @@ class TestPlanSystem:
         kept = 0
         for seed in range(draws):
             h = make_channel(K, plan.N, seed=50_000 + seed, model=model)
-            p = build_precoders(h, plan)
+            p = precoders(h, plan)
             if not check_precoder_ranks(p[0], build_filters(p[0])):
                 continue
             kept += 1
@@ -412,7 +420,7 @@ class TestPlanSystem:
         rng = np.random.default_rng(21)
         for _ in range(200):
             [h] = sample_extended_channel(M, plan.N, "complex", [rng])
-            p = build_precoders(h, plan)
+            p = precoders(h, plan)
             if not check_precoder_ranks(p[0], build_filters(p[0])):
                 continue
             assert verify_alignment(h, *p)
@@ -499,7 +507,7 @@ class TestRankTestSuffices:
         rngs = [np.random.default_rng(np.random.SeedSequence([1500, s]))
                 for s in range(draws)]
         h = sample_extended_channel(K, plan.N, model, rngs)
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         kept = check_precoder_ranks(v1, build_filters(v1))
         assert np.count_nonzero(kept) >= draws // 10
         h, v1, v_other = h[kept], v1[kept], v_other[kept]
@@ -589,7 +597,7 @@ class TestConditioningCheck:
         plan = extension_dims(K, n)
         rngs = [np.random.default_rng(np.random.SeedSequence([11, K, n, i]))
                 for i in range(draws)]
-        v1, _ = build_precoders(sample_extended_channel(K, plan.N, model, rngs), plan)
+        v1, _ = precoders(sample_extended_channel(K, plan.N, model, rngs), plan)
         passed, by_svd = svd_verdicts(monkeypatch, v1)
         # the bound settles the bulk of every plan's draws, both ways where
         # draws fail
@@ -597,11 +605,50 @@ class TestConditioningCheck:
         assert np.any(passed & ~by_svd)
         assert np.all(passed) or np.any(~passed & ~by_svd)
 
+    @pytest.mark.parametrize("K, n, model, draws", [
+        (2, 2, "real", 2000), (3, 1, "real", 2000), (3, 2, "complex", 500),
+        (2, 3, "complex", 2000), (2, 5, "real", 2000), (2, 10, "complex", 2000),
+        (2, 8, "complex", 2000), (2, 20, "complex", 2000),
+        # the 4 virtual users of the (2, 2) x (2, 2) antenna topology
+        (4, 1, "real", 1000),
+    ])
+    def test_ratio_bound_rejects_only_rank_deficient_draws(self, K, n, model, draws):
+        plan = extension_dims(K, n)
+        rngs = [np.random.default_rng(np.random.SeedSequence([11, K, n, i]))
+                for i in range(draws)]
+        h = sample_extended_channel(K, plan.N, model, rngs)
+        g = channel_ratios(h, plan)
+        rejected = ratio_bound_rejects(g, plan)
+        v1, _ = build_precoders(g[rejected], plan)
+        assert np.all(np.linalg.matrix_rank(v1, rtol=RANK_SV_RTOL) < plan.N)
+        if (K, n, model) == (2, 10, "complex"):
+            assert np.count_nonzero(rejected) >= 0.5 * draws
+        # a common scale of the channel leaves the ratios, and the verdicts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e150, 1e-150, 1e300, 1e-300):
+                scaled = ratio_bound_rejects(channel_ratios(h * scale, plan), plan)
+                assert np.array_equal(scaled, rejected), scale
+
+    def test_ratio_bound_rejects_zero_inf_and_nan_silently(self):
+        plan = extension_dims(2, 10)
+        g = np.ones((6, 2, plan.N), dtype=complex)
+        g[1, :, 3] = 0  # row 3 of V_1 is zero
+        g[2, 0, 5] = np.inf
+        g[3, 1, 0] = np.nan
+        g[4] = np.inf
+        g[5] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rejected = ratio_bound_rejects(g, plan)
+        # equal magnitudes leave the draw open, whatever its rank
+        assert rejected.tolist() == [False, True, True, True, True, True]
+
     @pytest.mark.parametrize("K, n, model", [(2, 2, "real"), (3, 1, "complex")])
     def test_exactly_singular_trial_is_rejected_alone(self, K, n, model):
         plan = extension_dims(K, n)
         h = np.stack([make_channel(K, plan.N, seed=950 + s, model=model) for s in range(6)])
-        v1, _ = build_precoders(h, plan)
+        v1, _ = precoders(h, plan)
         v1[2, :, 0] = 0  # no RuntimeWarning either: pytest makes them errors
         w = build_filters(v1)
         passed = check_precoder_ranks(v1, w)
@@ -626,7 +673,7 @@ class TestConditioningCheck:
         # the stack of test_stacked_precoders_and_ranks_equal_one_trial_calls
         plan = extension_dims(2, 10)
         h = np.stack([make_channel(2, plan.N, seed=700 + s) for s in range(24)])
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         passed = check_precoder_ranks(v1, build_filters(v1))
         full, other_full = (np.linalg.matrix_rank(m, rtol=RANK_SV_RTOL) == m.shape[-1]
                       for m in (v1, v_other))
@@ -646,17 +693,23 @@ class TestTrialStack:
         # of its own one-trial call
         plan = extension_dims(2, 10)
         hs = [make_channel(2, plan.N, seed=700 + s) for s in range(24)]
-        v1, v_other = build_precoders(np.stack(hs), plan)
+        g = channel_ratios(np.stack(hs), plan)
+        rejected = ratio_bound_rejects(g, plan)
+        v1, v_other = build_precoders(g, plan)
         passed = check_precoder_ranks(v1, build_filters(v1))
         for t, h in enumerate(hs):
-            v1_t, v_other_t = build_precoders(h, plan)
+            g_t = channel_ratios(h, plan)
+            assert np.array_equal(g_t, g[t])
+            assert ratio_bound_rejects(g_t, plan) == rejected[t]
+            v1_t, v_other_t = build_precoders(g_t, plan)
             assert np.array_equal(v1_t, v1[t]) and np.array_equal(v_other_t, v_other[t])
             assert check_precoder_ranks(v1_t, build_filters(v1_t)) == passed[t]
         assert 0 < np.count_nonzero(passed) < len(hs)
+        assert np.any(rejected) and np.any(~rejected & ~passed)
 
     def test_stacked_filters_equal_one_trial_calls(self):
         plan = extension_dims(2, 2)
-        v1s = [build_precoders(make_channel(2, plan.N, seed=800 + t), plan)[0]
+        v1s = [precoders(make_channel(2, plan.N, seed=800 + t), plan)[0]
                for t in range(6)]
         w = build_filters(np.stack(v1s))
         assert w.shape == (6, 3, 3)
@@ -671,7 +724,7 @@ class TestTrialStack:
         plan = extension_dims(K, n)
         eff = effective_system(plan)
         h = np.stack([make_channel(K, plan.N, seed=600 + s, model=model) for s in range(40)])
-        v1, v_other = build_precoders(h, plan)
+        v1, v_other = precoders(h, plan)
         ranked = check_precoder_ranks(v1, build_filters(v1))
         h, v1, v_other = h[ranked], v1[ranked], v_other[ranked]
         w = build_filters(v1)
@@ -785,7 +838,7 @@ class TestVandermondeIdentity:
                 h = make_channel(2, plan.N, seed=1000 * n + seed)
                 alpha = h[0, 1] / h[0, 0]
                 beta = h[1, 1] / h[1, 0]
-                v1 = build_precoders(h, plan)[0]
+                v1 = precoders(h, plan)[0]
                 v1 = v1 * (alpha[0] ** n / v1[0, 0])  # column 0 is alpha^n, unscaled
                 lhs = np.linalg.det(np.diag(alpha**-n) @ v1)
                 r = beta / alpha
