@@ -28,7 +28,6 @@ import itertools
 
 import numpy as np
 
-from .gf import PrimeField
 from .phy import cooperation_caps
 
 # Most integer vectors, (2 radius + 1)^K, the coefficient search may
@@ -222,8 +221,8 @@ def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
     return cand[int(np.argmax(rates))].copy()
 
 
-def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
-                      radius: int = 3, cap_enabled: bool = True):
+def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
+                      cap_enabled: bool = True):
     """Sum-rate of the compute-and-forward trials of the real channel *h*
     (..., K, K, N) at every SNR in *rhos*.
 
@@ -231,7 +230,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     of cf_select_coeffs); if the stacked K x K coefficient matrix is full
     rank mod q, the slot carries K times the worst receiver rate, capped
     per stream at log2(1 + rho) when *cap_enabled*; otherwise the slot is
-    an outage.
+    an outage.  The field size *q* must be a prime, as SimConfig checks.
 
     Returns ``(totals, outages)``, each of shape (..., S): the total rate
     over the N slots and the outage fraction of every trial and SNR point.
@@ -258,7 +257,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, field: PrimeField,
     if cap_enabled:
         r = np.minimum(r, cooperation_caps(rhos).reshape(-1, *[1] * (r.ndim - 1)))
     # a coefficient matrix has the rank of its rows up to sign
-    full = _invertible_mod(picks.reshape(*rates.shape, K), field.q)
+    full = _invertible_mod(picks.reshape(*rates.shape, K), q)
     totals = np.sum(np.where(full, K * r, 0.0), axis=-1)
     outages = np.count_nonzero(~full, axis=-1) / N
     return np.moveaxis(totals, 0, -1), np.moveaxis(outages, 0, -1)

@@ -13,25 +13,28 @@ Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan.  A SimConfig checks itself when it is
 built and raises ConfigError for every config it rejects (the list is in
 its docstring), so a config that exists runs to the end.
-The engine evaluates chunks of consecutive trials: run_trials draws a
-chunk's channels as one bare (T, M, M, N) stack, one generator call per
-trial, and builds everything that depends on the channel alone (the
-ratio table, from which snc.ratio_bound_rejects fails most doomed draws,
-then for the other draws the precoders v1 and v_other, the filters'
-shared inverse w of V_1, V_1's rank test read from w, each stream's gain
-at its weakest receiver) as plain arrays in one stacked pass, redrawing
-only the trials whose V_1 lost rank, then evaluates the
-whole SNR grid of every kept trial in one array pass, in which the
-noisy pass filters each trial's unit noise once and scales it per point.
-The compute-and-forward leg runs once per chunk over the grid and draws
-no randomness.  The arrays of a chunk are the only shape: one trial is
+The engine evaluates chunks of consecutive trials in two stages.
+run_trials draws a chunk's channels as one bare (T, M, M, N) stack, one
+generator call per trial, and keeps the draws whose V_1 has full rank,
+redrawing only those that failed (_usable_channels; each _draw_round
+builds the ratio table, from which snc.ratio_bound_rejects fails most
+doomed draws, and for the rest the precoders v1 and v_other and the
+filters' shared inverse w of V_1, which V_1's rank test reads).
+evaluate takes a channel stack and its precoders, from run_trials or
+chosen by a test, and returns per scheme one table of named per-trial
+outcomes (OUTCOMES), [point, trial] arrays over the whole SNR grid built
+in one array pass: each stream's gain at its weakest receiver once per
+trial, then the noisy pass, which filters each trial's unit noise once
+and scales it per point.  The compute-and-forward leg draws no
+randomness.  The arrays of a chunk are the only shape: one trial is
 run_trials on one index.  A sweep that fits one chunk of at most
 BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
 says: a process pool could not amortise its start-up over one chunk.
 A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
 chunks of trials // (4 workers) trials.  run_sweep joins the chunks'
-outcomes into [point, kept trial] arrays and aggregates every point of a
-scheme in one pass over the trial axis.
+tables and reduces every stat of STATS, the one declaration behind
+SweepPoint's stats and the CSV's stat columns, in one pass over the
+trial axis.
 
 Draw-order contract: trial i has its own generator, the one
 default_rng(SeedSequence([seed, i])) gives, which draws the channel and
@@ -51,6 +54,7 @@ an aborted trial aborts at every point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -76,7 +80,6 @@ from .channel import (
 from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
 from .gf import PrimeField, RankDeficientError
 from .phy import (
-    DOF_WINDOW_DB,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -326,19 +329,28 @@ class SimConfig:
         return tuple(self.snr_start + i * self.snr_step for i in range(count + 1))
 
 
+# SweepPoint's stat fields, in its order, each with the per-trial outcome
+# it reduces over a point's kept trials and how: "mean" or "std" (NaN where
+# no trial was kept), or "share", a mean that is 0 where none was.  The
+# CSV writes them in this order.  evaluate returns every outcome named
+# here for every scheme, 0 where a scheme lacks it.
+STATS = {
+    "mean_sum_rate": ("rate", "mean"),  # bits per channel use
+    "std_sum_rate": ("rate", "std"),
+    "outage_frac": ("outage", "share"),
+    "detected_err_frac": ("detected", "share"),
+}
+OUTCOMES = tuple(dict.fromkeys(outcome for outcome, _ in STATS.values()))
+
+
 @dataclass(frozen=True)
 class TrialBatch:
     """Outcomes of a chunk of trials.  ``kept`` (T,) marks the trials that
-    did not abort; every other array covers the kept trials only, in index
-    order, over the SNR points, and is None when its scheme did not run:
-    block sum rates ``snc_rate`` (Tk, S), the detected-error flags
-    ``detected`` (Tk, S), and ``cf_rate`` and ``cf_outage`` (Tk, S)."""
+    did not abort; ``outcomes`` is evaluate's table over the kept trials,
+    in index order, and is empty when every trial aborted."""
 
     kept: np.ndarray
-    snc_rate: np.ndarray | None = None
-    detected: np.ndarray | None = None
-    cf_rate: np.ndarray | None = None
-    cf_outage: np.ndarray | None = None
+    outcomes: dict[str, dict[str, np.ndarray]]
 
 
 def _draw_round(plan, h: np.ndarray):
@@ -395,39 +407,52 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     computed from that trial alone, so a trial's outcome does not depend
     on the other trials of the chunk.  A trial whose V_1 still lacks full
     rank after MAX_RESAMPLES resamples is aborted: ``kept`` is False for
-    it.
+    it.  The kept trials go to evaluate.
     """
-    M, n_ext = cfg.M, cfg.n_ext
-    plan = extension_dims(M, cfg.n) if cfg.run_snc else None
-    rhos, sigma2 = snr_levels(snr_dbs)
     rngs = trial_generators(cfg.seed, indices)
 
     def draw(trials):
-        return sample_extended_channel(M, n_ext, cfg.channel_model,
+        return sample_extended_channel(cfg.M, cfg.n_ext, cfg.channel_model,
                                        [rngs[t] for t in trials])
 
     h = draw(range(len(rngs)))
     kept = np.ones(len(rngs), dtype=bool)
+    v1 = v_other = w = None
     if cfg.run_snc:
-        h, v1, v_other, w, kept = _usable_channels(plan, h, draw)
-    out = {}
+        h, v1, v_other, w, kept = _usable_channels(extension_dims(cfg.M, cfg.n), h, draw)
     if not kept.any():
-        return TrialBatch(kept=kept)
-    if cfg.run_cf:
-        out["cf_rate"], out["cf_outage"] = cf_trial_sum_rate(
-            h, rhos, PrimeField(cfg.q), cfg.cf_radius, cfg.cap_enabled)
+        return TrialBatch(kept, {})
+    kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
+    return TrialBatch(kept, evaluate(cfg, snr_dbs, h, kept_rngs, v1, v_other, w))
+
+
+def evaluate(cfg: SimConfig, snr_dbs, h: np.ndarray, rngs, v1, v_other, w):
+    """The outcome table of the kept channel stack *h* (T, M, M, N), T >= 1, at
+    every SNR in *snr_dbs*: for every scheme that runs, snc then cf, each
+    name of OUTCOMES mapped to a [point, trial] array.  ``rate`` is the
+    block sum rate, ``outage`` the share of CF slots whose coefficient
+    matrix is singular mod q, ``detected`` the flag of redundant rows
+    disagreeing after the noisy BPSK pass, and an outcome a scheme lacks
+    is 0.  The SNC leg reads the precoders *v1* and *v_other* and inverses
+    *w* that _draw_round built for *h*, and draws each trial's messages,
+    then its noise, from its generator in *rngs*."""
+    rhos, sigma2 = snr_levels(snr_dbs)
+    table = {}
     if cfg.run_snc:
-        eff = effective_system(plan)
+        eff = effective_system(extension_dims(cfg.M, cfg.n))
         gains = stream_gains(h, v1, v_other, w, eff)
-        out["snc_rate"] = end_to_end_sum_rate(per_link_rates(gains, sigma2), rhos,
-                                              cfg.cap_enabled)
+        rate = end_to_end_sum_rate(per_link_rates(gains, sigma2), rhos, cfg.cap_enabled)
         # noisy end-to-end pass for the recovery statistics, every point at once
-        kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
-        msgs = sample_message_bits(plan.total_streams, kept_rngs)
-        noise = sample_noise(M, n_ext, cfg.channel_model, kept_rngs)
+        msgs = sample_message_bits(eff.plan.total_streams, rngs)
+        noise = sample_noise(cfg.M, cfg.n_ext, cfg.channel_model, rngs)
         words = filter_and_demodulate(modulate_bpsk(msgs), noise, h, w, sigma2, eff)
-        _, out["detected"] = cp_recover(eff, words)
-    return TrialBatch(kept=kept, **out)
+        table["snc"] = {"rate": rate.T, "detected": cp_recover(eff, words)[1].T}
+    if cfg.run_cf:
+        rate, outage = cf_trial_sum_rate(h, rhos, cfg.q, cfg.cf_radius, cfg.cap_enabled)
+        table["cf"] = {"rate": rate.T, "outage": outage.T}
+    zero = np.zeros((len(rhos), len(h)))
+    return {scheme: {name: outcomes.get(name, zero) for name in OUTCOMES}
+            for scheme, outcomes in table.items()}
 
 
 @dataclass(frozen=True)
@@ -474,27 +499,21 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     return max(1, min(share, BATCH_ELEMENTS // elements))
 
 
-def _sweep_points(scheme: str, snr_dbs, rates: np.ndarray, n_ext: int,
-                  outages: np.ndarray | None = None,
-                  detected: np.ndarray | None = None) -> list[SweepPoint]:
-    """Aggregate the kept trials' block rates, CF outages and detected-error
-    flags, each a [point, kept trial] array, in one pass over the trial
-    axis: one SweepPoint per SNR in *snr_dbs*.  When every trial aborted
-    there is nothing to average: the rates are NaN."""
-    trials = rates.shape[1]
-    if not trials:
-        return [SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=math.nan,
-                           std_sum_rate=math.nan, trials=0, outage_frac=0.0,
-                           detected_err_frac=0.0) for snr_db in snr_dbs]
-    samples = rates / n_ext
-    zeros = np.zeros(len(snr_dbs))
-    outage = outages.mean(axis=1) if outages is not None else zeros
-    err = np.count_nonzero(detected, axis=1) / trials if detected is not None else zeros
-    return [SweepPoint(scheme=scheme, snr_db=snr_db, mean_sum_rate=float(m),
-                       std_sum_rate=float(sd), trials=trials, outage_frac=float(o),
-                       detected_err_frac=float(e))
-            for snr_db, m, sd, o, e in zip(snr_dbs, samples.mean(axis=1),
-                                           samples.std(axis=1), outage, err)]
+def _sweep_stats(tables, points: int, n_ext: int) -> dict[str, np.ndarray]:
+    """Every stat of STATS at each of the *points* SNR points, from a
+    scheme's outcome *tables*, one per chunk that kept a trial, in trial
+    order.  Each outcome is joined into one [point, kept trial] array, each
+    point's row contiguous, and reduced in one pass over the trial axis,
+    the block rates divided by the block length *n_ext*.  With no kept
+    trial there is nothing to average: "share" reads 0, the others NaN."""
+    if not tables:
+        return {stat: np.full(points, 0.0 if how == "share" else math.nan)
+                for stat, (_, how) in STATS.items()}
+    rows = {name: np.ascontiguousarray(np.concatenate([t[name] for t in tables], axis=1))
+            for name in OUTCOMES}
+    rows["rate"] = rows["rate"] / n_ext
+    return {stat: rows[outcome].std(axis=1) if how == "std" else rows[outcome].mean(axis=1)
+            for stat, (outcome, how) in STATS.items()}
 
 
 def run_sweep(cfg: SimConfig) -> SweepResult:
@@ -508,15 +527,13 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     trial's outcome does not depend on its chunk, and aggregation happens
     in trial-index order, so results do not depend on the worker count.
     """
-    n_ext = cfg.n_ext
+    n_ext, grid = cfg.n_ext, cfg.snr_grid
     workers = worker_count()
     if chunk_length(cfg, 1) >= cfg.trials:
         workers = 1  # one chunk: a pool would cost more than it saves
-    res = SweepResult(n_ext=n_ext)
-    schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
 
     # only the outcome arrays of a chunk cross the process boundary
-    fn = partial(run_trials, cfg, cfg.snr_grid)
+    fn = partial(run_trials, cfg, grid)
     step = chunk_length(cfg, workers)
     chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
     if workers > 1:
@@ -526,46 +543,34 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
             batches = list(pool.map(fn, chunks))
     else:
         batches = [fn(c) for c in chunks]
-    aborted = sum(int(np.count_nonzero(~b.kept)) for b in batches)
-    kept = [b for b in batches if b.kept.any()]
-
-    def rows(name):
-        """One outcome as [point, kept trial], each point's row contiguous."""
-        parts = [getattr(b, name) for b in kept] or [np.empty((0, len(cfg.snr_grid)))]
-        return np.ascontiguousarray(np.concatenate(parts).T)
-
-    per_scheme = []
-    if cfg.run_snc:
-        per_scheme.append(_sweep_points("snc", cfg.snr_grid, rows("snc_rate"), n_ext,
-                                        detected=rows("detected")))
-    if cfg.run_cf:
-        per_scheme.append(_sweep_points("cf", cfg.snr_grid, rows("cf_rate"), n_ext,
-                                        outages=rows("cf_outage")))
-    res.points = [pt for at_point in zip(*per_scheme) for pt in at_point]
-    res.aborted_trials = aborted * len(cfg.snr_grid)
-
+    tables = [b.outcomes for b in batches if b.kept.any()]
+    trials = sum(int(np.count_nonzero(b.kept)) for b in batches)
+    aborted = cfg.trials - trials
+    stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext)
+             for s in ("snc", "cf") if cfg.scheme in (s, "both")}
+    res = SweepResult(n_ext=n_ext, aborted_trials=aborted * len(grid))
+    res.points = [SweepPoint(scheme=s, snr_db=snr_db, trials=trials,
+                             **{stat: float(values[p]) for stat, values in at.items()})
+                  for p, snr_db in enumerate(grid) for s, at in stats.items()]
     if not cfg.cap_enabled:
-        lo, hi = DOF_WINDOW_DB
-        for scheme in schemes:
-            fit = [pt for pt in res.points
-                   if pt.scheme == scheme and math.isfinite(pt.mean_sum_rate)]
-            if sum(1 for pt in fit if lo <= pt.snr_db <= hi) >= 2:
-                res.dof_slopes[scheme] = estimate_dof_slope(
-                    [pt.snr_db for pt in fit],
-                    [pt.mean_sum_rate * n_ext for pt in fit], n_ext)
+        for s, at in stats.items():
+            mean = at["mean_sum_rate"]
+            fit = np.isfinite(mean)
+            with contextlib.suppress(ValueError):  # under 2 points in DOF_WINDOW_DB
+                res.dof_slopes[s] = estimate_dof_slope(np.array(grid)[fit],
+                                                       mean[fit] * n_ext, n_ext)
     notes = []
     if aborted > 0.01 * cfg.trials:
         notes.append(f"{aborted} of {cfg.trials} trials aborted on degenerate channels")
-    if not kept:
+    if not trials:
         notes.append("every trial aborted at "
-                     + ", ".join(f"{s:g} dB" for s in cfg.snr_grid)
+                     + ", ".join(f"{s:g} dB" for s in grid)
                      + "; no rates there")
     res.warning = "; ".join(notes) or None
     return res
 
 
-CSV_HEADER = ["scheme", "K", "L", "n", "q", "channel_model", "snr_db", "trials",
-              "mean_sum_rate", "std_sum_rate", "outage_frac", "detected_err_frac"]
+CSV_HEADER = ["scheme", "K", "L", "n", "q", "channel_model", "snr_db", "trials", *STATS]
 
 
 def write_results(res: SweepResult, cfg: SimConfig, path: str | Path):
@@ -579,8 +584,7 @@ def write_results(res: SweepResult, cfg: SimConfig, path: str | Path):
             writer.writerow([
                 pt.scheme, cfg.K, cfg.rx_count, cfg.n, cfg.q, cfg.channel_model,
                 repr(float(pt.snr_db)), pt.trials,
-                repr(pt.mean_sum_rate), repr(pt.std_sum_rate),
-                repr(pt.outage_frac), repr(pt.detected_err_frac),
+                *(repr(getattr(pt, stat)) for stat in STATS),
             ])
     sidecar = path.with_suffix(".json")
     meta = {

@@ -39,16 +39,11 @@ from .snc import EffectiveSystem, pack_bits
 DOF_WINDOW_DB = (40.0, 60.0)  # the SNR window of the DoF slope fit
 
 
-class UnsupportedModulationError(Exception):
-    """Demodulation paths support GF(2)/BPSK only."""
-
-
 def modulate_bpsk(b) -> np.ndarray:
-    """Map GF(2) symbols to antipodal samples: 0 -> +1, 1 -> -1."""
-    b = np.asarray(b)
-    if b.size and (b.min() < 0 or b.max() > 1):
-        raise UnsupportedModulationError("symbols must be in {0, 1}")
-    return 1.0 - 2.0 * b
+    """Map GF(2) symbols to antipodal samples: 0 -> +1, 1 -> -1.  The
+    symbols are not checked: the messages of channel.sample_message_bits
+    are single bits by construction."""
+    return 1.0 - 2.0 * np.asarray(b)
 
 
 def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,

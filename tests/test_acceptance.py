@@ -187,7 +187,7 @@ class TestAcceptance:
         assert b.kept[0]
         [per_signals] = stream_rates(cfg, cfg.snr_grid, [0]).tolist()
         for snr_db, per_signal, sum_rate in zip(cfg.snr_grid, per_signals,
-                                                b.snc_rate[0].tolist()):
+                                                b.outcomes["snc"]["rate"][:, 0].tolist()):
             cap = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
             capped = sum(min(v, cap) for v in per_signal)
             capped_ok = capped_ok and sum_rate == pytest.approx(capped)

@@ -290,7 +290,7 @@ class TestTrialSumRate:
         h = real_channel(1, 4, seed=0)
         rho = 100.0
         cap = math.log2(1 + rho)
-        [total], [outage] = cf_trial_sum_rate(h, [rho], PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(h, [rho], 2)
         assert outage == 0.0
         expected = sum(
             min(cf_computation_rate([h[0, 0][i]],
@@ -302,19 +302,18 @@ class TestTrialSumRate:
         # both receivers see the same channel row -> same coefficients ->
         # rank-deficient stack, slot contributes nothing
         h = channel_from_rows([[1.3, 0.7], [1.3, 0.7]])
-        [total], [outage] = cf_trial_sum_rate(h, rhos=[100.0], field=PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(h, rhos=[100.0], q=2)
         assert total == 0.0
         assert outage == 1.0
 
     def test_outage_iff_determinant_vanishes_mod_q(self):
         rng = np.random.default_rng(4)
-        field = PrimeField(2)
         for seed in range(30):
             h = real_channel(2, 1, seed=seed)
             rho = 10 ** rng.uniform(1, 4)
             rows = [np.array([h[l, k][0] for k in range(2)]) for l in range(2)]
             A = np.vstack([cf_select_coeffs(r, rho) for r in rows])
-            [total], [outage] = cf_trial_sum_rate(h, [rho], field, cap_enabled=False)
+            [total], [outage] = cf_trial_sum_rate(h, [rho], 2, cap_enabled=False)
             det_zero = int(round(np.linalg.det(A))) % 2 == 0
             assert (outage == 1.0) == det_zero
             assert (total == 0.0) == det_zero
@@ -322,16 +321,16 @@ class TestTrialSumRate:
     def test_complex_channels_rejected(self):
         [h] = sample_extended_channel(2, 2, "complex", [np.random.default_rng(0)])
         with pytest.raises(ValueError):
-            cf_trial_sum_rate(h, [10.0], PrimeField(2))
+            cf_trial_sum_rate(h, [10.0], 2)
 
     def test_non_square_channel_rejected(self):
         h = np.ones((2, 3, 1))  # 2 receivers, 3 transmitters
         with pytest.raises(ValueError, match="K = L"):
-            cf_trial_sum_rate(h, [10.0], PrimeField(2))
+            cf_trial_sum_rate(h, [10.0], 2)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
-            cf_trial_sum_rate(real_channel(2, 1, seed=0), [1.0], PrimeField(2), radius=0)
+            cf_trial_sum_rate(real_channel(2, 1, seed=0), [1.0], 2, radius=0)
 
     @pytest.mark.parametrize("cap_enabled", [True, False])
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -343,7 +342,7 @@ class TestTrialSumRate:
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
         for seed in range(4):
             h = real_channel(K, 3, seed=100 * K + seed)
-            totals, outages = cf_trial_sum_rate(h, rhos, field, radius, cap_enabled)
+            totals, outages = cf_trial_sum_rate(h, rhos, field.q, radius, cap_enabled)
             assert totals.shape == outages.shape == (len(rhos),)
             for rho, total, outage in zip(rhos, totals, outages):
                 exp_total, exp_outage = per_point_oracle(h, rho, field, radius, cap_enabled)
@@ -358,7 +357,7 @@ class TestTrialSumRate:
         rho = 0.5
         assert list(cf_select_coeffs(rows[0], rho)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho)) == [0, 1]
-        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho], PrimeField(2))
+        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho], 2)
         expected = per_point_oracle(channel_from_rows(rows), rho, PrimeField(2), 3, True)
         assert outage == expected[1] == 0.0
         assert total == pytest.approx(expected[0], rel=1e-12)
@@ -374,7 +373,7 @@ class TestTrialSumRate:
         assert list(cf_select_coeffs(rows[0], rho, radius=1)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho, radius=1)) == [0, 1]
         [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
-                                              PrimeField(2), radius=1)
+                                              2, radius=1)
         assert outage == 0.0 and total > 0.0
 
 
@@ -390,7 +389,7 @@ class TestRateBuffer:
         field = PrimeField(q)
         T = 5 if cf_baseline.search_grid_size(K, radius) <= 7 ** 4 else 1
         for h in [*stress_channels(K, [K, radius, q], T), real_channel(K, 3, seed=K)]:
-            got = cf_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
+            got = cf_trial_sum_rate(h, self.RHOS, field.q, radius, cap_enabled)
             want = allocating_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -409,7 +408,7 @@ class TestRateBuffer:
         h = channel_from_rows(rows)
         rhos = [0.5, 10.0, 27.82321647366683, 72326846.56891178]
         for cap_enabled in (True, False):
-            got = cf_trial_sum_rate(h, rhos, PrimeField(2), radius, cap_enabled)
+            got = cf_trial_sum_rate(h, rhos, 2, radius, cap_enabled)
             want = allocating_trial_sum_rate(h, rhos, PrimeField(2), radius, cap_enabled)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -481,7 +480,7 @@ class TestOrbitSearch:
         # rounding), and the outputs must not change
         rhos = TestRateBuffer.RHOS
         channels = [h for K in (1, 2, 3, 4) for h in stress_channels(K, 90 + K)]
-        want = [cf_trial_sum_rate(h, rhos, PrimeField(3)) for h in channels]
+        want = [cf_trial_sum_rate(h, rhos, 3) for h in channels]
         first_argmin = np.argmin
         moved = []
 
@@ -495,7 +494,7 @@ class TestOrbitSearch:
 
         monkeypatch.setattr(cf_baseline.np, "argmin", last_argmin)
         for h, ref in zip(channels, want):
-            got = cf_trial_sum_rate(h, rhos, PrimeField(3))
+            got = cf_trial_sum_rate(h, rhos, 3)
             assert all(np.array_equal(g, w) for g, w in zip(got, ref))
         assert sum(moved) > 0
 
@@ -513,7 +512,7 @@ class TestOrbitSearch:
         rows = 0
         for K in (2, 3, 4):
             for h in stress_channels(K, 60 + K):
-                cf_trial_sum_rate(h, rhos, PrimeField(2))
+                cf_trial_sum_rate(h, rhos, 2)
                 rows += len(rhos) * h[..., 0, :].size  # (point, trial, receiver, slot)
         # the count the rate certificate gave on this set: the denominator
         # certificate opens the same rows
@@ -524,5 +523,5 @@ class TestOrbitSearch:
         rng = np.random.default_rng(61)
         for T, K, N in [(12, 3, 1), (7, 2, 3), (12, 1, 3)]:
             for _ in range(20):
-                cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, PrimeField(2))
+                cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, 2)
         assert exhaustive == []

@@ -450,7 +450,7 @@ class TestRunTrial:
         a = one_point(cfg, 20.0, trial_index=0)
         b = one_point(cfg, 20.0, trial_index=1)
         assert a.kept[0] and b.kept[0]
-        assert a.snc_rate[0, 0] != b.snc_rate[0, 0]
+        assert a.outcomes["snc"]["rate"][0, 0] != b.outcomes["snc"]["rate"][0, 0]
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="snc", n=2, channel_model="complex"),
@@ -473,9 +473,9 @@ class TestRunTrial:
                     assert not one_point(cfg, snr_db, i).kept[0]
                 continue
             [grid] = trial_rows(b)
-            assert all(row is None or len(row) == len(cfg.snr_grid) for row in grid)
+            assert all(len(row) == len(cfg.snr_grid) for _, _, row in grid)
             for p, snr_db in enumerate(cfg.snr_grid):
-                point =tuple(None if row is None else row[p:p + 1] for row in grid)
+                point = tuple((scheme, name, row[p:p + 1]) for scheme, name, row in grid)
                 assert trial_rows(one_point(cfg, snr_db, i)) == [point]
         if cfg.n == 10:
             assert 0 < aborted < 6  # both paths were exercised
@@ -485,7 +485,7 @@ class TestRunTrial:
         r = one_point(cfg, 0.0, trial_index=0)
         assert r.kept[0]
         # every stream capped at log2(2) = 1 bit; 3 streams over N=2 slots
-        assert r.snc_rate[0, 0] <= 3.0 + 1e-12
+        assert r.outcomes["snc"]["rate"][0, 0] <= 3.0 + 1e-12
 
     def test_equal_rate_structure_at_high_snr(self):
         # rate-report structure at 60 dB, cap disabled: 5 streams carry the
@@ -497,7 +497,7 @@ class TestRunTrial:
             r = one_point(cfg, 60.0, i)
             assert r.kept[0]
             [[per_signal]] = stream_rates(cfg, (60.0,), [i]).tolist()
-            [[sum_rate]] = r.snc_rate.tolist()
+            [[sum_rate]] = r.outcomes["snc"]["rate"].tolist()
             assert len(per_signal) == 5
             assert sum_rate == pytest.approx(sum(per_signal), rel=1e-12)
             sums.append(sum_rate)
@@ -505,21 +505,32 @@ class TestRunTrial:
         assert np.mean(sums) == pytest.approx(5 * np.mean(streams), rel=0.05)
 
 
-TRIAL_ROWS = ("snc_rate", "detected", "cf_rate", "cf_outage")
-
-
 def trial_rows(batch):
-    """Per trial of a TrialBatch: None when it aborted, else its outcome
-    rows as exact Python values (None for a scheme that did not run)."""
+    """Per trial of a TrialBatch: None when it aborted, else its
+    (scheme, outcome, row over the points) triples, the rows as exact
+    Python values."""
     rows, k = [], 0
     for kept in batch.kept:
         if not kept:
             rows.append(None)
             continue
-        rows.append(tuple(None if getattr(batch, name) is None
-                          else getattr(batch, name)[k].tolist() for name in TRIAL_ROWS))
+        rows.append(tuple((scheme, name, values[:, k].tolist())
+                          for scheme, table in batch.outcomes.items()
+                          for name, values in table.items()))
         k += 1
     return rows
+
+
+def assert_same_batch(got, ref):
+    """Two TrialBatches hold the same kept mask and outcome tables, dtype
+    and bits."""
+    assert got.kept.dtype == ref.kept.dtype and np.array_equal(got.kept, ref.kept)
+    assert list(got.outcomes) == list(ref.outcomes)
+    for scheme, table in got.outcomes.items():
+        assert list(table) == list(ref.outcomes[scheme]) == list(harness.OUTCOMES)
+        for name, a in table.items():
+            b = ref.outcomes[scheme][name]
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestRunTrials:
@@ -541,7 +552,7 @@ class TestRunTrials:
             assert sum((trial_rows(b) for b in chunks), []) == rows
             for b in chunks:
                 if not b.kept.any():  # a chunk whose every trial aborted
-                    assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+                    assert b.outcomes == {}
         for i, row in enumerate(rows):
             b = run_trials(cfg, cfg.snr_grid, [i])
             assert b.kept[0] == (row is not None)
@@ -551,7 +562,7 @@ class TestRunTrials:
             assert 0 < len(aborted) < T  # both paths were exercised
             b = run_trials(cfg, cfg.snr_grid, aborted[:3])
             assert not b.kept.any()
-            assert all(getattr(b, name) is None for name in TRIAL_ROWS)
+            assert b.outcomes == {}
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="both", n=2),
@@ -573,11 +584,7 @@ class TestRunTrials:
         ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         if cfg.n == 10:
             assert 0 < np.count_nonzero(ref.kept) < cfg.trials
-        for name in ("kept", *TRIAL_ROWS):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_batch(got, ref)
 
     @pytest.mark.parametrize("overrides", [
         # some trials abort, none do, every trial aborts
@@ -593,11 +600,7 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "ratio_bound_rejects",
                             lambda g, plan: np.zeros(g.shape[:-2], dtype=bool))
         ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
-        for name in ("kept", *TRIAL_ROWS):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_batch(got, ref)
 
     def test_kept_inverses_are_those_of_one_call_after_the_loop(self):
         # K=2, n=10 draws often lose rank: this chunk resamples and aborts
@@ -638,7 +641,7 @@ class TestRunTrials:
             per_signal = np.minimum(per_signal, caps[:, None])
         b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         assert len(h) == np.count_nonzero(b.kept) > 0
-        assert np.array_equal(b.snc_rate, per_signal.sum(axis=-1))
+        assert np.array_equal(b.outcomes["snc"]["rate"], per_signal.sum(axis=-1).T)
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="snc", n=2),
@@ -654,8 +657,9 @@ class TestRunTrials:
                               "snr_step": 10.0, **overrides})
         b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
         ref = oracle_detected(cfg, range(cfg.trials))
-        assert b.detected.shape == ref.shape == (np.count_nonzero(b.kept), 32)
-        assert np.array_equal(b.detected, ref)
+        detected = b.outcomes["snc"]["detected"].T
+        assert detected.shape == ref.shape == (np.count_nonzero(b.kept), 32)
+        assert np.array_equal(detected, ref)
         assert ref[:, 0].any() and not ref[:, -1].any()
 
     def test_chunk_length_bounds(self):
@@ -683,8 +687,11 @@ class TestRunSweep:
         assert sample.kept[0]
         pt = res.point("snc", 20.0)
         assert pt.trials == 1
-        assert pt.mean_sum_rate == pytest.approx(sample.snc_rate[0, 0] / res.n_ext)
+        assert pt.mean_sum_rate == pytest.approx(sample.outcomes["snc"]["rate"][0, 0]
+                                                 / res.n_ext)
         assert pt.std_sum_rate == 0.0
+        # plain floats, whose repr the CSV writes
+        assert {type(v) for v in dataclasses.astuple(pt)[2:]} == {float, int}
 
     def test_mean_matches_streaming_recomputation(self):
         cfg = small_config(scheme="snc", trials=20, snr_start=10.0,
@@ -694,7 +701,7 @@ class TestRunSweep:
         for i in range(20):
             b = one_point(cfg, 10.0, i)
             assert b.kept[0]
-            x = b.snc_rate[0, 0] / res.n_ext
+            x = b.outcomes["snc"]["rate"][0, 0] / res.n_ext
             mean += (x - mean) / (i + 1)
         assert abs(res.point("snc", 10.0).mean_sum_rate - mean) < 1e-12
 
@@ -724,6 +731,7 @@ class TestRunSweep:
         assert pt.trials == 0 and res.aborted_trials == 1
         assert math.isnan(pt.mean_sum_rate) and math.isnan(pt.std_sum_rate)
         assert pt.outage_frac == 0.0 and pt.detected_err_frac == 0.0
+        assert {type(v) for v in dataclasses.astuple(pt)[2:]} == {float, int}
         assert res.dof_slopes == {}
         assert "40 dB" in res.warning
 
@@ -783,33 +791,57 @@ class TestAggregation:
         rates = rng.exponential(3.0, shape)
         outages = rng.integers(0, 4, shape) / 3
         detected = rng.random(shape) < 0.3
+        zero = np.zeros(shape)
         n_ext = 3
-        snc = harness._sweep_points("snc", self.GRID, rates, n_ext, detected=detected)
-        cf = harness._sweep_points("cf", self.GRID, rates, n_ext, outages=outages)
-        for p, snr_db in enumerate(self.GRID):
+        snc = harness._sweep_stats([{"rate": rates, "outage": zero, "detected": detected}],
+                                   len(self.GRID), n_ext)
+        cf = harness._sweep_stats([{"rate": rates, "outage": outages, "detected": zero}],
+                                  len(self.GRID), n_ext)
+        # chunks' tables joined in trial order reduce as the whole table
+        k = trials // 2
+        halves = [{"rate": rates[:, part], "outage": outages[:, part], "detected": zero[:, part]}
+                  for part in (slice(0, k), slice(k, None))]
+        joined = harness._sweep_stats(halves, len(self.GRID), n_ext)
+        assert all(np.array_equal(joined[stat], cf[stat]) for stat in harness.STATS)
+        for p in range(len(self.GRID)):
             samples = rates[p] / n_ext
-            for pt in (snc[p], cf[p]):
-                assert (pt.snr_db, pt.trials) == (snr_db, trials)
-                assert pt.mean_sum_rate == float(np.mean(samples))
-                assert pt.std_sum_rate == float(np.std(samples))
-                # plain floats, whose repr the CSV writes
-                assert {type(v) for v in dataclasses.astuple(pt)[2:]} == {float, int}
-            assert snc[p].detected_err_frac == (int(np.count_nonzero(detected[p]))
-                                                / trials)
-            assert cf[p].outage_frac == float(np.mean(outages[p]))
-            assert snc[p].outage_frac == cf[p].detected_err_frac == 0.0
+            for stats in (snc, cf):
+                assert list(stats) == list(harness.STATS)
+                assert stats["mean_sum_rate"][p] == np.mean(samples)
+                assert stats["std_sum_rate"][p] == np.std(samples)
+            assert snc["detected_err_frac"][p] == (int(np.count_nonzero(detected[p]))
+                                                   / trials)
+            assert cf["outage_frac"][p] == np.mean(outages[p])
+            assert snc["outage_frac"][p] == cf["detected_err_frac"][p] == 0.0
 
     def test_no_kept_trial_gives_nan_rates_without_warnings(self):
-        empty = np.empty((len(self.GRID), 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points = (harness._sweep_points("snc", self.GRID, empty, 3, detected=empty)
-                      + harness._sweep_points("cf", self.GRID, empty, 1, outages=empty))
-        assert [pt.snr_db for pt in points] == list(self.GRID) * 2
-        for pt in points:
-            assert pt.trials == 0
-            assert math.isnan(pt.mean_sum_rate) and math.isnan(pt.std_sum_rate)
-            assert pt.outage_frac == pt.detected_err_frac == 0.0
+            stats = [harness._sweep_stats([], len(self.GRID), 3),
+                     harness._sweep_stats([], len(self.GRID), 1)]
+        for at in stats:
+            assert all(len(values) == len(self.GRID) for values in at.values())
+            assert np.isnan(at["mean_sum_rate"]).all() and np.isnan(at["std_sum_rate"]).all()
+            assert not at["outage_frac"].any() and not at["detected_err_frac"].any()
+
+    def test_outcome_declaration_matches_point_and_csv(self):
+        # a stat is declared once, in STATS: SweepPoint's stat fields and the
+        # CSV's stat columns list the same names in the same order, and each
+        # reduces an outcome that evaluate returns
+        stats = list(harness.STATS)
+        fields = [f.name for f in dataclasses.fields(harness.SweepPoint)
+                  if f.name not in ("scheme", "snr_db", "trials")]
+        assert fields == stats
+        assert harness.CSV_HEADER[-len(stats):] == stats
+        assert "trials" not in harness.CSV_HEADER[-len(stats):]
+        assert {outcome for outcome, _ in harness.STATS.values()} == set(harness.OUTCOMES)
+        assert {how for _, how in harness.STATS.values()} <= {"mean", "std", "share"}
+        cfg = small_config()
+        b = run_trials(cfg, cfg.snr_grid, range(3))
+        assert b.kept.all() and list(b.outcomes) == ["snc", "cf"]
+        for table in b.outcomes.values():
+            assert list(table) == list(harness.OUTCOMES)
+            assert all(v.shape == (len(cfg.snr_grid), 3) for v in table.values())
 
 
 def traced_layers():

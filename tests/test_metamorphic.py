@@ -1,0 +1,101 @@
+"""Metamorphic relations of the engine (Chen et al., "Metamorphic Testing:
+A Review of Challenges and Opportunities", ACM CSUR 51(1), 2018): a known
+transform of the channel stack must move the outcomes in a known way.
+Each relation runs harness.evaluate, the engine's own evaluation, on draws
+that _draw_round keeps both before and after the transform."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sncsim.channel import sample_extended_channel, trial_generators
+from sncsim.harness import SimConfig, _draw_round, evaluate
+from sncsim.snc import extension_dims
+
+GRID = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+
+
+def evaluate_pair(cfg, transform, seed, snr_shift_db=0.0, keep_cfg=None, trials=40):
+    """evaluate's tables for *cfg* on the draws of *trials* fresh channels
+    of *keep_cfg* (default *cfg*) that _draw_round keeps both as drawn and
+    after *transform*: the drawn stack at GRID, and its transform at GRID
+    shifted by *snr_shift_db*."""
+    keep_cfg = keep_cfg or cfg
+    plan = extension_dims(keep_cfg.M, keep_cfg.n)
+    h = sample_extended_channel(keep_cfg.M, keep_cfg.n_ext, keep_cfg.channel_model,
+                                trial_generators(seed, range(trials)))
+    moved = transform(h)
+    both = _draw_round(plan, h)[0] & _draw_round(plan, moved)[0]
+    assert both.sum() >= trials // 4  # enough draws for the relation to bite
+    tables = []
+    for stack, shift in ((h[both], 0.0), (moved[both], snr_shift_db)):
+        passed, *arrays = _draw_round(plan, stack)
+        assert passed.all()  # a draw's rank test does not depend on the others
+        rngs = trial_generators(seed, range(len(stack)))
+        tables.append(evaluate(cfg, [s + shift for s in GRID], stack, rngs, *arrays))
+    return tables
+
+
+SNC_CONFIGS = [
+    dict(K=2, n=1),
+    dict(K=2, n=2),
+    dict(K=3, n=1),
+    dict(K=3, n=2),
+]
+
+
+class TestSncRelations:
+    # c = 0.3 - 1.7j scales every link by |c| and turns every phase alike
+    C = 0.3 - 1.7j
+    # the precoders of c h are those of h up to the rounding of the ratio
+    # table, which the inverse of V_1 magnifies by its condition number:
+    # the largest relative gap measured on these configs was 5.3e-13
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("overrides", SNC_CONFIGS)
+    def test_scaling_the_channel_shifts_the_snr(self, overrides):
+        # the uncapped rates on c h at s dB are those on h at
+        # s + 20 log10|c| dB: each stream's gain scales by |c|^2
+        cfg = SimConfig(scheme="snc", channel_model="complex", cap_enabled=False,
+                        **overrides)
+        shift = -20.0 * math.log10(abs(self.C))
+        on_h, on_ch = evaluate_pair(cfg, lambda h: self.C * h, seed=31,
+                                    snr_shift_db=shift)
+        # on_ch is at GRID - 20 log10|c|, where c h reads what h reads at GRID
+        assert np.allclose(on_ch["snc"]["rate"], on_h["snc"]["rate"],
+                           rtol=self.RTOL, atol=0.0)
+        assert not np.array_equal(on_h["snc"]["rate"][:-1], on_h["snc"]["rate"][1:])
+
+    @pytest.mark.parametrize("cap_enabled", [True, False])
+    @pytest.mark.parametrize("overrides", SNC_CONFIGS)
+    def test_conjugate_channel_gives_the_same_rates(self, overrides, cap_enabled):
+        # every gain is a modulus, and rounding commutes with conjugation
+        cfg = SimConfig(scheme="snc", channel_model="complex", cap_enabled=cap_enabled,
+                        **overrides)
+        on_h, on_conj = evaluate_pair(cfg, np.conj, seed=32)
+        a, b = on_h["snc"]["rate"], on_conj["snc"]["rate"]
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestCfRelations:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("transform", [
+        pytest.param(lambda h: h[:, [2, 0, 1]], id="receiver-permutation"),
+        pytest.param(lambda h: h[:, [1, 0, 2]], id="receiver-swap"),
+        pytest.param(np.negative, id="negation"),
+    ])
+    def test_rates_and_outages_are_invariant(self, transform, q):
+        # a receiver permutation reorders the rows of every coefficient
+        # matrix and h -> -h flips their signs: the worst receiver rate
+        # and whether det A vanishes mod q stay put, bit for bit
+        # the draws are those the alignment scheme keeps at K=3, n=1, whose
+        # N=2 slots the CF leg evaluates at any prime q
+        cfg = SimConfig(K=3, n=1, scheme="cf", q=q)
+        on_h, moved = evaluate_pair(cfg, transform, seed=33,
+                                    keep_cfg=SimConfig(K=3, n=1, scheme="both"))
+        assert list(on_h) == list(moved) == ["cf"]
+        for name in ("rate", "outage"):
+            a, b = on_h["cf"][name], moved["cf"][name]
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert on_h["cf"]["outage"].any() and not on_h["cf"]["outage"].all()

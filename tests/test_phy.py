@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sncsim.phy import (
-    UnsupportedModulationError,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -46,10 +45,6 @@ class TestModulation:
         b = np.array([1, 0, 1, 1])
         x = modulate_bpsk(b)
         assert np.array_equal((x < 0).astype(int), b)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(UnsupportedModulationError):
-            modulate_bpsk([0, 2])
 
 
 class TestTransmit:

@@ -750,11 +750,11 @@ class TestTrialStack:
     def test_stacked_cf_rates_equal_stacks_of_one(self, K, q, cap_enabled):
         h = np.stack([make_channel(K, 4, seed=650 + s, model="real") for s in range(12)])
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
-        totals, outages = cf_trial_sum_rate(h, rhos, PrimeField(q), 2, cap_enabled)
+        totals, outages = cf_trial_sum_rate(h, rhos, q, 2, cap_enabled)
         assert totals.shape == outages.shape == (len(h), len(rhos))
         assert 0 < np.count_nonzero(outages) < outages.size  # both paths ran
         for t in range(len(h)):
-            totals1, outages1 = cf_trial_sum_rate(h[t:t + 1], rhos, PrimeField(q), 2,
+            totals1, outages1 = cf_trial_sum_rate(h[t:t + 1], rhos, q, 2,
                                                   cap_enabled)
             assert np.array_equal(totals1, totals[t:t + 1])
             assert np.array_equal(outages1, outages[t:t + 1])
