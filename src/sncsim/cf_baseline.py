@@ -16,7 +16,7 @@ monotonically, so only the winner and the largest remaining bound are
 rated; a certificate proves the winning orbit's best member the
 exhaustive search's pick (see _search), and a (point, row) it leaves open
 takes the exhaustive search.  The exact integer determinant of every
-(trial, point, slot) decides its outage (_invertible_mod), in closed form
+(trial, point, slot) decides its outage (_integer_det), in closed form
 for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs evaluates the
 same rate function on one row.
 """
@@ -167,6 +167,9 @@ def _search(H, hh, rho, radius: int):
 def _integer_det(A) -> np.ndarray:
     """The determinants, as int64, of the integer matrices of the float
     stack A (..., K, K), exact for every search that SimConfig admits.
+    A slot's outage test is det A % q != 0: det A = det(A mod q) (mod q),
+    the determinant being an integer polynomial in the entries, so the
+    prime q divides det A exactly when A is singular over GF(q).
 
     For K <= 3 it is the explicit polynomial, a00 a11 - a01 a10 and the
     3 x 3 cofactor expansion along the first row.  Every product and
@@ -197,15 +200,6 @@ def _integer_det(A) -> np.ndarray:
     return det.astype(np.int64)
 
 
-def _invertible_mod(A, q: int) -> np.ndarray:
-    """Whether each integer matrix of the float stack A (..., K, K) is
-    invertible mod q: det A mod q != 0, with det A exact (_integer_det).
-    det(A) = det(A mod q) (mod q), the determinant being an integer
-    polynomial in the entries, so q divides det A exactly when A is
-    singular over GF(q)."""
-    return _integer_det(A) % q != 0
-
-
 def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
     """Best coefficient vector by exhaustive search with max-norm <= radius.
 
@@ -230,17 +224,12 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
     of cf_select_coeffs); if the stacked K x K coefficient matrix is full
     rank mod q, the slot carries K times the worst receiver rate, capped
     per stream at log2(1 + rho) when *cap_enabled*; otherwise the slot is
-    an outage.  The field size *q* must be a prime, as SimConfig checks.
+    an outage.  Its inputs obey SimConfig's rules, unchecked here: a real
+    K = L channel, *radius* >= 1 and a prime *q*.
 
     Returns ``(totals, outages)``, each of shape (..., S): the total rate
     over the N slots and the outage fraction of every trial and SNR point.
     """
-    if np.iscomplexobj(h):
-        raise ValueError("compute-and-forward baseline runs on real channels")
-    if h.shape[-3] != h.shape[-2]:
-        raise ValueError("one equation per receiver requires K = L")
-    if radius < 1:
-        raise ValueError("search radius must be >= 1")
     K, N = h.shape[-2:]
     H = np.moveaxis(h, -1, -3)  # H[..., slot, receiver, transmitter]
     hh = np.sum(H * H, axis=-1).reshape(-1, 1)
@@ -257,7 +246,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
     if cap_enabled:
         r = np.minimum(r, cooperation_caps(rhos).reshape(-1, *[1] * (r.ndim - 1)))
     # a coefficient matrix has the rank of its rows up to sign
-    full = _invertible_mod(picks.reshape(*rates.shape, K), q)
+    full = _integer_det(picks.reshape(*rates.shape, K)) % q != 0
     totals = np.sum(np.where(full, K * r, 0.0), axis=-1)
     outages = np.count_nonzero(~full, axis=-1) / N
     return np.moveaxis(totals, 0, -1), np.moveaxis(outages, 0, -1)

@@ -146,8 +146,6 @@ def _draw_coeffs(shape, model, rngs) -> np.ndarray:
     row would."""
     if model == "complex":
         shape = (*shape[:-1], 2, shape[-1])
-    elif model != "real":
-        raise ValueError(f"unknown channel model {model!r}")
     z = np.empty((len(rngs), *shape))
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
@@ -168,8 +166,6 @@ def sample_extended_channel(M: int, n_ext: int, model: str, rngs) -> np.ndarray:
     inverses) are then redrawn in that order, only for the trials that have
     them, each from its own generator.
     """
-    if n_ext < 1:
-        raise ValueError("extension length must be >= 1")
     diag = _draw_coeffs((M, M, n_ext), model, rngs)
     for t in np.flatnonzero((diag == 0).any(axis=(1, 2, 3))):
         while (zero := diag[t] == 0).any():

@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     cfg = parse_cli(argv)
     res = run_sweep(cfg)
     try:
-        csv_path, json_path = write_results(res, cfg, cfg.out_path)
+        csv_path, json_path = write_results(res, cfg)
     except OSError as exc:
         print(f"snc-sim: I/O error: {exc}", file=sys.stderr)
         return IO_EXIT

@@ -12,7 +12,9 @@ unit power and the noise variance is swept.
 Work that depends only on (K, n) -- the extension plan and its effective
 system -- is built once per plan.  A SimConfig checks itself when it is
 built and raises ConfigError for every config it rejects (the list is in
-its docstring), so a config that exists runs to the end.
+its docstring), so a config that exists runs to the end.  It is the one
+copy of every value and rule of a run: the engine reads a built config's
+grid, block length and output path, and assumes its rules, unchecked.
 The engine evaluates chunks of consecutive trials in two stages.
 run_trials draws a chunk's channels as one bare (T, M, M, N) stack, one
 generator call per trial, and keeps the draws whose V_1 has full rank,
@@ -27,7 +29,8 @@ in one array pass: each stream's gain at its weakest receiver once per
 trial, then the noisy pass, which filters each trial's unit noise once
 and scales it per point.  The compute-and-forward leg draws no
 randomness.  The arrays of a chunk are the only shape: one trial is
-run_trials on one index.  A sweep that fits one chunk of at most
+run_trials(cfg, [i]), and another grid or output path is
+dataclasses.replace(cfg, ...).  A sweep that fits one chunk of at most
 BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
 says: a process pool could not amortise its start-up over one chunk.
 A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
@@ -398,9 +401,9 @@ def _usable_channels(plan, h: np.ndarray, redraw):
     return (h[kept] if pending.size else h), v1, v_other, w, kept
 
 
-def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
-    """Paired Monte Carlo trials *indices*, evaluated at every SNR in
-    *snr_dbs* in one stacked pass over a leading trial axis.
+def run_trials(cfg: SimConfig, indices) -> TrialBatch:
+    """Paired Monte Carlo trials *indices*, evaluated at every point of
+    cfg.snr_grid in one stacked pass over a leading trial axis.
 
     Each trial draws from its own generator in the order of the
     draw-order contract, and every check and number of a trial is
@@ -423,12 +426,12 @@ def run_trials(cfg: SimConfig, snr_dbs, indices) -> TrialBatch:
     if not kept.any():
         return TrialBatch(kept, {})
     kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
-    return TrialBatch(kept, evaluate(cfg, snr_dbs, h, kept_rngs, v1, v_other, w))
+    return TrialBatch(kept, evaluate(cfg, h, kept_rngs, v1, v_other, w))
 
 
-def evaluate(cfg: SimConfig, snr_dbs, h: np.ndarray, rngs, v1, v_other, w):
+def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
     """The outcome table of the kept channel stack *h* (T, M, M, N), T >= 1, at
-    every SNR in *snr_dbs*: for every scheme that runs, snc then cf, each
+    every point of cfg.snr_grid: for every scheme that runs, snc then cf, each
     name of OUTCOMES mapped to a [point, trial] array.  ``rate`` is the
     block sum rate, ``outage`` the share of CF slots whose coefficient
     matrix is singular mod q, ``detected`` the flag of redundant rows
@@ -436,7 +439,7 @@ def evaluate(cfg: SimConfig, snr_dbs, h: np.ndarray, rngs, v1, v_other, w):
     is 0.  The SNC leg reads the precoders *v1* and *v_other* and inverses
     *w* that _draw_round built for *h*, and draws each trial's messages,
     then its noise, from its generator in *rngs*."""
-    rhos, sigma2 = snr_levels(snr_dbs)
+    rhos, sigma2 = snr_levels(cfg.snr_grid)
     table = {}
     if cfg.run_snc:
         eff = effective_system(extension_dims(cfg.M, cfg.n))
@@ -470,15 +473,8 @@ class SweepPoint:
 class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
     dof_slopes: dict[str, float] = field(default_factory=dict)
-    n_ext: int = 1
     aborted_trials: int = 0  # aborted trials times SNR points
     warning: str | None = None
-
-    def point(self, scheme: str, snr_db: float) -> SweepPoint:
-        for pt in self.points:
-            if pt.scheme == scheme and pt.snr_db == snr_db:
-                return pt
-        raise KeyError((scheme, snr_db))
 
 
 def chunk_length(cfg: SimConfig, workers: int) -> int:
@@ -486,11 +482,16 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     a pool so that each worker gets several chunks, and at least 1.  At
     most BATCH_ELEMENTS // (elements per trial), so that large extensions
     stay in memory.  Elements per trial is a fixed bound, M N max(N, S M),
-    and for CF at least N M candidates / 2: it is kept as it is, not
-    fitted to the arrays the engine builds now, so that chunking, and with
-    it the pool decision, do not move.  run_sweep uses a pool only when
-    chunk_length(cfg, 1) < cfg.trials, that is when the sweep spans more
-    than one such chunk."""
+    and for CF at least N M candidates / 2.  Neither rule is fitted to the
+    arrays the engine builds, for measured reasons (2-vCPU VM, medians):
+    - the CF term is far above the orbit search's arrays, but fitting it
+      makes CF slower: a K=3, r=19 CF sweep of 600 trials took 0.29 s in
+      the 1-trial chunks it gives and 0.58 s in 56-trial chunks;
+    - dropping the share rule moves a 2-worker pool by a few ms either way
+      (K=2, n=2, both, 11 alternating sweeps): 55 ms with it and 50 ms
+      without at 1,000 trials, 95 and 94 ms at 3,000.
+    run_sweep uses a pool only when chunk_length(cfg, 1) < cfg.trials,
+    that is when the sweep spans more than one such chunk."""
     M, S, n_ext = cfg.M, len(cfg.snr_grid), cfg.n_ext
     elements = M * n_ext * max(n_ext, S * M)
     if cfg.run_cf:
@@ -533,7 +534,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
         workers = 1  # one chunk: a pool would cost more than it saves
 
     # only the outcome arrays of a chunk cross the process boundary
-    fn = partial(run_trials, cfg, grid)
+    fn = partial(run_trials, cfg)
     step = chunk_length(cfg, workers)
     chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
     if workers > 1:
@@ -548,7 +549,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     aborted = cfg.trials - trials
     stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext)
              for s in ("snc", "cf") if cfg.scheme in (s, "both")}
-    res = SweepResult(n_ext=n_ext, aborted_trials=aborted * len(grid))
+    res = SweepResult(aborted_trials=aborted * len(grid))
     res.points = [SweepPoint(scheme=s, snr_db=snr_db, trials=trials,
                              **{stat: float(values[p]) for stat, values in at.items()})
                   for p, snr_db in enumerate(grid) for s, at in stats.items()]
@@ -573,10 +574,11 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
 CSV_HEADER = ["scheme", "K", "L", "n", "q", "channel_model", "snr_db", "trials", *STATS]
 
 
-def write_results(res: SweepResult, cfg: SimConfig, path: str | Path):
-    """Emit the CSV (plotting interface) plus a JSON sidecar with the full
-    configuration, seed, version, and DoF-slope estimates."""
-    path = Path(path)
+def write_results(res: SweepResult, cfg: SimConfig):
+    """Emit the CSV (plotting interface) at cfg.out_path plus a JSON sidecar
+    beside it with the full configuration, seed, version, and DoF-slope
+    estimates."""
+    path = Path(cfg.out_path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -592,7 +594,7 @@ def write_results(res: SweepResult, cfg: SimConfig, path: str | Path):
         "version": __version__,
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
-        "block_length": res.n_ext,
+        "block_length": cfg.n_ext,
         "normalization": "sum rates are bits per channel use (block rate / N)",
         "dof_slopes": res.dof_slopes,
         "aborted_trials": res.aborted_trials,

@@ -7,6 +7,7 @@ slope above that window for (K=2, n=3) and (K=2, n=10), so those sub-cases
 fail honestly (see the README for the convergence measurements).
 """
 
+import dataclasses
 import filecmp
 import itertools
 import math
@@ -32,7 +33,7 @@ from sncsim.snc import (
     extension_dims,
     pack_bits,
 )
-from tests.test_harness import stream_rates
+from tests.test_harness import point, stream_rates
 from tests.test_snc import (
     build_all,
     einsum_demodulate,
@@ -166,8 +167,8 @@ class TestAcceptance:
                             snr_step=10, seed=0, cap_enabled=True)
             res = run_sweep(cfg)
             high = [s for s in cfg.snr_grid if s >= 30.0]
-            gaps = [res.point("snc", s).mean_sum_rate
-                    - res.point("cf", s).mean_sum_rate for s in high]
+            gaps = [point(res, "snc", s).mean_sum_rate
+                    - point(res, "cf", s).mean_sum_rate for s in high]
             ordered = all(g >= 0 for g in gaps)
             growing = all(b > a for a, b in zip(gaps, gaps[1:]))
             ok = ok and ordered and growing
@@ -180,10 +181,10 @@ class TestAcceptance:
                         trials=100, snr_start=0, snr_stop=10, snr_step=5,
                         seed=0, cap_enabled=True)
         res = run_sweep(cfg)
-        means = [res.point("snc", s).mean_sum_rate for s in cfg.snr_grid]
+        means = [point(res, "snc", s).mean_sum_rate for s in cfg.snr_grid]
         monotone = all(b > a for a, b in zip(means, means[1:]))
         capped_ok = True
-        b = run_trials(cfg, cfg.snr_grid, [0])
+        b = run_trials(cfg, [0])
         assert b.kept[0]
         [per_signals] = stream_rates(cfg, cfg.snr_grid, [0]).tolist()
         for snr_db, per_signal, sum_rate in zip(cfg.snr_grid, per_signals,
@@ -300,8 +301,8 @@ class TestAcceptance:
                         seed=42, cap_enabled=True)
         paths = []
         for name in ("a.csv", "b.csv"):
-            out = tmp_path / name
-            write_results(run_sweep(cfg), cfg, out)
+            out, _ = write_results(run_sweep(cfg), dataclasses.replace(
+                cfg, out_path=str(tmp_path / name)))
             paths.append(out)
         identical = filecmp.cmp(*paths, shallow=False)
         report(9, identical, "two seeded sweeps, byte-identical CSV")

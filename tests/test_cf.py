@@ -138,7 +138,7 @@ class TestFullRankBatch:
     @staticmethod
     def check(stack, field):
         # the search hands its picks over as floats
-        got = cf_baseline._invertible_mod(stack.astype(float), field.q)
+        got = cf_baseline._integer_det(stack.astype(float)) % field.q != 0
         assert got.tolist() == [gf_rank(m, field) == len(m) for m in stack]
         return got
 
@@ -177,7 +177,7 @@ class TestFullRankBatch:
         for q, m in singular.items():  # singular mod q, but not over the integers
             dets = [leibniz_det(a) for a in m]
             assert all(d % q == 0 for d in dets) and any(dets)
-            assert not cf_baseline._invertible_mod(m.astype(float), q).any()
+            assert not (cf_baseline._integer_det(m.astype(float)) % q != 0).any()
 
     @pytest.mark.parametrize("K", range(1, 11))
     def test_exact_at_the_largest_radius(self, K):
@@ -317,20 +317,6 @@ class TestTrialSumRate:
             det_zero = int(round(np.linalg.det(A))) % 2 == 0
             assert (outage == 1.0) == det_zero
             assert (total == 0.0) == det_zero
-
-    def test_complex_channels_rejected(self):
-        [h] = sample_extended_channel(2, 2, "complex", [np.random.default_rng(0)])
-        with pytest.raises(ValueError):
-            cf_trial_sum_rate(h, [10.0], 2)
-
-    def test_non_square_channel_rejected(self):
-        h = np.ones((2, 3, 1))  # 2 receivers, 3 transmitters
-        with pytest.raises(ValueError, match="K = L"):
-            cf_trial_sum_rate(h, [10.0], 2)
-
-    def test_bad_radius_rejected(self):
-        with pytest.raises(ValueError):
-            cf_trial_sum_rate(real_channel(2, 1, seed=0), [1.0], 2, radius=0)
 
     @pytest.mark.parametrize("cap_enabled", [True, False])
     @pytest.mark.parametrize("radius", [1, 2, 3])

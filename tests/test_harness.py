@@ -64,7 +64,16 @@ def cli_env():
 def one_point(cfg, snr_db, trial_index):
     """run_trials on one trial at one SNR point: a TrialBatch of one trial
     and one point."""
-    return run_trials(cfg, (snr_db,), [trial_index])
+    return run_trials(dataclasses.replace(cfg, snr_start=snr_db, snr_stop=snr_db),
+                      [trial_index])
+
+
+def point(res, scheme, snr_db):
+    """The SweepPoint of *res* for *scheme* at *snr_db*."""
+    for pt in res.points:
+        if pt.scheme == scheme and pt.snr_db == snr_db:
+            return pt
+    raise KeyError((scheme, snr_db))
 
 
 def kept_channels(cfg, indices):
@@ -204,11 +213,11 @@ class TestConfig:
         assert {type(a) for a in cfg.tx_antennas + cfg.rx_antennas} == {int}
         # numpy counts and a Path once ran the sweep, then failed to write
         # the JSON sidecar
-        written = [p.read_bytes() for p in write_results(run_sweep(cfg), cfg, cfg.out_path)]
+        written = [p.read_bytes() for p in write_results(run_sweep(cfg), cfg)]
         meta = json.loads(written[1])
         assert meta["config"] == json.loads(json.dumps(dataclasses.asdict(ref)))
         assert written == [p.read_bytes()
-                           for p in write_results(run_sweep(ref), ref, ref.out_path)]
+                           for p in write_results(run_sweep(ref), ref)]
 
     def test_huge_configs_rejected_at_once(self):
         # the search grid and the extension length are computed only until
@@ -238,7 +247,7 @@ class TestConfig:
 
     def test_largest_seed_runs_and_is_written(self, tmp_path):
         cfg = small_config(seed=2**harness.MAX_INT_BITS - 1, out_path=str(tmp_path / "r.csv"))
-        write_results(run_sweep(cfg), cfg, cfg.out_path)
+        write_results(run_sweep(cfg), cfg)
         assert json.loads((tmp_path / "r.json").read_text())["seed"] == cfg.seed
 
     def test_cf_radius_must_be_positive(self):
@@ -441,8 +450,8 @@ class TestConfig:
 class TestRunTrial:
     def test_deterministic_replay(self):
         cfg = small_config()
-        a = run_trials(cfg, cfg.snr_grid, [3])
-        b = run_trials(cfg, cfg.snr_grid, [3])
+        a = run_trials(cfg, [3])
+        b = run_trials(cfg, [3])
         assert a.kept[0] and trial_rows(a) == trial_rows(b)
 
     def test_distinct_trials_differ(self):
@@ -466,7 +475,7 @@ class TestRunTrial:
         cfg = small_config(**overrides)
         aborted = 0
         for i in range(6):
-            b = run_trials(cfg, cfg.snr_grid, [i])
+            b = run_trials(cfg, [i])
             if not b.kept[0]:
                 aborted += 1
                 for snr_db in cfg.snr_grid:
@@ -544,23 +553,23 @@ class TestRunTrials:
     def test_chunking_does_not_change_any_trial(self, overrides):
         cfg = small_config(**overrides)
         T = 15
-        whole = run_trials(cfg, cfg.snr_grid, range(T))
+        whole = run_trials(cfg, range(T))
         rows = trial_rows(whole)
         for length in (1, 7, T):
-            chunks = [run_trials(cfg, cfg.snr_grid, range(i, min(i + length, T)))
+            chunks = [run_trials(cfg, range(i, min(i + length, T)))
                       for i in range(0, T, length)]
             assert sum((trial_rows(b) for b in chunks), []) == rows
             for b in chunks:
                 if not b.kept.any():  # a chunk whose every trial aborted
                     assert b.outcomes == {}
         for i, row in enumerate(rows):
-            b = run_trials(cfg, cfg.snr_grid, [i])
+            b = run_trials(cfg, [i])
             assert b.kept[0] == (row is not None)
             assert trial_rows(b) == [row]
         if cfg.n == 10:
             aborted = [i for i, row in enumerate(rows) if row is None]
             assert 0 < len(aborted) < T  # both paths were exercised
-            b = run_trials(cfg, cfg.snr_grid, aborted[:3])
+            b = run_trials(cfg, aborted[:3])
             assert not b.kept.any()
             assert b.outcomes == {}
 
@@ -577,11 +586,11 @@ class TestRunTrials:
         # i])) and its integers(0, 2) messages give, bit for bit
         cfg = small_config(**{"trials": 40, "seed": 2**40 + 7, "snr_start": -10.0,
                               "snr_stop": 60.0, **overrides})
-        got = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        got = run_trials(cfg, range(cfg.trials))
         monkeypatch.setattr(harness, "trial_generators", reference_generators)
         monkeypatch.setattr(harness, "sample_message_bits", lambda n, rngs: np.stack(
             [rng.integers(0, 2, size=n) for rng in rngs]))
-        ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        ref = run_trials(cfg, range(cfg.trials))
         if cfg.n == 10:
             assert 0 < np.count_nonzero(ref.kept) < cfg.trials
         assert_same_batch(got, ref)
@@ -596,10 +605,10 @@ class TestRunTrials:
         # the bound only rejects draws the rank test would fail, so the
         # batch is bit for bit that of building and checking every draw
         cfg = small_config(**{"trials": 60, **overrides})
-        got = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        got = run_trials(cfg, range(cfg.trials))
         monkeypatch.setattr(harness, "ratio_bound_rejects",
                             lambda g, plan: np.zeros(g.shape[:-2], dtype=bool))
-        ref = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        ref = run_trials(cfg, range(cfg.trials))
         assert_same_batch(got, ref)
 
     def test_kept_inverses_are_those_of_one_call_after_the_loop(self):
@@ -639,7 +648,7 @@ class TestRunTrials:
         if cfg.cap_enabled:
             caps = np.array([math.log2(1.0 + rho) for rho in rhos])
             per_signal = np.minimum(per_signal, caps[:, None])
-        b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        b = run_trials(cfg, range(cfg.trials))
         assert len(h) == np.count_nonzero(b.kept) > 0
         assert np.array_equal(b.outcomes["snc"]["rate"], per_signal.sum(axis=-1).T)
 
@@ -655,7 +664,7 @@ class TestRunTrials:
         # that the received vectors through the explicit filters flag
         cfg = small_config(**{"trials": 30, "snr_start": -10.0, "snr_stop": 300.0,
                               "snr_step": 10.0, **overrides})
-        b = run_trials(cfg, cfg.snr_grid, range(cfg.trials))
+        b = run_trials(cfg, range(cfg.trials))
         ref = oracle_detected(cfg, range(cfg.trials))
         detected = b.outcomes["snc"]["detected"].T
         assert detected.shape == ref.shape == (np.count_nonzero(b.kept), 32)
@@ -685,10 +694,10 @@ class TestRunSweep:
         res = run_sweep(cfg)
         sample = one_point(cfg, 20.0, 0)
         assert sample.kept[0]
-        pt = res.point("snc", 20.0)
+        pt = point(res, "snc", 20.0)
         assert pt.trials == 1
         assert pt.mean_sum_rate == pytest.approx(sample.outcomes["snc"]["rate"][0, 0]
-                                                 / res.n_ext)
+                                                 / cfg.n_ext)
         assert pt.std_sum_rate == 0.0
         # plain floats, whose repr the CSV writes
         assert {type(v) for v in dataclasses.astuple(pt)[2:]} == {float, int}
@@ -701,17 +710,17 @@ class TestRunSweep:
         for i in range(20):
             b = one_point(cfg, 10.0, i)
             assert b.kept[0]
-            x = b.outcomes["snc"]["rate"][0, 0] / res.n_ext
+            x = b.outcomes["snc"]["rate"][0, 0] / cfg.n_ext
             mean += (x - mean) / (i + 1)
-        assert abs(res.point("snc", 10.0).mean_sum_rate - mean) < 1e-12
+        assert abs(point(res, "snc", 10.0).mean_sum_rate - mean) < 1e-12
 
     def test_standard_error_scaling(self):
         cfg_small = small_config(scheme="snc", trials=100, snr_start=20.0,
                                  snr_stop=20.0, channel_model="complex")
         cfg_big = small_config(scheme="snc", trials=400, snr_start=20.0,
                                snr_stop=20.0, channel_model="complex")
-        se_small = run_sweep(cfg_small).point("snc", 20.0).std_sum_rate / 10
-        se_big = run_sweep(cfg_big).point("snc", 20.0).std_sum_rate / 20
+        se_small = point(run_sweep(cfg_small), "snc", 20.0).std_sum_rate / 10
+        se_big = point(run_sweep(cfg_big), "snc", 20.0).std_sum_rate / 20
         assert se_big == pytest.approx(se_small, rel=0.5)  # ~1/sqrt(T)
 
     def test_dof_slope_reported_when_cap_disabled(self):
@@ -727,7 +736,7 @@ class TestRunSweep:
                         cap_enabled=False, trials=1, snr_start=40, snr_stop=40,
                         seed=0)
         res = run_sweep(cfg)
-        pt = res.point("snc", 40.0)
+        pt = point(res, "snc", 40.0)
         assert pt.trials == 0 and res.aborted_trials == 1
         assert math.isnan(pt.mean_sum_rate) and math.isnan(pt.std_sum_rate)
         assert pt.outage_frac == 0.0 and pt.detected_err_frac == 0.0
@@ -745,7 +754,7 @@ class TestRunSweep:
         start = time.perf_counter()
         res = run_sweep(cfg)
         assert time.perf_counter() - start < 5.0
-        assert res.point("snc", 0.0).trials == 0 and res.aborted_trials == 20
+        assert point(res, "snc", 0.0).trials == 0 and res.aborted_trials == 20
         assert built and not any(built)
 
     def test_abort_warning_counts_trials(self):
@@ -771,7 +780,7 @@ class TestRunSweep:
                 assert res.dof_slopes[scheme] == pytest.approx(slope, rel=1e-9), name
             assert len(res.points) == len(ref["points"]), name
             for scheme, snr_db, trials, *values in ref["points"]:
-                pt = res.point(scheme, snr_db)
+                pt = point(res, scheme, snr_db)
                 assert pt.trials == trials, (name, scheme, snr_db)
                 got = [pt.mean_sum_rate, pt.std_sum_rate, pt.outage_frac,
                        pt.detected_err_frac]
@@ -837,7 +846,7 @@ class TestAggregation:
         assert {outcome for outcome, _ in harness.STATS.values()} == set(harness.OUTCOMES)
         assert {how for _, how in harness.STATS.values()} <= {"mean", "std", "share"}
         cfg = small_config()
-        b = run_trials(cfg, cfg.snr_grid, range(3))
+        b = run_trials(cfg, range(3))
         assert b.kept.all() and list(b.outcomes) == ["snc", "cf"]
         for table in b.outcomes.values():
             assert list(table) == list(harness.OUTCOMES)
@@ -870,25 +879,41 @@ def test_traced_layers_exist():
 
 
 def test_src_holds_no_test_only_code():
-    # a top-level function or class of src/ that no src/ module references
-    # outside its own definition, and that the benchmark does not trace, is
-    # test-only code: it belongs in tests/, next to the tests that use it
+    # a top-level function or class of src/, or a non-dunder method of such
+    # a class, that no src/ module references outside its own definition is
+    # test-only code: it belongs in tests/, next to the tests that use it.
+    # A function the benchmark traces, and a method that overrides a base
+    # class's attribute (NumPy calls _HashedState.generate_state, argparse
+    # _Parser.error), are called from outside src/
     traced = traced_layers()
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted((SRC_DIR / "sncsim").glob("*.py"))}
     references = [(node, node.id if isinstance(node, ast.Name) else node.attr)
                   for module in modules.values() for node in ast.walk(module)
                   if isinstance(node, (ast.Name, ast.Attribute))]
+
+    def unreferenced(definition):
+        inside = {id(node) for node in ast.walk(definition)}
+        return not any(name == definition.name and id(node) not in inside
+                       for node, name in references)
+
     unused = []
     for layer, module in modules.items():
         for definition in module.body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            inside = {id(node) for node in ast.walk(definition)}
-            if (f"{layer}.{definition.name}" not in traced
-                    and not any(name == definition.name and id(node) not in inside
-                                for node, name in references)):
+            if f"{layer}.{definition.name}" not in traced and unreferenced(definition):
                 unused.append(f"{layer}.{definition.name}")
+            if not isinstance(definition, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"sncsim.{layer}"),
+                            definition.name).__mro__[1:]
+            for method in definition.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and not (method.name.startswith("__") and method.name.endswith("__"))
+                        and not any(hasattr(base, method.name) for base in bases)
+                        and unreferenced(method)):
+                    unused.append(f"{layer}.{definition.name}.{method.name}")
     assert unused == []
 
 
@@ -916,9 +941,9 @@ def test_import_loads_numpy_random():
 
 class TestWriteResults:
     def test_round_trip(self, tmp_path):
-        cfg = small_config(trials=3)
+        cfg = small_config(trials=3, out_path=str(tmp_path / "r.csv"))
         res = run_sweep(cfg)
-        csv_path, json_path = write_results(res, cfg, tmp_path / "r.csv")
+        csv_path, json_path = write_results(res, cfg)
         with open(csv_path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(res.points)
@@ -930,15 +955,19 @@ class TestWriteResults:
         meta = json.loads(json_path.read_text())
         assert meta["seed"] == cfg.seed
         assert meta["config"]["trials"] == 3
+        assert meta["config"]["out_path"] == str(csv_path)
+        assert meta["block_length"] == cfg.n_ext
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = small_config(trials=4)
-        p1, _ = write_results(run_sweep(cfg), cfg, tmp_path / "a.csv")
-        p2, _ = write_results(run_sweep(cfg), cfg, tmp_path / "b.csv")
+        p1, _ = write_results(run_sweep(cfg), dataclasses.replace(
+            cfg, out_path=str(tmp_path / "a.csv")))
+        p2, _ = write_results(run_sweep(cfg), dataclasses.replace(
+            cfg, out_path=str(tmp_path / "b.csv")))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = small_config(trials=24, snr_stop=10.0)
+        cfg = small_config(trials=24, snr_stop=10.0, out_path=str(tmp_path / "r.csv"))
         # a smaller batch bound makes the sweep span several batches, so that
         # 2 and 3 workers reach the pool
         monkeypatch.setattr(harness, "BATCH_ELEMENTS", harness.BATCH_ELEMENTS // 64)
@@ -960,8 +989,8 @@ class TestWriteResults:
             monkeypatch.setenv("SNCSIM_WORKERS", str(workers))
             assert harness.worker_count() == workers
             chunks.add(chunk_length(cfg, harness.worker_count()))
-            paths = write_results(run_sweep(cfg), cfg, tmp_path / f"w{workers}.csv")
-            outputs.append([p.read_bytes() for p in paths])
+            # each run rewrites cfg.out_path, so the sidecars compare whole
+            outputs.append([p.read_bytes() for p in write_results(run_sweep(cfg), cfg)])
         assert len(chunks) == 3
         assert pools == [2, 3]
         assert outputs[0] == outputs[1] == outputs[2]
