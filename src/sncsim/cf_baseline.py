@@ -235,7 +235,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
     hh = np.sum(H * H, axis=-1).reshape(-1, 1)
     H = H.reshape(-1, K)  # one row per (trial, slot, receiver)
     rhos = np.asarray(rhos, dtype=float)
-    step = max(1, PASS_ELEMENTS // (len(H) * len(_orbits(K, radius)[0])))
+    step = max(1, PASS_ELEMENTS // (max(len(H), 1) * len(_orbits(K, radius)[0])))
     picks, rates = (np.concatenate(x) for x in zip(*(
         _search(H, hh, rhos[i:i + step, None, None], radius)
         for i in range(0, len(rhos), step))))

@@ -133,9 +133,11 @@ def sample_message_bits(n: int, rngs) -> np.ndarray:
     the low half first, and leaves the generator's normal draws where a
     call of its own would; shifts, not a uint32 view, keep the halves in
     that order on any host."""
-    raw = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
+    words = (n + 1) // 2
+    raw = np.array([rng.bit_generator.random_raw(words) for rng in rngs],
+                   dtype=np.uint64).reshape(len(rngs), words)
     bits = raw[:, :, None] >> np.array([31, 63], dtype=np.uint64) & np.uint64(1)
-    return bits.reshape(len(raw), -1)[:, :n].astype(np.int64)
+    return bits.reshape(len(raw), 2 * words)[:, :n].astype(np.int64)
 
 
 def _draw_coeffs(shape, model, rngs) -> np.ndarray:

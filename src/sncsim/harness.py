@@ -350,7 +350,7 @@ OUTCOMES = tuple(dict.fromkeys(outcome for outcome, _ in STATS.values()))
 class TrialBatch:
     """Outcomes of a chunk of trials.  ``kept`` (T,) marks the trials that
     did not abort; ``outcomes`` is evaluate's table over the kept trials,
-    in index order, and is empty when every trial aborted."""
+    in index order, with no trial column when every trial aborted."""
 
     kept: np.ndarray
     outcomes: dict[str, dict[str, np.ndarray]]
@@ -423,14 +423,12 @@ def run_trials(cfg: SimConfig, indices) -> TrialBatch:
     v1 = v_other = w = None
     if cfg.run_snc:
         h, v1, v_other, w, kept = _usable_channels(extension_dims(cfg.M, cfg.n), h, draw)
-    if not kept.any():
-        return TrialBatch(kept, {})
     kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
     return TrialBatch(kept, evaluate(cfg, h, kept_rngs, v1, v_other, w))
 
 
 def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
-    """The outcome table of the kept channel stack *h* (T, M, M, N), T >= 1, at
+    """The outcome table of the kept channel stack *h* (T, M, M, N), T >= 0, at
     every point of cfg.snr_grid: for every scheme that runs, snc then cf, each
     name of OUTCOMES mapped to a [point, trial] array.  ``rate`` is the
     block sum rate, ``outage`` the share of CF slots whose coefficient
@@ -502,12 +500,12 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
 
 def _sweep_stats(tables, points: int, n_ext: int) -> dict[str, np.ndarray]:
     """Every stat of STATS at each of the *points* SNR points, from a
-    scheme's outcome *tables*, one per chunk that kept a trial, in trial
-    order.  Each outcome is joined into one [point, kept trial] array, each
-    point's row contiguous, and reduced in one pass over the trial axis,
-    the block rates divided by the block length *n_ext*.  With no kept
-    trial there is nothing to average: "share" reads 0, the others NaN."""
-    if not tables:
+    scheme's outcome *tables*, one per chunk, in trial order.  Each outcome
+    is joined into one [point, kept trial] array, each point's row
+    contiguous, and reduced in one pass over the trial axis, the block
+    rates divided by the block length *n_ext*.  With no kept trial there
+    is nothing to average: "share" reads 0, the others NaN."""
+    if not any(t["rate"].size for t in tables):
         return {stat: np.full(points, 0.0 if how == "share" else math.nan)
                 for stat, (_, how) in STATS.items()}
     rows = {name: np.ascontiguousarray(np.concatenate([t[name] for t in tables], axis=1))
@@ -544,7 +542,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
             batches = list(pool.map(fn, chunks))
     else:
         batches = [fn(c) for c in chunks]
-    tables = [b.outcomes for b in batches if b.kept.any()]
+    tables = [b.outcomes for b in batches]
     trials = sum(int(np.count_nonzero(b.kept)) for b in batches)
     aborted = cfg.trials - trials
     stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext)

@@ -72,7 +72,7 @@ def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
     scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
     z = signal[..., None, :, :] + scale * filtered[..., None, :, :]
     j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
-    return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], -1))
+    return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], m.size))
 
 
 def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarray,
@@ -100,7 +100,7 @@ def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarr
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
     # ||u_{l,i}||^2 for every receiver l and row i in one real matmul
     u_norm2 = (1.0 / np.abs(h[..., 0, :]) ** 2) @ np.swapaxes(np.abs(w) ** 2, -1, -2)
-    u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], -1)
+    u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], eff.weights.size)
     worst = np.maximum.reduceat(u_norm2[..., eff.link_rows], eff.stream_start, axis=-1)
     return v_norm2.max(axis=-1, keepdims=True) / (worst * v_norm2)
 

@@ -26,7 +26,15 @@ V_1's rank is the only check a draw must pass: diag(g_s) V_other = V_1
 P_s for every ratio slot s, with P_s a selection of distinct columns
 (_plan_matrix), so V_other has full column rank whenever V_1 does, and
 the error of w is bounded through cond(V_1) alone.  The rank test reads
-its verdict from w, with an SVD only where a bound leaves it open.
+its verdict from the norms of V_1 and w, with an SVD only where they
+leave it open.  A matrix's sigma_max is at least each of its row and
+column norms, so cond_2(V_1) is at least kappa_lo, the largest row norm
+of V_1 times the largest column norm of w = V_1^-1, and at most
+kappa_F = ||V_1||_F ||w||_F.  A draw passes where kappa_F, and fails
+where kappa_lo, clears the threshold 1 / RANK_SV_RTOL by the factor
+1 + RANK_MARGIN, which is far above the rounding of w for every N up to
+MAX_EXTENSION (check_precoder_ranks).  Of the draws a K=2, n=10, complex
+sweep builds, 1.4 % reach the SVD.
 Before any of that, ratio_bound_rejects fails the draws whose ratio
 magnitudes alone prove V_1 rank-deficient.  Each entry of row t of V_1
 is a product of n of the ratios g[s, t], and one column puts all n on
@@ -63,7 +71,13 @@ GF2 = PrimeField(2)
 ALIGNMENT_RTOL = 1e-9
 RANK_SV_RTOL = 1e-9
 RANK_MARGIN = 1e-3
-MAX_EXTENSION = 10**6
+# check_precoder_ranks' bounds on kappa^2: it passes a draw below the
+# first and fails it above the second
+RANK_PASS2 = (RANK_SV_RTOL * (1 + RANK_MARGIN)) ** -2
+RANK_FAIL2 = ((1 + RANK_MARGIN) / RANK_SV_RTOL) ** 2
+# The largest N for which N eps / RANK_SV_RTOL <= RANK_MARGIN / 4 (1,125):
+# the rounding of w then stays inside the margin of every rank rule
+MAX_EXTENSION = int(RANK_MARGIN / 4 * RANK_SV_RTOL / np.finfo(float).eps)
 
 
 class CapacityError(Exception):
@@ -205,24 +219,37 @@ def check_precoder_ranks(v1: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The mask, over the leading (trial) axes of transmitter 1's precoders
     *v1*, of the trials where V_1 has full rank: N singular values above
     RANK_SV_RTOL times the largest, that is cond_2(V_1) < 1 / RANK_SV_RTOL.
-    With *w* = build_filters(v1) and kappa = ||V_1||_F ||w||_F, cond_2 lies
-    in [kappa / N, kappa] and w errs by about N eps cond_2 relative (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14):
-    - pass where kappa (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL: |w V_1 - I| <=
-      N eps kappa << RANK_MARGIN, so ||V_1^-1||_F < (1 + RANK_MARGIN) ||w||_F;
-    - fail where kappa / N > (1 + RANK_MARGIN) / RANK_SV_RTOL: a full-rank V_1
-      has w accurate far within RANK_MARGIN, so kappa < (1 + RANK_MARGIN) N cond_2.
-    Only a finite kappa is open, and only open draws take the SVD, so the
-    mask is the SVD test's verdict on every finite draw; an overflowing or
-    NaN kappa (an exactly singular V_1, or V_1 holding inf or NaN) fails."""
+    With *w* = build_filters(v1), two bounds on cond_2 settle almost every
+    draw from one pass over |V_1|^2 and one over |w|^2.  A matrix's
+    sigma_max is at least each of its row and column norms (Golub and Van
+    Loan, Matrix Computations, 4th ed., 2.3), so cond_2 = ||V_1||_2
+    ||V_1^-1||_2 lies in [kappa_lo, kappa_F]: kappa_lo is the largest row
+    norm of V_1 times the largest column norm of w, at least kappa_F / N,
+    and kappa_F = ||V_1||_F ||w||_F, from the same row and column sums.  w
+    errs by about N eps cond_2 relative (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 14):
+    - pass where kappa_F (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL: |w V_1 - I|
+      <= N eps kappa_F << RANK_MARGIN, so ||V_1^-1||_F < (1 + RANK_MARGIN)
+      ||w||_F;
+    - fail where kappa_lo > (1 + RANK_MARGIN) / RANK_SV_RTOL: a full-rank
+      V_1 has w accurate to N eps / RANK_SV_RTOL <= RANK_MARGIN / 4, which
+      MAX_EXTENSION ensures, so kappa_lo < (1 + RANK_MARGIN / 4) cond_2.
+    Both are tested on squares.  Only a finite kappa_lo is open, and only
+    open draws take the SVD, so the mask is the SVD test's verdict on every
+    finite draw; an overflowing or NaN kappa_lo (an exactly singular V_1,
+    or V_1 or w holding inf or NaN) fails, with no warning."""
     n = v1.shape[-1]
-    v, u = (m.reshape(*m.shape[:-2], n * n).view(m.real.dtype) for m in (v1, w))
-    kappa = np.sqrt(np.einsum("...i,...i", v, v)) * np.sqrt(np.einsum("...i,...i", u, u))
-    passed = np.asarray(kappa * (1 + RANK_MARGIN) < 1 / RANK_SV_RTOL)
-    open_ = ~passed & (kappa / n <= (1 + RANK_MARGIN) / RANK_SV_RTOL)
-    if open_.any():
-        sv = np.linalg.svd(v1[open_], compute_uv=False)
-        passed[open_] = np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == n
+    v, u = (np.ascontiguousarray(m).view(m.real.dtype) for m in (v1, w))
+    rows = np.einsum("...ij,...ij->...i", v, v)  # |V_1|^2 summed along each row
+    cols = np.einsum("...ij,...ij->...j", u, u)  # |w|^2 down each column of u
+    if cols.shape[-1] > n:  # complex: add each column's real and imaginary sums
+        cols = cols[..., 0::2] + cols[..., 1::2]
+    passed = np.asarray(rows.sum(axis=-1) * cols.sum(axis=-1) < RANK_PASS2)
+    if not passed.all():
+        open_ = ~passed & (rows.max(axis=-1) * cols.max(axis=-1) <= RANK_FAIL2)
+        if open_.any():
+            sv = np.linalg.svd(v1[open_], compute_uv=False)
+            passed[open_] = np.count_nonzero(sv > RANK_SV_RTOL * sv[..., :1], axis=-1) == n
     return passed
 
 

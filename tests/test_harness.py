@@ -530,6 +530,16 @@ def trial_rows(batch):
     return rows
 
 
+def assert_no_trial_column(cfg, batch):
+    """*batch* holds every outcome of every scheme of *cfg* as a
+    [point, trial] array with no trial column."""
+    schemes = [s for s in ("snc", "cf") if cfg.scheme in (s, "both")]
+    assert list(batch.outcomes) == schemes
+    for table in batch.outcomes.values():
+        assert list(table) == list(harness.OUTCOMES)
+        assert all(a.shape == (len(cfg.snr_grid), 0) for a in table.values())
+
+
 def assert_same_batch(got, ref):
     """Two TrialBatches hold the same kept mask and outcome tables, dtype
     and bits."""
@@ -561,7 +571,7 @@ class TestRunTrials:
             assert sum((trial_rows(b) for b in chunks), []) == rows
             for b in chunks:
                 if not b.kept.any():  # a chunk whose every trial aborted
-                    assert b.outcomes == {}
+                    assert_no_trial_column(cfg, b)
         for i, row in enumerate(rows):
             b = run_trials(cfg, [i])
             assert b.kept[0] == (row is not None)
@@ -571,7 +581,28 @@ class TestRunTrials:
             assert 0 < len(aborted) < T  # both paths were exercised
             b = run_trials(cfg, aborted[:3])
             assert not b.kept.any()
-            assert b.outcomes == {}
+            assert_no_trial_column(cfg, b)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scheme="both"),
+        dict(scheme="both", tx_antennas=(2, 1), rx_antennas=(2, 1)),
+        dict(scheme="snc", K=3, n=2, channel_model="complex"),
+        dict(scheme="cf", K=3),
+    ])
+    def test_evaluate_takes_an_empty_stack(self, overrides):
+        # every stage from the draw to the outcome table is total over a
+        # stack of no trials, so a chunk that keeps none needs no branch
+        cfg = small_config(**overrides)
+        h = sample_extended_channel(cfg.M, cfg.n_ext, cfg.channel_model, [])
+        arrays = [None] * 3
+        if cfg.run_snc:
+            passed, *arrays = harness._draw_round(extension_dims(cfg.M, cfg.n), h)
+            assert passed.shape == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = harness.TrialBatch(np.zeros(0, dtype=bool),
+                                   harness.evaluate(cfg, h, [], *arrays))
+        assert_no_trial_column(cfg, b)
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="both", n=2),
@@ -588,8 +619,9 @@ class TestRunTrials:
                               "snr_stop": 60.0, **overrides})
         got = run_trials(cfg, range(cfg.trials))
         monkeypatch.setattr(harness, "trial_generators", reference_generators)
-        monkeypatch.setattr(harness, "sample_message_bits", lambda n, rngs: np.stack(
-            [rng.integers(0, 2, size=n) for rng in rngs]))
+        # a chunk that keeps no trial draws messages for none
+        monkeypatch.setattr(harness, "sample_message_bits", lambda n, rngs: np.array(
+            [rng.integers(0, 2, size=n) for rng in rngs], dtype=np.int64).reshape(-1, n))
         ref = run_trials(cfg, range(cfg.trials))
         if cfg.n == 10:
             assert 0 < np.count_nonzero(ref.kept) < cfg.trials
@@ -878,21 +910,27 @@ def test_traced_layers_exist():
                        "phy.transmit", "harness.run_trial"}
 
 
-def test_src_holds_no_test_only_code():
-    # a top-level function or class of src/, or a non-dunder method of such
-    # a class, that no src/ module references outside its own definition is
-    # test-only code: it belongs in tests/, next to the tests that use it.
-    # A function the benchmark traces, and a method that overrides a base
-    # class's attribute (NumPy calls _HashedState.generate_state, argparse
-    # _Parser.error), are called from outside src/
+def find_test_only_code(modules: dict[str, ast.Module]) -> list[str]:
+    """The "layer.name" of every top-level function or class of the parsed
+    src/ *modules* (module stem -> tree), and "layer.class.method" of every
+    non-dunder method of such a class, that no module references outside
+    its own definition: a top-level definition through a name or an
+    import, a method through an attribute access.  A function the
+    benchmark traces, and a method that overrides a base class's attribute
+    (NumPy calls _HashedState.generate_state, argparse _Parser.error), are
+    called from outside src/ and never listed."""
     traced = traced_layers()
-    modules = {path.stem: ast.parse(path.read_text())
-               for path in sorted((SRC_DIR / "sncsim").glob("*.py"))}
-    references = [(node, node.id if isinstance(node, ast.Name) else node.attr)
-                  for module in modules.values() for node in ast.walk(module)
-                  if isinstance(node, (ast.Name, ast.Attribute))]
+    names, attributes = [], []
+    for module in modules.values():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                names.append((node, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                names.extend((node, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.append((node, node.attr))
 
-    def unreferenced(definition):
+    def unreferenced(definition, references):
         inside = {id(node) for node in ast.walk(definition)}
         return not any(name == definition.name and id(node) not in inside
                        for node, name in references)
@@ -902,7 +940,7 @@ def test_src_holds_no_test_only_code():
         for definition in module.body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if f"{layer}.{definition.name}" not in traced and unreferenced(definition):
+            if f"{layer}.{definition.name}" not in traced and unreferenced(definition, names):
                 unused.append(f"{layer}.{definition.name}")
             if not isinstance(definition, ast.ClassDef):
                 continue
@@ -912,9 +950,32 @@ def test_src_holds_no_test_only_code():
                 if (isinstance(method, ast.FunctionDef)
                         and not (method.name.startswith("__") and method.name.endswith("__"))
                         and not any(hasattr(base, method.name) for base in bases)
-                        and unreferenced(method)):
+                        and unreferenced(method, attributes)):
                     unused.append(f"{layer}.{definition.name}.{method.name}")
-    assert unused == []
+    return unused
+
+
+def src_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((SRC_DIR / "sncsim").glob("*.py"))}
+
+
+def test_src_holds_no_test_only_code():
+    # test-only code belongs in tests/, next to the tests that use it
+    assert find_test_only_code(src_modules()) == []
+
+
+def test_test_only_guard_matches_references_by_kind():
+    # a method is called through an attribute, so a local variable of the
+    # same name (count in SimConfig.snr_grid and channel.trial_generators)
+    # does not make it referenced
+    modules = src_modules()
+    [result] = [node for node in modules["harness"].body
+                if isinstance(node, ast.ClassDef) and node.name == "SweepResult"]
+    result.body.append(ast.parse("def count(self):\n    return len(self.points)").body[0])
+    assert any(isinstance(node, ast.Name) and node.id == "count"
+               for node in ast.walk(modules["harness"]))
+    assert find_test_only_code(modules) == ["harness.SweepResult.count"]
 
 
 def test_sources_parse_at_the_python_floor():
