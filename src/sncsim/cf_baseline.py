@@ -11,11 +11,15 @@ cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid,
 on the bare (T, K, K, N) channel array.  Every (point, row) bounds one
 leader per orbit of the candidates under coordinate permutations and sign
 flips, all points in one array pass.  The bounds are kept as rate
-denominators, which the rate map (_rate_of) turns into rates
-monotonically, so only the winner and the largest remaining bound are
-rated; a certificate proves the winning orbit's best member the
-exhaustive search's pick (see _search), and a (point, row) it leaves open
-takes the exhaustive search.  The exact integer determinant of every
+denominators, laid out (point, leader, row) so that every minimum over
+the leaders is an elementwise reduction over a leading axis, and the
+rate map (_rate_of) turns them into rates monotonically, so only the
+winner, the first smallest, and the largest remaining bound are rated.
+The winner is rated from its orbit's best member, projected once per row
+for every orbit (_best_members) with the operations of the exhaustive
+search, so bit for bit.  A certificate proves that member the exhaustive
+search's pick (see _search), and a (point, row) it leaves open takes the
+exhaustive search.  The exact integer determinant of every
 (trial, point, slot) decides its outage (_integer_det), in closed form
 for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs evaluates the
 same rate function on one row.
@@ -118,10 +122,43 @@ def _rates(proj, hh, norm2, rho) -> np.ndarray:
     return _rate_of(_denominators(proj, hh, norm2, rho))
 
 
+def _best_members(H, leaders):
+    """``(s, rank, proj)`` for the rows h of H (R, K) and the orbit leaders
+    b (L, K): s (R, K), each row's |h| in descending order; rank (R, K),
+    the place of each |h_k| in that order, so that b placed in |h|'s order
+    holds b_rank(k) at entry k; and proj (R, L), the squared projection
+    (h.a)^2 of every orbit's best member a on every row, b placed with
+    h's signs.  proj is summed as sum_k |h_k| b_rank(k) in _projections'
+    term order, and h_k a_k = |h_k| b_rank(k) exactly, sign flips being
+    exact, so each entry is bit for bit the exhaustive search's (h.a)^2
+    for that member.  The work is per row, not per (point, row)."""
+    mag = np.abs(H)
+    order = np.argsort(-mag, axis=-1)
+    rank = np.argsort(order, axis=-1)
+    proj = _projections(mag, np.take(leaders.T, rank, axis=0).swapaxes(1, 2))
+    return mag[np.arange(len(H))[:, None], order], rank, proj
+
+
+def _winner(den) -> np.ndarray:
+    """The first leader, along axis 1 of the denominators *den* (S, L, R),
+    whose denominator equals the smallest of its (point, row): np.argmin's
+    pick.  Every leader l at the minimum scores L - l, and the largest
+    score marks the first of them, in elementwise passes over the leading
+    axis; np.argmin would copy den to put that axis last, and take each
+    (point, row) on its own.  den holds no NaN, the search's inputs being
+    finite."""
+    L = den.shape[1]
+    low = np.minimum.reduce(den, axis=1)
+    score = (L - np.arange(L)).astype(np.min_scalar_type(L))[:, None]
+    return np.subtract(L, np.maximum.reduce((den == low[:, None]) * score, axis=1),
+                       dtype=np.intp)
+
+
 def _search(H, hh, rho, radius: int):
     """(picks, rates), (S, R, K) and (S, R): the first maximiser, up to
     sign, of the rate of every row of H (R, K) at every SNR of rho
     (S, 1, 1), and that rate, bit for bit those of the exhaustive search.
+    hh (R,) holds the rows' squared norms.
 
     The members of the orbit of a leader b share its norm.  With s = |h|
     sorted in descending order, the best one on h is b placed in |h|'s
@@ -132,33 +169,36 @@ def _search(H, hh, rho, radius: int):
     norm.  So when every other orbit's bound (s.b)^2 and the winning
     orbit's (s.b - Delta)^2 rate strictly below its best member, that
     member is the unique maximiser.  Denominators fall as (h.a)^2 grows,
-    and _rate_of is monotone, so the bounds are held as denominators: the
-    winner is a smallest one, and the rate of the smallest remaining one
-    is the largest bound rate, bit for bit.  Any smallest denominator may
-    win: a certified row has a unique maximiser, and a row where two
-    orbits tie in rate fails the certificate whichever of them wins."""
-    cand, norm2 = _candidates(H.shape[-1], radius)
-    leaders, lead_norm2 = _orbits(H.shape[-1], radius)
+    and _rate_of is monotone, so the bounds are held as denominators,
+    laid out (S, L, R), point, leader, row, so that both minima over the
+    leaders are elementwise reductions over a leading axis.  The winner is
+    the first smallest one (_winner), and after the runner-up bound
+    (s.b - Delta)^2 is written into its slot, the rate of the smallest one
+    left is the largest bound rate, bit for bit.  Any smallest denominator
+    may win: a certified row has a unique maximiser, and a row where two
+    orbits tie in rate fails the certificate whichever of them wins.  The
+    winner's rate comes from its orbit's exact projection (_best_members),
+    and its pick is its leader placed with h's signs."""
+    K = H.shape[-1]
+    cand, norm2 = _candidates(K, radius)
+    leaders, lead_norm2 = _orbits(K, radius)
     points, rows = np.arange(len(rho))[:, None], np.arange(len(H))
-    order = np.argsort(-np.abs(H), axis=-1)
-    s = np.abs(H)[rows[:, None], order]
+    s, rank, proj = _best_members(H, leaders)
     # (s . b)(1 + 2^-40) bounds the computed |h . a| of every member: both
     # sums err by about K eps relative, and MAX_SEARCH_GRID keeps K <= 10
-    m = (s @ leaders.T) * (1 + 2.0 ** -40)
-    den = _denominators(m * m, hh, lead_norm2, rho)  # (S, R, leader)
-    win = np.argmin(den, axis=-1)
-    a = np.empty((*win.shape, H.shape[-1]))
-    a[:, rows[:, None], order] = leaders[win]
-    a *= np.where(H < 0, -1.0, 1.0)
-    n2 = lead_norm2[win][..., None]
-    best = _rates(_projections(H, a[..., None, :]), hh, n2, rho)[..., 0]
+    m = np.ascontiguousarray((s @ leaders.T).T) * (1 + 2.0 ** -40)  # (L, R)
+    den = _denominators(m * m, hh, lead_norm2[:, None], rho)
+    win = _winner(den)
     # at K = 1 there is no gap, and an orbit holds one candidate
-    delta = np.min(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
-    runner = np.maximum(m[rows, win] - delta, 0.0)[..., None]
-    den[points, rows, win] = _denominators(runner * runner, hh, n2, rho)[..., 0]
-    i, j = np.nonzero(~(_rate_of(den.min(axis=-1)) < best))
+    delta = np.minimum.reduce(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
+    runner = np.maximum(m[win, rows] - delta, 0.0)
+    n2 = lead_norm2[win]
+    best = _rates(proj[rows, win], hh, n2, rho[:, 0])
+    den[points, win, rows] = _denominators(runner * runner, hh, n2, rho[:, 0])
+    a = leaders.take(win[..., None] * K + rank) * np.where(H < 0, -1.0, 1.0)
+    i, j = np.nonzero(~(_rate_of(np.minimum.reduce(den, axis=1)) < best))
     if i.size:  # not certified: the exhaustive search
-        r = _rates(_projections(H[j], cand), hh[j], norm2, rho[i, 0])
+        r = _rates(_projections(H[j], cand), hh[j, None], norm2, rho[i, 0])
         k = np.argmax(r, axis=-1)  # first maximizer: the tie-break order
         a[i, j], best[i, j] = cand[k], r[np.arange(len(k)), k]
     return a, best
@@ -231,8 +271,8 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
     over the N slots and the outage fraction of every trial and SNR point.
     """
     K, N = h.shape[-2:]
-    H = np.moveaxis(h, -1, -3)  # H[..., slot, receiver, transmitter]
-    hh = np.sum(H * H, axis=-1).reshape(-1, 1)
+    H = h.swapaxes(-1, -2).swapaxes(-2, -3)  # H[..., slot, receiver, transmitter]
+    hh = np.sum(H * H, axis=-1).reshape(-1)
     H = H.reshape(-1, K)  # one row per (trial, slot, receiver)
     rhos = np.asarray(rhos, dtype=float)
     step = max(1, PASS_ELEMENTS // (max(len(H), 1) * len(_orbits(K, radius)[0])))

@@ -12,9 +12,12 @@ central processor.
 
 The alignment holds by construction, so F, its GF(2) parity masks and
 the stream-to-receiver links depend only on (K, n): effective_system
-builds them once per plan from the exponents, and phy.stream_gains
-reduces each stream's links to its weakest receiver once per channel
-draw.  Per channel draw only the ratio table, the precoders, V_1's
+builds them once per plan from the exponents.  So does _factor_rows,
+the rows of build_precoders' power table that hold each precoding
+column's nonzero-exponent factors, the only ones it multiplies (a zero
+exponent's factor is an exact 1).  phy.stream_gains reduces each
+stream's links to its weakest receiver once per channel draw.  Per
+channel draw only the ratio table, the precoders, V_1's
 inverse and V_1's rank test remain, all on arrays with a leading trial
 axis: every trial's numbers are those of a stack holding that trial
 alone.  Every receiver inverts its desired space D_l V_1, D_l =
@@ -119,14 +122,6 @@ class ExtensionPlan:
         return self.N + (self.K - 1) * self.N_prime
 
     @functools.cached_property
-    def exponents(self) -> np.ndarray:
-        """The exponents of tx1_exponents then other_exponents as one
-        read-only (K(K-1), N + N') array, one row per slot."""
-        e = np.array(self.tx1_exponents + self.other_exponents).T.copy()
-        e.flags.writeable = False
-        return e
-
-    @functools.cached_property
     def ratio_bound(self) -> float:
         """c = ((1 + RANK_MARGIN) / RANK_SV_RTOL)^(1/n) N^(1/(2n)): a draw
         with max u / min u > c fails (ratio_bound_rejects)."""
@@ -188,6 +183,27 @@ def ratio_bound_rejects(g: np.ndarray, plan: ExtensionPlan) -> np.ndarray:
     return ~(u.max(axis=-1) / u.min(axis=-1) <= plan.ratio_bound)
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_rows(plan: ExtensionPlan) -> tuple[np.ndarray, tuple]:
+    """``(first, later)``: where build_precoders' power table holds the
+    nonzero-exponent factors of every precoding column, transmitter 1's N
+    then the N' shared ones, in slot order.  Power G[i,j]^e of slot s sits
+    at row 1 + (e - 1) K(K-1) + s, after row 0 of ones.  ``first`` holds
+    each column's first factor, row 0 where it has none, and ``later``
+    holds for d = 1, 2, ... the columns with a factor d and that factor's
+    row.  Built once per plan; the arrays are shared, so read-only."""
+    slots = plan.K * (plan.K - 1)
+    factors = [[1 + (e - 1) * slots + s for s, e in enumerate(col) if e]
+               for col in plan.tx1_exponents + plan.other_exponents]
+    first = np.array([f[0] if f else 0 for f in factors])
+    later = tuple((np.array([c for c, f in enumerate(factors) if len(f) > d]),
+                   np.array([f[d] for f in factors if len(f) > d]))
+                  for d in range(1, max(map(len, factors))))
+    for a in (first, *(a for pair in later for a in pair)):
+        a.flags.writeable = False
+    return first, later
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def build_precoders(g: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.ndarray]:
     """Construct the precoding matrices from the ratio table *g* of
@@ -196,23 +212,29 @@ def build_precoders(g: np.ndarray, plan: ExtensionPlan) -> tuple[np.ndarray, np.
     axes of *g*.
 
     Each column is (prod over slots of G[i,j]^exponent) applied to the
-    all-ones seed vector, multiplied in slot order from a table of the
-    powers G[i,j]^e, e = 0..n (a zero exponent multiplies by exactly 1).
-    Both matrices' columns come out of one pass over plan.exponents.  One
-    global scalar scales all transmitters so the maximum column
-    squared-norm equals 1 (per-column scaling would break
-    column-equality alignment).  Where the powers overflow, V_1 holds inf
-    or NaN, which check_precoder_ranks rejects, so this warns of nothing.
+    all-ones seed vector: the product, in slot order, of its
+    nonzero-exponent factors, read from a table of the powers G[i,j]^e,
+    e = 1..n, at the rows _factor_rows lists, and all ones where every
+    exponent is zero.  A zero exponent's factor is an exact 1, so it is
+    skipped: at K=3, n=2 a column takes at most one multiply, and at n=1
+    none.  That leaves every bit of a real table's precoders as the fold
+    over all K(K-1) slots gives them, and of a complex table's wherever
+    no product has a zero or infinite part: (1 + 0j) x can flip the sign
+    of a zero part of x, and has a NaN part where x has an infinite one.
+    One global scalar scales all transmitters so the maximum column
+    squared-norm equals 1 (per-column scaling would break column-equality
+    alignment).  Where the powers overflow, V_1 holds inf or NaN, which
+    check_precoder_ranks rejects, so this warns of nothing.
     """
-    N = plan.N
-    powers = np.stack([g ** e for e in range(plan.n + 1)], axis=-2)  # [slot, e]
-    cols = np.ones(N, dtype=g.dtype)  # the common seed column
-    for slot, e in enumerate(plan.exponents):
-        cols = cols * powers[..., slot, e, :]
-    # C order fixes matvec rounding
-    v = np.ascontiguousarray(np.swapaxes(cols, -1, -2))
+    first, later = _factor_rows(plan)
+    powers = np.concatenate([np.ones_like(g[..., :1, :]),
+                             *(g ** e for e in range(1, plan.n + 1))], axis=-2)
+    powers = np.swapaxes(powers, -1, -2)  # [..., row, factor]
+    v = np.take(powers, first, axis=-1)  # C order fixes matvec rounding
+    for cols, rows in later:
+        v[..., cols] *= powers[..., rows]
     scale = np.sqrt(1.0 / np.max(np.sum(np.abs(v) ** 2, axis=-2), axis=-1))[..., None, None]
-    return v[..., :N] * scale, v[..., N:] * scale
+    return v[..., :plan.N] * scale, v[..., plan.N:] * scale
 
 
 def check_precoder_ranks(v1: np.ndarray, w: np.ndarray) -> np.ndarray:

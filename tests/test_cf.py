@@ -458,31 +458,60 @@ class TestOrbitSearch:
             assert np.array_equal(np.take_along_axis(bound, win, axis=-1)[..., 0], top)
 
     def test_any_smallest_denominator_may_win(self, monkeypatch):
-        # the search takes its winner by np.argmin over the leaders'
-        # denominators; a stand-in returns the last leader whose rate ties
-        # the largest, which is the last smallest denominator where
-        # denominators tie, and a rate-tied larger one elsewhere (rates
-        # tie at 0 on the -1500 dB point, and through clamping and
-        # rounding), and the outputs must not change
+        # the search takes its winner from _winner, the first leader whose
+        # denominator is the smallest, np.argmin's pick; a stand-in returns
+        # the last leader whose rate ties the largest, which is the last
+        # smallest denominator where denominators tie, and a rate-tied
+        # larger one elsewhere (rates tie at 0 on the -1500 dB point, and
+        # through clamping and rounding), and the outputs must not change
         rhos = TestRateBuffer.RHOS
         channels = [h for K in (1, 2, 3, 4) for h in stress_channels(K, 90 + K)]
         want = [cf_trial_sum_rate(h, rhos, 3) for h in channels]
-        first_argmin = np.argmin
+        first_winner = cf_baseline._winner
         moved = []
 
-        def last_argmin(den, axis):
-            assert axis == -1
+        def last_winner(den):
+            first = first_winner(den)
+            assert np.array_equal(first, np.argmin(den, axis=1))
             rate = cf_baseline._rate_of(den.copy())
-            ties = rate == rate.max(axis=-1, keepdims=True)
-            last = den.shape[-1] - 1 - np.argmax(ties[..., ::-1], axis=-1)
-            moved.append(np.count_nonzero(last != first_argmin(den, axis=-1)))
+            ties = rate == rate.max(axis=1, keepdims=True)
+            last = den.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+            moved.append(np.count_nonzero(last != first))
             return last
 
-        monkeypatch.setattr(cf_baseline.np, "argmin", last_argmin)
+        monkeypatch.setattr(cf_baseline, "_winner", last_winner)
         for h, ref in zip(channels, want):
             got = cf_trial_sum_rate(h, rhos, 3)
             assert all(np.array_equal(g, w) for g, w in zip(got, ref))
         assert sum(moved) > 0
+
+    @pytest.mark.parametrize("L", [1, 2, 19, 255, 256, 8255])
+    def test_winner_is_the_first_smallest(self, L):
+        # exact ties at the minimum, wherever they fall, go to the first
+        # leader, np.argmin's pick, with scores wide enough for L leaders
+        rng = np.random.default_rng(L)
+        den = rng.integers(0, 3, size=(2, L, 20)) - 0.5
+        win = cf_baseline._winner(den)
+        assert win.dtype == np.intp and np.array_equal(win, np.argmin(den, axis=1))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_best_member_projections_are_exact(self, K):
+        # every (row, leader) entry is _projections(h, a) of that orbit's
+        # best member a, the leader placed in |h|'s order with h's signs,
+        # bit for bit
+        leaders, _ = cf_baseline._orbits(K, 3)
+        for h in stress_channels(K, 70 + K):
+            H = np.moveaxis(h, -1, -3).reshape(-1, K)
+            s, rank, proj = cf_baseline._best_members(H, leaders)
+            assert proj.shape == (len(H), len(leaders))
+            for row, s_row, rank_row, proj_row in zip(H, s, rank, proj):
+                order = np.argsort(-np.abs(row))
+                members = np.empty_like(leaders)
+                members[:, order] = leaders
+                members *= np.where(row < 0, -1.0, 1.0)
+                assert np.array_equal(s_row, np.abs(row)[order])
+                assert np.array_equal(np.abs(members), leaders[:, rank_row])
+                assert np.array_equal(proj_row, cf_baseline._projections(row, members))
 
     def test_certified_and_fallback_rows(self, monkeypatch):
         exhaustive = []

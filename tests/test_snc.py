@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from sncsim.cf_baseline import cf_trial_sum_rate
 from sncsim.channel import sample_extended_channel
 from sncsim.gf import PrimeField, RankDeficientError, gf_inv
+from sncsim.harness import SimConfig, chunk_length
 from sncsim.phy import (
     end_to_end_sum_rate,
     filter_and_demodulate,
@@ -25,6 +28,7 @@ from sncsim.snc import (
     build_precoders,
     channel_ratios,
     check_precoder_ranks,
+    _factor_rows,
     _plan_matrix,
     cp_recover,
     effective_system,
@@ -44,6 +48,41 @@ def make_channel(K, N, seed, model="complex"):
 def precoders(h, plan):
     """build_precoders on the ratio table of the channel *h*."""
     return build_precoders(channel_ratios(h, plan), plan)
+
+
+def nonzero_factor_products(g, exponents):
+    """A precoding column of the ratio table *g* (K(K-1), N) multiplied out
+    on its own: the product, in slot order, of its nonzero-exponent
+    factors g[s] ** e, all ones where every exponent is zero."""
+    factors = [g_slot ** e for g_slot, e in zip(g, exponents) if e]
+    return functools.reduce(operator.mul, factors) if factors else np.ones_like(g[0])
+
+
+def all_slot_products(g, exponents):
+    """The same column folded over every slot from the all-ones seed,
+    multiplying by g[s] ** 0 = 1 where the exponent is zero."""
+    col = np.ones_like(g[0])
+    for g_slot, e in zip(g, exponents):
+        col = col * g_slot ** e
+    return col
+
+
+@np.errstate(all="ignore")
+def scaled_columns(g, plan, fold):
+    """v1 and v_other of one trial's ratio table *g*, their columns from
+    *fold*, scaled so that the largest column squared-norm is 1."""
+    mats = [np.column_stack([fold(g, e) for e in exps])
+            for exps in (plan.tx1_exponents, plan.other_exponents)]
+    scale = np.sqrt(1.0 / np.max([np.max(np.sum(np.abs(m) ** 2, axis=0)) for m in mats]))
+    return [m * scale for m in mats]
+
+
+def same_bits(got, want):
+    """*got* equals *want* bit for bit, a NaN matching any NaN (equal_nan)."""
+    return got.shape == want.shape and all(
+        np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+        for a, b in ((got.real, want.real), (got.imag, want.imag)))
 
 
 def explicit_filters(h, w):
@@ -276,31 +315,53 @@ class TestPrecoders:
 
     @pytest.mark.parametrize("K, n, model", [
         (2, 1, "real"), (2, 3, "complex"), (2, 10, "complex"), (3, 1, "real"),
-        (3, 2, "complex"), (4, 1, "real"),
+        (3, 2, "complex"), (3, 3, "real"), (4, 1, "real"), (4, 1, "complex"),
     ])
     def test_table_matches_per_column_products(self, K, n, model):
-        # reference: every column multiplied out on its own, skipping zero
-        # exponents; the exponent table must give the same bits and layout
+        # reference: every column multiplied out on its own; the power table
+        # must give the same bits and layout, trial by trial, in a stack of
+        # one trial and in the chunk of a 1,000-trial K=3, n=2, snc, complex
+        # sweep, and where the ratio table holds a 0 or an inf entry
+        chunk = chunk_length(SimConfig(K=3, n=2, scheme="snc", channel_model="complex",
+                                       snr_step=10.0, trials=1000), 1)
+        assert chunk == 49
         plan = extension_dims(K, n)
-        for seed in range(20):
+        tables = []
+        for seed in range(chunk):
             h = make_channel(K, plan.N, seed=900 + seed, model=model)
             g = (h[:K, 1:K] / h[:K, 0][:, None]).reshape(K * (K - 1), -1)
             assert np.array_equal(channel_ratios(h, plan), g)
+            tables.append(g)
+        gaussian = np.stack(tables)
+        zero, inf = gaussian.copy(), gaussian.copy()
+        rng = np.random.default_rng([K, n])
+        for stack, value in ((zero, 0.0), (inf, np.inf)):
+            for t in range(0, chunk, 3):  # one entry in every third trial
+                stack[t, rng.integers(K * (K - 1)), rng.integers(plan.N)] = value
+        for stack in (gaussian, zero, inf):
+            got = build_precoders(stack, plan)
+            assert all(m.flags.c_contiguous for m in got)
+            for t, g in enumerate(stack):
+                single = build_precoders(g, plan)
+                assert all(m.flags.c_contiguous for m in single)
+                for fold in (nonzero_factor_products, all_slot_products):
+                    # an exact 1 changes no real bits; a complex one can flip
+                    # the sign of a zero or turn an inf into a NaN
+                    if fold is all_slot_products and model == "complex" \
+                            and stack is not gaussian:
+                        continue
+                    for m, s, ref in zip(got, single, scaled_columns(g, plan, fold)):
+                        assert same_bits(m[t], ref) and same_bits(s, ref)
 
-            def column(exponents):
-                col = np.ones(plan.N, dtype=h.dtype)
-                for g_slot, e in zip(g, exponents):
-                    if e:
-                        col = col * g_slot ** e
-                return col
-
-            mats = [np.column_stack([column(e) for e in exps])
-                    for exps in (plan.tx1_exponents, plan.other_exponents)]
-            scale = math.sqrt(1.0 / max(float(np.max(np.sum(np.abs(m) ** 2, axis=0)))
-                                        for m in mats))
-            for got, ref in zip(build_precoders(g, plan), mats):
-                assert got.flags.c_contiguous
-                assert np.array_equal(got, ref * scale)
+    def test_factor_rows_built_once_and_read_only(self):
+        plan = extension_dims(3, 2)
+        first, later = _factor_rows(plan)
+        assert _factor_rows(extension_dims(3, 2)) is _factor_rows(plan)
+        for a in (first, *(x for pair in later for x in pair)):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # at K=3 a column takes at most one multiply at n=2, and none at n=1
+        assert len(later) == 1 and _factor_rows(extension_dims(3, 1))[1] == ()
 
     def test_rank_monte_carlo(self):
         plan = extension_dims(2, 2)
