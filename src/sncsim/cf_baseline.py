@@ -15,14 +15,15 @@ denominators, laid out (point, leader, row) so that every minimum over
 the leaders is an elementwise reduction over a leading axis, and the
 rate map (_rate_of) turns them into rates monotonically, so only the
 winner, the first smallest, and the largest remaining bound are rated.
-The winner is rated from its orbit's best member, projected once per row
-for every orbit (_best_members) with the operations of the exhaustive
-search, so bit for bit.  A certificate proves that member the exhaustive
-search's pick (see _search), and a (point, row) it leaves open takes the
-exhaustive search.  The exact integer determinant of every
-(trial, point, slot) decides its outage (_integer_det), in closed form
-for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs evaluates the
-same rate function on one row.
+No member is projected but the winner's: its orbit's best member is
+gathered once per (point, row), the gather the pick needs anyway, and
+projected with the operations of the exhaustive search, so its rate is
+exact, bit for bit (_member_projections).  A certificate proves that
+member the exhaustive search's pick (see _search), and a (point, row) it
+leaves open takes the exhaustive search.  The exact integer determinant
+of every (trial, point, slot) decides its outage (_integer_det), in
+closed form for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs
+evaluates the same rate function on one row.
 """
 
 from __future__ import annotations
@@ -122,21 +123,13 @@ def _rates(proj, hh, norm2, rho) -> np.ndarray:
     return _rate_of(_denominators(proj, hh, norm2, rho))
 
 
-def _best_members(H, leaders):
-    """``(s, rank, proj)`` for the rows h of H (R, K) and the orbit leaders
-    b (L, K): s (R, K), each row's |h| in descending order; rank (R, K),
-    the place of each |h_k| in that order, so that b placed in |h|'s order
-    holds b_rank(k) at entry k; and proj (R, L), the squared projection
-    (h.a)^2 of every orbit's best member a on every row, b placed with
-    h's signs.  proj is summed as sum_k |h_k| b_rank(k) in _projections'
-    term order, and h_k a_k = |h_k| b_rank(k) exactly, sign flips being
-    exact, so each entry is bit for bit the exhaustive search's (h.a)^2
-    for that member.  The work is per row, not per (point, row)."""
-    mag = np.abs(H)
-    order = np.argsort(-mag, axis=-1)
-    rank = np.argsort(order, axis=-1)
-    proj = _projections(mag, np.take(leaders.T, rank, axis=0).swapaxes(1, 2))
-    return mag[np.arange(len(H))[:, None], order], rank, proj
+def _member_projections(mag, members):
+    """(h.a)^2 (S, R) of one member a (S, R, K) per point of each row h of
+    H (R, K), from their magnitudes: *mag* |H| and *members* |a|.
+    _projections sums sum_k |h_k| |a_k| in its term order, and h_k a_k =
+    |h_k| |a_k| exactly, sign flips being exact, so each entry is bit for
+    bit the exhaustive search's (h.a)^2 for that member."""
+    return _projections(mag, members[..., None, :])[..., 0]
 
 
 def _winner(den) -> np.ndarray:
@@ -177,13 +170,19 @@ def _search(H, hh, rho, radius: int):
     left is the largest bound rate, bit for bit.  Any smallest denominator
     may win: a certified row has a unique maximiser, and a row where two
     orbits tie in rate fails the certificate whichever of them wins.  The
-    winner's rate comes from its orbit's exact projection (_best_members),
-    and its pick is its leader placed with h's signs."""
+    winner's leader is gathered in |h|'s order once per (point, row), and
+    only that member is projected (_member_projections), exactly, so the
+    winner's rate is the exhaustive search's, bit for bit; no other
+    orbit's member is projected.  The pick is that gather with h's
+    signs."""
     K = H.shape[-1]
     cand, norm2 = _candidates(K, radius)
     leaders, lead_norm2 = _orbits(K, radius)
     points, rows = np.arange(len(rho))[:, None], np.arange(len(H))
-    s, rank, proj = _best_members(H, leaders)
+    mag = np.abs(H)
+    order = np.argsort(-mag, axis=-1)
+    rank = np.argsort(order, axis=-1)  # |h_k| is entry rank[k] of s
+    s = mag[rows[:, None], order]
     # (s . b)(1 + 2^-40) bounds the computed |h . a| of every member: both
     # sums err by about K eps relative, and MAX_SEARCH_GRID keeps K <= 10
     m = np.ascontiguousarray((s @ leaders.T).T) * (1 + 2.0 ** -40)  # (L, R)
@@ -193,9 +192,10 @@ def _search(H, hh, rho, radius: int):
     delta = np.minimum.reduce(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
     runner = np.maximum(m[win, rows] - delta, 0.0)
     n2 = lead_norm2[win]
-    best = _rates(proj[rows, win], hh, n2, rho[:, 0])
+    member = leaders.take(win[..., None] * K + rank)  # the winner in |h|'s order
+    best = _rates(_member_projections(mag, member), hh, n2, rho[:, 0])
     den[points, win, rows] = _denominators(runner * runner, hh, n2, rho[:, 0])
-    a = leaders.take(win[..., None] * K + rank) * np.where(H < 0, -1.0, 1.0)
+    a = member * np.where(H < 0, -1.0, 1.0)
     i, j = np.nonzero(~(_rate_of(np.minimum.reduce(den, axis=1)) < best))
     if i.size:  # not certified: the exhaustive search
         r = _rates(_projections(H[j], cand), hh[j, None], norm2, rho[i, 0])

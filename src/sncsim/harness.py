@@ -10,11 +10,13 @@ SNR is interpreted as 1 / sigma^2: the precoders' largest column has
 unit power and the noise variance is swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
-system -- is built once per plan.  A SimConfig checks itself when it is
-built and raises ConfigError for every config it rejects (the list is in
-its docstring), so a config that exists runs to the end.  It is the one
-copy of every value and rule of a run: the engine reads a built config's
-grid, block length and output path, and assumes its rules, unchecked.
+system -- is built once per plan, and the SNR grid and its levels rho
+and sigma2 once per grid (grid_levels).  A SimConfig checks itself when
+it is built and raises ConfigError for every config it rejects (the list
+is in its docstring), so a config that exists runs to the end.  It is
+the one copy of every value and rule of a run: the engine reads a built
+config's grid, block length and output path, and assumes its rules,
+unchecked.
 The engine evaluates chunks of consecutive trials in two stages.
 run_trials draws a chunk's channels as one bare (T, M, M, N) stack, one
 generator call per trial, and keeps the draws whose V_1 has full rank,
@@ -34,10 +36,10 @@ dataclasses.replace(cfg, ...).  A sweep that fits one chunk of at most
 BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
 says: a process pool could not amortise its start-up over one chunk.
 A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
-chunks of trials // (4 workers) trials.  run_sweep joins the chunks'
-tables and reduces every stat of STATS, the one declaration behind
-SweepPoint's stats and the CSV's stat columns, in one pass over the
-trial axis.
+chunks of trials // (4 workers) trials.  run_sweep joins each scheme's
+chunk tables once, into one [outcome, point, trial] array, and reduces
+every stat of STATS, the one declaration behind SweepPoint's stats and
+the CSV's stat columns, in one pass over the trial axis (_sweep_stats).
 
 Draw-order contract: trial i has its own generator, the one
 default_rng(SeedSequence([seed, i])) gives, which draws the channel and
@@ -60,6 +62,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -112,6 +115,8 @@ BATCH_ELEMENTS = 2**16
 # subnormal.
 LEVEL_RANGE = (2.0 ** -511, 2.0 ** 511)
 MAX_SNR_POINTS = 10**4
+# SNR grids whose levels grid_levels keeps
+LEVEL_CACHE = 16
 # a trial index is one 32-bit word of its generator's entropy
 MAX_TRIALS = 2**32
 # Every integer field is written in decimal, to messages, the CSV and the
@@ -164,6 +169,21 @@ def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
     return rhos, np.array([1.0 / rho for rho in rhos])
 
 
+@functools.lru_cache(maxsize=LEVEL_CACHE)
+def grid_levels(start: float, stop: float, step: float):
+    """``(grid, rhos, sigma2)``: the SNR grid in dB from *start* to *stop*
+    in steps of *step*, and snr_levels of it, built once per grid for the
+    last LEVEL_CACHE grids.  The grid and rhos are tuples and sigma2 is
+    shared, so read-only.  Raises ConfigError as snr_levels does.  The
+    keys 0.0 and -0.0 are equal and give the same grid: -0.0 + 0.0 is
+    0.0."""
+    count = int(math.floor((stop - start) / step + 1e-9))
+    grid = tuple(start + i * step for i in range(count + 1))
+    rhos, sigma2 = snr_levels(grid)
+    sigma2.flags.writeable = False
+    return grid, tuple(rhos), sigma2
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One sweep's configuration, checked when it is built: it raises
@@ -173,7 +193,7 @@ class SimConfig:
     sequence of one count >= 1 per node, an SNR field that is not a real
     number with a finite float value, a field size that is not a prime
     below 2^63, an SNR grid of more than MAX_SNR_POINTS points, one whose
-    linear SNR leaves LEVEL_RANGE (snr_levels, which the engine shares),
+    linear SNR leaves LEVEL_RANGE (grid_levels, which the engine shares),
     more than MAX_TRIALS trials, a coefficient search of more than
     MAX_SEARCH_GRID vectors, or an out_path that is not a text path or is
     its own JSON sidecar's.  Every field is stored as a plain
@@ -285,7 +305,7 @@ class SimConfig:
                 effective_system(extension_dims(M, self.n))
             except (CapacityError, RankDeficientError) as exc:
                 raise ConfigError(f"no alignment plan for n={self.n}: {exc}") from exc
-        snr_levels(self.snr_grid)
+        grid_levels(self.snr_start, self.snr_stop, self.snr_step)
         try:
             PrimeField(self.q)
         except ValueError as exc:
@@ -328,8 +348,7 @@ class SimConfig:
 
     @property
     def snr_grid(self) -> tuple[float, ...]:
-        count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9))
-        return tuple(self.snr_start + i * self.snr_step for i in range(count + 1))
+        return grid_levels(self.snr_start, self.snr_stop, self.snr_step)[0]
 
 
 # SweepPoint's stat fields, in its order, each with the per-trial outcome
@@ -437,7 +456,7 @@ def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
     is 0.  The SNC leg reads the precoders *v1* and *v_other* and inverses
     *w* that _draw_round built for *h*, and draws each trial's messages,
     then its noise, from its generator in *rngs*."""
-    rhos, sigma2 = snr_levels(cfg.snr_grid)
+    _, rhos, sigma2 = grid_levels(cfg.snr_start, cfg.snr_stop, cfg.snr_step)
     table = {}
     if cfg.run_snc:
         eff = effective_system(extension_dims(cfg.M, cfg.n))
@@ -500,18 +519,28 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
 
 def _sweep_stats(tables, points: int, n_ext: int) -> dict[str, np.ndarray]:
     """Every stat of STATS at each of the *points* SNR points, from a
-    scheme's outcome *tables*, one per chunk, in trial order.  Each outcome
-    is joined into one [point, kept trial] array, each point's row
-    contiguous, and reduced in one pass over the trial axis, the block
-    rates divided by the block length *n_ext*.  With no kept trial there
-    is nothing to average: "share" reads 0, the others NaN."""
-    if not any(t["rate"].size for t in tables):
+    scheme's outcome *tables*, one per chunk, in trial order.  They are
+    joined once, into one [outcome, point, kept trial] array, the block
+    rates divided by the block length *n_ext*, and one np.add.reduce over
+    the trial axis gives every mean; a std takes numpy's own steps from
+    there, so each stat is bit for bit .mean(axis=1) or .std(axis=1) of
+    its outcome's rows.  With no kept trial there is nothing to average:
+    "share" reads 0, the others NaN."""
+    trials = sum(t["rate"].shape[1] for t in tables)
+    if not trials:
         return {stat: np.full(points, 0.0 if how == "share" else math.nan)
                 for stat, (_, how) in STATS.items()}
-    rows = {name: np.ascontiguousarray(np.concatenate([t[name] for t in tables], axis=1))
-            for name in OUTCOMES}
-    rows["rate"] = rows["rate"] / n_ext
-    return {stat: rows[outcome].std(axis=1) if how == "std" else rows[outcome].mean(axis=1)
+    joined = np.empty((len(OUTCOMES), points, trials))
+    for row, name in zip(joined, OUTCOMES):
+        np.concatenate([t[name] for t in tables], axis=1, out=row)
+    joined[OUTCOMES.index("rate")] /= n_ext
+    sums = dict(zip(OUTCOMES, np.add.reduce(joined, axis=-1)))
+
+    def std(name):
+        dev = joined[OUTCOMES.index(name)] - sums[name][:, None] / trials
+        return np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=-1) / trials)
+
+    return {stat: std(outcome) if how == "std" else sums[outcome] / trials
             for stat, (outcome, how) in STATS.items()}
 
 
@@ -548,9 +577,10 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext)
              for s in ("snc", "cf") if cfg.scheme in (s, "both")}
     res = SweepResult(aborted_trials=aborted * len(grid))
+    values = {s: {stat: v.tolist() for stat, v in at.items()} for s, at in stats.items()}
     res.points = [SweepPoint(scheme=s, snr_db=snr_db, trials=trials,
-                             **{stat: float(values[p]) for stat, values in at.items()})
-                  for p, snr_db in enumerate(grid) for s, at in stats.items()]
+                             **{stat: v[p] for stat, v in at.items()})
+                  for p, snr_db in enumerate(grid) for s, at in values.items()]
     if not cfg.cap_enabled:
         for s, at in stats.items():
             mean = at["mean_sum_rate"]

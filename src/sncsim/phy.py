@@ -59,19 +59,22 @@ def filter_and_demodulate(s: np.ndarray, noise: np.ndarray, h: np.ndarray,
     z_l = (F s)_l + sqrt(sigma2) Re(w (n_l / d_l)), of which only the noise
     is filtered, once per trial.
 
+    F s comes from the plan's float F^T (eff.f_t), exact on +-1 symbols.
+
     Rows with support size 1 reduce to conventional BPSK demodulation;
     aligned rows (m >= 2) use sum-constellation detection with the parity
     of the detected level index as the network-coded bit.  The level index
-    j = clip(ceil((m - z)/2 - 0.5), 0, m) is the nearest level m - 2j of
-    {m, m-2, ..., -m}, an exact midpoint breaking toward the smaller j,
+    j = min(max(ceil((m - z)/2 - 0.5), 0), m) is the nearest level m - 2j
+    of {m, m-2, ..., -m}, an exact midpoint breaking toward the smaller j,
     for every row at once.
     """
     m = eff.weights
-    signal = (s @ eff.f_int.T).reshape(s.shape[:-1] + m.shape)
+    signal = (s @ eff.f_t).reshape(s.shape[:-1] + m.shape)
     filtered = np.real((noise / h[..., 0, :]) @ np.swapaxes(w, -1, -2))
     scale = np.sqrt(np.asarray(sigma2, dtype=float))[:, None, None]
     z = signal[..., None, :, :] + scale * filtered[..., None, :, :]
-    j = np.clip(np.ceil((m - z) / 2 - 0.5), 0, m)
+    j = np.ceil((m - z) / 2 - 0.5)
+    j = np.minimum(np.maximum(j, 0, out=j), m, out=j)
     return pack_bits((j.astype(np.int64) & 1).reshape(*z.shape[:-2], m.size))
 
 
@@ -91,17 +94,20 @@ def stream_gains(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray, w: np.ndarr
     gain of the link from column c to row (l, i) is the closed form
     p_budget / (||u_{l,i}||^2 ||v_c||^2), with ||u_{l,i}||^2 =
     sum_j |w_ij|^2 / |d_lj|^2, and the weakest link of column c is the row
-    linked to it with the largest ||u||^2.  Rounded products and quotients
-    are monotone, so this is the smallest link gain to the last bit.  The
-    channel *h*, the inverses *w* of build_filters and the precoders of
-    those trials give a (T, streams) array.
+    linked to it with the largest ||u||^2: one gather of the (depth,
+    streams) link table eff.links and a maximum over its depth axis.  A
+    maximum is exact, and padding repeats one of the stream's own links.
+    Rounded products and quotients are monotone, so this is the smallest
+    link gain to the last bit.  The channel *h*, the inverses *w* of
+    build_filters and the precoders of those trials give a (T, streams)
+    array.
     """
     v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
     v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
     # ||u_{l,i}||^2 for every receiver l and row i in one real matmul
     u_norm2 = (1.0 / np.abs(h[..., 0, :]) ** 2) @ np.swapaxes(np.abs(w) ** 2, -1, -2)
     u_norm2 = u_norm2.reshape(*u_norm2.shape[:-2], eff.weights.size)
-    worst = np.maximum.reduceat(u_norm2[..., eff.link_rows], eff.stream_start, axis=-1)
+    worst = np.maximum.reduce(u_norm2[..., eff.links], axis=-2)
     return v_norm2.max(axis=-1, keepdims=True) / (worst * v_norm2)
 
 

@@ -10,13 +10,14 @@ Inverting the desired signal space then leaves a 0/1 effective matrix F
 linking original messages to the network-coded messages collected by the
 central processor.
 
-The alignment holds by construction, so F, its GF(2) parity masks and
-the stream-to-receiver links depend only on (K, n): effective_system
-builds them once per plan from the exponents.  So does _factor_rows,
-the rows of build_precoders' power table that hold each precoding
-column's nonzero-exponent factors, the only ones it multiplies (a zero
-exponent's factor is an exact 1).  phy.stream_gains reduces each
-stream's links to its weakest receiver once per channel draw.  Per
+The alignment holds by construction, so F, its GF(2) parity masks, F
+transposed as floats and the table of stream-to-receiver links depend
+only on (K, n): effective_system builds them once per plan from the
+exponents.  So does _factor_rows, the rows of build_precoders' power
+table that hold each precoding column's nonzero-exponent factors, the
+only ones it multiplies (a zero exponent's factor is an exact 1).
+phy.stream_gains reduces each stream's links to its weakest receiver
+once per channel draw, with one gather from the link table.  Per
 channel draw only the ratio table, the precoders, V_1's
 inverse and V_1's rank test remain, all on arrays with a leading trial
 axis: every trial's numbers are those of a stack holding that trial
@@ -358,10 +359,12 @@ class EffectiveSystem:
     in ascending order: bit r plus the independent rows that predict it,
     (F[r] F[indep_rows]^-1 mod 2) placed at indep_rows, so its parity is
     zero on every codeword.  ``weights[l, i]`` is the support size of row
-    (l, i).
-    ``link_rows`` lists the rows of the nonzero entries of F, column by
-    column, so the receiver rows that decode stream column c start at
-    ``link_rows[stream_start[c]]``.
+    (l, i).  ``f_t`` is F transposed as floats, the matrix that maps the
+    streams' BPSK symbols to the aligned signals.  ``links`` (depth,
+    streams) lists in column c the receiver rows that decode stream c,
+    the rows of column c's nonzero entries in ascending order, its last
+    row repeated below them where the stream has fewer than depth links;
+    depth is the most links any stream has, at most K.
     """
 
     plan: ExtensionPlan
@@ -369,8 +372,8 @@ class EffectiveSystem:
     indep_rows: np.ndarray = field(repr=False)
     masks: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    link_rows: np.ndarray = field(repr=False)
-    stream_start: np.ndarray = field(repr=False)
+    f_t: np.ndarray = field(repr=False)
+    links: np.ndarray = field(repr=False)
 
 
 def _plan_matrix(plan: ExtensionPlan) -> np.ndarray:
@@ -409,7 +412,9 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     if len(rows) != total:
         raise RankDeficientError(f"the K={plan.K}, n={plan.n} effective system has "
                                  f"GF(2) rank {len(rows)} < {total} streams")
-    links_per_stream = f.sum(axis=0)
+    per_stream = f.sum(axis=0)
+    start = np.cumsum(per_stream) - per_stream
+    depth = np.arange(per_stream.max())[:, None]  # a link's place in its column
     inv = gf_inv(f[rows], GF2)
     redundant = sorted(set(range(len(f))).difference(rows))
     bits = np.zeros((len(f), len(f)), dtype=np.uint8)
@@ -418,8 +423,8 @@ def effective_system(plan: ExtensionPlan) -> EffectiveSystem:
     bits[np.arange(total, len(f)), redundant] = 1
     arrays = dict(f_int=f, indep_rows=np.array(rows), masks=pack_bits(bits),
                   weights=f.sum(axis=1).reshape(plan.K, plan.N),
-                  link_rows=np.nonzero(f.T)[1],
-                  stream_start=np.cumsum(links_per_stream) - links_per_stream)
+                  f_t=np.ascontiguousarray(f.T, dtype=float),
+                  links=np.nonzero(f.T)[1][start + np.minimum(depth, per_stream - 1)])
     for a in arrays.values():
         a.flags.writeable = False
     return EffectiveSystem(plan=plan, **arrays)

@@ -495,23 +495,36 @@ class TestOrbitSearch:
         assert win.dtype == np.intp and np.array_equal(win, np.argmin(den, axis=1))
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
-    def test_best_member_projections_are_exact(self, K):
-        # every (row, leader) entry is _projections(h, a) of that orbit's
-        # best member a, the leader placed in |h|'s order with h's signs,
-        # bit for bit
+    def test_best_member_projections_are_exact(self, K, monkeypatch):
+        # the search projects only each (point, row)'s winning member: its
+        # orbit's leader placed in |h|'s order, and with h's signs that is
+        # the pick, whose _projections(h, pick) it equals bit for bit
+        calls = []
+
+        def spy(mag, members):
+            proj = member_projections(mag, members)
+            calls.append((mag, members.copy(), proj.copy()))
+            return proj
+
+        member_projections = cf_baseline._member_projections
+        monkeypatch.setattr(cf_baseline, "_member_projections", spy)
         leaders, _ = cf_baseline._orbits(K, 3)
+        lead = {tuple(b) for b in leaders}
+        rho = np.array(TestRateBuffer.RHOS)[:, None, None]
         for h in stress_channels(K, 70 + K):
             H = np.moveaxis(h, -1, -3).reshape(-1, K)
-            s, rank, proj = cf_baseline._best_members(H, leaders)
-            assert proj.shape == (len(H), len(leaders))
-            for row, s_row, rank_row, proj_row in zip(H, s, rank, proj):
-                order = np.argsort(-np.abs(row))
-                members = np.empty_like(leaders)
-                members[:, order] = leaders
-                members *= np.where(row < 0, -1.0, 1.0)
-                assert np.array_equal(s_row, np.abs(row)[order])
-                assert np.array_equal(np.abs(members), leaders[:, rank_row])
-                assert np.array_equal(proj_row, cf_baseline._projections(row, members))
+            calls.clear()
+            picks, _ = cf_baseline._search(H, np.sum(H * H, axis=-1), rho, 3)
+            [(mag, members, proj)] = calls
+            assert np.array_equal(mag, np.abs(H))
+            assert members.shape == picks.shape == (len(rho), len(H), K)
+            assert proj.shape == (len(rho), len(H))
+            for point_members, point_proj in zip(members, proj):
+                for row, member, value in zip(H, point_members, point_proj):
+                    order = np.argsort(-np.abs(row))
+                    assert tuple(member[order]) in lead  # placed in |h|'s order
+                    pick = member * np.where(row < 0, -1.0, 1.0)
+                    assert value == cf_baseline._projections(row, pick[None])[0]
 
     def test_certified_and_fallback_rows(self, monkeypatch):
         exhaustive = []

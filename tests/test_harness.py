@@ -855,6 +855,42 @@ class TestAggregation:
             assert cf["outage_frac"][p] == np.mean(outages[p])
             assert snc["outage_frac"][p] == cf["detected_err_frac"][p] == 0.0
 
+    @pytest.mark.parametrize("chunks", [[1000], [333, 667], [7, 200, 1, 12, 80], [1],
+                                        [40, 0, 25], [0, 9000, 11001]])
+    def test_one_pass_equals_numpy_reductions(self, chunks):
+        # the joined [outcome, point, trial] pass gives every stat bit for
+        # bit what .mean(axis=1) and .std(axis=1) give on the outcome's
+        # [point, trial] rows joined in trial order, across chunk shapes,
+        # a lone trial and a chunk that kept none
+        rng = np.random.default_rng(len(chunks) * 1000 + sum(chunks))
+        points, n_ext = len(self.GRID), 21
+        tables = [{"rate": rng.exponential(3.0, (points, T)) * 10.0 ** rng.uniform(-3, 3),
+                   "outage": rng.integers(0, 4, (points, T)) / 3,
+                   "detected": rng.random((points, T)) < 0.3} for T in chunks]
+        got = harness._sweep_stats(tables, points, n_ext)
+        rows = {name: np.concatenate([t[name] for t in tables], axis=1)
+                for name in harness.OUTCOMES}
+        rows["rate"] = rows["rate"] / n_ext
+        for stat, (outcome, how) in harness.STATS.items():
+            want = rows[outcome].std(axis=1) if how == "std" else rows[outcome].mean(axis=1)
+            assert got[stat].shape == (points,)
+            assert np.array_equal(got[stat], want), stat
+
+    def test_level_cache_is_read_only_and_bounded(self):
+        harness.grid_levels.cache_clear()
+        grid, rhos, sigma2 = harness.grid_levels(-10.0, 60.0, 5.0)
+        assert grid == small_config(snr_start=-10.0, snr_stop=60.0, snr_step=5.0).snr_grid
+        want_rhos, want_sigma2 = snr_levels(grid)
+        assert list(rhos) == want_rhos and np.array_equal(sigma2, want_sigma2)
+        with pytest.raises(ValueError):
+            sigma2[0] = 1.0
+        assert harness.grid_levels(-10.0, 60.0, 5.0)[2] is sigma2
+        # the equal keys -0.0 and 0.0 build the same grid
+        assert math.copysign(1.0, harness.grid_levels(-0.0, 10.0, 5.0)[0][0]) == 1.0
+        for stop in range(3 * harness.LEVEL_CACHE):
+            harness.grid_levels(0.0, float(stop), 1.0)
+        assert harness.grid_levels.cache_info().currsize == harness.LEVEL_CACHE
+
     def test_no_kept_trial_gives_nan_rates_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -12,6 +12,7 @@ from sncsim.phy import (
     stream_gains,
 )
 from sncsim.channel import sample_extended_channel, sample_noise
+from sncsim import snc
 from sncsim.harness import SimConfig
 from sncsim.snc import (
     build_filters,
@@ -278,6 +279,90 @@ class TestFactoredFilters:
         # the weakest receiver's gain, to the last bit, from the same row norms
         assert np.array_equal(gains, min_over_links(
             explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff), eff))
+
+
+def small_plans():
+    """Every plan with K <= 4 and N <= 64, and the (2, 1) x (2, 1) MIMO
+    topology's."""
+    plans = [extension_dims(MIMO_USERS, 1)]
+    for K in (2, 3, 4):
+        n = 1
+        while math.comb(n + K * (K - 1) - 1, n) <= 64:
+            plans.append(extension_dims(K, n))
+            n += 1
+    return plans
+
+
+def reduceat_gains(h, v1, v_other, w, eff):
+    """stream_gains with each stream's weakest link taken by
+    np.maximum.reduceat over the links grouped by column, from the same
+    row and column norms."""
+    link_cols, link_rows = links(eff)
+    v1_norm2, other_norm2 = (np.sum(np.abs(v) ** 2, axis=-2) for v in (v1, v_other))
+    v_norm2 = np.concatenate([v1_norm2] + [other_norm2] * (eff.plan.K - 1), axis=-1)
+    start = np.flatnonzero(np.diff(link_cols, prepend=-1))
+    worst = np.maximum.reduceat(factored_row_norms(h, w)[..., link_rows], start, axis=-1)
+    return v_norm2.max(axis=-1, keepdims=True) / (worst * v_norm2)
+
+
+class TestPlanTables:
+    """The per-plan tables of EffectiveSystem that stream_gains and
+    filter_and_demodulate read: the link table and F transposed as floats."""
+
+    def test_small_plans_are_covered(self):
+        assert [(p.K, p.n) for p in small_plans()[1:]] == (
+            [(2, n) for n in range(1, 64)] + [(3, 1), (3, 2), (3, 3), (4, 1)])
+        assert small_plans()[0] is extension_dims(3, 1)
+
+    def test_link_table_lists_each_streams_links(self):
+        for plan in small_plans():
+            eff = effective_system(plan)
+            depth, streams = eff.links.shape
+            assert streams == plan.total_streams and 1 <= depth <= plan.K
+            link_cols, link_rows = links(eff)
+            for c in range(streams):
+                rows = link_rows[link_cols == c]
+                assert eff.links[:len(rows), c].tolist() == rows.tolist()
+                assert set(eff.links[len(rows):, c].tolist()) <= set(rows.tolist())
+            assert depth == max(np.bincount(link_cols))
+
+    def test_short_streams_repeat_their_last_link(self, monkeypatch):
+        # a plan's streams each have K links, one per receiver; a stream
+        # with fewer pads its column with its last link
+        f = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        monkeypatch.setattr(snc, "_plan_matrix", lambda plan: f)
+        eff = snc.effective_system.__wrapped__(extension_dims(2, 1))
+        assert eff.links.tolist() == [[0, 1, 0], [0, 1, 2]]
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_gains_equal_reduceat_oracle(self, model):
+        for i, plan in enumerate(small_plans()):
+            eff = effective_system(plan)
+            rngs = [np.random.default_rng([i, t]) for t in range(6)]
+            h = sample_extended_channel(plan.K, plan.N, model, rngs)
+            v1, v_other = precoders(h, plan)
+            w = build_filters(v1)
+            # far-out draws overflow the row norms to inf, and singular
+            # ones give NaN, alike in both
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got, want = (f(h, v1, v_other, w, eff)
+                             for f in (stream_gains, reduceat_gains))
+            assert got.shape == (len(h), plan.total_streams)
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_float_f_t_is_f_transposed(self):
+        for plan in small_plans():
+            eff = effective_system(plan)
+            assert eff.f_t.dtype == float
+            assert np.array_equal(eff.f_t, eff.f_int.T)
+
+    def test_built_once_and_read_only(self):
+        for plan in small_plans():
+            eff = effective_system(plan)
+            assert effective_system(extension_dims(plan.K, plan.n)) is eff
+            for table in (eff.links, eff.f_t):
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
 
 
 def link_rate(u, v, h_diag, sigma2: float) -> float:

@@ -539,12 +539,15 @@ class TestPlanSystem:
             assert np.array_equal(bits[total:, rows], (eff.f_int[redundant] @ inv) % 2)
             assert not np.any((bits[total:].astype(np.int64) @ eff.f_int) % 2)
             assert np.array_equal(eff.weights.ravel(), eff.f_int.sum(axis=1))
-            # links are the nonzero entries, grouped by stream column
-            link_cols, link_rows = np.nonzero(eff.f_int.T)
-            assert np.array_equal(eff.link_rows, link_rows)
-            starts = link_cols[eff.stream_start]
-            assert starts.tolist() == list(range(plan.total_streams))
-            assert np.all(np.diff(eff.stream_start) > 0)  # no stream without a link
+            # every stream has one link per receiver, row l of the link
+            # table in receiver l's block, and the links are the nonzero
+            # entries of F
+            assert eff.links.shape == (K, total)
+            assert np.array_equal(eff.links // plan.N,
+                                  np.repeat(np.arange(K)[:, None], total, axis=1))
+            assert np.all(eff.f_int[eff.links, np.arange(total)] == 1)
+            assert np.array_equal(eff.f_int.sum(axis=0), np.full(total, K))
+            assert np.array_equal(eff.f_t, eff.f_int.T)
 
     @pytest.mark.parametrize("K, n", [(3, 3), (2, 50)])
     def test_indep_rows_match_bitmask_greedy(self, K, n):
