@@ -22,8 +22,10 @@ exact, bit for bit (_member_projections).  A certificate proves that
 member the exhaustive search's pick (see _search), and a (point, row) it
 leaves open takes the exhaustive search.  The exact integer determinant
 of every (trial, point, slot) decides its outage (_integer_det), in
-closed form for K <= 3.  It returns (T, S) arrays.  cf_select_coeffs
-evaluates the same rate function on one row.
+closed form for K <= 3.  It returns (T, S) arrays, each slot's worst
+receiver rate capped at the caps it is given, which the harness builds
+once per grid.  cf_select_coeffs evaluates the same rate function on one
+row.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import functools
 import itertools
 
 import numpy as np
-
-from .phy import cooperation_caps
 
 # Most integer vectors, (2 radius + 1)^K, the coefficient search may
 # enumerate: radius 127 at K=2, 19 at K=3 and 7 at K=4.  At the bound the
@@ -44,8 +44,15 @@ PASS_ELEMENTS = 2**18
 
 
 def search_grid_size(K: int, radius: int) -> int:
-    """Integer vectors of length K with max-norm <= radius, (2 radius + 1)^K."""
-    return (2 * radius + 1) ** K
+    """Integer vectors of length K with max-norm <= radius, (2 radius + 1)^K,
+    multiplied out only until it passes MAX_SEARCH_GRID, so that a huge K
+    or radius never builds a huge integer."""
+    size = 1
+    for _ in range(K):
+        size *= 2 * radius + 1
+        if size > MAX_SEARCH_GRID:
+            break
+    return size
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,17 +262,17 @@ def cf_select_coeffs(h_row, rho: float, radius: int = 3) -> np.ndarray:
     return cand[int(np.argmax(rates))].copy()
 
 
-def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
-                      cap_enabled: bool = True):
+def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int, caps):
     """Sum-rate of the compute-and-forward trials of the real channel *h*
     (..., K, K, N) at every SNR in *rhos*.
 
     Per slot, each receiver picks its best coefficient vector (the search
     of cf_select_coeffs); if the stacked K x K coefficient matrix is full
     rank mod q, the slot carries K times the worst receiver rate, capped
-    per stream at log2(1 + rho) when *cap_enabled*; otherwise the slot is
-    an outage.  Its inputs obey SimConfig's rules, unchecked here: a real
-    K = L channel, *radius* >= 1 and a prime *q*.
+    per stream at its point's entry of *caps* (S,), or at a scalar cap
+    (np.inf caps nothing, bit for bit); otherwise the slot is an outage.
+    Its inputs obey SimConfig's rules, unchecked here: a real K = L
+    channel, *radius* >= 1 and a prime *q*.
 
     Returns ``(totals, outages)``, each of shape (..., S): the total rate
     over the N slots and the outage fraction of every trial and SNR point.
@@ -283,8 +290,7 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int = 3,
     r = rates[..., 0]  # then the worst receiver rate of every [point, ..., slot]
     for k in range(1, K):
         r = np.minimum(r, rates[..., k])
-    if cap_enabled:
-        r = np.minimum(r, cooperation_caps(rhos).reshape(-1, *[1] * (r.ndim - 1)))
+    r = np.minimum(r, np.reshape(caps, (-1,) + (1,) * (r.ndim - 1)))
     # a coefficient matrix has the rank of its rows up to sign
     full = _integer_det(picks.reshape(*rates.shape, K)) % q != 0
     totals = np.sum(np.where(full, K * r, 0.0), axis=-1)

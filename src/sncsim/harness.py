@@ -10,13 +10,15 @@ SNR is interpreted as 1 / sigma^2: the precoders' largest column has
 unit power and the noise variance is swept.
 
 Work that depends only on (K, n) -- the extension plan and its effective
-system -- is built once per plan, and the SNR grid and its levels rho
-and sigma2 once per grid (grid_levels).  A SimConfig checks itself when
-it is built and raises ConfigError for every config it rejects (the list
-is in its docstring), so a config that exists runs to the end.  It is
-the one copy of every value and rule of a run: the engine reads a built
-config's grid, block length and output path, and assumes its rules,
-unchecked.
+system -- is built once per plan, and the SNR grid, its levels rho and
+sigma2 and the cooperation caps once per grid (grid_levels, the one
+caller of phy.cooperation_caps).  evaluate decides the cap policy once,
+handing the caps, or np.inf when the cap is off, to both schemes.  A
+SimConfig checks itself when it is built and raises ConfigError for
+every config it rejects (the list is in its docstring), so a config that
+exists runs to the end.  It is the one copy of every value and rule of a
+run: the engine reads a built config's grid, block length and output
+path, and assumes its rules, unchecked.
 The engine evaluates chunks of consecutive trials in two stages.
 run_trials draws a chunk's channels as one bare (T, M, M, N) stack, one
 generator call per trial, and keeps the draws whose V_1 has full rank,
@@ -86,6 +88,7 @@ from .channel import (
 from .cf_baseline import MAX_SEARCH_GRID, cf_trial_sum_rate, search_grid_size
 from .gf import PrimeField, RankDeficientError
 from .phy import (
+    cooperation_caps,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -146,18 +149,24 @@ def worker_count() -> int:
     return min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
-    """The linear SNR rho = 10^(snr/10) and the noise variance
-    sigma2 = 1 / rho of every SNR point in dB.
+@functools.lru_cache(maxsize=LEVEL_CACHE)
+def grid_levels(start: float, stop: float, step: float):
+    """``(grid, rhos, sigma2, caps)``: the SNR grid in dB from *start* to
+    *stop* in steps of *step*, a tuple, and at each of its points the
+    linear SNR rho = 10^(snr/10), the noise variance sigma2 = 1 / rho and
+    the cooperation cap cooperation_caps(rhos), built once per grid for the
+    last LEVEL_CACHE grids as shared, read-only arrays.
 
     Raises ConfigError unless every rho lies in LEVEL_RANGE, and with it
     sigma2, which excludes every value that is not a finite, positive,
     normal float: beyond it the sweep would overflow, divide by zero or
-    write non-finite rates.
-    """
+    write non-finite rates.  The keys 0.0 and -0.0 are equal and give the
+    same grid: -0.0 + 0.0 is 0.0."""
+    count = int(math.floor((stop - start) / step + 1e-9))
+    grid = tuple(start + i * step for i in range(count + 1))
     lo, hi = LEVEL_RANGE
     rhos = []
-    for snr_db in snr_dbs:
+    for snr_db in grid:
         try:
             rho = 10.0 ** (snr_db / 10.0)
         except OverflowError:
@@ -166,22 +175,10 @@ def snr_levels(snr_dbs) -> tuple[list[float], np.ndarray]:
             raise ConfigError(f"at {snr_db:g} dB the linear SNR 10^(snr/10) "
                               f"leaves [{lo:g}, {hi:g}]")
         rhos.append(rho)
-    return rhos, np.array([1.0 / rho for rho in rhos])
-
-
-@functools.lru_cache(maxsize=LEVEL_CACHE)
-def grid_levels(start: float, stop: float, step: float):
-    """``(grid, rhos, sigma2)``: the SNR grid in dB from *start* to *stop*
-    in steps of *step*, and snr_levels of it, built once per grid for the
-    last LEVEL_CACHE grids.  The grid and rhos are tuples and sigma2 is
-    shared, so read-only.  Raises ConfigError as snr_levels does.  The
-    keys 0.0 and -0.0 are equal and give the same grid: -0.0 + 0.0 is
-    0.0."""
-    count = int(math.floor((stop - start) / step + 1e-9))
-    grid = tuple(start + i * step for i in range(count + 1))
-    rhos, sigma2 = snr_levels(grid)
-    sigma2.flags.writeable = False
-    return grid, tuple(rhos), sigma2
+    levels = np.array(rhos), np.array([1.0 / rho for rho in rhos]), cooperation_caps(rhos)
+    for level in levels:
+        level.flags.writeable = False
+    return grid, *levels
 
 
 @dataclass(frozen=True)
@@ -289,13 +286,10 @@ class SimConfig:
             if self.cf_radius < 1:
                 raise ConfigError("the coefficient search radius must be >= 1, "
                                   f"got {self.cf_radius}")
-            grid = 1  # (2 cf_radius + 1)^M, multiplied only until it passes the bound
-            for _ in range(M):
-                grid *= 2 * self.cf_radius + 1
-                if grid > MAX_SEARCH_GRID:
-                    raise ConfigError(f"cf_radius {self.cf_radius} makes the coefficient "
-                                      f"search enumerate (2 cf_radius + 1)^{M} vectors, "
-                                      f"more than {MAX_SEARCH_GRID}")
+            if search_grid_size(M, self.cf_radius) > MAX_SEARCH_GRID:
+                raise ConfigError(f"cf_radius {self.cf_radius} makes the coefficient "
+                                  f"search enumerate (2 cf_radius + 1)^{M} vectors, "
+                                  f"more than {MAX_SEARCH_GRID}")
         if self.n < 1:
             raise ConfigError(f"the extension parameter n must be >= 1, got {self.n}")
         if self.run_snc:
@@ -455,20 +449,23 @@ def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
     disagreeing after the noisy BPSK pass, and an outcome a scheme lacks
     is 0.  The SNC leg reads the precoders *v1* and *v_other* and inverses
     *w* that _draw_round built for *h*, and draws each trial's messages,
-    then its noise, from its generator in *rngs*."""
-    _, rhos, sigma2 = grid_levels(cfg.snr_start, cfg.snr_stop, cfg.snr_step)
+    then its noise, from its generator in *rngs*.  Both legs cap every
+    stream at the grid's cooperation caps, or at np.inf, which caps
+    nothing, when cfg.cap_enabled is off."""
+    _, rhos, sigma2, caps = grid_levels(cfg.snr_start, cfg.snr_stop, cfg.snr_step)
+    caps = caps if cfg.cap_enabled else np.inf
     table = {}
     if cfg.run_snc:
         eff = effective_system(extension_dims(cfg.M, cfg.n))
         gains = stream_gains(h, v1, v_other, w, eff)
-        rate = end_to_end_sum_rate(per_link_rates(gains, sigma2), rhos, cfg.cap_enabled)
+        rate = end_to_end_sum_rate(per_link_rates(gains, sigma2), caps)
         # noisy end-to-end pass for the recovery statistics, every point at once
         msgs = sample_message_bits(eff.plan.total_streams, rngs)
         noise = sample_noise(cfg.M, cfg.n_ext, cfg.channel_model, rngs)
         words = filter_and_demodulate(modulate_bpsk(msgs), noise, h, w, sigma2, eff)
         table["snc"] = {"rate": rate.T, "detected": cp_recover(eff, words)[1].T}
     if cfg.run_cf:
-        rate, outage = cf_trial_sum_rate(h, rhos, cfg.q, cfg.cf_radius, cfg.cap_enabled)
+        rate, outage = cf_trial_sum_rate(h, rhos, cfg.q, cfg.cf_radius, caps)
         table["cf"] = {"rate": rate.T, "outage": outage.T}
     zero = np.zeros((len(rhos), len(h)))
     return {scheme: {name: outcomes.get(name, zero) for name in OUTCOMES}
@@ -574,8 +571,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     tables = [b.outcomes for b in batches]
     trials = sum(int(np.count_nonzero(b.kept)) for b in batches)
     aborted = cfg.trials - trials
-    stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext)
-             for s in ("snc", "cf") if cfg.scheme in (s, "both")}
+    stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext) for s in tables[0]}
     res = SweepResult(aborted_trials=aborted * len(grid))
     values = {s: {stat: v.tolist() for stat, v in at.items()} for s, at in stats.items()}
     res.points = [SweepPoint(scheme=s, snr_db=snr_db, trials=trials,
@@ -586,8 +582,7 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
             mean = at["mean_sum_rate"]
             fit = np.isfinite(mean)
             with contextlib.suppress(ValueError):  # under 2 points in DOF_WINDOW_DB
-                res.dof_slopes[s] = estimate_dof_slope(np.array(grid)[fit],
-                                                       mean[fit] * n_ext, n_ext)
+                res.dof_slopes[s] = estimate_dof_slope(np.array(grid)[fit], mean[fit])
     notes = []
     if aborted > 0.01 * cfg.trials:
         notes.append(f"{aborted} of {cfg.trials} trials aborted on degenerate channels")

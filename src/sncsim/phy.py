@@ -25,7 +25,8 @@ sqrt(sigma2) per point, and stream_gains reads the filter row norms from
 |w|^2 and 1/|d_l|^2 in one real matmul.  A stream runs at the rate of the
 weakest receiver that decodes it, and the rate is monotone in the gain,
 so stream_gains takes that minimum once per channel draw: rates are
-arrays over the streams, in column order of F.
+arrays over the streams, in column order of F.  cooperation_caps is the
+one formula of the cap, which harness.grid_levels builds once per grid.
 """
 
 from __future__ import annotations
@@ -124,29 +125,24 @@ def cooperation_caps(rhos) -> np.ndarray:
     return np.array([math.log2(1.0 + rho) for rho in rhos])
 
 
-def end_to_end_sum_rate(per_signal: np.ndarray, rhos,
-                        cap_enabled: bool = True) -> np.ndarray:
+def end_to_end_sum_rate(per_signal: np.ndarray, caps) -> np.ndarray:
     """The block sum rate (..., S) of the stream rates *per_signal*
-    (..., S, streams), each stream capped at the cooperation-link rate
-    log2(1 + rho) of its SNR in *rhos* when *cap_enabled*."""
-    if cap_enabled:
-        per_signal = np.minimum(per_signal, cooperation_caps(rhos)[:, None])
-    return np.sum(per_signal, axis=-1)
+    (..., S, streams), each stream capped at its point's entry of *caps*
+    (S,), or at a scalar cap; np.inf caps nothing, bit for bit."""
+    return np.sum(np.minimum(per_signal, np.asarray(caps)[..., None]), axis=-1)
 
 
-def estimate_dof_slope(snr_db, mean_sum_rates, n_ext: int) -> float:
-    """Least-squares slope of block sum-rate vs log2(SNR) over the points
-    in DOF_WINDOW_DB, divided by N.
-
-    The result is the empirical total DoF per channel use.  Sum rates must
-    be uncapped (the backhaul cap flattens the slope).
+def estimate_dof_slope(snr_db, rates) -> float:
+    """Least-squares slope of the sum rates *rates*, in bits per channel
+    use, against log2(SNR) over the points in DOF_WINDOW_DB: the empirical
+    total DoF per channel use.  The rates must be uncapped (the backhaul
+    cap flattens the slope).
     """
     snr_db = np.asarray(snr_db, dtype=float)
-    rates = np.asarray(mean_sum_rates, dtype=float)
+    rates = np.asarray(rates, dtype=float)
     lo, hi = DOF_WINDOW_DB
     sel = (snr_db >= lo) & (snr_db <= hi)
     if int(sel.sum()) < 2:
         raise ValueError("need at least 2 points inside the fit window")
     log2_rho = snr_db[sel] * (math.log(10.0) / (10.0 * math.log(2.0)))
-    slope = np.polyfit(log2_rho, rates[sel], 1)[0]
-    return float(slope) / n_ext
+    return float(np.polyfit(log2_rho, rates[sel], 1)[0])

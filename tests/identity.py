@@ -1,0 +1,191 @@
+"""Compare the sweep outputs of a base tree with this tree's, config by config.
+
+    python tests/identity.py --base REV        # REV's src/, extracted by git archive
+    python tests/identity.py --base-src DIR    # a src/ directory on disk
+
+Every config of tests/test_pinned_outputs.MATRIX and the four larger sweeps
+of POOLED, which span several chunks and so start a pool at 2 workers, run
+on both trees.  Each tree and SNCSIM_WORKERS count (1 and 2) runs in one
+fresh interpreter whose PYTHONPATH is that tree's src/ alone.  A config's
+outputs are the CSV's bytes, every sidecar key but config.out_path, every
+SweepPoint stat, dof_slopes, aborted_trials and warning; a value matches
+only when its repr does, so -0.0 differs from 0.0 and NaN matches NaN.
+Per config and worker count it prints "identical", or the first differing
+field and the largest relative difference, and it exits 1 when anything
+differs.  --config runs only the named configs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import dataclasses
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if not __package__:  # run as a script, with tests/ as sys.path[0]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from tests.test_pinned_outputs import MATRIX, config  # noqa: E402
+
+WORKERS = (1, 2)
+POOLED = {
+    "k2n2_both_real_1000": dict(K=2, n=2, trials=1000),
+    "k3n1_both_real_600": dict(K=3, n=1, trials=600),
+    "k3n2_snc_complex_300": dict(K=3, n=2, scheme="snc", channel_model="complex",
+                                 trials=300),
+    "k2n10_snc_complex_uncapped_200": dict(K=2, n=10, scheme="snc",
+                                           channel_model="complex", cap_enabled=False,
+                                           snr_start=40.0, snr_stop=60.0, trials=200),
+}
+
+# Runs in the child: reads {"dir", "configs"} from stdin and writes each
+# config's outputs, and the path of the harness it imported, to stdout.
+CHILD = r"""
+import dataclasses, json, sys
+from pathlib import Path
+from sncsim import harness
+jobs = json.load(sys.stdin)
+outputs = {}
+for name, kwargs in jobs["configs"].items():
+    cfg = harness.SimConfig(**dict(kwargs, out_path=str(Path(jobs["dir"]) / f"{name}.csv")))
+    res = harness.run_sweep(cfg)
+    path, sidecar = harness.write_results(res, cfg)
+    meta = json.loads(sidecar.read_text())
+    del meta["config"]["out_path"]
+    outputs[name] = {"csv": path.read_text(), "sidecar": meta,
+                     "points": [dataclasses.asdict(p) for p in res.points],
+                     "dof_slopes": res.dof_slopes, "aborted_trials": res.aborted_trials,
+                     "warning": res.warning}
+json.dump({"harness": harness.__file__, "outputs": outputs}, sys.stdout)
+"""
+
+
+def configs(names=None) -> dict[str, dict]:
+    """SimConfig keyword arguments of the named configs, all by default."""
+    every = {name: dataclasses.asdict(config(name)) for name in MATRIX}
+    every.update(POOLED)
+    unknown = set(names or ()) - set(every)
+    if unknown:
+        raise SystemExit(f"unknown config(s): {', '.join(sorted(unknown))}")
+    return {name: every[name] for name in names} if names else every
+
+
+def run_tree(src: Path, workers: int, jobs: dict[str, dict]) -> dict:
+    """The outputs of every config of *jobs*, run in one fresh interpreter
+    on the tree *src* with SNCSIM_WORKERS *workers*."""
+    src = src.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(src), SNCSIM_WORKERS=str(workers))
+        proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp, env=env, text=True,
+                              input=json.dumps({"dir": tmp, "configs": jobs}),
+                              capture_output=True)
+    if proc.returncode:
+        raise SystemExit(f"the sweeps failed on {src}:\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    if not Path(result["harness"]).resolve().is_relative_to(src):
+        raise SystemExit(f"imported {result['harness']}, not a module of {src}")
+    return result["outputs"]
+
+
+def flatten(value, path=""):
+    """(path, leaf) of every leaf of nested dicts and lists, in order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from flatten(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def leaves(out: dict) -> dict:
+    """The outputs of one config as {field path: leaf}, the CSV cell by cell
+    under its header's names."""
+    header, *rows = csv.reader(io.StringIO(out["csv"]))
+    cells = {"header": header, "rows": [dict(zip(header, row)) for row in rows]}
+    return dict(flatten(dict(out, csv=cells)))
+
+
+def relative_difference(a, b) -> float:
+    """|a - b| / max(|a|, |b|) of two numbers or numeric strings, 0 for
+    two zeros, and inf where either is not a finite number."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.inf
+    if isinstance(a, bool) or isinstance(b, bool) or not math.isfinite(x - y):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
+def differences(base: dict, head: dict) -> list[tuple[str, float]]:
+    """(field, relative difference) of every field where the outputs of one
+    config differ, in output order: a leaf whose repr differs, one that
+    only one side has, and the CSV's bytes where no cell explains them."""
+    old, new = leaves(base), leaves(head)
+    found = []
+    for path in dict.fromkeys([*old, *new]):
+        if path not in old or path not in new:
+            found.append((path, math.inf))
+        elif repr(old[path]) != repr(new[path]):
+            found.append((path, relative_difference(old[path], new[path])))
+    if base["csv"] != head["csv"] and not any(p.startswith("csv.") for p, _ in found):
+        found.insert(0, ("csv", math.inf))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--base", metavar="REV", help="git revision whose src/ is the base")
+    side.add_argument("--base-src", metavar="DIR", type=Path, help="the base src/ on disk")
+    parser.add_argument("--config", nargs="+", metavar="NAME", help="run only these configs")
+    args = parser.parse_args(argv)
+    jobs = configs(args.config)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = args.base_src
+        if base is None:
+            archive = subprocess.run(["git", "archive", args.base, "src"], cwd=ROOT,
+                                     capture_output=True)
+            if archive.returncode:
+                raise SystemExit(f"git archive {args.base} failed: "
+                                 f"{archive.stderr.decode().strip()}")
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+            base = Path(tmp) / "src"
+        runs = {w: (run_tree(base, w, jobs), run_tree(ROOT / "src", w, jobs))
+                for w in WORKERS}
+    worst = []  # (largest relative difference, config, field) per differing run
+    fields = set()  # every differing field, indices dropped
+    for name in jobs:
+        for w, (old, new) in runs.items():
+            found = differences(old[name], new[name])
+            if not found:
+                print(f"identical  {name} (workers {w})")
+                continue
+            rel, where = max((rel, path) for path, rel in found)
+            worst.append((rel, name, where))
+            fields.update(re.sub(r"\[\d+\]", "[]", path) for path, _ in found)
+            print(f"DIFFERS    {name} (workers {w}): first {found[0][0]}; "
+                  f"{len(found)} field(s); largest relative difference {rel:.3g} at {where}")
+    total = len(jobs) * len(WORKERS)
+    summary = f"{total - len(worst)} of {total} config runs identical"
+    if worst:
+        summary += "; largest relative difference {:.3g} at {} {}".format(*max(worst))
+        summary += f"; fields that differ: {', '.join(sorted(fields))}"
+    print(summary)
+    return 1 if worst else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ from sncsim import cf_baseline
 from sncsim.cf_baseline import cf_select_coeffs, cf_trial_sum_rate
 from sncsim.channel import sample_extended_channel
 from sncsim.gf import PrimeField, gf_rank
+from sncsim.phy import cooperation_caps
 
 
 def real_channel(K, N, seed):
@@ -76,6 +77,12 @@ def allocating_trial_sum_rate(h, rhos, field, radius=3, cap_enabled=True):
     full = full.reshape(slot_rates.shape)
     totals = np.sum(np.where(full, K * slot_rates, 0.0), axis=-1)
     return totals, np.count_nonzero(~full, axis=-1) / N
+
+
+def caps_for(rhos, cap_enabled=True):
+    """The caps the harness hands the CF leg at *rhos*: log2(1 + rho) per
+    point, or np.inf, which caps nothing, when the cap is off."""
+    return cooperation_caps(rhos) if cap_enabled else np.inf
 
 
 def largest_radius(K):
@@ -290,7 +297,7 @@ class TestTrialSumRate:
         h = real_channel(1, 4, seed=0)
         rho = 100.0
         cap = math.log2(1 + rho)
-        [total], [outage] = cf_trial_sum_rate(h, [rho], 2)
+        [total], [outage] = cf_trial_sum_rate(h, [rho], 2, 3, caps_for([rho]))
         assert outage == 0.0
         expected = sum(
             min(cf_computation_rate([h[0, 0][i]],
@@ -302,7 +309,8 @@ class TestTrialSumRate:
         # both receivers see the same channel row -> same coefficients ->
         # rank-deficient stack, slot contributes nothing
         h = channel_from_rows([[1.3, 0.7], [1.3, 0.7]])
-        [total], [outage] = cf_trial_sum_rate(h, rhos=[100.0], q=2)
+        [total], [outage] = cf_trial_sum_rate(h, rhos=[100.0], q=2, radius=3,
+                                              caps=caps_for([100.0]))
         assert total == 0.0
         assert outage == 1.0
 
@@ -313,7 +321,7 @@ class TestTrialSumRate:
             rho = 10 ** rng.uniform(1, 4)
             rows = [np.array([h[l, k][0] for k in range(2)]) for l in range(2)]
             A = np.vstack([cf_select_coeffs(r, rho) for r in rows])
-            [total], [outage] = cf_trial_sum_rate(h, [rho], 2, cap_enabled=False)
+            [total], [outage] = cf_trial_sum_rate(h, [rho], 2, 3, np.inf)
             det_zero = int(round(np.linalg.det(A))) % 2 == 0
             assert (outage == 1.0) == det_zero
             assert (total == 0.0) == det_zero
@@ -328,7 +336,8 @@ class TestTrialSumRate:
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
         for seed in range(4):
             h = real_channel(K, 3, seed=100 * K + seed)
-            totals, outages = cf_trial_sum_rate(h, rhos, field.q, radius, cap_enabled)
+            totals, outages = cf_trial_sum_rate(h, rhos, field.q, radius,
+                                                caps_for(rhos, cap_enabled))
             assert totals.shape == outages.shape == (len(rhos),)
             for rho, total, outage in zip(rhos, totals, outages):
                 exp_total, exp_outage = per_point_oracle(h, rho, field, radius, cap_enabled)
@@ -343,7 +352,8 @@ class TestTrialSumRate:
         rho = 0.5
         assert list(cf_select_coeffs(rows[0], rho)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho)) == [0, 1]
-        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho], 2)
+        [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho], 2, 3,
+                                              caps_for([rho]))
         expected = per_point_oracle(channel_from_rows(rows), rho, PrimeField(2), 3, True)
         assert outage == expected[1] == 0.0
         assert total == pytest.approx(expected[0], rel=1e-12)
@@ -359,7 +369,7 @@ class TestTrialSumRate:
         assert list(cf_select_coeffs(rows[0], rho, radius=1)) == [1, 0]
         assert list(cf_select_coeffs(rows[1], rho, radius=1)) == [0, 1]
         [total], [outage] = cf_trial_sum_rate(channel_from_rows(rows), [rho],
-                                              2, radius=1)
+                                              2, radius=1, caps=caps_for([rho]))
         assert outage == 0.0 and total > 0.0
 
 
@@ -375,7 +385,8 @@ class TestRateBuffer:
         field = PrimeField(q)
         T = 5 if cf_baseline.search_grid_size(K, radius) <= 7 ** 4 else 1
         for h in [*stress_channels(K, [K, radius, q], T), real_channel(K, 3, seed=K)]:
-            got = cf_trial_sum_rate(h, self.RHOS, field.q, radius, cap_enabled)
+            got = cf_trial_sum_rate(h, self.RHOS, field.q, radius,
+                                    caps_for(self.RHOS, cap_enabled))
             want = allocating_trial_sum_rate(h, self.RHOS, field, radius, cap_enabled)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -394,7 +405,7 @@ class TestRateBuffer:
         h = channel_from_rows(rows)
         rhos = [0.5, 10.0, 27.82321647366683, 72326846.56891178]
         for cap_enabled in (True, False):
-            got = cf_trial_sum_rate(h, rhos, 2, radius, cap_enabled)
+            got = cf_trial_sum_rate(h, rhos, 2, radius, caps_for(rhos, cap_enabled))
             want = allocating_trial_sum_rate(h, rhos, PrimeField(2), radius, cap_enabled)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -466,7 +477,7 @@ class TestOrbitSearch:
         # through clamping and rounding), and the outputs must not change
         rhos = TestRateBuffer.RHOS
         channels = [h for K in (1, 2, 3, 4) for h in stress_channels(K, 90 + K)]
-        want = [cf_trial_sum_rate(h, rhos, 3) for h in channels]
+        want = [cf_trial_sum_rate(h, rhos, 3, 3, caps_for(rhos)) for h in channels]
         first_winner = cf_baseline._winner
         moved = []
 
@@ -481,7 +492,7 @@ class TestOrbitSearch:
 
         monkeypatch.setattr(cf_baseline, "_winner", last_winner)
         for h, ref in zip(channels, want):
-            got = cf_trial_sum_rate(h, rhos, 3)
+            got = cf_trial_sum_rate(h, rhos, 3, 3, caps_for(rhos))
             assert all(np.array_equal(g, w) for g, w in zip(got, ref))
         assert sum(moved) > 0
 
@@ -540,7 +551,7 @@ class TestOrbitSearch:
         rows = 0
         for K in (2, 3, 4):
             for h in stress_channels(K, 60 + K):
-                cf_trial_sum_rate(h, rhos, 2)
+                cf_trial_sum_rate(h, rhos, 2, 3, caps_for(rhos))
                 rows += len(rhos) * h[..., 0, :].size  # (point, trial, receiver, slot)
         # the count the rate certificate gave on this set: the denominator
         # certificate opens the same rows
@@ -551,5 +562,6 @@ class TestOrbitSearch:
         rng = np.random.default_rng(61)
         for T, K, N in [(12, 3, 1), (7, 2, 3), (12, 1, 3)]:
             for _ in range(20):
-                cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, 2)
+                cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, 2, 3,
+                                  caps_for(rhos))
         assert exhaustive == []

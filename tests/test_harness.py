@@ -33,10 +33,9 @@ from sncsim.harness import (
     chunk_length,
     run_sweep,
     run_trials,
-    snr_levels,
     write_results,
 )
-from sncsim.phy import modulate_bpsk, per_link_rates, stream_gains
+from sncsim.phy import estimate_dof_slope, modulate_bpsk, per_link_rates, stream_gains
 from sncsim.snc import build_precoders, effective_system, extension_dims
 from tests.test_channel import reference_generators
 from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
@@ -76,6 +75,13 @@ def point(res, scheme, snr_db):
     raise KeyError((scheme, snr_db))
 
 
+def levels(snr_dbs):
+    """The linear SNR rho = 10^(snr/10), as a list, and the noise variance
+    sigma2 = 1 / rho, as an array, of every SNR point in dB."""
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in snr_dbs]
+    return rhos, np.array([1.0 / rho for rho in rhos])
+
+
 def kept_channels(cfg, indices):
     """The kept trials of *indices* as run_trials builds them, from the
     stage functions in its draw order: their channel, precoders v1 and
@@ -102,7 +108,7 @@ def oracle_detected(cfg, indices):
     h, v1, v_other, w, rngs = kept_channels(cfg, indices)
     msgs = np.stack([rng.integers(0, cfg.q, size=plan.total_streams) for rng in rngs])
     noise = sample_noise(cfg.M, plan.N, cfg.channel_model, rngs)
-    _, sigma2 = snr_levels(cfg.snr_grid)
+    _, sigma2 = levels(cfg.snr_grid)
     y = transmit(h, v1, v_other, split_by_transmitter(modulate_bpsk(msgs), plan),
                  np.sqrt(sigma2)[:, None, None] * noise[:, None])
     return reference_cp_recover(eff, einsum_demodulate(y, explicit_filters(h, w), eff))[1]
@@ -112,7 +118,7 @@ def stream_rates(cfg, snr_dbs, indices):
     """The per-stream rates (kept trials, S, streams) of the trials
     *indices* before the backhaul cap."""
     eff = effective_system(extension_dims(cfg.M, cfg.n))
-    _, sigma2 = snr_levels(snr_dbs)
+    _, sigma2 = levels(snr_dbs)
     return per_link_rates(stream_gains(*kept_channels(cfg, indices)[:4], eff), sigma2)
 
 
@@ -675,7 +681,7 @@ class TestRunTrials:
         h, v1, v_other, w, _ = kept_channels(cfg, range(cfg.trials))
         eff = effective_system(extension_dims(cfg.M, cfg.n))
         gains = explicit_link_gains(v1, v_other, factored_row_norms(h, w), eff)
-        rhos, sigma2 = snr_levels(cfg.snr_grid)
+        rhos, sigma2 = levels(cfg.snr_grid)
         per_signal = min_over_links(np.log2(1.0 + gains[:, None, :] / sigma2[:, None]), eff)
         if cfg.cap_enabled:
             caps = np.array([math.log2(1.0 + rho) for rho in rhos])
@@ -878,18 +884,37 @@ class TestAggregation:
 
     def test_level_cache_is_read_only_and_bounded(self):
         harness.grid_levels.cache_clear()
-        grid, rhos, sigma2 = harness.grid_levels(-10.0, 60.0, 5.0)
+        grid, *arrays = harness.grid_levels(-10.0, 60.0, 5.0)
         assert grid == small_config(snr_start=-10.0, snr_stop=60.0, snr_step=5.0).snr_grid
-        want_rhos, want_sigma2 = snr_levels(grid)
-        assert list(rhos) == want_rhos and np.array_equal(sigma2, want_sigma2)
-        with pytest.raises(ValueError):
-            sigma2[0] = 1.0
-        assert harness.grid_levels(-10.0, 60.0, 5.0)[2] is sigma2
+        want_rhos = [10.0 ** (x / 10.0) for x in grid]
+        want = [want_rhos, [1.0 / rho for rho in want_rhos],
+                [math.log2(1.0 + rho) for rho in want_rhos]]
+        again = harness.grid_levels(-10.0, 60.0, 5.0)[1:]
+        for array, values, same in zip(arrays, want, again):  # rhos, sigma2, caps
+            assert array.dtype == float and array.tolist() == values
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            assert same is array
         # the equal keys -0.0 and 0.0 build the same grid
         assert math.copysign(1.0, harness.grid_levels(-0.0, 10.0, 5.0)[0][0]) == 1.0
         for stop in range(3 * harness.LEVEL_CACHE):
             harness.grid_levels(0.0, float(stop), 1.0)
         assert harness.grid_levels.cache_info().currsize == harness.LEVEL_CACHE
+
+    @pytest.mark.parametrize("K, n", [(2, 1), (2, 2), (2, 3), (3, 1), (2, 10)])
+    def test_dof_fit_reads_the_means_per_channel_use(self, K, n):
+        # criterion 4's sweeps: the slope fitted to the per-channel-use means
+        # is the block-rate fit divided by N, as it was computed before, to
+        # rounding
+        cfg = SimConfig(K=K, n=n, scheme="snc", channel_model="complex", trials=200,
+                        snr_start=40, snr_stop=60, snr_step=5, seed=0, cap_enabled=False)
+        res = run_sweep(cfg)
+        grid = np.array(cfg.snr_grid)
+        means = np.array([point(res, "snc", s).mean_sum_rate for s in cfg.snr_grid])
+        log2_rho = grid * (math.log(10.0) / (10.0 * math.log(2.0)))
+        block_fit = np.polyfit(log2_rho, cfg.n_ext * means, 1)[0] / cfg.n_ext
+        assert res.dof_slopes["snc"] == estimate_dof_slope(grid, means)
+        assert res.dof_slopes["snc"] == pytest.approx(block_fit, rel=1e-11, abs=0.0)
 
     def test_no_kept_trial_gives_nan_rates_without_warnings(self):
         with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sncsim.phy import (
+    cooperation_caps,
     end_to_end_sum_rate,
     estimate_dof_slope,
     filter_and_demodulate,
@@ -417,7 +418,7 @@ class TestRates:
         assert stream_gains(h, *p, w, eff).tolist() == expected
 
     def test_sum_rate_adds_stream_rates(self):
-        sums = end_to_end_sum_rate(np.array([[2.0, 1.0, 2.5]]), [1.0], cap_enabled=False)
+        sums = end_to_end_sum_rate(np.array([[2.0, 1.0, 2.5]]), np.inf)
         assert sums.tolist() == [5.5]
 
     def test_every_stream_is_decoded_somewhere(self):
@@ -468,27 +469,38 @@ class TestSumRate:
     def test_cap_binds(self):
         plan, h, p, f, eff = build_all(2, 1, seed=7)
         per_signal = np.full((1, plan.total_streams), 5.0)
-        [total] = end_to_end_sum_rate(per_signal, [1.0])
+        [total] = end_to_end_sum_rate(per_signal, cooperation_caps([1.0]))
         assert total == pytest.approx(3.0)  # 3 streams capped at log2(1 + 1) = 1
 
     def test_rates_below_cap_unchanged(self):
         plan, h, p, f, eff = build_all(2, 1, seed=8)
         per_signal = np.full((1, plan.total_streams), 0.5)
-        [total] = end_to_end_sum_rate(per_signal, [1e6])
+        [total] = end_to_end_sum_rate(per_signal, cooperation_caps([1e6]))
         assert total == pytest.approx(1.5)
 
     def test_zero_cap_gives_zero(self):
         plan, h, p, f, eff = build_all(2, 1, seed=9)
         per_signal = np.full((1, plan.total_streams), 2.0)
-        [total] = end_to_end_sum_rate(per_signal, [0.0])
+        [total] = end_to_end_sum_rate(per_signal, cooperation_caps([0.0]))
         assert total == 0.0
+
+    def test_infinite_cap_keeps_every_bit(self):
+        # np.inf caps nothing: NaN, +-inf, -0.0 and a subnormal leave the
+        # minimum as they came, so every sum is the uncapped sum bit for
+        # bit (a +0.0 for -0.0 would turn the -0.0 sum positive)
+        rates = np.array([[[np.nan, 1.0], [np.inf, 2.0], [-np.inf, 0.5],
+                           [-0.0, -0.0], [5e-324, 0.0], [5e-324, -0.0]]])
+        want = np.sum(rates, axis=-1)
+        for caps in (np.inf, np.full(rates.shape[1], np.inf)):
+            got = end_to_end_sum_rate(rates, caps)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_monotone_in_link_snr(self):
         plan, h, p, f, eff = build_all(2, 2, seed=10)
         rhos = [10 ** (snr_db / 10) for snr_db in (0, 10, 20, 30, 40)]
         rates = per_link_rates(stream_gains(h, *p, build_filters(p[0]), eff),
                                [1.0 / rho for rho in rhos])
-        totals = end_to_end_sum_rate(rates, rhos).tolist()
+        totals = end_to_end_sum_rate(rates, cooperation_caps(rhos)).tolist()
         assert totals == sorted(totals)
 
 
@@ -509,7 +521,7 @@ class TestSnrBatch:
         fwd = filter_and_demodulate(x, noise, h, w, sigma2, eff)
         msgs_out, detected = cp_recover(eff, fwd)
         rates = per_link_rates(stream_gains(h, *p, w, eff), sigma2)
-        sums = end_to_end_sum_rate(rates, rhos)
+        sums = end_to_end_sum_rate(rates, cooperation_caps(rhos))
         assert noise.shape == (K, plan.N)
         assert fwd.shape == (len(rhos), -(-K * plan.N // 64))
         for s, (rho, s2) in enumerate(zip(rhos, sigma2)):
@@ -522,7 +534,7 @@ class TestSnrBatch:
             assert np.array_equal(msgs1, msgs_out[s])
             [rates1] = per_link_rates(stream_gains(h, *p, w, eff), [s2])
             assert np.array_equal(rates1, rates[s])
-            sums1 = end_to_end_sum_rate(rates1[None], [rho])
+            sums1 = end_to_end_sum_rate(rates1[None], cooperation_caps([rho]))
             assert np.array_equal(sums1, sums[s:s + 1])
 
 
@@ -531,11 +543,11 @@ class TestDofSlope:
         snr = np.arange(40, 61, 5)
         log2rho = snr * math.log(10) / (10 * math.log(2))
         rates = 3.0 * log2rho
-        assert estimate_dof_slope(snr, rates, n_ext=1) == pytest.approx(3.0)
+        assert estimate_dof_slope(snr, rates) == pytest.approx(3.0)
 
     def test_constant_rates_give_zero(self):
-        assert estimate_dof_slope([40, 50, 60], [7, 7, 7], n_ext=2) == pytest.approx(0.0, abs=1e-12)
+        assert estimate_dof_slope([40, 50, 60], [7, 7, 7]) == pytest.approx(0.0, abs=1e-12)
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
-            estimate_dof_slope([0, 10], [1, 2], n_ext=1)
+            estimate_dof_slope([0, 10], [1, 2])

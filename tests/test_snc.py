@@ -12,6 +12,7 @@ from sncsim.channel import sample_extended_channel
 from sncsim.gf import PrimeField, RankDeficientError, gf_inv
 from sncsim.harness import SimConfig, chunk_length
 from sncsim.phy import (
+    cooperation_caps,
     end_to_end_sum_rate,
     filter_and_demodulate,
     modulate_bpsk,
@@ -830,8 +831,8 @@ class TestTrialStack:
         gains = stream_gains(h, v1, v_other, w, eff)
         per_signal = per_link_rates(gains, sigma2)
         assert per_signal.shape == (len(w), len(rhos), plan.total_streams)
-        for cap_enabled in (True, False):
-            sums = end_to_end_sum_rate(per_signal, rhos, cap_enabled)
+        for caps in (cooperation_caps(rhos), np.inf):
+            sums = end_to_end_sum_rate(per_signal, caps)
             assert sums.shape == (len(w), len(rhos))
             for t in range(len(w)):
                 one = slice(t, t + 1)
@@ -839,19 +840,19 @@ class TestTrialStack:
                 assert np.array_equal(gains1, gains[one])
                 per_signal1 = per_link_rates(gains1, sigma2)
                 assert np.array_equal(per_signal1, per_signal[one])
-                sums1 = end_to_end_sum_rate(per_signal1, rhos, cap_enabled)
+                sums1 = end_to_end_sum_rate(per_signal1, caps)
                 assert np.array_equal(sums1, sums[one])
 
     @pytest.mark.parametrize("K, q, cap_enabled", [(2, 2, True), (3, 3, False)])
     def test_stacked_cf_rates_equal_stacks_of_one(self, K, q, cap_enabled):
         h = np.stack([make_channel(K, 4, seed=650 + s, model="real") for s in range(12)])
         rhos = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
-        totals, outages = cf_trial_sum_rate(h, rhos, q, 2, cap_enabled)
+        caps = cooperation_caps(rhos) if cap_enabled else np.inf
+        totals, outages = cf_trial_sum_rate(h, rhos, q, 2, caps)
         assert totals.shape == outages.shape == (len(h), len(rhos))
         assert 0 < np.count_nonzero(outages) < outages.size  # both paths ran
         for t in range(len(h)):
-            totals1, outages1 = cf_trial_sum_rate(h[t:t + 1], rhos, q, 2,
-                                                  cap_enabled)
+            totals1, outages1 = cf_trial_sum_rate(h[t:t + 1], rhos, q, 2, caps)
             assert np.array_equal(totals1, totals[t:t + 1])
             assert np.array_equal(outages1, outages[t:t + 1])
 
