@@ -21,11 +21,9 @@ run: the engine reads a built config's grid, block length and output
 path, and assumes its rules, unchecked.
 The engine evaluates chunks of consecutive trials in two stages.
 run_trials draws a chunk's channels as one bare (T, M, M, N) stack, one
-generator call per trial, and keeps the draws whose V_1 has full rank,
-redrawing only those that failed (_usable_channels; each _draw_round
-builds the ratio table, from which snc.ratio_bound_rejects fails most
-doomed draws, and for the rest the precoders v1 and v_other and the
-filters' shared inverse w of V_1, which V_1's rank test reads).
+generator call per trial, and snc.usable_channels keeps the draws whose
+V_1 has full rank, with their precoders and filter inverses, redrawing
+only those that failed.
 evaluate takes a channel stack and its precoders, from run_trials or
 chosen by a test, and returns per scheme one table of named per-trial
 outcomes (OUTCOMES), [point, trial] arrays over the whole SNR grid built
@@ -98,18 +96,13 @@ from .phy import (
 )
 from .snc import (
     CapacityError,
-    build_filters,
-    build_precoders,
-    channel_ratios,
-    check_precoder_ranks,
     cp_recover,
     effective_system,
     extension_dims,
-    ratio_bound_rejects,
+    usable_channels,
 )
 
 WORKERS_ENV = "SNCSIM_WORKERS"
-MAX_RESAMPLES = 3
 # array elements a chunk of trials may take per trial-stacked array
 BATCH_ELEMENTS = 2**16
 # Every rate formula multiplies rho or 1 / sigma2 by a channel term.
@@ -369,51 +362,6 @@ class TrialBatch:
     outcomes: dict[str, dict[str, np.ndarray]]
 
 
-def _draw_round(plan, h: np.ndarray):
-    """One round of V_1's rank test over the channel stack *h*: the mask of
-    the draws that pass, and their precoders v1 and v_other and inverses w
-    in index order.  The ratio table is built once; ratio_bound_rejects
-    fails most doomed draws from it, and only the draws it leaves open are
-    built, inverted and checked."""
-    g = channel_ratios(h, plan)
-    passed = ~ratio_bound_rejects(g, plan)
-    v1, v_other = build_precoders(g if passed.all() else g[passed], plan)
-    w = build_filters(v1)
-    ok = check_precoder_ranks(v1, w)
-    passed[passed] = ok
-    if not ok.all():
-        v1, v_other, w = v1[ok], v_other[ok], w[ok]
-    return passed, v1, v_other, w
-
-
-def _usable_channels(plan, h: np.ndarray, redraw):
-    """Resample the draws of the chunk's channel *h* whose V_1 loses rank
-    up to MAX_RESAMPLES times.  The first round tests the whole chunk; each
-    later round redraws and tests only the trials still pending (one
-    _draw_round each), so a kept trial keeps the inverse w that its rank
-    test read.  Returns the kept trials' channel, precoders v1 and v_other,
-    and filter inverses w, and the kept mask; the rounds' arrays are joined
-    only when the first round did not keep every trial."""
-    pending = np.arange(len(h))
-    rounds = []  # (trials that passed, their v1, v_other and w) per round
-    for resample in range(MAX_RESAMPLES + 1):
-        if resample:
-            h[pending] = redraw(pending)
-        passed, *arrays = _draw_round(plan, h[pending] if resample else h)
-        rounds.append((pending[passed], arrays))
-        pending = pending[~passed]
-        if not pending.size:
-            break
-    kept = np.ones(len(h), dtype=bool)
-    kept[pending] = False
-    if len(rounds) == 1:  # every trial passed the first round
-        return h, *rounds[0][1], kept
-    order = np.argsort(np.concatenate([done for done, _ in rounds]))
-    v1, v_other, w = (np.concatenate(parts)[order]
-                      for parts in zip(*(arrays for _, arrays in rounds)))
-    return (h[kept] if pending.size else h), v1, v_other, w, kept
-
-
 def run_trials(cfg: SimConfig, indices) -> TrialBatch:
     """Paired Monte Carlo trials *indices*, evaluated at every point of
     cfg.snr_grid in one stacked pass over a leading trial axis.
@@ -422,7 +370,7 @@ def run_trials(cfg: SimConfig, indices) -> TrialBatch:
     draw-order contract, and every check and number of a trial is
     computed from that trial alone, so a trial's outcome does not depend
     on the other trials of the chunk.  A trial whose V_1 still lacks full
-    rank after MAX_RESAMPLES resamples is aborted: ``kept`` is False for
+    rank after snc.MAX_RESAMPLES resamples is aborted: ``kept`` is False for
     it.  The kept trials go to evaluate.
     """
     rngs = trial_generators(cfg.seed, indices)
@@ -435,7 +383,7 @@ def run_trials(cfg: SimConfig, indices) -> TrialBatch:
     kept = np.ones(len(rngs), dtype=bool)
     v1 = v_other = w = None
     if cfg.run_snc:
-        h, v1, v_other, w, kept = _usable_channels(extension_dims(cfg.M, cfg.n), h, draw)
+        h, v1, v_other, w, kept = usable_channels(h, extension_dims(cfg.M, cfg.n), draw)
     kept_rngs = [rngs[t] for t in np.flatnonzero(kept)]
     return TrialBatch(kept, evaluate(cfg, h, kept_rngs, v1, v_other, w))
 
@@ -448,7 +396,7 @@ def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
     matrix is singular mod q, ``detected`` the flag of redundant rows
     disagreeing after the noisy BPSK pass, and an outcome a scheme lacks
     is 0.  The SNC leg reads the precoders *v1* and *v_other* and inverses
-    *w* that _draw_round built for *h*, and draws each trial's messages,
+    *w* that snc.draw_round built for *h*, and draws each trial's messages,
     then its noise, from its generator in *rngs*.  Both legs cap every
     stream at the grid's cooperation caps, or at np.inf, which caps
     nothing, when cfg.cap_enabled is off."""
@@ -498,9 +446,12 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     stay in memory.  Elements per trial is a fixed bound, M N max(N, S M),
     and for CF at least N M candidates / 2.  Neither rule is fitted to the
     arrays the engine builds, for measured reasons (2-vCPU VM, medians):
-    - the CF term is far above the orbit search's arrays, but fitting it
-      makes CF slower: a K=3, r=19 CF sweep of 600 trials took 0.29 s in
-      the 1-trial chunks it gives and 0.58 s in 56-trial chunks;
+    - the CF term bounds the orbit search's leaders x rows arrays, which
+      cf_trial_sum_rate's PASS_ELEMENTS bounds only along the SNR axis:
+      a K=3, r=19 CF sweep of 600 trials peaked at 40 MB with it and
+      101 MB without (K=2, r=127, 200 trials: 43 and 117 MB), though its
+      1-trial chunks took 1.46 s where 560-trial ones took 0.59 s, and
+      K=3, n=2, both, 300 trials ran no slower without it (74-91 ms);
     - dropping the share rule moves a 2-worker pool by a few ms either way
       (K=2, n=2, both, 11 alternating sweeps): 55 ms with it and 50 ms
       without at 1,000 trials, 95 and 94 ms at 3,000.

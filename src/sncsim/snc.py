@@ -15,9 +15,7 @@ transposed as floats and the table of stream-to-receiver links depend
 only on (K, n): effective_system builds them once per plan from the
 exponents.  So does _factor_rows, the rows of build_precoders' power
 table that hold each precoding column's nonzero-exponent factors, the
-only ones it multiplies (a zero exponent's factor is an exact 1).
-phy.stream_gains reduces each stream's links to its weakest receiver
-once per channel draw, with one gather from the link table.  Per
+only ones it multiplies (a zero exponent's factor is an exact 1).  Per
 channel draw only the ratio table, the precoders, V_1's
 inverse and V_1's rank test remain, all on arrays with a leading trial
 axis: every trial's numbers are those of a stack holding that trial
@@ -57,6 +55,10 @@ no arithmetic mod 2.  Each stage returns plain arrays, only those the
 next stage reads: channel_ratios (g), ratio_bound_rejects (the mask of
 doomed draws), build_precoders (v1, v_other), build_filters (w),
 check_precoder_ranks (passed) and cp_recover (x, detected).
+draw_round runs the first five, in order, on a stack of draws, and
+usable_channels decides which draw a trial keeps: it redraws only the
+trials whose last draw failed, up to MAX_RESAMPLES times, and aborts a
+trial whose last draw still fails.
 verify_alignment, on one trial's (M, M, N) channel, is the numerical
 reference the tests hold the construction to.
 """
@@ -82,6 +84,7 @@ RANK_FAIL2 = ((1 + RANK_MARGIN) / RANK_SV_RTOL) ** 2
 # The largest N for which N eps / RANK_SV_RTOL <= RANK_MARGIN / 4 (1,125):
 # the rounding of w then stays inside the margin of every rank rule
 MAX_EXTENSION = int(RANK_MARGIN / 4 * RANK_SV_RTOL / np.finfo(float).eps)
+MAX_RESAMPLES = 3
 
 
 class CapacityError(Exception):
@@ -322,6 +325,51 @@ def build_filters(v1: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         return (np.stack([build_filters(m) for m in v1]) if v1.ndim > 2
                 else np.full_like(v1, np.nan))
+
+
+def draw_round(h: np.ndarray, plan: ExtensionPlan):
+    """One round of V_1's rank test over the channel stack *h*: the mask of
+    the draws that pass, and their precoders v1 and v_other and inverses w
+    in index order.  The ratio table is built once; ratio_bound_rejects
+    fails most doomed draws from it, and only the draws it leaves open are
+    built, inverted and checked."""
+    g = channel_ratios(h, plan)
+    passed = ~ratio_bound_rejects(g, plan)
+    v1, v_other = build_precoders(g if passed.all() else g[passed], plan)
+    w = build_filters(v1)
+    ok = check_precoder_ranks(v1, w)
+    passed[passed] = ok
+    if not ok.all():
+        v1, v_other, w = v1[ok], v_other[ok], w[ok]
+    return passed, v1, v_other, w
+
+
+def usable_channels(h: np.ndarray, plan: ExtensionPlan, redraw):
+    """Resample the draws of the chunk's channel *h* whose V_1 loses rank
+    up to MAX_RESAMPLES times.  The first round tests the whole chunk; each
+    later round redraws and tests only the trials still pending (one
+    draw_round each), so a kept trial keeps the inverse w that its rank
+    test read.  Returns the kept trials' channel, precoders v1 and v_other,
+    and filter inverses w, and the kept mask; the rounds' arrays are joined
+    only when the first round did not keep every trial."""
+    pending = np.arange(len(h))
+    rounds = []  # (trials that passed, their v1, v_other and w) per round
+    for resample in range(MAX_RESAMPLES + 1):
+        if resample:
+            h[pending] = redraw(pending)
+        passed, *arrays = draw_round(h[pending] if resample else h, plan)
+        rounds.append((pending[passed], arrays))
+        pending = pending[~passed]
+        if not pending.size:
+            break
+    kept = np.ones(len(h), dtype=bool)
+    kept[pending] = False
+    if len(rounds) == 1:  # every trial passed the first round
+        return h, *rounds[0][1], kept
+    order = np.argsort(np.concatenate([done for done, _ in rounds]))
+    v1, v_other, w = (np.concatenate(parts)[order]
+                      for parts in zip(*(arrays for _, arrays in rounds)))
+    return (h[kept] if pending.size else h), v1, v_other, w, kept
 
 
 def pack_bits(bits) -> np.ndarray:

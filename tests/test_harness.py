@@ -36,7 +36,13 @@ from sncsim.harness import (
     write_results,
 )
 from sncsim.phy import estimate_dof_slope, modulate_bpsk, per_link_rates, stream_gains
-from sncsim.snc import build_precoders, effective_system, extension_dims
+from sncsim.snc import (
+    build_precoders,
+    draw_round,
+    effective_system,
+    extension_dims,
+    usable_channels,
+)
 from tests.test_channel import reference_generators
 from tests.test_phy import explicit_link_gains, factored_row_norms, min_over_links
 from tests.test_snc import (
@@ -94,7 +100,7 @@ def kept_channels(cfg, indices):
         return sample_extended_channel(cfg.M, plan.N, cfg.channel_model,
                                        [rngs[t] for t in trials])
 
-    h, v1, v_other, w, kept = harness._usable_channels(plan, draw(range(len(rngs))), draw)
+    h, v1, v_other, w, kept = usable_channels(draw(range(len(rngs))), plan, draw)
     return h, v1, v_other, w, [rngs[t] for t in np.flatnonzero(kept)]
 
 
@@ -602,7 +608,7 @@ class TestRunTrials:
         h = sample_extended_channel(cfg.M, cfg.n_ext, cfg.channel_model, [])
         arrays = [None] * 3
         if cfg.run_snc:
-            passed, *arrays = harness._draw_round(extension_dims(cfg.M, cfg.n), h)
+            passed, *arrays = draw_round(h, extension_dims(cfg.M, cfg.n))
             assert passed.shape == (0,)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -644,7 +650,7 @@ class TestRunTrials:
         # batch is bit for bit that of building and checking every draw
         cfg = small_config(**{"trials": 60, **overrides})
         got = run_trials(cfg, range(cfg.trials))
-        monkeypatch.setattr(harness, "ratio_bound_rejects",
+        monkeypatch.setattr("sncsim.snc.ratio_bound_rejects",
                             lambda g, plan: np.zeros(g.shape[:-2], dtype=bool))
         ref = run_trials(cfg, range(cfg.trials))
         assert_same_batch(got, ref)
@@ -661,7 +667,7 @@ class TestRunTrials:
                                            [rngs[t] for t in trials])
 
         first = draw(range(len(rngs)))
-        h, v1, _, w, kept = harness._usable_channels(plan, first.copy(), draw)
+        h, v1, _, w, kept = usable_channels(first.copy(), plan, draw)
         assert not kept.all()
         assert np.any(np.any(h != first[kept], axis=(1, 2, 3)))  # resampled
         # each round's inverses equal one stacked inverse of the kept V_1
@@ -786,7 +792,7 @@ class TestRunSweep:
         # past about n = 50 no K=2 draw keeps V_1's rank, and the ratio
         # bound rejects every draw from |g| before its precoders are built
         built = []
-        monkeypatch.setattr(harness, "build_precoders",
+        monkeypatch.setattr("sncsim.snc.build_precoders",
                             lambda g, plan: built.append(len(g)) or build_precoders(g, plan))
         cfg = SimConfig(K=2, n=100, scheme="snc", trials=20, snr_start=0, snr_stop=0)
         start = time.perf_counter()

@@ -2,7 +2,7 @@
 A Review of Challenges and Opportunities", ACM CSUR 51(1), 2018): a known
 transform of the channel stack must move the outcomes in a known way.
 Each relation runs harness.evaluate, the engine's own evaluation, on draws
-that _draw_round keeps both before and after the transform."""
+that draw_round keeps both before and after the transform."""
 
 import dataclasses
 import math
@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from sncsim.channel import sample_extended_channel, trial_generators
-from sncsim.harness import SimConfig, _draw_round, evaluate
-from sncsim.snc import extension_dims
+from sncsim.harness import SimConfig, evaluate
+from sncsim.snc import draw_round, extension_dims
 
 GRID_DB = (-10.0, 60.0, 10.0)  # start, stop, step
 
 
 def evaluate_pair(cfg, transform, seed, snr_shift_db=0.0, keep_cfg=None, trials=40):
     """evaluate's tables for *cfg* on the draws of *trials* fresh channels
-    of *keep_cfg* (default *cfg*) that _draw_round keeps both as drawn and
+    of *keep_cfg* (default *cfg*) that draw_round keeps both as drawn and
     after *transform*: the drawn stack on GRID_DB, and its transform on
     GRID_DB shifted by *snr_shift_db*."""
     start, stop, step = GRID_DB
@@ -28,11 +28,11 @@ def evaluate_pair(cfg, transform, seed, snr_shift_db=0.0, keep_cfg=None, trials=
     h = sample_extended_channel(keep_cfg.M, keep_cfg.n_ext, keep_cfg.channel_model,
                                 trial_generators(seed, range(trials)))
     moved = transform(h)
-    both = _draw_round(plan, h)[0] & _draw_round(plan, moved)[0]
+    both = draw_round(h, plan)[0] & draw_round(moved, plan)[0]
     assert both.sum() >= trials // 4  # enough draws for the relation to bite
     tables = []
     for stack, shift in ((h[both], 0.0), (moved[both], snr_shift_db)):
-        passed, *arrays = _draw_round(plan, stack)
+        passed, *arrays = draw_round(stack, plan)
         assert passed.all()  # a draw's rank test does not depend on the others
         rngs = trial_generators(seed, range(len(stack)))
         at = dataclasses.replace(cfg, snr_start=start + shift, snr_stop=stop + shift,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sncsim.cf_baseline import cf_trial_sum_rate
-from sncsim.channel import sample_extended_channel
+from sncsim.channel import sample_extended_channel, trial_generators
 from sncsim.gf import PrimeField, RankDeficientError, gf_inv
 from sncsim.harness import SimConfig, chunk_length
 from sncsim.phy import (
@@ -21,6 +21,7 @@ from sncsim.phy import (
 )
 from sncsim.snc import (
     MAX_EXTENSION,
+    MAX_RESAMPLES,
     RANK_MARGIN,
     RANK_SV_RTOL,
     CapacityError,
@@ -32,10 +33,12 @@ from sncsim.snc import (
     _factor_rows,
     _plan_matrix,
     cp_recover,
+    draw_round,
     effective_system,
     extension_dims,
     pack_bits,
     ratio_bound_rejects,
+    usable_channels,
     verify_alignment,
 )
 
@@ -855,6 +858,42 @@ class TestTrialStack:
             totals1, outages1 = cf_trial_sum_rate(h[t:t + 1], rhos, q, 2, caps)
             assert np.array_equal(totals1, totals[t:t + 1])
             assert np.array_equal(outages1, outages[t:t + 1])
+
+
+class TestUsableChannels:
+    @pytest.mark.parametrize("n, model, trials", [(10, "complex", 48), (6, "real", 40)])
+    def test_redraws_pending_trials_and_keeps_their_last_draw(self, n, model, trials):
+        # outputs alone cannot say which trial was redrawn, so a counting
+        # redraw checks every call against the trials' own draws: the
+        # trials whose last draw fails draw again, in ascending order, at
+        # most MAX_RESAMPLES times each
+        plan = extension_dims(2, n)
+        rngs = trial_generators(n, range(trials))
+        last = sample_extended_channel(2, plan.N, model, rngs)  # each trial's latest draw
+        resamples = np.zeros(trials, dtype=int)
+
+        def fails(t):
+            return not draw_round(last[t:t + 1], plan)[0][0]
+
+        def redraw(pending):
+            assert pending.tolist() == [t for t in range(trials)
+                                        if fails(t) and resamples[t] < MAX_RESAMPLES]
+            draws = sample_extended_channel(2, plan.N, model, [rngs[t] for t in pending])
+            last[pending] = draws
+            resamples[pending] += 1
+            return draws
+
+        h, v1, v_other, w, kept = usable_channels(last.copy(), plan, redraw)
+        assert resamples.max() == MAX_RESAMPLES
+        assert kept.tolist() == [not fails(t) for t in range(trials)]
+        # some trials kept their first draw, some a redraw, and some abort
+        redrawn = resamples[kept] > 0
+        assert redrawn.any() and (~redrawn).any() and not kept.all()
+        # a kept trial's arrays are those of its final draw alone, in index order
+        assert same_bits(h, last[kept])
+        alone = [draw_round(last[t:t + 1], plan)[1:] for t in np.flatnonzero(kept)]
+        for got, want in zip((v1, v_other, w), zip(*alone)):
+            assert same_bits(got, np.concatenate(want))
 
 
 class TestRecovery:
