@@ -8,19 +8,23 @@ stacked coefficient matrix to be invertible mod q; a rank-deficient slot
 is an outage and contributes zero rate.
 
 cf_trial_sum_rate runs once per chunk of trials over the whole SNR grid,
-on the bare (T, K, K, N) channel array.  Every (point, row) bounds one
+on the bare (T, K, K, N) channel array, in (point, row) tiles of at most
+PASS_ELEMENTS (leader, point, row) values each, so that the search bounds
+its own memory whatever the chunk's length.  Every (point, row) bounds one
 leader per orbit of the candidates under coordinate permutations and sign
-flips, all points in one array pass.  The bounds are kept as rate
-denominators, laid out (point, leader, row) so that every minimum over
-the leaders is an elementwise reduction over a leading axis, and the
-rate map (_rate_of) turns them into rates monotonically, so only the
-winner, the first smallest, and the largest remaining bound are rated.
+flips, all points of a tile in one array pass.  The bounds are kept as rate
+denominators, laid out (leader, point, row) so that every minimum over
+the leaders is an elementwise reduction over the leading axis, whose
+slices hold every (point, row) of the tile, and the rate map (_rate_of)
+turns them into rates monotonically, so only the winner, the first
+smallest, and the largest remaining bound are rated.
 No member is projected but the winner's: its orbit's best member is
 gathered once per (point, row), the gather the pick needs anyway, and
 projected with the operations of the exhaustive search, so its rate is
 exact, bit for bit (_member_projections).  A certificate proves that
-member the exhaustive search's pick (see _search), and a (point, row) it
-leaves open takes the exhaustive search.  The exact integer determinant
+member the exhaustive search's pick (see _search), and the (point, row)
+pairs it leaves open take the exhaustive search, in groups of at most
+PASS_ELEMENTS // (candidate count) pairs.  The exact integer determinant
 of every (trial, point, slot) decides its outage (_integer_det), in
 closed form for K <= 3.  It returns (T, S) arrays, each slot's worst
 receiver rate capped at the caps it is given, which the harness builds
@@ -39,7 +43,10 @@ import numpy as np
 # enumerate: radius 127 at K=2, 19 at K=3 and 7 at K=4.  At the bound the
 # candidate table takes about 1 MB and 0.1 s to build (2-vCPU Xeon).
 MAX_SEARCH_GRID = 2**16
-# Most (point, row, orbit leader) rates one pass of the search holds.
+# Most (leader, point, row) values one _search call holds, and most
+# (pair, candidate) rates one group of its exhaustive fallback holds: 2 MB
+# per float array.  MAX_SEARCH_GRID keeps every leader and candidate table
+# below it, so one row or one pair always fits.
 PASS_ELEMENTS = 2**18
 
 
@@ -140,24 +147,24 @@ def _member_projections(mag, members):
 
 
 def _winner(den) -> np.ndarray:
-    """The first leader, along axis 1 of the denominators *den* (S, L, R),
+    """The first leader, along axis 0 of the denominators *den* (L, S, R),
     whose denominator equals the smallest of its (point, row): np.argmin's
     pick.  Every leader l at the minimum scores L - l, and the largest
     score marks the first of them, in elementwise passes over the leading
     axis; np.argmin would copy den to put that axis last, and take each
     (point, row) on its own.  den holds no NaN, the search's inputs being
     finite."""
-    L = den.shape[1]
-    low = np.minimum.reduce(den, axis=1)
-    score = (L - np.arange(L)).astype(np.min_scalar_type(L))[:, None]
-    return np.subtract(L, np.maximum.reduce((den == low[:, None]) * score, axis=1),
+    L = len(den)
+    low = np.minimum.reduce(den, axis=0)
+    score = (L - np.arange(L)).astype(np.min_scalar_type(L))[:, None, None]
+    return np.subtract(L, np.maximum.reduce((den == low) * score, axis=0),
                        dtype=np.intp)
 
 
 def _search(H, hh, rho, radius: int):
     """(picks, rates), (S, R, K) and (S, R): the first maximiser, up to
     sign, of the rate of every row of H (R, K) at every SNR of rho
-    (S, 1, 1), and that rate, bit for bit those of the exhaustive search.
+    (S, 1), and that rate, bit for bit those of the exhaustive search.
     hh (R,) holds the rows' squared norms.
 
     The members of the orbit of a leader b share its norm.  With s = |h|
@@ -169,19 +176,23 @@ def _search(H, hh, rho, radius: int):
     norm.  So when every other orbit's bound (s.b)^2 and the winning
     orbit's (s.b - Delta)^2 rate strictly below its best member, that
     member is the unique maximiser.  Denominators fall as (h.a)^2 grows,
-    and _rate_of is monotone, so the bounds are held as denominators,
-    laid out (S, L, R), point, leader, row, so that both minima over the
-    leaders are elementwise reductions over a leading axis.  The winner is
-    the first smallest one (_winner), and after the runner-up bound
-    (s.b - Delta)^2 is written into its slot, the rate of the smallest one
-    left is the largest bound rate, bit for bit.  Any smallest denominator
-    may win: a certified row has a unique maximiser, and a row where two
-    orbits tie in rate fails the certificate whichever of them wins.  The
-    winner's leader is gathered in |h|'s order once per (point, row), and
-    only that member is projected (_member_projections), exactly, so the
-    winner's rate is the exhaustive search's, bit for bit; no other
-    orbit's member is projected.  The pick is that gather with h's
-    signs."""
+    and _rate_of is monotone, so the bounds are held as denominators, laid
+    out (L, S, R), leader, point, row, so that both minima over the
+    leaders are elementwise reductions over the leading axis, each slice
+    holding all S R (point, row) values, however few rows the tile has.
+    The winner is the first smallest one (_winner), and after the
+    runner-up bound (s.b - Delta)^2 is written into its slot, the rate of
+    the smallest one left is the largest bound rate, bit for bit.  Any
+    smallest denominator may win: a certified row has a unique maximiser,
+    and a row where two orbits tie in rate fails the certificate whichever
+    of them wins.  The winner's leader is gathered in |h|'s order once per
+    (point, row), and only that member is projected (_member_projections),
+    exactly, so the winner's rate is the exhaustive search's, bit for bit;
+    no other orbit's member is projected.  The pick is that gather with
+    h's signs.  The pairs the certificate leaves open take the exhaustive
+    search in groups of at most PASS_ELEMENTS // len(cand) pairs; each
+    pair's rates are computed from its own row alone, so the grouping
+    changes no bit."""
     K = H.shape[-1]
     cand, norm2 = _candidates(K, radius)
     leaders, lead_norm2 = _orbits(K, radius)
@@ -193,19 +204,21 @@ def _search(H, hh, rho, radius: int):
     # (s . b)(1 + 2^-40) bounds the computed |h . a| of every member: both
     # sums err by about K eps relative, and MAX_SEARCH_GRID keeps K <= 10
     m = np.ascontiguousarray((s @ leaders.T).T) * (1 + 2.0 ** -40)  # (L, R)
-    den = _denominators(m * m, hh, lead_norm2[:, None], rho)
+    den = _denominators((m * m)[:, None], hh, lead_norm2[:, None, None], rho)
     win = _winner(den)
     # at K = 1 there is no gap, and an orbit holds one candidate
     delta = np.minimum.reduce(s[:, :-1] - s[:, 1:], axis=-1, initial=np.inf)
     runner = np.maximum(m[win, rows] - delta, 0.0)
     n2 = lead_norm2[win]
     member = leaders.take(win[..., None] * K + rank)  # the winner in |h|'s order
-    best = _rates(_member_projections(mag, member), hh, n2, rho[:, 0])
-    den[points, win, rows] = _denominators(runner * runner, hh, n2, rho[:, 0])
+    best = _rates(_member_projections(mag, member), hh, n2, rho)
+    den[win, points, rows] = _denominators(runner * runner, hh, n2, rho)
     a = member * np.where(H < 0, -1.0, 1.0)
-    i, j = np.nonzero(~(_rate_of(np.minimum.reduce(den, axis=1)) < best))
-    if i.size:  # not certified: the exhaustive search
-        r = _rates(_projections(H[j], cand), hh[j, None], norm2, rho[i, 0])
+    open_i, open_j = np.nonzero(~(_rate_of(np.minimum.reduce(den, axis=0)) < best))
+    group = max(1, PASS_ELEMENTS // len(cand))
+    for g in range(0, open_i.size, group):  # not certified: the exhaustive search
+        i, j = open_i[g:g + group], open_j[g:g + group]
+        r = _rates(_projections(H[j], cand), hh[j, None], norm2, rho[i])
         k = np.argmax(r, axis=-1)  # first maximizer: the tie-break order
         a[i, j], best[i, j] = cand[k], r[np.arange(len(k)), k]
     return a, best
@@ -274,6 +287,13 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int, caps):
     Its inputs obey SimConfig's rules, unchecked here: a real K = L
     channel, *radius* >= 1 and a prime *q*.
 
+    The search runs in (point, row) tiles of at most PASS_ELEMENTS
+    (leader, point, row) values, L leaders per row.  A tile holds every
+    point and as many rows as fit; only when not one row of every point
+    fits does it hold one point and as many rows as fit, at least one.  A
+    row's pick and rate are computed from that row alone, in a fixed term
+    order, so the tiling changes no bit.
+
     Returns ``(totals, outages)``, each of shape (..., S): the total rate
     over the N slots and the outage fraction of every trial and SNR point.
     """
@@ -281,12 +301,16 @@ def cf_trial_sum_rate(h: np.ndarray, rhos, q: int, radius: int, caps):
     H = h.swapaxes(-1, -2).swapaxes(-2, -3)  # H[..., slot, receiver, transmitter]
     hh = np.sum(H * H, axis=-1).reshape(-1)
     H = H.reshape(-1, K)  # one row per (trial, slot, receiver)
-    rhos = np.asarray(rhos, dtype=float)
-    step = max(1, PASS_ELEMENTS // (max(len(H), 1) * len(_orbits(K, radius)[0])))
-    picks, rates = (np.concatenate(x) for x in zip(*(
-        _search(H, hh, rhos[i:i + step, None, None], radius)
-        for i in range(0, len(rhos), step))))
-    rates = rates.reshape(len(rhos), *h.shape[:-3], N, K)
+    rhos = np.asarray(rhos, dtype=float)[:, None]
+    S, L = len(rhos), len(_orbits(K, radius)[0])
+    points, rows = S, PASS_ELEMENTS // (S * L)
+    if rows < 1:  # not one row of every point fits: one point per tile
+        points, rows = 1, max(1, PASS_ELEMENTS // L)
+    tiles = [_search(H[j:j + rows], hh[j:j + rows], rhos[i:i + points], radius)
+             for i in range(0, S, points) for j in range(0, max(len(H), 1), rows)]
+    # joined along the rows, point-major, the tiles reshape to [point, row]
+    picks, rates = (np.concatenate(x, axis=1) for x in zip(*tiles))
+    rates = rates.reshape(S, *h.shape[:-3], N, K)
     r = rates[..., 0]  # then the worst receiver rate of every [point, ..., slot]
     for k in range(1, K):
         r = np.minimum(r, rates[..., k])

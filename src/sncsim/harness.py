@@ -30,11 +30,14 @@ outcomes (OUTCOMES), [point, trial] arrays over the whole SNR grid built
 in one array pass: each stream's gain at its weakest receiver once per
 trial, then the noisy pass, which filters each trial's unit noise once
 and scales it per point.  The compute-and-forward leg draws no
-randomness.  The arrays of a chunk are the only shape: one trial is
-run_trials(cfg, [i]), and another grid or output path is
-dataclasses.replace(cfg, ...).  A sweep that fits one chunk of at most
-BATCH_ELEMENTS per array runs in this process, whatever SNCSIM_WORKERS
-says: a process pool could not amortise its start-up over one chunk.
+randomness and bounds its own search memory in tiles of
+cf_baseline.PASS_ELEMENTS values, so chunks are sized from the SNC
+arrays alone, whatever the coefficient search.  The arrays of a chunk
+are the only shape: one trial is run_trials(cfg, [i]), and another grid
+or output path is dataclasses.replace(cfg, ...).  A sweep that fits one
+chunk of at most BATCH_ELEMENTS per array runs in this process, whatever
+SNCSIM_WORKERS says: a process pool could not amortise its start-up over
+one chunk.
 A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
 chunks of trials // (4 workers) trials.  run_sweep joins each scheme's
 chunk tables once, into one [outcome, point, trial] array, and reduces
@@ -443,24 +446,18 @@ def chunk_length(cfg: SimConfig, workers: int) -> int:
     """Trials per chunk: all of them when serial, trials // (4 workers) on
     a pool so that each worker gets several chunks, and at least 1.  At
     most BATCH_ELEMENTS // (elements per trial), so that large extensions
-    stay in memory.  Elements per trial is a fixed bound, M N max(N, S M),
-    and for CF at least N M candidates / 2.  Neither rule is fitted to the
-    arrays the engine builds, for measured reasons (2-vCPU VM, medians):
-    - the CF term bounds the orbit search's leaders x rows arrays, which
-      cf_trial_sum_rate's PASS_ELEMENTS bounds only along the SNR axis:
-      a K=3, r=19 CF sweep of 600 trials peaked at 40 MB with it and
-      101 MB without (K=2, r=127, 200 trials: 43 and 117 MB), though its
-      1-trial chunks took 1.46 s where 560-trial ones took 0.59 s, and
-      K=3, n=2, both, 300 trials ran no slower without it (74-91 ms);
-    - dropping the share rule moves a 2-worker pool by a few ms either way
-      (K=2, n=2, both, 11 alternating sweeps): 55 ms with it and 50 ms
-      without at 1,000 trials, 95 and 94 ms at 3,000.
+    stay in memory.  Elements per trial is a fixed bound on the SNC
+    arrays, M N max(N, S M), the same for every scheme and coefficient
+    search: the CF leg bounds its own search in tiles of
+    cf_baseline.PASS_ELEMENTS values.  Neither rule is fitted to the
+    arrays the engine builds: dropping the share rule moves a 2-worker
+    pool by a few ms either way (K=2, n=2, both, 11 alternating sweeps,
+    2-vCPU VM, medians): 55 ms with it and 50 ms without at 1,000 trials,
+    95 and 94 ms at 3,000.
     run_sweep uses a pool only when chunk_length(cfg, 1) < cfg.trials,
     that is when the sweep spans more than one such chunk."""
     M, S, n_ext = cfg.M, len(cfg.snr_grid), cfg.n_ext
     elements = M * n_ext * max(n_ext, S * M)
-    if cfg.run_cf:
-        elements = max(elements, n_ext * M * search_grid_size(M, cfg.cf_radius) // 2)
     share = cfg.trials if workers <= 1 else cfg.trials // (4 * workers)
     return max(1, min(share, BATCH_ELEMENTS // elements))
 

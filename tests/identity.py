@@ -4,16 +4,19 @@
     python tests/identity.py --base-src DIR    # a src/ directory on disk
     python tests/identity.py --base REV --speed
 
-Every config of tests/test_pinned_outputs.MATRIX and the four larger sweeps
-of POOLED, which span several chunks and so start a pool at 2 workers, run
-on both trees.  Each tree and SNCSIM_WORKERS count (1 and 2) runs in one
-fresh interpreter whose PYTHONPATH is that tree's src/ alone.  A config's
-outputs are the CSV's bytes, every sidecar key but config.out_path, every
-SweepPoint stat, dof_slopes, aborted_trials and warning; a value matches
-only when its repr does, so -0.0 differs from 0.0 and NaN matches NaN.
-Per config and worker count it prints "identical", or the first differing
-field and the largest relative difference, and it exits 1 when anything
-differs.  --config runs only the named configs.
+Every config of tests/test_pinned_outputs.MATRIX and the five larger sweeps
+of POOLED run on both trees.  The first four span several chunks and so
+start a pool at 2 workers; the fifth, a K=3, radius-19 CF sweep, runs its
+coefficient search in many tiles of one chunk, or on a pool of 1-trial
+chunks in a tree whose chunks shrink with the search.  Each tree and
+SNCSIM_WORKERS count (1 and 2) runs in one fresh interpreter whose
+PYTHONPATH is that tree's src/ alone.  A config's outputs are the CSV's
+bytes, every sidecar key but config.out_path, every SweepPoint stat,
+dof_slopes, aborted_trials and warning; a value matches only when its
+repr does, so -0.0 differs from 0.0 and NaN matches NaN.  Per config and
+worker count it prints "identical", or the first differing field and the
+largest relative difference, and it exits 1 when anything differs.
+--config runs only the named configs.
 
 --speed compares the benchmark's end-to-end metrics instead.  On every
 workload of BENCHMARK.json it runs BENCHMARK.json's command, `python3
@@ -60,6 +63,9 @@ POOLED = {
     "k2n10_snc_complex_uncapped_200": dict(K=2, n=10, scheme="snc",
                                            channel_model="complex", cap_enabled=False,
                                            snr_start=40.0, snr_stop=60.0, trials=200),
+    # the largest K=3 radius: multi-tile CF passes, on the pool at 2 workers
+    # wherever the tree sizes CF chunks by the coefficient search
+    "k3_cf_r19_300": dict(K=3, scheme="cf", cf_radius=19, snr_step=10.0, trials=300),
 }
 
 # Runs in the child: reads {"dir", "configs"} from stdin and writes each

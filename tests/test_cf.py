@@ -483,10 +483,10 @@ class TestOrbitSearch:
 
         def last_winner(den):
             first = first_winner(den)
-            assert np.array_equal(first, np.argmin(den, axis=1))
+            assert np.array_equal(first, np.argmin(den, axis=0))
             rate = cf_baseline._rate_of(den.copy())
-            ties = rate == rate.max(axis=1, keepdims=True)
-            last = den.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+            ties = rate == rate.max(axis=0, keepdims=True)
+            last = len(den) - 1 - np.argmax(ties[::-1], axis=0)
             moved.append(np.count_nonzero(last != first))
             return last
 
@@ -501,9 +501,9 @@ class TestOrbitSearch:
         # exact ties at the minimum, wherever they fall, go to the first
         # leader, np.argmin's pick, with scores wide enough for L leaders
         rng = np.random.default_rng(L)
-        den = rng.integers(0, 3, size=(2, L, 20)) - 0.5
+        den = rng.integers(0, 3, size=(L, 2, 20)) - 0.5
         win = cf_baseline._winner(den)
-        assert win.dtype == np.intp and np.array_equal(win, np.argmin(den, axis=1))
+        assert win.dtype == np.intp and np.array_equal(win, np.argmin(den, axis=0))
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     def test_best_member_projections_are_exact(self, K, monkeypatch):
@@ -521,7 +521,7 @@ class TestOrbitSearch:
         monkeypatch.setattr(cf_baseline, "_member_projections", spy)
         leaders, _ = cf_baseline._orbits(K, 3)
         lead = {tuple(b) for b in leaders}
-        rho = np.array(TestRateBuffer.RHOS)[:, None, None]
+        rho = np.array(TestRateBuffer.RHOS)[:, None]
         for h in stress_channels(K, 70 + K):
             H = np.moveaxis(h, -1, -3).reshape(-1, K)
             calls.clear()
@@ -565,3 +565,79 @@ class TestOrbitSearch:
                 cf_trial_sum_rate(rng.standard_normal((T, K, K, N)), rhos, 2, 3,
                                   caps_for(rhos))
         assert exhaustive == []
+
+    def test_tiles_change_no_bit_and_keep_their_bounds(self, monkeypatch):
+        # PASS_ELEMENTS sized so that tiles hold one row of one point, one
+        # row of every point, S rows of every point, and S - 1 rows of one
+        # point: totals and outages must equal the one-tile defaults bit for
+        # bit, and no _search call or fallback group may exceed the bound
+        rng = np.random.default_rng(62)
+        grid = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 61, 10)]
+        inputs = [(rng.standard_normal((T, K, K, N)), grid)
+                  for T, K, N in [(20, 3, 1), (7, 2, 3), (12, 1, 3), (5, 4, 1)]]
+        inputs += [(h, TestRateBuffer.RHOS) for K in (2, 3, 4)
+                   for h in stress_channels(K, 60 + K)]
+        inputs += [(np.zeros((0, K, K, N)), grid) for K, N in [(2, 3), (3, 1)]]
+        search, projections = cf_baseline._search, cf_baseline._projections
+        calls, groups = [], []
+
+        def search_spy(H, hh, rho, radius):
+            calls.append((len(rho), len(cf_baseline._orbits(H.shape[-1], radius)[0]),
+                          len(H)))
+            return search(H, hh, rho, radius)
+
+        def projections_spy(H, cand):
+            if cand.ndim == 2:  # the exhaustive fallback's group of pairs
+                groups.append((len(H), len(cand)))
+            return projections(H, cand)
+
+        monkeypatch.setattr(cf_baseline, "_search", search_spy)
+        monkeypatch.setattr(cf_baseline, "_projections", projections_spy)
+        shapes, fell_back = set(), 0
+        for h, rhos in inputs:
+            K, S = h.shape[-2], len(rhos)
+            L = len(cf_baseline._orbits(K, 3)[0])
+            monkeypatch.setattr(cf_baseline, "PASS_ELEMENTS", 2**18)
+            calls.clear()
+            want = cf_trial_sum_rate(h, rhos, 2, 3, caps_for(rhos))
+            assert calls == [(S, L, h[..., 0, :].size)]  # one tile by default
+            for points, rows in [(1, 1), (S, 1), (S, S), (1, S - 1)]:
+                bound = points * rows * L
+                monkeypatch.setattr(cf_baseline, "PASS_ELEMENTS", bound)
+                calls.clear(), groups.clear()
+                got = cf_trial_sum_rate(h, rhos, 2, 3, caps_for(rhos))
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert np.array_equal(g, w)
+                assert all(p * n * r <= bound for p, n, r in calls)
+                assert all(p == points and r <= rows for p, _, r in calls)
+                assert sum(r for _, _, r in calls) == S // points * h[..., 0, :].size
+                assert all(n <= max(1, bound // c) for n, c in groups)
+                shapes.update((p, r) for p, _, r in calls)
+                fell_back += len(groups) > 1
+        # every regime ran, with more than one row per tile, and fallbacks
+        # were split into several groups
+        assert {(1, 1), (7, 1), (7, 7), (22, 22), (1, 6), (1, 21)} <= shapes
+        assert fell_back
+
+    def test_a_fine_grid_keeps_all_point_tiles(self, monkeypatch):
+        # one-point tiles only where one row of every point would not fit:
+        # at 601 points a chunk whose rows fit one all-point tile is one
+        # _search call, and one row more makes two all-point tiles
+        rhos = [10.0 ** (i / 100.0) for i in range(601)]
+        L = len(cf_baseline._orbits(2, 3)[0])
+        fit = cf_baseline.PASS_ELEMENTS // (len(rhos) * L)
+        search, calls = cf_baseline._search, []
+
+        def search_spy(H, hh, rho, radius):
+            calls.append((len(rho), len(H)))
+            return search(H, hh, rho, radius)
+
+        monkeypatch.setattr(cf_baseline, "_search", search_spy)
+        T = fit // 2  # two rows, one per receiver, per trial
+        h = np.random.default_rng(63).standard_normal((T + 1, 2, 2, 1))
+        totals, _ = cf_trial_sum_rate(h[:T], rhos, 2, 3, caps_for(rhos))
+        assert calls == [(601, 2 * T)]
+        calls.clear()
+        assert np.array_equal(totals, cf_trial_sum_rate(h, rhos, 2, 3, caps_for(rhos))[0][:T])
+        assert calls == [(601, fit), (601, 2 * T + 2 - fit)]

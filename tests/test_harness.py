@@ -730,6 +730,15 @@ class TestRunTrials:
             assert length * 2 * N * N <= BATCH_ELEMENTS or length == 1
             assert (length + 1) * 2 * N * N > BATCH_ELEMENTS
         assert chunk_length(SimConfig(K=2, n=300, scheme="snc", trials=1000), 1) == 1
+        # the CF leg bounds its own search, so neither the scheme nor the
+        # search radius moves a plan's chunks
+        for K, n in [(2, 2), (3, 1), (3, 2)]:
+            for workers in (1, 2):
+                lengths = {chunk_length(SimConfig(K=K, n=n, trials=3000, **kw), workers)
+                           for kw in [dict(scheme="snc"), dict(scheme="both"),
+                                      dict(scheme="both", cf_radius=1),
+                                      dict(scheme="both", cf_radius=19)]}
+                assert len(lengths) == 1
 
 
 class TestRunSweep:
@@ -1096,9 +1105,10 @@ class TestWriteResults:
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = small_config(trials=24, snr_stop=10.0, out_path=str(tmp_path / "r.csv"))
-        # a smaller batch bound makes the sweep span several batches, so that
-        # 2 and 3 workers reach the pool
-        monkeypatch.setattr(harness, "BATCH_ELEMENTS", harness.BATCH_ELEMENTS // 64)
+        # a smaller batch bound makes the sweep span several batches (16
+        # trials each, 8 elements per trial), so that 2 and 3 workers reach
+        # the pool
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", harness.BATCH_ELEMENTS // 512)
         assert chunk_length(cfg, 1) < cfg.trials
         pools = []
 
