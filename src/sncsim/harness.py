@@ -34,15 +34,15 @@ randomness and bounds its own search memory in tiles of
 cf_baseline.PASS_ELEMENTS values, so chunks are sized from the SNC
 arrays alone, whatever the coefficient search.  The arrays of a chunk
 are the only shape: one trial is run_trials(cfg, [i]), and another grid
-or output path is dataclasses.replace(cfg, ...).  A sweep that fits one
-chunk of at most BATCH_ELEMENTS per array runs in this process, whatever
-SNCSIM_WORKERS says: a process pool could not amortise its start-up over
-one chunk.
-A larger sweep goes to a pool of at most SNCSIM_WORKERS processes in
-chunks of trials // (4 workers) trials.  run_sweep joins each scheme's
-chunk tables once, into one [outcome, point, trial] array, and reduces
-every stat of STATS, the one declaration behind SweepPoint's stats and
-the CSV's stat columns, in one pass over the trial axis (_sweep_stats).
+or output path is dataclasses.replace(cfg, ...).  run_sweep cuts a sweep
+into chunks of at most BATCH_ELEMENTS per array once, whatever
+SNCSIM_WORKERS says, and runs a sweep of one chunk in this process: a
+process pool could not amortise its start-up over one chunk.  A larger
+sweep runs the same chunks on a pool of at most SNCSIM_WORKERS
+processes.  run_sweep joins each scheme's chunk tables once, into one
+[outcome, point, trial] array, and reduces every stat of STATS, the one
+declaration behind SweepPoint's stats and the CSV's stat columns, in one
+pass over the trial axis (_sweep_stats).
 
 Draw-order contract: trial i has its own generator, the one
 default_rng(SeedSequence([seed, i])) gives, which draws the channel and
@@ -425,11 +425,14 @@ def evaluate(cfg: SimConfig, h: np.ndarray, rngs, v1, v_other, w):
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One scheme at one SNR point: its kept trials, then each stat of
+    STATS, the CSV's columns in the CSV's order."""
+
     scheme: str
     snr_db: float
+    trials: int
     mean_sum_rate: float  # bits per channel use
     std_sum_rate: float
-    trials: int
     outage_frac: float
     detected_err_frac: float
 
@@ -442,24 +445,17 @@ class SweepResult:
     warning: str | None = None
 
 
-def chunk_length(cfg: SimConfig, workers: int) -> int:
-    """Trials per chunk: all of them when serial, trials // (4 workers) on
-    a pool so that each worker gets several chunks, and at least 1.  At
-    most BATCH_ELEMENTS // (elements per trial), so that large extensions
-    stay in memory.  Elements per trial is a fixed bound on the SNC
-    arrays, M N max(N, S M), the same for every scheme and coefficient
-    search: the CF leg bounds its own search in tiles of
-    cf_baseline.PASS_ELEMENTS values.  Neither rule is fitted to the
-    arrays the engine builds: dropping the share rule moves a 2-worker
-    pool by a few ms either way (K=2, n=2, both, 11 alternating sweeps,
-    2-vCPU VM, medians): 55 ms with it and 50 ms without at 1,000 trials,
-    95 and 94 ms at 3,000.
-    run_sweep uses a pool only when chunk_length(cfg, 1) < cfg.trials,
-    that is when the sweep spans more than one such chunk."""
+def chunk_length(cfg: SimConfig) -> int:
+    """Trials per chunk: all of them, but at most BATCH_ELEMENTS //
+    (elements per trial), so that large extensions stay in memory, and at
+    least 1.  Elements per trial is a fixed bound on the SNC arrays,
+    M N max(N, S M), the same for every scheme and coefficient search: the
+    CF leg bounds its own search in tiles of cf_baseline.PASS_ELEMENTS
+    values.  The worker count does not enter, so a serial and a pooled
+    sweep evaluate the same chunks."""
     M, S, n_ext = cfg.M, len(cfg.snr_grid), cfg.n_ext
     elements = M * n_ext * max(n_ext, S * M)
-    share = cfg.trials if workers <= 1 else cfg.trials // (4 * workers)
-    return max(1, min(share, BATCH_ELEMENTS // elements))
+    return max(1, min(cfg.trials, BATCH_ELEMENTS // elements))
 
 
 def _sweep_stats(tables, points: int, n_ext: int) -> dict[str, np.ndarray]:
@@ -493,23 +489,20 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     """Run the full (trials x SNR grid) experiment and aggregate.
 
     Trials are evaluated in chunks of consecutive indices (chunk_length),
-    each chunk at every SNR point in one stacked pass.  A sweep that fits
-    one chunk is one run_trials call in this process.  A larger one goes
+    each chunk at every SNR point in one stacked pass.  A sweep of one
+    chunk is one run_trials call in this process.  A sweep of several goes
     to a process pool when the SNCSIM_WORKERS environment variable is above
-    1; that value is a ceiling on the pool's size (see worker_count).  A
-    trial's outcome does not depend on its chunk, and aggregation happens
-    in trial-index order, so results do not depend on the worker count.
+    1; that value is a ceiling on the pool's size (see worker_count).  The
+    chunks are the same either way, and aggregation happens in
+    trial-index order, so results do not depend on the worker count.
     """
     n_ext, grid = cfg.n_ext, cfg.snr_grid
     workers = worker_count()
-    if chunk_length(cfg, 1) >= cfg.trials:
-        workers = 1  # one chunk: a pool would cost more than it saves
-
+    step = chunk_length(cfg)
+    chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
     # only the outcome arrays of a chunk cross the process boundary
     fn = partial(run_trials, cfg)
-    step = chunk_length(cfg, workers)
-    chunks = [range(i, min(i + step, cfg.trials)) for i in range(0, cfg.trials, step)]
-    if workers > 1:
+    if workers > 1 and len(chunks) > 1:  # one chunk: a pool would cost more than it saves
         # imported here, so that a sweep without a pool never loads it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -521,10 +514,10 @@ def run_sweep(cfg: SimConfig) -> SweepResult:
     aborted = cfg.trials - trials
     stats = {s: _sweep_stats([t[s] for t in tables], len(grid), n_ext) for s in tables[0]}
     res = SweepResult(aborted_trials=aborted * len(grid))
-    values = {s: {stat: v.tolist() for stat, v in at.items()} for s, at in stats.items()}
-    res.points = [SweepPoint(scheme=s, snr_db=snr_db, trials=trials,
-                             **{stat: v[p] for stat, v in at.items()})
-                  for p, snr_db in enumerate(grid) for s, at in values.items()]
+    # each scheme's stats as one row per point, in SweepPoint's field order
+    rows = {s: list(zip(*(v.tolist() for v in at.values()))) for s, at in stats.items()}
+    res.points = [SweepPoint(s, snr_db, trials, *rows[s][p])
+                  for p, snr_db in enumerate(grid) for s in rows]
     if not cfg.cap_enabled:
         for s, at in stats.items():
             mean = at["mean_sum_rate"]

@@ -289,14 +289,14 @@ class AlignmentResult:
         return self.aligned
 
 
-def verify_alignment(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
-                     rtol: float = ALIGNMENT_RTOL) -> AlignmentResult:
+def verify_alignment(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray) -> AlignmentResult:
     """Check that every interfering column of one trial's channel *h*
     (M, M, N) and precoders coincides with a desired column.
 
     True iff for every receiver l and transmitter k >= 2, each column of
-    H_{l,k} V_k equals (within relative tolerance) some column of
-    H_{l,1} V_1.  The witness map records the matching column indices.
+    H_{l,k} V_k equals, within relative tolerance ALIGNMENT_RTOL, some
+    column of H_{l,1} V_1.  The witness map records the matching column
+    indices.
     """
     witness = {}
     K = len(h)
@@ -307,7 +307,7 @@ def verify_alignment(h: np.ndarray, v1: np.ndarray, v_other: np.ndarray,
             cross = h[l, k][:, None] * v_other
             for c in range(cross.shape[1]):
                 dist = np.linalg.norm(desired - cross[:, c][:, None], axis=0)
-                match = np.where(dist <= rtol * np.maximum(norms, 1e-300))[0]
+                match = np.where(dist <= ALIGNMENT_RTOL * np.maximum(norms, 1e-300))[0]
                 if match.size == 0:
                     return AlignmentResult(False, witness)
                 witness[l, k, c] = int(match[0])

@@ -5,10 +5,11 @@
     python tests/identity.py --base REV --speed
 
 Every config of tests/test_pinned_outputs.MATRIX and the five larger sweeps
-of POOLED run on both trees.  The first four span several chunks and so
-start a pool at 2 workers; the fifth, a K=3, radius-19 CF sweep, runs its
-coefficient search in many tiles of one chunk, or on a pool of 1-trial
-chunks in a tree whose chunks shrink with the search.  Each tree and
+of POOLED run on both trees.  The first four span at least two chunks
+each (tests/test_identity.py checks it), so they start a pool at 2
+workers; the fifth, a K=3, radius-19 CF sweep, runs its coefficient
+search in many tiles of one chunk, or on a pool of 1-trial chunks in a
+tree whose chunks shrink with the search.  Each tree and
 SNCSIM_WORKERS count (1 and 2) runs in one fresh interpreter whose
 PYTHONPATH is that tree's src/ alone.  A config's outputs are the CSV's
 bytes, every sidecar key but config.out_path, every SweepPoint stat,
@@ -60,9 +61,9 @@ POOLED = {
     "k3n1_both_real_600": dict(K=3, n=1, trials=600),
     "k3n2_snc_complex_300": dict(K=3, n=2, scheme="snc", channel_model="complex",
                                  trials=300),
-    "k2n10_snc_complex_uncapped_200": dict(K=2, n=10, scheme="snc",
+    "k2n10_snc_complex_uncapped_600": dict(K=2, n=10, scheme="snc",
                                            channel_model="complex", cap_enabled=False,
-                                           snr_start=40.0, snr_stop=60.0, trials=200),
+                                           snr_start=40.0, snr_stop=60.0, trials=600),
     # the largest K=3 radius: multi-tile CF passes, on the pool at 2 workers
     # wherever the tree sizes CF chunks by the coefficient search
     "k3_cf_r19_300": dict(K=3, scheme="cf", cf_radius=19, snr_step=10.0, trials=300),

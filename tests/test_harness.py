@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -716,29 +717,26 @@ class TestRunTrials:
         assert ref[:, 0].any() and not ref[:, -1].any()
 
     def test_chunk_length_bounds(self):
-        for workers in (1, 2, 3, 64):
-            for trials in (1, 5, 1000):
-                assert chunk_length(small_config(trials=trials), workers) >= 1
-        assert chunk_length(small_config(trials=40), 1) == 40
-        assert chunk_length(small_config(trials=40), 2) == 40 // 8
+        for trials in (1, 5, 1000):
+            assert chunk_length(small_config(trials=trials)) >= 1
+        assert chunk_length(small_config(trials=40)) == 40
         # one trial's filters, (K, N, N), take the most elements
         for n in (30, 300):
             cfg = SimConfig(K=2, n=n, scheme="snc", trials=1000)
             N = n + 1
-            length = chunk_length(cfg, 1)
+            length = chunk_length(cfg)
             assert length >= 1
             assert length * 2 * N * N <= BATCH_ELEMENTS or length == 1
             assert (length + 1) * 2 * N * N > BATCH_ELEMENTS
-        assert chunk_length(SimConfig(K=2, n=300, scheme="snc", trials=1000), 1) == 1
+        assert chunk_length(SimConfig(K=2, n=300, scheme="snc", trials=1000)) == 1
         # the CF leg bounds its own search, so neither the scheme nor the
         # search radius moves a plan's chunks
         for K, n in [(2, 2), (3, 1), (3, 2)]:
-            for workers in (1, 2):
-                lengths = {chunk_length(SimConfig(K=K, n=n, trials=3000, **kw), workers)
-                           for kw in [dict(scheme="snc"), dict(scheme="both"),
-                                      dict(scheme="both", cf_radius=1),
-                                      dict(scheme="both", cf_radius=19)]}
-                assert len(lengths) == 1
+            lengths = {chunk_length(SimConfig(K=K, n=n, trials=3000, **kw))
+                       for kw in [dict(scheme="snc"), dict(scheme="both"),
+                                  dict(scheme="both", cf_radius=1),
+                                  dict(scheme="both", cf_radius=19)]}
+            assert len(lengths) == 1
 
 
 class TestRunSweep:
@@ -946,9 +944,8 @@ class TestAggregation:
         # CSV's stat columns list the same names in the same order, and each
         # reduces an outcome that evaluate returns
         stats = list(harness.STATS)
-        fields = [f.name for f in dataclasses.fields(harness.SweepPoint)
-                  if f.name not in ("scheme", "snr_db", "trials")]
-        assert fields == stats
+        fields = [f.name for f in dataclasses.fields(harness.SweepPoint)]
+        assert fields == ["scheme", "snr_db", "trials", *stats]
         assert harness.CSV_HEADER[-len(stats):] == stats
         assert "trials" not in harness.CSV_HEADER[-len(stats):]
         assert {outcome for outcome, _ in harness.STATS.values()} == set(harness.OUTCOMES)
@@ -1104,12 +1101,6 @@ class TestWriteResults:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = small_config(trials=24, snr_stop=10.0, out_path=str(tmp_path / "r.csv"))
-        # a smaller batch bound makes the sweep span several batches (16
-        # trials each, 8 elements per trial), so that 2 and 3 workers reach
-        # the pool
-        monkeypatch.setattr(harness, "BATCH_ELEMENTS", harness.BATCH_ELEMENTS // 512)
-        assert chunk_length(cfg, 1) < cfg.trials
         pools = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -1119,19 +1110,68 @@ class TestWriteResults:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         # 3 usable CPUs, so that 1, 2 and 3 workers reach run_sweep unclamped
-        # and chunk the trials differently
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        chunks, outputs = set(), []
+        # smaller batch bounds make each sweep span several chunks, chunked
+        # three ways (1, 5 and 16 trials), so that 2 and 3 workers reach the pool
+        for overrides, bounds in [
+            # 8 elements per trial
+            (dict(snr_stop=10.0), (8, 40, 128)),
+            # 242 elements per trial, and pooled chunks that hold resampled
+            # and aborted trials
+            (dict(n=10, scheme="snc", channel_model="complex", cap_enabled=False,
+                  snr_start=40.0, snr_stop=60.0, snr_step=5.0), (242, 1210, 3872)),
+        ]:
+            cfg = small_config(trials=24, out_path=str(tmp_path / "r.csv"), **overrides)
+            pools.clear()
+            chunks, outputs = set(), []
+            for bound in bounds:
+                monkeypatch.setattr(harness, "BATCH_ELEMENTS", bound)
+                assert chunk_length(cfg) < cfg.trials
+                chunks.add(chunk_length(cfg))
+                for workers in (1, 2, 3):
+                    monkeypatch.setenv("SNCSIM_WORKERS", str(workers))
+                    assert harness.worker_count() == workers
+                    # each run rewrites cfg.out_path, so the sidecars compare whole
+                    outputs.append([p.read_bytes()
+                                    for p in write_results(run_sweep(cfg), cfg)])
+            assert len(chunks) == 3
+            assert pools == [2, 3] * len(bounds)
+            assert all(out == outputs[0] for out in outputs)
+        # the K=2, n=10 sweep, run last, aborted some of its trials
+        assert json.loads(outputs[0][1])["aborted_trials"] > 0
+
+    def test_worker_count_does_not_change_chunks(self, monkeypatch):
+        # serial and pooled sweeps evaluate the same chunks in the same
+        # order; the pool runs its map in this process, so that a spy on
+        # run_trials sees every chunk
+        cfg = SimConfig(K=2, n=2, trials=1000)
+        pools, calls = [], []
+
+        class InlinePool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(self)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def spy(cfg, indices):
+            calls[-1].append(indices)
+            return run_trials(cfg, indices)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "run_trials", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
         for workers in (1, 2, 3):
             monkeypatch.setenv("SNCSIM_WORKERS", str(workers))
-            assert harness.worker_count() == workers
-            chunks.add(chunk_length(cfg, harness.worker_count()))
-            # each run rewrites cfg.out_path, so the sidecars compare whole
-            outputs.append([p.read_bytes() for p in write_results(run_sweep(cfg), cfg)])
-        assert len(chunks) == 3
+            calls.append([])
+            run_sweep(cfg)
         assert pools == [2, 3]
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert calls[0] == calls[1] == calls[2]
+        assert [i for chunk in calls[0] for i in chunk] == list(range(cfg.trials))
+        assert len(calls[0]) > 1
 
     def test_import_leaves_the_pool_unloaded(self):
         # only a pool sweep imports the process pool, so a fresh
@@ -1154,7 +1194,7 @@ class TestWriteResults:
                             raising=False)
         serial = []
         for cfg in configs:
-            assert chunk_length(cfg, 1) >= cfg.trials
+            assert chunk_length(cfg) >= cfg.trials
             monkeypatch.setenv("SNCSIM_WORKERS", "1")
             serial.append(run_sweep(cfg))
 

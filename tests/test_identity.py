@@ -1,5 +1,6 @@
 import math
 
+from sncsim.harness import SimConfig, chunk_length
 from tests import identity
 
 SRC = identity.ROOT / "src"
@@ -13,6 +14,13 @@ def test_working_tree_is_identical_to_itself(capsys):
     assert lines[:-1] == [f"identical  {name} (workers {w})"
                           for name in names for w in identity.WORKERS]
     assert lines[-1] == "4 of 4 config runs identical"
+
+
+def test_first_four_pooled_sweeps_span_several_chunks():
+    # so that they start a pool at 2 workers
+    for name in list(identity.POOLED)[:4]:
+        cfg = SimConfig(**identity.POOLED[name])
+        assert chunk_length(cfg) < cfg.trials, name
 
 
 def test_differences_name_each_field_and_its_relative_difference():

@@ -327,7 +327,7 @@ class TestPrecoders:
         # one trial and in the chunk of a 1,000-trial K=3, n=2, snc, complex
         # sweep, and where the ratio table holds a 0 or an inf entry
         chunk = chunk_length(SimConfig(K=3, n=2, scheme="snc", channel_model="complex",
-                                       snr_step=10.0, trials=1000), 1)
+                                       snr_step=10.0, trials=1000))
         assert chunk == 49
         plan = extension_dims(K, n)
         tables = []
